@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .graph import (Event, EventSubset, TemporalGraph, computational_graph,
-                    degree_spectrum, generate_synthetic, ingest_csv,
-                    neighbor_events, query_event)
+                    generate_synthetic, ingest_csv, neighbor_events,
+                    query_event)
 from .motifs import (MotifCensus, MotifInstance, census, code_alphabet,
                      empirical_class_probs, enumerate_motifs, motif_code,
                      null_class_probs, null_model, sample_motifs,
@@ -13,8 +13,7 @@ from .motifs import (MotifCensus, MotifInstance, census, code_alphabet,
 __all__ = [
     "__version__",
     "Event", "EventSubset", "TemporalGraph", "computational_graph",
-    "degree_spectrum", "generate_synthetic", "ingest_csv", "neighbor_events",
-    "query_event",
+    "generate_synthetic", "ingest_csv", "neighbor_events", "query_event",
     "MotifCensus", "MotifInstance", "census", "code_alphabet",
     "empirical_class_probs", "enumerate_motifs", "motif_code",
     "null_class_probs", "null_model", "sample_motifs", "sample_motifs_tree",

@@ -91,10 +91,10 @@ class QueryCache:
 
 
 def _side_view(g: TemporalGraph, node: int, other: int, t: float, k_nb: int) -> SideView:
-    ids = g.incident_before(node, t, strict=True)[-k_nb:]
-    partners = np.array([g.other_endpoint(int(e), node) for e in ids], dtype=np.int64)
+    ids, partners = g.history(node, t, strict=True)
+    ids, partners = ids[-k_nb:], partners[-k_nb:]
     return SideView(
-        node=node, event_ids=np.asarray(ids, dtype=np.int64), partners=partners,
+        node=node, event_ids=ids, partners=partners,
         dts=t - g.t[ids], attrs=g.attrs[ids],
         direct=(partners == other).astype(np.float64))
 

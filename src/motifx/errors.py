@@ -10,7 +10,7 @@ class IngestError(MotifxError):
 
 
 class SchemaError(MotifxError):
-    """Rows disagree on the attribute width."""
+    """Input breaks the graph schema: column lengths, node ids, timestamps, attribute width."""
 
 
 class ShapeError(MotifxError):

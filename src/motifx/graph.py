@@ -2,7 +2,17 @@
 
 Timestamps are float64 and may repeat; wherever an order over events is
 needed, ties are broken by event id (lower id = earlier). Event ids are
-dense 0..N-1, assigned in non-decreasing timestamp order.
+dense 0..N-1, assigned in non-decreasing timestamp order, so a time cut
+is an id cut: the events with t < before are exactly the ids below
+``searchsorted(t, before)``.
+
+Every history lookup reads one compressed sparse row (CSR) index built
+with the graph. Its entries are (node, incident event) pairs sorted by
+node, then by event id. The entries of node w are rows
+``indptr[w]:indptr[w + 1]`` of ``inc_ids`` (the event ids) and
+``inc_other`` (the event's other endpoint). Within a row, id order is
+(t, id) order, so every time window is one contiguous slice, and
+ties come out ordered by id exactly as they do over the whole stream.
 """
 from __future__ import annotations
 
@@ -33,40 +43,77 @@ def query_event(u: int, v: int, t: float, attr_width: int = 0) -> Event:
     return Event(id=-1, u=u, v=v, t=t, attrs=np.zeros(attr_width))
 
 
+def _node_ids(column) -> np.ndarray:
+    raw = np.asarray(column).reshape(-1)
+    with np.errstate(invalid="ignore"):  # NaN and inf are rejected just below
+        ids = raw.astype(np.int64)
+    if not np.array_equal(ids, raw):
+        raise SchemaError("node ids must be integers")
+    return ids
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class TemporalGraph:
     """Immutable store of undirected timestamped interaction events.
 
-    Construction stable-sorts events by timestamp and builds, for every
-    node, the list of incident event ids in ascending (t, id) order so
-    that history lookups are binary searches.
+    Construction checks the columns (finite timestamps, integer node ids
+    in ``[0, node_count)``, no self-loops, equal lengths), stable-sorts the
+    events by timestamp and builds the CSR index of the module docstring
+    with vectorised numpy: ``indptr`` (node_count + 1 row offsets),
+    ``inc_ids`` and ``inc_other`` (two entries per event, one in each
+    endpoint's row). ``_inc_key`` holds each entry as the packed int64
+    ``node * n_events + event id``; it is sorted, so the row offsets of
+    any set of nodes at any id cut are one ``searchsorted``. The event
+    columns and the index are read-only, and lookups return views of them.
     """
 
     __slots__ = ("src", "dst", "t", "attrs", "node_count", "attr_width",
-                 "_nbr_ids", "_nbr_times")
+                 "indptr", "inc_ids", "inc_other", "_inc_key")
 
     def __init__(self, src, dst, t, attrs, node_count: int):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        t = np.asarray(t, dtype=np.float64)
-        attrs = np.asarray(attrs, dtype=np.float64)
-        if attrs.ndim != 2:
-            attrs = attrs.reshape(len(src), -1)
+        try:
+            src, dst = _node_ids(src), _node_ids(dst)
+            t = np.asarray(t, dtype=np.float64).reshape(-1)
+            attrs = np.asarray(attrs, dtype=np.float64)
+            if attrs.ndim != 2:
+                attrs = attrs.reshape(len(src), -1) if len(src) else attrs.reshape(0, 0)
+            node_count = int(node_count)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad event columns: {exc}") from exc
+        n = len(src)
+        if not len(dst) == len(t) == len(attrs) == n:
+            raise SchemaError(f"column lengths differ: src {n}, dst {len(dst)}, "
+                              f"t {len(t)}, attrs {len(attrs)}")
+        if node_count < 0:
+            raise SchemaError(f"node_count {node_count} is negative")
+        if not np.all(np.isfinite(t)):
+            raise SchemaError("timestamps must be finite")
+        if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= node_count):
+            raise SchemaError(f"node ids must lie in [0, {node_count})")
+        if np.any(src == dst):
+            raise SchemaError(f"self-loop at node {int(src[np.argmax(src == dst)])}")
         order = np.argsort(t, kind="stable")
-        self.src = src[order]
-        self.dst = dst[order]
-        self.t = t[order]
-        self.attrs = attrs[order]
-        self.node_count = int(node_count)
+        self.src = _frozen(src[order])
+        self.dst = _frozen(dst[order])
+        self.t = _frozen(t[order])
+        self.attrs = _frozen(attrs[order])
+        self.node_count = node_count
         self.attr_width = int(self.attrs.shape[1])
 
-        incident: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i in range(len(self.src)):
-            incident[self.src[i]].append(i)
-            incident[self.dst[i]].append(i)
-        # events are visited in id order == (t, id) order, so each per-node
-        # list is already sorted the way binary search needs it
-        self._nbr_ids = [np.asarray(ix, dtype=np.int64) for ix in incident]
-        self._nbr_times = [self.t[ix] for ix in self._nbr_ids]
+        ends = np.concatenate([self.src, self.dst])
+        ids = np.tile(np.arange(n, dtype=np.int64), 2)
+        key = ends * n + ids
+        pos = np.argsort(key)  # keys are distinct: no self-loops
+        self._inc_key = _frozen(key[pos])
+        self.inc_ids = _frozen(ids[pos])
+        self.inc_other = _frozen(np.concatenate([self.dst, self.src])[pos])
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=node_count), out=indptr[1:])
+        self.indptr = _frozen(indptr)
 
     @property
     def n_events(self) -> int:
@@ -86,19 +133,25 @@ class TemporalGraph:
         for i in range(self.n_events):
             yield self.event(i)
 
-    def other_endpoint(self, event_id: int, node: int) -> int:
-        u, v = int(self.src[event_id]), int(self.dst[event_id])
-        return v if u == node else u
+    def id_cut(self, before: float, strict: bool = True) -> int:
+        """The count of events with t < before (or <= if not strict): they are ids 0..cut-1."""
+        return int(self.t.searchsorted(before, side="left" if strict else "right"))
+
+    def history(self, node: int, before: float,
+                strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """`node`'s events with t < before (or <= if not strict), ascending (t, id):
+        their ids and their other endpoints, as read-only views of the index."""
+        cut = self.id_cut(before, strict)
+        rows = slice(int(self.indptr[node]),
+                     int(self._inc_key.searchsorted(node * self.n_events + cut)))
+        return self.inc_ids[rows], self.inc_other[rows]
 
     def incident_before(self, node: int, before: float, strict: bool = True) -> np.ndarray:
         """Event ids incident to `node` with t < before (or <= if not strict), ascending (t, id)."""
-        times = self._nbr_times[node]
-        cut = np.searchsorted(times, before, side="left" if strict else "right")
-        return self._nbr_ids[node][:cut]
+        return self.history(node, before, strict)[0]
 
     def degree_before(self, node: int, before: float) -> int:
-        times = self._nbr_times[node]
-        return int(np.searchsorted(times, before, side="left"))
+        return len(self.history(node, before)[0])
 
     # -- serialization ------------------------------------------------------
 
@@ -111,15 +164,20 @@ class TemporalGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "TemporalGraph":
-        payload = json.loads(text)
-        ev = payload["events"]
-        src = [e[0] for e in ev]
-        dst = [e[1] for e in ev]
-        t = [e[2] for e in ev]
-        attrs = np.array([e[3] for e in ev], dtype=np.float64)
-        if attrs.size == 0:
-            attrs = np.zeros((len(ev), payload["attr_width"]))
-        return cls(src, dst, t, attrs, payload["node_count"])
+        try:
+            payload = json.loads(text)
+            ev = payload["events"]
+            src = [e[0] for e in ev]
+            dst = [e[1] for e in ev]
+            t = [e[2] for e in ev]
+            attrs = np.array([e[3] for e in ev], dtype=np.float64)
+            if attrs.size == 0:
+                attrs = np.zeros((len(ev), payload["attr_width"]))
+            node_count = payload["node_count"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            # ValueError covers json.JSONDecodeError and ragged attribute rows
+            raise SchemaError(f"malformed graph JSON: {exc!r}") from exc
+        return cls(src, dst, t, attrs, node_count)
 
 
 @dataclass
@@ -190,15 +248,32 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
     return g, report
 
 
-def neighbor_events(g: TemporalGraph, nodes, before: float, strict: bool = True) -> np.ndarray:
-    """All event ids incident to any node in `nodes` with t < before (strict) or t <= before.
+def neighbor_events(g: TemporalGraph, nodes, before: float, strict: bool = True,
+                    since: float = -math.inf, closed: bool = False) -> np.ndarray:
+    """All event ids incident to any node in `nodes` with since <= t < before (strict)
+    or since <= t <= before; with `closed`, only events whose endpoints are both in `nodes`.
 
-    Deduplicated, ascending id order. Empty result is valid.
+    Deduplicated, ascending id order. Empty result is valid. Each node's
+    window is one slice of its index row; an event in two rows is kept
+    from the row of its smaller endpoint.
     """
-    parts = [g.incident_before(w, before, strict) for w in set(int(n) for n in nodes)]
+    ws = sorted({int(w) for w in nodes})
+    base = np.array(ws, dtype=np.int64) * g.n_events
+    starts = g._inc_key.searchsorted(base + g.id_cut(since)).tolist()
+    stops = g._inc_key.searchsorted(base + g.id_cut(before, strict)).tolist()
+    if len(ws) == 1 and not closed:
+        return g.inc_ids[starts[0]:stops[0]]
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[ws] = True
+    parts = []
+    for w, a, b in zip(ws, starts, stops):
+        other = g.inc_other[a:b]
+        shared = inside[other]
+        keep = (shared & (other > w)) if closed else (~shared | (other > w))
+        parts.append(g.inc_ids[a:b][keep])
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return np.sort(np.concatenate(parts))
 
 
 @dataclass
@@ -236,14 +311,11 @@ def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
     for hop in range(1, hops + 1):
         next_nodes: set[int] = set()
         for w in frontier:
-            ids = g.incident_before(w, target.t, strict=True)
-            recent = ids[-per_hop_cap:]
-            for eid in recent:
-                eid = int(eid)
+            ids, partners = g.history(w, target.t, strict=True)
+            for eid, other in zip(ids[-per_hop_cap:].tolist(), partners[-per_hop_cap:].tolist()):
                 if eid not in members:
                     members.add(eid)
                     hop_of[eid] = hop
-                other = g.other_endpoint(eid, w)
                 if other not in visited:
                     next_nodes.add(other)
         visited |= next_nodes
@@ -254,19 +326,12 @@ def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
                        frozenset(members), hop_of)
 
 
-def degree_spectrum(g: TemporalGraph) -> list[int]:
-    """Per-node incident-event counts, sorted descending."""
-    if g.node_count == 0:
-        return []
-    counts = np.bincount(np.concatenate([g.src, g.dst]), minlength=g.node_count)
-    return sorted((int(c) for c in counts), reverse=True)
-
-
 def node_base_features(g: TemporalGraph, nodes, before: float) -> np.ndarray:
     """Inductive node inputs for the link predictor: [1.0, log1p(degree before t)]."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    stops = g._inc_key.searchsorted(nodes * g.n_events + g.id_cut(before))
     out = np.ones((len(nodes), 2))
-    for i, w in enumerate(nodes):
-        out[i, 1] = math.log1p(g.degree_before(int(w), before))
+    out[:, 1] = [math.log1p(d) for d in (stops - g.indptr[nodes]).tolist()]
     return out
 
 

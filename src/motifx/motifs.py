@@ -73,16 +73,9 @@ class _CandidateCache:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        g = self.g
-        ids = neighbor_events(g, nodes, t_prev, strict=True)
-        if len(ids):
-            keep = g.t[ids] >= self.t_low
-            ids = ids[keep]
-        if len(ids) and len(nodes) >= self.n:
-            # node budget full: both endpoints must already be collected
-            members = np.array(sorted(nodes), dtype=np.int64)
-            keep = np.isin(g.src[ids], members) & np.isin(g.dst[ids], members)
-            ids = ids[keep]
+        # with the node budget full, both endpoints must already be collected
+        ids = neighbor_events(self.g, nodes, t_prev, strict=True, since=self.t_low,
+                              closed=len(nodes) >= self.n)
         self._cache[key] = ids
         return ids
 
@@ -198,7 +191,7 @@ def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
     exceeds `max_events`.
     """
     _params_ok(n, l)
-    history = int(np.searchsorted(g.t, t0, side="left"))
+    history = g.id_cut(t0)
     if history > max_events:
         raise EnumerationLimitError(
             f"{history} events before t0 exceeds the enumeration guard ({max_events})")
@@ -332,7 +325,7 @@ def null_model(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
 
 def anchor_time(g: TemporalGraph, node: int) -> float:
     """Just after the node's last activity, so its whole history is visible."""
-    ids = g._nbr_ids[node]
+    ids = g.incident_before(node, math.inf)
     if len(ids) == 0:
         return -math.inf
     return float(np.nextafter(g.t[ids[-1]], math.inf))

@@ -10,16 +10,42 @@ import itertools
 import math
 
 
-def brute_force_neighbor_events(g, nodes, before, strict=True):
-    """Linear scan over the whole event list."""
+def brute_force_neighbor_events(g, nodes, before, strict=True, since=-math.inf, closed=False):
+    """Linear scan over the whole event list.
+
+    `since` is an inclusive lower time bound; `closed` keeps only events
+    with both endpoints in `nodes`.
+    """
     nodes = set(int(n) for n in nodes)
     out = []
     for i in range(g.n_events):
         t = float(g.t[i])
-        ok_t = t < before if strict else t <= before
-        if ok_t and (int(g.src[i]) in nodes or int(g.dst[i]) in nodes):
+        ok_t = (t < before if strict else t <= before) and t >= since
+        a, b = int(g.src[i]), int(g.dst[i])
+        ok_nodes = (a in nodes and b in nodes) if closed else (a in nodes or b in nodes)
+        if ok_t and ok_nodes:
             out.append(i)
     return out
+
+
+def brute_force_computational_graph(g, u, v, t, hops, per_hop_cap):
+    """Hop-by-hop expansion from raw scans; returns {event id: first hop}."""
+    hop_of = {}
+    visited = {u, v}
+    frontier = sorted(visited)
+    for hop in range(1, hops + 1):
+        reached = set()
+        for w in frontier:
+            history = [i for i in range(g.n_events)
+                       if float(g.t[i]) < t and w in (int(g.src[i]), int(g.dst[i]))]
+            for i in history[len(history) - min(per_hop_cap, len(history)):]:
+                hop_of.setdefault(i, hop)
+                other = int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i])
+                if other not in visited:
+                    reached.add(other)
+        visited |= reached
+        frontier = sorted(reached)
+    return hop_of
 
 
 def validate_instance(g, inst, u0, t0, n, l, delta=None):

@@ -1,14 +1,17 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from motifx.errors import IngestError, SchemaError
-from motifx.graph import (TemporalGraph, computational_graph, degree_spectrum,
-                          generate_synthetic, ingest_csv, neighbor_events,
+from motifx.graph import (TemporalGraph, computational_graph, generate_synthetic,
+                          ingest_csv, neighbor_events, node_base_features,
                           query_event)
 from motifx.motifs import null_model
 
 from conftest import random_graph
-from oracles import brute_force_neighbor_events
+from oracles import brute_force_computational_graph, brute_force_neighbor_events
 
 
 def write_csv(tmp_path, text, name="g.csv"):
@@ -147,6 +150,11 @@ class TestSynthetic:
             generate_synthetic("small-world", 10, 10, seed=0)
 
 
+def degree_spectrum(g):
+    """Per-node incident-event counts, sorted descending: the CSR row lengths."""
+    return sorted(np.diff(g.indptr).tolist(), reverse=True)
+
+
 class TestDegreeSpectrum:
     def test_chain(self, chain_graph):
         assert degree_spectrum(chain_graph) == [2, 2, 1, 1]
@@ -158,3 +166,107 @@ class TestDegreeSpectrum:
     def test_null_model_preserves(self):
         g = generate_synthetic("uniform-random", 12, 80, seed=5)
         assert degree_spectrum(null_model(g, seed=1)) == degree_spectrum(g)
+
+
+class TestValidation:
+    def test_nan_timestamp(self):
+        with pytest.raises(SchemaError, match="finite"):
+            TemporalGraph([0, 1], [1, 2], [1.0, math.nan], np.zeros((2, 0)), 3)
+
+    def test_inf_timestamp(self):
+        with pytest.raises(SchemaError, match="finite"):
+            TemporalGraph([0], [1], [math.inf], np.zeros((1, 0)), 2)
+
+    def test_self_loop(self):
+        with pytest.raises(SchemaError, match="self-loop"):
+            TemporalGraph([0, 2], [1, 2], [1.0, 2.0], np.zeros((2, 0)), 3)
+
+    @pytest.mark.parametrize("src,dst", [([0, 3], [1, 2]), ([0, 1], [-1, 2])])
+    def test_node_id_out_of_range(self, src, dst):
+        with pytest.raises(SchemaError, match="node ids"):
+            TemporalGraph(src, dst, [1.0, 2.0], np.zeros((2, 0)), 3)
+
+    def test_fractional_node_id(self):
+        with pytest.raises(SchemaError, match="integers"):
+            TemporalGraph([0, 1], [1.5, 2], [1.0, 2.0], np.zeros((2, 0)), 3)
+
+    @pytest.mark.parametrize("cols", [
+        ([0, 1], [1], [1.0, 2.0], np.zeros((2, 0))),
+        ([0, 1], [1, 2], [1.0], np.zeros((2, 0))),
+        ([0, 1], [1, 2], [1.0, 2.0], np.zeros((3, 1))),
+        ([0, 1], [1, 2], [1.0, 2.0], np.zeros(3)),
+    ])
+    def test_column_lengths_differ(self, cols):
+        with pytest.raises(SchemaError):
+            TemporalGraph(*cols, 3)
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"node_count": 3, "attr_width": 0}',
+        '{"node_count": 3, "attr_width": 0, "events": [[0, 1]]}',
+        '{"attr_width": 0, "events": [[0, 1, 1.0, []]]}',
+    ])
+    def test_from_json_malformed(self, text):
+        with pytest.raises(SchemaError, match="malformed graph JSON"):
+            TemporalGraph.from_json(text)
+
+    def test_from_json_self_loop(self):
+        text = json.dumps({"node_count": 2, "attr_width": 0, "events": [[1, 1, 1.0, []]]})
+        with pytest.raises(SchemaError, match="self-loop"):
+            TemporalGraph.from_json(text)
+
+
+class TestIndex:
+    """The CSR index against raw scans over the event list, on graphs with tied timestamps."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_are_incident_events_in_id_order(self, seed):
+        g = random_graph(np.random.default_rng(seed), duplicate_times=True)
+        for w in range(g.node_count):
+            rows = slice(g.indptr[w], g.indptr[w + 1])
+            want = [i for i in range(g.n_events) if w in (int(g.src[i]), int(g.dst[i]))]
+            assert g.inc_ids[rows].tolist() == want
+            assert g.inc_other[rows].tolist() == [
+                int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i]) for i in want]
+        assert not g.inc_ids.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_windowed_neighbor_events(self, seed):
+        rng = np.random.default_rng(seed + 500)
+        g = random_graph(rng, duplicate_times=True)
+        nodes = rng.choice(g.node_count, size=int(rng.integers(1, 4)), replace=False)
+        # integer bounds hit the tied timestamps exactly
+        before = float(rng.integers(0, g.n_events // 2 + 3))
+        since = -math.inf if seed % 2 else float(rng.integers(0, g.n_events // 2 + 2))
+        strict = bool(seed % 3)
+        closed = seed % 5 == 0
+        got = neighbor_events(g, nodes, before, strict, since=since, closed=closed)
+        want = brute_force_neighbor_events(g, nodes, before, strict, since=since, closed=closed)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_incident_degree_and_node_features(self, seed):
+        rng = np.random.default_rng(seed + 700)
+        g = random_graph(rng, duplicate_times=True)
+        before = float(rng.integers(0, g.n_events // 2 + 3))
+        nodes = rng.integers(g.node_count, size=6)
+        for w in nodes:
+            for strict in (True, False):
+                assert g.incident_before(int(w), before, strict).tolist() == (
+                    brute_force_neighbor_events(g, [w], before, strict))
+        degrees = [len(brute_force_neighbor_events(g, [w], before)) for w in nodes]
+        assert [g.degree_before(int(w), before) for w in nodes] == degrees
+        feats = node_base_features(g, nodes, before)
+        assert feats[:, 0].tolist() == [1.0] * 6
+        assert feats[:, 1].tolist() == [math.log1p(d) for d in degrees]
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_computational_graph_membership(self, seed):
+        rng = np.random.default_rng(seed + 900)
+        g = random_graph(rng, duplicate_times=True)
+        target = g.event(int(rng.integers(g.n_events)))
+        for hops, cap in ((1, 2), (2, 3), (3, 20)):
+            sub = computational_graph(g, target, hops=hops, per_hop_cap=cap)
+            want = brute_force_computational_graph(g, target.u, target.v, target.t, hops, cap)
+            assert sub.hop_of == want
+            assert sub.members == set(want)

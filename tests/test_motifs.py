@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -281,3 +283,43 @@ def test_sampling_cost_scales_about_linearly_in_c():
     r2 = timings[2] / timings[1]
     print(f"\nsampling time ratios for C doublings: {r1:.2f}, {r2:.2f} "
           f"(times: {['%.3fs' % t for t in timings]})")
+
+
+class TestByteIdentityPin:
+    """Digests recorded from the per-node-list sampler this package started with.
+
+    Any change to the candidate order, the candidate sets or the RNG draw
+    order changes at least one of them.
+    """
+
+    @pytest.fixture(scope="class")
+    def hubs(self):
+        return generate_synthetic("preferential-attachment", 60, 2000, seed=4)
+
+    @staticmethod
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_census_digest(self, hubs):
+        assert self.digest(graph_census(hubs, c_per_node=10, seed=7).to_json()) == (
+            "db830b685b2b89914d896316b92a5731519d55fc1571393c7d0cb980300e54d0")
+
+    def test_windowed_census_digest(self, hubs):
+        cen = graph_census(hubs, c_per_node=10, delta=150.0, seed=7)
+        assert self.digest(cen.to_json()) == (
+            "7ffd1b6f6f5af755a4398cbdc0a925694822c9009c47986e6382bdb013ea156b")
+
+    def test_null_class_probs_digest(self, hubs):
+        probs = null_class_probs(hubs, c_per_node=10, seed=7)
+        assert self.digest(json.dumps(probs, sort_keys=True)) == (
+            "185418ab9712813489bbee18cd54f4fb37411fd42416d39f181da915ffd70631")
+
+    def test_sample_motifs_event_ids(self, hubs):
+        # a duration window that truncates some walkers, and a third step
+        # that runs with the 3-node budget full
+        out = sample_motifs(hubs, 5, anchor_time(hubs, 5), n=3, l=3, c=10,
+                            delta=200.0, seed=9)
+        assert [m.event_ids for m in out] == [
+            (1888, 1836, 1802), (1859, 1803, 1801), (1802, 1796), (1989, 1833, 1831),
+            (1888, 1837, 1802), (1802, 1796), (1888, 1808, 1802), (1802, 1796),
+            (1828, 1805), (1888, 1882, 1802)]
