@@ -4,9 +4,22 @@ The model embeds each query endpoint from its most recent K events
 (time-encoded, attribute-carrying, plus two inductive relative features:
 "partner is the other query node" and a recency-decayed "partner recently
 interacted with the other query node"), then scores the pair with a small
-MLP head. Masked prediction renormalizes attention over the retained
-events only; an entirely empty view yields a checkpoint-level constant
-computed on zero inputs, independent of the query nodes.
+MLP head.
+
+One padded, batched, masked forward serves training, the explainer
+objective and every prediction. B queries become (B, 2, K) slot arrays,
+K = k_nb: each endpoint's K most recent events before the query time,
+oldest first, padded at the end; a slot has a partner, age, attributes,
+`direct` flag, validity flag (it holds a retained event) and event-mask
+weight (1 under a hard mask). Attention renormalizes over valid slots;
+the common-partner feature is a max over a (B, 2, K, K) partner-equality
+tensor. A query with no valid slot has its [x_self, ctx] input zeroed:
+an empty view gives a checkpoint-level constant, whatever the nodes.
+
+Rows are bit-identical alone or in any batch: slots pad to the fixed K,
+and no product handed to BLAS has one row or one column (numpy sends
+those to gemv, whose bits depend on the row count), so the 1-wide output
+projection is a multiply plus a row sum and a lone query is duplicated.
 """
 from __future__ import annotations
 
@@ -21,7 +34,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .errors import AdapterProtocolError, NonFiniteError, ShapeError
+from .errors import AdapterProtocolError, ConfigError, NonFiniteError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
 from .metrics import average_precision
@@ -29,6 +42,7 @@ from .nn import ConstTape, ParameterStore, Tape, Var
 
 ADAPTER_PROTOCOL = "tempme-adapter/1"
 PRED_EPS = 1e-7
+EVAL_CHUNK = 256  # queries per forward in evaluate_ap; rows do not depend on it
 
 
 @dataclass
@@ -41,6 +55,10 @@ class BaseConfig:
     batch: int = 64
     patience: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.k_nb < 1:
+            raise ConfigError(f"k_nb={self.k_nb}: each endpoint needs at least one slot")
 
 
 def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:
@@ -63,158 +81,125 @@ def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:
 
 
 @dataclass
-class SideView:
-    """One endpoint's visible recent events, most recent last."""
-    node: int
-    event_ids: np.ndarray
-    partners: np.ndarray
-    dts: np.ndarray
-    attrs: np.ndarray
-    direct: np.ndarray     # partner == the other query endpoint
-
-    def __len__(self) -> int:
-        return len(self.event_ids)
-
-
-@dataclass
 class QueryCache:
+    """One query's endpoints as (2, K) slots: row 0 is u, row 1 is v, oldest event first."""
     u: int
     v: int
     t: float
-    side_u: SideView
-    side_v: SideView
-    node_feats: np.ndarray  # rows for (u, v)
+    ids: np.ndarray       # event ids, -1 on padding
+    partners: np.ndarray  # the event's other endpoint, -1 on padding
+    dts: np.ndarray       # query time minus event time, 0 on padding
+    attrs: np.ndarray     # (2, K, attr_width) event attributes, 0 on padding
 
     @property
     def member_ids(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.side_u.event_ids, self.side_v.event_ids]))
-
-
-def _side_view(g: TemporalGraph, node: int, other: int, t: float, k_nb: int) -> SideView:
-    ids, partners = g.history(node, t, strict=True)
-    ids, partners = ids[-k_nb:], partners[-k_nb:]
-    return SideView(
-        node=node, event_ids=ids, partners=partners,
-        dts=t - g.t[ids], attrs=g.attrs[ids],
-        direct=(partners == other).astype(np.float64))
+        return np.unique(self.ids[self.ids >= 0])
 
 
 def build_query_cache(g: TemporalGraph, query: Event, k_nb: int) -> QueryCache:
-    return QueryCache(
-        u=query.u, v=query.v, t=query.t,
-        side_u=_side_view(g, query.u, query.v, query.t, k_nb),
-        side_v=_side_view(g, query.v, query.u, query.t, k_nb),
-        node_feats=node_base_features(g, [query.u, query.v], query.t))
+    ids = np.full((2, k_nb), -1, dtype=np.int64)
+    partners = np.full((2, k_nb), -1, dtype=np.int64)
+    for row, node in enumerate((query.u, query.v)):
+        hist, other = g.history(node, query.t, strict=True)
+        n = min(len(hist), k_nb)
+        ids[row, :n] = hist[len(hist) - n:]
+        partners[row, :n] = other[len(other) - n:]
+    seen = ids >= 0
+    dts = np.zeros(ids.shape)
+    dts[seen] = query.t - g.t[ids[seen]]
+    attrs = np.zeros(ids.shape + (g.attr_width,))
+    attrs[seen] = g.attrs[ids[seen]]
+    return QueryCache(u=query.u, v=query.v, t=query.t, ids=ids, partners=partners,
+                      dts=dts, attrs=attrs)
+
+
+def _head(tape, both: Var) -> Var:
+    """Probabilities of (B, 2h) representation rows (see the row-invariance rules)."""
+    lone = both.value.shape[0] == 1
+    if lone:
+        both = nn.gather_rows(both, [0, 0])
+    hid = nn.relu(tape.affine(both, "head1"))
+    w2 = nn.reshape(tape.param("head2.w"), (1, -1))
+    p = nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param("head2.b")))
+    return nn.gather_rows(p, [0]) if lone else p
 
 
 def empty_context_output(store: ParameterStore) -> float:
     """The documented constant the model outputs on an entirely empty view."""
     h = store.meta["h"]
     tape = ConstTape(store)
-    x_t = nn.relu(tape.affine(nn.const(np.zeros((1, 2 * h))), "out"))
-    return float(_head(tape, [x_t, x_t]).value)
+    x_t = nn.relu(tape.affine(nn.const(np.zeros((2, 2 * h))), "out"))
+    return float(_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
 
 
-@dataclass
-class SidePack:
-    """Masked inputs for one endpoint: kept slots plus cross-side partner matches."""
-    keep: np.ndarray
-    mask: Var
-    match_slot: np.ndarray   # kept-slot index each match belongs to
-    match_dt: np.ndarray     # age of the matching other-side event
-    match_mask: Var          # that event's mask weight
+def _forward(tape, store: ParameterStore, g: TemporalGraph, caches: list,
+             valid: np.ndarray, weight: Var | None = None) -> tuple[Var, Var]:
+    """Probabilities (B,) and endpoint representations (B, 2h) of a batch.
 
-
-def _build_matches(side: SideView, keep: np.ndarray, other: SideView,
-                   other_keep: np.ndarray):
-    """(slot, other-index) pairs where a kept event's partner also appears
-    as a partner among the other side's kept events."""
-    slots, other_idx = [], []
-    other_partners = other.partners[other_keep]
-    for slot, i in enumerate(keep):
-        p = side.partners[i]
-        for j, op in enumerate(other_partners):
-            if op == p:
-                slots.append(slot)
-                other_idx.append(j)
-    return np.array(slots, dtype=np.int64), np.array(other_idx, dtype=np.int64)
-
-
-def _representations(tape, store: ParameterStore, g: TemporalGraph, qc: QueryCache,
-                     sides: dict) -> list:
-    """Per-endpoint time-aware representations (1 x h rows, u then v).
-
-    The common-partner feature of a kept event decays with the age of the
-    matching other-side event, max_j mask_j * exp(-dt_j / tau) with a
-    learnable timescale, so only recently shared partners light up.
+    `valid` (B, 2, K) marks the retained slots and `weight` (B, 2, K) is the
+    event mask on them (default: a hard mask). A slot's common-partner feature
+    is max_j weight_j * exp(-dt_j / tau) over the other side's matching events,
+    with a learnable timescale, so only recently shared partners light up.
     """
     h = store.meta["h"]
+    n_q, _, k = valid.shape
+    weight = nn.const(valid.astype(np.float64)) if weight is None else weight
+    ends = np.array([[c.u, c.v] for c in caches], dtype=np.int64)
+    times = np.array([c.t for c in caches], dtype=np.float64)
+    partners = np.stack([c.partners for c in caches])
+    dts = np.stack([c.dts for c in caches])
+    attrs = np.stack([c.attrs for c in caches])
+    direct = partners == ends[:, ::-1, None]
+
+    feats = node_base_features(
+        g, np.concatenate([ends.reshape(-1), np.maximum(partners, 0).reshape(-1)]),
+        np.concatenate([np.repeat(times, 2), np.repeat(times, 2 * k)]))
+    x_self = tape.affine(nn.const(feats[:2 * n_q]), "node")
+    x_nbr = tape.affine(nn.const(feats[2 * n_q:]), "node")
+
     inv_tau = nn.exp(nn.neg(tape.param("wedge_logtau")))
-    reprs = []
-    for name, side, row in (("u", qc.side_u, 0), ("v", qc.side_v, 1)):
-        pack = sides[name]
-        x_self = tape.affine(nn.const(qc.node_feats[row:row + 1]), "node")
-        keep = pack.keep
-        if len(keep) == 0:
-            ctx = nn.const(np.zeros((1, h)))
-        else:
-            if len(pack.match_slot):
-                decay = nn.exp(nn.mul(nn.const(-pack.match_dt), inv_tau))
-                vals = nn.mul(pack.match_mask, decay)
-                c_common = nn.segment_max(vals, pack.match_slot, len(keep), floor=0.0)
-            else:
-                c_common = nn.const(np.zeros(len(keep)))
-            partner_feats = node_base_features(g, side.partners[keep], qc.t)
-            x_nbr = tape.affine(nn.const(partner_feats), "node")
-            t_enc = time_encode(side.dts[keep], tape.param("time_w"))
-            key_in = nn.concat([x_nbr, nn.const(side.attrs[keep]), t_enc,
-                                nn.const(side.direct[keep].reshape(-1, 1)),
-                                nn.reshape(c_common, (-1, 1))], axis=1)
-            keys = tape.affine(key_in, "k")
-            values = tape.affine(key_in, "v")
-            q_vec = nn.reshape(tape.affine(x_self, "q"), (-1,))
-            ctx = nn.reshape(masked_attention(q_vec, keys, values, pack.mask), (1, -1))
-        reprs.append(nn.relu(tape.affine(nn.concat([x_self, ctx], axis=1), "out")))
-    return reprs
+    vals = nn.mul(weight, nn.exp(nn.mul(nn.const(-dts), inv_tau)))
+    # match[b, s, i, j]: slot i's partner is slot j's on the other side, both valid;
+    # the max over j runs over its nonzeros in C order, so ties go to the first j
+    match = (valid[:, :, :, None] & valid[:, ::-1, None, :]
+             & (partners[:, :, :, None] == partners[:, ::-1, None, :]))
+    b, s, i, j = np.nonzero(match)
+    c_common = nn.segment_max(nn.gather_rows(nn.reshape(vals, (-1,)), (b * 2 + 1 - s) * k + j),
+                              (b * 2 + s) * k + i, 2 * n_q * k, floor=0.0)
+
+    t_enc = time_encode(dts.reshape(-1), tape.param("time_w"))
+    key_in = nn.concat([x_nbr, nn.const(attrs.reshape(2 * n_q * k, -1)), t_enc,
+                        nn.const(direct.reshape(-1, 1).astype(np.float64)),
+                        nn.reshape(c_common, (-1, 1))], axis=1)
+    keys = nn.reshape(tape.affine(key_in, "k"), (n_q, 2, k, h))
+    values = nn.reshape(tape.affine(key_in, "v"), (n_q, 2, k, h))
+    q_vec = nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h))
+    ctx = nn.reshape(masked_attention(q_vec, keys, values, weight, valid), (2 * n_q, h))
+    nonempty = np.repeat(valid.any(axis=(1, 2)), 2).astype(np.float64).reshape(-1, 1)
+    x = nn.mul(nn.concat([x_self, ctx], axis=1), nn.const(nonempty))
+    reprs = nn.reshape(nn.relu(tape.affine(x, "out")), (n_q, 2 * h))
+    return _head(tape, reprs), reprs
 
 
-def _head(tape, reprs: list) -> Var:
-    both = nn.concat(reprs, axis=1)
-    logit = tape.affine(nn.relu(tape.affine(both, "head1")), "head2")
-    return nn.sigmoid(nn.reshape(logit, ()))
+def _retained_slots(caches: list, retained: list) -> np.ndarray:
+    ids = np.stack([c.ids for c in caches])
+    valid = ids >= 0
+    for b, keep in enumerate(retained):
+        if keep is not None:
+            valid[b] &= np.isin(ids[b], np.fromiter(keep, dtype=np.int64, count=len(keep)))
+    return valid
 
 
-def _forward(tape, store: ParameterStore, g: TemporalGraph, qc: QueryCache,
-             sides: dict) -> Var:
-    if all(len(sides[s].keep) == 0 for s in ("u", "v")):
-        h = store.meta["h"]
-        x_t = nn.relu(tape.affine(nn.const(np.zeros((1, 2 * h))), "out"))
-        return _head(tape, [x_t, x_t])
-    return _head(tape, _representations(tape, store, g, qc, sides))
+def predict_batch(store: ParameterStore, g: TemporalGraph, caches: list,
+                  retained: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-masked forward of a batch: probabilities (B,) and representations (B, 2h).
 
-
-def _hard_sides(qc: QueryCache, retained: set | None) -> dict:
-    """All-ones masks over the retained slots of each side."""
-    views = {"u": qc.side_u, "v": qc.side_v}
-    keeps = {}
-    for name, side in views.items():
-        if retained is None:
-            keeps[name] = np.arange(len(side.event_ids))
-        else:
-            wanted = np.array(sorted(retained), dtype=np.int64)
-            keeps[name] = np.nonzero(np.isin(side.event_ids, wanted))[0]
-    sides = {}
-    for name, side in views.items():
-        other_name = "v" if name == "u" else "u"
-        other = views[other_name]
-        slots, other_idx = _build_matches(side, keeps[name], other, keeps[other_name])
-        sides[name] = SidePack(
-            keep=keeps[name], mask=nn.const(np.ones(len(keeps[name]))),
-            match_slot=slots,
-            match_dt=other.dts[keeps[other_name]][other_idx] if len(other_idx)
-            else np.zeros(0),
-            match_mask=nn.const(np.ones(len(slots))))
-    return sides
+    retained[b] is None for query b's full view, or the set of event ids it
+    keeps; an empty set is the empty view.
+    """
+    valid = _retained_slots(caches, retained or [None] * len(caches))
+    probs, reprs = _forward(ConstTape(store), store, g, caches, valid)
+    return probs.value, reprs.value
 
 
 class InternalPredictor:
@@ -225,61 +210,40 @@ class InternalPredictor:
         self.k_nb = store.meta["k_nb"]
 
     def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
+        return float(self.predict_views(g, query, [retained])[0])
+
+    def predict_views(self, g: TemporalGraph, query: Event, views: list) -> np.ndarray:
+        """One query under each view (None = full, a set = retained ids), in one forward."""
         qc = build_query_cache(g, query, self.k_nb)
-        if retained is not None and len(retained) == 0:
-            return empty_context_output(self.store)
-        sides = _hard_sides(qc, retained)
-        out = _forward(ConstTape(self.store), self.store, g, qc, sides)
-        return float(out.value)
+        return predict_batch(self.store, g, [qc] * len(views), list(views))[0]
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0
 
-    def empty_output(self) -> float:
-        return empty_context_output(self.store)
-
     def query_context(self, g: TemporalGraph, query: Event) -> np.ndarray:
         """Concatenated time-aware endpoint representations on the full view."""
         qc = build_query_cache(g, query, self.k_nb)
-        tape = ConstTape(self.store)
-        reprs = _representations(tape, self.store, g, qc, _hard_sides(qc, None))
-        return np.concatenate([r.value.reshape(-1) for r in reprs])
+        return predict_batch(self.store, g, [qc])[1][0]
 
 
-def predict(store: ParameterStore, g: TemporalGraph, query: Event,
-            retained: set | None = None) -> float:
-    return InternalPredictor(store).predict(g, query, retained)
+def soft_predict(tape, store: ParameterStore, g: TemporalGraph, caches: list,
+                 covered: list, event_mask: Var) -> Var:
+    """Differentiable masked predictions (B,) of a batch.
 
-
-def soft_predict(tape, store: ParameterStore, g: TemporalGraph, qc: QueryCache,
-                 covered_ids: np.ndarray, event_mask: Var) -> Var:
-    """Differentiable masked prediction: events outside `covered_ids` are dropped,
-    the rest weighted by the matching entries of `event_mask`."""
-    pos_of = {int(e): i for i, e in enumerate(covered_ids)}
-    views = {"u": qc.side_u, "v": qc.side_v}
-    keeps, mask_idx = {}, {}
-    for name, side in views.items():
-        keep = np.array([i for i, e in enumerate(side.event_ids) if int(e) in pos_of],
-                        dtype=np.int64)
-        keeps[name] = keep
-        mask_idx[name] = np.array([pos_of[int(side.event_ids[i])] for i in keep],
-                                  dtype=np.int64)
-    sides = {}
-    for name, side in views.items():
-        other_name = "v" if name == "u" else "u"
-        other = views[other_name]
-        slots, other_idx = _build_matches(side, keeps[name], other, keeps[other_name])
-        mask = nn.gather_rows(event_mask, mask_idx[name]) if len(keeps[name]) \
-            else nn.const(np.zeros(0))
-        if len(slots):
-            match_mask = nn.gather_rows(event_mask, mask_idx[other_name][other_idx])
-            match_dt = other.dts[keeps[other_name]][other_idx]
-        else:
-            match_mask = nn.const(np.ones(0))
-            match_dt = np.zeros(0)
-        sides[name] = SidePack(keep=keeps[name], mask=mask, match_slot=slots,
-                               match_dt=match_dt, match_mask=match_mask)
-    return _forward(tape, store, g, qc, sides)
+    Query b keeps the events of covered[b] (sorted ids), weighted by its
+    entries of `event_mask`, which concatenates the per-query masks in
+    batch order; its other slots are dropped.
+    """
+    ids = np.stack([c.ids for c in caches])
+    total = sum(len(cov) for cov in covered)
+    idx = np.full(ids.shape, total, dtype=np.int64)  # dropped slots read an appended zero
+    off = 0
+    for b, cov in enumerate(covered):
+        hit = np.isin(ids[b], cov)  # padding ids are -1, never covered
+        idx[b][hit] = off + np.searchsorted(cov, ids[b][hit])
+        off += len(cov)
+    mask = nn.concat([nn.reshape(event_mask, (-1,)), nn.const(np.zeros(1))], axis=0)
+    return _forward(tape, store, g, caches, idx < total, nn.gather_rows(mask, idx))[0]
 
 
 # -- training -----------------------------------------------------------------
@@ -321,27 +285,26 @@ def eval_queries(g: TemporalGraph, event_ids: np.ndarray, seed: int,
 
 def evaluate_ap(store: ParameterStore, g: TemporalGraph,
                 queries: list[tuple[Event, int]]) -> float:
-    model = InternalPredictor(store)
-    scores = np.array([model.predict(g, q) for q, _ in queries])
+    caches = [build_query_cache(g, q, store.meta["k_nb"]) for q, _ in queries]
+    scores = [predict_batch(store, g, caches[lo:lo + EVAL_CHUNK])[0]
+              for lo in range(0, len(caches), EVAL_CHUNK)]
     labels = np.array([y for _, y in queries])
-    return average_precision(labels, scores)
+    return average_precision(labels, np.concatenate(scores) if scores else np.zeros(0))
 
 
-def _bce(pred: Var, label: int) -> Var:
+def _bce(pred: Var, label) -> Var:
+    """Binary cross-entropy, elementwise over pred and 0/1 labels of the same shape."""
     p = nn.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
-    if label == 1:
-        return nn.neg(nn.log(p))
-    return nn.neg(nn.log(nn.sub(nn.const(1.0), p)))
+    y = np.asarray(label, dtype=np.float64)
+    picked = nn.add(nn.mul(p, nn.const(y)), nn.mul(nn.sub(nn.const(1.0), p), nn.const(1.0 - y)))
+    return nn.neg(nn.log(picked))
 
 
 def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
                batch: list[tuple[QueryCache, int]]) -> Var:
-    terms = []
-    for qc, label in batch:
-        pred = _forward(tape, store, g, qc, _hard_sides(qc, None))
-        terms.append(_bce(pred, label))
-    stacked = nn.concat([nn.reshape(t, (1,)) for t in terms], axis=0)
-    return nn.vmean(stacked)
+    caches = [qc for qc, _ in batch]
+    probs, _ = _forward(tape, store, g, caches, _retained_slots(caches, [None] * len(caches)))
+    return nn.vmean(_bce(probs, [label for _, label in batch]))
 
 
 @dataclass
@@ -433,9 +396,10 @@ def build_enhanced_store(base: ParameterStore, motif_dim: int) -> ParameterStore
     return store
 
 
-def _enhanced_logit(tape, rep: np.ndarray, emb: np.ndarray) -> Var:
-    x = nn.const(np.concatenate([rep, emb]).reshape(1, -1))
-    return nn.reshape(tape.affine(nn.relu(tape.affine(x, "ehead1")), "ehead2"), ())
+def _enhanced_logit(tape, reps: np.ndarray, embs: np.ndarray) -> Var:
+    """Logits (n,) of the widened head on rows [representation || mean motif embedding]."""
+    x = nn.const(np.concatenate([np.atleast_2d(reps), np.atleast_2d(embs)], axis=1))
+    return nn.reshape(tape.affine(nn.relu(tape.affine(x, "ehead1")), "ehead2"), (-1,))
 
 
 def motif_enhanced_predict(store: ParameterStore, g: TemporalGraph, query: Event,
@@ -453,8 +417,7 @@ def motif_enhanced_predict(store: ParameterStore, g: TemporalGraph, query: Event
             raise ShapeError(f"motif embeddings width {embs.shape[1]} != {motif_dim}")
         mean_emb = embs.mean(axis=0)
     rep = InternalPredictor(store).query_context(g, query)
-    logit = _enhanced_logit(ConstTape(store), rep, mean_emb)
-    return float(nn.sigmoid(logit).value)
+    return float(nn.sigmoid(_enhanced_logit(ConstTape(store), rep, mean_emb)).value[0])
 
 
 def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray,
@@ -474,9 +437,7 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
     val_idx = np.nonzero(val_mask)[0]
 
     def scores_for(param_src, idx):
-        tape = ConstTape(param_src)
-        return np.array([float(nn.sigmoid(_enhanced_logit(tape, reps[i], embs[i])).value)
-                         for i in idx])
+        return nn.sigmoid(_enhanced_logit(ConstTape(param_src), reps[idx], embs[idx])).value
 
     best = {name: head.arrays[name].copy() for name in head.arrays}
     best_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
@@ -489,11 +450,8 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
         for lo in range(0, len(order), batch):
             sel = train_idx[order[lo:lo + batch]]
             tape = Tape(head)
-            terms = []
-            for i in sel:
-                pred = nn.sigmoid(_enhanced_logit(tape, reps[i], embs[i]))
-                terms.append(_bce(pred, int(labels[i])))
-            loss = nn.vmean(nn.concat([nn.reshape(tt, (1,)) for tt in terms], axis=0))
+            pred = nn.sigmoid(_enhanced_logit(tape, reps[sel], embs[sel]))
+            loss = nn.vmean(_bce(pred, labels[sel]))
             nn.optimizer_step(head, tape.gradients(loss), state, lr=lr)
         val_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
         if val_ap > best_ap + min_gain:
@@ -512,9 +470,10 @@ class ExternalAdapter:
     """Client for a child process speaking newline-delimited JSON on stdio.
 
     Handshake line {"protocol": "tempme-adapter/1"}, then request/response:
-    {"id", "u", "v", "t", "retained"} -> {"id", "p"}. A null retained list
-    means the full history; an empty list means an empty view. Calls are
-    serialized; a slow or malformed peer raises AdapterProtocolError.
+    {"id", "u", "v", "t", "retained"} -> {"id", "p"}, or {"id", "error"} for a
+    request the server cannot answer. A null retained list means the full
+    history; an empty list means an empty view. Calls are serialized; a
+    slow, malformed or refusing peer raises AdapterProtocolError.
     """
 
     def __init__(self, cmd, timeout: float = 5.0):
@@ -557,14 +516,22 @@ class ExternalAdapter:
         line = self._read_line()
         try:
             resp = json.loads(line)
-            rid, p = int(resp["id"]), float(resp["p"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            error = resp.get("error")
+            if error is None:
+                rid, p = int(resp["id"]), float(resp["p"])
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise AdapterProtocolError(f"malformed response: {line!r}") from exc
+        if error is not None:
+            raise AdapterProtocolError(f"adapter refused request {self._next_id}: {error}")
         if rid != self._next_id:
             raise AdapterProtocolError(f"response id {rid} != request id {self._next_id}")
         if not (0.0 <= p <= 1.0):
             raise AdapterProtocolError(f"probability {p} outside [0, 1]")
         return p
+
+    def predict_views(self, g: TemporalGraph, query: Event, views: list) -> np.ndarray:
+        """One request per view: the wire protocol carries one prediction at a time."""
+        return np.array([self.predict(g, query, view) for view in views])
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0
@@ -584,7 +551,8 @@ class ExternalAdapter:
 
 def serve_adapter(store: ParameterStore, g: TemporalGraph,
                   stdin=None, stdout=None) -> None:
-    """Expose an internal checkpoint over the adapter wire protocol."""
+    """Expose an internal checkpoint over the adapter wire protocol. A malformed line, a
+    missing key or an out-of-range node gets an {"id", "error"} reply; serving goes on."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     model = InternalPredictor(store)
@@ -594,10 +562,26 @@ def serve_adapter(store: ParameterStore, g: TemporalGraph,
         line = line.strip()
         if not line:
             continue
-        req = json.loads(line)
-        raw = req.get("retained")
-        retained = None if raw is None else set(int(x) for x in raw)
-        q = query_event(int(req["u"]), int(req["v"]), float(req["t"]), g.attr_width)
-        p = model.predict(g, q, retained)
-        stdout.write(json.dumps({"id": req["id"], "p": p}, separators=(",", ":")) + "\n")
+        rid = None
+        try:
+            req = json.loads(line)
+            rid = req.get("id") if isinstance(req, dict) else None
+            q, retained = _parse_request(req, g)
+            reply = {"id": rid, "p": model.predict(g, q, retained)}
+        except (AdapterProtocolError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers json.JSONDecodeError; the server stays up
+            reply = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
+        stdout.write(json.dumps(reply, separators=(",", ":")) + "\n")
         stdout.flush()
+
+
+def _parse_request(req, g: TemporalGraph) -> tuple[Event, set | None]:
+    u, v, t = int(req["u"]), int(req["v"]), float(req["t"])
+    for node in (u, v):
+        if not 0 <= node < g.node_count:
+            raise AdapterProtocolError(f"node {node} outside [0, {g.node_count})")
+    if not math.isfinite(t):
+        raise AdapterProtocolError(f"t={t!r} is not finite")
+    raw = req.get("retained")
+    retained = None if raw is None else {int(x) for x in raw}
+    return query_event(u, v, t, g.attr_width), retained

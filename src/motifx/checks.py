@@ -9,10 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .basemodel import BaseConfig, InternalPredictor, build_base_store
+from .basemodel import (BaseConfig, InternalPredictor, build_base_store, build_query_cache,
+                        soft_predict)
 from .explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
                         prepare_query, query_objective)
-from .graph import generate_synthetic
+from .graph import generate_synthetic, query_event
 from .layers import concrete_sample, gine_layer, time_encode
 from .nn import ParameterStore, Tape, grad_check
 
@@ -131,8 +132,28 @@ def objective_check(points: int = 1, seed: int = 0) -> float:
 
     def loss(tape: Tape):
         scores, _, _ = encode_and_score(tape, [prep])
-        return query_objective(base_store, g, prep, scores, draws, ecfg, null_probs)
+        return query_objective(base_store, g, [prep], scores, draws, ecfg, null_probs)
     return _check_over_points(loss, expl_store, points, seed)
+
+
+def base_forward_check(points: int = 1, seed: int = 0) -> float:
+    """The batched soft-masked base forward, in its parameters and the event mask: two
+    queries with long histories, one with an empty v side (only events 0 and 1 precede
+    it), one with no history; a third of the events dropped, the rest randomly weighted."""
+    g, store, _, _, _ = _toy_pipeline(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 8])))
+    fresh = min(set(range(g.node_count)) - set(g.src[:2].tolist()) - set(g.dst[:2].tolist()))
+    queries = [g.event(g.n_events - 1), g.event(g.n_events - 2),
+               query_event(int(g.src[0]), fresh, float(g.t[2])), query_event(0, 1, float(g.t[0]))]
+    caches = [build_query_cache(g, q, store.meta["k_nb"]) for q in queries]
+    covered = [qc.member_ids[rng.random(len(qc.member_ids)) > 1 / 3] for qc in caches]
+    store.add("event_mask", rng.uniform(0.4, 0.9, size=sum(len(c) for c in covered)))
+    probe = nn.const(rng.normal(size=len(queries)))
+
+    def loss(tape: Tape):
+        return nn.vsum(nn.mul(soft_predict(tape, store, g, caches, covered,
+                                           tape.param("event_mask")), probe))
+    return _check_over_points(loss, store, points, seed)
 
 
 def substrate_grad_checks(seed: int = 0, points: int = 1) -> dict:
@@ -144,4 +165,5 @@ def substrate_grad_checks(seed: int = 0, points: int = 1) -> dict:
         "motif_encoder": motif_encoder_check(points, seed),
         "importance_scorer": scorer_check(points, seed),
         "full_objective": objective_check(points, seed),
+        "base_forward": base_forward_check(points, seed),
     }

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -184,11 +185,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     adapter_cmd = args.adapter or os.environ.get(ADAPTER_ENV)
     if adapter_cmd:
         from .basemodel import ExternalAdapter
-        predictor = ExternalAdapter(adapter_cmd.split())
+        predictor = ExternalAdapter(shlex.split(adapter_cmd))
     try:
         report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries,
                                        cfg=_explainer_cfg(cfg), seed=cfg.seed,
-                                       jobs=1 if predictor else cfg.jobs,
                                        predictor=predictor)
     finally:
         if predictor is not None:

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
+from .errors import ConfigError
 
 # ranges the published sweeps explored; values outside them still run, with a warning
 C_RANGE = (20, 100)
@@ -52,7 +53,10 @@ class RunConfig:
     hops: int = 1
     per_hop_cap: int = 20
     n_queries: int = 200
-    jobs: int = 1
+
+    def __post_init__(self):
+        if self.k_nb < 1:
+            raise ConfigError(f"k_nb={self.k_nb}: each endpoint needs at least one slot")
 
     def warnings(self) -> list[str]:
         out = []

@@ -35,3 +35,7 @@ class AdapterProtocolError(MotifxError):
 
 class DependencyError(MotifxError):
     """A command needs an artifact that an earlier command has not produced."""
+
+
+class ConfigError(MotifxError):
+    """A configuration value is outside the range the pipeline can run with."""

@@ -2,17 +2,17 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .basemodel import (InternalPredictor, eval_queries, evaluate_ap,
+from . import nn
+from .basemodel import (InternalPredictor, _enhanced_logit, eval_queries, evaluate_ap,
                         split_event_ids, train_enhanced_head)
 from .explainer import ExplainerConfig, explain, motif_embeddings
 from .graph import TemporalGraph
 from .metrics import (MetricReport, SPARSITY_LEVELS, acc_auc, average_precision,
                       cohesiveness, fidelity, random_baseline)
-from .nn import ParameterStore
+from .nn import ConstTape, ParameterStore
 
 
 def build_eval_query_set(g: TemporalGraph, n_queries: int, seed: int):
@@ -22,38 +22,33 @@ def build_eval_query_set(g: TemporalGraph, n_queries: int, seed: int):
     return pairs[:n_queries]
 
 
-def _eval_one(args):
-    (qidx, query, g, base_store, expl_store, cfg, seed, levels, coh_level,
-     predictor) = args
-    predictor = predictor or InternalPredictor(base_store)
+def _eval_one(qidx, query, g, base_store, expl_store, cfg, seed, levels, coh_level,
+              predictor):
     t0 = time.perf_counter()
     expl = explain(g, base_store, expl_store, query, levels, cfg, seed=seed + qidx)
     elapsed = time.perf_counter() - t0
     if expl.empty or not expl.comp_ids:
         return None
     comp = set(expl.comp_ids)
-    f_full = predictor.predict(g, query)
+    kept = [set(expl.retained[lv]) for lv in levels]
+    baselines = [random_baseline(comp, lv, seed=seed * 100003 + qidx * 31 + int(lv * 50))
+                 for lv in levels]
+    # full view, then every retained set of the model and of the baseline, in one call
+    preds = predictor.predict_views(g, query, [None] + kept + baselines)
+    f_full = float(preds[0])
     label = 1 if f_full >= 0.5 else 0
-    empty_out = predictor.predict(g, query, set())
     rows = []
     accs, fids, bl_accs, bl_fids = {}, {}, {}, {}
-    coh = bl_coh = None
-    for lv in levels:
-        retained = set(expl.retained[lv])
-        f_exp = empty_out if not retained else predictor.predict(g, query, retained)
-        fid = (f_exp - f_full) if label == 1 else (f_full - f_exp)
-        acc = int((1 if f_exp >= 0.5 else 0) == label)
-        accs[lv], fids[lv] = acc, fid
-        bl = random_baseline(comp, lv, seed=seed * 100003 + qidx * 31 + int(lv * 50))
-        f_bl = empty_out if not bl else predictor.predict(g, query, bl)
-        bl_fid = (f_bl - f_full) if label == 1 else (f_full - f_bl)
-        bl_acc = int((1 if f_bl >= 0.5 else 0) == label)
-        bl_accs[lv], bl_fids[lv] = bl_acc, bl_fid
-        rows.append((qidx, lv, fid, acc, "model"))
-        rows.append((qidx, lv, bl_fid, bl_acc, "random"))
-        if lv == coh_level:
-            coh = cohesiveness(g, retained, comp)
-            bl_coh = cohesiveness(g, bl, comp)
+    n = len(levels)
+    for k, lv in enumerate(levels):
+        for source, f_x, acc_of, fid_of in (("model", preds[1 + k], accs, fids),
+                                            ("random", preds[1 + n + k], bl_accs, bl_fids)):
+            fid_of[lv] = float(f_x - f_full if label == 1 else f_full - f_x)
+            acc_of[lv] = int((1 if f_x >= 0.5 else 0) == label)
+            rows.append((qidx, lv, fid_of[lv], acc_of[lv], source))
+    k = levels.index(coh_level) if coh_level in levels else None
+    coh = None if k is None else cohesiveness(g, kept[k], comp)
+    bl_coh = None if k is None else cohesiveness(g, baselines[k], comp)
     return {"accs": accs, "fids": fids, "bl_accs": bl_accs, "bl_fids": bl_fids,
             "coh": coh, "bl_coh": bl_coh, "rows": rows, "seconds": elapsed}
 
@@ -61,28 +56,21 @@ def _eval_one(args):
 def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
                           expl_store: ParameterStore, n_queries: int = 200,
                           cfg: ExplainerConfig | None = None, seed: int = 0,
-                          jobs: int = 1, levels=SPARSITY_LEVELS,
-                          coh_level: float = 0.1, predictor=None) -> MetricReport:
+                          levels=SPARSITY_LEVELS, coh_level: float = 0.1,
+                          predictor=None) -> MetricReport:
     """Fidelity/ACC curves, ACC-AUC, and cohesiveness for model and random baseline.
 
-    Results are collected in query order, so the report is identical for
-    any job count. An external predictor (adapter) may replace the
-    internal one for the metric-side predictions; adapter calls are
-    serialized, so jobs must stay 1 in that case.
+    An external predictor (adapter) may replace the internal one for the
+    metric-side predictions. Each query's predictions are one call; the
+    internal model's rows do not depend on the batch, so both agree.
     """
     if cfg is None:
         cfg = ExplainerConfig(**expl_store.meta["config"])
-    if predictor is not None and jobs > 1:
-        raise ValueError("external predictors are serialized; use jobs=1")
+    predictor = predictor or InternalPredictor(base_store)
     queries = build_eval_query_set(g, n_queries, seed)
-    tasks = [(i, q, g, base_store, expl_store, cfg, seed, tuple(levels), coh_level,
-              predictor)
-             for i, (q, _) in enumerate(queries)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_one, tasks))
-    else:
-        results = [_eval_one(t) for t in tasks]
+    results = [_eval_one(i, q, g, base_store, expl_store, cfg, seed, tuple(levels), coh_level,
+                         predictor)
+               for i, (q, _) in enumerate(queries)]
     results = [r for r in results if r is not None]
     report = MetricReport(levels=tuple(levels))
     report.n_queries = len(results)
@@ -144,12 +132,8 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     enhanced, head_report = train_enhanced_head(
         base_store, reps[fit_rows], embs[fit_rows], labels[fit_rows],
         val_mask=np.array(is_val)[fit_rows], lr=5e-4, epochs=head_epochs, seed=seed)
-    from .basemodel import _enhanced_logit
-    from . import nn
-    from .nn import ConstTape
-    tape = ConstTape(enhanced)
-    enh_scores = np.array([float(nn.sigmoid(_enhanced_logit(tape, reps[i], embs[i])).value)
-                           for i in test_rows])
+    enh_scores = nn.sigmoid(_enhanced_logit(ConstTape(enhanced), reps[test_rows],
+                                            embs[test_rows])).value
     plain_ap = evaluate_ap(base_store, g, sets["test"])
     enhanced_ap = average_precision(labels[test_rows], enh_scores)
     report = {"plain_test_ap": plain_ap, "enhanced_test_ap": enhanced_ap,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .basemodel import (InternalPredictor, QueryCache, build_query_cache,
-                        negative_partner, soft_predict, split_event_ids)
+                        negative_partner, predict_batch, soft_predict, split_event_ids)
 from .errors import InvariantError, NonFiniteError
 from .features import anonymize, event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
@@ -156,11 +156,11 @@ def prepare_query(g: TemporalGraph, base: InternalPredictor, query: Event, cfg: 
                 pair_cov.append(cov_pos[eid])
                 pair_motif.append(m_idx)
 
+    qc = build_query_cache(g, query, base.k_nb)
+    probs, reprs = predict_batch(base.store, g, [qc])  # label and context from one forward
     return QueryPrep(
-        query=query, label=base.label(g, query),
-        qc=build_query_cache(g, query, base.k_nb),
-        comp_ids=comp.member_ids, instances=instances, codes=codes,
-        ctx=base.query_context(g, query),
+        query=query, label=1 if probs[0] >= 0.5 else 0, qc=qc,
+        comp_ids=comp.member_ids, instances=instances, codes=codes, ctx=reprs[0],
         covered_ids=np.array(covered, dtype=np.int64),
         pair_cov=np.array(pair_cov, dtype=np.int64),
         pair_motif=np.array(pair_motif, dtype=np.int64),
@@ -218,14 +218,6 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
     raw = nn.sigmoid(nn.reshape(tape.affine(hidden, "score2"), (-1,)))
     scores = nn.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
     return scores, emb, counts
-
-
-def importance_scores(tape, embeddings: Var, ctx: np.ndarray) -> Var:
-    """Score a block of motif embeddings against one query context."""
-    rows = np.repeat(ctx.reshape(1, -1), embeddings.value.shape[0], axis=0)
-    hidden = nn.relu(tape.affine(nn.concat([embeddings, nn.const(rows)], axis=1), "score1"))
-    raw = nn.sigmoid(nn.reshape(tape.affine(hidden, "score2"), (-1,)))
-    return nn.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -299,16 +291,30 @@ def _kl_term(scores_q: Var, prep: QueryPrep, cfg: ExplainerConfig, null_probs: d
     return kl_empirical(scores_q, prep.codes, cfg.p, null_probs)
 
 
-def query_objective(base_store: ParameterStore, g: TemporalGraph, prep: QueryPrep,
-                    scores_q: Var, draws: np.ndarray, cfg: ExplainerConfig,
+def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[QueryPrep],
+                    scores: Var, draws: np.ndarray, cfg: ExplainerConfig,
                     null_probs: dict | None) -> Var:
-    """Relaxed-mask objective for one query given its motif scores and uniform draws."""
-    alpha = concrete_sample(scores_q, cfg.lam, draws)
-    ev_mask = nn.segment_max(nn.gather_rows(alpha, prep.pair_motif), prep.pair_cov,
-                             len(prep.covered_ids), floor=0.0)
-    pred = soft_predict(ConstTape(base_store), base_store, g, prep.qc,
-                        prep.covered_ids, ev_mask)
-    return ib_loss(pred, prep.label, _kl_term(scores_q, prep, cfg, null_probs), cfg.beta)
+    """Mean relaxed-mask objective of a batch of queries, with one soft-masked base forward.
+
+    `scores` and `draws` cover the motifs of every query in batch order,
+    as `encode_and_score` lays them out.
+    """
+    m_off = np.cumsum([0] + [len(p.instances) for p in preps])
+    c_off = np.cumsum([0] + [len(p.covered_ids) for p in preps])
+    pair_motif = np.concatenate([p.pair_motif + a for p, a in zip(preps, m_off)])
+    pair_cov = np.concatenate([p.pair_cov + a for p, a in zip(preps, c_off)])
+    alpha = concrete_sample(scores, cfg.lam, draws)
+    ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]),
+                             floor=0.0)
+    preds = soft_predict(ConstTape(base_store), base_store, g, [p.qc for p in preps],
+                         [p.covered_ids for p in preps], ev_mask)
+    terms = []
+    for i, prep in enumerate(preps):
+        scores_q = nn.gather_rows(scores, np.arange(m_off[i], m_off[i + 1]))
+        pred = nn.reshape(nn.gather_rows(preds, [i]), ())
+        kl = _kl_term(scores_q, prep, cfg, null_probs)
+        terms.append(nn.reshape(ib_loss(pred, prep.label, kl, cfg.beta), (1,)))
+    return nn.vmean(nn.concat(terms, axis=0))
 
 
 @dataclass
@@ -369,13 +375,8 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
             chunk = [preps[i] for i in order[lo:lo + cfg.batch]]
             tape = Tape(store)
             scores, _, counts = encode_and_score(tape, chunk)
-            offsets = np.cumsum([0] + counts)
-            terms = []
-            for prep, a, b in zip(chunk, offsets[:-1], offsets[1:]):
-                scores_q = nn.gather_rows(scores, np.arange(a, b))
-                draws = rng.uniform(1e-9, 1.0 - 1e-9, size=b - a)
-                terms.append(query_objective(base_store, g, prep, scores_q, draws, cfg, null_probs))
-            loss = nn.vmean(nn.concat([nn.reshape(t, (1,)) for t in terms], axis=0))
+            draws = np.concatenate([rng.uniform(1e-9, 1.0 - 1e-9, size=m) for m in counts])
+            loss = query_objective(base_store, g, chunk, scores, draws, cfg, null_probs)
             grads = tape.gradients(loss)
             nn.optimizer_step(store, grads, state, lr=cfg.lr)
             total += float(loss.value)

@@ -89,7 +89,3 @@ def event_feature_matrix(inst: MotifInstance, struct_map: dict, t0: float,
 def feature_width(attr_width: int, d: int, l: int) -> int:
     return attr_width + 2 * d + l
 
-
-def write_features_csv(path, matrix: np.ndarray) -> None:
-    """Debug export of one feature matrix."""
-    np.savetxt(path, np.asarray(matrix), delimiter=",")

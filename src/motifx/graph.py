@@ -326,12 +326,15 @@ def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
                        frozenset(members), hop_of)
 
 
-def node_base_features(g: TemporalGraph, nodes, before: float) -> np.ndarray:
-    """Inductive node inputs for the link predictor: [1.0, log1p(degree before t)]."""
+def node_base_features(g: TemporalGraph, nodes, before) -> np.ndarray:
+    """Inductive node inputs for the link predictor: [1.0, log1p(degree before t)],
+    with `before` one time for all nodes or one per node."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    stops = g._inc_key.searchsorted(nodes * g.n_events + g.id_cut(before))
+    cuts = g.t.searchsorted(np.broadcast_to(np.asarray(before, dtype=np.float64), nodes.shape))
+    stops = g._inc_key.searchsorted(nodes * g.n_events + cuts)
+    degrees, where = np.unique(stops - g.indptr[nodes], return_inverse=True)
     out = np.ones((len(nodes), 2))
-    out[:, 1] = [math.log1p(d) for d in (stops - g.indptr[nodes]).tolist()]
+    out[:, 1] = np.array([math.log1p(d) for d in degrees.tolist()])[where]
     return out
 
 

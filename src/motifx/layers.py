@@ -74,18 +74,27 @@ def bernoulli_hard(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(len(p)) < p).astype(np.float64)
 
 
-def masked_attention(query: Var, keys: Var, values: Var, mask: Var) -> Var:
+def masked_attention(query: Var, keys: Var, values: Var, mask: Var, valid=None) -> Var:
     """Dot-product attention where weights renormalize over masked-in keys only.
 
-    weights_i = mask_i * exp(s_i) / sum_j mask_j * exp(s_j). With a hard
-    0/1 mask this equals attention restricted to the retained keys; there
-    are no phantom keys.
+    query (..., d), keys (..., K, d), values (..., K, dv), mask (..., K) ->
+    (..., dv): weights_i = mask_i * exp(s_i) / sum_j mask_j * exp(s_j) over
+    the slots `valid` marks (default: all; the rest are padding). With a
+    hard 0/1 mask this equals attention restricted to the retained keys;
+    a row with no valid slot returns zeros. Products are multiplies and
+    row sums, so a row's bits do not depend on the rows beside it.
     """
-    dim = keys.value.shape[1]
-    scores = nn.scale(nn.matmul(keys, nn.reshape(query, (dim, 1))), 1.0 / math.sqrt(dim))
-    scores = nn.reshape(scores, (-1,))
-    shifted = nn.exp(nn.sub(scores, nn.const(float(np.max(scores.value)))))
-    weighted = nn.mul(nn.reshape(mask, (-1,)), shifted)
-    denom = nn.vsum(weighted)
+    mask = nn._v(mask)
+    valid = np.ones(mask.value.shape, dtype=bool) if valid is None else np.asarray(valid, bool)
+    dim = keys.value.shape[-1]
+    q = nn.reshape(query, query.value.shape[:-1] + (1, dim))
+    scores = nn.scale(nn.vsum(nn.mul(keys, q), axis=-1), 1.0 / math.sqrt(dim))
+    # shift by the row max over valid slots; a padding slot is shifted by its own score
+    top = np.where(valid, scores.value, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
+    shift = np.where(valid, top, scores.value)
+    weighted = nn.mul(nn.mul(mask, nn.const(valid.astype(np.float64))),
+                      nn.exp(nn.sub(scores, nn.const(shift))))
+    denom = nn.add(nn.vsum(weighted, axis=-1, keepdims=True),
+                   nn.const((~valid.any(axis=-1, keepdims=True)).astype(np.float64)))
     w = nn.div(weighted, denom)
-    return nn.reshape(nn.matmul(nn.reshape(w, (1, -1)), values), (-1,))
+    return nn.vsum(nn.mul(nn.reshape(w, w.value.shape + (1,)), values), axis=-2)

@@ -348,14 +348,6 @@ def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
     return Var(out, (a,), vjp)
 
 
-def softmax(a) -> Var:
-    """Stable softmax over a 1-d vector (max shift treated as a constant)."""
-    a = _v(a)
-    shift = sub(a, const(float(np.max(a.value))))
-    e = exp(shift)
-    return div(e, vsum(e))
-
-
 def affine(x, w, b) -> Var:
     return add(matmul(x, w), b)
 

@@ -2,12 +2,19 @@
 
 Everything here is deliberately brute force and shares no code with the
 package internals: plain loops over the raw event list, math.log scalar
-arithmetic, permutation search for equivalence.
+arithmetic, permutation search for equivalence. The one exception is the
+per-query base-model forward at the end, which runs on the nn tape.
 """
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from motifx import nn
+from motifx.layers import time_encode
+from motifx.nn import ConstTape
 
 
 def brute_force_neighbor_events(g, nodes, before, strict=True, since=-math.inf, closed=False):
@@ -204,3 +211,148 @@ def average_precision_scalar(labels, scores) -> float:
             total += hits / rank
     n_pos = sum(labels)
     return total / n_pos if n_pos else 0.0
+
+
+# -- the base model's forward, one query at a time ------------------------------
+#
+# The predictor's forward as it was before batching: per endpoint, the kept
+# events of its K most recent ones, common-partner matches from a double
+# loop, attention as a (1 x K) matrix product, and an explicit branch for
+# the entirely empty view. Only the nn tape primitives and the time
+# encoding are shared with the package.
+
+def _side_view(g, node, other, t, k_nb):
+    """Brute-force history of `node` before t: its last k_nb events, oldest first."""
+    ids = [i for i in range(g.n_events)
+           if float(g.t[i]) < t and node in (int(g.src[i]), int(g.dst[i]))][-k_nb:]
+    partners = [int(g.dst[i]) if int(g.src[i]) == node else int(g.src[i]) for i in ids]
+    return {"ids": ids, "partners": partners,
+            "dts": np.array([t - float(g.t[i]) for i in ids]),
+            "attrs": np.array([g.attrs[i] for i in ids]).reshape(len(ids), g.attr_width),
+            "direct": np.array([1.0 if p == other else 0.0 for p in partners])}
+
+
+def _node_feats(g, nodes, t):
+    rows = []
+    for w in nodes:
+        deg = sum(1 for i in range(g.n_events)
+                  if float(g.t[i]) < t and w in (int(g.src[i]), int(g.dst[i])))
+        rows.append([1.0, math.log1p(deg)])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+
+
+def _attention(query, keys, values, mask):
+    dim = keys.value.shape[1]
+    scores = nn.scale(nn.matmul(keys, nn.reshape(query, (dim, 1))), 1.0 / math.sqrt(dim))
+    scores = nn.reshape(scores, (-1,))
+    shifted = nn.exp(nn.sub(scores, nn.const(float(np.max(scores.value)))))
+    weighted = nn.mul(nn.reshape(mask, (-1,)), shifted)
+    w = nn.div(weighted, nn.vsum(weighted))
+    return nn.reshape(nn.matmul(nn.reshape(w, (1, -1)), values), (-1,))
+
+
+def _build_matches(side, keep, other, other_keep):
+    """(slot, other-index) pairs where a kept event's partner is also the partner
+    of one of the other side's kept events."""
+    slots, other_idx = [], []
+    other_partners = [other["partners"][i] for i in other_keep]
+    for slot, i in enumerate(keep):
+        for j, op in enumerate(other_partners):
+            if op == side["partners"][i]:
+                slots.append(slot)
+                other_idx.append(j)
+    return np.array(slots, dtype=np.int64), np.array(other_idx, dtype=np.int64)
+
+
+def _sides(views, keeps, mask_of):
+    """Per side: kept slots, their mask, and the cross-side matches with their ages and masks."""
+    sides = {}
+    for name, other_name in (("u", "v"), ("v", "u")):
+        side, other = views[name], views[other_name]
+        slots, other_idx = _build_matches(side, keeps[name], other, keeps[other_name])
+        other_keep = np.array(keeps[other_name], dtype=np.int64)
+        sides[name] = {
+            "keep": keeps[name], "mask": mask_of(name, keeps[name]),
+            "match_slot": slots,
+            "match_dt": other["dts"][other_keep[other_idx]] if len(slots) else np.zeros(0),
+            "match_mask": mask_of(other_name, list(other_keep[other_idx]))}
+    return sides
+
+
+def _head(tape, reprs):
+    logit = tape.affine(nn.relu(tape.affine(nn.concat(reprs, axis=1), "head1")), "head2")
+    return nn.sigmoid(nn.reshape(logit, ()))
+
+
+def _forward(tape, store, g, query, views, sides):
+    h = store.meta["h"]
+    if all(len(sides[s]["keep"]) == 0 for s in ("u", "v")):
+        x_t = nn.relu(tape.affine(nn.const(np.zeros((1, 2 * h))), "out"))
+        return _head(tape, [x_t, x_t])
+    inv_tau = nn.exp(nn.neg(tape.param("wedge_logtau")))
+    reprs = []
+    for name, node in (("u", query.u), ("v", query.v)):
+        side, pack = views[name], sides[name]
+        x_self = tape.affine(nn.const(_node_feats(g, [node], query.t)), "node")
+        keep = np.array(pack["keep"], dtype=np.int64)
+        if len(keep) == 0:
+            ctx = nn.const(np.zeros((1, h)))
+        else:
+            if len(pack["match_slot"]):
+                decay = nn.exp(nn.mul(nn.const(-pack["match_dt"]), inv_tau))
+                vals = nn.mul(pack["match_mask"], decay)
+                c_common = nn.segment_max(vals, pack["match_slot"], len(keep), floor=0.0)
+            else:
+                c_common = nn.const(np.zeros(len(keep)))
+            partners = [side["partners"][i] for i in keep]
+            x_nbr = tape.affine(nn.const(_node_feats(g, partners, query.t)), "node")
+            t_enc = time_encode(side["dts"][keep], tape.param("time_w"))
+            key_in = nn.concat([x_nbr, nn.const(side["attrs"][keep]), t_enc,
+                                nn.const(side["direct"][keep].reshape(-1, 1)),
+                                nn.reshape(c_common, (-1, 1))], axis=1)
+            q_vec = nn.reshape(tape.affine(x_self, "q"), (-1,))
+            ctx = nn.reshape(_attention(q_vec, tape.affine(key_in, "k"),
+                                        tape.affine(key_in, "v"), pack["mask"]), (1, -1))
+        reprs.append(nn.relu(tape.affine(nn.concat([x_self, ctx], axis=1), "out")))
+    return _head(tape, reprs)
+
+
+def _views(store, g, query):
+    k_nb = store.meta["k_nb"]
+    return {"u": _side_view(g, query.u, query.v, query.t, k_nb),
+            "v": _side_view(g, query.v, query.u, query.t, k_nb)}
+
+
+def reference_predict(store, g, query, retained=None) -> float:
+    """Hard-masked prediction: all-ones masks over the retained events of each side."""
+    views = _views(store, g, query)
+    keeps = {name: [i for i, e in enumerate(view["ids"]) if retained is None or e in retained]
+             for name, view in views.items()}
+    sides = _sides(views, keeps, lambda name, keep: nn.const(np.ones(len(keep))))
+    return float(_forward(ConstTape(store), store, g, query, views, sides).value)
+
+
+def reference_soft_predict(tape, store, g, query, covered_ids, event_mask):
+    """Differentiable prediction keeping the covered events, weighted by event_mask."""
+    views = _views(store, g, query)
+    pos_of = {int(e): i for i, e in enumerate(covered_ids)}
+    keeps = {name: [i for i, e in enumerate(view["ids"]) if e in pos_of]
+             for name, view in views.items()}
+
+    def mask_of(name, keep):
+        idx = np.array([pos_of[views[name]["ids"][i]] for i in keep], dtype=np.int64)
+        return nn.gather_rows(event_mask, idx) if len(idx) else nn.const(np.zeros(0))
+    return _forward(tape, store, g, query, views, _sides(views, keeps, mask_of))
+
+
+def reference_batch_loss(tape, store, g, batch):
+    """Mean binary cross-entropy over (query, label) pairs, one forward each."""
+    terms = []
+    for query, label in batch:
+        views = _views(store, g, query)
+        keeps = {name: list(range(len(view["ids"]))) for name, view in views.items()}
+        sides = _sides(views, keeps, lambda name, keep: nn.const(np.ones(len(keep))))
+        p = nn.clip(_forward(tape, store, g, query, views, sides), 1e-7, 1.0 - 1e-7)
+        term = nn.neg(nn.log(p)) if label == 1 else nn.neg(nn.log(nn.sub(nn.const(1.0), p)))
+        terms.append(nn.reshape(term, (1,)))
+    return nn.vmean(nn.concat(terms, axis=0))

@@ -9,11 +9,23 @@ from motifx import nn
 from motifx.basemodel import (ADAPTER_PROTOCOL, BaseConfig, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
                               build_query_cache, empty_context_output,
-                              eval_queries, split_event_ids, split_times,
+                              eval_queries, predict_batch, serve_adapter,
+                              soft_predict, split_event_ids, split_times,
                               train_base)
-from motifx.errors import AdapterProtocolError
-from motifx.graph import generate_synthetic, query_event
+from motifx.errors import AdapterProtocolError, ConfigError
+from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
+
+from oracles import reference_batch_loss, reference_predict, reference_soft_predict
+
+
+def perturbed(store, seed, scale=0.3):
+    """A copy with every parameter moved, so no layer sits at its zero init."""
+    out = store.copy()
+    rng = np.random.default_rng(seed)
+    for name in out.arrays:
+        out.arrays[name] = out.arrays[name] + rng.normal(0, scale, out.arrays[name].shape)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +78,158 @@ class TestPredict:
         q = query_event(0, 1, float(small_graph.t[0]))  # before everything
         model = InternalPredictor(fresh_store)
         assert model.predict(small_graph, q) == empty_context_output(fresh_store)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("k_nb", [0, -3])
+    def test_k_nb_below_one_rejected(self, k_nb):
+        with pytest.raises(ConfigError, match="k_nb"):
+            BaseConfig(k_nb=k_nb)
+
+
+def tied_graph(rng):
+    """A small random graph with tied timestamps, short histories and two attributes."""
+    n_nodes = int(rng.integers(4, 9))
+    n_events = int(rng.integers(6, 30))
+    src = rng.integers(n_nodes, size=n_events)
+    dst = (src + 1 + rng.integers(n_nodes - 1, size=n_events)) % n_nodes
+    t = rng.integers(1, max(2, n_events // 3), size=n_events).astype(float)
+    return TemporalGraph(src, dst, t, rng.normal(size=(n_events, 2)), n_nodes)
+
+
+def mixed_queries(rng, g, n):
+    """Queries at tied event times, before any event, and between nodes without history."""
+    out = []
+    for k in range(n):
+        u = int(rng.integers(g.node_count))
+        v = int((u + 1 + rng.integers(g.node_count - 1)) % g.node_count)
+        t = float(g.t[0]) if k % 5 == 0 else float(rng.choice(g.t)) + (k % 2) * 0.5
+        out.append(query_event(u, v, t, g.attr_width))
+    return out
+
+
+class TestBatchedForwardOracle:
+    """The batched forward against the per-query reference forward in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hard_predictions(self, seed):
+        rng = np.random.default_rng(seed + 300)
+        g = tied_graph(rng)
+        k_nb = int(rng.integers(1, 6))
+        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        caches, views, queries = [], [], []
+        for q in mixed_queries(rng, g, 10):
+            qc = build_query_cache(g, q, k_nb)
+            members = [int(e) for e in qc.member_ids]
+            subset = {e for e in members if rng.random() < 0.5}
+            for view in (None, set(), subset, set(members) | {10 ** 6}):
+                caches.append(qc)
+                views.append(view)
+                queries.append(q)
+        probs, _ = predict_batch(store, g, caches, views)
+        want = [reference_predict(store, g, q, view) for q, view in zip(queries, views)]
+        assert np.max(np.abs(probs - np.array(want))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_soft_predictions_and_gradients(self, seed):
+        rng = np.random.default_rng(seed + 400)
+        g = tied_graph(rng)
+        k_nb = int(rng.integers(1, 6))
+        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        queries = mixed_queries(rng, g, 7)
+        caches = [build_query_cache(g, q, k_nb) for q in queries]
+        covered = []
+        for qc in caches:
+            members = qc.member_ids
+            # some kept, some dropped, plus an id no slot holds
+            covered.append(np.union1d(members[rng.random(len(members)) < 0.7], [g.n_events + 5]))
+        store.add("mask", rng.uniform(0.05, 1.0, size=sum(len(c) for c in covered)))
+        probe = rng.normal(size=len(queries))
+        offsets = np.cumsum([0] + [len(c) for c in covered])
+
+        tape = Tape(store)
+        preds = soft_predict(tape, store, g, caches, covered, tape.param("mask"))
+        got = tape.gradients(nn.vsum(nn.mul(preds, nn.const(probe))))
+        ref_tape = Tape(store)
+        mask = ref_tape.param("mask")
+        terms = [nn.reshape(reference_soft_predict(
+                     ref_tape, store, g, q, cov, nn.gather_rows(mask, np.arange(a, b))), (1,))
+                 for q, cov, a, b in zip(queries, covered, offsets[:-1], offsets[1:])]
+        ref = nn.concat(terms, axis=0)
+        want = ref_tape.gradients(nn.vsum(nn.mul(ref, nn.const(probe))))
+        assert np.max(np.abs(preds.value - ref.value)) <= 1e-12
+        for name in store.arrays:
+            assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_loss_and_gradients(self, seed):
+        rng = np.random.default_rng(seed + 500)
+        g = tied_graph(rng)
+        k_nb = int(rng.integers(1, 6))
+        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        pairs = [(q, int(rng.integers(2))) for q in mixed_queries(rng, g, 9)]
+        tape = Tape(store)
+        loss = batch_loss(tape, store, g, [(build_query_cache(g, q, k_nb), y) for q, y in pairs])
+        got = tape.gradients(loss)
+        ref_tape = Tape(store)
+        ref = reference_batch_loss(ref_tape, store, g, pairs)
+        want = ref_tape.gradients(ref)
+        assert abs(float(loss.value) - float(ref.value)) <= 1e-12
+        for name in store.arrays:
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+    def test_query_context_is_the_forward_representation(self, small_graph, fresh_store):
+        store = perturbed(fresh_store, 8)
+        model = InternalPredictor(store)
+        q = small_graph.event(90)
+        _, reprs = predict_batch(store, small_graph, [build_query_cache(small_graph, q, 6)])
+        assert np.array_equal(model.query_context(small_graph, q), reprs[0])
+        assert reprs.shape == (1, 2 * store.meta["h"])
+
+
+class TestRowInvariance:
+    """Each query's row is bit-identical alone and inside batches of any size."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        g = generate_synthetic("triadic-closure", 20, 300, seed=12)
+        store = perturbed(build_base_store(g, BaseConfig(h=16, d_time=4, k_nb=10)), 3)
+        rng = np.random.default_rng(4)
+        caches, views = [], []
+        for k in range(33):
+            q = g.event(int(rng.integers(g.n_events))) if k % 6 else query_event(0, 1, 0.0)
+            qc = build_query_cache(g, q, 10)
+            members = list(qc.member_ids)
+            view = (None, set(), set(members[::2]))[k % 3]
+            caches.append(qc)
+            views.append(view)
+        return g, store, caches, views
+
+    def test_alone_equals_inside_batches(self, rows):
+        g, store, caches, views = rows
+        alone = [predict_batch(store, g, [c], [v]) for c, v in zip(caches, views)]
+        n = len(caches)
+        for size in (2, 3, 33):
+            for i in range(n):
+                pick = [(i + j * 7) % n for j in range(size)]
+                probs, reprs = predict_batch(store, g, [caches[k] for k in pick],
+                                             [views[k] for k in pick])
+                assert probs[0].tobytes() == alone[i][0][0].tobytes(), (size, i)
+                assert reprs[0].tobytes() == alone[i][1][0].tobytes(), (size, i)
+
+    def test_empty_rows_equal_the_constant(self, rows):
+        g, store, caches, views = rows
+        probs, _ = predict_batch(store, g, caches, [set()] * len(caches))
+        assert set(probs.tolist()) == {empty_context_output(store)}
+
+    def test_predict_views_equals_single_predicts(self, rows):
+        g, store, caches, views = rows
+        model = InternalPredictor(store)
+        q = g.event(250)
+        members = list(build_query_cache(g, q, 10).member_ids)
+        wanted = [None, set(), set(members[:3]), set(members[1::2])]
+        batched = model.predict_views(g, q, wanted)
+        assert batched.tolist() == [model.predict(g, q, v) for v in wanted]
 
 
 class TestSplits:
@@ -128,6 +292,45 @@ STUB_BAD_HANDSHAKE = STUB_OK.replace("tempme-adapter/1", "other/9")
 
 def stub_cmd(code):
     return [sys.executable, "-c", code]
+
+
+STUB_REFUSES = """
+import json, sys
+print(json.dumps({"protocol": "tempme-adapter/1"}), flush=True)
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({"id": req["id"], "error": "node 99 outside [0, 15)"}), flush=True)
+"""
+
+
+def serve_lines(store, g, lines):
+    import io
+    stdout = io.StringIO()
+    serve_adapter(store, g, stdin=io.StringIO("".join(l + "\n" for l in lines)), stdout=stdout)
+    return [json.loads(l) for l in stdout.getvalue().splitlines()[1:]]
+
+
+class TestAdapterBoundary:
+    """A bad request gets an error reply and the server goes on serving."""
+
+    @pytest.mark.parametrize("line, rid, message", [
+        ("{not json", None, "JSONDecodeError"),
+        ('{"id": 4, "u": 1, "t": 50.0, "retained": null}', 4, "KeyError"),
+        ('{"id": 5, "u": 1, "v": 15, "t": 50.0, "retained": null}', 5, "outside [0, 15)"),
+    ], ids=["malformed-json", "missing-key", "node-out-of-range"])
+    def test_bad_request_answered_then_serving_continues(self, small_graph, fresh_store,
+                                                         line, rid, message):
+        q = small_graph.event(100)
+        good = json.dumps({"id": 9, "u": q.u, "v": q.v, "t": q.t, "retained": None})
+        replies = serve_lines(fresh_store, small_graph, [line, good])
+        assert replies[0]["id"] == rid and "p" not in replies[0]
+        assert message in replies[0]["error"]
+        assert replies[1] == {"id": 9, "p": InternalPredictor(fresh_store).predict(small_graph, q)}
+
+    def test_error_reply_raises_with_server_message(self, small_graph):
+        with ExternalAdapter(stub_cmd(STUB_REFUSES)) as adapter:
+            with pytest.raises(AdapterProtocolError, match=r"node 99 outside \[0, 15\)"):
+                adapter.predict(small_graph, small_graph.event(100))
 
 
 class TestAdapter:

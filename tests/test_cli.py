@@ -101,6 +101,13 @@ class TestErrors:
     def test_ingest_needs_csv(self, tmp_path, capsys):
         assert main(["ingest", "--run-dir", str(tmp_path / "i")]) == 2
 
+    def test_k_nb_zero_rejected(self, tmp_path, capsys):
+        code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "ConfigError"
+        assert "k_nb=0" in err["error"]["message"]
+
 
 class TestConfig:
     def test_file_and_flag_precedence(self, tmp_path, capsys):
@@ -142,23 +149,35 @@ def test_grad_check_command(capsys):
     assert main(["grad-check", "--points", "1"]) == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(out) == {"time_encoder", "gine_layer", "concrete_sample",
-                        "motif_encoder", "importance_scorer", "full_objective"}
+                        "motif_encoder", "importance_scorer", "full_objective",
+                        "base_forward"}
     assert all(v < 1e-4 for v in out.values())
 
 
 class TestEvaluateVariants:
-    def test_jobs_and_adapter_reports_identical(self, pipeline_dir):
+    def test_internal_and_adapter_reports_identical(self, pipeline_dir):
         import sys
         args = ["--run-dir", str(pipeline_dir)] + TINY
-        assert main(["evaluate", "--jobs", "2"] + args) == 0
-        parallel = (pipeline_dir / "report.json").read_bytes()
         assert main(["evaluate"] + args) == 0
         serial = (pipeline_dir / "report.json").read_bytes()
-        assert parallel == serial
         # an adapter serving the very same checkpoint must reproduce the report
         cmd = f"{sys.executable} -m motifx.cli adapter-serve --run-dir {pipeline_dir}"
         assert main(["evaluate", "--adapter", cmd] + args) == 0
         assert (pipeline_dir / "report.json").read_bytes() == serial
+
+    def test_adapter_command_is_shell_quoted(self, pipeline_dir, tmp_path):
+        import shlex
+        import shutil
+        import sys
+        spaced = tmp_path / "run dir"
+        shutil.copytree(pipeline_dir, spaced)
+        args = ["--run-dir", str(spaced)] + TINY
+        assert main(["evaluate"] + args) == 0
+        internal = (spaced / "report.json").read_bytes()
+        cmd = (f"{shlex.quote(sys.executable)} -m motifx.cli adapter-serve "
+               f"--run-dir {shlex.quote(str(spaced))}")
+        assert main(["evaluate", "--adapter", cmd] + args) == 0
+        assert (spaced / "report.json").read_bytes() == internal
 
     def test_adapter_env_var(self, pipeline_dir, monkeypatch):
         import sys

@@ -10,14 +10,14 @@ from motifx.basemodel import BaseConfig, InternalPredictor, build_base_store
 from motifx.errors import InvariantError
 from motifx.explainer import (ExplainerConfig, build_explainer_store,
                               encode_and_score, explain, ib_loss,
-                              importance_scores, kl_empirical, kl_uniform,
+                              kl_empirical, kl_uniform,
                               motif_embeddings, prepare_query, query_objective,
                               train_explainer)
 from motifx.graph import generate_synthetic
 from motifx.layers import PROB_EPS
 from motifx.nn import ConstTape, Tape
 
-from oracles import kl_empirical_scalar, kl_uniform_scalar
+from oracles import kl_empirical_scalar, kl_uniform_scalar, reference_soft_predict
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +135,11 @@ class TestScorer:
 
     def test_importance_scores_shape(self, setup):
         g, base_store, expl_store, ecfg = setup
-        ctx = np.zeros(expl_store.meta["ctx_dim"])
-        emb = nn.const(np.random.default_rng(0).normal(size=(5, expl_store.meta["h"])))
-        scores = importance_scores(ConstTape(expl_store), emb, ctx)
-        assert scores.value.shape == (5,)
+        base = InternalPredictor(base_store)
+        preps = [prepare_query(g, base, g.event(g.n_events - k), ecfg, seed=k) for k in (1, 2)]
+        scores, _, counts = encode_and_score(ConstTape(expl_store), preps)
+        assert counts == [len(p.instances) for p in preps]
+        assert scores.value.shape == (sum(counts),)
 
 
 class TestEncoder:
@@ -184,16 +185,15 @@ class TestFirstBatchLoss:
         # normalize over the observed codes so the reference stays simple
         z = sum(null_probs.values())
         null_probs = {k: v / z for k, v in null_probs.items()}
-        got = query_objective(base_store, g, prep, scores, draws, ecfg, null_probs)
+        got = query_objective(base_store, g, [prep], scores, draws, ecfg, null_probs)
 
         # independent mask assembly: scalar Concrete at p=0.5, max per event
         alpha = 1 / (1 + np.exp(-(np.log(draws) - np.log1p(-draws)) / ecfg.lam))
         ev_mask = np.zeros(len(prep.covered_ids))
         for pos, m_idx in zip(prep.pair_cov, prep.pair_motif):
             ev_mask[pos] = max(ev_mask[pos], alpha[m_idx])
-        from motifx.basemodel import soft_predict
-        pred = soft_predict(ConstTape(base_store), base_store, g, prep.qc,
-                            prep.covered_ids, nn.const(ev_mask))
+        pred = reference_soft_predict(ConstTape(base_store), base_store, g, prep.query,
+                                      prep.covered_ids, nn.const(ev_mask))
         ce = -math.log(pred.value) if prep.label == 1 else -math.log(1 - pred.value)
         kl = kl_empirical_scalar([0.5] * len(prep.instances), prep.codes, ecfg.p, null_probs)
         assert float(got.value) == pytest.approx(ce + ecfg.beta * kl, abs=1e-9)

