@@ -7,8 +7,8 @@ from .graph import (Event, EventSubset, TemporalGraph, computational_graph,
                     query_event)
 from .motifs import (MotifCensus, MotifInstance, census, code_alphabet,
                      empirical_class_probs, enumerate_motifs, motif_code,
-                     null_class_probs, null_model, sample_motifs,
-                     sample_motifs_tree, total_variation)
+                     null_class_probs, null_model, sample_motif_batch,
+                     sample_motifs, total_variation)
 
 __all__ = [
     "__version__",
@@ -16,6 +16,6 @@ __all__ = [
     "generate_synthetic", "ingest_csv", "neighbor_events", "query_event",
     "MotifCensus", "MotifInstance", "census", "code_alphabet",
     "empirical_class_probs", "enumerate_motifs", "motif_code",
-    "null_class_probs", "null_model", "sample_motifs", "sample_motifs_tree",
+    "null_class_probs", "null_model", "sample_motif_batch", "sample_motifs",
     "total_variation",
 ]

@@ -39,3 +39,7 @@ class DependencyError(MotifxError):
 
 class ConfigError(MotifxError):
     """A configuration value is outside the range the pipeline can run with."""
+
+
+class CheckpointError(MotifxError, ValueError):
+    """A checkpoint is not JSON, has another format, lacks a key, or holds bad data."""

@@ -16,14 +16,14 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .basemodel import (InternalPredictor, QueryCache, build_query_cache,
+from .basemodel import (EVAL_CHUNK, InternalPredictor, QueryCache, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
 from .errors import InvariantError, NonFiniteError
-from .features import anonymize, event_feature_block, feature_width
+from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
-from .motifs import MotifInstance, motif_code, null_class_probs, sample_motifs
+from .motifs import MotifInstance, motif_code, null_class_probs, sample_motif_batch
 from .nn import ConstTape, ParameterStore, Tape, Var
 
 
@@ -72,13 +72,17 @@ def query_seed(seed: int, qidx: int) -> int:
     return int(np.random.SeedSequence([seed, 0x51, qidx]).generate_state(1)[0])
 
 
-def sample_query_motifs(g: TemporalGraph, u: int, v: int, t: float,
-                        cfg: ExplainerConfig, seed: int) -> list[MotifInstance]:
-    """C motifs around each endpoint; single-event trajectories are dropped
+def sample_query_motifs(g: TemporalGraph, queries: list, cfg: ExplainerConfig,
+                        seeds: list) -> list[list[MotifInstance]]:
+    """C motifs around each endpoint of each query (query i's seed drives both
+    endpoints), from one kernel call. Single-event trajectories are dropped
     (they carry no order information and sit outside the class vocabulary)."""
-    insts = sample_motifs(g, u, t, cfg.n, cfg.l, cfg.c, cfg.delta, seed)
-    insts += sample_motifs(g, v, t, cfg.n, cfg.l, cfg.c, cfg.delta, seed)
-    return [inst for inst in insts if len(inst) >= 2]
+    per_anchor = sample_motif_batch(g, [x for q in queries for x in (q.u, q.v)],
+                                    [q.t for q in queries for _ in range(2)],
+                                    [s for s in seeds for _ in range(2)],
+                                    cfg.n, cfg.l, cfg.c, cfg.delta)
+    return [[inst for inst in per_anchor[2 * i] + per_anchor[2 * i + 1] if len(inst) >= 2]
+            for i in range(len(queries))]
 
 
 @dataclass
@@ -106,72 +110,69 @@ class QueryPrep:
     n_events: int
 
 
+def _encoder_inputs(g: TemporalGraph, t: float, instances: list, comp_ids: np.ndarray,
+                    l: int) -> dict:
+    """QueryPrep's encoder arrays, from the instances' (M, l) event-id block padded with -1.
+
+    Each instance numbers its nodes by first touch over u_0, v_0, u_1, v_1, ...;
+    an event gives edges u -> v and v -> u. h is `features.anonymize`'s count
+    of the instances holding the event's unordered pair at each position.
+    """
+    lens = np.array([len(inst) for inst in instances], dtype=np.int64)
+    valid = np.arange(l) < lens[:, None]
+    ids = np.full(valid.shape, -1, dtype=np.int64)
+    ids[valid] = [e for inst in instances for e in inst.event_ids]
+    flat = ids[valid]
+    ends = np.where(valid[:, :, None], np.stack([g.src[ids], g.dst[ids]], axis=2), -1)
+    ends = ends.reshape(len(instances), 2 * l)
+    first = (ends[:, :, None] == ends[:, None, :]).argmax(axis=2)  # first slot with that node
+    fresh = (first == np.arange(2 * l)) & (ends >= 0)
+    nodes_per = fresh.sum(axis=1)
+    local = np.take_along_axis(np.cumsum(fresh, axis=1) - 1, first, axis=1)
+    local += (np.cumsum(nodes_per) - nodes_per)[:, None]
+    ia, ib = local[:, 0::2][valid], local[:, 1::2][valid]
+    src, dst = g.src[flat], g.dst[flat]
+    _, pair = np.unique(np.minimum(src, dst) * g.node_count + np.maximum(src, dst),
+                        return_inverse=True)
+    h = np.zeros((len(flat), l))
+    np.add.at(h, (pair, np.nonzero(valid)[1]), 1.0)
+    in_comp = np.isin(flat, comp_ids)
+    covered, pair_cov = np.unique(flat[in_comp], return_inverse=True)
+    return dict(covered_ids=covered, pair_cov=pair_cov,
+                pair_motif=np.repeat(np.arange(len(instances)), lens)[in_comp],
+                node_seg=np.repeat(np.arange(len(instances)), nodes_per),
+                edge_src=np.stack([ia, ib], axis=1).reshape(-1),
+                edge_dst=np.stack([ib, ia], axis=1).reshape(-1),
+                edge_event=np.repeat(np.arange(len(flat)), 2),
+                attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat],
+                n_nodes=int(nodes_per.sum()), n_events=len(flat))
+
+
+def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
+                    cfg: ExplainerConfig, seeds: list) -> list[QueryPrep | None]:
+    """Per query, its prep, or None without computational graph or motifs. One kernel
+    call samples every query's motifs; each prep equals the one made alone."""
+    comps = [computational_graph(g, q, cfg.hops, cfg.per_hop_cap) for q in queries]
+    todo = [i for i, comp in enumerate(comps) if len(comp)]
+    found = sample_query_motifs(g, [queries[i] for i in todo], cfg, [seeds[i] for i in todo])
+    todo = [(i, insts) for i, insts in zip(todo, found) if insts]
+    caches = [build_query_cache(g, queries[i], base.k_nb) for i, _ in todo]
+    # labels and contexts from the full-view forward
+    outs = [predict_batch(base.store, g, caches[lo:lo + EVAL_CHUNK])
+            for lo in range(0, len(caches), EVAL_CHUNK)]
+    out: list[QueryPrep | None] = [None] * len(queries)
+    for (i, insts), qc, prob, ctx in zip(todo, caches, [p for o in outs for p in o[0]],
+                                         [r for o in outs for r in o[1]]):
+        query, comp_ids = queries[i], comps[i].member_ids
+        out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
+                           instances=insts, codes=[motif_code(inst) for inst in insts], ctx=ctx,
+                           **_encoder_inputs(g, query.t, insts, comp_ids, cfg.l))
+    return out
+
+
 def prepare_query(g: TemporalGraph, base: InternalPredictor, query: Event, cfg: ExplainerConfig,
                   seed: int) -> QueryPrep | None:
-    comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
-    if len(comp) == 0:
-        return None
-    instances = sample_query_motifs(g, query.u, query.v, query.t, cfg, seed)
-    if not instances:
-        return None
-    struct = anonymize(instances, cfg.l)
-    codes = [motif_code(inst) for inst in instances]
-
-    node_seg, edge_src, edge_dst, edge_event = [], [], [], []
-    attrs_rows, h_rows, dts = [], [], []
-    node_off = 0
-    ev_off = 0
-    for m_idx, inst in enumerate(instances):
-        local: dict[int, int] = {}
-        order: list[int] = []
-        for a, b in inst.pairs:
-            for x in (a, b):
-                if x not in local:
-                    local[x] = len(order)
-                    order.append(x)
-        for k, (a, b) in enumerate(inst.pairs):
-            ia, ib = local[a] + node_off, local[b] + node_off
-            # undirected: both directions, fixed order
-            edge_src.extend((ia, ib))
-            edge_dst.extend((ib, ia))
-            edge_event.extend((ev_off + k, ev_off + k))
-            key = (a, b) if a <= b else (b, a)
-            h = struct.get(key)
-            if h is None:
-                raise InvariantError(f"pair {key} missing from structural map")
-            h_rows.append(h)
-            dts.append(query.t - inst.times[k])
-        attrs_rows.append(g.attrs[list(inst.event_ids)])
-        node_seg.extend([m_idx] * len(order))
-        node_off += len(order)
-        ev_off += len(inst)
-
-    comp_set = set(int(e) for e in comp.member_ids)
-    covered = sorted({eid for inst in instances for eid in inst.event_ids if eid in comp_set})
-    cov_pos = {e: i for i, e in enumerate(covered)}
-    pair_cov, pair_motif = [], []
-    for m_idx, inst in enumerate(instances):
-        for eid in inst.event_ids:
-            if eid in cov_pos:
-                pair_cov.append(cov_pos[eid])
-                pair_motif.append(m_idx)
-
-    qc = build_query_cache(g, query, base.k_nb)
-    probs, reprs = predict_batch(base.store, g, [qc])  # label and context from one forward
-    return QueryPrep(
-        query=query, label=1 if probs[0] >= 0.5 else 0, qc=qc,
-        comp_ids=comp.member_ids, instances=instances, codes=codes, ctx=reprs[0],
-        covered_ids=np.array(covered, dtype=np.int64),
-        pair_cov=np.array(pair_cov, dtype=np.int64),
-        pair_motif=np.array(pair_motif, dtype=np.int64),
-        node_seg=np.array(node_seg, dtype=np.int64),
-        edge_src=np.array(edge_src, dtype=np.int64),
-        edge_dst=np.array(edge_dst, dtype=np.int64),
-        edge_event=np.array(edge_event, dtype=np.int64),
-        attrs_block=np.concatenate(attrs_rows, axis=0) if attrs_rows else np.zeros((0, g.attr_width)),
-        h_block=np.array(h_rows, dtype=np.float64),
-        dts=np.array(dts, dtype=np.float64),
-        n_nodes=node_off, n_events=ev_off)
+    return prepare_queries(g, base, [query], cfg, [seed])[0]
 
 
 def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]:
@@ -332,18 +333,14 @@ def _training_preps(g: TemporalGraph, base: InternalPredictor, cfg: ExplainerCon
     if cfg.max_train_queries is not None and len(ids) > cfg.max_train_queries:
         pick = rng.choice(len(ids), size=cfg.max_train_queries, replace=False)
         ids = [ids[i] for i in sorted(pick)]
-    preps: list[QueryPrep] = []
-    skipped = 0
+    queries, seeds = [], []
     for qidx, eid in enumerate(ids):
         ev = g.event(eid)
-        neg = query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t, g.attr_width)
-        for query in (ev, neg):
-            prep = prepare_query(g, base, query, cfg, query_seed(cfg.seed, qidx * 2 + (query is neg)))
-            if prep is None:
-                skipped += 1
-            else:
-                preps.append(prep)
-    return preps, skipped
+        queries += [ev, query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t,
+                                    g.attr_width)]
+        seeds += [query_seed(cfg.seed, 2 * qidx), query_seed(cfg.seed, 2 * qidx + 1)]
+    preps = [p for p in prepare_queries(g, base, queries, cfg, seeds) if p is not None]
+    return preps, len(queries) - len(preps)
 
 
 def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: ExplainerConfig,

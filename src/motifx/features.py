@@ -1,15 +1,13 @@
 """Structural event features and per-event feature assembly for the motif encoder."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
 from .errors import InvariantError
 from .layers import time_encode
 from .motifs import MotifInstance
-from .nn import Var, log_spaced_freqs
+from .nn import Var
 
 DEFAULT_TIME_DIM = 50  # half-dimension d; encodings are 2d wide
 
@@ -36,26 +34,6 @@ def anonymize(instances, l: int) -> dict:
                 out[key] = h
             h[j] += 1
     return out
-
-
-@dataclass
-class TimeEncodingParams:
-    """Learnable frequencies for the interval encoder; output width is 2d."""
-    w: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return len(self.w)
-
-    @classmethod
-    def init(cls, d: int, t_max: float) -> "TimeEncodingParams":
-        return cls(w=log_spaced_freqs(t_max, d))
-
-
-def encode_intervals(delta_t, params) -> np.ndarray:
-    """Numeric convenience wrapper around the differentiable interval encoder."""
-    w = params.w if isinstance(params, TimeEncodingParams) else params
-    return time_encode(delta_t, nn.const(w)).value
 
 
 def event_feature_block(attr_rows: np.ndarray, dts: np.ndarray, h_rows: np.ndarray,

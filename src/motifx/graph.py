@@ -13,6 +13,13 @@ node, then by event id. The entries of node w are rows
 ``inc_other`` (the event's other endpoint). Within a row, id order is
 (t, id) order, so every time window is one contiguous slice, and
 ties come out ordered by id exactly as they do over the whole stream.
+
+Beside it sits a pair index. ``pair_codes`` lists each distinct unordered
+pair {a, b} (a < b) once as ``a * node_count + b``, ascending; a pair's
+position there is its rank. ``_pair_key`` holds every event as the sorted
+``rank * n_events + id``, so the events between a and b in an id window
+are one slice of it. With the rows of ``_inc_key`` this sizes any
+neighborhood window without building it; the motif sampler counts so.
 """
 from __future__ import annotations
 
@@ -69,10 +76,12 @@ class TemporalGraph:
     ``node * n_events + event id``; it is sorted, so the row offsets of
     any set of nodes at any id cut are one ``searchsorted``. The event
     columns and the index are read-only, and lookups return views of them.
+    ``pair_codes`` and ``_pair_key`` are the pair index of the module
+    docstring, also read-only.
     """
 
     __slots__ = ("src", "dst", "t", "attrs", "node_count", "attr_width",
-                 "indptr", "inc_ids", "inc_other", "_inc_key")
+                 "indptr", "inc_ids", "inc_other", "_inc_key", "pair_codes", "_pair_key")
 
     def __init__(self, src, dst, t, attrs, node_count: int):
         try:
@@ -114,6 +123,20 @@ class TemporalGraph:
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=node_count), out=indptr[1:])
         self.indptr = _frozen(indptr)
+
+        codes = np.minimum(self.src, self.dst) * node_count + np.maximum(self.src, self.dst)
+        pair_codes, rank = np.unique(codes, return_inverse=True)
+        self.pair_codes = _frozen(pair_codes)
+        self._pair_key = _frozen(np.sort(rank * n + np.arange(n, dtype=np.int64)))
+
+    def pair_ranks(self, a, b) -> np.ndarray:
+        """Pair-index rank of each pair (a[i], b[i]); -1 if they never interact or one is < 0."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        low = np.minimum(a, b)
+        codes = low * self.node_count + np.maximum(a, b)
+        rank = self.pair_codes.searchsorted(codes)
+        known = np.append(self.pair_codes, -1)[rank] == codes
+        return np.where(known & (low >= 0), rank, -1)
 
     @property
     def n_events(self) -> int:

@@ -69,11 +69,6 @@ def concrete_sample(p, lam: float, u) -> Var:
     return nn.sigmoid(nn.scale(nn.add(logit, nn.const(noise)), 1.0 / lam))
 
 
-def bernoulli_hard(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unrelaxed mask draw used at inference time."""
-    return (rng.random(len(p)) < p).astype(np.float64)
-
-
 def masked_attention(query: Var, keys: Var, values: Var, mask: Var, valid=None) -> Var:
     """Dot-product attention where weights renormalize over masked-in keys only.
 

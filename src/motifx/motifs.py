@@ -6,6 +6,22 @@ incident to the node set collected so far, keeping at most n nodes and
 staying within a duration window. Trajectories that dead-end before
 reaching the requested length are kept and flagged as truncated.
 
+`sample_motif_batch` is the one sampler. It advances every walker of
+every anchor together, one step at a time, and never builds a candidate
+set. Anchor u0 with seed s draws one (C, l) block from
+SeedSequence([s, u0]); walker w uses row w, so the stream is that of C
+calls of rng.random(l). At step j a walker with node set S has the id
+window [cut(t0 - delta), cut(t_prev)), t_prev being t0 at step 0, and
+counts its candidates below any id m without listing them:
+  open (|S| < n):    sum_{v in S} row(v) - sum_{a<b in S} pair(a, b)
+  closed (|S| = n):  sum_{a<b in S} pair(a, b)
+with row and pair counts from two searches each on the graph's node and
+pair indexes (an event between two members of S sits in both rows). Its
+pick is candidate k = floor(draw_j * count): the largest id with k
+candidates below it, found by bisecting on ids, one `searchsorted` over
+all walkers per round. Candidates are in id order, so the law and the
+bytes are those of taking cands[k] from the ascending candidate list.
+
 Canonical codes label nodes 0,1,2,... in first-touch order with the
 anchor fixed to 0, and emit one digit pair per event; equal codes mean
 the instances have the same topology with events in the same order.
@@ -45,41 +61,6 @@ class MotifInstance:
         return frozenset(n for p in self.pairs for n in p)
 
 
-def _make_instance(g: TemporalGraph, anchor: int, t0: float, ids: list, l: int) -> MotifInstance:
-    return MotifInstance(
-        anchor=anchor, t0=t0,
-        event_ids=tuple(int(i) for i in ids),
-        pairs=tuple((int(g.src[i]), int(g.dst[i])) for i in ids),
-        times=tuple(float(g.t[i]) for i in ids),
-        truncated=len(ids) < l)
-
-
-class _CandidateCache:
-    """Admissible-event lookups keyed by (node set, previous event).
-
-    The candidate set at a step depends only on the collected nodes and
-    the previous event's timestamp, so repeated trajectories through the
-    same state share one lookup.
-    """
-
-    def __init__(self, g: TemporalGraph, t0: float, n: int, delta: float | None):
-        self.g = g
-        self.t0 = t0
-        self.n = n
-        self.t_low = -math.inf if delta is None else t0 - delta
-        self._cache: dict = {}
-
-    def get(self, nodes: frozenset, t_prev: float, key) -> np.ndarray:
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        # with the node budget full, both endpoints must already be collected
-        ids = neighbor_events(self.g, nodes, t_prev, strict=True, since=self.t_low,
-                              closed=len(nodes) >= self.n)
-        self._cache[key] = ids
-        return ids
-
-
 def _params_ok(n: int, l: int, c: int | None = None) -> None:
     if l < 1 or n < 2:
         raise ValueError("need l >= 1 and n >= 2")
@@ -87,98 +68,102 @@ def _params_ok(n: int, l: int, c: int | None = None) -> None:
         raise ValueError("need C >= 1")
 
 
-def sample_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
-                  l: int = DEFAULT_L, c: int = 1, delta: float | None = None,
-                  seed: int = 0) -> list[MotifInstance]:
-    """Draw C trajectories of up to l events by sequential uniform sampling.
-
-    Each step picks uniformly among events strictly earlier than the
-    previous one, incident to the collected node set, inside the duration
-    window and the n-node budget. Dead ends yield truncated instances.
-    An anchor with no admissible history returns an empty list.
-    """
-    _params_ok(n, l, c)
-    cache = _CandidateCache(g, t0, n, delta)
-    first = cache.get(frozenset([u0]), t0, (u0,))
-    if len(first) == 0:
-        return []
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, int(u0)])))
-    out = []
-    for _ in range(c):
-        draws = rng.random(l)
-        nodes = frozenset([u0])
-        key = (u0,)
-        ids: list[int] = []
-        t_prev = t0
-        for j in range(l):
-            cands = cache.get(nodes, t_prev, key)
-            if len(cands) == 0:
-                break
-            pick = int(cands[int(draws[j] * len(cands))])
-            ids.append(pick)
-            nodes = nodes | {int(g.src[pick]), int(g.dst[pick])}
-            t_prev = float(g.t[pick])
-            key = (nodes, pick)
-        out.append(_make_instance(g, u0, t0, ids, l))
+def _instances(g: TemporalGraph, anchor: int, t0: float, paths: list, l: int) -> list:
+    """MotifInstances of event-id paths that share one anchor and anchor time."""
+    flat = np.array([i for ids in paths for i in ids], dtype=np.int64)
+    src, dst, t = g.src[flat].tolist(), g.dst[flat].tolist(), g.t[flat].tolist()
+    out, pos = [], 0
+    for ids in paths:
+        end = pos + len(ids)
+        out.append(MotifInstance(anchor=anchor, t0=t0, event_ids=tuple(ids),
+                                 pairs=tuple(zip(src[pos:end], dst[pos:end])),
+                                 times=tuple(t[pos:end]), truncated=len(ids) < l))
+        pos = end
     return out
 
 
-def sample_motifs_tree(g: TemporalGraph, u0: int, t0: float, n: int, l: int,
-                       fanout, delta: float | None = None, seed: int = 0) -> list[MotifInstance]:
-    """Tree-structured sampling: level i extends every live trajectory k_i ways.
+def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) -> tuple:
+    """Per walker (a row of `nodes`, padded with -1), the index keys, weights and
+    window starts of its open or closed count (see the module docstring)."""
+    first, second = np.triu_indices(nodes.shape[1], 1)
+    ranks = g.pair_ranks(nodes[:, first], nodes[:, second])
+    row_base = np.maximum(nodes, 0) * g.n_events
+    pair_base = np.maximum(ranks, 0) * g.n_events
+    return (row_base, (nodes >= 0) & ~closed[:, None],
+            g._inc_key.searchsorted(row_base + lo[:, None]),
+            pair_base, (ranks >= 0) * np.where(closed, 1, -1)[:, None],
+            g._pair_key.searchsorted(pair_base + lo[:, None]))
 
-    The configuration has l entries when n >= l + 1, else n - 1 entries
-    followed by single-child completion steps up to l events. The leaf
-    count is the product of the fanouts; a trajectory that dead-ends is
-    emitted once as truncated instead of being replicated.
+
+def _below(g: TemporalGraph, terms: tuple, m: np.ndarray) -> np.ndarray:
+    """Per walker, the number of its candidates with id < m[w]."""
+    row_base, row_weight, row_lo, pair_base, pair_weight, pair_lo = terms
+    m = m[:, None]
+    rows = g._inc_key.searchsorted(row_base + m) - row_lo
+    pairs = g._pair_key.searchsorted(pair_base + m) - pair_lo
+    return (rows * row_weight).sum(axis=1) + (pairs * pair_weight).sum(axis=1)
+
+
+def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
+                       l: int = DEFAULT_L, c: int = 1,
+                       delta: float | None = None) -> list[list[MotifInstance]]:
+    """C trajectories of up to l events around each anchor, all walkers advancing together.
+
+    Anchor i walks back from t0s[i] with generator SeedSequence([seeds[i], anchors[i]]).
+    Each step is uniform over the events strictly earlier than the previous one, incident
+    to the collected node set, inside the duration window and the n-node budget. Dead ends
+    give truncated instances; an anchor with no admissible history gets [].
     """
-    _params_ok(n, l)
-    fanout = [int(k) for k in fanout]
-    want = l if n >= l + 1 else n - 1
-    if len(fanout) != want or any(k < 1 for k in fanout):
-        raise ValueError(f"fanout must have {want} positive entries for n={n}, l={l}")
-    cache = _CandidateCache(g, t0, n, delta)
-    if len(cache.get(frozenset([u0]), t0, (u0,))) == 0:
-        return []
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, int(u0), 7919])))
+    _params_ok(n, l, c)
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
+    lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
+    high = g.t.searchsorted(t0s)
+    alone = _count_terms(g, anchors[:, None], lo, np.zeros(len(anchors), bool))
+    live = np.flatnonzero(_below(g, alone, high) > 0)
+    draws = np.concatenate([np.empty((0, l))] + [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(seeds[i]), int(anchors[i])]))).random((c, l))
+        for i in live.tolist()])
+    walker_anchor = np.repeat(live, c)
+    lo, high = lo[walker_anchor], high[walker_anchor]
+    ids = np.full((len(walker_anchor), l), -1, dtype=np.int64)
+    nodes = np.full((len(walker_anchor), n), -1, dtype=np.int64)
+    nodes[:, 0] = anchors[walker_anchor]
+    walkers = np.arange(len(walker_anchor))
+    for j in range(l):
+        held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
+        size = (held >= 0).sum(axis=1)
+        terms = _count_terms(g, held, lo[walkers], size >= n)
+        total = _below(g, terms, high)
+        keep = total > 0
+        walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
+        terms, size = tuple(a[keep] for a in terms), size[keep]
+        # the pick is candidate k: the largest id with k candidates below it
+        want = (draws[walkers, j] * total).astype(np.int64) + 1
+        while np.any(high - low > 1):
+            mid = (low + high) // 2
+            past = _below(g, terms, mid) >= want
+            high, low = np.where(past, mid, high), np.where(past, low, mid)
+        ids[walkers, j] = low
+        # the event adds whichever endpoint is not yet collected, if any
+        held, src, dst = nodes[walkers], g.src[low], g.dst[low]
+        new = np.where((held == src[:, None]).any(axis=1), dst, src)
+        grow = ~(held == new[:, None]).any(axis=1)
+        nodes[walkers[grow], size[grow]] = new[grow]
+        high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
 
-    State = tuple  # (ids list, nodes frozenset, t_prev, key)
-    live: list[State] = [([], frozenset([u0]), t0, (u0,))]
-    done: list[list[int]] = []
+    paths = [[i for i in row if i >= 0] for row in ids.tolist()]
+    out: list[list[MotifInstance]] = [[] for _ in range(len(anchors))]
+    for k, a in enumerate(live.tolist()):
+        out[a] = _instances(g, int(anchors[a]), float(t0s[a]), paths[k * c:(k + 1) * c], l)
+    return out
 
-    def extend(state: State):
-        ids, nodes, t_prev, key = state
-        cands = cache.get(nodes, t_prev, key)
-        if len(cands) == 0:
-            return None
-        pick = int(cands[int(rng.random() * len(cands))])
-        new_nodes = nodes | {int(g.src[pick]), int(g.dst[pick])}
-        return (ids + [pick], new_nodes, float(g.t[pick]), (new_nodes, pick))
 
-    for k in fanout:
-        nxt: list[State] = []
-        for state in live:
-            grew = False
-            for _ in range(k):
-                child = extend(state)
-                if child is None:
-                    break
-                grew = True
-                nxt.append(child)
-            if not grew:
-                done.append(state[0])
-        live = nxt
-    for _ in range(l - want):
-        nxt = []
-        for state in live:
-            child = extend(state)
-            if child is None:
-                done.append(state[0])
-            else:
-                nxt.append(child)
-        live = nxt
-    done.extend(state[0] for state in live)
-    return [_make_instance(g, u0, t0, ids, l) for ids in done if ids]
+def sample_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
+                  l: int = DEFAULT_L, c: int = 1, delta: float | None = None,
+                  seed: int = 0) -> list[MotifInstance]:
+    """Draw C trajectories around one anchor: `sample_motif_batch` for a single anchor."""
+    return sample_motif_batch(g, [u0], [t0], [seed], n, l, c, delta)[0]
 
 
 def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
@@ -188,33 +173,33 @@ def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
 
     Returns each full-length instance exactly once plus every dead-ended
     (truncated) trajectory. Refuses graphs whose history before t0
-    exceeds `max_events`.
+    exceeds `max_events`. Candidate sets come from `neighbor_events`,
+    independently of the sampler's counting.
     """
     _params_ok(n, l)
     history = g.id_cut(t0)
     if history > max_events:
         raise EnumerationLimitError(
             f"{history} events before t0 exceeds the enumeration guard ({max_events})")
-    cache = _CandidateCache(g, t0, n, delta)
-    out: list[MotifInstance] = []
+    since = -math.inf if delta is None else t0 - delta
+    paths: list[list[int]] = []
 
-    def rec(ids: list, nodes: frozenset, t_prev: float, key):
+    def rec(ids: list, nodes: frozenset, t_prev: float):
         if len(ids) == l:
-            out.append(_make_instance(g, u0, t0, ids, l))
+            paths.append(ids)
             return
-        cands = cache.get(nodes, t_prev, key)
+        # with the node budget full, both endpoints must already be collected
+        cands = neighbor_events(g, nodes, t_prev, strict=True, since=since,
+                                closed=len(nodes) >= n)
         if len(cands) == 0:
             if ids:
-                out.append(_make_instance(g, u0, t0, ids, l))
+                paths.append(ids)
             return
-        for pick in cands:
-            pick = int(pick)
-            rec(ids + [pick],
-                nodes | {int(g.src[pick]), int(g.dst[pick])},
-                float(g.t[pick]), (nodes | {int(g.src[pick]), int(g.dst[pick])}, pick))
+        for pick in cands.tolist():
+            rec(ids + [pick], nodes | {int(g.src[pick]), int(g.dst[pick])}, float(g.t[pick]))
 
-    rec([], frozenset([u0]), t0, (u0,))
-    return out
+    rec([], frozenset([u0]), t0)
+    return _instances(g, u0, t0, paths, l)
 
 
 # -- canonical coding ---------------------------------------------------------
@@ -335,13 +320,11 @@ def graph_census(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
                  c_per_node: int = 20, delta: float | None = None,
                  seed: int = 0) -> MotifCensus:
     """Pooled census of C motifs sampled around every node at its last-activity time."""
-    instances = []
-    for node in range(g.node_count):
-        t0 = anchor_time(g, node)
-        if not math.isfinite(t0):
-            continue
-        instances.extend(sample_motifs(g, node, t0, n, l, c_per_node, delta, seed))
-    return census(instances)
+    t0s = [anchor_time(g, node) for node in range(g.node_count)]
+    nodes = [node for node, t0 in enumerate(t0s) if math.isfinite(t0)]
+    per_anchor = sample_motif_batch(g, nodes, [t0s[v] for v in nodes], [seed] * len(nodes),
+                                    n, l, c_per_node, delta)
+    return census(inst for insts in per_anchor for inst in insts)
 
 
 def _smooth(cen: MotifCensus, n: int, l: int, smoothing: float) -> dict:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import CheckpointError, NonFiniteError, ShapeError
 
 CKPT_FORMAT = "motifx-ckpt/1"
 
@@ -405,14 +405,33 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CKPT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
+        """Read a checkpoint; anything but a well-formed one raises CheckpointError."""
         store = cls()
-        store.meta = payload["meta"]
-        for name, spec in payload["arrays"].items():
-            store.arrays[name] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            fmt = payload.get("format") if isinstance(payload, dict) else None
+            if fmt != CKPT_FORMAT:
+                raise CheckpointError(f"{path}: unsupported checkpoint format {fmt!r}")
+            store.meta = payload["meta"]
+            for name, spec in payload["arrays"].items():
+                data, shape = np.array(spec["data"], dtype=np.float64), list(spec["shape"])
+                if data.ndim != 1 or data.size != math.prod(shape):
+                    raise CheckpointError(f"{path}: array {name!r} has {data.size} values "
+                                          f"for shape {shape}")
+                store.arrays[name] = data.reshape(shape)
+            k_nb = store.meta.get("k_nb") if store.meta.get("kind") == "base" else 1
+        except CheckpointError:
+            raise
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"{path}: not JSON ({exc})") from exc
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from exc
+        if not isinstance(k_nb, int) or k_nb < 1:
+            raise CheckpointError(f"{path}: base checkpoint has k_nb={k_nb!r}; "
+                                  "each endpoint needs at least one slot")
         return store
 
 

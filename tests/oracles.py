@@ -122,30 +122,33 @@ def anchored_equivalent(i1, i2) -> bool:
     return False
 
 
+def admissible(g, S, t_prev, n, t_low=-math.inf):
+    """The events a walker holding node set S may take after time t_prev,
+    ascending id: t_low <= t < t_prev, incident to S, within the n-node budget."""
+    found = []
+    for i in range(g.n_events):
+        t = float(g.t[i])
+        if not (t_low <= t < t_prev):
+            continue
+        a, b = int(g.src[i]), int(g.dst[i])
+        if a not in S and b not in S:
+            continue
+        if len(S | {a, b}) <= n:
+            found.append(i)
+    return found
+
+
 def enumerate_reference(g, u0, t0, n, l, delta=None):
     """Recursive trajectory enumeration straight from the definition,
     using only raw event scans. Returns (event-id tuple, truncated) pairs."""
     t_low = -math.inf if delta is None else t0 - delta
     out = []
 
-    def admissible(S, t_prev):
-        found = []
-        for i in range(g.n_events):
-            t = float(g.t[i])
-            if not (t_low <= t < t_prev):
-                continue
-            a, b = int(g.src[i]), int(g.dst[i])
-            if a not in S and b not in S:
-                continue
-            if len(S | {a, b}) <= n:
-                found.append(i)
-        return found
-
     def rec(ids, S, t_prev):
         if len(ids) == l:
             out.append((tuple(ids), False))
             return
-        cands = admissible(S, t_prev)
+        cands = admissible(g, S, t_prev, n, t_low)
         if not cands:
             if ids:
                 out.append((tuple(ids), True))
@@ -155,6 +158,88 @@ def enumerate_reference(g, u0, t0, n, l, delta=None):
 
     rec([], {u0}, t0)
     return out
+
+
+def reference_sample_motifs(g, u0, t0, n, l, c, delta=None, seed=0):
+    """The sampler's law one walker and one step at a time: walker k draws
+    rng.random(l) from SeedSequence([seed, u0]) and step j takes candidate
+    floor(draw_j * count) of the admissible scan. Returns event-id tuples."""
+    t_low = -math.inf if delta is None else t0 - delta
+    if not admissible(g, {u0}, t0, n, t_low):
+        return []
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, int(u0)])))
+    out = []
+    for _ in range(c):
+        draws = rng.random(l)
+        ids, S, t_prev = [], {u0}, t0
+        for j in range(l):
+            cands = admissible(g, S, t_prev, n, t_low)
+            if not cands:
+                break
+            pick = cands[int(draws[j] * len(cands))]
+            ids.append(pick)
+            S = S | {int(g.src[pick]), int(g.dst[pick])}
+            t_prev = float(g.t[pick])
+        out.append(tuple(ids))
+    return out
+
+
+def trajectory_probability(g, u0, t0, n, ids, delta=None):
+    """Exact probability that one walker emits the trajectory `ids`: the product
+    over its steps of 1/|admissible| (a dead end stops with probability 1)."""
+    t_low = -math.inf if delta is None else t0 - delta
+    prob, S, t_prev = 1.0, {u0}, t0
+    for i in ids:
+        prob /= len(admissible(g, S, t_prev, n, t_low))
+        S = S | {int(g.src[i]), int(g.dst[i])}
+        t_prev = float(g.t[i])
+    return prob
+
+
+def reference_encoder_inputs(g, t, instances, comp_ids, l):
+    """The motif-encoder inputs of one query, built one instance and one event
+    at a time, as a dict of QueryPrep's array fields."""
+    struct = {}
+    for inst in instances:
+        for j, (a, b) in enumerate(inst.pairs):
+            struct.setdefault((min(a, b), max(a, b)), [0] * l)[j] += 1
+    node_seg, edge_src, edge_dst, edge_event, attrs_rows, h_rows, dts = [], [], [], [], [], [], []
+    node_off = ev_off = 0
+    for m_idx, inst in enumerate(instances):
+        local, order = {}, []
+        for a, b in inst.pairs:
+            for x in (a, b):
+                if x not in local:
+                    local[x] = len(order)
+                    order.append(x)
+        for k, (a, b) in enumerate(inst.pairs):
+            ia, ib = local[a] + node_off, local[b] + node_off
+            edge_src.extend((ia, ib))
+            edge_dst.extend((ib, ia))
+            edge_event.extend((ev_off + k, ev_off + k))
+            h_rows.append(struct[(min(a, b), max(a, b))])
+            dts.append(t - inst.times[k])
+            attrs_rows.append(list(g.attrs[inst.event_ids[k]]))
+        node_seg.extend([m_idx] * len(order))
+        node_off += len(order)
+        ev_off += len(inst)
+    comp = set(int(e) for e in comp_ids)
+    covered = sorted({e for inst in instances for e in inst.event_ids if e in comp})
+    cov_pos = {e: i for i, e in enumerate(covered)}
+    pair_cov, pair_motif = [], []
+    for m_idx, inst in enumerate(instances):
+        for e in inst.event_ids:
+            if e in cov_pos:
+                pair_cov.append(cov_pos[e])
+                pair_motif.append(m_idx)
+    ints = lambda xs: np.array(xs, dtype=np.int64)
+    return {"covered_ids": ints(covered), "pair_cov": ints(pair_cov),
+            "pair_motif": ints(pair_motif), "node_seg": ints(node_seg),
+            "edge_src": ints(edge_src), "edge_dst": ints(edge_dst),
+            "edge_event": ints(edge_event),
+            "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(ev_off, g.attr_width),
+            "h_block": np.array(h_rows, dtype=np.float64),
+            "dts": np.array(dts, dtype=np.float64), "n_nodes": node_off, "n_events": ev_off}
 
 
 def kl_uniform_scalar(scores, p) -> float:

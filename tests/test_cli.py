@@ -101,6 +101,17 @@ class TestErrors:
     def test_ingest_needs_csv(self, tmp_path, capsys):
         assert main(["ingest", "--run-dir", str(tmp_path / "i")]) == 2
 
+    @pytest.mark.parametrize("text", ["not a checkpoint", '{"format": "motifx-ckpt/1"}'])
+    def test_bad_checkpoint_is_a_json_error(self, tmp_path, capsys, text):
+        d = tmp_path / "c"
+        assert main(["synth", "--run-dir", str(d)] + TINY) == 0
+        (d / "base.ckpt").write_text(text)
+        capsys.readouterr()
+        code = main(["train-explainer", "--run-dir", str(d)] + TINY)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "CheckpointError"
+
     def test_k_nb_zero_rejected(self, tmp_path, capsys):
         code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

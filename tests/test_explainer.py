@@ -11,13 +11,14 @@ from motifx.errors import InvariantError
 from motifx.explainer import (ExplainerConfig, build_explainer_store,
                               encode_and_score, explain, ib_loss,
                               kl_empirical, kl_uniform,
-                              motif_embeddings, prepare_query, query_objective,
-                              train_explainer)
-from motifx.graph import generate_synthetic
+                              motif_embeddings, prepare_queries, prepare_query,
+                              query_objective, train_explainer)
+from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.layers import PROB_EPS
 from motifx.nn import ConstTape, Tape
 
-from oracles import kl_empirical_scalar, kl_uniform_scalar, reference_soft_predict
+from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
+                     reference_soft_predict)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,56 @@ class TestIbLoss:
     def test_kl_scales_with_beta(self):
         base = ib_loss(0.7, 1, 0.0, 0.5)
         assert ib_loss(0.7, 1, 2.0, 0.5) == pytest.approx(base + 1.0, abs=1e-9)
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality through dataclasses, with exact array equality."""
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(_same(getattr(a, f), getattr(b, f))
+                                          for f in a.__dataclass_fields__)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestEncoderInputs:
+    """QueryPrep's arrays, built with array ops, against the per-instance loop."""
+
+    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "node_seg", "edge_src", "edge_dst",
+              "edge_event", "attrs_block", "h_block", "dts", "n_nodes", "n_events")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prep_arrays_equal_oracle(self, seed):
+        rng = np.random.default_rng(seed + 40)
+        n_ev, n_nodes = 120, 6  # few nodes: pairs repeat within and across instances
+        src = rng.integers(n_nodes, size=n_ev)
+        dst = (src + rng.integers(1, n_nodes, size=n_ev)) % n_nodes
+        t = rng.integers(1, 50, size=n_ev).astype(float)  # tied timestamps
+        g = TemporalGraph(src, dst, t, rng.normal(size=(n_ev, 3)), n_nodes)
+        base = InternalPredictor(build_base_store(g, BaseConfig(h=8, d_time=4, k_nb=8, seed=0)))
+        n, l = [(3, 3), (4, 4), (2, 3)][seed % 3]
+        cfg = ExplainerConfig(c=12, n=n, l=l, d_time=4, h=8, per_hop_cap=8,
+                              delta=None if seed % 2 else 8.0)
+        queries = [g.event(i) for i in rng.integers(n_ev // 2, n_ev, size=5)]
+        queries += [query_event(int(q.u), (int(q.u) + 1) % n_nodes, q.t, 3) for q in queries[:2]]
+        queries.append(query_event(0, 1, 0.5, 3))  # no history: no prep
+        seeds = [int(x) for x in rng.integers(0, 2**31, size=len(queries))]
+        preps = prepare_queries(g, base, queries, cfg, seeds)
+        assert preps[-1] is None
+        truncated = repeated = 0
+        for q, sd, prep in zip(queries, seeds, preps):
+            if prep is None:
+                continue
+            want = reference_encoder_inputs(g, q.t, prep.instances, prep.comp_ids, l)
+            for name in self.FIELDS:
+                got = getattr(prep, name)
+                assert np.array_equal(got, want[name]), name
+                assert np.asarray(got).dtype == np.asarray(want[name]).dtype, name
+            truncated += sum(inst.truncated for inst in prep.instances)
+            repeated += int(prep.h_block.max() > 1)
+            alone = prepare_query(g, base, q, cfg, sd)
+            assert _same(alone, prep)
+        assert truncated and repeated
 
 
 class TestScorer:

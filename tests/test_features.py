@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifx import nn
 from motifx.errors import InvariantError
-from motifx.features import (TimeEncodingParams, anonymize, encode_intervals,
-                             event_feature_matrix, feature_width)
+from motifx.features import anonymize, event_feature_matrix, feature_width
 from motifx.layers import time_encode
 from motifx.motifs import MotifInstance
 from motifx.nn import ParameterStore, Tape, grad_check
@@ -63,20 +62,22 @@ class TestAnonymize:
 
 
 class TestTimeEncode:
+    @staticmethod
+    def encode(dts, d, t_max):
+        w = nn.const(nn.log_spaced_freqs(t_max, d))
+        return time_encode(np.asarray(dts, dtype=float), w).value
+
     def test_zero_interval(self):
-        params = TimeEncodingParams.init(d=2, t_max=10.0)
-        enc = encode_intervals([0.0], params)
+        enc = self.encode([0.0], d=2, t_max=10.0)
         root = math.sqrt(0.5)
         assert np.allclose(enc, [[root, 0.0, root, 0.0]])
 
     def test_norm_bounded_by_sqrt_two(self):
-        params = TimeEncodingParams.init(d=7, t_max=1000.0)
-        enc = encode_intervals(np.linspace(0, 999, 40), params)
+        enc = self.encode(np.linspace(0, 999, 40), d=7, t_max=1000.0)
         assert np.all(np.linalg.norm(enc, axis=1) <= math.sqrt(2) + 1e-12)
 
     def test_output_width_is_twice_d(self):
-        params = TimeEncodingParams.init(d=5, t_max=10.0)
-        assert encode_intervals([1.0, 2.0], params).shape == (2, 10)
+        assert self.encode([1.0, 2.0], d=5, t_max=10.0).shape == (2, 10)
 
     def test_gradient_in_frequencies(self):
         store = ParameterStore()

@@ -270,3 +270,30 @@ class TestIndex:
             want = brute_force_computational_graph(g, target.u, target.v, target.t, hops, cap)
             assert sub.hop_of == want
             assert sub.members == set(want)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_pair_index_counts(self, seed):
+        """Events between a and b with since <= t < before, by two searches on the pair
+        index, equal the closed scan of {a, b}; pairs that never interact rank -1."""
+        rng = np.random.default_rng(seed + 1100)
+        g = random_graph(rng, duplicate_times=True)
+        n_ev = g.n_events
+        pairs = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(g.src, g.dst)}
+        assert g.pair_codes.tolist() == sorted(a * g.node_count + b for a, b in pairs)
+        assert not g._pair_key.flags.writeable
+        empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
+        assert empty.pair_ranks([-1, 0], [2, 1]).tolist() == [-1, -1]
+        for a in range(-1, g.node_count):
+            for b in range(g.node_count):
+                rank = int(g.pair_ranks([a], [b])[0])
+                if a < 0 or a == b or (min(a, b), max(a, b)) not in pairs:
+                    assert rank == -1
+                    continue
+                assert rank == int(g.pair_ranks([b], [a])[0])
+                since = float(rng.integers(0, n_ev // 2 + 2))
+                before = float(rng.integers(0, n_ev // 2 + 3))
+                lo, hi = g.id_cut(since), g.id_cut(before)
+                got = (int(g._pair_key.searchsorted(rank * n_ev + max(hi, lo)))
+                       - int(g._pair_key.searchsorted(rank * n_ev + lo)))
+                want = brute_force_neighbor_events(g, [a, b], before, since=since, closed=True)
+                assert got == len(want)

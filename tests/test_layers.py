@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from motifx import nn
-from motifx.layers import (add_gine_params, bernoulli_hard, concrete_sample,
-                           gine_layer, masked_attention)
+from motifx.layers import add_gine_params, concrete_sample, gine_layer, masked_attention
 from motifx.nn import ParameterStore, Tape
 
 
@@ -27,13 +26,6 @@ class TestConcrete:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             concrete_sample(nn.const(np.array([0.5])), 0.0, np.array([0.5]))
-
-    def test_hard_draw_deterministic(self):
-        p = np.array([0.2, 0.9, 0.5])
-        a = bernoulli_hard(p, np.random.Generator(np.random.PCG64(3)))
-        b = bernoulli_hard(p, np.random.Generator(np.random.PCG64(3)))
-        assert np.array_equal(a, b)
-        assert set(a) <= {0.0, 1.0}
 
 
 def gine_store(node_dim, edge_dim, seed=0):

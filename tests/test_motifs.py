@@ -1,19 +1,22 @@
 import hashlib
 import json
+import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from motifx.errors import EnumerationLimitError
 from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
-from motifx.motifs import (MotifInstance, anchor_time, census, code_alphabet,
-                           empirical_class_probs, enumerate_motifs, graph_census,
-                           motif_code, null_class_probs, null_model, sample_motifs,
-                           sample_motifs_tree, total_variation)
+from motifx.motifs import (MotifInstance, _below, _count_terms, anchor_time, census,
+                           code_alphabet, empirical_class_probs, enumerate_motifs,
+                           graph_census, motif_code, null_class_probs, null_model,
+                           sample_motif_batch, sample_motifs, total_variation)
 
 from conftest import random_graph
-from oracles import anchored_equivalent, enumerate_reference, validate_instance
+from oracles import (admissible, anchored_equivalent, enumerate_reference,
+                     reference_sample_motifs, trajectory_probability, validate_instance)
 
 
 def inst(anchor, pairs, times, t0=100.0, truncated=False):
@@ -58,36 +61,113 @@ class TestSampling:
             assert validate_instance(g, m, u0, t0, 3, 3, delta) == []
 
 
-class TestTreeSampling:
-    def test_single_level(self, chain_graph):
-        out = sample_motifs_tree(chain_graph, 3, 4.0, n=4, l=1, fanout=[5], seed=0)
-        assert len(out) == 5
-        assert all(m.event_ids == (2,) for m in out)
+class TestBatchKernel:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_reference_sampler(self, seed):
+        rng = np.random.default_rng(seed + 900)
+        g = random_graph(rng, n_events=int(rng.integers(10, 40)), duplicate_times=seed % 2 == 0)
+        n, l = [(2, 3), (3, 3), (4, 4), (3, 1), (3, 4), (4, 3)][seed % 6]
+        delta = None if seed % 3 else float(rng.integers(2, 15))
+        u0 = int(rng.integers(g.node_count))
+        t0 = float(rng.choice(g.t)) + (0.5 if seed % 4 else 0.0)
+        got = [m.event_ids for m in sample_motifs(g, u0, t0, n, l, c=40, delta=delta, seed=seed)]
+        assert got == reference_sample_motifs(g, u0, t0, n, l, 40, delta, seed)
 
-    def test_two_levels_product(self, chain_graph):
-        out = sample_motifs_tree(chain_graph, 3, 4.0, n=4, l=2, fanout=[2, 2], seed=0)
-        assert len(out) == 4
-        assert all(m.event_ids == (2, 1) for m in out)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_per_anchor_calls(self, seed):
+        rng = np.random.default_rng(seed + 950)
+        g = random_graph(rng, n_events=int(rng.integers(20, 60)), duplicate_times=seed % 2 == 1)
+        k = 12
+        anchors = rng.integers(g.node_count, size=k)
+        anchors[1] = anchors[0]  # the same anchor twice, at another time
+        t0s = rng.choice(np.append(g.t, [0.0, 1e9]), size=k) + 0.25
+        t0s[2] = -np.inf
+        seeds = rng.integers(0, 2**32, size=k)
+        delta = None if seed % 2 else 6.0
+        batch = sample_motif_batch(g, anchors, t0s, seeds, n=3, l=3, c=15, delta=delta)
+        assert len(batch) == k
+        for a, t0, sd, got in zip(anchors, t0s, seeds, batch):
+            assert got == sample_motifs(g, int(a), float(t0), 3, 3, 15, delta, int(sd))
+        assert batch[2] == []
 
-    def test_dead_end_truncated_once(self, chain_graph):
-        # l=3 with n=3 needs fanout of n-1=2 entries plus one completion step
-        out = sample_motifs_tree(chain_graph, 3, 4.0, n=3, l=3, fanout=[2, 2], seed=0)
-        assert len(out) == 4
-        # n=3 budget stops at {d,c,b}: (a,b,1) is outside, so all truncate at length 2
-        assert all(m.truncated and len(m) == 2 for m in out)
+    def test_empty_batch_and_empty_graph(self, chain_graph):
+        assert sample_motif_batch(chain_graph, [], [], []) == []
+        empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
+        assert sample_motif_batch(empty, [0, 1], [5.0, 5.0], [0, 0]) == [[], []]
 
-    def test_fanout_length_validated(self, chain_graph):
-        with pytest.raises(ValueError):
-            sample_motifs_tree(chain_graph, 3, 4.0, n=4, l=2, fanout=[2, 2, 2], seed=0)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_candidate_counts_match_scan(self, seed):
+        """Open and closed counts below every id bound equal the definition's scan."""
+        rng = np.random.default_rng(seed + 970)
+        g = random_graph(rng, n_events=int(rng.integers(15, 45)), duplicate_times=True)
+        n = int(rng.integers(2, 5))
+        rows, los, closed, want = [], [], [], []
+        for _ in range(20):
+            size = int(rng.integers(1, n + 1))
+            S = rng.choice(g.node_count, size=min(size, g.node_count), replace=False)
+            lo = int(rng.integers(0, g.n_events + 1))
+            rows.append(list(S) + [-1] * (n - len(S)))
+            los.append(lo)
+            closed.append(len(S) >= n)
+            # the scan sees every admissible event; the counts cover ids >= lo
+            ids = np.array(admissible(g, set(int(x) for x in S), np.inf, n), dtype=np.int64)
+            want.append([int(np.sum(ids[ids >= lo] < m)) for m in range(g.n_events + 1)])
+        terms = _count_terms(g, np.array(rows, dtype=np.int64), np.array(los),
+                             np.array(closed))
+        for m in range(g.n_events + 1):
+            got = _below(g, terms, np.maximum(np.full(len(rows), m), los))
+            assert got.tolist() == [w[max(m, lo)] for w, lo in zip(want, los)]
 
-    def test_same_support_as_sequential(self):
-        g = generate_synthetic("uniform-random", 6, 25, seed=3)
-        t0 = 26.0
-        seq = {m for m in sample_motifs(g, 1, t0, n=3, l=3, c=20_000, seed=0)}
-        tree = {m for m in sample_motifs_tree(g, 1, t0, n=3, l=3, fanout=[40, 40], seed=0)}
-        enum = set(enumerate_motifs(g, 1, t0, n=3, l=3))
-        assert seq == enum
-        assert tree <= enum
+
+def _chi_square_quantile(dof: int, z: float = 3.090) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at the normal
+    quantile z (3.090 is the 0.999 quantile)."""
+    k = 2.0 / (9.0 * dof)
+    return dof * (1.0 - k + z * math.sqrt(k)) ** 3
+
+
+class TestLaw:
+    """20,000 sampled trajectories against the exact law, by a chi-square test.
+
+    Each trajectory's exact probability is the product of 1/|candidates|
+    over its steps, with candidates from a raw scan of the event list. The
+    test rejects at p < 0.001; bins with an expected count below 5 are
+    pooled into one.
+    """
+
+    CASES = [  # (rule or random-graph seed, nodes, events, anchor, n, l, delta, sampler seed)
+        ("uniform-random", 6, 25, 1, 3, 3, None, 0),
+        ("triadic-closure", 8, 40, 2, 3, 3, 20.0, 1),
+        ("uniform-random", 5, 20, 0, 4, 3, None, 2),
+        ("uniform-random", 6, 30, 3, 2, 3, None, 3),
+        (11, 6, 22, 0, 3, 3, None, 4),   # tied timestamps
+        (12, 5, 18, 1, 3, 2, 6.0, 5),    # tied timestamps and a duration window
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_chi_square_against_exact_probabilities(self, case):
+        rule, nodes, events, u0, n, l, delta, seed = self.CASES[case]
+        if isinstance(rule, str):
+            g = generate_synthetic(rule, nodes, events, seed=case)
+        else:
+            g = random_graph(np.random.default_rng(rule), n_nodes=nodes, n_events=events,
+                             duplicate_times=True)
+        t0 = float(g.t[-1]) + 1.0
+        support = [m.event_ids for m in enumerate_motifs(g, u0, t0, n, l, delta=delta)]
+        probs = np.array([trajectory_probability(g, u0, t0, n, ids, delta) for ids in support])
+        assert len(support) >= 3 and probs.sum() == pytest.approx(1.0, abs=1e-12)
+        draws = 20_000
+        counts = Counter(m.event_ids for m in sample_motifs(g, u0, t0, n, l, c=draws,
+                                                            delta=delta, seed=seed))
+        assert set(counts) <= set(support)
+        observed = np.array([counts[ids] for ids in support], dtype=np.float64)
+        expected = draws * probs
+        small = expected < 5.0
+        if small.any():
+            observed = np.append(observed[~small], observed[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert stat < _chi_square_quantile(len(expected) - 1), (stat, len(expected))
 
 
 class TestEnumeration:
@@ -109,6 +189,12 @@ class TestEnumeration:
         t0 = 30.5
         out = enumerate_motifs(g, 2, t0, n=3, l=1)
         assert len(out) == len(neighbor_events(g, [2], t0))
+
+    def test_same_support_as_sequential(self):
+        g = generate_synthetic("uniform-random", 6, 25, seed=3)
+        t0 = 26.0
+        seq = {m for m in sample_motifs(g, 1, t0, n=3, l=3, c=20_000, seed=0)}
+        assert seq == set(enumerate_motifs(g, 1, t0, n=3, l=3))
 
     def test_size_guard(self):
         g = generate_synthetic("uniform-random", 10, 300, seed=0)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from motifx import nn
-from motifx.errors import NonFiniteError, ShapeError
+from motifx.errors import CheckpointError, NonFiniteError, ShapeError
 from motifx.nn import ParameterStore, Tape, backward, grad_check
 
 
@@ -188,6 +190,53 @@ class TestCheckpoint:
         path.write_text('{"format": "other", "meta": {}, "arrays": {}}')
         with pytest.raises(ValueError, match="format"):
             ParameterStore.load(path)
+
+    GOOD = {"format": "motifx-ckpt/1", "meta": {"kind": "base", "k_nb": 4},
+            "arrays": {"w": {"shape": [2, 3], "data": [0.0] * 6}}}
+
+    def write(self, tmp_path, payload) -> str:
+        path = tmp_path / "c.ckpt"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return path
+
+    def test_good_base_checkpoint_loads(self, tmp_path):
+        store = ParameterStore.load(self.write(tmp_path, self.GOOD))
+        assert store.arrays["w"].shape == (2, 3)
+        assert store.meta["k_nb"] == 4
+
+    def test_not_json(self, tmp_path):
+        with pytest.raises(CheckpointError, match="not JSON"):
+            ParameterStore.load(self.write(tmp_path, '{"format": "motifx-ckpt/1", '))
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"format": "motifx-ckpt/0"}, {}])
+    def test_wrong_format(self, tmp_path, payload):
+        with pytest.raises(CheckpointError, match="format"):
+            ParameterStore.load(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("drop", ["meta", "arrays", "shape", "data"])
+    def test_missing_key(self, tmp_path, drop):
+        payload = json.loads(json.dumps(self.GOOD))
+        if drop in payload:
+            del payload[drop]
+        else:
+            del payload["arrays"]["w"][drop]
+        with pytest.raises(CheckpointError, match=f"missing key '{drop}'"):
+            ParameterStore.load(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("shape,data", [([4, 3], [0.0] * 6), ([2, 3], [[0.0] * 3] * 2),
+                                            ([], [])])
+    def test_data_length_differs_from_shape(self, tmp_path, shape, data):
+        payload = json.loads(json.dumps(self.GOOD))
+        payload["arrays"]["w"] = {"shape": shape, "data": data}
+        with pytest.raises(CheckpointError, match="array 'w'"):
+            ParameterStore.load(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("k_nb", [0, -2, None, "8"])
+    def test_base_checkpoint_needs_a_slot(self, tmp_path, k_nb):
+        payload = json.loads(json.dumps(self.GOOD))
+        payload["meta"]["k_nb"] = k_nb
+        with pytest.raises(CheckpointError, match="k_nb"):
+            ParameterStore.load(self.write(tmp_path, payload))
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
