@@ -38,11 +38,11 @@ from .errors import AdapterProtocolError, ConfigError, NonFiniteError, ShapeErro
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
 from .metrics import average_precision
-from .nn import ConstTape, ParameterStore, Tape, Var
+from .nn import ParameterStore, Tape, Var
 
 ADAPTER_PROTOCOL = "tempme-adapter/1"
 PRED_EPS = 1e-7
-EVAL_CHUNK = 256  # queries per forward in evaluate_ap; rows do not depend on it
+EVAL_CHUNK = 256  # queries per forward in predict_batch; rows do not depend on it
 
 
 @dataclass
@@ -113,21 +113,22 @@ def build_query_cache(g: TemporalGraph, query: Event, k_nb: int) -> QueryCache:
                       dts=dts, attrs=attrs)
 
 
-def _head(tape, both: Var) -> Var:
-    """Probabilities of (B, 2h) representation rows (see the row-invariance rules)."""
-    lone = both.value.shape[0] == 1
+def _head(tape, x: Var, name: str = "head") -> Var:
+    """Probabilities of (B, width) rows through `{name}1` and `{name}2` (see the
+    row-invariance rules)."""
+    lone = x.value.shape[0] == 1
     if lone:
-        both = nn.gather_rows(both, [0, 0])
-    hid = nn.relu(tape.affine(both, "head1"))
-    w2 = nn.reshape(tape.param("head2.w"), (1, -1))
-    p = nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param("head2.b")))
+        x = nn.gather_rows(x, [0, 0])
+    hid = nn.relu(tape.affine(x, f"{name}1"))
+    w2 = nn.reshape(tape.param(f"{name}2.w"), (1, -1))
+    p = nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param(f"{name}2.b")))
     return nn.gather_rows(p, [0]) if lone else p
 
 
 def empty_context_output(store: ParameterStore) -> float:
     """The documented constant the model outputs on an entirely empty view."""
     h = store.meta["h"]
-    tape = ConstTape(store)
+    tape = Tape(store)
     x_t = nn.relu(tape.affine(nn.const(np.zeros((2, 2 * h))), "out"))
     return float(_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
 
@@ -195,11 +196,17 @@ def predict_batch(store: ParameterStore, g: TemporalGraph, caches: list,
     """Hard-masked forward of a batch: probabilities (B,) and representations (B, 2h).
 
     retained[b] is None for query b's full view, or the set of event ids it
-    keeps; an empty set is the empty view.
+    keeps; an empty set is the empty view. Runs EVAL_CHUNK queries per forward.
     """
-    valid = _retained_slots(caches, retained or [None] * len(caches))
-    probs, reprs = _forward(ConstTape(store), store, g, caches, valid)
-    return probs.value, reprs.value
+    retained = retained or [None] * len(caches)
+    tape = Tape(store)
+    probs, reprs = [np.zeros(0)], [np.zeros((0, 2 * store.meta["h"]))]
+    for lo in range(0, len(caches), EVAL_CHUNK):
+        chunk, keep = caches[lo:lo + EVAL_CHUNK], retained[lo:lo + EVAL_CHUNK]
+        p, r = _forward(tape, store, g, chunk, _retained_slots(chunk, keep))
+        probs.append(p.value)
+        reprs.append(r.value)
+    return np.concatenate(probs), np.concatenate(reprs)
 
 
 class InternalPredictor:
@@ -286,10 +293,8 @@ def eval_queries(g: TemporalGraph, event_ids: np.ndarray, seed: int,
 def evaluate_ap(store: ParameterStore, g: TemporalGraph,
                 queries: list[tuple[Event, int]]) -> float:
     caches = [build_query_cache(g, q, store.meta["k_nb"]) for q, _ in queries]
-    scores = [predict_batch(store, g, caches[lo:lo + EVAL_CHUNK])[0]
-              for lo in range(0, len(caches), EVAL_CHUNK)]
     labels = np.array([y for _, y in queries])
-    return average_precision(labels, np.concatenate(scores) if scores else np.zeros(0))
+    return average_precision(labels, predict_batch(store, g, caches)[0])
 
 
 def _bce(pred: Var, label) -> Var:
@@ -396,10 +401,10 @@ def build_enhanced_store(base: ParameterStore, motif_dim: int) -> ParameterStore
     return store
 
 
-def _enhanced_logit(tape, reps: np.ndarray, embs: np.ndarray) -> Var:
-    """Logits (n,) of the widened head on rows [representation || mean motif embedding]."""
+def enhanced_probs(tape, reps: np.ndarray, embs: np.ndarray) -> Var:
+    """Probabilities (n,) of the widened head on rows [representation || mean motif embedding]."""
     x = nn.const(np.concatenate([np.atleast_2d(reps), np.atleast_2d(embs)], axis=1))
-    return nn.reshape(tape.affine(nn.relu(tape.affine(x, "ehead1")), "ehead2"), (-1,))
+    return _head(tape, x, "ehead")
 
 
 def motif_enhanced_predict(store: ParameterStore, g: TemporalGraph, query: Event,
@@ -417,7 +422,7 @@ def motif_enhanced_predict(store: ParameterStore, g: TemporalGraph, query: Event
             raise ShapeError(f"motif embeddings width {embs.shape[1]} != {motif_dim}")
         mean_emb = embs.mean(axis=0)
     rep = InternalPredictor(store).query_context(g, query)
-    return float(nn.sigmoid(_enhanced_logit(ConstTape(store), rep, mean_emb)).value[0])
+    return float(enhanced_probs(Tape(store), rep, mean_emb).value[0])
 
 
 def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray,
@@ -437,7 +442,7 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
     val_idx = np.nonzero(val_mask)[0]
 
     def scores_for(param_src, idx):
-        return nn.sigmoid(_enhanced_logit(ConstTape(param_src), reps[idx], embs[idx])).value
+        return enhanced_probs(Tape(param_src), reps[idx], embs[idx]).value
 
     best = {name: head.arrays[name].copy() for name in head.arrays}
     best_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
@@ -450,8 +455,7 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
         for lo in range(0, len(order), batch):
             sel = train_idx[order[lo:lo + batch]]
             tape = Tape(head)
-            pred = nn.sigmoid(_enhanced_logit(tape, reps[sel], embs[sel]))
-            loss = nn.vmean(_bce(pred, labels[sel]))
+            loss = nn.vmean(_bce(enhanced_probs(tape, reps[sel], embs[sel]), labels[sel]))
             nn.optimizer_step(head, tape.gradients(loss), state, lr=lr)
         val_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
         if val_ap > best_ap + min_gain:

@@ -13,6 +13,9 @@ from .errors import ConfigError
 C_RANGE = (20, 100)
 BETA_RANGE = (0.2, 1.0)
 P_RANGE = (0.1, 0.8)
+PRIORS = ("uniform", "empirical")
+# JSON value types each annotation accepts; a bool is never an int or a float
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 @dataclass
@@ -55,6 +58,17 @@ class RunConfig:
     n_queries: int = 200
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, kinds = getattr(self, f.name), f.type.split(" | ")
+            if value is None and "None" in kinds:
+                continue
+            ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k != "None")
+            if not ok or (isinstance(value, bool) and "bool" not in kinds):
+                raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
+            if "float" in kinds and type(value) is int:  # same config, same manifest hash
+                setattr(self, f.name, float(value))
+        if self.prior not in PRIORS:
+            raise ConfigError(f"prior={self.prior!r} is not one of {'/'.join(PRIORS)}")
         if self.k_nb < 1:
             raise ConfigError(f"k_nb={self.k_nb}: each endpoint needs at least one slot")
 
@@ -66,8 +80,6 @@ class RunConfig:
             out.append(f"beta={self.beta} outside the explored range {BETA_RANGE}")
         if not (P_RANGE[0] <= self.p <= P_RANGE[1]):
             out.append(f"p={self.p} outside the explored range {P_RANGE}")
-        if self.prior not in ("uniform", "empirical"):
-            out.append(f"prior={self.prior!r} is not one of uniform/empirical")
         return out
 
     def to_dict(self) -> dict:
@@ -75,15 +87,21 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, file_path: str | None, overrides: dict) -> "RunConfig":
-        """Precedence: explicit flags > config file > defaults."""
+        """Precedence: explicit flags > config file > defaults. The file must be one JSON
+        object whose keys are field names."""
         values = {}
         if file_path:
             with open(file_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(loaded) - known
+                try:
+                    loaded = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
+            if not isinstance(loaded, dict):
+                raise ConfigError(f"{file_path}: expected a JSON object, got "
+                                  f"{type(loaded).__name__}")
+            unknown = set(loaded) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             values.update(loaded)
         values.update(overrides)
         return cls(**values)

@@ -26,7 +26,7 @@ class EnumerationLimitError(MotifxError):
 
 
 class InvariantError(MotifxError):
-    """An internal contract was violated (e.g. feature map built from a different instance set)."""
+    """An internal contract was violated (e.g. a motif class missing from the null probabilities)."""
 
 
 class AdapterProtocolError(MotifxError):

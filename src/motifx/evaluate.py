@@ -5,14 +5,13 @@ import time
 
 import numpy as np
 
-from . import nn
-from .basemodel import (InternalPredictor, _enhanced_logit, eval_queries, evaluate_ap,
+from .basemodel import (InternalPredictor, enhanced_probs, eval_queries, evaluate_ap,
                         split_event_ids, train_enhanced_head)
 from .explainer import ExplainerConfig, explain, motif_embeddings
 from .graph import TemporalGraph
 from .metrics import (MetricReport, SPARSITY_LEVELS, acc_auc, average_precision,
                       cohesiveness, fidelity, random_baseline)
-from .nn import ConstTape, ParameterStore
+from .nn import ParameterStore, Tape
 
 
 def build_eval_query_set(g: TemporalGraph, n_queries: int, seed: int):
@@ -36,15 +35,16 @@ def _eval_one(qidx, query, g, base_store, expl_store, cfg, seed, levels, coh_lev
     # full view, then every retained set of the model and of the baseline, in one call
     preds = predictor.predict_views(g, query, [None] + kept + baselines)
     f_full = float(preds[0])
-    label = 1 if f_full >= 0.5 else 0
+    fid_all = fidelity(f_full, preds[1:])
+    label = f_full >= 0.5
     rows = []
     accs, fids, bl_accs, bl_fids = {}, {}, {}, {}
     n = len(levels)
     for k, lv in enumerate(levels):
-        for source, f_x, acc_of, fid_of in (("model", preds[1 + k], accs, fids),
-                                            ("random", preds[1 + n + k], bl_accs, bl_fids)):
-            fid_of[lv] = float(f_x - f_full if label == 1 else f_full - f_x)
-            acc_of[lv] = int((1 if f_x >= 0.5 else 0) == label)
+        for source, j, acc_of, fid_of in (("model", k, accs, fids),
+                                          ("random", n + k, bl_accs, bl_fids)):
+            fid_of[lv] = float(fid_all[j])
+            acc_of[lv] = int((preds[1 + j] >= 0.5) == label)
             rows.append((qidx, lv, fid_of[lv], acc_of[lv], source))
     k = levels.index(coh_level) if coh_level in levels else None
     coh = None if k is None else cohesiveness(g, kept[k], comp)
@@ -132,8 +132,7 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     enhanced, head_report = train_enhanced_head(
         base_store, reps[fit_rows], embs[fit_rows], labels[fit_rows],
         val_mask=np.array(is_val)[fit_rows], lr=5e-4, epochs=head_epochs, seed=seed)
-    enh_scores = nn.sigmoid(_enhanced_logit(ConstTape(enhanced), reps[test_rows],
-                                            embs[test_rows])).value
+    enh_scores = enhanced_probs(Tape(enhanced), reps[test_rows], embs[test_rows]).value
     plain_ap = evaluate_ap(base_store, g, sets["test"])
     enhanced_ap = average_precision(labels[test_rows], enh_scores)
     report = {"plain_test_ap": plain_ap, "enhanced_test_ap": enhanced_ap,

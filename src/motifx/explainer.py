@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .basemodel import (EVAL_CHUNK, InternalPredictor, QueryCache, build_query_cache,
+from .basemodel import (InternalPredictor, QueryCache, _bce, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
 from .errors import InvariantError, NonFiniteError
 from .features import event_feature_block, feature_width
@@ -24,7 +24,7 @@ from .graph import Event, TemporalGraph, computational_graph, query_event
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
 from .motifs import MotifInstance, motif_code, null_class_probs, sample_motif_batch
-from .nn import ConstTape, ParameterStore, Tape, Var
+from .nn import ParameterStore, Tape, Var
 
 
 @dataclass
@@ -115,8 +115,10 @@ def _encoder_inputs(g: TemporalGraph, t: float, instances: list, comp_ids: np.nd
     """QueryPrep's encoder arrays, from the instances' (M, l) event-id block padded with -1.
 
     Each instance numbers its nodes by first touch over u_0, v_0, u_1, v_1, ...;
-    an event gives edges u -> v and v -> u. h is `features.anonymize`'s count
-    of the instances holding the event's unordered pair at each position.
+    an event gives edges u -> v and v -> u. An event's h row counts, for each
+    position j < l, the events at position j of any instance that join the
+    same unordered node pair: timestamps and instance order do not enter, and
+    a truncated instance counts only at the positions it fills.
     """
     lens = np.array([len(inst) for inst in instances], dtype=np.int64)
     valid = np.arange(l) < lens[:, None]
@@ -157,12 +159,9 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
     found = sample_query_motifs(g, [queries[i] for i in todo], cfg, [seeds[i] for i in todo])
     todo = [(i, insts) for i, insts in zip(todo, found) if insts]
     caches = [build_query_cache(g, queries[i], base.k_nb) for i, _ in todo]
-    # labels and contexts from the full-view forward
-    outs = [predict_batch(base.store, g, caches[lo:lo + EVAL_CHUNK])
-            for lo in range(0, len(caches), EVAL_CHUNK)]
+    probs, ctxs = predict_batch(base.store, g, caches)  # labels and contexts: the full view
     out: list[QueryPrep | None] = [None] * len(queries)
-    for (i, insts), qc, prob, ctx in zip(todo, caches, [p for o in outs for p in o[0]],
-                                         [r for o in outs for r in o[1]]):
+    for (i, insts), qc, prob, ctx in zip(todo, caches, probs, ctxs):
         query, comp_ids = queries[i], comps[i].member_ids
         out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
                            instances=insts, codes=[motif_code(inst) for inst in insts], ctx=ctx,
@@ -223,27 +222,20 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
 
 # -- losses ---------------------------------------------------------------------
 
-def _wrap(scores):
-    if isinstance(scores, Var):
-        return scores, True
-    return nn.const(np.asarray(scores, dtype=np.float64)), False
-
-
-def kl_uniform(scores, prior_p: float):
+def kl_uniform(scores: Var, prior_p: float) -> Var:
     """KL of independent Bernoulli scores against a shared prior probability.
 
     Sum over motifs of p_I log(p_I / p) + (1 - p_I) log((1 - p_I) / (1 - p)).
     Zero when every score equals the prior; never negative.
     """
-    s, is_var = _wrap(scores)
     one = nn.const(1.0)
-    pos = nn.mul(s, nn.log(nn.scale(s, 1.0 / prior_p)))
-    neg = nn.mul(nn.sub(one, s), nn.log(nn.scale(nn.sub(one, s), 1.0 / (1.0 - prior_p))))
-    out = nn.vsum(nn.add(pos, neg))
-    return out if is_var else float(out.value)
+    pos = nn.mul(scores, nn.log(nn.scale(scores, 1.0 / prior_p)))
+    neg = nn.mul(nn.sub(one, scores),
+                 nn.log(nn.scale(nn.sub(one, scores), 1.0 / (1.0 - prior_p))))
+    return nn.vsum(nn.add(pos, neg))
 
 
-def kl_empirical(scores, codes, prior_p: float, null_probs: dict):
+def kl_empirical(scores: Var, codes, prior_p: float, null_probs: dict) -> Var:
     """Closed-form KL against the null-model reference.
 
     (1 - s) log((1 - s)/(1 - p)) + s * sum_i q_i log(s q_i / (p m_i)),
@@ -251,14 +243,13 @@ def kl_empirical(scores, codes, prior_p: float, null_probs: dict):
     m_i the null model's class probabilities (all positive after
     smoothing). Classes absent from the sample contribute nothing.
     """
-    s_vec, is_var = _wrap(scores)
-    m_count = s_vec.value.shape[0]
+    m_count = scores.value.shape[0]
     if len(codes) != m_count:
         raise InvariantError(f"{len(codes)} codes for {m_count} scores")
     groups: dict[str, list] = {}
     for i, code in enumerate(codes):
         groups.setdefault(code, []).append(i)
-    s = nn.vmean(s_vec)
+    s = nn.vmean(scores)
     one = nn.const(1.0)
     out = nn.mul(nn.sub(one, s), nn.log(nn.scale(nn.sub(one, s), 1.0 / (1.0 - prior_p))))
     for code in sorted(groups):
@@ -266,22 +257,18 @@ def kl_empirical(scores, codes, prior_p: float, null_probs: dict):
         if m_i is None:
             raise InvariantError(f"class {code!r} missing from the null probabilities")
         # s * q_i reduces to (sum of class scores) / |M|
-        r = nn.scale(nn.vsum(nn.gather_rows(s_vec, np.array(groups[code]))), 1.0 / m_count)
+        r = nn.scale(nn.vsum(nn.gather_rows(scores, np.array(groups[code]))), 1.0 / m_count)
         out = nn.add(out, nn.mul(r, nn.log(nn.scale(r, 1.0 / (prior_p * m_i)))))
-    return out if is_var else float(out.value)
+    return out
 
 
-def ib_loss(masked_pred, original_label: int, kl_value, beta: float):
-    """Cross-entropy of the masked prediction against the unmasked label, plus beta * KL."""
-    pred, is_var = (masked_pred, True) if isinstance(masked_pred, Var) \
-        else (nn.const(float(masked_pred)), False)
-    p = nn.clip(pred, 1e-7, 1.0 - 1e-7)
-    ce = nn.neg(nn.log(p)) if original_label == 1 else nn.neg(nn.log(nn.sub(nn.const(1.0), p)))
-    kl = kl_value if isinstance(kl_value, Var) else nn.const(float(kl_value))
-    out = nn.add(ce, nn.scale(kl, beta))
+def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
+    """Mean over a batch of queries of the cross-entropy of each masked prediction
+    against its unmasked label, plus beta times its KL; preds, labels and kl are (B,)."""
+    out = nn.vmean(nn.add(_bce(preds, labels), nn.scale(kl, beta)))
     if not np.isfinite(out.value):
         raise NonFiniteError(f"objective became {out.value!r}")
-    return out if is_var else float(out.value)
+    return out
 
 
 def _kl_term(scores_q: Var, prep: QueryPrep, cfg: ExplainerConfig, null_probs: dict | None) -> Var:
@@ -307,15 +294,12 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     alpha = concrete_sample(scores, cfg.lam, draws)
     ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]),
                              floor=0.0)
-    preds = soft_predict(ConstTape(base_store), base_store, g, [p.qc for p in preps],
+    preds = soft_predict(Tape(base_store), base_store, g, [p.qc for p in preps],
                          [p.covered_ids for p in preps], ev_mask)
-    terms = []
-    for i, prep in enumerate(preps):
-        scores_q = nn.gather_rows(scores, np.arange(m_off[i], m_off[i + 1]))
-        pred = nn.reshape(nn.gather_rows(preds, [i]), ())
-        kl = _kl_term(scores_q, prep, cfg, null_probs)
-        terms.append(nn.reshape(ib_loss(pred, prep.label, kl, cfg.beta), (1,)))
-    return nn.vmean(nn.concat(terms, axis=0))
+    kl = [nn.reshape(_kl_term(nn.gather_rows(scores, np.arange(m_off[i], m_off[i + 1])),
+                              prep, cfg, null_probs), (1,))
+          for i, prep in enumerate(preps)]
+    return ib_loss(preds, [p.label for p in preps], nn.concat(kl, axis=0), cfg.beta)
 
 
 @dataclass
@@ -380,7 +364,7 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
             n_batches += 1
         report.epoch_losses.append(total / n_batches)
     # mean trained score over the training queries, for the prior-drift report
-    tape = ConstTape(store)
+    tape = Tape(store)
     all_scores = []
     for lo in range(0, len(preps), cfg.batch):
         sc, _, _ = encode_and_score(tape, preps[lo:lo + cfg.batch])
@@ -420,7 +404,8 @@ def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterS
     """Hard importance scores, event ranking, and retained sets per sparsity level.
 
     An event's score is the maximum score over the sampled motifs that
-    contain it (zero if none do); ties rank more recent events first,
+    contain it (zero if none do), the rule `query_objective` applies to the
+    relaxed masks; ties rank more recent events first,
     then higher ids. Deterministic given the seed and parameters.
     """
     if cfg is None:
@@ -433,13 +418,13 @@ def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterS
         return ExplanationResult(query=qdict, empty=True, motifs=[], event_ranking=[],
                                  retained={lv: [] for lv in levels},
                                  comp_ids=[int(e) for e in comp.member_ids])
-    scores, _, _ = encode_and_score(ConstTape(expl_store), [prep])
+    scores, _, _ = encode_and_score(Tape(expl_store), [prep])
     sc = scores.value
-    ev_score = {int(e): 0.0 for e in prep.comp_ids}
-    for pos, m_idx in zip(prep.pair_cov, prep.pair_motif):
-        eid = int(prep.covered_ids[pos])
-        ev_score[eid] = max(ev_score[eid], float(sc[m_idx]))
-    ranking = sorted(ev_score.items(), key=lambda kv: (-kv[1], -g.t[kv[0]], -kv[0]))
+    ev_score = np.zeros(len(prep.comp_ids))
+    ev_score[np.searchsorted(prep.comp_ids, prep.covered_ids)] = nn.segment_max(
+        nn.gather_rows(scores, prep.pair_motif), prep.pair_cov, len(prep.covered_ids)).value
+    order = np.lexsort((-prep.comp_ids, -g.t[prep.comp_ids], -ev_score))
+    ranking = [(int(prep.comp_ids[i]), float(ev_score[i])) for i in order]
     retained = {}
     for lv in levels:
         size = retained_size(lv, len(prep.comp_ids))
@@ -462,5 +447,5 @@ def motif_embeddings(g: TemporalGraph, base_store: ParameterStore,
     prep = prepare_query(g, base, query, cfg, seed)
     if prep is None:
         return np.zeros((0, expl_store.meta["h"]))
-    _, emb, _ = encode_and_score(ConstTape(expl_store), [prep])
+    _, emb, _ = encode_and_score(Tape(expl_store), [prep])
     return emb.value

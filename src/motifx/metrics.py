@@ -30,17 +30,14 @@ def retained_size(sparsity_level: float, comp_size: int) -> int:
     return math.ceil(sparsity_level * comp_size)
 
 
-def fidelity(predictor, g, query, retained: set) -> float:
-    """Signed prediction shift of the retained view, oriented by the full-view label.
+def fidelity(f_full: float, f_views) -> np.ndarray:
+    """Signed prediction shift of each view's probability, oriented by the full-view label.
 
     Positive-label queries reward explanations that raise the probability;
     negative-label ones reward lowering it. The full view scores exactly 0.
     """
-    f_full = predictor.predict(g, query)
-    f_exp = predictor.predict(g, query, set(retained))
-    if f_full >= 0.5:
-        return f_exp - f_full
-    return f_full - f_exp
+    f_views = np.asarray(f_views, dtype=np.float64)
+    return f_views - f_full if f_full >= 0.5 else f_full - f_views
 
 
 def sparsity(retained, comp_members) -> float:

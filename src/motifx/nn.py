@@ -435,27 +435,11 @@ class ParameterStore:
         return store
 
 
-class ConstTape:
-    """Tape-shaped parameter access that yields constants (frozen model, no gradients)."""
-
-    def __init__(self, store: "ParameterStore"):
-        self.store = store
-        self._cache: dict[str, Var] = {}
-
-    def param(self, name: str) -> Var:
-        leaf = self._cache.get(name)
-        if leaf is None:
-            leaf = Var(self.store.arrays[name])
-            leaf._vjp = None
-            self._cache[name] = leaf
-        return leaf
-
-    def affine(self, x, name: str) -> Var:
-        return affine(x, self.param(f"{name}.w"), self.param(f"{name}.b"))
-
-
 class Tape:
-    """One forward pass against a ParameterStore; gradients of unused parameters are zero."""
+    """One forward pass against a ParameterStore; gradients of unused parameters are zero.
+
+    Inference uses the same tape and never calls `gradients`.
+    """
 
     def __init__(self, store: ParameterStore):
         self.store = store

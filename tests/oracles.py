@@ -14,7 +14,7 @@ import numpy as np
 
 from motifx import nn
 from motifx.layers import time_encode
-from motifx.nn import ConstTape
+from motifx.nn import Tape
 
 
 def brute_force_neighbor_events(g, nodes, before, strict=True, since=-math.inf, closed=False):
@@ -414,7 +414,7 @@ def reference_predict(store, g, query, retained=None) -> float:
     keeps = {name: [i for i, e in enumerate(view["ids"]) if retained is None or e in retained]
              for name, view in views.items()}
     sides = _sides(views, keeps, lambda name, keep: nn.const(np.ones(len(keep))))
-    return float(_forward(ConstTape(store), store, g, query, views, sides).value)
+    return float(_forward(Tape(store), store, g, query, views, sides).value)
 
 
 def reference_soft_predict(tape, store, g, query, covered_ids, event_mask):

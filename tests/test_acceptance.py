@@ -27,7 +27,7 @@ from motifx.motifs import (anchor_time, census, code_alphabet,
                            empirical_class_probs, enumerate_motifs, motif_code,
                            null_class_probs, null_model, sample_motifs,
                            total_variation)
-from motifx.nn import ConstTape
+from motifx.nn import Tape
 
 from conftest import random_graph
 from oracles import (cohesiveness_scalar, kl_empirical_scalar, kl_uniform_scalar,
@@ -141,11 +141,11 @@ def test_criterion_4_differentiability():
 
 def test_criterion_5_loss_algebra():
     rng = np.random.default_rng(55)
-    assert kl_uniform(np.full(9, 0.37), 0.37) == pytest.approx(0.0, abs=1e-10)
+    assert kl_uniform(nn.const(np.full(9, 0.37)), 0.37).value == pytest.approx(0.0, abs=1e-10)
     scores0 = np.array([0.3, 0.3, 0.3, 0.3])
     codes0 = ["0101", "0101", "0101", "0112"]
     m0 = {"0101": 0.75, "0112": 0.25}
-    assert kl_empirical(scores0, codes0, 0.3, m0) == pytest.approx(0.0, abs=1e-10)
+    assert kl_empirical(nn.const(scores0), codes0, 0.3, m0).value == pytest.approx(0.0, abs=1e-10)
     worst = 0.0
     alphabet = code_alphabet(3, 3)
     for _ in range(20):
@@ -155,8 +155,9 @@ def test_criterion_5_loss_algebra():
         codes = [alphabet[i] for i in rng.integers(0, len(alphabet), size=n)]
         m_raw = rng.uniform(0.05, 1.0, size=len(alphabet))
         m = {c: float(v / m_raw.sum()) for c, v in zip(alphabet, m_raw)}
-        worst = max(worst, abs(kl_uniform(scores, p) - kl_uniform_scalar(scores, p)))
-        worst = max(worst, abs(kl_empirical(scores, codes, p, m)
+        worst = max(worst, abs(kl_uniform(nn.const(scores), p).value
+                               - kl_uniform_scalar(scores, p)))
+        worst = max(worst, abs(kl_empirical(nn.const(scores), codes, p, m).value
                                - kl_empirical_scalar(list(scores), codes, p, m)))
     ok = worst < 1e-10
     emit("5 loss algebra", ok, f"matched points exact; max oracle gap {worst:.2e}")
@@ -171,7 +172,8 @@ def test_criterion_6_metric_algebra(triadic):
     for q, _ in eval_queries(g, triadic["test_ids"], seed=12)[:N_EVAL_QUERIES]:
         qc = build_query_cache(g, q, model.k_nb)
         members = set(int(e) for e in qc.member_ids)
-        worst_fid = max(worst_fid, abs(fidelity(model, g, q, members)))
+        f_full, f_members = model.predict(g, q), model.predict(g, q, members)
+        worst_fid = max(worst_fid, abs(float(fidelity(f_full, [f_members])[0])))
         n_fid += 1
     fixture = TemporalGraph([0, 1, 3], [1, 2, 4], [0.0, 5.0, 10.0], np.zeros((3, 0)), 5)
     got = cohesiveness(fixture, {0, 1, 2}, {0, 1, 2})
@@ -197,7 +199,7 @@ def wedge_class_margin(setup) -> tuple:
         prep = prepare_query(g, bm, q, EXPL_CFG, seed=11)
         if prep is None:
             continue
-        scores, _, _ = encode_and_score(ConstTape(expl), [prep])
+        scores, _, _ = encode_and_score(Tape(expl), [prep])
         for code, s in zip(prep.codes, scores.value):
             per_class[code].append(float(s))
     is_wedge = lambda code: any("0" not in code[i:i + 2] for i in range(0, len(code), 2))

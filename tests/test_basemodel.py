@@ -5,14 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from motifx import nn
+from motifx import basemodel, nn
 from motifx.basemodel import (ADAPTER_PROTOCOL, BaseConfig, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
-                              build_query_cache, empty_context_output,
-                              eval_queries, predict_batch, serve_adapter,
+                              build_enhanced_store, build_query_cache,
+                              empty_context_output, enhanced_probs, eval_queries,
+                              motif_enhanced_predict, predict_batch, serve_adapter,
                               soft_predict, split_event_ids, split_times,
-                              train_base)
-from motifx.errors import AdapterProtocolError, ConfigError
+                              train_base, train_enhanced_head)
+from motifx.errors import AdapterProtocolError, ConfigError, ShapeError
+from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
 
@@ -231,6 +233,19 @@ class TestRowInvariance:
         batched = model.predict_views(g, q, wanted)
         assert batched.tolist() == [model.predict(g, q, v) for v in wanted]
 
+    def test_chunked_batch_equals_one_forward(self, rows, monkeypatch):
+        g, store, caches, views = rows
+        whole = predict_batch(store, g, caches, views)
+        monkeypatch.setattr(basemodel, "EVAL_CHUNK", 4)  # 8 chunks of 4, then a lone row
+        chunked = predict_batch(store, g, caches, views)
+        assert whole[0].tobytes() == chunked[0].tobytes()
+        assert whole[1].tobytes() == chunked[1].tobytes()
+
+    def test_empty_batch(self, rows):
+        g, store, _, _ = rows
+        probs, reprs = predict_batch(store, g, [])
+        assert probs.shape == (0,) and reprs.shape == (0, 2 * store.meta["h"])
+
 
 class TestSplits:
     def test_split_points(self, small_graph):
@@ -276,6 +291,50 @@ class TestTraining:
             return batch_loss(tape, store, small_graph, batch)
 
         assert grad_check(loss, store, eps=1e-5, rng=rng, max_coords=4) < 1e-4
+
+
+class TestEnhancedHead:
+    """The widened head: `_head` over [representation || mean motif embedding] rows."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, small_graph, fresh_store):
+        store = perturbed(fresh_store, 21)
+        queries = eval_queries(small_graph, np.arange(60, 120), seed=2)
+        caches = [build_query_cache(small_graph, q, 6) for q, _ in queries]
+        probs, reps = predict_batch(store, small_graph, caches)
+        embs = np.random.default_rng(5).normal(size=(len(queries), 4))
+        labels = np.array([y for _, y in queries])
+        return store, probs, reps, embs, labels
+
+    def test_fresh_enhanced_head_reproduces_plain_model(self, rows):
+        store, probs, reps, embs, _ = rows
+        enhanced = build_enhanced_store(store, embs.shape[1])
+        got = enhanced_probs(Tape(enhanced), reps, embs).value
+        assert np.max(np.abs(got - probs)) <= 1e-12
+        lone = enhanced_probs(Tape(enhanced), reps[3], embs[3]).value
+        assert lone.shape == (1,) and abs(lone[0] - probs[3]) <= 1e-12
+
+    def test_motif_enhanced_predict_shape_errors(self, small_graph, rows):
+        store, _, _, embs, _ = rows
+        q = small_graph.event(100)
+        with pytest.raises(ShapeError, match="no enhanced head"):
+            motif_enhanced_predict(store, small_graph, q, embs[:2])
+        enhanced = build_enhanced_store(store, embs.shape[1])
+        with pytest.raises(ShapeError, match="width"):
+            motif_enhanced_predict(enhanced, small_graph, q, np.zeros((2, 5)))
+        p = motif_enhanced_predict(enhanced, small_graph, q, embs[:2])
+        assert p == pytest.approx(InternalPredictor(store).predict(small_graph, q), abs=1e-12)
+
+    def test_training_never_validates_worse(self, rows):
+        store, _, reps, embs, _ = rows
+        labels = (embs[:, 0] > 0).astype(int)  # only the motif columns can predict these
+        val = np.arange(len(labels)) % 4 == 0
+        trained, report = train_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
+                                              epochs=5, batch=16)
+        assert report["best_val_ap"] >= report["initial_val_ap"]
+        assert report["best_epoch"] >= 0
+        val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
+        assert average_precision(labels[val], val_probs) == report["best_val_ap"]
 
 
 STUB_OK = """

@@ -131,11 +131,47 @@ class TestConfig:
         assert man["config"]["events"] == 60   # flag wins
         assert man["config"]["nodes"] == 10    # file beats default
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @staticmethod
+    def config_error(tmp_path, capsys, text) -> str:
+        """Run synth with `text` as the config file; assert a ConfigError exit, return its message."""
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({"not_a_key": 5}))
-        assert main(["synth", "--run-dir", str(tmp_path / "q"),
-                     "--config", str(cfg_file)]) == 1
+        cfg_file.write_text(text)
+        capsys.readouterr()
+        code = main(["synth", "--run-dir", str(tmp_path / "q"), "--config", str(cfg_file)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "ConfigError"
+        assert not (tmp_path / "q" / "graph.json").exists()
+        return err["error"]["message"]
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        assert "not_a_key" in self.config_error(tmp_path, capsys, json.dumps({"not_a_key": 5}))
+
+    def test_config_file_not_json(self, tmp_path, capsys):
+        assert "not JSON" in self.config_error(tmp_path, capsys, "nodes = 10")
+
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        assert "JSON object" in self.config_error(tmp_path, capsys, "[1, 2]")
+
+    @pytest.mark.parametrize("key, value", [("c", "forty"), ("nodes", True), ("seed", None),
+                                            ("beta", "0.5"), ("c", 40.0), ("has_header", 1)])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        assert key in self.config_error(tmp_path, capsys, json.dumps({key: value}))
+
+    def test_config_null_and_int_where_allowed(self, tmp_path, capsys):
+        cfg_file = tmp_path / "ok.json"
+        cfg_file.write_text(json.dumps({"delta": None, "max_train_queries": None, "beta": 1,
+                                        "nodes": 10, "events": 30}))
+        assert main(["synth", "--run-dir", str(tmp_path / "ok"), "--config", str(cfg_file)]) == 0
+        assert main(["synth", "--run-dir", str(tmp_path / "flags"), "--beta", "1",
+                     "--nodes", "10", "--events", "30"]) == 0
+        from_file, from_flags = (json.loads((tmp_path / d / "graph.json.manifest.json").read_text())
+                                 for d in ("ok", "flags"))
+        assert from_file["config"]["beta"] == 1.0
+        assert from_file["config_sha256"] == from_flags["config_sha256"]
+
+    def test_unknown_prior_rejected(self, tmp_path, capsys):
+        assert "prior" in self.config_error(tmp_path, capsys, json.dumps({"prior": "unifrom"}))
 
     def test_out_of_range_warning(self, tmp_path, capsys):
         d = tmp_path / "w"

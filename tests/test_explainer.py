@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifx import nn
 from motifx.basemodel import BaseConfig, InternalPredictor, build_base_store
-from motifx.errors import InvariantError
+from motifx.errors import InvariantError, NonFiniteError
 from motifx.explainer import (ExplainerConfig, build_explainer_store,
                               encode_and_score, explain, ib_loss,
                               kl_empirical, kl_uniform,
@@ -15,7 +15,7 @@ from motifx.explainer import (ExplainerConfig, build_explainer_store,
                               query_objective, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.layers import PROB_EPS
-from motifx.nn import ConstTape, Tape
+from motifx.nn import Tape
 
 from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
                      reference_soft_predict)
@@ -35,18 +35,30 @@ def setup():
     return g, base_store, expl_store, ecfg
 
 
+def kl_u(scores, p) -> float:
+    return float(kl_uniform(nn.const(scores), p).value)
+
+
+def kl_e(scores, codes, p, m) -> float:
+    return float(kl_empirical(nn.const(scores), codes, p, m).value)
+
+
+def ib(preds, labels, kl, beta) -> float:
+    return float(ib_loss(nn.const(preds), labels, nn.const(kl), beta).value)
+
+
 class TestKLUniform:
     def test_zero_at_prior(self):
-        assert kl_uniform(np.full(7, 0.3), 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert kl_u(np.full(7, 0.3), 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_motif_value(self):
-        assert kl_uniform(np.array([0.9]), 0.5) == pytest.approx(0.3680642071684971, abs=1e-10)
+        assert kl_u(np.array([0.9]), 0.5) == pytest.approx(0.3680642071684971, abs=1e-10)
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=20),
            st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_non_negative_and_matches_oracle(self, scores, p):
-        got = kl_uniform(np.array(scores), p)
+        got = kl_u(np.array(scores), p)
         assert got >= -1e-12
         assert got == pytest.approx(kl_uniform_scalar(scores, p), abs=1e-10)
 
@@ -57,11 +69,11 @@ class TestKLEmpirical:
         scores = np.array([0.3, 0.3, 0.3, 0.3])
         codes = ["0101", "0101", "0101", "0112"]
         m = {"0101": 0.75, "0112": 0.25}
-        assert kl_empirical(scores, codes, 0.3, m) == pytest.approx(0.0, abs=1e-12)
+        assert kl_e(scores, codes, 0.3, m) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_class_at_prior(self):
         scores = np.array([0.4, 0.4])
-        assert kl_empirical(scores, ["0101", "0101"], 0.4, {"0101": 1.0}) == \
+        assert kl_e(scores, ["0101", "0101"], 0.4, {"0101": 1.0}) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_reference_value(self):
@@ -69,12 +81,11 @@ class TestKLEmpirical:
         scores = np.array([0.6, 0.6])
         codes = ["0101", "0112"]
         m = {"0101": 0.8, "0112": 0.2}
-        assert kl_empirical(scores, codes, 0.3, m) == \
-            pytest.approx(0.32592812395032394, abs=1e-10)
+        assert kl_e(scores, codes, 0.3, m) == pytest.approx(0.32592812395032394, abs=1e-10)
 
     def test_missing_class_raises(self):
         with pytest.raises(InvariantError, match="missing"):
-            kl_empirical(np.array([0.5]), ["0112"], 0.3, {"0101": 1.0})
+            kl_e(np.array([0.5]), ["0112"], 0.3, {"0101": 1.0})
 
     @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.sampled_from(["a", "b", "c"])),
                     min_size=1, max_size=20),
@@ -84,22 +95,29 @@ class TestKLEmpirical:
         scores = [r[0] for r in rows]
         codes = [r[1] for r in rows]
         m = {"a": 0.5, "b": 0.3, "c": 0.2}
-        got = kl_empirical(np.array(scores), codes, p, m)
+        got = kl_e(np.array(scores), codes, p, m)
         assert got == pytest.approx(kl_empirical_scalar(scores, codes, p, m), abs=1e-10)
 
 
 class TestIbLoss:
     def test_perfect_positive_prediction_beta_zero(self):
-        assert ib_loss(1.0, 1, 0.0, 0.0) == pytest.approx(0.0, abs=1e-6)
+        assert ib([1.0], [1], [0.0], 0.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_beta_zero_is_pure_cross_entropy(self):
-        for pred, label in ((0.8, 1), (0.8, 0), (0.25, 0)):
-            want = -math.log(pred) if label else -math.log(1 - pred)
-            assert ib_loss(pred, label, 123.0, 0.0) == pytest.approx(want, abs=1e-9)
+        preds, labels = [0.8, 0.8, 0.25], [1, 0, 0]
+        want = [-math.log(p) if y else -math.log(1 - p) for p, y in zip(preds, labels)]
+        for p, y, w in zip(preds, labels, want):
+            assert ib([p], [y], [123.0], 0.0) == pytest.approx(w, abs=1e-9)
+        assert ib(preds, labels, [123.0] * 3, 0.0) == pytest.approx(np.mean(want), abs=1e-9)
 
     def test_kl_scales_with_beta(self):
-        base = ib_loss(0.7, 1, 0.0, 0.5)
-        assert ib_loss(0.7, 1, 2.0, 0.5) == pytest.approx(base + 1.0, abs=1e-9)
+        base = ib([0.7], [1], [0.0], 0.5)
+        assert ib([0.7], [1], [2.0], 0.5) == pytest.approx(base + 1.0, abs=1e-9)
+        assert ib([0.7, 0.7], [1, 1], [0.0, 2.0], 0.5) == pytest.approx(base + 0.5, abs=1e-9)
+
+    def test_non_finite_objective_raises(self):
+        with pytest.raises(NonFiniteError):
+            ib([0.7, 0.4], [1, 0], [0.0, np.inf], 0.5)
 
 
 def _same(a, b) -> bool:
@@ -158,7 +176,7 @@ class TestScorer:
         base = InternalPredictor(base_store)
         prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
         assert prep is not None
-        scores, _, _ = encode_and_score(ConstTape(expl_store), [prep])
+        scores, _, _ = encode_and_score(Tape(expl_store), [prep])
         assert np.allclose(scores.value, 0.5)
 
     def test_scores_independent_of_batch_composition(self, setup):
@@ -170,8 +188,8 @@ class TestScorer:
         base = InternalPredictor(base_store)
         p1 = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
         p2 = prepare_query(g, base, g.event(g.n_events - 2), ecfg, seed=2)
-        solo, _, _ = encode_and_score(ConstTape(store), [p1])
-        both, _, counts = encode_and_score(ConstTape(store), [p1, p2])
+        solo, _, _ = encode_and_score(Tape(store), [p1])
+        both, _, counts = encode_and_score(Tape(store), [p1, p2])
         assert np.allclose(solo.value, both.value[:counts[0]], atol=1e-12)
 
     def test_scores_clamped_interior(self, setup):
@@ -180,7 +198,7 @@ class TestScorer:
         store.arrays["score2.w"] = np.full_like(store.arrays["score2.w"], 100.0)
         base = InternalPredictor(base_store)
         prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
-        scores, _, _ = encode_and_score(ConstTape(store), [prep])
+        scores, _, _ = encode_and_score(Tape(store), [prep])
         assert np.all(scores.value <= 1.0 - PROB_EPS)
         assert np.all(scores.value >= PROB_EPS)
 
@@ -188,7 +206,7 @@ class TestScorer:
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
         preps = [prepare_query(g, base, g.event(g.n_events - k), ecfg, seed=k) for k in (1, 2)]
-        scores, _, counts = encode_and_score(ConstTape(expl_store), preps)
+        scores, _, counts = encode_and_score(Tape(expl_store), preps)
         assert counts == [len(p.instances) for p in preps]
         assert scores.value.shape == (sum(counts),)
 
@@ -201,7 +219,7 @@ class TestEncoder:
         dup_ix = [i for i, a in enumerate(prep.instances)
                   for j, b in enumerate(prep.instances)
                   if i < j and a.event_ids == b.event_ids]
-        _, emb, _ = encode_and_score(ConstTape(expl_store), [prep])
+        _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         for i in dup_ix:
             j = next(j for j in range(len(prep.instances))
                      if j != i and prep.instances[j].event_ids == prep.instances[i].event_ids)
@@ -211,7 +229,7 @@ class TestEncoder:
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
         prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
-        _, emb, _ = encode_and_score(ConstTape(expl_store), [prep])
+        _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         assert emb.value.shape == (len(prep.instances), ecfg.h)
 
     def test_motif_embeddings_helper(self, setup):
@@ -243,7 +261,7 @@ class TestFirstBatchLoss:
         ev_mask = np.zeros(len(prep.covered_ids))
         for pos, m_idx in zip(prep.pair_cov, prep.pair_motif):
             ev_mask[pos] = max(ev_mask[pos], alpha[m_idx])
-        pred = reference_soft_predict(ConstTape(base_store), base_store, g, prep.query,
+        pred = reference_soft_predict(Tape(base_store), base_store, g, prep.query,
                                       prep.covered_ids, nn.const(ev_mask))
         ce = -math.log(pred.value) if prep.label == 1 else -math.log(1 - pred.value)
         kl = kl_empirical_scalar([0.5] * len(prep.instances), prep.codes, ecfg.p, null_probs)
@@ -277,6 +295,19 @@ class TestExplain:
         # fresh scorer: every covered event scores exactly 0.5 -> pure recency order
         want = sorted(ranked_covered, key=lambda e: (-g.t[e], -e))
         assert ranked_covered == want
+
+    def test_event_score_is_max_over_containing_motifs(self, setup):
+        g, base_store, expl_store, ecfg = setup
+        store = expl_store.copy()
+        rng = np.random.default_rng(9)
+        for name in store.arrays:
+            store.arrays[name] = store.arrays[name] + rng.normal(0, 0.3, store.arrays[name].shape)
+        for k in (1, 2, 3):
+            res = explain(g, base_store, store, g.event(g.n_events - k), cfg=ecfg, seed=k)
+            want = {e: max([m["score"] for m in res.motifs if e in m["events"]], default=0.0)
+                    for e in res.comp_ids}
+            assert dict(res.event_ranking) == want
+            assert len(set(want.values())) > 2  # distinct scores, not only ties
 
     def test_uncovered_events_rank_last_with_zero(self, setup):
         g, base_store, expl_store, ecfg = setup

@@ -1,64 +1,85 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifx import nn
-from motifx.errors import InvariantError
-from motifx.features import anonymize, event_feature_matrix, feature_width
+from motifx.explainer import _encoder_inputs
+from motifx.features import event_feature_block, feature_width
+from motifx.graph import TemporalGraph
 from motifx.layers import time_encode
 from motifx.motifs import MotifInstance
 from motifx.nn import ParameterStore, Tape, grad_check
 
 
-def inst(pairs, times, anchor=None, t0=100.0):
-    anchor = anchor if anchor is not None else pairs[0][0]
-    return MotifInstance(anchor=anchor, t0=t0, event_ids=tuple(range(len(pairs))),
-                         pairs=tuple(pairs), times=tuple(times),
-                         truncated=len(pairs) < 3)
+def encoder_rows(instances, l=3, attrs=None, t0=100.0):
+    """`_encoder_inputs` over hand-built instances, each a list of (u, v, t) events.
+
+    Every listed event becomes its own graph event, with its row of `attrs`;
+    the returned rows follow the listing order (instance by instance,
+    position by position).
+    """
+    events = [e for events in instances for e in events]
+    src, dst, t = (np.array(col) for col in zip(*events))
+    attrs = np.zeros((len(events), 0)) if attrs is None else np.asarray(attrs, dtype=float)
+    g = TemporalGraph(src, dst, t, attrs, int(max(src.max(), dst.max())) + 1)
+    ids = np.empty(len(events), dtype=np.int64)
+    ids[np.argsort(t, kind="stable")] = np.arange(len(events))  # the graph sorts by time
+    insts, off = [], 0
+    for events in instances:
+        k = len(events)
+        insts.append(MotifInstance(anchor=events[0][0], t0=t0,
+                                   event_ids=tuple(int(i) for i in ids[off:off + k]),
+                                   pairs=tuple((u, v) for u, v, _ in events),
+                                   times=tuple(float(x) for _, _, x in events),
+                                   truncated=k < l))
+        off += k
+    return _encoder_inputs(g, t0, insts, np.arange(len(events)), l)
+
+
+def h_rows(instances, l=3):
+    return encoder_rows(instances, l)["h_block"]
 
 
 class TestAnonymize:
+    """Structural counts h: per event, the events at each position that join its node pair."""
+
     def test_two_instances_same_first_pair(self):
-        a = inst([(1, 2), (2, 3), (3, 4)], [30, 20, 10])
-        b = inst([(1, 2), (2, 5), (5, 6)], [31, 21, 11])
-        h = anonymize([a, b], l=3)
-        assert list(h[(1, 2)]) == [2, 0, 0]
+        h = h_rows([[(1, 2, 30), (2, 3, 20), (3, 4, 10)],
+                    [(1, 2, 31), (2, 5, 21), (5, 6, 11)]])
+        assert h[0].tolist() == h[3].tolist() == [2, 0, 0]
 
     def test_missing_pair_is_all_zero_by_absence(self):
-        a = inst([(1, 2), (2, 3), (3, 4)], [30, 20, 10])
-        h = anonymize([a], l=3)
-        assert (7, 8) not in h
+        # each pair sits at one position; no other pair adds to its counts
+        h = h_rows([[(1, 2, 30), (2, 3, 20), (3, 4, 10)]])
+        assert np.array_equal(h, np.eye(3))
 
     def test_positional_counts(self):
-        a = inst([(1, 2), (2, 3), (1, 2)], [30, 20, 10])
-        h = anonymize([a], l=3)
-        assert list(h[(1, 2)]) == [1, 0, 1]
-        assert list(h[(2, 3)]) == [0, 1, 0]
+        h = h_rows([[(1, 2, 30), (2, 3, 20), (1, 2, 10)]])
+        assert h[0].tolist() == h[2].tolist() == [1, 0, 1]
+        assert h[1].tolist() == [0, 1, 0]
 
     def test_unordered_pairs(self):
-        a = inst([(2, 1)], [30.0])
-        b = inst([(1, 2)], [40.0])
-        h = anonymize([a, b], l=3)
-        assert list(h[(1, 2)]) == [2, 0, 0]
+        h = h_rows([[(2, 1, 30.0)], [(1, 2, 40.0)]])
+        assert h.tolist() == [[2, 0, 0], [2, 0, 0]]
 
     def test_truncated_counts_filled_positions_only(self):
-        a = inst([(1, 2), (2, 3)], [30, 20])
-        h = anonymize([a], l=3)
-        assert list(h[(2, 3)]) == [0, 1, 0]
+        h = h_rows([[(1, 2, 30), (2, 3, 20)]])
+        assert h.shape == (2, 3)
+        assert h[1].tolist() == [0, 1, 0]
 
     @given(st.permutations(range(4)))
     @settings(max_examples=24, deadline=None)
     def test_permutation_invariant(self, order):
-        insts = [inst([(1, 2), (2, 3)], [30, 20]),
-                 inst([(1, 3), (3, 4), (4, 1)], [33, 22, 11]),
-                 inst([(2, 3)], [40.0]),
-                 inst([(1, 2), (1, 2)], [50, 45])]
-        base = anonymize(insts, l=3)
-        shuffled = anonymize([insts[i] for i in order], l=3)
-        assert set(base) == set(shuffled)
-        assert all(np.array_equal(base[k], shuffled[k]) for k in base)
+        insts = [[(1, 2, 30), (2, 3, 20)],
+                 [(1, 3, 33), (3, 4, 22), (4, 1, 11)],
+                 [(2, 3, 40.0)],
+                 [(1, 2, 50), (1, 2, 45)]]
+        starts = np.cumsum([0] + [len(x) for x in insts])
+        base = h_rows(insts)
+        shuffled = h_rows([insts[i] for i in order])
+        rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
+        assert np.array_equal(base[rows], shuffled)
 
 
 class TestTimeEncode:
@@ -92,60 +113,44 @@ class TestTimeEncode:
 
 
 class TestEventFeatureMatrix:
+    """Encoder rows attrs || T(t0 - t) || h through `event_feature_block`."""
+
     def setup_method(self):
         self.w = nn.const(nn.log_spaced_freqs(100.0, 2))
 
+    def block(self, instances, attrs=None):
+        rows = encoder_rows(instances, attrs=attrs)
+        return event_feature_block(rows["attrs_block"], rows["dts"], rows["h_block"],
+                                   self.w).value
+
     def test_width_without_attrs(self):
-        a = inst([(1, 2), (2, 3), (3, 1)], [30, 20, 10])
-        h = anonymize([a], l=3)
-        m = event_feature_matrix(a, h, t0=100.0, time_w=self.w,
-                                 attr_rows=np.zeros((3, 0)), l=3)
-        assert m.value.shape == (3, feature_width(0, 2, 3))
+        m = self.block([[(1, 2, 30), (2, 3, 20), (3, 1, 10)]])
+        assert m.shape == (3, feature_width(0, 2, 3))
         assert feature_width(0, 2, 3) == 7
 
     def test_intervals_increase_down_rows(self):
-        a = inst([(1, 2), (2, 3), (3, 1)], [30, 20, 10])
-        h = anonymize([a], l=3)
-        m = event_feature_matrix(a, h, t0=100.0, time_w=self.w,
-                                 attr_rows=np.zeros((3, 0)), l=3).value
+        rows = encoder_rows([[(1, 2, 30), (2, 3, 20), (3, 1, 10)]])
+        assert rows["dts"].tolist() == [70.0, 80.0, 90.0]
+        m = self.block([[(1, 2, 30), (2, 3, 20), (3, 1, 10)]])
         # recover dt from the slowest cosine column: strictly decaying over rows here
         assert np.all(np.diff(m[:, 0]) < 0)
 
     def test_identical_events_identical_rows(self):
-        a = inst([(1, 2), (2, 3)], [30, 20])
-        b = inst([(1, 2), (2, 3)], [30, 20])
-        h = anonymize([a, b], l=3)
-        ma = event_feature_matrix(a, h, 100.0, self.w, np.zeros((2, 0)), 3).value
-        mb = event_feature_matrix(b, h, 100.0, self.w, np.zeros((2, 0)), 3).value
-        assert np.array_equal(ma, mb)
+        m = self.block([[(1, 2, 30), (2, 3, 20)], [(1, 2, 30), (2, 3, 20)]])
+        assert np.array_equal(m[:2], m[2:])
 
     def test_truncated_instance_shorter_matrix(self):
-        a = inst([(1, 2)], [30.0])
-        h = anonymize([a], l=3)
-        m = event_feature_matrix(a, h, 100.0, self.w, np.zeros((1, 0)), 3)
-        assert m.value.shape[0] == 1
-
-    def test_missing_pair_raises(self):
-        a = inst([(1, 2), (2, 3)], [30, 20])
-        h = anonymize([a], l=3)
-        del h[(2, 3)]
-        with pytest.raises(InvariantError, match="missing"):
-            event_feature_matrix(a, h, 100.0, self.w, np.zeros((2, 0)), 3)
+        assert self.block([[(1, 2, 30.0)]]).shape[0] == 1
 
     def test_attrs_pass_through_unscaled(self):
-        a = inst([(1, 2), (2, 3)], [30, 20])
-        h = anonymize([a], l=3)
         attrs = np.array([[5.0, -1.0], [2.0, 0.5]])
-        m = event_feature_matrix(a, h, 100.0, self.w, attrs, 3).value
+        m = self.block([[(1, 2, 30), (2, 3, 20)]], attrs=attrs)
         assert np.array_equal(m[:, :2], attrs)
         # h block sits at the tail, raw counts
         assert np.array_equal(m[:, -3:], np.array([[1, 0, 0], [0, 1, 0]], dtype=float))
 
 
 def test_anonymize_ignores_timestamps():
-    a = inst([(1, 2), (2, 3)], [30, 20])
-    b = inst([(1, 2), (2, 3)], [900.0, 4.5])
-    ha = anonymize([a], l=3)
-    hb = anonymize([b], l=3)
-    assert set(ha) == set(hb)
-    assert all(np.array_equal(ha[k], hb[k]) for k in ha)
+    a = h_rows([[(1, 2, 30), (2, 3, 20)]])
+    b = h_rows([[(1, 2, 900.0), (2, 3, 4.5)]])
+    assert np.array_equal(a, b)

@@ -13,35 +13,19 @@ from oracles import (average_precision_scalar, cohesiveness_scalar,
                      trapezoid_scalar)
 
 
-class FixedPredictor:
-    """Predictor stub: full-view value plus per-retained-set overrides."""
-
-    def __init__(self, full, table=None):
-        self.full = full
-        self.table = table or {}
-
-    def predict(self, g, query, retained=None):
-        if retained is None:
-            return self.full
-        return self.table.get(frozenset(retained), self.full)
-
-
 class TestFidelity:
     def test_full_view_is_exactly_zero(self):
         from motifx.metrics import fidelity
-        g = object()
-        pred = FixedPredictor(0.7)
-        assert fidelity(pred, g, None, retained={1, 2, 3}) == 0.0
+        for f_full in (0.7, 0.3, 0.5):
+            assert fidelity(f_full, [f_full]).tolist() == [0.0]
 
     def test_positive_label_direction(self):
         from motifx.metrics import fidelity
-        pred = FixedPredictor(0.7, {frozenset({1}): 0.9})
-        assert fidelity(pred, object(), None, {1}) == pytest.approx(0.2)
+        assert fidelity(0.7, [0.9, 0.6]) == pytest.approx([0.2, -0.1])
 
     def test_negative_label_flips_sign(self):
         from motifx.metrics import fidelity
-        pred = FixedPredictor(0.3, {frozenset({1}): 0.9})
-        assert fidelity(pred, object(), None, {1}) == pytest.approx(-0.6)
+        assert fidelity(0.3, [0.9, 0.1]) == pytest.approx([-0.6, 0.2])
 
 
 class TestSparsity:
