@@ -8,7 +8,7 @@ from .graph import (Event, EventSubset, TemporalGraph, computational_graph,
 from .motifs import (MotifCensus, MotifInstance, census, code_alphabet,
                      empirical_class_probs, enumerate_motifs, motif_code,
                      null_class_probs, null_model, sample_motif_batch,
-                     sample_motifs, total_variation)
+                     total_variation)
 
 __all__ = [
     "__version__",
@@ -16,6 +16,5 @@ __all__ = [
     "generate_synthetic", "ingest_csv", "neighbor_events", "query_event",
     "MotifCensus", "MotifInstance", "census", "code_alphabet",
     "empirical_class_probs", "enumerate_motifs", "motif_code",
-    "null_class_probs", "null_model", "sample_motif_batch", "sample_motifs",
-    "total_variation",
+    "null_class_probs", "null_model", "sample_motif_batch", "total_variation",
 ]

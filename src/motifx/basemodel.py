@@ -20,6 +20,7 @@ Rows are bit-identical alone or in any batch: slots pad to the fixed K,
 and no product handed to BLAS has one row or one column (numpy sends
 those to gemv, whose bits depend on the row count), so the 1-wide output
 projection is a multiply plus a row sum and a lone query is duplicated.
+`_head` does both; the explainer's motif scorer is its second user.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import threading
 import queue
+from collections import deque
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -43,6 +45,7 @@ from .nn import ParameterStore, Tape, Var
 ADAPTER_PROTOCOL = "tempme-adapter/1"
 PRED_EPS = 1e-7
 EVAL_CHUNK = 256  # queries per forward in predict_batch; rows do not depend on it
+STDERR_TAIL = 20  # last lines of an adapter's stderr that its protocol errors carry
 
 
 @dataclass
@@ -217,12 +220,13 @@ class InternalPredictor:
         self.k_nb = store.meta["k_nb"]
 
     def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
-        return float(self.predict_views(g, query, [retained])[0])
+        return float(self.predict_views(g, [query], [retained])[0])
 
-    def predict_views(self, g: TemporalGraph, query: Event, views: list) -> np.ndarray:
-        """One query under each view (None = full, a set = retained ids), in one forward."""
-        qc = build_query_cache(g, query, self.k_nb)
-        return predict_batch(self.store, g, [qc] * len(views), list(views))[0]
+    def predict_views(self, g: TemporalGraph, queries: list, views: list) -> np.ndarray:
+        """queries[i] under views[i] (None = full, a set = retained ids): one cache per
+        query and one `predict_batch` call."""
+        caches = {q: build_query_cache(g, q, self.k_nb) for q in dict.fromkeys(queries)}
+        return predict_batch(self.store, g, [caches[q] for q in queries], list(views))[0]
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0
@@ -477,7 +481,8 @@ class ExternalAdapter:
     {"id", "u", "v", "t", "retained"} -> {"id", "p"}, or {"id", "error"} for a
     request the server cannot answer. A null retained list means the full
     history; an empty list means an empty view. Calls are serialized; a
-    slow, malformed or refusing peer raises AdapterProtocolError.
+    slow, malformed, refusing or dead peer raises AdapterProtocolError,
+    which ends with the last STDERR_TAIL lines the child wrote to stderr.
     """
 
     def __init__(self, cmd, timeout: float = 5.0):
@@ -485,27 +490,43 @@ class ExternalAdapter:
         self._next_id = 0
         self._proc = subprocess.Popen(
             cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True, bufsize=1)
+            stderr=subprocess.PIPE, text=True, bufsize=1)
         self._lines: queue.Queue = queue.Queue()
+        self._stderr: deque = deque(maxlen=STDERR_TAIL)
         self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._err_reader = threading.Thread(target=self._stderr.extend, args=(self._proc.stderr,),
+                                            daemon=True)
         self._reader.start()
+        self._err_reader.start()
         hello = self._read_line()
         try:
             proto = json.loads(hello).get("protocol")
         except (json.JSONDecodeError, AttributeError) as exc:
-            raise AdapterProtocolError(f"bad handshake line: {hello!r}") from exc
+            raise self._error(f"bad handshake line: {hello!r}") from exc
         if proto != ADAPTER_PROTOCOL:
-            raise AdapterProtocolError(f"unsupported protocol {proto!r}")
+            raise self._error(f"unsupported protocol {proto!r}")
 
     def _pump(self):
         for line in self._proc.stdout:
             self._lines.put(line)
+        self._lines.put(None)  # end of output
+
+    def _error(self, message: str, gone: bool = False) -> AdapterProtocolError:
+        """The error plus the adapter's stderr tail (all of it, for a process that is gone)."""
+        if gone:
+            self._err_reader.join(timeout=self.timeout)
+        tail = "".join(self._stderr.copy()).rstrip()
+        return AdapterProtocolError(f"{message}\nadapter stderr:\n{tail}" if tail else message)
 
     def _read_line(self) -> str:
         try:
-            return self._lines.get(timeout=self.timeout)
+            line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            raise AdapterProtocolError(f"adapter timed out after {self.timeout}s") from None
+            raise self._error(f"adapter timed out after {self.timeout}s") from None
+        if line is None:
+            self._lines.put(None)  # later reads end here too
+            raise self._error("adapter process is gone (its output ended)", gone=True)
+        return line
 
     def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
         self._next_id += 1
@@ -516,7 +537,7 @@ class ExternalAdapter:
             self._proc.stdin.write(json.dumps(req, separators=(",", ":")) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise AdapterProtocolError("adapter process is gone") from exc
+            raise self._error("adapter process is gone", gone=True) from exc
         line = self._read_line()
         try:
             resp = json.loads(line)
@@ -524,18 +545,19 @@ class ExternalAdapter:
             if error is None:
                 rid, p = int(resp["id"]), float(resp["p"])
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise AdapterProtocolError(f"malformed response: {line!r}") from exc
+            raise self._error(f"malformed response: {line!r}") from exc
         if error is not None:
-            raise AdapterProtocolError(f"adapter refused request {self._next_id}: {error}")
+            raise self._error(f"adapter refused request {self._next_id}: {error}")
         if rid != self._next_id:
-            raise AdapterProtocolError(f"response id {rid} != request id {self._next_id}")
+            raise self._error(f"response id {rid} != request id {self._next_id}")
         if not (0.0 <= p <= 1.0):
-            raise AdapterProtocolError(f"probability {p} outside [0, 1]")
+            raise self._error(f"probability {p} outside [0, 1]")
         return p
 
-    def predict_views(self, g: TemporalGraph, query: Event, views: list) -> np.ndarray:
-        """One request per view: the wire protocol carries one prediction at a time."""
-        return np.array([self.predict(g, query, view) for view in views])
+    def predict_views(self, g: TemporalGraph, queries: list, views: list) -> np.ndarray:
+        """One request per (query, view) pair: the wire protocol carries one prediction
+        at a time."""
+        return np.array([self.predict(g, q, view) for q, view in zip(queries, views)])
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0

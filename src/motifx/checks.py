@@ -12,7 +12,7 @@ from . import nn
 from .basemodel import (BaseConfig, InternalPredictor, build_base_store, build_query_cache,
                         soft_predict)
 from .explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
-                        prepare_query, query_objective)
+                        prepare_queries, query_objective)
 from .graph import generate_synthetic, query_event
 from .layers import concrete_sample, gine_layer, time_encode
 from .nn import ParameterStore, Tape, grad_check
@@ -95,7 +95,7 @@ def _toy_pipeline(seed: int = 0):
     expl_store = build_explainer_store(g, base_store.meta, ecfg)
     base = InternalPredictor(base_store)
     query = g.event(g.n_events - 1)
-    prep = prepare_query(g, base, query, ecfg, seed=seed)
+    prep = prepare_queries(g, base, [query], ecfg, [seed])[0]
     assert prep is not None, "toy pipeline produced no motifs"
     return g, base_store, expl_store, ecfg, prep
 

@@ -20,7 +20,7 @@ from .basemodel import BaseConfig, serve_adapter, train_base
 from .config import RunConfig, write_manifest
 from .errors import DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
-from .explainer import ExplainerConfig, explain, train_explainer
+from .explainer import ExplainerConfig, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
 from .metrics import write_curve_csv
 from .motifs import graph_census, null_class_probs
@@ -167,8 +167,8 @@ def cmd_explain(args, cfg: RunConfig) -> int:
         queries = [g.event(args.event_id)]
     else:
         queries = [q for q, _ in build_eval_query_set(g, cfg.n_queries, cfg.seed)]
-    results = [explain(g, base, expl, q, cfg=ecfg, seed=cfg.seed + i)
-               for i, q in enumerate(queries)]
+    results = explain_batch(g, base, expl, queries, [cfg.seed + i for i in range(len(queries))],
+                            cfg=ecfg)
     out = run_dir / FILES["explanations"]
     out.write_text("[" + ",".join(r.to_json() for r in results) + "]\n")
     write_manifest(run_dir / (FILES["explanations"] + ".manifest.json"), "explain", cfg)

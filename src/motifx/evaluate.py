@@ -5,9 +5,10 @@ import time
 
 import numpy as np
 
-from .basemodel import (InternalPredictor, enhanced_probs, eval_queries, evaluate_ap,
-                        split_event_ids, train_enhanced_head)
-from .explainer import ExplainerConfig, explain, motif_embeddings
+from .basemodel import (EVAL_CHUNK, InternalPredictor, build_query_cache, enhanced_probs,
+                        eval_queries, evaluate_ap, predict_batch, split_event_ids,
+                        train_enhanced_head)
+from .explainer import ExplainerConfig, encode_chunks, explain_batch, prepare_queries
 from .graph import TemporalGraph
 from .metrics import (MetricReport, SPARSITY_LEVELS, acc_auc, average_precision,
                       cohesiveness, fidelity, random_baseline)
@@ -21,36 +22,27 @@ def build_eval_query_set(g: TemporalGraph, n_queries: int, seed: int):
     return pairs[:n_queries]
 
 
-def _eval_one(qidx, query, g, base_store, expl_store, cfg, seed, levels, coh_level,
-              predictor):
-    t0 = time.perf_counter()
-    expl = explain(g, base_store, expl_store, query, levels, cfg, seed=seed + qidx)
-    elapsed = time.perf_counter() - t0
+def _views(qidx, expl, seed, levels):
+    """The full view, then each level's model and random-baseline retained sets; None if empty."""
     if expl.empty or not expl.comp_ids:
         return None
     comp = set(expl.comp_ids)
-    kept = [set(expl.retained[lv]) for lv in levels]
-    baselines = [random_baseline(comp, lv, seed=seed * 100003 + qidx * 31 + int(lv * 50))
-                 for lv in levels]
-    # full view, then every retained set of the model and of the baseline, in one call
-    preds = predictor.predict_views(g, query, [None] + kept + baselines)
-    f_full = float(preds[0])
-    fid_all = fidelity(f_full, preds[1:])
-    label = f_full >= 0.5
-    rows = []
-    accs, fids, bl_accs, bl_fids = {}, {}, {}, {}
+    return ([None] + [set(expl.retained[lv]) for lv in levels]
+            + [random_baseline(comp, lv, seed=seed * 100003 + qidx * 31 + int(lv * 50))
+               for lv in levels])
+
+
+def _eval_one(qidx, g, comp, views, preds, levels, coh_level):
+    """One query's curve rows and cohesiveness, from its `_views` and their predictions."""
     n = len(levels)
-    for k, lv in enumerate(levels):
-        for source, j, acc_of, fid_of in (("model", k, accs, fids),
-                                          ("random", n + k, bl_accs, bl_fids)):
-            fid_of[lv] = float(fid_all[j])
-            acc_of[lv] = int((preds[1 + j] >= 0.5) == label)
-            rows.append((qidx, lv, fid_of[lv], acc_of[lv], source))
+    fids = fidelity(float(preds[0]), preds[1:])
+    hits = (preds[1:] >= 0.5) == (float(preds[0]) >= 0.5)
+    rows = [(qidx, lv, float(fids[j]), int(hits[j]), source)
+            for k, lv in enumerate(levels) for source, j in (("model", k), ("random", n + k))]
     k = levels.index(coh_level) if coh_level in levels else None
-    coh = None if k is None else cohesiveness(g, kept[k], comp)
-    bl_coh = None if k is None else cohesiveness(g, baselines[k], comp)
-    return {"accs": accs, "fids": fids, "bl_accs": bl_accs, "bl_fids": bl_fids,
-            "coh": coh, "bl_coh": bl_coh, "rows": rows, "seconds": elapsed}
+    cohs = (None, None) if k is None else (cohesiveness(g, views[1 + k], comp),
+                                           cohesiveness(g, views[1 + n + k], comp))
+    return rows, cohs
 
 
 def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
@@ -60,37 +52,47 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
                           predictor=None) -> MetricReport:
     """Fidelity/ACC curves, ACC-AUC, and cohesiveness for model and random baseline.
 
-    An external predictor (adapter) may replace the internal one for the
-    metric-side predictions. Each query's predictions are one call; the
+    One `explain_batch` call explains the query set, and one `predict_views`
+    call predicts every view of every query. An external predictor (adapter)
+    may replace the internal one for the metric-side predictions; the
     internal model's rows do not depend on the batch, so both agree.
     """
     if cfg is None:
         cfg = ExplainerConfig(**expl_store.meta["config"])
     predictor = predictor or InternalPredictor(base_store)
-    queries = build_eval_query_set(g, n_queries, seed)
-    results = [_eval_one(i, q, g, base_store, expl_store, cfg, seed, tuple(levels), coh_level,
-                         predictor)
-               for i, (q, _) in enumerate(queries)]
-    results = [r for r in results if r is not None]
-    report = MetricReport(levels=tuple(levels))
+    levels = tuple(levels)
+    queries = [q for q, _ in build_eval_query_set(g, n_queries, seed)]
+    t0 = time.perf_counter()
+    expls = explain_batch(g, base_store, expl_store, queries,
+                          [seed + i for i in range(len(queries))], levels, cfg)
+    elapsed = time.perf_counter() - t0
+    views = [_views(i, expl, seed, levels) for i, expl in enumerate(expls)]
+    todo = [i for i, v in enumerate(views) if v is not None]
+    preds = predictor.predict_views(g, [queries[i] for i in todo for _ in views[i]],
+                                    [v for i in todo for v in views[i]])
+    per_query = np.split(preds, np.cumsum([len(views[i]) for i in todo])[:-1])
+    results = [_eval_one(i, g, set(expls[i].comp_ids), views[i], p, levels, coh_level)
+               for i, p in zip(todo, per_query)]
+    report = MetricReport(levels=levels)
     report.n_queries = len(results)
     if not results:
         return report
+    report.rows = [row for rows, _ in results for row in rows]
     for lv in levels:
-        report.acc_per_level[lv] = float(np.mean([r["accs"][lv] for r in results]))
-        report.baseline_acc_per_level[lv] = float(np.mean([r["bl_accs"][lv] for r in results]))
-        report.mean_fidelity_per_level[lv] = float(np.mean([r["fids"][lv] for r in results]))
-        report.baseline_fidelity_per_level[lv] = float(np.mean([r["bl_fids"][lv] for r in results]))
+        for source, acc_of, fid_of in (
+                ("model", report.acc_per_level, report.mean_fidelity_per_level),
+                ("random", report.baseline_acc_per_level, report.baseline_fidelity_per_level)):
+            picked = [row for row in report.rows if row[1] == lv and row[4] == source]
+            acc_of[lv] = float(np.mean([row[3] for row in picked]))
+            fid_of[lv] = float(np.mean([row[2] for row in picked]))
     report.acc_auc = acc_auc(report.acc_per_level)
     report.baseline_acc_auc = acc_auc(report.baseline_acc_per_level)
-    cohs = [r["coh"] for r in results if r["coh"] is not None]
-    bl_cohs = [r["bl_coh"] for r in results if r["bl_coh"] is not None]
+    cohs = [c for _, (c, _) in results if c is not None]
+    bl_cohs = [c for _, (_, c) in results if c is not None]
     report.mean_cohesiveness = float(np.mean(cohs)) if cohs else None
     report.baseline_cohesiveness = float(np.mean(bl_cohs)) if bl_cohs else None
     report.cohesiveness_level = coh_level
-    report.explain_seconds_mean = float(np.mean([r["seconds"] for r in results]))
-    for r in results:
-        report.rows.extend(r["rows"])
+    report.explain_seconds_mean = elapsed / len(results)
     return report
 
 
@@ -100,9 +102,9 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
                          head_epochs: int = 40) -> tuple[ParameterStore, dict]:
     """Widened-head training on mean motif embeddings; reports plain vs enhanced AP.
 
-    Representations and motif embeddings are computed once per query with
-    the frozen trunk and encoder; only the head trains. Held-out AP is
-    measured on the chronological test split.
+    Representations come from one batched forward and motif embeddings from
+    `prepare_queries` plus `encode_chunks`, with the frozen trunk and encoder;
+    only the head trains. Held-out AP is measured on the chronological test split.
     """
     if cfg is None:
         cfg = ExplainerConfig(**expl_store.meta["config"])
@@ -112,26 +114,25 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     sets = {"train": eval_queries(g, train_ids, seed),
             "val": eval_queries(g, val_ids, seed + 1, neg_per_pos=3),
             "test": eval_queries(g, test_ids, seed + 2)}
-    reps, embs, labels, is_val, test_rows = [], [], [], [], []
-    motif_dim = expl_store.meta["h"]
-    row = 0
-    for split in ("train", "val", "test"):
-        for qi, (q, y) in enumerate(sets[split]):
-            reps.append(base.query_context(g, q))
-            e = motif_embeddings(g, base_store, expl_store, q, cfg, seed=seed + 31 * qi)
-            embs.append(e.mean(axis=0) if len(e) else np.zeros(motif_dim))
-            labels.append(y)
-            is_val.append(split == "val")
-            if split == "test":
-                test_rows.append(row)
-            row += 1
-    reps = np.array(reps)
-    embs = np.array(embs)
-    labels = np.array(labels)
-    fit_rows = np.array([i for i in range(row) if i not in set(test_rows)], dtype=np.int64)
+    rows = [(split, seed + 31 * qi, q, y) for split in ("train", "val", "test")
+            for qi, (q, y) in enumerate(sets[split])]
+    queries = [q for _, _, q, _ in rows]
+    reps = predict_batch(base_store, g, [build_query_cache(g, q, base.k_nb) for q in queries])[1]
+    embs = np.zeros((len(rows), expl_store.meta["h"]))  # zero for a query without motifs
+    for lo in range(0, len(rows), EVAL_CHUNK):  # one chunk's preps at a time bound the memory
+        preps = prepare_queries(g, base, queries[lo:lo + EVAL_CHUNK], cfg,
+                                [sd for _, sd, _, _ in rows[lo:lo + EVAL_CHUNK]])
+        done = [k for k, prep in enumerate(preps) if prep is not None]
+        scored = encode_chunks(expl_store, [preps[k] for k in done], cfg.batch)
+        for k, (_, emb) in zip(done, scored):
+            embs[lo + k] = emb.mean(axis=0)
+    labels = np.array([y for _, _, _, y in rows])
+    is_val = np.array([split == "val" for split, _, _, _ in rows])
+    test_rows = np.array([i for i, r in enumerate(rows) if r[0] == "test"], dtype=np.int64)
+    fit_rows = np.array([i for i, r in enumerate(rows) if r[0] != "test"], dtype=np.int64)
     enhanced, head_report = train_enhanced_head(
         base_store, reps[fit_rows], embs[fit_rows], labels[fit_rows],
-        val_mask=np.array(is_val)[fit_rows], lr=5e-4, epochs=head_epochs, seed=seed)
+        val_mask=is_val[fit_rows], lr=5e-4, epochs=head_epochs, seed=seed)
     enh_scores = enhanced_probs(Tape(enhanced), reps[test_rows], embs[test_rows]).value
     plain_ap = evaluate_ap(base_store, g, sets["test"])
     enhanced_ap = average_precision(labels[test_rows], enh_scores)

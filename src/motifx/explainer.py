@@ -7,6 +7,10 @@ model's visible events by those scores preserves the original prediction
 (cross-entropy term) while the score distribution stays close to a prior
 (KL term, either uniform or referenced to the null model's class
 frequencies).
+
+The scorer is the base model's `_head` with the prefix "score", so each
+motif's embedding and score are bit-identical alone or in any batch, and
+`explain_batch` gives each query of a set the bytes it gets alone.
 """
 from __future__ import annotations
 
@@ -16,14 +20,15 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .basemodel import (InternalPredictor, QueryCache, _bce, build_query_cache,
+from .basemodel import (InternalPredictor, QueryCache, _bce, _head, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
-from .errors import InvariantError, NonFiniteError
+from .config import PRIORS
+from .errors import ConfigError, InvariantError, NonFiniteError
 from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
-from .motifs import MotifInstance, motif_code, null_class_probs, sample_motif_batch
+from .motifs import motif_code, null_class_probs, sample_motif_batch
 from .nn import ParameterStore, Tape, Var
 
 
@@ -49,6 +54,10 @@ class ExplainerConfig:
     smoothing: float = 1e-6
     max_train_queries: int | None = None
 
+    def __post_init__(self):
+        if self.prior not in PRIORS:
+            raise ConfigError(f"prior={self.prior!r} is not one of {'/'.join(PRIORS)}")
+
 
 def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfig) -> ParameterStore:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xEC5])))
@@ -70,19 +79,6 @@ def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfi
 
 def query_seed(seed: int, qidx: int) -> int:
     return int(np.random.SeedSequence([seed, 0x51, qidx]).generate_state(1)[0])
-
-
-def sample_query_motifs(g: TemporalGraph, queries: list, cfg: ExplainerConfig,
-                        seeds: list) -> list[list[MotifInstance]]:
-    """C motifs around each endpoint of each query (query i's seed drives both
-    endpoints), from one kernel call. Single-event trajectories are dropped
-    (they carry no order information and sit outside the class vocabulary)."""
-    per_anchor = sample_motif_batch(g, [x for q in queries for x in (q.u, q.v)],
-                                    [q.t for q in queries for _ in range(2)],
-                                    [s for s in seeds for _ in range(2)],
-                                    cfg.n, cfg.l, cfg.c, cfg.delta)
-    return [[inst for inst in per_anchor[2 * i] + per_anchor[2 * i + 1] if len(inst) >= 2]
-            for i in range(len(queries))]
 
 
 @dataclass
@@ -153,10 +149,17 @@ def _encoder_inputs(g: TemporalGraph, t: float, instances: list, comp_ids: np.nd
 def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
                     cfg: ExplainerConfig, seeds: list) -> list[QueryPrep | None]:
     """Per query, its prep, or None without computational graph or motifs. One kernel
-    call samples every query's motifs; each prep equals the one made alone."""
+    call samples C motifs around each endpoint (query i's seed drives both) and drops
+    single-event ones: they carry no order information and sit outside the class
+    vocabulary. Each prep equals the one made alone."""
     comps = [computational_graph(g, q, cfg.hops, cfg.per_hop_cap) for q in queries]
     todo = [i for i, comp in enumerate(comps) if len(comp)]
-    found = sample_query_motifs(g, [queries[i] for i in todo], cfg, [seeds[i] for i in todo])
+    per_anchor = sample_motif_batch(g, [x for i in todo for x in (queries[i].u, queries[i].v)],
+                                    [queries[i].t for i in todo for _ in range(2)],
+                                    [seeds[i] for i in todo for _ in range(2)],
+                                    cfg.n, cfg.l, cfg.c, cfg.delta)
+    found = [[m for m in per_anchor[2 * k] + per_anchor[2 * k + 1] if len(m) >= 2]
+             for k in range(len(todo))]
     todo = [(i, insts) for i, insts in zip(todo, found) if insts]
     caches = [build_query_cache(g, queries[i], base.k_nb) for i, _ in todo]
     probs, ctxs = predict_batch(base.store, g, caches)  # labels and contexts: the full view
@@ -169,55 +172,47 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
     return out
 
 
-def prepare_query(g: TemporalGraph, base: InternalPredictor, query: Event, cfg: ExplainerConfig,
-                  seed: int) -> QueryPrep | None:
-    return prepare_queries(g, base, [query], cfg, [seed])[0]
-
-
 def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]:
     """Batched motif embeddings and importance scores for several queries.
 
     Returns (scores, embeddings, per-query motif counts); scores are
-    sigmoid outputs clamped away from 0 and 1.
+    `_head` probabilities clamped away from 0 and 1.
     """
-    node_seg, src, dst, eev = [], [], [], []
-    attrs, hb, dts, ctx_rows = [], [], [], []
-    n_off = e_off = m_off = 0
-    counts = []
-    for prep in preps:
-        node_seg.append(prep.node_seg + m_off)
-        src.append(prep.edge_src + n_off)
-        dst.append(prep.edge_dst + n_off)
-        eev.append(prep.edge_event + e_off)
-        attrs.append(prep.attrs_block)
-        hb.append(prep.h_block)
-        dts.append(prep.dts)
-        m = len(prep.instances)
-        ctx_rows.append(np.repeat(prep.ctx.reshape(1, -1), m, axis=0))
-        counts.append(m)
-        n_off += prep.n_nodes
-        e_off += prep.n_events
-        m_off += m
-    node_seg = np.concatenate(node_seg)
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    eev = np.concatenate(eev)
+    cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
+    # a query's node, event and motif indices, shifted past the queries before it
+    shifted = lambda name, off: np.concatenate([getattr(p, name) + o for p, o in zip(preps, off)])
+    counts = [len(p.instances) for p in preps]
+    m_off = np.cumsum([0] + counts)
+    n_off = np.cumsum([0] + [p.n_nodes for p in preps])
+    src, dst = shifted("edge_src", n_off), shifted("edge_dst", n_off)
     order = np.lexsort((src, dst))  # fixed aggregation order: by target then source
-    src, dst, eev = src[order], dst[order], eev[order]
+    eev = shifted("edge_event", np.cumsum([0] + [p.n_events for p in preps]))[order]
+    src, dst = src[order], dst[order]
 
-    feat = event_feature_block(np.concatenate(attrs, axis=0), np.concatenate(dts),
-                               np.concatenate(hb, axis=0), tape.param("time_w"))
-    x = tape.affine(nn.const(np.ones((n_off, 1))), "nodein")
+    feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"), tape.param("time_w"))
+    x = tape.affine(nn.const(np.ones((int(n_off[-1]), 1))), "nodein")
     depth = 0
     while f"gine{depth}.eps" in tape.store.arrays:
         x = gine_layer(tape, f"gine{depth}", x, src, dst, nn.gather_rows(feat, eev))
         depth += 1
-    emb = nn.segment_mean(x, node_seg, m_off)
-    score_in = nn.concat([emb, nn.const(np.concatenate(ctx_rows, axis=0))], axis=1)
-    hidden = nn.relu(tape.affine(score_in, "score1"))
-    raw = nn.sigmoid(nn.reshape(tape.affine(hidden, "score2"), (-1,)))
-    scores = nn.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
+    emb = nn.segment_mean(x, shifted("node_seg", m_off), int(m_off[-1]))
+    ctx = np.repeat(np.stack([p.ctx for p in preps]), counts, axis=0)
+    score_in = nn.concat([emb, nn.const(ctx)], axis=1)
+    scores = nn.clip(_head(tape, score_in, "score"), PROB_EPS, 1.0 - PROB_EPS)
     return scores, emb, counts
+
+
+def encode_chunks(expl_store: ParameterStore, preps: list[QueryPrep],
+                  batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per prep, its motif scores (M,) and embeddings (M, h), from `encode_and_score`
+    over chunks of `batch` preps; no gradients."""
+    tape = Tape(expl_store)
+    out = []
+    for lo in range(0, len(preps), batch):
+        scores, emb, counts = encode_and_score(tape, preps[lo:lo + batch])
+        cuts = np.cumsum(counts)[:-1]
+        out += zip(np.split(scores.value, cuts), np.split(emb.value, cuts))
+    return out
 
 
 # -- losses ---------------------------------------------------------------------
@@ -364,12 +359,8 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
             n_batches += 1
         report.epoch_losses.append(total / n_batches)
     # mean trained score over the training queries, for the prior-drift report
-    tape = Tape(store)
-    all_scores = []
-    for lo in range(0, len(preps), cfg.batch):
-        sc, _, _ = encode_and_score(tape, preps[lo:lo + cfg.batch])
-        all_scores.append(sc.value)
-    report.mean_score = float(np.concatenate(all_scores).mean())
+    report.mean_score = float(np.concatenate([sc for sc, _ in encode_chunks(
+        store, preps, cfg.batch)]).mean())
     store.meta["train_report"] = {"epoch_losses": report.epoch_losses,
                                   "mean_score": report.mean_score,
                                   "n_queries": report.n_queries,
@@ -398,54 +389,47 @@ class ExplanationResult:
         return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
-            query: Event, levels=SPARSITY_LEVELS, cfg: ExplainerConfig | None = None,
-            seed: int = 0) -> ExplanationResult:
-    """Hard importance scores, event ranking, and retained sets per sparsity level.
+def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
+                  queries: list, seeds: list, levels=SPARSITY_LEVELS,
+                  cfg: ExplainerConfig | None = None) -> list[ExplanationResult]:
+    """Per query, hard importance scores, event ranking, and retained sets per sparsity level.
 
-    An event's score is the maximum score over the sampled motifs that
-    contain it (zero if none do), the rule `query_objective` applies to the
-    relaxed masks; ties rank more recent events first,
-    then higher ids. Deterministic given the seed and parameters.
+    One `prepare_queries` call (query i with seeds[i]), then `encode_chunks`. An
+    event's score is the maximum score over the sampled motifs that contain it
+    (zero if none do), the rule `query_objective` applies to the relaxed masks;
+    ties rank more recent events first, then higher ids.
     """
     if cfg is None:
         cfg = ExplainerConfig(**expl_store.meta["config"])
-    base = InternalPredictor(base_store)
-    qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
-    prep = prepare_query(g, base, query, cfg, seed)
-    if prep is None:
-        comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
-        return ExplanationResult(query=qdict, empty=True, motifs=[], event_ranking=[],
-                                 retained={lv: [] for lv in levels},
-                                 comp_ids=[int(e) for e in comp.member_ids])
-    scores, _, _ = encode_and_score(Tape(expl_store), [prep])
-    sc = scores.value
-    ev_score = np.zeros(len(prep.comp_ids))
-    ev_score[np.searchsorted(prep.comp_ids, prep.covered_ids)] = nn.segment_max(
-        nn.gather_rows(scores, prep.pair_motif), prep.pair_cov, len(prep.covered_ids)).value
-    order = np.lexsort((-prep.comp_ids, -g.t[prep.comp_ids], -ev_score))
-    ranking = [(int(prep.comp_ids[i]), float(ev_score[i])) for i in order]
-    retained = {}
-    for lv in levels:
-        size = retained_size(lv, len(prep.comp_ids))
-        retained[lv] = sorted(e for e, _ in ranking[:size])
-    motifs = [{"code": code, "events": [int(e) for e in inst.event_ids],
-               "score": float(s), "truncated": inst.truncated}
-              for inst, code, s in zip(prep.instances, prep.codes, sc)]
-    return ExplanationResult(query=qdict, empty=False, motifs=motifs,
-                             event_ranking=ranking, retained=retained,
-                             comp_ids=[int(e) for e in prep.comp_ids])
+    preps = prepare_queries(g, InternalPredictor(base_store), queries, cfg, seeds)
+    scored = iter(encode_chunks(expl_store, [p for p in preps if p is not None], cfg.batch))
+    out = []
+    for query, prep in zip(queries, preps):
+        qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
+        if prep is None:
+            comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap).member_ids
+            out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in levels},
+                                         [int(e) for e in comp]))
+            continue
+        sc, _ = next(scored)
+        ev_score = np.zeros(len(prep.comp_ids))
+        ev_score[np.searchsorted(prep.comp_ids, prep.covered_ids)] = nn.segment_max(
+            nn.const(sc[prep.pair_motif]), prep.pair_cov, len(prep.covered_ids)).value
+        order = np.lexsort((-prep.comp_ids, -g.t[prep.comp_ids], -ev_score))
+        ranking = [(int(prep.comp_ids[i]), float(ev_score[i])) for i in order]
+        retained = {lv: sorted(e for e, _ in ranking[:retained_size(lv, len(prep.comp_ids))])
+                    for lv in levels}
+        motifs = [{"code": code, "events": [int(e) for e in inst.event_ids],
+                   "score": float(s), "truncated": inst.truncated}
+                  for inst, code, s in zip(prep.instances, prep.codes, sc)]
+        out.append(ExplanationResult(query=qdict, empty=False, motifs=motifs,
+                                     event_ranking=ranking, retained=retained,
+                                     comp_ids=[int(e) for e in prep.comp_ids]))
+    return out
 
 
-def motif_embeddings(g: TemporalGraph, base_store: ParameterStore,
-                     expl_store: ParameterStore, query: Event,
-                     cfg: ExplainerConfig | None = None, seed: int = 0) -> np.ndarray:
-    """Frozen-encoder embeddings of the motifs around one query (possibly empty)."""
-    if cfg is None:
-        cfg = ExplainerConfig(**expl_store.meta["config"])
-    base = InternalPredictor(base_store)
-    prep = prepare_query(g, base, query, cfg, seed)
-    if prep is None:
-        return np.zeros((0, expl_store.meta["h"]))
-    _, emb, _ = encode_and_score(Tape(expl_store), [prep])
-    return emb.value
+def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
+            query: Event, levels=SPARSITY_LEVELS, cfg: ExplainerConfig | None = None,
+            seed: int = 0) -> ExplanationResult:
+    """`explain_batch` for one query."""
+    return explain_batch(g, base_store, expl_store, [query], [seed], levels, cfg)[0]

@@ -159,13 +159,6 @@ def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N
     return out
 
 
-def sample_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
-                  l: int = DEFAULT_L, c: int = 1, delta: float | None = None,
-                  seed: int = 0) -> list[MotifInstance]:
-    """Draw C trajectories around one anchor: `sample_motif_batch` for a single anchor."""
-    return sample_motif_batch(g, [u0], [t0], [seed], n, l, c, delta)[0]
-
-
 def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
                      l: int = DEFAULT_L, delta: float | None = None,
                      max_events: int = ENUM_GUARD) -> list[MotifInstance]:

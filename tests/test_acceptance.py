@@ -20,12 +20,12 @@ from motifx.checks import substrate_grad_checks
 from motifx.cli import main as cli_main
 from motifx.evaluate import evaluate_explanations, train_motif_enhanced
 from motifx.explainer import (ExplainerConfig, encode_and_score, kl_empirical,
-                              kl_uniform, prepare_query, train_explainer)
+                              kl_uniform, prepare_queries, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.metrics import acc_auc, cohesiveness, fidelity
 from motifx.motifs import (anchor_time, census, code_alphabet,
                            empirical_class_probs, enumerate_motifs, motif_code,
-                           null_class_probs, null_model, sample_motifs,
+                           null_class_probs, null_model, sample_motif_batch,
                            total_variation)
 from motifx.nn import Tape
 
@@ -80,7 +80,7 @@ def test_criterion_1_motif_algebra():
             instances_validated += 1
         graphs_checked += 1
         if 0 < len(enum) <= 25:
-            sampled = set(sample_motifs(g, u0, t0, n=3, l=3, c=10_000, seed=k))
+            sampled = set(sample_motif_batch(g, [u0], [t0], [k], n=3, l=3, c=10_000)[0])
             assert sampled == set(enum)
             supports_compared += 1
     elapsed = time.perf_counter() - start
@@ -196,7 +196,7 @@ def wedge_class_margin(setup) -> tuple:
     bm = InternalPredictor(base)
     per_class = defaultdict(list)
     for q, _ in eval_queries(g, setup["test_ids"], seed=7)[:120]:
-        prep = prepare_query(g, bm, q, EXPL_CFG, seed=11)
+        prep = prepare_queries(g, bm, [q], EXPL_CFG, [11])[0]
         if prep is None:
             continue
         scores, _, _ = encode_and_score(Tape(expl), [prep])
@@ -286,10 +286,12 @@ def test_criterion_9_motif_enhanced(triadic, pa_pipeline):
          f"({deltas['preferential-attachment']:+.4f})")
     # the public single-query entry point must agree with the bulk scoring path
     from motifx.basemodel import motif_enhanced_predict
-    from motifx.explainer import motif_embeddings
+    from motifx.explainer import encode_chunks
     g = triadic["g"]
     q = g.event(int(triadic["test_ids"][0]))
-    embs = motif_embeddings(g, triadic["base"], triadic["expl"], q, cfg, seed=123)
+    prep = prepare_queries(g, InternalPredictor(triadic["base"]), [q], cfg, [123])[0]
+    embs = (np.zeros((0, cfg.h)) if prep is None
+            else encode_chunks(triadic["expl"], [prep], cfg.batch)[0][1])
     p = motif_enhanced_predict(enhanced, g, q, embs)
     assert 0.0 <= p <= 1.0
     zero_p = motif_enhanced_predict(enhanced, g, q, np.zeros((0, cfg.h)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motifx import basemodel, nn
-from motifx.basemodel import (ADAPTER_PROTOCOL, BaseConfig, ExternalAdapter,
+from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, BaseConfig, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
                               build_enhanced_store, build_query_cache,
                               empty_context_output, enhanced_probs, eval_queries,
@@ -227,11 +227,12 @@ class TestRowInvariance:
     def test_predict_views_equals_single_predicts(self, rows):
         g, store, caches, views = rows
         model = InternalPredictor(store)
-        q = g.event(250)
+        q, other = g.event(250), g.event(180)
         members = list(build_query_cache(g, q, 10).member_ids)
-        wanted = [None, set(), set(members[:3]), set(members[1::2])]
-        batched = model.predict_views(g, q, wanted)
-        assert batched.tolist() == [model.predict(g, q, v) for v in wanted]
+        wanted = [None, set(), set(members[:3]), set(members[1::2]), None]
+        queries = [q, q, other, q, other]
+        batched = model.predict_views(g, queries, wanted)
+        assert batched.tolist() == [model.predict(g, x, v) for x, v in zip(queries, wanted)]
 
     def test_chunked_batch_equals_one_forward(self, rows, monkeypatch):
         g, store, caches, views = rows
@@ -413,6 +414,15 @@ class TestAdapter:
         silent = "import time\ntime.sleep(30)\n"
         with pytest.raises(AdapterProtocolError, match="timed out"):
             ExternalAdapter(stub_cmd(silent), timeout=0.5)
+
+    def test_stderr_tail_of_a_crashed_child(self):
+        crash = ("import sys\nfor i in range(100):\n    print(f'trace line {i}', file=sys.stderr)\n"
+                 "sys.exit(3)\n")
+        with pytest.raises(AdapterProtocolError, match="process is gone") as info:
+            ExternalAdapter(stub_cmd(crash))
+        lines = str(info.value).splitlines()
+        assert lines[-STDERR_TAIL:] == [f"trace line {i}" for i in range(100 - STDERR_TAIL, 100)]
+        assert f"trace line {99 - STDERR_TAIL}" not in lines
 
     def test_thousand_calls_under_ten_seconds(self, small_graph):
         q = small_graph.event(100)

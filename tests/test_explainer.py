@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from motifx import nn
 from motifx.basemodel import BaseConfig, InternalPredictor, build_base_store
-from motifx.errors import InvariantError, NonFiniteError
-from motifx.explainer import (ExplainerConfig, build_explainer_store,
-                              encode_and_score, explain, ib_loss,
-                              kl_empirical, kl_uniform,
-                              motif_embeddings, prepare_queries, prepare_query,
+from motifx.errors import ConfigError, InvariantError, NonFiniteError
+from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
+                              encode_chunks, explain, explain_batch, ib_loss,
+                              kl_empirical, kl_uniform, prepare_queries,
                               query_objective, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.layers import PROB_EPS
@@ -35,6 +34,14 @@ def setup():
     return g, base_store, expl_store, ecfg
 
 
+def perturbed(store, seed):
+    out = store.copy()
+    rng = np.random.default_rng(seed)
+    for name in out.arrays:
+        out.arrays[name] = out.arrays[name] + rng.normal(0, 0.3, out.arrays[name].shape)
+    return out
+
+
 def kl_u(scores, p) -> float:
     return float(kl_uniform(nn.const(scores), p).value)
 
@@ -45,6 +52,12 @@ def kl_e(scores, codes, p, m) -> float:
 
 def ib(preds, labels, kl, beta) -> float:
     return float(ib_loss(nn.const(preds), labels, nn.const(kl), beta).value)
+
+
+class TestConfig:
+    def test_unknown_prior_rejected(self):
+        with pytest.raises(ConfigError, match="unifrom"):
+            ExplainerConfig(prior="unifrom")
 
 
 class TestKLUniform:
@@ -165,7 +178,7 @@ class TestEncoderInputs:
                 assert np.asarray(got).dtype == np.asarray(want[name]).dtype, name
             truncated += sum(inst.truncated for inst in prep.instances)
             repeated += int(prep.h_block.max() > 1)
-            alone = prepare_query(g, base, q, cfg, sd)
+            alone = prepare_queries(g, base, [q], cfg, [sd])[0]
             assert _same(alone, prep)
         assert truncated and repeated
 
@@ -174,30 +187,31 @@ class TestScorer:
     def test_zero_init_scores_half(self, setup):
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
-        prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
+        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         assert prep is not None
         scores, _, _ = encode_and_score(Tape(expl_store), [prep])
         assert np.allclose(scores.value, 0.5)
 
     def test_scores_independent_of_batch_composition(self, setup):
         g, base_store, expl_store, ecfg = setup
-        store = expl_store.copy()
-        rng = np.random.default_rng(8)
-        for name in store.arrays:
-            store.arrays[name] = store.arrays[name] + rng.normal(0, 0.3, store.arrays[name].shape)
+        store = perturbed(expl_store, 8)
         base = InternalPredictor(base_store)
-        p1 = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
-        p2 = prepare_query(g, base, g.event(g.n_events - 2), ecfg, seed=2)
-        solo, _, _ = encode_and_score(Tape(store), [p1])
-        both, _, counts = encode_and_score(Tape(store), [p1, p2])
-        assert np.allclose(solo.value, both.value[:counts[0]], atol=1e-12)
+        ks = range(1, 41)
+        preps = prepare_queries(g, base, [g.event(g.n_events - k) for k in ks], ecfg, list(ks))
+        preps = [p for p in preps if p is not None]
+        scores, embs, counts = encode_and_score(Tape(store), preps)
+        cuts = np.cumsum(counts)[:-1]
+        for prep, sc, emb in zip(preps, np.split(scores.value, cuts), np.split(embs.value, cuts)):
+            solo, solo_emb, _ = encode_and_score(Tape(store), [prep])
+            assert np.array_equal(solo.value, sc)
+            assert np.array_equal(solo_emb.value, emb)
 
     def test_scores_clamped_interior(self, setup):
         g, base_store, expl_store, ecfg = setup
         store = expl_store.copy()
         store.arrays["score2.w"] = np.full_like(store.arrays["score2.w"], 100.0)
         base = InternalPredictor(base_store)
-        prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
+        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         scores, _, _ = encode_and_score(Tape(store), [prep])
         assert np.all(scores.value <= 1.0 - PROB_EPS)
         assert np.all(scores.value >= PROB_EPS)
@@ -205,7 +219,7 @@ class TestScorer:
     def test_importance_scores_shape(self, setup):
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
-        preps = [prepare_query(g, base, g.event(g.n_events - k), ecfg, seed=k) for k in (1, 2)]
+        preps = [prepare_queries(g, base, [g.event(g.n_events - k)], ecfg, [k])[0] for k in (1, 2)]
         scores, _, counts = encode_and_score(Tape(expl_store), preps)
         assert counts == [len(p.instances) for p in preps]
         assert scores.value.shape == (sum(counts),)
@@ -215,7 +229,7 @@ class TestEncoder:
     def test_duplicate_instances_identical_embeddings(self, setup):
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
-        prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
+        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         dup_ix = [i for i, a in enumerate(prep.instances)
                   for j, b in enumerate(prep.instances)
                   if i < j and a.event_ids == b.event_ids]
@@ -228,15 +242,18 @@ class TestEncoder:
     def test_embedding_width(self, setup):
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
-        prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
+        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         assert emb.value.shape == (len(prep.instances), ecfg.h)
 
     def test_motif_embeddings_helper(self, setup):
         g, base_store, expl_store, ecfg = setup
-        embs = motif_embeddings(g, base_store, expl_store, g.event(g.n_events - 1),
-                                ecfg, seed=3)
-        assert embs.ndim == 2 and embs.shape[1] == ecfg.h
+        base = InternalPredictor(base_store)
+        preps = prepare_queries(g, base, [g.event(g.n_events - k) for k in (1, 2, 3)], ecfg, [3] * 3)
+        scored = encode_chunks(expl_store, preps, batch=2)
+        for prep, (scores, embs) in zip(preps, scored):
+            assert embs.ndim == 2 and embs.shape[1] == ecfg.h
+            assert scores.shape == (len(prep.instances),) == embs.shape[:1]
 
 
 class TestFirstBatchLoss:
@@ -245,7 +262,7 @@ class TestFirstBatchLoss:
         CE(soft prediction from alpha(0.5, u)) + beta * KL(0.5-vector)."""
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
-        prep = prepare_query(g, base, g.event(g.n_events - 1), ecfg, seed=1)
+        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         rng = np.random.default_rng(17)
         draws = rng.uniform(0.1, 0.9, size=len(prep.instances))
         tape = Tape(expl_store)
@@ -298,10 +315,7 @@ class TestExplain:
 
     def test_event_score_is_max_over_containing_motifs(self, setup):
         g, base_store, expl_store, ecfg = setup
-        store = expl_store.copy()
-        rng = np.random.default_rng(9)
-        for name in store.arrays:
-            store.arrays[name] = store.arrays[name] + rng.normal(0, 0.3, store.arrays[name].shape)
+        store = perturbed(expl_store, 9)
         for k in (1, 2, 3):
             res = explain(g, base_store, store, g.event(g.n_events - k), cfg=ecfg, seed=k)
             want = {e: max([m["score"] for m in res.motifs if e in m["events"]], default=0.0)
@@ -349,3 +363,40 @@ class TestExplain:
         assert all(set(m) == {"code", "events", "score", "truncated"}
                    for m in payload["motifs"])
         assert "0.30" in payload["retained"]
+
+
+class TestRowInvariance:
+    """Each query's explanation is byte-identical alone and inside batches of any size."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, setup):
+        g, base_store, expl_store, ecfg = setup
+        store = perturbed(expl_store, 10)
+        # two motifs per endpoint at most, so some early query keeps a single motif (a
+        # lone scorer row); four queries per encoder chunk, so chunk boundaries move
+        cfg = ExplainerConfig(**{**ecfg.__dict__, "c": 2, "batch": 4})
+        queries = [g.event(e) for e in range(1, 13)]
+        queries += [g.event(g.n_events - k) for k in range(1, 21)]
+        queries.append(query_event(0, 1, float(g.t[0])))  # no history: an empty result
+        seeds = [k % 2 for k in range(len(queries))]
+        alone = [explain(g, base_store, store, q, cfg=cfg, seed=sd).to_json()
+                 for q, sd in zip(queries, seeds)]
+        return g, base_store, store, cfg, queries, seeds, alone
+
+    def test_alone_equals_inside_batches(self, batch):
+        g, base_store, store, cfg, queries, seeds, alone = batch
+        n = len(queries)
+        sizes = [len(json.loads(a)["motifs"]) for a in alone]
+        assert 0 in sizes and 1 in sizes and max(sizes) > 1
+        whole = explain_batch(g, base_store, store, queries, seeds, cfg=cfg)
+        assert [r.to_json() for r in whole] == alone
+        for size in (2, 3):
+            for i in range(n):
+                pick = [(i + j * 7) % n for j in range(size)]
+                got = explain_batch(g, base_store, store, [queries[k] for k in pick],
+                                    [seeds[k] for k in pick], cfg=cfg)
+                assert [r.to_json() for r in got] == [alone[k] for k in pick], (size, i)
+
+    def test_empty_query_set(self, batch):
+        g, base_store, store, cfg, _, _, _ = batch
+        assert explain_batch(g, base_store, store, [], [], cfg=cfg) == []

@@ -12,7 +12,7 @@ from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
 from motifx.motifs import (MotifInstance, _below, _count_terms, anchor_time, census,
                            code_alphabet, empirical_class_probs, enumerate_motifs,
                            graph_census, motif_code, null_class_probs, null_model,
-                           sample_motif_batch, sample_motifs, total_variation)
+                           sample_motif_batch, total_variation)
 
 from conftest import random_graph
 from oracles import (admissible, anchored_equivalent, enumerate_reference,
@@ -26,27 +26,27 @@ def inst(anchor, pairs, times, t0=100.0, truncated=False):
 
 class TestSampling:
     def test_chain_unique_trajectory(self, chain_graph):
-        out = sample_motifs(chain_graph, 3, 4.0, n=4, l=3, c=5, seed=1)
+        out = sample_motif_batch(chain_graph, [3], [4.0], [1], n=4, l=3, c=5)[0]
         assert len(out) == 5
         assert all(m.event_ids == (2, 1, 0) for m in out)
         assert all(not m.truncated for m in out)
 
     def test_chain_single_event(self, chain_graph):
-        out = sample_motifs(chain_graph, 3, 4.0, n=4, l=1, c=5, seed=1)
+        out = sample_motif_batch(chain_graph, [3], [4.0], [1], n=4, l=1, c=5)[0]
         assert all(m.event_ids == (2,) for m in out)
 
     def test_no_history_returns_empty(self, chain_graph):
-        assert sample_motifs(chain_graph, 0, 1.0, n=3, l=3, c=5, seed=0) == []
+        assert sample_motif_batch(chain_graph, [0], [1.0], [0], n=3, l=3, c=5)[0] == []
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic("uniform-random", 10, 60, seed=2)
-        a = sample_motifs(g, 3, 61.0, n=3, l=3, c=50, seed=9)
-        b = sample_motifs(g, 3, 61.0, n=3, l=3, c=50, seed=9)
+        a = sample_motif_batch(g, [3], [61.0], [9], n=3, l=3, c=50)[0]
+        b = sample_motif_batch(g, [3], [61.0], [9], n=3, l=3, c=50)[0]
         assert a == b
 
     def test_delta_window_respected(self):
         g = generate_synthetic("uniform-random", 8, 50, seed=4)
-        out = sample_motifs(g, 2, 51.0, n=3, l=3, c=200, seed=1, delta=5.0)
+        out = sample_motif_batch(g, [2], [51.0], [1], n=3, l=3, c=200, delta=5.0)[0]
         for m in out:
             assert 51.0 - m.times[-1] <= 5.0
 
@@ -57,7 +57,7 @@ class TestSampling:
         u0 = int(rng.integers(g.node_count))
         t0 = float(g.n_events + 1)
         delta = None if seed % 2 else float(rng.integers(5, 40))
-        for m in sample_motifs(g, u0, t0, n=3, l=3, c=60, seed=seed, delta=delta):
+        for m in sample_motif_batch(g, [u0], [t0], [seed], n=3, l=3, c=60, delta=delta)[0]:
             assert validate_instance(g, m, u0, t0, 3, 3, delta) == []
 
 
@@ -70,7 +70,7 @@ class TestBatchKernel:
         delta = None if seed % 3 else float(rng.integers(2, 15))
         u0 = int(rng.integers(g.node_count))
         t0 = float(rng.choice(g.t)) + (0.5 if seed % 4 else 0.0)
-        got = [m.event_ids for m in sample_motifs(g, u0, t0, n, l, c=40, delta=delta, seed=seed)]
+        got = [m.event_ids for m in sample_motif_batch(g, [u0], [t0], [seed], n, l, 40, delta)[0]]
         assert got == reference_sample_motifs(g, u0, t0, n, l, 40, delta, seed)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -87,7 +87,7 @@ class TestBatchKernel:
         batch = sample_motif_batch(g, anchors, t0s, seeds, n=3, l=3, c=15, delta=delta)
         assert len(batch) == k
         for a, t0, sd, got in zip(anchors, t0s, seeds, batch):
-            assert got == sample_motifs(g, int(a), float(t0), 3, 3, 15, delta, int(sd))
+            assert got == sample_motif_batch(g, [a], [t0], [sd], 3, 3, 15, delta)[0]
         assert batch[2] == []
 
     def test_empty_batch_and_empty_graph(self, chain_graph):
@@ -157,8 +157,8 @@ class TestLaw:
         probs = np.array([trajectory_probability(g, u0, t0, n, ids, delta) for ids in support])
         assert len(support) >= 3 and probs.sum() == pytest.approx(1.0, abs=1e-12)
         draws = 20_000
-        counts = Counter(m.event_ids for m in sample_motifs(g, u0, t0, n, l, c=draws,
-                                                            delta=delta, seed=seed))
+        counts = Counter(m.event_ids for m in sample_motif_batch(g, [u0], [t0], [seed], n, l,
+                                                                 draws, delta)[0])
         assert set(counts) <= set(support)
         observed = np.array([counts[ids] for ids in support], dtype=np.float64)
         expected = draws * probs
@@ -193,7 +193,7 @@ class TestEnumeration:
     def test_same_support_as_sequential(self):
         g = generate_synthetic("uniform-random", 6, 25, seed=3)
         t0 = 26.0
-        seq = {m for m in sample_motifs(g, 1, t0, n=3, l=3, c=20_000, seed=0)}
+        seq = set(sample_motif_batch(g, [1], [t0], [0], n=3, l=3, c=20_000)[0])
         assert seq == set(enumerate_motifs(g, 1, t0, n=3, l=3))
 
     def test_size_guard(self):
@@ -220,7 +220,7 @@ class TestEnumeration:
         enum = set(enumerate_motifs(g, u0, t0, n=3, l=3))
         if len(enum) > 25:
             pytest.skip("support too large for exhaustive sampling comparison")
-        sampled = set(sample_motifs(g, u0, t0, n=3, l=3, c=10_000, seed=seed))
+        sampled = set(sample_motif_batch(g, [u0], [t0], [seed], n=3, l=3, c=10_000)[0])
         assert sampled == enum
 
 
@@ -359,11 +359,11 @@ def test_sampling_cost_scales_about_linearly_in_c():
     """Trend report only: doubling C should roughly double sampling time."""
     g = generate_synthetic("uniform-random", 20, 150, seed=1)
     t0 = float(g.n_events + 1)
-    sample_motifs(g, 0, t0, n=3, l=3, c=500, seed=0)  # warm the candidate cache
+    sample_motif_batch(g, [0], [t0], [0], n=3, l=3, c=500)  # warm up
     timings = []
     for c in (2000, 4000, 8000):
         start = time.perf_counter()
-        sample_motifs(g, 0, t0, n=3, l=3, c=c, seed=0)
+        sample_motif_batch(g, [0], [t0], [0], n=3, l=3, c=c)
         timings.append(time.perf_counter() - start)
     r1 = timings[1] / timings[0]
     r2 = timings[2] / timings[1]
@@ -403,8 +403,8 @@ class TestByteIdentityPin:
     def test_sample_motifs_event_ids(self, hubs):
         # a duration window that truncates some walkers, and a third step
         # that runs with the 3-node budget full
-        out = sample_motifs(hubs, 5, anchor_time(hubs, 5), n=3, l=3, c=10,
-                            delta=200.0, seed=9)
+        out = sample_motif_batch(hubs, [5], [anchor_time(hubs, 5)], [9], n=3, l=3, c=10,
+                                 delta=200.0)[0]
         assert [m.event_ids for m in out] == [
             (1888, 1836, 1802), (1859, 1803, 1801), (1802, 1796), (1989, 1833, 1831),
             (1888, 1837, 1802), (1802, 1796), (1888, 1808, 1802), (1802, 1796),
