@@ -36,7 +36,8 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .errors import AdapterProtocolError, ConfigError, NonFiniteError, ShapeError
+from .config import check_ranges
+from .errors import AdapterProtocolError, NonFiniteError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
 from .metrics import average_precision
@@ -60,8 +61,7 @@ class BaseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_nb < 1:
-            raise ConfigError(f"k_nb={self.k_nb}: each endpoint needs at least one slot")
+        check_ranges(self)
 
 
 def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:

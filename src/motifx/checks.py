@@ -25,12 +25,12 @@ def _perturb(store: ParameterStore, rng: np.random.Generator, scale: float = 0.2
 
 
 def _check_over_points(build_loss, store: ParameterStore, points: int, seed: int,
-                       eps: float = 1e-5, max_coords: int = 4) -> float:
+                       eps: float = 1e-5, max_coords: int = 4, perturb=_perturb) -> float:
     worst = 0.0
     for k in range(points):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC4EC, k])))
         trial = store.copy()
-        _perturb(trial, rng)
+        perturb(trial, rng)
         worst = max(worst, grad_check(build_loss, trial, eps=eps, rng=rng,
                                       max_coords=max_coords))
     return worst
@@ -75,14 +75,10 @@ def concrete_check(points: int = 1, seed: int = 0) -> float:
     def loss(tape: Tape):
         return nn.vsum(nn.mul(concrete_sample(tape.param("p"), 0.5, draws), nn.const(probe)))
 
-    # keep probabilities inside (0, 1) when perturbing
-    worst = 0.0
-    for k in range(points):
-        prng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC4EC, k])))
-        trial = store.copy()
-        trial.arrays["p"] = np.clip(trial.arrays["p"] + prng.uniform(-0.1, 0.1, 4), 0.02, 0.98)
-        worst = max(worst, grad_check(loss, trial, eps=1e-6, rng=prng))
-    return worst
+    def inside(trial: ParameterStore, rng: np.random.Generator) -> None:
+        """Perturb the probabilities, keeping them inside (0, 1)."""
+        trial.arrays["p"] = np.clip(trial.arrays["p"] + rng.uniform(-0.1, 0.1, 4), 0.02, 0.98)
+    return _check_over_points(loss, store, points, seed, eps=1e-6, perturb=inside)
 
 
 def _toy_pipeline(seed: int = 0):
@@ -94,17 +90,18 @@ def _toy_pipeline(seed: int = 0):
     ecfg = ExplainerConfig(c=4, n=3, l=3, d_time=4, h=8, seed=seed, per_hop_cap=8)
     expl_store = build_explainer_store(g, base_store.meta, ecfg)
     base = InternalPredictor(base_store)
-    query = g.event(g.n_events - 1)
-    prep = prepare_queries(g, base, [query], ecfg, [seed])[0]
-    assert prep is not None, "toy pipeline produced no motifs"
-    return g, base_store, expl_store, ecfg, prep
+    queries = [g.event(g.n_events - 1), g.event(g.n_events - 2)]
+    preps = prepare_queries(g, base, queries, ecfg, [seed, seed + 1])
+    assert all(p is not None for p in preps), "toy pipeline produced no motifs"
+    # a class in both queries, so the (query, class) segments of the KL are checked
+    assert set(preps[0].codes) & set(preps[1].codes), "toy queries share no motif class"
+    return g, base_store, expl_store, ecfg, preps
 
 
 def motif_encoder_check(points: int = 1, seed: int = 0) -> float:
-    _, _, expl_store, _, prep = _toy_pipeline(seed)
+    _, _, expl_store, _, (prep, _) = _toy_pipeline(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 6])))
-    n_motifs = len(prep.instances)
-    probe = rng.normal(size=(n_motifs, expl_store.meta["h"]))
+    probe = rng.normal(size=(len(prep.ids), expl_store.meta["h"]))
 
     def loss(tape: Tape):
         _, emb, _ = encode_and_score(tape, [prep])
@@ -113,7 +110,7 @@ def motif_encoder_check(points: int = 1, seed: int = 0) -> float:
 
 
 def scorer_check(points: int = 1, seed: int = 0) -> float:
-    _, _, expl_store, _, prep = _toy_pipeline(seed)
+    _, _, expl_store, _, (prep, _) = _toy_pipeline(seed)
 
     def loss(tape: Tape):
         scores, _, _ = encode_and_score(tape, [prep])
@@ -122,17 +119,17 @@ def scorer_check(points: int = 1, seed: int = 0) -> float:
 
 
 def objective_check(points: int = 1, seed: int = 0) -> float:
-    g, base_store, expl_store, ecfg, prep = _toy_pipeline(seed)
+    g, base_store, expl_store, ecfg, preps = _toy_pipeline(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
-    draws = rng.uniform(0.1, 0.9, size=len(prep.instances))
+    draws = rng.uniform(0.1, 0.9, size=sum(len(p.ids) for p in preps))
     null_probs = None
     if ecfg.prior == "empirical":
         from .motifs import null_class_probs
         null_probs = null_class_probs(g, ecfg.n, ecfg.l, c_per_node=4, seed=seed)
 
     def loss(tape: Tape):
-        scores, _, _ = encode_and_score(tape, [prep])
-        return query_objective(base_store, g, [prep], scores, draws, ecfg, null_probs)
+        scores, _, _ = encode_and_score(tape, preps)
+        return query_objective(base_store, g, preps, scores, draws, ecfg, null_probs)
     return _check_over_points(loss, expl_store, points, seed)
 
 

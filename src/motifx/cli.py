@@ -62,13 +62,14 @@ def _emit_warnings(cfg: RunConfig) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
+def _stage_cfg(kind, cfg: RunConfig, **renamed):
+    """The stage config `kind`: `renamed` plus every other field RunConfig has by name."""
+    names = {f.name for f in dataclasses.fields(kind)} - set(renamed)
+    return kind(**{name: value for name, value in vars(cfg).items() if name in names}, **renamed)
+
+
 def _explainer_cfg(cfg: RunConfig) -> ExplainerConfig:
-    return ExplainerConfig(
-        c=cfg.c, n=cfg.n, l=cfg.l, delta=cfg.delta, d_time=cfg.d_time, h=cfg.h,
-        gine_depth=cfg.gine_depth, prior=cfg.prior, p=cfg.p, beta=cfg.beta,
-        lam=cfg.lam, lr=cfg.lr, epochs=cfg.expl_epochs, batch=cfg.batch,
-        hops=cfg.hops, per_hop_cap=cfg.per_hop_cap, seed=cfg.seed,
-        max_train_queries=cfg.max_train_queries)
+    return _stage_cfg(ExplainerConfig, cfg, epochs=cfg.expl_epochs)
 
 
 # -- commands -------------------------------------------------------------------
@@ -121,10 +122,8 @@ def cmd_null_census(args, cfg: RunConfig) -> int:
 def cmd_train_base(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    bcfg = BaseConfig(h=cfg.h, d_time=cfg.d_time_base, k_nb=cfg.k_nb, lr=cfg.lr,
-                      epochs=cfg.base_epochs, batch=cfg.batch, patience=cfg.patience,
-                      seed=cfg.seed)
-    store, report = train_base(g, bcfg)
+    store, report = train_base(g, _stage_cfg(BaseConfig, cfg, d_time=cfg.d_time_base,
+                                             epochs=cfg.base_epochs))
     out = run_dir / FILES["base"]
     store.save(out)
     write_manifest(run_dir / (FILES["base"] + ".manifest.json"), "train-base", cfg)
@@ -241,12 +240,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     for f in dataclasses.fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
+        kind = f.type.split(" | ")[0]  # the annotation, without "| None"
+        if kind == "bool":
             parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
         else:
-            caster = float if f.name in ("p", "beta", "lam", "lr", "delta") else \
-                (str if f.name in ("csv", "rule", "prior") else int)
-            parser.add_argument(flag, type=caster, default=argparse.SUPPRESS)
+            parser.add_argument(flag, type={"int": int, "float": float, "str": str}[kind],
+                                default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,24 @@ from . import __version__
 from .errors import ConfigError
 
 # ranges the published sweeps explored; values outside them still run, with a warning
-C_RANGE = (20, 100)
-BETA_RANGE = (0.2, 1.0)
-P_RANGE = (0.1, 0.8)
+EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
 PRIORS = ("uniform", "empirical")
+# the values each field can run with, in every config that has the field
+RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
+                         (lambda v: v >= 1, "at least 1")),
+         "n_queries": (lambda v: v >= 0, "at least 0"),
+         "p": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+         "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}")}
 # JSON value types each annotation accepts; a bool is never an int or a float
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def check_ranges(cfg) -> None:
+    """Raise ConfigError for the first field of the dataclass `cfg` that breaks its rule."""
+    for name in [f.name for f in dataclasses.fields(cfg) if f.name in RULES]:
+        ok, need = RULES[name]
+        if not ok(getattr(cfg, name)):
+            raise ConfigError(f"{name}={getattr(cfg, name)!r}: must be {need}")
 
 
 @dataclass
@@ -67,20 +79,11 @@ class RunConfig:
                 raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
             if "float" in kinds and type(value) is int:  # same config, same manifest hash
                 setattr(self, f.name, float(value))
-        if self.prior not in PRIORS:
-            raise ConfigError(f"prior={self.prior!r} is not one of {'/'.join(PRIORS)}")
-        if self.k_nb < 1:
-            raise ConfigError(f"k_nb={self.k_nb}: each endpoint needs at least one slot")
+        check_ranges(self)
 
     def warnings(self) -> list[str]:
-        out = []
-        if not (C_RANGE[0] <= self.c <= C_RANGE[1]):
-            out.append(f"c={self.c} outside the explored range {C_RANGE}")
-        if not (BETA_RANGE[0] <= self.beta <= BETA_RANGE[1]):
-            out.append(f"beta={self.beta} outside the explored range {BETA_RANGE}")
-        if not (P_RANGE[0] <= self.p <= P_RANGE[1]):
-            out.append(f"p={self.p} outside the explored range {P_RANGE}")
-        return out
+        return [f"{name}={getattr(self, name)} outside the explored range {(lo, hi)}"
+                for name, (lo, hi) in EXPLORED.items() if not lo <= getattr(self, name) <= hi]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -8,6 +8,10 @@ model's visible events by those scores preserves the original prediction
 (KL term, either uniform or referenced to the null model's class
 frequencies).
 
+A query's motifs are rows of the walker's event-id block; their codes and
+the encoder's node maps both come from `motifs.first_touch`. A minibatch's
+objective is one soft-masked base forward and one segment-summed KL call.
+
 The scorer is the base model's `_head` with the prefix "score", so each
 motif's embedding and score are bit-identical alone or in any batch, and
 `explain_batch` gives each query of a set the bytes it gets alone.
@@ -22,13 +26,13 @@ import numpy as np
 from . import nn
 from .basemodel import (InternalPredictor, QueryCache, _bce, _head, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
-from .config import PRIORS
-from .errors import ConfigError, InvariantError, NonFiniteError
+from .config import check_ranges
+from .errors import InvariantError, NonFiniteError
 from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
-from .motifs import motif_code, null_class_probs, sample_motif_batch
+from .motifs import endpoint_rows, first_touch, motif_codes, null_class_probs, sample_id_block
 from .nn import ParameterStore, Tape, Var
 
 
@@ -55,8 +59,7 @@ class ExplainerConfig:
     max_train_queries: int | None = None
 
     def __post_init__(self):
-        if self.prior not in PRIORS:
-            raise ConfigError(f"prior={self.prior!r} is not one of {'/'.join(PRIORS)}")
+        check_ranges(self)
 
 
 def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfig) -> ParameterStore:
@@ -83,12 +86,14 @@ def query_seed(seed: int, qidx: int) -> int:
 
 @dataclass
 class QueryPrep:
-    """Everything reusable across epochs for one training/eval query."""
+    """Everything reusable across epochs for one training/eval query: its motifs as the
+    rows of an (M, l) event-id block padded with -1, their M codes, and the encoder
+    inputs built from that block."""
     query: Event
     label: int
     qc: QueryCache
     comp_ids: np.ndarray
-    instances: list
+    ids: np.ndarray
     codes: list
     ctx: np.ndarray
     covered_ids: np.ndarray
@@ -102,73 +107,65 @@ class QueryPrep:
     attrs_block: np.ndarray
     h_block: np.ndarray
     dts: np.ndarray
-    n_nodes: int
-    n_events: int
 
 
-def _encoder_inputs(g: TemporalGraph, t: float, instances: list, comp_ids: np.ndarray,
-                    l: int) -> dict:
+def _encoder_inputs(g: TemporalGraph, t: float, ids: np.ndarray, comp_ids: np.ndarray) -> dict:
     """QueryPrep's encoder arrays, from the instances' (M, l) event-id block padded with -1.
 
-    Each instance numbers its nodes by first touch over u_0, v_0, u_1, v_1, ...;
+    Each instance numbers its nodes by `first_touch` over u_0, v_0, u_1, v_1, ...;
     an event gives edges u -> v and v -> u. An event's h row counts, for each
     position j < l, the events at position j of any instance that join the
     same unordered node pair: timestamps and instance order do not enter, and
     a truncated instance counts only at the positions it fills.
     """
-    lens = np.array([len(inst) for inst in instances], dtype=np.int64)
-    valid = np.arange(l) < lens[:, None]
-    ids = np.full(valid.shape, -1, dtype=np.int64)
-    ids[valid] = [e for inst in instances for e in inst.event_ids]
-    flat = ids[valid]
-    ends = np.where(valid[:, :, None], np.stack([g.src[ids], g.dst[ids]], axis=2), -1)
-    ends = ends.reshape(len(instances), 2 * l)
-    first = (ends[:, :, None] == ends[:, None, :]).argmax(axis=2)  # first slot with that node
-    fresh = (first == np.arange(2 * l)) & (ends >= 0)
-    nodes_per = fresh.sum(axis=1)
-    local = np.take_along_axis(np.cumsum(fresh, axis=1) - 1, first, axis=1)
+    valid = ids >= 0
+    rows, pos = np.nonzero(valid)
+    flat = ids[rows, pos]
+    local = first_touch(endpoint_rows(g, ids))
+    nodes_per = local.max(axis=1) + 1
     local += (np.cumsum(nodes_per) - nodes_per)[:, None]
     ia, ib = local[:, 0::2][valid], local[:, 1::2][valid]
     src, dst = g.src[flat], g.dst[flat]
     _, pair = np.unique(np.minimum(src, dst) * g.node_count + np.maximum(src, dst),
                         return_inverse=True)
-    h = np.zeros((len(flat), l))
-    np.add.at(h, (pair, np.nonzero(valid)[1]), 1.0)
+    h = np.zeros((len(flat), ids.shape[1]))
+    np.add.at(h, (pair, pos), 1.0)
     in_comp = np.isin(flat, comp_ids)
     covered, pair_cov = np.unique(flat[in_comp], return_inverse=True)
     return dict(covered_ids=covered, pair_cov=pair_cov,
-                pair_motif=np.repeat(np.arange(len(instances)), lens)[in_comp],
-                node_seg=np.repeat(np.arange(len(instances)), nodes_per),
+                pair_motif=rows[in_comp],
+                node_seg=np.repeat(np.arange(len(ids)), nodes_per),
                 edge_src=np.stack([ia, ib], axis=1).reshape(-1),
                 edge_dst=np.stack([ib, ia], axis=1).reshape(-1),
                 edge_event=np.repeat(np.arange(len(flat)), 2),
-                attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat],
-                n_nodes=int(nodes_per.sum()), n_events=len(flat))
+                attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat])
 
 
 def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
                     cfg: ExplainerConfig, seeds: list) -> list[QueryPrep | None]:
-    """Per query, its prep, or None without computational graph or motifs. One kernel
+    """Per query, its prep, or None without computational graph or motifs. One walker
     call samples C motifs around each endpoint (query i's seed drives both) and drops
     single-event ones: they carry no order information and sit outside the class
     vocabulary. Each prep equals the one made alone."""
     comps = [computational_graph(g, q, cfg.hops, cfg.per_hop_cap) for q in queries]
     todo = [i for i, comp in enumerate(comps) if len(comp)]
-    per_anchor = sample_motif_batch(g, [x for i in todo for x in (queries[i].u, queries[i].v)],
-                                    [queries[i].t for i in todo for _ in range(2)],
-                                    [seeds[i] for i in todo for _ in range(2)],
-                                    cfg.n, cfg.l, cfg.c, cfg.delta)
-    found = [[m for m in per_anchor[2 * k] + per_anchor[2 * k + 1] if len(m) >= 2]
-             for k in range(len(todo))]
-    todo = [(i, insts) for i, insts in zip(todo, found) if insts]
-    caches = [build_query_cache(g, queries[i], base.k_nb) for i, _ in todo]
+    anchors = np.array([x for i in todo for x in (queries[i].u, queries[i].v)], dtype=np.int64)
+    ids, live = sample_id_block(g, anchors, [queries[i].t for i in todo for _ in range(2)],
+                                [seeds[i] for i in todo for _ in range(2)],
+                                cfg.n, cfg.l, cfg.c, cfg.delta)
+    kept = (ids >= 0).sum(axis=1) >= 2
+    ids, row_anchor = ids[kept], np.repeat(live, cfg.c)[kept]
+    codes = motif_codes(endpoint_rows(g, ids), anchors[row_anchor])
+    cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
+    todo = [(i, lo, hi) for i, lo, hi in zip(todo, cuts[:-1], cuts[1:]) if hi > lo]
+    caches = [build_query_cache(g, queries[i], base.k_nb) for i, _, _ in todo]
     probs, ctxs = predict_batch(base.store, g, caches)  # labels and contexts: the full view
     out: list[QueryPrep | None] = [None] * len(queries)
-    for (i, insts), qc, prob, ctx in zip(todo, caches, probs, ctxs):
+    for (i, lo, hi), qc, prob, ctx in zip(todo, caches, probs, ctxs):
         query, comp_ids = queries[i], comps[i].member_ids
         out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
-                           instances=insts, codes=[motif_code(inst) for inst in insts], ctx=ctx,
-                           **_encoder_inputs(g, query.t, insts, comp_ids, cfg.l))
+                           ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
+                           **_encoder_inputs(g, query.t, ids[lo:hi], comp_ids))
     return out
 
 
@@ -181,12 +178,12 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
     cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
     # a query's node, event and motif indices, shifted past the queries before it
     shifted = lambda name, off: np.concatenate([getattr(p, name) + o for p, o in zip(preps, off)])
-    counts = [len(p.instances) for p in preps]
+    counts = [len(p.ids) for p in preps]
     m_off = np.cumsum([0] + counts)
-    n_off = np.cumsum([0] + [p.n_nodes for p in preps])
+    n_off = np.cumsum([0] + [len(p.node_seg) for p in preps])
     src, dst = shifted("edge_src", n_off), shifted("edge_dst", n_off)
     order = np.lexsort((src, dst))  # fixed aggregation order: by target then source
-    eev = shifted("edge_event", np.cumsum([0] + [p.n_events for p in preps]))[order]
+    eev = shifted("edge_event", np.cumsum([0] + [len(p.dts) for p in preps]))[order]
     src, dst = src[order], dst[order]
 
     feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"), tape.param("time_w"))
@@ -217,44 +214,49 @@ def encode_chunks(expl_store: ParameterStore, preps: list[QueryPrep],
 
 # -- losses ---------------------------------------------------------------------
 
-def kl_uniform(scores: Var, prior_p: float) -> Var:
-    """KL of independent Bernoulli scores against a shared prior probability.
+def kl_uniform(scores: Var, query: np.ndarray, prior_p: float) -> Var:
+    """Per query, the KL of its motifs' independent Bernoulli scores against a shared prior.
 
-    Sum over motifs of p_I log(p_I / p) + (1 - p_I) log((1 - p_I) / (1 - p)).
-    Zero when every score equals the prior; never negative.
+    Motif i belongs to query query[i] of 0..B-1. Query b gets the sum over its motifs
+    of p_I log(p_I / p) + (1 - p_I) log((1 - p_I) / (1 - p)): zero when every score
+    equals the prior, never negative. Returns a (B,) Var.
     """
     one = nn.const(1.0)
     pos = nn.mul(scores, nn.log(nn.scale(scores, 1.0 / prior_p)))
     neg = nn.mul(nn.sub(one, scores),
                  nn.log(nn.scale(nn.sub(one, scores), 1.0 / (1.0 - prior_p))))
-    return nn.vsum(nn.add(pos, neg))
+    return nn.segment_sum(nn.add(pos, neg), query, int(np.max(query)) + 1)
 
 
-def kl_empirical(scores: Var, codes, prior_p: float, null_probs: dict) -> Var:
-    """Closed-form KL against the null-model reference.
+def kl_empirical(scores: Var, query: np.ndarray, codes, prior_p: float,
+                 null_probs: dict) -> Var:
+    """Per query, the closed-form KL of its motifs against the null-model reference.
 
     (1 - s) log((1 - s)/(1 - p)) + s * sum_i q_i log(s q_i / (p m_i)),
-    where s is the mean score, q_i the score-weighted class shares and
-    m_i the null model's class probabilities (all positive after
-    smoothing). Classes absent from the sample contribute nothing.
+    where s is the query's mean score, q_i its score-weighted class shares and
+    m_i the null model's class probabilities (all positive after smoothing).
+    Classes absent from a query contribute nothing to it. Motif j belongs to
+    query query[j] of 0..B-1 and class codes[j]; the sums run over query and
+    (query, class) segments. Returns a (B,) Var.
     """
-    m_count = scores.value.shape[0]
-    if len(codes) != m_count:
-        raise InvariantError(f"{len(codes)} codes for {m_count} scores")
-    groups: dict[str, list] = {}
-    for i, code in enumerate(codes):
-        groups.setdefault(code, []).append(i)
-    s = nn.vmean(scores)
+    query = np.asarray(query, dtype=np.int64)
+    if len(codes) != len(query):
+        raise InvariantError(f"{len(codes)} codes for {len(query)} scores")
+    classes, cls = np.unique(np.asarray(codes, dtype=str), return_inverse=True)
+    missing = set(classes.tolist()) - set(null_probs)
+    if missing:
+        raise InvariantError(f"class {min(missing)!r} missing from the null probabilities")
+    keys, key = np.unique(query * len(classes) + cls.reshape(-1), return_inverse=True)
+    key_query, key_class = keys // len(classes), keys % len(classes)
+    inv_size = 1.0 / np.bincount(query)  # per query, one over its motif count
+    s = nn.mul(nn.segment_sum(scores, query, len(inv_size)), nn.const(inv_size))
     one = nn.const(1.0)
     out = nn.mul(nn.sub(one, s), nn.log(nn.scale(nn.sub(one, s), 1.0 / (1.0 - prior_p))))
-    for code in sorted(groups):
-        m_i = null_probs.get(code)
-        if m_i is None:
-            raise InvariantError(f"class {code!r} missing from the null probabilities")
-        # s * q_i reduces to (sum of class scores) / |M|
-        r = nn.scale(nn.vsum(nn.gather_rows(scores, np.array(groups[code]))), 1.0 / m_count)
-        out = nn.add(out, nn.mul(r, nn.log(nn.scale(r, 1.0 / (prior_p * m_i)))))
-    return out
+    # s * q_i reduces to (sum of the class's scores) / |M| of its query
+    r = nn.mul(nn.segment_sum(scores, key.reshape(-1), len(keys)), nn.const(inv_size[key_query]))
+    m = np.array([null_probs[code] for code in classes.tolist()])[key_class]
+    terms = nn.mul(r, nn.log(nn.mul(r, nn.const(1.0 / (prior_p * m)))))
+    return nn.add(out, nn.segment_sum(terms, key_query, len(inv_size)))
 
 
 def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
@@ -266,14 +268,6 @@ def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
     return out
 
 
-def _kl_term(scores_q: Var, prep: QueryPrep, cfg: ExplainerConfig, null_probs: dict | None) -> Var:
-    if cfg.prior == "uniform":
-        return kl_uniform(scores_q, cfg.p)
-    if null_probs is None:
-        raise InvariantError("empirical prior needs null-model class probabilities")
-    return kl_empirical(scores_q, prep.codes, cfg.p, null_probs)
-
-
 def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[QueryPrep],
                     scores: Var, draws: np.ndarray, cfg: ExplainerConfig,
                     null_probs: dict | None) -> Var:
@@ -282,7 +276,8 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     `scores` and `draws` cover the motifs of every query in batch order,
     as `encode_and_score` lays them out.
     """
-    m_off = np.cumsum([0] + [len(p.instances) for p in preps])
+    counts = [len(p.ids) for p in preps]
+    m_off = np.cumsum([0] + counts)
     c_off = np.cumsum([0] + [len(p.covered_ids) for p in preps])
     pair_motif = np.concatenate([p.pair_motif + a for p, a in zip(preps, m_off)])
     pair_cov = np.concatenate([p.pair_cov + a for p, a in zip(preps, c_off)])
@@ -291,10 +286,14 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
                              floor=0.0)
     preds = soft_predict(Tape(base_store), base_store, g, [p.qc for p in preps],
                          [p.covered_ids for p in preps], ev_mask)
-    kl = [nn.reshape(_kl_term(nn.gather_rows(scores, np.arange(m_off[i], m_off[i + 1])),
-                              prep, cfg, null_probs), (1,))
-          for i, prep in enumerate(preps)]
-    return ib_loss(preds, [p.label for p in preps], nn.concat(kl, axis=0), cfg.beta)
+    query = np.repeat(np.arange(len(preps)), counts)
+    if cfg.prior == "uniform":
+        kl = kl_uniform(scores, query, cfg.p)
+    elif null_probs is None:
+        raise InvariantError("empirical prior needs null-model class probabilities")
+    else:
+        kl = kl_empirical(scores, query, [c for p in preps for c in p.codes], cfg.p, null_probs)
+    return ib_loss(preds, [p.label for p in preps], kl, cfg.beta)
 
 
 @dataclass
@@ -361,10 +360,7 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
     # mean trained score over the training queries, for the prior-drift report
     report.mean_score = float(np.concatenate([sc for sc, _ in encode_chunks(
         store, preps, cfg.batch)]).mean())
-    store.meta["train_report"] = {"epoch_losses": report.epoch_losses,
-                                  "mean_score": report.mean_score,
-                                  "n_queries": report.n_queries,
-                                  "n_skipped": report.n_skipped}
+    store.meta["train_report"] = asdict(report)
     return store, report
 
 
@@ -419,9 +415,9 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
         ranking = [(int(prep.comp_ids[i]), float(ev_score[i])) for i in order]
         retained = {lv: sorted(e for e, _ in ranking[:retained_size(lv, len(prep.comp_ids))])
                     for lv in levels}
-        motifs = [{"code": code, "events": [int(e) for e in inst.event_ids],
-                   "score": float(s), "truncated": inst.truncated}
-                  for inst, code, s in zip(prep.instances, prep.codes, sc)]
+        motifs = [{"code": code, "events": [e for e in row if e >= 0],
+                   "score": float(s), "truncated": row[-1] < 0}
+                  for row, code, s in zip(prep.ids.tolist(), prep.codes, sc)]
         out.append(ExplanationResult(query=qdict, empty=False, motifs=motifs,
                                      event_ranking=ranking, retained=retained,
                                      comp_ids=[int(e) for e in prep.comp_ids]))

@@ -152,10 +152,6 @@ class TemporalGraph:
         return Event(id=int(i), u=int(self.src[i]), v=int(self.dst[i]),
                      t=float(self.t[i]), attrs=self.attrs[i])
 
-    def events(self):
-        for i in range(self.n_events):
-            yield self.event(i)
-
     def id_cut(self, before: float, strict: bool = True) -> int:
         """The count of events with t < before (or <= if not strict): they are ids 0..cut-1."""
         return int(self.t.searchsorted(before, side="left" if strict else "right"))
@@ -168,13 +164,6 @@ class TemporalGraph:
         rows = slice(int(self.indptr[node]),
                      int(self._inc_key.searchsorted(node * self.n_events + cut)))
         return self.inc_ids[rows], self.inc_other[rows]
-
-    def incident_before(self, node: int, before: float, strict: bool = True) -> np.ndarray:
-        """Event ids incident to `node` with t < before (or <= if not strict), ascending (t, id)."""
-        return self.history(node, before, strict)[0]
-
-    def degree_before(self, node: int, before: float) -> int:
-        return len(self.history(node, before)[0])
 
     # -- serialization ------------------------------------------------------
 

@@ -40,12 +40,6 @@ def fidelity(f_full: float, f_views) -> np.ndarray:
     return f_views - f_full if f_full >= 0.5 else f_full - f_views
 
 
-def sparsity(retained, comp_members) -> float:
-    if len(comp_members) == 0:
-        return 0.0
-    return len(retained) / len(comp_members)
-
-
 def trapezoid_auc(levels, values) -> float:
     """Area under values over levels, normalized by the level span."""
     levels = np.asarray(levels, dtype=np.float64)

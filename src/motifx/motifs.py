@@ -22,9 +22,12 @@ candidates below it, found by bisecting on ids, one `searchsorted` over
 all walkers per round. Candidates are in id order, so the law and the
 bytes are those of taking cands[k] from the ascending candidate list.
 
-Canonical codes label nodes 0,1,2,... in first-touch order with the
-anchor fixed to 0, and emit one digit pair per event; equal codes mean
-the instances have the same topology with events in the same order.
+Inside the pipeline a motif is a row of the walker's (W, l) event-id block,
+padded with -1; only `sample_motif_batch` and `enumerate_motifs` build
+MotifInstances. A canonical code labels the nodes of the row's endpoints
+u_0, v_0, u_1, ... by first touch, event 0 turned anchor first, and writes
+each event's (min, max) label pair: the anchor is 0, the first pair is "01",
+and equal codes mean the same topology with events in the same order.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, InvariantError
 from .graph import TemporalGraph, neighbor_events
 
 DEFAULT_N = 3
@@ -55,10 +58,6 @@ class MotifInstance:
 
     def __len__(self) -> int:
         return len(self.event_ids)
-
-    @property
-    def node_set(self) -> frozenset:
-        return frozenset(n for p in self.pairs for n in p)
 
 
 def _params_ok(n: int, l: int, c: int | None = None) -> None:
@@ -104,16 +103,12 @@ def _below(g: TemporalGraph, terms: tuple, m: np.ndarray) -> np.ndarray:
     return (rows * row_weight).sum(axis=1) + (pairs * pair_weight).sum(axis=1)
 
 
-def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
-                       l: int = DEFAULT_L, c: int = 1,
-                       delta: float | None = None) -> list[list[MotifInstance]]:
-    """C trajectories of up to l events around each anchor, all walkers advancing together.
-
-    Anchor i walks back from t0s[i] with generator SeedSequence([seeds[i], anchors[i]]).
-    Each step is uniform over the events strictly earlier than the previous one, incident
-    to the collected node set, inside the duration window and the n-node budget. Dead ends
-    give truncated instances; an anchor with no admissible history gets [].
-    """
+def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
+                    l: int = DEFAULT_L, c: int = 1,
+                    delta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The walker (see the module docstring): the (W, l) event-id block, padded with -1,
+    and the ascending indexes `live` of the anchors with admissible history; rows
+    k*C .. (k+1)*C - 1 walk back from anchor live[k]."""
     _params_ok(n, l, c)
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
@@ -151,9 +146,18 @@ def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N
         grow = ~(held == new[:, None]).any(axis=1)
         nodes[walkers[grow], size[grow]] = new[grow]
         high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
+    return ids, live
 
+
+def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
+                       l: int = DEFAULT_L, c: int = 1,
+                       delta: float | None = None) -> list[list[MotifInstance]]:
+    """`sample_id_block` as C MotifInstances per anchor; dead ends give truncated
+    instances, and an anchor with no admissible history gets []."""
+    ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, c, delta)
+    t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), np.shape(anchors))
     paths = [[i for i in row if i >= 0] for row in ids.tolist()]
-    out: list[list[MotifInstance]] = [[] for _ in range(len(anchors))]
+    out: list[list[MotifInstance]] = [[] for _ in range(np.size(anchors))]
     for k, a in enumerate(live.tolist()):
         out[a] = _instances(g, int(anchors[a]), float(t0s[a]), paths[k * c:(k + 1) * c], l)
     return out
@@ -197,33 +201,50 @@ def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
 
 # -- canonical coding ---------------------------------------------------------
 
-def motif_code(inst: MotifInstance) -> str:
-    """The 2l-digit equivalence label of an instance.
+def endpoint_rows(g: TemporalGraph, ids: np.ndarray) -> np.ndarray:
+    """The (M, 2l) rows u_0, v_0, u_1, v_1, ... of an (M, l) event-id block, -1 on padding."""
+    ends = np.where((ids >= 0)[:, :, None], np.stack([g.src[ids], g.dst[ids]], axis=2), -1)
+    return ends.reshape(len(ids), 2 * ids.shape[1])
 
-    Nodes are labelled by first touch with the anchor fixed to 0, so the
-    first pair is always "01". When one endpoint of an event is new, the
-    known endpoint's label comes first; when both are known, the smaller
-    label comes first.
-    """
-    labels: dict[int, int] = {}
-    digits = []
-    for k, (a, b) in enumerate(inst.pairs):
-        if k == 0:
-            first, second = (a, b) if a == inst.anchor else (b, a)
-            labels[first] = 0
-            labels[second] = 1
-            digits.append("01")
-            continue
-        known = [x for x in (a, b) if x in labels]
-        if len(known) == 2:
-            la, lb = sorted((labels[a], labels[b]))
-            digits.append(f"{la}{lb}")
-        else:
-            old = known[0]
-            new = b if old == a else a
-            labels[new] = len(labels)
-            digits.append(f"{labels[old]}{labels[new]}")
-    return "".join(digits)
+
+def first_touch(ends: np.ndarray) -> np.ndarray:
+    """Per slot of (M, k) node rows padded with -1, its node's label within the row:
+    nodes are numbered 0, 1, 2, ... in order of first appearance; -1 on padding."""
+    first = (ends[:, :, None] == ends[:, None, :]).argmax(axis=2)  # first slot with that node
+    fresh = (first == np.arange(ends.shape[1])) & (ends >= 0)
+    labels = np.take_along_axis(np.cumsum(fresh, axis=1) - 1, first, axis=1)
+    return np.where(ends >= 0, labels, -1)
+
+
+def motif_codes(ends: np.ndarray, anchors) -> list[str]:
+    """The canonical code (see the module docstring) of each (M, 2l) endpoint row
+    anchored at anchors[i]; the strings are built once per distinct row."""
+    ends = ends.copy()
+    flip = ends[:, 0] != np.asarray(anchors)
+    ends[flip, :2] = ends[flip, 1::-1]
+    labels = first_touch(ends)
+    pairs = np.sort(labels.reshape(-1, 2), axis=1).reshape(ends.shape)
+    # both labels of a detached event exceed every label before it
+    detached = pairs[:, 2::2] > np.maximum.accumulate(labels, axis=1)[:, 1:-1:2]
+    if detached.any():
+        raise InvariantError(f"motif row {np.argmax(detached.any(axis=1))}: an event after "
+                             "the first touches no earlier node")
+    rows, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    text = ["".join(f"{a}{b}" for a, b in zip(r[0::2], r[1::2]) if a >= 0)
+            for r in rows.tolist()]
+    return [text[i] for i in inverse.reshape(-1).tolist()]
+
+
+def _pair_rows(instances: list) -> np.ndarray:
+    rows = np.full((len(instances), 2 * max([1] + [len(i) for i in instances])), -1, np.int64)
+    for k, inst in enumerate(instances):
+        rows[k, :2 * len(inst)] = [x for pair in inst.pairs for x in pair]
+    return rows
+
+
+def motif_code(inst: MotifInstance) -> str:
+    """The 2l-digit equivalence label of an instance: `motif_codes` of its one row."""
+    return motif_codes(_pair_rows([inst]), [inst.anchor])[0]
 
 
 def code_alphabet(n: int = DEFAULT_N, l: int = DEFAULT_L) -> list[str]:
@@ -260,10 +281,6 @@ class MotifCensus:
     skipped_short: int = 0
 
     @property
-    def is_empty(self) -> bool:
-        return self.total == 0
-
-    @property
     def probs(self) -> dict:
         if self.total == 0:
             return {}
@@ -277,21 +294,21 @@ class MotifCensus:
                            "classes": payload}, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def _tally(codes: list, skipped: int) -> MotifCensus:
+    return MotifCensus(counts=dict(sorted(Counter(codes).items())), total=len(codes),
+                       skipped_short=skipped)
+
+
 def census(instances) -> MotifCensus:
     """Count equivalence classes over instances of two or more events.
 
     Truncated instances are counted under their shorter code; single-event
     instances are skipped (they have no event order to classify).
     """
-    counts: Counter = Counter()
-    skipped = 0
-    for inst in instances:
-        if len(inst) < 2:
-            skipped += 1
-            continue
-        counts[motif_code(inst)] += 1
-    ordered = {code: counts[code] for code in sorted(counts)}
-    return MotifCensus(counts=ordered, total=sum(counts.values()), skipped_short=skipped)
+    insts = list(instances)
+    kept = [inst for inst in insts if len(inst) >= 2]
+    return _tally(motif_codes(_pair_rows(kept), [inst.anchor for inst in kept]),
+                  len(insts) - len(kept))
 
 
 def null_model(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
@@ -303,7 +320,7 @@ def null_model(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
 
 def anchor_time(g: TemporalGraph, node: int) -> float:
     """Just after the node's last activity, so its whole history is visible."""
-    ids = g.incident_before(node, math.inf)
+    ids = g.history(node, math.inf)[0]
     if len(ids) == 0:
         return -math.inf
     return float(np.nextafter(g.t[ids[-1]], math.inf))
@@ -315,9 +332,11 @@ def graph_census(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
     """Pooled census of C motifs sampled around every node at its last-activity time."""
     t0s = [anchor_time(g, node) for node in range(g.node_count)]
     nodes = [node for node, t0 in enumerate(t0s) if math.isfinite(t0)]
-    per_anchor = sample_motif_batch(g, nodes, [t0s[v] for v in nodes], [seed] * len(nodes),
-                                    n, l, c_per_node, delta)
-    return census(inst for insts in per_anchor for inst in insts)
+    ids, live = sample_id_block(g, nodes, [t0s[v] for v in nodes], [seed] * len(nodes),
+                                n, l, c_per_node, delta)
+    kept = (ids >= 0).sum(axis=1) >= 2
+    anchors = np.repeat(np.asarray(nodes, dtype=np.int64)[live], c_per_node)
+    return _tally(motif_codes(endpoint_rows(g, ids[kept]), anchors[kept]), int((~kept).sum()))
 
 
 def _smooth(cen: MotifCensus, n: int, l: int, smoothing: float) -> dict:

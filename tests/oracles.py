@@ -109,8 +109,8 @@ def anchored_equivalent(i1, i2) -> bool:
     the event sequence of one instance onto the other, position by position."""
     if len(i1.event_ids) != len(i2.event_ids):
         return False
-    nodes1 = sorted(i1.node_set)
-    nodes2 = sorted(i2.node_set)
+    nodes1 = sorted({x for pair in i1.pairs for x in pair})
+    nodes2 = sorted({x for pair in i2.pairs for x in pair})
     if len(nodes1) != len(nodes2):
         return False
     for perm in itertools.permutations(nodes2):
@@ -120,6 +120,31 @@ def anchored_equivalent(i1, i2) -> bool:
         if all({phi[a], phi[b]} == set(p2) for (a, b), p2 in zip(i1.pairs, i2.pairs)):
             return True
     return False
+
+
+def reference_motif_code(inst) -> str:
+    """The canonical code one event at a time: nodes labelled by first touch with
+    the anchor fixed to 0; a known endpoint's label comes before a new one's, and
+    an event between two known nodes lists the smaller label first."""
+    labels = {}
+    digits = []
+    for k, (a, b) in enumerate(inst.pairs):
+        if k == 0:
+            first, second = (a, b) if a == inst.anchor else (b, a)
+            labels[first] = 0
+            labels[second] = 1
+            digits.append("01")
+            continue
+        known = [x for x in (a, b) if x in labels]
+        if len(known) == 2:
+            la, lb = sorted((labels[a], labels[b]))
+            digits.append(f"{la}{lb}")
+        else:
+            old = known[0]
+            new = b if old == a else a
+            labels[new] = len(labels)
+            digits.append(f"{labels[old]}{labels[new]}")
+    return "".join(digits)
 
 
 def admissible(g, S, t_prev, n, t_low=-math.inf):
@@ -239,7 +264,7 @@ def reference_encoder_inputs(g, t, instances, comp_ids, l):
             "edge_event": ints(edge_event),
             "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(ev_off, g.attr_width),
             "h_block": np.array(h_rows, dtype=np.float64),
-            "dts": np.array(dts, dtype=np.float64), "n_nodes": node_off, "n_events": ev_off}
+            "dts": np.array(dts, dtype=np.float64)}
 
 
 def kl_uniform_scalar(scores, p) -> float:

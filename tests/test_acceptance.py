@@ -141,11 +141,14 @@ def test_criterion_4_differentiability():
 
 def test_criterion_5_loss_algebra():
     rng = np.random.default_rng(55)
-    assert kl_uniform(nn.const(np.full(9, 0.37)), 0.37).value == pytest.approx(0.0, abs=1e-10)
+    one = lambda k: np.zeros(k, dtype=np.int64)  # every motif in one query
+    assert kl_uniform(nn.const(np.full(9, 0.37)), one(9), 0.37).value[0] == \
+        pytest.approx(0.0, abs=1e-10)
     scores0 = np.array([0.3, 0.3, 0.3, 0.3])
     codes0 = ["0101", "0101", "0101", "0112"]
     m0 = {"0101": 0.75, "0112": 0.25}
-    assert kl_empirical(nn.const(scores0), codes0, 0.3, m0).value == pytest.approx(0.0, abs=1e-10)
+    assert kl_empirical(nn.const(scores0), one(4), codes0, 0.3, m0).value[0] == \
+        pytest.approx(0.0, abs=1e-10)
     worst = 0.0
     alphabet = code_alphabet(3, 3)
     for _ in range(20):
@@ -155,9 +158,9 @@ def test_criterion_5_loss_algebra():
         codes = [alphabet[i] for i in rng.integers(0, len(alphabet), size=n)]
         m_raw = rng.uniform(0.05, 1.0, size=len(alphabet))
         m = {c: float(v / m_raw.sum()) for c, v in zip(alphabet, m_raw)}
-        worst = max(worst, abs(kl_uniform(nn.const(scores), p).value
+        worst = max(worst, abs(kl_uniform(nn.const(scores), one(n), p).value[0]
                                - kl_uniform_scalar(scores, p)))
-        worst = max(worst, abs(kl_empirical(nn.const(scores), codes, p, m).value
+        worst = max(worst, abs(kl_empirical(nn.const(scores), one(n), codes, p, m).value[0]
                                - kl_empirical_scalar(list(scores), codes, p, m)))
     ok = worst < 1e-10
     emit("5 loss algebra", ok, f"matched points exact; max oracle gap {worst:.2e}")

@@ -120,7 +120,34 @@ class TestErrors:
         assert "k_nb=0" in err["error"]["message"]
 
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train-explainer", "--batch", "-1"), ("explain", "--batch", "-1"),
+        ("evaluate", "--batch", "-1"), ("train-base", "--h", "0"),
+        ("train-explainer", "--h", "0"), ("train-base", "--d-time-base", "0"),
+        ("train-explainer", "--d-time", "0"), ("train-explainer", "--d-time-base", "0"),
+        ("train-explainer", "--p", "0"), ("train-explainer", "--p", "1"),
+        ("explain", "--n-queries", "-2"), ("evaluate", "--n-queries", "-2")])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
+        code = main([command, "--run-dir", str(tmp_path / "r"), flag, value])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "ConfigError"
+        assert f"{flag[2:].replace('-', '_')}={value}" in err["error"]["message"]
+
+
 class TestConfig:
+    def test_every_flag_parses_to_its_annotated_type(self):
+        import dataclasses
+        from motifx.cli import build_parser
+        from motifx.config import RunConfig
+        samples = {"int": "7", "float": "0.25", "str": "abc", "bool": None}
+        types = {"int": int, "float": float, "str": str, "bool": bool}
+        for f in dataclasses.fields(RunConfig):
+            kind = f.type.split(" | ")[0]
+            argv = ["synth", "--run-dir", "x", "--" + f.name.replace("_", "-")]
+            parsed = build_parser().parse_args(argv + [samples[kind]] * (kind != "bool"))
+            assert type(getattr(parsed, f.name)) is types[kind], f.name
+
     def test_file_and_flag_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"events": 50, "nodes": 10, "seed": 1}))

@@ -14,6 +14,7 @@ from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and
                               query_objective, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.layers import PROB_EPS
+from motifx.motifs import sample_motif_batch
 from motifx.nn import Tape
 
 from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
@@ -43,11 +44,16 @@ def perturbed(store, seed):
 
 
 def kl_u(scores, p) -> float:
-    return float(kl_uniform(nn.const(scores), p).value)
+    """`kl_uniform` of one query."""
+    (got,) = kl_uniform(nn.const(scores), np.zeros(len(scores), dtype=np.int64), p).value
+    return float(got)
 
 
 def kl_e(scores, codes, p, m) -> float:
-    return float(kl_empirical(nn.const(scores), codes, p, m).value)
+    """`kl_empirical` of one query."""
+    (got,) = kl_empirical(nn.const(scores), np.zeros(len(scores), dtype=np.int64), codes, p,
+                          m).value
+    return float(got)
 
 
 def ib(preds, labels, kl, beta) -> float:
@@ -112,6 +118,33 @@ class TestKLEmpirical:
         assert got == pytest.approx(kl_empirical_scalar(scores, codes, p, m), abs=1e-10)
 
 
+class TestBatchedKL:
+    """One KL call over a minibatch equals the scalar oracles query by query."""
+
+    @given(st.lists(st.lists(st.tuples(st.floats(0.01, 0.99),
+                                       st.sampled_from(["0101", "0112", "011202"])),
+                             min_size=1, max_size=12), min_size=1, max_size=8),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_per_query_matches_scalar_oracles(self, per_query, p):
+        scores = nn.const(np.array([s for rows in per_query for s, _ in rows]))
+        query = np.repeat(np.arange(len(per_query)), [len(rows) for rows in per_query])
+        codes = [c for rows in per_query for _, c in rows]
+        m = {"0101": 0.5, "0112": 0.3, "011202": 0.2}
+        uniform = kl_uniform(scores, query, p).value
+        empirical = kl_empirical(scores, query, codes, p, m).value
+        assert uniform.shape == empirical.shape == (len(per_query),)
+        for b, rows in enumerate(per_query):
+            sc, cs = [s for s, _ in rows], [c for _, c in rows]
+            assert abs(uniform[b] - kl_uniform_scalar(sc, p)) < 1e-10
+            assert abs(empirical[b] - kl_empirical_scalar(sc, cs, p, m)) < 1e-10
+
+    def test_code_count_mismatch_raises(self):
+        with pytest.raises(InvariantError, match="codes"):
+            kl_empirical(nn.const(np.array([0.5, 0.5])), np.zeros(2, dtype=np.int64),
+                         ["0101"], 0.3, {"0101": 1.0})
+
+
 class TestIbLoss:
     def test_perfect_positive_prediction_beta_zero(self):
         assert ib([1.0], [1], [0.0], 0.0) == pytest.approx(0.0, abs=1e-6)
@@ -147,7 +180,7 @@ class TestEncoderInputs:
     """QueryPrep's arrays, built with array ops, against the per-instance loop."""
 
     FIELDS = ("covered_ids", "pair_cov", "pair_motif", "node_seg", "edge_src", "edge_dst",
-              "edge_event", "attrs_block", "h_block", "dts", "n_nodes", "n_events")
+              "edge_event", "attrs_block", "h_block", "dts")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prep_arrays_equal_oracle(self, seed):
@@ -171,12 +204,18 @@ class TestEncoderInputs:
         for q, sd, prep in zip(queries, seeds, preps):
             if prep is None:
                 continue
-            want = reference_encoder_inputs(g, q.t, prep.instances, prep.comp_ids, l)
+            # the prep's motifs as instances: both endpoints' walkers, single events dropped
+            insts = [m for side in sample_motif_batch(g, [q.u, q.v], [q.t] * 2, [sd] * 2,
+                                                      n, l, cfg.c, cfg.delta)
+                     for m in side if len(m) >= 2]
+            assert [[e for e in row if e >= 0] for row in prep.ids.tolist()] == \
+                [list(m.event_ids) for m in insts]
+            want = reference_encoder_inputs(g, q.t, insts, prep.comp_ids, l)
             for name in self.FIELDS:
                 got = getattr(prep, name)
                 assert np.array_equal(got, want[name]), name
                 assert np.asarray(got).dtype == np.asarray(want[name]).dtype, name
-            truncated += sum(inst.truncated for inst in prep.instances)
+            truncated += sum(inst.truncated for inst in insts)
             repeated += int(prep.h_block.max() > 1)
             alone = prepare_queries(g, base, [q], cfg, [sd])[0]
             assert _same(alone, prep)
@@ -221,7 +260,7 @@ class TestScorer:
         base = InternalPredictor(base_store)
         preps = [prepare_queries(g, base, [g.event(g.n_events - k)], ecfg, [k])[0] for k in (1, 2)]
         scores, _, counts = encode_and_score(Tape(expl_store), preps)
-        assert counts == [len(p.instances) for p in preps]
+        assert counts == [len(p.ids) for p in preps]
         assert scores.value.shape == (sum(counts),)
 
 
@@ -230,13 +269,11 @@ class TestEncoder:
         g, base_store, expl_store, ecfg = setup
         base = InternalPredictor(base_store)
         prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
-        dup_ix = [i for i, a in enumerate(prep.instances)
-                  for j, b in enumerate(prep.instances)
-                  if i < j and a.event_ids == b.event_ids]
+        rows = [tuple(row) for row in prep.ids.tolist()]
+        dup_ix = [i for i, a in enumerate(rows) for j, b in enumerate(rows) if i < j and a == b]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         for i in dup_ix:
-            j = next(j for j in range(len(prep.instances))
-                     if j != i and prep.instances[j].event_ids == prep.instances[i].event_ids)
+            j = next(j for j in range(len(rows)) if j != i and rows[j] == rows[i])
             assert np.allclose(emb.value[i], emb.value[j], atol=1e-12)
 
     def test_embedding_width(self, setup):
@@ -244,7 +281,7 @@ class TestEncoder:
         base = InternalPredictor(base_store)
         prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
-        assert emb.value.shape == (len(prep.instances), ecfg.h)
+        assert emb.value.shape == (len(prep.ids), ecfg.h)
 
     def test_motif_embeddings_helper(self, setup):
         g, base_store, expl_store, ecfg = setup
@@ -253,7 +290,7 @@ class TestEncoder:
         scored = encode_chunks(expl_store, preps, batch=2)
         for prep, (scores, embs) in zip(preps, scored):
             assert embs.ndim == 2 and embs.shape[1] == ecfg.h
-            assert scores.shape == (len(prep.instances),) == embs.shape[:1]
+            assert scores.shape == (len(prep.ids),) == embs.shape[:1]
 
 
 class TestFirstBatchLoss:
@@ -264,7 +301,7 @@ class TestFirstBatchLoss:
         base = InternalPredictor(base_store)
         prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         rng = np.random.default_rng(17)
-        draws = rng.uniform(0.1, 0.9, size=len(prep.instances))
+        draws = rng.uniform(0.1, 0.9, size=len(prep.ids))
         tape = Tape(expl_store)
         scores, _, _ = encode_and_score(tape, [prep])
         null_probs = {c: 1.0 / 12 for c in set(prep.codes)}
@@ -281,7 +318,7 @@ class TestFirstBatchLoss:
         pred = reference_soft_predict(Tape(base_store), base_store, g, prep.query,
                                       prep.covered_ids, nn.const(ev_mask))
         ce = -math.log(pred.value) if prep.label == 1 else -math.log(1 - pred.value)
-        kl = kl_empirical_scalar([0.5] * len(prep.instances), prep.codes, ecfg.p, null_probs)
+        kl = kl_empirical_scalar([0.5] * len(prep.ids), prep.codes, ecfg.p, null_probs)
         assert float(got.value) == pytest.approx(ce + ecfg.beta * kl, abs=1e-9)
 
 

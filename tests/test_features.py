@@ -8,7 +8,6 @@ from motifx.explainer import _encoder_inputs
 from motifx.features import event_feature_block, feature_width
 from motifx.graph import TemporalGraph
 from motifx.layers import time_encode
-from motifx.motifs import MotifInstance
 from motifx.nn import ParameterStore, Tape, grad_check
 
 
@@ -25,16 +24,11 @@ def encoder_rows(instances, l=3, attrs=None, t0=100.0):
     g = TemporalGraph(src, dst, t, attrs, int(max(src.max(), dst.max())) + 1)
     ids = np.empty(len(events), dtype=np.int64)
     ids[np.argsort(t, kind="stable")] = np.arange(len(events))  # the graph sorts by time
-    insts, off = [], 0
-    for events in instances:
-        k = len(events)
-        insts.append(MotifInstance(anchor=events[0][0], t0=t0,
-                                   event_ids=tuple(int(i) for i in ids[off:off + k]),
-                                   pairs=tuple((u, v) for u, v, _ in events),
-                                   times=tuple(float(x) for _, _, x in events),
-                                   truncated=k < l))
-        off += k
-    return _encoder_inputs(g, t0, insts, np.arange(len(events)), l)
+    block, off = np.full((len(instances), l), -1, dtype=np.int64), 0
+    for row, inst in zip(block, instances):
+        row[:len(inst)] = ids[off:off + len(inst)]
+        off += len(inst)
+    return _encoder_inputs(g, t0, block, np.arange(len(events)))
 
 
 def h_rows(instances, l=3):

@@ -252,10 +252,9 @@ class TestIndex:
         nodes = rng.integers(g.node_count, size=6)
         for w in nodes:
             for strict in (True, False):
-                assert g.incident_before(int(w), before, strict).tolist() == (
+                assert g.history(int(w), before, strict)[0].tolist() == (
                     brute_force_neighbor_events(g, [w], before, strict))
         degrees = [len(brute_force_neighbor_events(g, [w], before)) for w in nodes]
-        assert [g.degree_before(int(w), before) for w in nodes] == degrees
         feats = node_base_features(g, nodes, before)
         assert feats[:, 0].tolist() == [1.0] * 6
         assert feats[:, 1].tolist() == [math.log1p(d) for d in degrees]

@@ -29,13 +29,6 @@ class TestFidelity:
 
 
 class TestSparsity:
-    def test_values(self):
-        from motifx.metrics import sparsity
-        comp = set(range(12))
-        assert sparsity(comp, comp) == 1.0
-        assert sparsity(set(), comp) == 0.0
-        assert sparsity(set(range(3)), comp) == 0.25
-
     def test_levels_grid(self):
         assert SPARSITY_LEVELS[0] == 0.0
         assert SPARSITY_LEVELS[-1] == 0.3

@@ -7,16 +7,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from motifx.errors import EnumerationLimitError
+from motifx.errors import EnumerationLimitError, MotifxError
 from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
-from motifx.motifs import (MotifInstance, _below, _count_terms, anchor_time, census,
-                           code_alphabet, empirical_class_probs, enumerate_motifs,
-                           graph_census, motif_code, null_class_probs, null_model,
+from motifx.motifs import (MotifInstance, _below, _count_terms, _pair_rows, anchor_time,
+                           census, code_alphabet, empirical_class_probs, endpoint_rows,
+                           enumerate_motifs, graph_census, motif_code, motif_codes,
+                           null_class_probs, null_model, sample_id_block,
                            sample_motif_batch, total_variation)
 
 from conftest import random_graph
 from oracles import (admissible, anchored_equivalent, enumerate_reference,
-                     reference_sample_motifs, trajectory_probability, validate_instance)
+                     reference_motif_code, reference_sample_motifs, trajectory_probability,
+                     validate_instance)
 
 
 def inst(anchor, pairs, times, t0=100.0, truncated=False):
@@ -61,15 +63,21 @@ class TestSampling:
             assert validate_instance(g, m, u0, t0, 3, 3, delta) == []
 
 
+def kernel_case(seed: int) -> tuple:
+    """A small random graph (tied times at even seeds) and one walker setting on it."""
+    rng = np.random.default_rng(seed + 900)
+    g = random_graph(rng, n_events=int(rng.integers(10, 40)), duplicate_times=seed % 2 == 0)
+    n, l = [(2, 3), (3, 3), (4, 4), (3, 1), (3, 4), (4, 3)][seed % 6]
+    delta = None if seed % 3 else float(rng.integers(2, 15))
+    u0 = int(rng.integers(g.node_count))
+    t0 = float(rng.choice(g.t)) + (0.5 if seed % 4 else 0.0)
+    return g, n, l, delta, u0, t0
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_reference_sampler(self, seed):
-        rng = np.random.default_rng(seed + 900)
-        g = random_graph(rng, n_events=int(rng.integers(10, 40)), duplicate_times=seed % 2 == 0)
-        n, l = [(2, 3), (3, 3), (4, 4), (3, 1), (3, 4), (4, 3)][seed % 6]
-        delta = None if seed % 3 else float(rng.integers(2, 15))
-        u0 = int(rng.integers(g.node_count))
-        t0 = float(rng.choice(g.t)) + (0.5 if seed % 4 else 0.0)
+        g, n, l, delta, u0, t0 = kernel_case(seed)
         got = [m.event_ids for m in sample_motif_batch(g, [u0], [t0], [seed], n, l, 40, delta)[0]]
         assert got == reference_sample_motifs(g, u0, t0, n, l, 40, delta, seed)
 
@@ -263,6 +271,33 @@ class TestMotifCode:
                 assert same_code == anchored_equivalent(a, b), (a, b)
 
 
+class TestLabeller:
+    """`motif_codes` over endpoint rows against the one-event-at-a-time reference."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_block_and_enumeration_codes_match_reference(self, seed):
+        g, n, l, delta, _, _ = kernel_case(seed)
+        anchors = np.arange(g.node_count)
+        t0s = [anchor_time(g, a) for a in anchors.tolist()]
+        seeds = [seed] * len(anchors)
+        ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, 40, delta)
+        sampled = [m for insts in sample_motif_batch(g, anchors, t0s, seeds, n, l, 40, delta)
+                   for m in insts]
+        block = motif_codes(endpoint_rows(g, ids), np.repeat(anchors[live], 40))
+        assert block == [reference_motif_code(m) for m in sampled]
+        enumerated = [m for u0, t0 in zip(anchors.tolist(), t0s)
+                      for m in enumerate_motifs(g, u0, t0, n, l, delta=delta)]
+        assert l == 1 or any(m.truncated for m in sampled + enumerated)
+        rows = motif_codes(_pair_rows(enumerated), [m.anchor for m in enumerated])
+        assert rows == [reference_motif_code(m) for m in enumerated]
+        for m in sampled[:50] + enumerated[:50]:
+            assert motif_code(m) == reference_motif_code(m), m
+
+    def test_detached_event_is_a_typed_error(self):
+        with pytest.raises(MotifxError, match="no earlier node"):
+            motif_code(inst(1, [(1, 2), (3, 4)], [30.0, 20.0], truncated=True))
+
+
 class TestAlphabet:
     def test_twelve_classes_up_to_three_events(self):
         assert len(code_alphabet(3, 3)) == 12
@@ -290,7 +325,7 @@ class TestCensus:
     def test_single_event_instances_skipped(self):
         short = inst(5, [(5, 9)], [30.0], truncated=True)
         cen = census([short])
-        assert cen.is_empty
+        assert cen.total == 0 and cen.counts == {}
         assert cen.skipped_short == 1
         assert cen.probs == {}
 
