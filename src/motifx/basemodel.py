@@ -36,7 +36,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .config import check_ranges
+from .config import check_fields
 from .errors import AdapterProtocolError, NonFiniteError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
@@ -61,7 +61,7 @@ class BaseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
 
 
 def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:

@@ -22,8 +22,16 @@ RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
-def check_ranges(cfg) -> None:
-    """Raise ConfigError for the first field of the dataclass `cfg` that breaks its rule."""
+def check_fields(cfg) -> None:
+    """Raise ConfigError for the first field of the dataclass `cfg` whose value is not of
+    its annotated type, then for the first that breaks its rule."""
+    for f in dataclasses.fields(cfg):
+        value, kinds = getattr(cfg, f.name), f.type.split(" | ")
+        if value is None and "None" in kinds:
+            continue
+        ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k != "None")
+        if not ok or (isinstance(value, bool) and "bool" not in kinds):
+            raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
     for name in [f.name for f in dataclasses.fields(cfg) if f.name in RULES]:
         ok, need = RULES[name]
         if not ok(getattr(cfg, name)):
@@ -70,16 +78,10 @@ class RunConfig:
     n_queries: int = 200
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value, kinds = getattr(self, f.name), f.type.split(" | ")
-            if value is None and "None" in kinds:
-                continue
-            ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k != "None")
-            if not ok or (isinstance(value, bool) and "bool" not in kinds):
-                raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
-            if "float" in kinds and type(value) is int:  # same config, same manifest hash
-                setattr(self, f.name, float(value))
-        check_ranges(self)
+        check_fields(self)
+        for f in dataclasses.fields(self):  # same config, same manifest hash
+            if "float" in f.type and type(getattr(self, f.name)) is int:
+                setattr(self, f.name, float(getattr(self, f.name)))
 
     def warnings(self) -> list[str]:
         return [f"{name}={getattr(self, name)} outside the explored range {(lo, hi)}"
@@ -121,5 +123,4 @@ def write_manifest(path, command: str, cfg: RunConfig) -> None:
                "config_sha256": config_hash(cfg), "package_version": __version__,
                "warnings": cfg.warnings()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")

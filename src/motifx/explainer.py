@@ -26,7 +26,7 @@ import numpy as np
 from . import nn
 from .basemodel import (InternalPredictor, QueryCache, _bce, _head, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
-from .config import check_ranges
+from .config import check_fields
 from .errors import InvariantError, NonFiniteError
 from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
@@ -59,7 +59,7 @@ class ExplainerConfig:
     max_train_queries: int | None = None
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
 
 
 def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfig) -> ParameterStore:

@@ -18,8 +18,16 @@ counts its candidates below any id m without listing them:
 with row and pair counts from two searches each on the graph's node and
 pair indexes (an event between two members of S sits in both rows). Its
 pick is candidate k = floor(draw_j * count): the largest id with k
-candidates below it, found by bisecting on ids, one `searchsorted` over
-all walkers per round. Candidates are in id order, so the law and the
+candidates below it. The searches for the count at the window's end also
+size the windowed lists that together hold every candidate in id order:
+the rows of S while open, its pairs once closed. With want = k + 1, each
+list L bounds the pick by direct reads: from above by L[want - 1] + 1,
+from below by L[want - count + |L| - 1], as at most count - |L| of the
+first `want` candidates lie outside L. Over the r non-empty lists, the
+least L[ceil(want / r) - 1] is a lower bound too: one holds that many.
+At step 0 the bounds meet and no search runs; later steps bisect on ids
+only the walkers whose bracket is still wider than one id, one
+`searchsorted` per round. Candidates are in id order, so the law and the
 bytes are those of taking cands[k] from the ascending candidate list.
 
 Inside the pipeline a motif is a row of the walker's (W, l) event-id block,
@@ -94,13 +102,36 @@ def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) ->
             g._pair_key.searchsorted(pair_base + lo[:, None]))
 
 
-def _below(g: TemporalGraph, terms: tuple, m: np.ndarray) -> np.ndarray:
-    """Per walker, the number of its candidates with id < m[w]."""
+def _sizes(g: TemporalGraph, terms: tuple, m: np.ndarray) -> tuple:
+    """Per walker, the sizes of its row and pair lists over ids [window start, m[w])."""
+    return (g._inc_key.searchsorted(terms[0] + m[:, None]) - terms[2],
+            g._pair_key.searchsorted(terms[3] + m[:, None]) - terms[5])
+
+
+def _below(g: TemporalGraph, terms: tuple, m: np.ndarray, sizes=None) -> np.ndarray:
+    """Per walker, the number of its candidates with id < m[w]; `sizes` are `_sizes` at m."""
+    rows, pairs = _sizes(g, terms, m) if sizes is None else sizes
+    return (rows * terms[1]).sum(axis=1) + (pairs * terms[4]).sum(axis=1)
+
+
+def _bracket(g: TemporalGraph, terms: tuple, sizes: tuple, want, total, low, high) -> tuple:
+    """Per walker, ids [low, high) around its pick, read off its candidate lists at the
+    ranks of the module docstring: the rows of S while open, the pairs of S once closed."""
     row_base, row_weight, row_lo, pair_base, pair_weight, pair_lo = terms
-    m = m[:, None]
-    rows = g._inc_key.searchsorted(row_base + m) - row_lo
-    pairs = g._pair_key.searchsorted(pair_base + m) - pair_lo
-    return (rows * row_weight).sum(axis=1) + (pairs * pair_weight).sum(axis=1)
+    lists = [(g._inc_key, row_base, row_lo, sizes[0] * row_weight),
+             (g._pair_key, pair_base, pair_lo, sizes[1] * (pair_weight > 0))]
+    share = -(-want // sum((size > 0).sum(axis=1) for *_, size in lists)) - 1
+    # each bound's rank: the upper, the one-list lower (negated, so that every
+    # bound is the least read over the lists) and the all-lists lower
+    first = np.array([want - 1, want - total - 1, share])[:, :, None]
+    grow, sign = np.array([0, 1, 0])[:, None, None], np.array([1, -1, 1])[:, None, None]
+    least = g.n_events
+    for key, base, start, size in lists:
+        rank = first + grow * size
+        ok = (rank >= 0) & (rank < size)
+        read = np.where(ok, sign * (key[np.where(ok, start + rank, 0)] - base), g.n_events)
+        least = np.minimum(least, read.min(axis=2, initial=g.n_events))
+    return np.maximum.reduce([low, -least[1], least[2]]), np.minimum(high, least[0] + 1)
 
 
 def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
@@ -129,16 +160,23 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
         held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
         size = (held >= 0).sum(axis=1)
         terms = _count_terms(g, held, lo[walkers], size >= n)
-        total = _below(g, terms, high)
+        sizes = _sizes(g, terms, high)
+        total = _below(g, terms, high, sizes)
         keep = total > 0
         walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
-        terms, size = tuple(a[keep] for a in terms), size[keep]
+        terms, sizes = tuple(a[keep] for a in terms), tuple(a[keep] for a in sizes)
+        size = size[keep]
         # the pick is candidate k: the largest id with k candidates below it
         want = (draws[walkers, j] * total).astype(np.int64) + 1
-        while np.any(high - low > 1):
-            mid = (low + high) // 2
-            past = _below(g, terms, mid) >= want
-            high, low = np.where(past, mid, high), np.where(past, low, mid)
+        low, high = _bracket(g, terms, sizes, want, total, low, high)
+        rest = np.flatnonzero(high - low > 1)  # bisect only the undecided walkers
+        terms = tuple(a[rest] for a in terms)
+        while len(rest):
+            mid = (low[rest] + high[rest]) // 2
+            past = _below(g, terms, mid) >= want[rest]
+            high[rest[past]], low[rest[~past]] = mid[past], mid[~past]
+            still = high[rest] - low[rest] > 1
+            rest, terms = rest[still], tuple(a[still] for a in terms)
         ids[walkers, j] = low
         # the event adds whichever endpoint is not yet collected, if any
         held, src, dst = nodes[walkers], g.src[low], g.dst[low]

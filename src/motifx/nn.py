@@ -400,8 +400,7 @@ class ParameterStore:
                    "arrays": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
                               for k, v in sorted(self.arrays.items())}}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "ParameterStore":

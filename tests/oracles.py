@@ -2,8 +2,10 @@
 
 Everything here is deliberately brute force and shares no code with the
 package internals: plain loops over the raw event list, math.log scalar
-arithmetic, permutation search for equivalence. The one exception is the
-per-query base-model forward at the end, which runs on the nn tape.
+arithmetic, permutation search for equivalence. There are two exceptions:
+the walker that bisects every walker over its whole id window
+(`reference_id_block`), which counts with the package's index terms, and
+the per-query base-model forward at the end, which runs on the nn tape.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from motifx import nn
 from motifx.layers import time_encode
+from motifx.motifs import _below, _count_terms, _params_ok
 from motifx.nn import Tape
 
 
@@ -207,6 +210,49 @@ def reference_sample_motifs(g, u0, t0, n, l, c, delta=None, seed=0):
             t_prev = float(g.t[pick])
         out.append(tuple(ids))
     return out
+
+
+def reference_id_block(g, anchors, t0s, seeds, n=3, l=3, c=1, delta=None):
+    """`motifs.sample_id_block` without the bracket: at every step, every walker
+    bisects on event ids over its whole window, one `_below` per round."""
+    _params_ok(n, l, c)
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
+    lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
+    high = g.t.searchsorted(t0s)
+    alone = _count_terms(g, anchors[:, None], lo, np.zeros(len(anchors), bool))
+    live = np.flatnonzero(_below(g, alone, high) > 0)
+    draws = np.concatenate([np.empty((0, l))] + [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(seeds[i]), int(anchors[i])]))).random((c, l))
+        for i in live.tolist()])
+    walker_anchor = np.repeat(live, c)
+    lo, high = lo[walker_anchor], high[walker_anchor]
+    ids = np.full((len(walker_anchor), l), -1, dtype=np.int64)
+    nodes = np.full((len(walker_anchor), n), -1, dtype=np.int64)
+    nodes[:, 0] = anchors[walker_anchor]
+    walkers = np.arange(len(walker_anchor))
+    for j in range(l):
+        held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
+        size = (held >= 0).sum(axis=1)
+        terms = _count_terms(g, held, lo[walkers], size >= n)
+        total = _below(g, terms, high)
+        keep = total > 0
+        walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
+        terms, size = tuple(a[keep] for a in terms), size[keep]
+        # the pick is candidate k: the largest id with k candidates below it
+        want = (draws[walkers, j] * total).astype(np.int64) + 1
+        while np.any(high - low > 1):
+            mid = (low + high) // 2
+            past = _below(g, terms, mid) >= want
+            high, low = np.where(past, mid, high), np.where(past, low, mid)
+        ids[walkers, j] = low
+        # the event adds whichever endpoint is not yet collected, if any
+        held, src, dst = nodes[walkers], g.src[low], g.dst[low]
+        new = np.where((held == src[:, None]).any(axis=1), dst, src)
+        grow = ~(held == new[:, None]).any(axis=1)
+        nodes[walkers[grow], size[grow]] = new[grow]
+        high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
+    return ids, live
 
 
 def trajectory_probability(g, u0, t0, n, ids, delta=None):

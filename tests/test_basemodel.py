@@ -88,6 +88,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k_nb"):
             BaseConfig(k_nb=k_nb)
 
+    def test_missing_k_nb_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="k_nb"):
+            BaseConfig(k_nb=None)
+
 
 def tied_graph(rng):
     """A small random graph with tied timestamps, short histories and two attributes."""

@@ -65,6 +65,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unifrom"):
             ExplainerConfig(prior="unifrom")
 
+    def test_missing_batch_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="batch"):
+            ExplainerConfig(batch=None)
+
+    def test_p_as_text_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="p="):
+            ExplainerConfig(p="0.3")
+
 
 class TestKLUniform:
     def test_zero_at_prior(self):

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from motifx import motifs
 from motifx.errors import EnumerationLimitError, MotifxError
 from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
 from motifx.motifs import (MotifInstance, _below, _count_terms, _pair_rows, anchor_time,
@@ -17,8 +18,8 @@ from motifx.motifs import (MotifInstance, _below, _count_terms, _pair_rows, anch
 
 from conftest import random_graph
 from oracles import (admissible, anchored_equivalent, enumerate_reference,
-                     reference_motif_code, reference_sample_motifs, trajectory_probability,
-                     validate_instance)
+                     reference_id_block, reference_motif_code, reference_sample_motifs,
+                     trajectory_probability, validate_instance)
 
 
 def inst(anchor, pairs, times, t0=100.0, truncated=False):
@@ -125,6 +126,75 @@ class TestBatchKernel:
         for m in range(g.n_events + 1):
             got = _below(g, terms, np.maximum(np.full(len(rows), m), los))
             assert got.tolist() == [w[max(m, lo)] for w, lo in zip(want, los)]
+
+
+def tied_case(seed: int, n: int, l: int) -> tuple:
+    """A small random graph with tied timestamps, every node an anchor at a random
+    time (some exactly on an event's time), and a window at odd seeds."""
+    rng = np.random.default_rng(seed + 990 + 10 * n + l)
+    g = random_graph(rng, n_events=int(rng.integers(20, 60)), duplicate_times=True)
+    anchors = np.arange(g.node_count)
+    t0s = rng.choice(np.append(g.t, g.t[-1] + 1.0), size=len(anchors))
+    t0s += rng.choice([0.0, 0.5], size=len(anchors))
+    seeds = rng.integers(0, 2**32, size=len(anchors))
+    delta = float(rng.integers(2, 15)) if seed % 2 else None
+    return g, anchors, t0s, seeds, delta
+
+
+@pytest.fixture(scope="module")
+def census_hubs():
+    """The census-hubs benchmark graph and its census anchors at last activity."""
+    g = generate_synthetic("preferential-attachment", 200, 20000, seed=7)
+    t0s = [anchor_time(g, v) for v in range(g.node_count)]
+    nodes = [v for v, t0 in enumerate(t0s) if math.isfinite(t0)]
+    return g, nodes, [t0s[v] for v in nodes]
+
+
+class TestBracketedWalker:
+    """The bracketed walker against the walker that bisects every walker over its
+    whole window, and each bracket against the admissible scan's pick."""
+
+    @pytest.mark.parametrize("delta", [None, 200.0])
+    def test_census_hubs_block_matches_reference(self, census_hubs, delta):
+        g, nodes, t0s = census_hubs
+        got = sample_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20, delta)
+        want = reference_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20, delta)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (2, 3, 4) for l in (2, 3, 4)])
+    def test_tied_block_matches_reference(self, seed, n, l):
+        g, anchors, t0s, seeds, delta = tied_case(seed, n, l)
+        got = sample_id_block(g, anchors, t0s, seeds, n, l, 15, delta)
+        want = reference_id_block(g, anchors, t0s, seeds, n, l, 15, delta)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (2, 3, 4) for l in (2, 3, 4)])
+    def test_bracket_holds_the_scan_pick(self, monkeypatch, seed, n, l):
+        g, anchors, t0s, seeds, delta = tied_case(seed, n, l)
+        c, brackets, bracket = 15, [], motifs._bracket
+
+        def record(*args):  # the walker bisects in place, so keep a copy
+            low, high = bracket(*args)
+            brackets.append((low.copy(), high.copy()))
+            return low, high
+        monkeypatch.setattr(motifs, "_bracket", record)
+        ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, c, delta)
+        assert len(brackets) == l and len(brackets[0][0]) > 0
+        for j, (low, high) in enumerate(brackets):
+            assert len(low) == np.sum(ids[:, j] >= 0)
+            if j == 0:
+                assert np.all(high - low == 1)
+            for w, lo_w, hi_w in zip(np.flatnonzero(ids[:, j] >= 0), low, high):
+                a = int(anchors[live[w // c]])
+                t0 = float(t0s[live[w // c]])
+                draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                    [int(seeds[live[w // c]]), a]))).random((c, l))[w % c, j]
+                S = {a} | {int(x) for i in ids[w, :j] for x in (g.src[i], g.dst[i])}
+                t_prev = float(g.t[ids[w, j - 1]]) if j else t0
+                cands = admissible(g, S, t_prev, n, -math.inf if delta is None else t0 - delta)
+                assert lo_w <= cands[int(draw * len(cands))] < hi_w
 
 
 def _chi_square_quantile(dof: int, z: float = 3.090) -> float:

@@ -185,6 +185,20 @@ class TestCheckpoint:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_saved_bytes_pinned(self, tmp_path):
+        """The exact bytes of a tiny store: sorted keys, no spaces, float repr, ASCII."""
+        store = ParameterStore()
+        store.add("w", np.array([[0.1, -2.5, 1e-7], [1 / 3, 3.0, -0.0]]))
+        store.add("b", np.array([1e300]))
+        store.meta = {"kind": "base", "config": {"h": 2, "lr": 0.001, "delta": None},
+                      "curve": [0.5, 0.25], "name": "\u00e9"}
+        store.save(tmp_path / "tiny.ckpt")
+        assert (tmp_path / "tiny.ckpt").read_bytes() == (
+            b'{"arrays":{"b":{"data":[1e+300],"shape":[1]},"w":{"data":[0.1,-2.5,1e-07,'
+            b'0.3333333333333333,3.0,-0.0],"shape":[2,3]}},"format":"motifx-ckpt/1",'
+            b'"meta":{"config":{"delta":null,"h":2,"lr":0.001},"curve":[0.5,0.25],'
+            b'"kind":"base","name":"\\u00e9"}}\n')
+
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text('{"format": "other", "meta": {}, "arrays": {}}')
