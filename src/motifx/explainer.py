@@ -9,7 +9,8 @@ model's visible events by those scores preserves the original prediction
 frequencies).
 
 A query's motifs are rows of the walker's event-id block; their codes and
-the encoder's node maps both come from `motifs.first_touch`. A minibatch's
+the encoder's node labels both come from `motifs.first_touch`, and a node's
+encoder id is its motif row's offset plus its label. A minibatch's
 objective is one soft-masked base forward and one segment-summed KL call.
 
 The scorer is the base model's `_head` with the prefix "score", so each
@@ -87,8 +88,9 @@ def query_seed(seed: int, qidx: int) -> int:
 @dataclass
 class QueryPrep:
     """Everything reusable across epochs for one training/eval query: its motifs as the
-    rows of an (M, l) event-id block padded with -1, their M codes, and the encoder
-    inputs built from that block."""
+    rows of an (M, l) event-id block padded with -1, their M codes, the (M, l, 2)
+    `first_touch` labels of each event's u and v within its row (-1 on padding), and
+    the encoder rows of the valid events in row-major order."""
     query: Event
     label: int
     qc: QueryCache
@@ -99,32 +101,23 @@ class QueryPrep:
     covered_ids: np.ndarray
     pair_cov: np.ndarray      # aligned (covered-event slot, motif index) pairs
     pair_motif: np.ndarray
-    # flattened encoder inputs
-    node_seg: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_event: np.ndarray
+    node_labels: np.ndarray
     attrs_block: np.ndarray
     h_block: np.ndarray
     dts: np.ndarray
 
 
 def _encoder_inputs(g: TemporalGraph, t: float, ids: np.ndarray, comp_ids: np.ndarray) -> dict:
-    """QueryPrep's encoder arrays, from the instances' (M, l) event-id block padded with -1.
+    """QueryPrep's per-event encoder rows and motif coverage, from the query's (M, l)
+    event-id block padded with -1; events are taken in row-major order.
 
-    Each instance numbers its nodes by `first_touch` over u_0, v_0, u_1, v_1, ...;
-    an event gives edges u -> v and v -> u. An event's h row counts, for each
-    position j < l, the events at position j of any instance that join the
-    same unordered node pair: timestamps and instance order do not enter, and
-    a truncated instance counts only at the positions it fills.
+    An event's h row counts, for each position j < l, the events at position j
+    of any instance that join the same unordered node pair: timestamps and
+    instance order do not enter, and a truncated instance counts only at the
+    positions it fills.
     """
-    valid = ids >= 0
-    rows, pos = np.nonzero(valid)
+    rows, pos = np.nonzero(ids >= 0)
     flat = ids[rows, pos]
-    local = first_touch(endpoint_rows(g, ids))
-    nodes_per = local.max(axis=1) + 1
-    local += (np.cumsum(nodes_per) - nodes_per)[:, None]
-    ia, ib = local[:, 0::2][valid], local[:, 1::2][valid]
     src, dst = g.src[flat], g.dst[flat]
     _, pair = np.unique(np.minimum(src, dst) * g.node_count + np.maximum(src, dst),
                         return_inverse=True)
@@ -132,12 +125,7 @@ def _encoder_inputs(g: TemporalGraph, t: float, ids: np.ndarray, comp_ids: np.nd
     np.add.at(h, (pair, pos), 1.0)
     in_comp = np.isin(flat, comp_ids)
     covered, pair_cov = np.unique(flat[in_comp], return_inverse=True)
-    return dict(covered_ids=covered, pair_cov=pair_cov,
-                pair_motif=rows[in_comp],
-                node_seg=np.repeat(np.arange(len(ids)), nodes_per),
-                edge_src=np.stack([ia, ib], axis=1).reshape(-1),
-                edge_dst=np.stack([ib, ia], axis=1).reshape(-1),
-                edge_event=np.repeat(np.arange(len(flat)), 2),
+    return dict(covered_ids=covered, pair_cov=pair_cov, pair_motif=rows[in_comp],
                 attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat])
 
 
@@ -155,7 +143,9 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
                                 cfg.n, cfg.l, cfg.c, cfg.delta)
     kept = (ids >= 0).sum(axis=1) >= 2
     ids, row_anchor = ids[kept], np.repeat(live, cfg.c)[kept]
-    codes = motif_codes(endpoint_rows(g, ids), anchors[row_anchor])
+    ends = endpoint_rows(g, ids)
+    codes = motif_codes(ends, anchors[row_anchor])
+    labels = first_touch(ends).reshape(len(ids), cfg.l, 2)  # from u_0, not anchor first
     cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
     todo = [(i, lo, hi) for i, lo, hi in zip(todo, cuts[:-1], cuts[1:]) if hi > lo]
     caches = [build_query_cache(g, queries[i], base.k_nb) for i, _, _ in todo]
@@ -165,6 +155,7 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
         query, comp_ids = queries[i], comps[i].member_ids
         out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
                            ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
+                           node_labels=labels[lo:hi],
                            **_encoder_inputs(g, query.t, ids[lo:hi], comp_ids))
     return out
 
@@ -173,26 +164,26 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
     """Batched motif embeddings and importance scores for several queries.
 
     Returns (scores, embeddings, per-query motif counts); scores are
-    `_head` probabilities clamped away from 0 and 1.
+    `_head` probabilities clamped away from 0 and 1. A node's id is its motif row's
+    offset plus its label; each valid event, row-major, gives edges u -> v and v -> u.
     """
     cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
-    # a query's node, event and motif indices, shifted past the queries before it
-    shifted = lambda name, off: np.concatenate([getattr(p, name) + o for p, o in zip(preps, off)])
-    counts = [len(p.ids) for p in preps]
-    m_off = np.cumsum([0] + counts)
-    n_off = np.cumsum([0] + [len(p.node_seg) for p in preps])
-    src, dst = shifted("edge_src", n_off), shifted("edge_dst", n_off)
+    labels = cat("node_labels")
+    nodes_per = labels.max(axis=(1, 2)) + 1
+    ends = (labels + (np.cumsum(nodes_per) - nodes_per)[:, None, None])[labels[:, :, 0] >= 0]
+    src, dst = ends.reshape(-1), ends[:, ::-1].reshape(-1)
     order = np.lexsort((src, dst))  # fixed aggregation order: by target then source
-    eev = shifted("edge_event", np.cumsum([0] + [len(p.dts) for p in preps]))[order]
+    eev = np.repeat(np.arange(len(ends)), 2)[order]
     src, dst = src[order], dst[order]
 
     feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"), tape.param("time_w"))
-    x = tape.affine(nn.const(np.ones((int(n_off[-1]), 1))), "nodein")
+    x = tape.affine(nn.const(np.ones((int(nodes_per.sum()), 1))), "nodein")
     depth = 0
     while f"gine{depth}.eps" in tape.store.arrays:
         x = gine_layer(tape, f"gine{depth}", x, src, dst, nn.gather_rows(feat, eev))
         depth += 1
-    emb = nn.segment_mean(x, shifted("node_seg", m_off), int(m_off[-1]))
+    counts = [len(p.ids) for p in preps]
+    emb = nn.segment_mean(x, np.repeat(np.arange(len(labels)), nodes_per), len(labels))
     ctx = np.repeat(np.stack([p.ctx for p in preps]), counts, axis=0)
     score_in = nn.concat([emb, nn.const(ctx)], axis=1)
     scores = nn.clip(_head(tape, score_in, "score"), PROB_EPS, 1.0 - PROB_EPS)

@@ -164,6 +164,8 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
         total = _below(g, terms, high, sizes)
         keep = total > 0
         walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
+        if not len(walkers):
+            break
         terms, sizes = tuple(a[keep] for a in terms), tuple(a[keep] for a in sizes)
         size = size[keep]
         # the pick is candidate k: the largest id with k candidates below it

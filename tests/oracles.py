@@ -269,31 +269,24 @@ def trajectory_probability(g, u0, t0, n, ids, delta=None):
 
 def reference_encoder_inputs(g, t, instances, comp_ids, l):
     """The motif-encoder inputs of one query, built one instance and one event
-    at a time, as a dict of QueryPrep's array fields."""
+    at a time, as a dict of QueryPrep's array fields. Each instance numbers its
+    nodes in order of first appearance over u_0, v_0, u_1, v_1, ..."""
     struct = {}
     for inst in instances:
         for j, (a, b) in enumerate(inst.pairs):
             struct.setdefault((min(a, b), max(a, b)), [0] * l)[j] += 1
-    node_seg, edge_src, edge_dst, edge_event, attrs_rows, h_rows, dts = [], [], [], [], [], [], []
-    node_off = ev_off = 0
-    for m_idx, inst in enumerate(instances):
-        local, order = {}, []
+    node_labels, attrs_rows, h_rows, dts = [], [], [], []
+    for inst in instances:
+        local = {}
         for a, b in inst.pairs:
             for x in (a, b):
-                if x not in local:
-                    local[x] = len(order)
-                    order.append(x)
+                local.setdefault(x, len(local))
+        node_labels.append([[local[a], local[b]] for a, b in inst.pairs]
+                           + [[-1, -1]] * (l - len(inst)))
         for k, (a, b) in enumerate(inst.pairs):
-            ia, ib = local[a] + node_off, local[b] + node_off
-            edge_src.extend((ia, ib))
-            edge_dst.extend((ib, ia))
-            edge_event.extend((ev_off + k, ev_off + k))
             h_rows.append(struct[(min(a, b), max(a, b))])
             dts.append(t - inst.times[k])
             attrs_rows.append(list(g.attrs[inst.event_ids[k]]))
-        node_seg.extend([m_idx] * len(order))
-        node_off += len(order)
-        ev_off += len(inst)
     comp = set(int(e) for e in comp_ids)
     covered = sorted({e for inst in instances for e in inst.event_ids if e in comp})
     cov_pos = {e: i for i, e in enumerate(covered)}
@@ -305,10 +298,9 @@ def reference_encoder_inputs(g, t, instances, comp_ids, l):
                 pair_motif.append(m_idx)
     ints = lambda xs: np.array(xs, dtype=np.int64)
     return {"covered_ids": ints(covered), "pair_cov": ints(pair_cov),
-            "pair_motif": ints(pair_motif), "node_seg": ints(node_seg),
-            "edge_src": ints(edge_src), "edge_dst": ints(edge_dst),
-            "edge_event": ints(edge_event),
-            "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(ev_off, g.attr_width),
+            "pair_motif": ints(pair_motif),
+            "node_labels": ints(node_labels).reshape(len(instances), l, 2),
+            "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(len(dts), g.attr_width),
             "h_block": np.array(h_rows, dtype=np.float64),
             "dts": np.array(dts, dtype=np.float64)}
 

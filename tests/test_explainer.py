@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifx import nn
-from motifx.basemodel import BaseConfig, InternalPredictor, build_base_store
+from motifx.basemodel import BaseConfig, InternalPredictor, _head, build_base_store
 from motifx.errors import ConfigError, InvariantError, NonFiniteError
 from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
                               encode_chunks, explain, explain_batch, ib_loss,
                               kl_empirical, kl_uniform, prepare_queries,
                               query_objective, train_explainer)
+from motifx.features import event_feature_block
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
-from motifx.layers import PROB_EPS
+from motifx.layers import PROB_EPS, gine_layer
 from motifx.motifs import sample_motif_batch
 from motifx.nn import Tape
 
@@ -187,8 +188,8 @@ def _same(a, b) -> bool:
 class TestEncoderInputs:
     """QueryPrep's arrays, built with array ops, against the per-instance loop."""
 
-    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "node_seg", "edge_src", "edge_dst",
-              "edge_event", "attrs_block", "h_block", "dts")
+    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "node_labels", "attrs_block", "h_block",
+              "dts")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prep_arrays_equal_oracle(self, seed):
@@ -290,6 +291,48 @@ class TestEncoder:
         prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         assert emb.value.shape == (len(prep.ids), ecfg.h)
+
+    def test_batch_equals_instance_by_instance_encoder(self, setup):
+        """`encode_and_score` over several queries, bit for bit, against `gine_layer` and
+        `segment_mean` over node, edge and event lists built one motif at a time: nodes
+        numbered by first appearance within each motif and placed after the motifs
+        before it, each event's u -> v then v -> u edges, and edges visited by target,
+        then source, then listing order."""
+        g, base_store, expl_store, ecfg = setup
+        assert ecfg.gine_depth == 1
+        store = perturbed(expl_store, 12)
+        preps = prepare_queries(g, InternalPredictor(base_store),
+                                [g.event(g.n_events - k) for k in range(1, 7)], ecfg, [5] * 6)
+        preps = [p for p in preps if p is not None]
+        assert len(preps) > 2
+        src, dst, eev, seg = [], [], [], []
+        for m, row in enumerate(r for p in preps for r in p.ids.tolist()):
+            local, off = {}, len(seg)
+            for e in row:
+                if e < 0:
+                    continue
+                a, b = (off + local.setdefault(int(x), len(local)) for x in (g.src[e], g.dst[e]))
+                src += [a, b]
+                dst += [b, a]
+                eev += [len(eev) // 2] * 2
+            seg += [m] * len(local)
+        order = sorted(range(len(src)), key=lambda k: (dst[k], src[k]))
+        src, dst, eev = (np.array(xs, dtype=np.int64)[order] for xs in (src, dst, eev))
+        cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
+
+        tape = Tape(store)
+        feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"),
+                                   tape.param("time_w"))
+        x = tape.affine(nn.const(np.ones((len(seg), 1))), "nodein")
+        x = gine_layer(tape, "gine0", x, src, dst, nn.gather_rows(feat, eev))
+        emb = nn.segment_mean(x, np.array(seg), len(cat("ids")))
+        ctx = np.repeat(np.stack([p.ctx for p in preps]), [len(p.ids) for p in preps], axis=0)
+        scores = nn.clip(_head(tape, nn.concat([emb, nn.const(ctx)], axis=1), "score"),
+                         PROB_EPS, 1.0 - PROB_EPS)
+
+        got_scores, got_emb, _ = encode_and_score(Tape(store), preps)
+        assert np.array_equal(got_emb.value, emb.value)
+        assert np.array_equal(got_scores.value, scores.value)
 
     def test_motif_embeddings_helper(self, setup):
         g, base_store, expl_store, ecfg = setup

@@ -181,7 +181,9 @@ class TestBracketedWalker:
             return low, high
         monkeypatch.setattr(motifs, "_bracket", record)
         ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, c, delta)
-        assert len(brackets) == l and len(brackets[0][0]) > 0
+        # one bracket per step until no walker is left; later steps take no event
+        assert 0 < len(brackets) <= l and all(len(low) for low, _ in brackets)
+        assert np.all(ids[:, len(brackets):] < 0)
         for j, (low, high) in enumerate(brackets):
             assert len(low) == np.sum(ids[:, j] >= 0)
             if j == 0:
@@ -195,6 +197,18 @@ class TestBracketedWalker:
                 t_prev = float(g.t[ids[w, j - 1]]) if j else t0
                 cands = admissible(g, S, t_prev, n, -math.inf if delta is None else t0 - delta)
                 assert lo_w <= cands[int(draw * len(cands))] < hi_w
+
+    def test_walker_stops_once_no_walker_is_left(self, monkeypatch):
+        g = TemporalGraph([0], [1], [1.0], np.zeros((1, 0)), 2)
+        calls, bracket = [], motifs._bracket
+
+        def record(*args):
+            calls.append(len(args[3]))
+            return bracket(*args)
+        monkeypatch.setattr(motifs, "_bracket", record)
+        ids, live = sample_id_block(g, [0], [2.0], [0], 3, 3, 4)
+        assert calls == [4]  # step 0 only: after it every walker is at a dead end
+        assert np.array_equal(ids, [[0, -1, -1]] * 4) and np.array_equal(live, [0])
 
 
 def _chi_square_quantile(dof: int, z: float = 3.090) -> float:
