@@ -24,6 +24,7 @@ projection is a multiply plus a row sum and a lone query is duplicated.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import subprocess
@@ -498,6 +499,13 @@ class ExternalAdapter:
                                             daemon=True)
         self._reader.start()
         self._err_reader.start()
+        try:
+            self._handshake()
+        except AdapterProtocolError:
+            self.close()
+            raise
+
+    def _handshake(self):
         hello = self._read_line()
         try:
             proto = json.loads(hello).get("protocol")
@@ -563,10 +571,22 @@ class ExternalAdapter:
         return 1 if self.predict(g, query) >= 0.5 else 0
 
     def close(self):
-        if self._proc.poll() is None:
+        """End the child and close its three pipes; a read pipe is closed once its
+        reader thread has seen the end of it. Closing twice is harmless."""
+        with contextlib.suppress(OSError):  # a dead child may leave a write unflushed
             self._proc.stdin.close()
+        if self._proc.poll() is None:
             self._proc.terminate()
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+        for reader, pipe in ((self._reader, self._proc.stdout),
+                             (self._err_reader, self._proc.stderr)):
+            reader.join(timeout=self.timeout)
+            if not reader.is_alive():
+                pipe.close()
 
     def __enter__(self):
         return self

@@ -236,7 +236,9 @@ COMMANDS = {
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """A help-less parent parser holding --config and one flag per RunConfig field."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", default=None, help="JSON config file")
     for f in dataclasses.fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
@@ -246,17 +248,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         else:
             parser.add_argument(flag, type={"int": int, "float": float, "str": str}[kind],
                                 default=argparse.SUPPRESS)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="motifx", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = [_config_flags()]
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, parents=config)
         p.add_argument("--run-dir", required=(name != "grad-check"),
                        default="run" if name == "grad-check" else None)
-        _add_config_flags(p)
         if name == "explain":
             p.add_argument("--event-id", type=int, default=None)
         if name == "evaluate":

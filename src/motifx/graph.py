@@ -168,8 +168,8 @@ class TemporalGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        events = [[int(u), int(v), float(tt), [float(a) for a in row]]
-                  for u, v, tt, row in zip(self.src, self.dst, self.t, self.attrs)]
+        events = list(map(list, zip(self.src.tolist(), self.dst.tolist(), self.t.tolist(),
+                                     self.attrs.tolist())))
         payload = {"node_count": self.node_count, "attr_width": self.attr_width,
                    "events": events}
         return json.dumps(payload, separators=(",", ":")) + "\n"
@@ -357,6 +357,22 @@ TRIADIC_WINDOW = 15  # events considered "recent" when looking for open wedges
 TRIADIC_WEDGE_PROB = 0.8
 
 
+def _pick(weights: np.ndarray, x: float) -> int:
+    """The index ``rng.choice(len(weights), p=weights / weights.sum())`` returns for its
+    uniform draw x, picked from the exact cumulative sums of int64 `weights` (the
+    rule and its exactness bound are in `generate_synthetic`'s docstring)."""
+    cum = weights.cumsum()
+    total = int(cum[-1])
+    at = x * total
+    k = min(int(cum.searchsorted(at, side="right")), len(cum) - 1)  # `at` may round up to S
+    tol = 4 * (len(cum) + 2) * 2.0 ** -53 * total
+    if at - (int(cum[k - 1]) if k else 0) > tol and int(cum[k]) - at > tol:
+        return k
+    c = np.cumsum(weights / total)
+    c /= c[-1]
+    return int(c.searchsorted(x, side="right"))
+
+
 def generate_synthetic(rule: str, n_nodes: int, n_events: int, seed: int) -> TemporalGraph:
     """Planted-rule event streams with strictly increasing integer timestamps.
 
@@ -368,7 +384,18 @@ def generate_synthetic(rule: str, n_nodes: int, n_events: int, seed: int) -> Tem
     interacted.
 
     preferential-attachment: both endpoints drawn proportional to
-    (degree + 1). uniform-random: uniform distinct pairs.
+    (degree + 1), the second with the first's weight set to 0. The 2E
+    uniforms come from one ``rng.random((E, 2))`` call: the stream that 2E
+    ``rng.choice(n, p=w / w.sum())`` calls read, one double each. `_pick`
+    takes the first k with cum[k] > x * S, over the exact int64 cumulative
+    weights cum with total S; a zero weight is an empty bucket and never
+    picked. choice searches x in its float CDF, cumsum(w / S) over its last
+    entry, which lies within (2n + 3) * 2**-53 of cum / S. So a draw farther
+    than 4 * (n + 2) * 2**-53 from both edges of its exact bucket gets
+    choice's index, and a nearer one is searched in choice's own float CDF:
+    the graph is byte for byte the one the choice calls build.
+
+    uniform-random: uniform distinct pairs.
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
@@ -390,14 +417,12 @@ def generate_synthetic(rule: str, n_nodes: int, n_events: int, seed: int) -> Tem
             src.append(u)
             dst.append(v)
     elif rule == "preferential-attachment":
-        deg = np.ones(n_nodes)
-        for _ in range(n_events):
-            p = deg / deg.sum()
-            u = int(rng.choice(n_nodes, p=p))
-            q = deg.copy()
-            q[u] = 0.0
-            q /= q.sum()
-            v = int(rng.choice(n_nodes, p=q))
+        deg = np.ones(n_nodes, dtype=np.int64)
+        for x, y in rng.random((n_events, 2)).tolist():
+            u = _pick(deg, x)
+            rest = deg.copy()
+            rest[u] = 0
+            v = _pick(rest, y)
             src.append(u)
             dst.append(v)
             deg[u] += 1

@@ -269,10 +269,16 @@ def motif_codes(ends: np.ndarray, anchors) -> list[str]:
     if detached.any():
         raise InvariantError(f"motif row {np.argmax(detached.any(axis=1))}: an event after "
                              "the first touches no earlier node")
-    rows, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    # group equal rows: sort them lexicographically, then open a group at each change
+    order = np.lexsort(pairs.T[::-1])
+    ranked = pairs[order]
+    opens = np.ones(len(ranked), dtype=bool)
+    opens[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(ranked), dtype=np.int64)
+    inverse[order] = np.cumsum(opens) - 1
     text = ["".join(f"{a}{b}" for a, b in zip(r[0::2], r[1::2]) if a >= 0)
-            for r in rows.tolist()]
-    return [text[i] for i in inverse.reshape(-1).tolist()]
+            for r in ranked[opens].tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def _pair_rows(instances: list) -> np.ndarray:

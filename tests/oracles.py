@@ -10,6 +10,7 @@ the per-query base-model forward at the end, which runs on the nn tape.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -56,6 +57,34 @@ def brute_force_computational_graph(g, u, v, t, hops, per_hop_cap):
         visited |= reached
         frontier = sorted(reached)
     return hop_of
+
+
+def reference_preferential_attachment(n_nodes, n_events, seed):
+    """Preferential-attachment endpoints (src, dst) from one `Generator.choice` call per
+    endpoint, the second endpoint's draw with the first's weight zeroed."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC0FFEE])))
+    src, dst = [], []
+    deg = np.ones(n_nodes)
+    for _ in range(n_events):
+        p = deg / deg.sum()
+        u = int(rng.choice(n_nodes, p=p))
+        q = deg.copy()
+        q[u] = 0.0
+        q /= q.sum()
+        v = int(rng.choice(n_nodes, p=q))
+        src.append(u)
+        dst.append(v)
+        deg[u] += 1
+        deg[v] += 1
+    return src, dst
+
+
+def reference_graph_json(g) -> str:
+    """The graph JSON built one numpy scalar at a time."""
+    events = [[int(u), int(v), float(tt), [float(a) for a in row]]
+              for u, v, tt, row in zip(g.src, g.dst, g.t, g.attrs)]
+    payload = {"node_count": g.node_count, "attr_width": g.attr_width, "events": events}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def validate_instance(g, inst, u0, t0, n, l, delta=None):

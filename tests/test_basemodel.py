@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import time
 
@@ -418,6 +419,29 @@ class TestAdapter:
         silent = "import time\ntime.sleep(30)\n"
         with pytest.raises(AdapterProtocolError, match="timed out"):
             ExternalAdapter(stub_cmd(silent), timeout=0.5)
+
+    def test_close_closes_every_pipe(self):
+        adapter = ExternalAdapter(stub_cmd(STUB_OK))
+        adapter.close()
+        proc = adapter._proc
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
+        adapter.close()  # a second close is harmless
+
+    def test_failed_handshake_ends_the_child(self, monkeypatch):
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        with pytest.raises(AdapterProtocolError, match="timed out"):
+            ExternalAdapter(stub_cmd("import time\ntime.sleep(30)\n"), timeout=0.5)
+        (proc,) = started
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
 
     def test_stderr_tail_of_a_crashed_child(self):
         crash = ("import sys\nfor i in range(100):\n    print(f'trace line {i}', file=sys.stderr)\n"

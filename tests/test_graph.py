@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from motifx.errors import IngestError, SchemaError
-from motifx.graph import (TemporalGraph, computational_graph, generate_synthetic,
+from motifx.graph import (TemporalGraph, _pick, computational_graph, generate_synthetic,
                           ingest_csv, neighbor_events, node_base_features,
                           query_event)
 from motifx.motifs import null_model
 
 from conftest import random_graph
-from oracles import brute_force_computational_graph, brute_force_neighbor_events
+from oracles import (brute_force_computational_graph, brute_force_neighbor_events,
+                     reference_graph_json, reference_preferential_attachment)
 
 
 def write_csv(tmp_path, text, name="g.csv"):
@@ -141,6 +142,56 @@ class TestSynthetic:
         deg = np.bincount(np.concatenate([g.src, g.dst]), minlength=30)
         assert deg.max() > 2 * np.median(deg)
 
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("n_nodes, n_events",
+                             [(3, 500), (14, 120), (30, 2000), (1000, 5000), (200, 20000)])
+    def test_preferential_attachment_matches_choice_loop(self, n_nodes, n_events, seed):
+        g = generate_synthetic("preferential-attachment", n_nodes, n_events, seed)
+        src, dst = reference_preferential_attachment(n_nodes, n_events, seed)
+        assert g.src.tolist() == src
+        assert g.dst.tolist() == dst
+
+    def test_float_cdf_is_choices_rule(self):
+        """`choice_pick` is what Generator.choice returns for the draw it takes."""
+        rng = np.random.default_rng(5)
+        for seed in range(200):
+            w = rng.integers(0, 50, size=int(rng.integers(2, 30)))
+            w[rng.integers(len(w))] += 1
+            x = np.random.Generator(np.random.PCG64(seed)).random()
+            chosen = np.random.Generator(np.random.PCG64(seed)).choice(len(w), p=w / w.sum())
+            assert int(chosen) == choice_pick(w, x)
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["all-positive", "zeroed-bucket"])
+    def test_pick_matches_choice_at_every_cdf_edge(self, zeroed):
+        """Draws on each float and exact CDF edge and one ulp either side of it."""
+        rng = np.random.default_rng(40 + zeroed)
+        near_edges = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            w = rng.integers(1, [3, 100, 10**6, 10**12][int(rng.integers(4))], size=n)
+            if zeroed:
+                w[rng.integers(n)] = 0
+            exact = np.cumsum(w) / w.sum()
+            c = np.cumsum(w / w.sum())
+            c /= c[-1]
+            edges = np.concatenate([[0.0], c, exact])
+            xs = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+            xs = np.unique(xs[(xs >= 0.0) & (xs < 1.0)])
+            assert [_pick(w, x) for x in xs.tolist()] == [choice_pick(w, x) for x in xs.tolist()]
+            near = np.abs(xs[:, None] - np.append(0.0, exact)) <= 4 * (n + 2) * 2.0 ** -53
+            near_edges += int(near.any(axis=1).sum())
+        assert near_edges > 0  # draws that take the float-CDF fallback
+
+    def test_to_json_matches_scalar_formatting(self):
+        rng = np.random.default_rng(3)
+        attrs = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-300, 300, size=(60, 3))
+        attrs[:4, 0] = [-0.0, 0.1, 5e-324, 1.0]
+        t = np.round(rng.uniform(0, 50, size=60), int(rng.integers(0, 4)))
+        g = TemporalGraph(rng.integers(0, 5, 60), rng.integers(5, 9, 60), t, attrs, 9)
+        assert g.to_json() == reference_graph_json(g)
+        bare = generate_synthetic("preferential-attachment", 10, 50, seed=2)
+        assert bare.to_json() == reference_graph_json(bare)
+
     def test_timestamps_strictly_increasing(self):
         g = generate_synthetic("uniform-random", 5, 40, seed=0)
         assert np.all(np.diff(g.t) > 0)
@@ -148,6 +199,14 @@ class TestSynthetic:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             generate_synthetic("small-world", 10, 10, seed=0)
+
+
+def choice_pick(weights, x):
+    """The index Generator.choice(len(w), p=w / w.sum()) returns for its uniform draw x:
+    the right-side search of x in its CDF, cumsum(p) divided by its last entry."""
+    c = np.cumsum(weights / weights.sum())
+    c /= c[-1]
+    return int(c.searchsorted(x, side="right"))
 
 
 def degree_spectrum(g):

@@ -12,7 +12,7 @@ from motifx.errors import EnumerationLimitError, MotifxError
 from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
 from motifx.motifs import (MotifInstance, _below, _count_terms, _pair_rows, anchor_time,
                            census, code_alphabet, empirical_class_probs, endpoint_rows,
-                           enumerate_motifs, graph_census, motif_code, motif_codes,
+                           enumerate_motifs, first_touch, graph_census, motif_code, motif_codes,
                            null_class_probs, null_model, sample_id_block,
                            sample_motif_batch, total_variation)
 
@@ -376,6 +376,22 @@ class TestLabeller:
         assert rows == [reference_motif_code(m) for m in enumerated]
         for m in sampled[:50] + enumerated[:50]:
             assert motif_code(m) == reference_motif_code(m), m
+
+    def test_large_n_and_l_codes_match_reference(self):
+        """Rows of 2l = 20 labels up to l = 10: (n + 1) ** (2l) would overflow int64."""
+        rng = np.random.default_rng(77)
+        g = random_graph(rng, n_nodes=40, n_events=300)
+        n, l = 20, 10
+        anchors = np.arange(g.node_count)
+        t0s = [anchor_time(g, a) for a in anchors.tolist()]
+        seeds = [3] * len(anchors)
+        ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, 40)
+        sampled = [m for insts in sample_motif_batch(g, anchors, t0s, seeds, n, l, 40)
+                   for m in insts]
+        ends = endpoint_rows(g, ids)
+        assert first_touch(ends).max() == l
+        block = motif_codes(ends, np.repeat(anchors[live], 40))
+        assert block == [reference_motif_code(m) for m in sampled]
 
     def test_detached_event_is_a_typed_error(self):
         with pytest.raises(MotifxError, match="no earlier node"):
