@@ -32,13 +32,13 @@ import sys
 import threading
 import queue
 from collections import deque
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
 from .config import check_fields
-from .errors import AdapterProtocolError, NonFiniteError, ShapeError
+from .errors import AdapterProtocolError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
 from .metrics import average_precision
@@ -317,73 +317,36 @@ def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
     return nn.vmean(_bce(probs, [label for _, label in batch]))
 
 
-@dataclass
-class TrainReport:
-    epochs_run: int = 0
-    best_epoch: int = -1
-    best_val_ap: float = 0.0
-    losses: list = field(default_factory=list)
-    aborted_non_finite: bool = False
-
-
-def train_base(g: TemporalGraph, cfg: BaseConfig) -> tuple[ParameterStore, TrainReport]:
+def train_base(g: TemporalGraph, cfg: BaseConfig) -> tuple[ParameterStore, dict]:
     """Binary classification of real events against uniform negative partners.
 
-    Chronological 75/5/20 split, fresh negatives per epoch, early stopping
-    on validation average precision, best checkpoint restored.
-    Deterministic given cfg.seed.
+    Chronological 75/5/20 split, fresh negatives per epoch, deterministic given cfg.seed.
+    `nn.fit` trains it: a non-finite loss or gradient raises NonFiniteError naming the
+    epoch; the best by validation AP of the untrained store and each epoch is returned
+    (stop after cfg.patience epochs without a gain), or with an empty validation split
+    the last epoch. The report is `nn.fit`'s.
     """
     store = build_base_store(g, cfg)
     train_ids, val_ids, _ = split_event_ids(g)
     val_set = eval_queries(g, val_ids, cfg.seed)
     pos_caches = {int(e): build_query_cache(g, g.event(int(e)), cfg.k_nb) for e in train_ids}
-    state = nn.adam_init(store)
-    report = TrainReport()
-    best = store.copy()
-    since_best = 0
-    for epoch in range(cfg.epochs):
+
+    def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xE60C, epoch])))
-        order = rng.permutation(len(train_ids))
         samples: list[tuple[QueryCache, int]] = []
-        for k in order:
-            eid = int(train_ids[k])
-            ev = g.event(eid)
-            samples.append((pos_caches[eid], 1))
-            x = negative_partner(rng, g.node_count, ev.u)
-            samples.append((build_query_cache(g, query_event(ev.u, x, ev.t, g.attr_width),
-                                              cfg.k_nb), 0))
-        epoch_loss = 0.0
-        n_batches = 0
-        try:
-            for lo in range(0, len(samples), cfg.batch):
-                chunk = samples[lo:lo + cfg.batch]
-                tape = Tape(store)
-                loss = batch_loss(tape, store, g, chunk)
-                if not np.isfinite(loss.value):
-                    raise NonFiniteError(f"training loss became {loss.value!r}")
-                grads = tape.gradients(loss)
-                nn.optimizer_step(store, grads, state, lr=cfg.lr)
-                epoch_loss += float(loss.value)
-                n_batches += 1
-        except NonFiniteError:
-            report.aborted_non_finite = True
-            break
-        report.losses.append(epoch_loss / max(n_batches, 1))
-        report.epochs_run = epoch + 1
-        val_ap = evaluate_ap(store, g, val_set) if val_set else 0.0
-        if val_ap > report.best_val_ap:
-            report.best_val_ap = val_ap
-            report.best_epoch = epoch
-            best = store.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    best.meta["train_report"] = {"epochs_run": report.epochs_run,
-                                 "best_epoch": report.best_epoch,
-                                 "best_val_ap": report.best_val_ap}
-    return best, report
+        for k in rng.permutation(len(train_ids)):
+            ev = g.event(int(train_ids[k]))
+            neg = query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t, g.attr_width)
+            samples += [(pos_caches[ev.id], 1), (build_query_cache(g, neg, cfg.k_nb), 0)]
+        for lo in range(0, len(samples), cfg.batch):
+            yield lambda tape, chunk=samples[lo:lo + cfg.batch]: batch_loss(tape, store, g, chunk)
+
+    report = nn.fit(store, cfg.epochs, batches, cfg.lr, patience=cfg.patience,
+                    validate=(lambda s: evaluate_ap(s, g, val_set)) if val_set else None)
+    store.meta["train_report"] = {"epochs_run": report["epochs_run"],
+                                  "best_epoch": report["best_epoch"],
+                                  "best_val_ap": report["best_score"]}
+    return store, report
 
 
 # -- motif-enhanced head --------------------------------------------------------
@@ -436,8 +399,9 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
                         seed: int = 0) -> tuple[ParameterStore, dict]:
     """Train only the widened head on precomputed representations and embeddings.
 
-    Selection by validation AP including the untouched initial head, so
-    the result never validates worse than the plain model.
+    `nn.fit` selects by validation AP with the untouched initial head
+    competing, and leaves it only for a gain above 1e-3, so the result never
+    validates worse than the plain model. The report is `nn.fit`'s.
     """
     store = build_enhanced_store(base, embs.shape[1])
     head = ParameterStore()
@@ -446,30 +410,21 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
     train_idx = np.nonzero(~val_mask)[0]
     val_idx = np.nonzero(val_mask)[0]
 
-    def scores_for(param_src, idx):
-        return enhanced_probs(Tape(param_src), reps[idx], embs[idx]).value
-
-    best = {name: head.arrays[name].copy() for name in head.arrays}
-    best_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
-    report = {"initial_val_ap": best_ap, "best_epoch": -1}
-    state = nn.adam_init(head)
-    min_gain = 1e-3  # only leave the plain head for a real validation improvement
-    for epoch in range(epochs):
+    def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE11, epoch])))
         order = rng.permutation(len(train_idx))
         for lo in range(0, len(order), batch):
             sel = train_idx[order[lo:lo + batch]]
-            tape = Tape(head)
-            loss = nn.vmean(_bce(enhanced_probs(tape, reps[sel], embs[sel]), labels[sel]))
-            nn.optimizer_step(head, tape.gradients(loss), state, lr=lr)
-        val_ap = average_precision(labels[val_idx], scores_for(head, val_idx)) if len(val_idx) else 0.0
-        if val_ap > best_ap + min_gain:
-            best_ap = val_ap
-            best = {name: head.arrays[name].copy() for name in head.arrays}
-            report["best_epoch"] = epoch
-    for name, arr in best.items():
-        store.arrays[name] = arr
-    report["best_val_ap"] = best_ap
+            yield lambda tape, sel=sel: nn.vmean(_bce(enhanced_probs(tape, reps[sel], embs[sel]),
+                                                      labels[sel]))
+
+    def validate(src):
+        return average_precision(labels[val_idx], enhanced_probs(Tape(src), reps[val_idx],
+                                                                 embs[val_idx]).value)
+
+    report = nn.fit(head, epochs, batches, lr, validate=validate if len(val_idx) else None,
+                    min_gain=1e-3)  # only leave the plain head for a real validation gain
+    store.arrays.update(head.arrays)
     return store, report
 
 

@@ -127,7 +127,8 @@ def cmd_train_base(args, cfg: RunConfig) -> int:
     out = run_dir / FILES["base"]
     store.save(out)
     write_manifest(run_dir / (FILES["base"] + ".manifest.json"), "train-base", cfg)
-    print(f"wrote {out} (best val AP {report.best_val_ap:.4f} at epoch {report.best_epoch})")
+    ap = "none" if report["best_score"] is None else f"{report['best_score']:.4f}"
+    print(f"wrote {out} (best val AP {ap} at epoch {report['best_epoch']})")
     return 0
 
 
@@ -149,8 +150,8 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     out = run_dir / FILES["explainer"]
     store.save(out)
     write_manifest(run_dir / (FILES["explainer"] + ".manifest.json"), "train-explainer", cfg)
-    losses = ", ".join(f"{x:.4f}" for x in report.epoch_losses[-3:])
-    print(f"wrote {out} ({report.n_queries} queries, last losses [{losses}])")
+    losses = ", ".join(f"{x:.4f}" for x in report["epoch_losses"][-3:])
+    print(f"wrote {out} ({report['n_queries']} queries, last losses [{losses}])")
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -15,6 +16,7 @@ PRIORS = ("uniform", "empirical")
 # the values each field can run with, in every config that has the field
 RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
                          (lambda v: v >= 1, "at least 1")),
+         **dict.fromkeys(("lr", "lam"), (lambda v: 0.0 < v < math.inf, "finite and above 0")),
          "n_queries": (lambda v: v >= 0, "at least 0"),
          "p": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
          "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}")}

@@ -20,7 +20,7 @@ motif's embedding and score are bit-identical alone or in any batch, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import nn
 from .basemodel import (InternalPredictor, QueryCache, _bce, _head, build_query_cache,
                         negative_partner, predict_batch, soft_predict, split_event_ids)
 from .config import check_fields
-from .errors import InvariantError, NonFiniteError
+from .errors import InvariantError
 from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph, query_event
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
@@ -253,10 +253,7 @@ def kl_empirical(scores: Var, query: np.ndarray, codes, prior_p: float,
 def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
     """Mean over a batch of queries of the cross-entropy of each masked prediction
     against its unmasked label, plus beta times its KL; preds, labels and kl are (B,)."""
-    out = nn.vmean(nn.add(_bce(preds, labels), nn.scale(kl, beta)))
-    if not np.isfinite(out.value):
-        raise NonFiniteError(f"objective became {out.value!r}")
-    return out
+    return nn.vmean(nn.add(_bce(preds, labels), nn.scale(kl, beta)))
 
 
 def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[QueryPrep],
@@ -287,14 +284,6 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     return ib_loss(preds, [p.label for p in preps], kl, cfg.beta)
 
 
-@dataclass
-class ExplainerReport:
-    epoch_losses: list = field(default_factory=list)
-    n_queries: int = 0
-    n_skipped: int = 0
-    mean_score: float = 0.0
-
-
 def _training_preps(g: TemporalGraph, base: InternalPredictor, cfg: ExplainerConfig,
                     train_ids: np.ndarray) -> tuple[list[QueryPrep], int]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0x9E6])))
@@ -313,12 +302,15 @@ def _training_preps(g: TemporalGraph, base: InternalPredictor, cfg: ExplainerCon
 
 
 def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: ExplainerConfig,
-                    null_probs: dict | None = None) -> tuple[ParameterStore, ExplainerReport]:
+                    null_probs: dict | None = None) -> tuple[ParameterStore, dict]:
     """Fit the generator on the training split (events and 1:1 negatives).
 
     Motif samples, structural features and base-model contexts are
     prepared once per query and reused across epochs; only the mask draws
-    are resampled. Deterministic given cfg.seed.
+    are resampled. Deterministic given cfg.seed. `nn.fit` trains it with no validation:
+    a non-finite loss or gradient raises NonFiniteError naming the epoch, and the last
+    epoch is returned. The report is `nn.fit`'s plus `n_queries`, `n_skipped` and
+    `mean_score`, the mean trained score over the training queries.
     """
     base = InternalPredictor(base_store)
     store = build_explainer_store(g, base_store.meta, cfg)
@@ -328,31 +320,27 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
                                       smoothing=cfg.smoothing)
     train_ids, _, _ = split_event_ids(g)
     preps, skipped = _training_preps(g, base, cfg, train_ids)
-    report = ExplainerReport(n_queries=len(preps), n_skipped=skipped)
+    extras = {"n_queries": len(preps), "n_skipped": skipped, "mean_score": 0.0}
     if not preps:
-        return store, report
-    state = nn.adam_init(store)
-    for epoch in range(cfg.epochs):
+        return store, {"epoch_losses": [], **extras}
+
+    def loss(tape, chunk, rng):
+        scores, _, counts = encode_and_score(tape, chunk)
+        draws = np.concatenate([rng.uniform(1e-9, 1.0 - 1e-9, size=m) for m in counts])
+        return query_objective(base_store, g, chunk, scores, draws, cfg, null_probs)
+
+    def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xD4A5, epoch])))
         order = rng.permutation(len(preps))
-        total = 0.0
-        n_batches = 0
         for lo in range(0, len(order), cfg.batch):
             chunk = [preps[i] for i in order[lo:lo + cfg.batch]]
-            tape = Tape(store)
-            scores, _, counts = encode_and_score(tape, chunk)
-            draws = np.concatenate([rng.uniform(1e-9, 1.0 - 1e-9, size=m) for m in counts])
-            loss = query_objective(base_store, g, chunk, scores, draws, cfg, null_probs)
-            grads = tape.gradients(loss)
-            nn.optimizer_step(store, grads, state, lr=cfg.lr)
-            total += float(loss.value)
-            n_batches += 1
-        report.epoch_losses.append(total / n_batches)
-    # mean trained score over the training queries, for the prior-drift report
-    report.mean_score = float(np.concatenate([sc for sc, _ in encode_chunks(
+            yield lambda tape, chunk=chunk: loss(tape, chunk, rng)
+
+    report = nn.fit(store, cfg.epochs, batches, cfg.lr)
+    extras["mean_score"] = float(np.concatenate([sc for sc, _ in encode_chunks(
         store, preps, cfg.batch)]).mean())
-    store.meta["train_report"] = asdict(report)
-    return store, report
+    store.meta["train_report"] = {"epoch_losses": report["epoch_losses"], **extras}
+    return store, {**report, **extras}
 
 
 # -- explanation ----------------------------------------------------------------

@@ -418,6 +418,8 @@ class ParameterStore:
                 if data.ndim != 1 or data.size != math.prod(shape):
                     raise CheckpointError(f"{path}: array {name!r} has {data.size} values "
                                           f"for shape {shape}")
+                if not np.isfinite(data).all():
+                    raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
                 store.arrays[name] = data.reshape(shape)
             k_nb = store.meta.get("k_nb") if store.meta.get("kind") == "base" else 1
         except CheckpointError:
@@ -477,10 +479,10 @@ def optimizer_step(store: ParameterStore, grads: dict, state: dict,
     """In-place moment-adaptive update; refuses non-finite gradients."""
     b1, b2 = betas
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(
-                f"non-finite gradient for {name!r}: "
-                f"min={np.nanmin(g)!r} max={np.nanmax(g)!r}")
+        bad = ~np.isfinite(g)
+        if bad.any():
+            raise NonFiniteError(f"non-finite gradient for {name!r}: {int(bad.sum())} of "
+                                 f"{g.size} entries, first {float(g[bad][0])!r}")
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - b1 ** t
@@ -494,6 +496,52 @@ def optimizer_step(store: ParameterStore, grads: dict, state: dict,
         v += (1 - b2) * g * g
         store.arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return state
+
+
+def fit(store: ParameterStore, epochs: int, batches: Callable, lr: float,
+        validate: Callable | None = None, patience: int | None = None,
+        min_gain: float = 0.0) -> dict:
+    """Train `store` in place with Adam, one step per loss builder `f(tape) -> Var` that
+    `batches(epoch)` yields. A non-finite loss or gradient raises NonFiniteError naming
+    the epoch. With `validate(store) -> score`, the untrained store counts at its measured
+    score, an epoch replaces the best only when it beats it by more than `min_gain`,
+    training stops once `patience` epochs in a row have not, and the best arrays are
+    restored; without it the last epoch's store is kept. Returns the per-epoch mean
+    losses, `epochs_run`, `best_epoch` (-1: untrained), and the initial and best scores
+    (None without `validate`).
+    """
+    state = adam_init(store)
+    best_score = None if validate is None else validate(store)
+    report = {"epoch_losses": [], "epochs_run": 0, "best_epoch": -1, "initial_score": best_score}
+    best = {k: v.copy() for k, v in store.arrays.items()}
+    for epoch in range(epochs):
+        total, n_batches = 0.0, 0
+        for build in batches(epoch):
+            tape = Tape(store)
+            try:
+                loss = build(tape)
+                if not np.isfinite(loss.value):
+                    raise NonFiniteError(f"loss became {loss.value.item()!r}")
+                optimizer_step(store, tape.gradients(loss), state, lr=lr)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch}: {exc}") from exc
+            total += float(loss.value)
+            n_batches += 1
+        report["epoch_losses"].append(total / max(n_batches, 1))
+        report["epochs_run"] = epoch + 1
+        if validate is None:
+            report["best_epoch"] = epoch
+            continue
+        score = validate(store)
+        if score > best_score + min_gain:
+            best_score, report["best_epoch"] = score, epoch
+            best = {k: v.copy() for k, v in store.arrays.items()}
+        elif patience is not None and epoch - report["best_epoch"] > patience:
+            break
+    if validate is not None:
+        store.arrays.update(best)
+    report["best_score"] = best_score
+    return report
 
 
 def grad_check(build_loss: Callable[[Tape], Var], store: ParameterStore,

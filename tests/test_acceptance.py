@@ -223,7 +223,7 @@ def test_criterion_7_planted_rule(triadic):
          f"(gap {gap:+.2f} >= 10); wedge-class mean {wedge_mean:.3f} > "
          f"other {other_mean:.3f}; pipeline {triadic['elapsed']:.0f}s < 900s")
     # report-only drift check: trained mean score should sit near the prior belief
-    mean_score = triadic["expl_report"].mean_score
+    mean_score = triadic["expl_report"]["mean_score"]
     print(f"[report] mean importance score {mean_score:.3f} vs prior p={EXPL_CFG.p} "
           f"(band {EXPL_CFG.p - 0.2:.2f}..{EXPL_CFG.p + 0.2:.2f})")
     acc = report.acc_per_level

@@ -298,6 +298,15 @@ class TestTraining:
 
         assert grad_check(loss, store, eps=1e-5, rng=rng, max_coords=4) < 1e-4
 
+    def test_empty_validation_split_returns_the_last_epoch(self):
+        g = generate_synthetic("triadic-closure", 6, 8, seed=0)
+        assert len(split_event_ids(g)[1]) == 0
+        cfg = BaseConfig(h=8, d_time=4, k_nb=6, epochs=3, patience=0, seed=0)
+        store, report = train_base(g, cfg)
+        assert (report["epochs_run"], report["best_epoch"], report["best_score"]) == (3, 2, None)
+        initial = build_base_store(g, cfg)
+        assert any(not np.array_equal(store.arrays[k], v) for k, v in initial.arrays.items())
+
 
 class TestEnhancedHead:
     """The widened head: `_head` over [representation || mean motif embedding] rows."""
@@ -337,10 +346,10 @@ class TestEnhancedHead:
         val = np.arange(len(labels)) % 4 == 0
         trained, report = train_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
                                               epochs=5, batch=16)
-        assert report["best_val_ap"] >= report["initial_val_ap"]
+        assert report["best_score"] >= report["initial_score"]
         assert report["best_epoch"] >= 0
         val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
-        assert average_precision(labels[val], val_probs) == report["best_val_ap"]
+        assert average_precision(labels[val], val_probs) == report["best_score"]
 
 
 STUB_OK = """

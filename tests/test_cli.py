@@ -126,7 +126,9 @@ class TestErrors:
         ("train-explainer", "--h", "0"), ("train-base", "--d-time-base", "0"),
         ("train-explainer", "--d-time", "0"), ("train-explainer", "--d-time-base", "0"),
         ("train-explainer", "--p", "0"), ("train-explainer", "--p", "1"),
-        ("explain", "--n-queries", "-2"), ("evaluate", "--n-queries", "-2")])
+        ("explain", "--n-queries", "-2"), ("evaluate", "--n-queries", "-2"),
+        ("train-base", "--lr", "nan"), ("train-explainer", "--lr", "0"),
+        ("train-explainer", "--lam", "0")])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
         code = main([command, "--run-dir", str(tmp_path / "r"), flag, value])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

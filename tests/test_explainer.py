@@ -171,8 +171,17 @@ class TestIbLoss:
         assert ib([0.7, 0.7], [1, 1], [0.0, 2.0], 0.5) == pytest.approx(base + 0.5, abs=1e-9)
 
     def test_non_finite_objective_raises(self):
-        with pytest.raises(NonFiniteError):
-            ib([0.7, 0.4], [1, 0], [0.0, np.inf], 0.5)
+        """An infinite KL term gives an infinite objective, and `nn.fit` refuses it before
+        any step."""
+        store = nn.ParameterStore()
+        store.add("x", np.zeros(2))
+
+        def batches(epoch):
+            yield lambda tape: ib_loss(nn.add(tape.param("x"), nn.const([0.7, 0.4])), [1, 0],
+                                       nn.const([0.0, np.inf]), 0.5)
+        with pytest.raises(NonFiniteError, match="epoch 0: loss became inf"):
+            nn.fit(store, 2, batches, 1e-3)
+        assert np.array_equal(store.arrays["x"], np.zeros(2))
 
 
 def _same(a, b) -> bool:
@@ -383,10 +392,51 @@ class TestTraining:
                                seed=0, per_hop_cap=8)
         s1, r1 = train_explainer(g, base, ecfg)
         s2, r2 = train_explainer(g, base, ecfg)
-        assert r1.epoch_losses == r2.epoch_losses
+        assert r1 == r2
         for name in s1.arrays:
             assert np.array_equal(s1.arrays[name], s2.arrays[name]), name
-        assert np.mean(r1.epoch_losses[-2:]) < np.mean(r1.epoch_losses[:2])
+        assert np.mean(r1["epoch_losses"][-2:]) < np.mean(r1["epoch_losses"][:2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("trainer", ["base", "enhanced_head", "explainer"])
+    def test_non_finite_raises_in_every_trainer(self, monkeypatch, trainer):
+        """One NaN in an initial parameter (base, head) or in a prep's `dts` (explainer)
+        raises NonFiniteError naming the epoch, with no RuntimeWarning on the way."""
+        from motifx import basemodel, explainer
+        g = generate_synthetic("triadic-closure", 15, 200, seed=2)
+        bcfg = BaseConfig(h=8, d_time=4, k_nb=8, epochs=2, seed=0)
+        base = build_base_store(g, bcfg)
+
+        def poisoned(build, name):
+            def wrapper(*a):
+                store = build(*a)
+                store.arrays[name][0] = np.nan
+                return store
+            return wrapper
+        with pytest.raises(NonFiniteError, match="epoch 0"):
+            if trainer == "base":
+                monkeypatch.setattr(basemodel, "build_base_store",
+                                    poisoned(build_base_store, "head1.b"))
+                basemodel.train_base(g, bcfg)
+            elif trainer == "enhanced_head":
+                monkeypatch.setattr(basemodel, "build_enhanced_store",
+                                    poisoned(basemodel.build_enhanced_store, "ehead1.b"))
+                caches = [basemodel.build_query_cache(g, g.event(e), 8) for e in range(100, 164)]
+                reps = basemodel.predict_batch(base, g, caches)[1]
+                embs = np.random.default_rng(0).normal(size=(len(caches), 4))
+                labels = np.arange(len(caches)) % 2
+                basemodel.train_enhanced_head(base, reps, embs, labels,
+                                              np.arange(len(caches)) % 4 == 0, epochs=2)
+            else:
+                real = explainer._training_preps
+
+                def poisoned_preps(*a):
+                    preps, skipped = real(*a)
+                    preps[0].dts[0] = np.nan
+                    return preps, skipped
+                monkeypatch.setattr(explainer, "_training_preps", poisoned_preps)
+                train_explainer(g, base, ExplainerConfig(c=6, n=3, l=3, d_time=4, h=8, epochs=2,
+                                                         seed=0, per_hop_cap=8))
 
 
 class TestExplain:

@@ -169,6 +169,91 @@ class TestOptimizer:
         with pytest.raises(NonFiniteError, match="w"):
             nn.optimizer_step(store, {"w": np.array([np.nan, 1.0])}, state)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_nan_gradient_message_is_warning_free(self):
+        store = rand_store({"w": (3,)})
+        with pytest.raises(NonFiniteError, match="'w': 3 of 3 entries, first nan"):
+            nn.optimizer_step(store, {"w": np.full(3, np.nan)}, nn.adam_init(store))
+
+
+def bowl(epoch):
+    """Two loss builders per epoch for sum((x - 1)^2)."""
+    for _ in range(2):
+        yield lambda tape: nn.vsum(nn.mul(*[nn.sub(tape.param("x"), nn.const(1.0))] * 2))
+
+
+class TestFit:
+    """`nn.fit`: one Adam step per loss builder, the non-finite rule and the best-store rule."""
+
+    @staticmethod
+    def scripted(scores, epochs, **kwargs):
+        """Fit the bowl from x = 0 with `validate` reading `scores` in turn; also returns the
+        x each call saw (the untrained store first, then one per epoch)."""
+        store = ParameterStore()
+        store.add("x", np.zeros(1))
+        seen, it = [], iter(scores)
+
+        def validate(s):
+            seen.append(s.arrays["x"].copy())
+            return next(it)
+        return store, nn.fit(store, epochs, bowl, 0.1, validate=validate, **kwargs), seen
+
+    def test_steps_equal_a_hand_loop_and_the_last_epoch_is_kept(self):
+        store = ParameterStore()
+        store.add("x", np.zeros(1))
+        report = nn.fit(store, 3, bowl, 0.1)
+        hand = ParameterStore()
+        hand.add("x", np.zeros(1))
+        state = nn.adam_init(hand)
+        for epoch in range(3):
+            for build in bowl(epoch):
+                tape = Tape(hand)
+                nn.optimizer_step(hand, tape.gradients(build(tape)), state, lr=0.1)
+        assert np.array_equal(store.arrays["x"], hand.arrays["x"])
+        assert (report["epochs_run"], report["best_epoch"]) == (3, 2)
+        assert report["initial_score"] is None and report["best_score"] is None
+        assert report["epoch_losses"][0] > report["epoch_losses"][-1]
+
+    def test_epoch_replaces_best_only_above_min_gain(self):
+        store, report, seen = self.scripted([0.5, 0.5005, 0.7, 0.7005], 3, min_gain=1e-3)
+        assert (report["best_epoch"], report["best_score"], report["initial_score"]) == (1, 0.7, 0.5)
+        assert report["epochs_run"] == 3
+        assert np.array_equal(store.arrays["x"], seen[2])
+
+    def test_untrained_store_counts_at_its_measured_score(self):
+        store, report, _ = self.scripted([0.9, 0.5, 0.6], 2)
+        assert (report["best_epoch"], report["best_score"]) == (-1, 0.9)
+        assert np.array_equal(store.arrays["x"], np.zeros(1))
+
+    def test_patience_stops_after_that_many_epochs_without_a_gain(self):
+        store, report, seen = self.scripted([0.5, 0.6, 0.55, 0.58], 10, patience=1)
+        assert (report["epochs_run"], report["best_epoch"]) == (3, 0)
+        assert len(report["epoch_losses"]) == 3
+        assert np.array_equal(store.arrays["x"], seen[1])
+
+    def test_non_finite_loss_names_the_epoch(self):
+        store = ParameterStore()
+        store.add("x", np.zeros(1))
+
+        def batches(epoch):
+            yield lambda tape: nn.add(nn.vsum(tape.param("x")), nn.const(np.inf if epoch else 0.0))
+        with pytest.raises(NonFiniteError, match="epoch 1: loss became inf"):
+            nn.fit(store, 3, batches, 0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_gradient_names_the_epoch(self):
+        store = ParameterStore()
+        store.add("x", np.zeros(1))
+
+        def batches(epoch):
+            def build(tape):
+                x = tape.param("x")
+                return nn.Var(0.0, (x,), lambda g: setattr(x, "grad", np.full(1, np.nan)))
+            yield build
+        with pytest.raises(NonFiniteError, match="epoch 0: non-finite gradient for 'x'"):
+            nn.fit(store, 1, batches, 0.1)
+        assert np.array_equal(store.arrays["x"], np.zeros(1))
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
@@ -217,6 +302,12 @@ class TestCheckpoint:
         store = ParameterStore.load(self.write(tmp_path, self.GOOD))
         assert store.arrays["w"].shape == (2, 3)
         assert store.meta["k_nb"] == 4
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_data_rejected(self, tmp_path, token):
+        text = json.dumps(self.GOOD).replace("0.0]", f"{token}]")
+        with pytest.raises(CheckpointError, match="'w' holds non-finite values"):
+            ParameterStore.load(self.write(tmp_path, text))
 
     def test_not_json(self, tmp_path):
         with pytest.raises(CheckpointError, match="not JSON"):
