@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from . import __version__, nn
-from .basemodel import BaseConfig, serve_adapter, train_base
+from .basemodel import BaseConfig, build_base_store, serve_adapter, train_base
 from .config import RunConfig, write_manifest
-from .errors import DependencyError, MotifxError
+from .errors import CheckpointError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
-from .explainer import ExplainerConfig, explain_batch, train_explainer
+from .explainer import ExplainerConfig, build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
 from .metrics import write_curve_csv
 from .motifs import graph_census, null_class_probs
@@ -55,6 +55,34 @@ def _need(run_dir: Path, key: str) -> Path:
 
 def _load_graph(run_dir: Path) -> TemporalGraph:
     return TemporalGraph.from_json(_need(run_dir, "graph").read_text())
+
+
+def _load_store(run_dir: Path, g: TemporalGraph,
+                base: nn.ParameterStore | None = None) -> nn.ParameterStore:
+    """The base checkpoint or, given its base, the explainer's, checked against the store
+    that its own meta["config"] builds on `g`: the same kind, meta values, array names
+    and shapes."""
+    kind = "base" if base is None else "explainer"
+    path = _need(run_dir, kind)
+    store = nn.ParameterStore.load(path)
+    if store.meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: a {store.meta.get('kind')!r} checkpoint, not {kind!r}")
+    try:
+        cfg = store.meta["config"]
+        ref = (build_base_store(g, BaseConfig(**cfg)) if base is None
+               else build_explainer_store(g, base.meta, ExplainerConfig(**cfg)))
+    except (KeyError, TypeError, MotifxError) as exc:
+        raise CheckpointError(f"{path}: its config builds no model ({exc!r})") from exc
+    for key, want in ref.meta.items():
+        if store.meta.get(key) != want:
+            raise CheckpointError(f"{path}: meta {key!r} is {store.meta.get(key, 'missing')!r}; "
+                                  f"its config builds {want!r}")
+    shapes, wants = ({k: v.shape for k, v in st.arrays.items()} for st in (store, ref))
+    for name in sorted(shapes.keys() | wants.keys()):
+        if shapes.get(name) != wants.get(name):
+            raise CheckpointError(f"{path}: array {name!r} has shape {shapes.get(name)}; "
+                                  f"its config builds {wants.get(name)}")
+    return store
 
 
 def _emit_warnings(cfg: RunConfig) -> None:
@@ -135,7 +163,7 @@ def cmd_train_base(args, cfg: RunConfig) -> int:
 def cmd_train_explainer(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = nn.ParameterStore.load(_need(run_dir, "base"))
+    base = _load_store(run_dir, g)
     ecfg = _explainer_cfg(cfg)
     null_probs = None
     null_path = run_dir / FILES["null_census"]
@@ -158,8 +186,8 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
 def cmd_explain(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = nn.ParameterStore.load(_need(run_dir, "base"))
-    expl = nn.ParameterStore.load(_need(run_dir, "explainer"))
+    base = _load_store(run_dir, g)
+    expl = _load_store(run_dir, g, base)
     ecfg = _explainer_cfg(cfg)
     if args.event_id is not None:
         if not (0 <= args.event_id < g.n_events):
@@ -179,8 +207,8 @@ def cmd_explain(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = nn.ParameterStore.load(_need(run_dir, "base"))
-    expl = nn.ParameterStore.load(_need(run_dir, "explainer"))
+    base = _load_store(run_dir, g)
+    expl = _load_store(run_dir, g, base)
     predictor = None
     adapter_cmd = args.adapter or os.environ.get(ADAPTER_ENV)
     if adapter_cmd:
@@ -218,7 +246,7 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
 def cmd_adapter_serve(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = nn.ParameterStore.load(_need(run_dir, "base"))
+    base = _load_store(run_dir, g)
     serve_adapter(base, g)
     return 0
 

@@ -152,7 +152,7 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
     probs, ctxs = predict_batch(base.store, g, caches)  # labels and contexts: the full view
     out: list[QueryPrep | None] = [None] * len(queries)
     for (i, lo, hi), qc, prob, ctx in zip(todo, caches, probs, ctxs):
-        query, comp_ids = queries[i], comps[i].member_ids
+        query, comp_ids = queries[i], comps[i]
         out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
                            ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
                            node_labels=labels[lo:hi],
@@ -382,7 +382,7 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
     for query, prep in zip(queries, preps):
         qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
         if prep is None:
-            comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap).member_ids
+            comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
             out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in levels},
                                          [int(e) for e in comp]))
             continue

@@ -288,54 +288,28 @@ def neighbor_events(g: TemporalGraph, nodes, before: float, strict: bool = True,
     return np.sort(np.concatenate(parts))
 
 
-@dataclass
-class EventSubset:
-    """The L-hop historical neighborhood a predictor can see for one target."""
-    target_u: int
-    target_v: int
-    target_t: float
-    target_id: int
-    members: frozenset
-    hop_of: dict
-
-    @property
-    def member_ids(self) -> np.ndarray:
-        return np.array(sorted(self.members), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
-                        per_hop_cap: int = DEFAULT_PER_HOP_CAP) -> EventSubset:
-    """Breadth-first expansion over temporal adjacency from the target endpoints.
+                        per_hop_cap: int = DEFAULT_PER_HOP_CAP) -> np.ndarray:
+    """The sorted int64 ids of the L-hop historical neighborhood a predictor can see
+    for one target: a breadth-first expansion over temporal adjacency from the
+    target endpoints.
 
     Per hop, each frontier node contributes at most `per_hop_cap` of its
     most recent events strictly earlier than the target time. A target
-    with no history yields an empty subset.
+    with no history yields an empty array.
     """
     if hops < 1 or per_hop_cap < 1:
         raise ValueError("hops and per_hop_cap must be >= 1")
-    members: set[int] = set()
-    hop_of: dict[int, int] = {}
-    visited = {target.u, target.v}
-    frontier = sorted(visited)
-    for hop in range(1, hops + 1):
-        next_nodes: set[int] = set()
+    members, visited, frontier = [], {target.u, target.v}, {target.u, target.v}
+    for _ in range(hops):
+        reached: set[int] = set()
         for w in frontier:
             ids, partners = g.history(w, target.t, strict=True)
-            for eid, other in zip(ids[-per_hop_cap:].tolist(), partners[-per_hop_cap:].tolist()):
-                if eid not in members:
-                    members.add(eid)
-                    hop_of[eid] = hop
-                if other not in visited:
-                    next_nodes.add(other)
-        visited |= next_nodes
-        frontier = sorted(next_nodes)
-        if not frontier:
-            break
-    return EventSubset(target.u, target.v, target.t, target.id,
-                       frozenset(members), hop_of)
+            members.append(ids[-per_hop_cap:])
+            reached.update(partners[-per_hop_cap:].tolist())
+        frontier = reached - visited
+        visited |= frontier
+    return np.unique(np.concatenate(members))
 
 
 def node_base_features(g: TemporalGraph, nodes, before) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Retrospective temporal motif sampling, exhaustive enumeration, canonical coding, censuses.
 
-A motif instance is a reverse-time-ordered event sequence anchored at a
-node: each step picks an event strictly earlier than the previous one,
-incident to the node set collected so far, keeping at most n nodes and
-staying within a duration window. Trajectories that dead-end before
-reaching the requested length are kept and flagged as truncated.
+A motif is a reverse-time-ordered event sequence anchored at a node: each
+step picks an event strictly earlier than the previous one, incident to
+the node set collected so far, keeping at most n nodes and staying within
+a duration window. It is held as one row of an (M, l) event-id block,
+padded with -1: a trajectory that dead-ends before l events is kept, and
+its row is truncated (row[-1] < 0).
 
-`sample_motif_batch` is the one sampler. It advances every walker of
+`sample_id_block` is the one sampler. It advances every walker of
 every anchor together, one step at a time, and never builds a candidate
 set. Anchor u0 with seed s draws one (C, l) block from
 SeedSequence([s, u0]); walker w uses row w, so the stream is that of C
@@ -30,9 +31,8 @@ only the walkers whose bracket is still wider than one id, one
 `searchsorted` per round. Candidates are in id order, so the law and the
 bytes are those of taking cands[k] from the ascending candidate list.
 
-Inside the pipeline a motif is a row of the walker's (W, l) event-id block,
-padded with -1; only `sample_motif_batch` and `enumerate_motifs` build
-MotifInstances. A canonical code labels the nodes of the row's endpoints
+`enumerate_motifs`, the exact oracle, returns the same block layout. A
+canonical code labels the nodes of the row's endpoints
 u_0, v_0, u_1, ... by first touch, event 0 turned anchor first, and writes
 each event's (min, max) label pair: the anchor is 0, the first pair is "01",
 and equal codes mean the same topology with events in the same order.
@@ -55,38 +55,11 @@ ENUM_GUARD = 200
 SMOOTHING = 1e-6
 
 
-@dataclass(frozen=True)
-class MotifInstance:
-    anchor: int
-    t0: float
-    event_ids: tuple
-    pairs: tuple          # (u, v) per event as stored in the graph
-    times: tuple
-    truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.event_ids)
-
-
 def _params_ok(n: int, l: int, c: int | None = None) -> None:
     if l < 1 or n < 2:
         raise ValueError("need l >= 1 and n >= 2")
     if c is not None and c < 1:
         raise ValueError("need C >= 1")
-
-
-def _instances(g: TemporalGraph, anchor: int, t0: float, paths: list, l: int) -> list:
-    """MotifInstances of event-id paths that share one anchor and anchor time."""
-    flat = np.array([i for ids in paths for i in ids], dtype=np.int64)
-    src, dst, t = g.src[flat].tolist(), g.dst[flat].tolist(), g.t[flat].tolist()
-    out, pos = [], 0
-    for ids in paths:
-        end = pos + len(ids)
-        out.append(MotifInstance(anchor=anchor, t0=t0, event_ids=tuple(ids),
-                                 pairs=tuple(zip(src[pos:end], dst[pos:end])),
-                                 times=tuple(t[pos:end]), truncated=len(ids) < l))
-        pos = end
-    return out
 
 
 def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) -> tuple:
@@ -189,29 +162,15 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
     return ids, live
 
 
-def sample_motif_batch(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
-                       l: int = DEFAULT_L, c: int = 1,
-                       delta: float | None = None) -> list[list[MotifInstance]]:
-    """`sample_id_block` as C MotifInstances per anchor; dead ends give truncated
-    instances, and an anchor with no admissible history gets []."""
-    ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, c, delta)
-    t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), np.shape(anchors))
-    paths = [[i for i in row if i >= 0] for row in ids.tolist()]
-    out: list[list[MotifInstance]] = [[] for _ in range(np.size(anchors))]
-    for k, a in enumerate(live.tolist()):
-        out[a] = _instances(g, int(anchors[a]), float(t0s[a]), paths[k * c:(k + 1) * c], l)
-    return out
-
-
 def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
                      l: int = DEFAULT_L, delta: float | None = None,
-                     max_events: int = ENUM_GUARD) -> list[MotifInstance]:
+                     max_events: int = ENUM_GUARD) -> np.ndarray:
     """Exhaustive depth-first expansion of every trajectory the sampler can emit.
 
-    Returns each full-length instance exactly once plus every dead-ended
-    (truncated) trajectory. Refuses graphs whose history before t0
-    exceeds `max_events`. Candidate sets come from `neighbor_events`,
-    independently of the sampler's counting.
+    Returns the (M, l) event-id block, padded with -1, of each full-length
+    trajectory exactly once plus every dead-ended (truncated) one. Refuses
+    graphs whose history before t0 exceeds `max_events`. Candidate sets
+    come from `neighbor_events`, independently of the sampler's counting.
     """
     _params_ok(n, l)
     history = g.id_cut(t0)
@@ -219,24 +178,24 @@ def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
         raise EnumerationLimitError(
             f"{history} events before t0 exceeds the enumeration guard ({max_events})")
     since = -math.inf if delta is None else t0 - delta
-    paths: list[list[int]] = []
+    rows: list[list[int]] = []
 
     def rec(ids: list, nodes: frozenset, t_prev: float):
         if len(ids) == l:
-            paths.append(ids)
+            rows.append(ids)
             return
         # with the node budget full, both endpoints must already be collected
         cands = neighbor_events(g, nodes, t_prev, strict=True, since=since,
                                 closed=len(nodes) >= n)
         if len(cands) == 0:
             if ids:
-                paths.append(ids)
+                rows.append(ids + [-1] * (l - len(ids)))
             return
         for pick in cands.tolist():
             rec(ids + [pick], nodes | {int(g.src[pick]), int(g.dst[pick])}, float(g.t[pick]))
 
     rec([], frozenset([u0]), t0)
-    return _instances(g, u0, t0, paths, l)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), l)
 
 
 # -- canonical coding ---------------------------------------------------------
@@ -279,18 +238,6 @@ def motif_codes(ends: np.ndarray, anchors) -> list[str]:
     text = ["".join(f"{a}{b}" for a, b in zip(r[0::2], r[1::2]) if a >= 0)
             for r in ranked[opens].tolist()]
     return [text[i] for i in inverse.tolist()]
-
-
-def _pair_rows(instances: list) -> np.ndarray:
-    rows = np.full((len(instances), 2 * max([1] + [len(i) for i in instances])), -1, np.int64)
-    for k, inst in enumerate(instances):
-        rows[k, :2 * len(inst)] = [x for pair in inst.pairs for x in pair]
-    return rows
-
-
-def motif_code(inst: MotifInstance) -> str:
-    """The 2l-digit equivalence label of an instance: `motif_codes` of its one row."""
-    return motif_codes(_pair_rows([inst]), [inst.anchor])[0]
 
 
 def code_alphabet(n: int = DEFAULT_N, l: int = DEFAULT_L) -> list[str]:
@@ -340,21 +287,14 @@ class MotifCensus:
                            "classes": payload}, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def _tally(codes: list, skipped: int) -> MotifCensus:
+def census(g: TemporalGraph, ids: np.ndarray, anchors) -> MotifCensus:
+    """Count equivalence classes over the rows of an (M, l) event-id block, row i
+    anchored at anchors[i]. A truncated row counts under its shorter code; a
+    single-event row is skipped (it has no event order to classify)."""
+    kept = (ids >= 0).sum(axis=1) >= 2
+    codes = motif_codes(endpoint_rows(g, ids[kept]), np.asarray(anchors)[kept])
     return MotifCensus(counts=dict(sorted(Counter(codes).items())), total=len(codes),
-                       skipped_short=skipped)
-
-
-def census(instances) -> MotifCensus:
-    """Count equivalence classes over instances of two or more events.
-
-    Truncated instances are counted under their shorter code; single-event
-    instances are skipped (they have no event order to classify).
-    """
-    insts = list(instances)
-    kept = [inst for inst in insts if len(inst) >= 2]
-    return _tally(motif_codes(_pair_rows(kept), [inst.anchor for inst in kept]),
-                  len(insts) - len(kept))
+                       skipped_short=int((~kept).sum()))
 
 
 def null_model(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
@@ -380,9 +320,7 @@ def graph_census(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
     nodes = [node for node, t0 in enumerate(t0s) if math.isfinite(t0)]
     ids, live = sample_id_block(g, nodes, [t0s[v] for v in nodes], [seed] * len(nodes),
                                 n, l, c_per_node, delta)
-    kept = (ids >= 0).sum(axis=1) >= 2
-    anchors = np.repeat(np.asarray(nodes, dtype=np.int64)[live], c_per_node)
-    return _tally(motif_codes(endpoint_rows(g, ids[kept]), anchors[kept]), int((~kept).sum()))
+    return census(g, ids, np.repeat(np.asarray(nodes, dtype=np.int64)[live], c_per_node))
 
 
 def _smooth(cen: MotifCensus, n: int, l: int, smoothing: float) -> dict:

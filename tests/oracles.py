@@ -40,23 +40,23 @@ def brute_force_neighbor_events(g, nodes, before, strict=True, since=-math.inf, 
 
 
 def brute_force_computational_graph(g, u, v, t, hops, per_hop_cap):
-    """Hop-by-hop expansion from raw scans; returns {event id: first hop}."""
-    hop_of = {}
+    """Hop-by-hop expansion from raw scans; returns the set of member event ids."""
+    members = set()
     visited = {u, v}
     frontier = sorted(visited)
-    for hop in range(1, hops + 1):
+    for _ in range(hops):
         reached = set()
         for w in frontier:
             history = [i for i in range(g.n_events)
                        if float(g.t[i]) < t and w in (int(g.src[i]), int(g.dst[i]))]
             for i in history[len(history) - min(per_hop_cap, len(history)):]:
-                hop_of.setdefault(i, hop)
+                members.add(i)
                 other = int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i])
                 if other not in visited:
                     reached.add(other)
         visited |= reached
         frontier = sorted(reached)
-    return hop_of
+    return members
 
 
 def reference_preferential_attachment(n_nodes, n_events, seed):
@@ -87,41 +87,50 @@ def reference_graph_json(g) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def validate_instance(g, inst, u0, t0, n, l, delta=None):
-    """Every contract a sampled/enumerated instance must satisfy; returns problems."""
+def _events(g, row):
+    """The row's events, padding dropped, as (id, (u, v), t) read from the raw columns."""
+    return [(int(i), (int(g.src[i]), int(g.dst[i])), float(g.t[i])) for i in row if i >= 0]
+
+
+def validate_instance(g, anchor, row, t0, n, l, delta=None):
+    """Every contract a sampled/enumerated id-block row anchored at `anchor` must
+    satisfy; returns problems."""
     problems = []
-    k = len(inst.event_ids)
-    if inst.anchor != u0:
-        problems.append("anchor mismatch")
+    row = [int(i) for i in row]
+    k = sum(i >= 0 for i in row)
+    if len(row) != l:
+        problems.append(f"row of {len(row)} slots for l={l}")
     if k == 0 or k > l:
         problems.append(f"bad length {k}")
         return problems
-    if inst.truncated != (k < l):
-        problems.append("truncated flag inconsistent with length")
-    for eid, pair, t in zip(inst.event_ids, inst.pairs, inst.times):
-        if {int(g.src[eid]), int(g.dst[eid])} != set(pair) or float(g.t[eid]) != t:
-            problems.append(f"event {eid} does not match the graph")
-    if u0 not in inst.pairs[0]:
+    if any(i < 0 for i in row[:k]) or any(i >= 0 for i in row[k:]):
+        problems.append("padding is not a suffix, so truncation is not row[-1] < 0")
+    if any(i >= g.n_events for i in row):
+        problems.append("event id outside the graph")
+        return problems
+    events = _events(g, row)
+    pairs = [pair for _, pair, _ in events]
+    times = [t for _, _, t in events]
+    if anchor not in pairs[0]:
         problems.append("first event not incident to the anchor")
-    times = [t0] + list(inst.times)
-    for a, b in zip(times, times[1:]):
+    for a, b in zip([t0] + times, times):
         if not b < a:
             problems.append("times not strictly decreasing")
             break
-    if delta is not None and t0 - inst.times[-1] > delta:
+    if delta is not None and t0 - times[-1] > delta:
         problems.append("outside the duration window")
     nodes = set()
-    for j, pair in enumerate(inst.pairs):
-        touched = {u0} | nodes
+    for j, pair in enumerate(pairs):
+        touched = {anchor} | nodes
         if not (pair[0] in touched or pair[1] in touched):
             problems.append(f"event {j} not incident to the collected node set")
         nodes |= set(pair)
     if len(nodes) > n:
         problems.append(f"{len(nodes)} nodes exceeds n={n}")
-    if inst.truncated:
-        # a truncated instance must genuinely have no admissible extension
-        S = {u0} | nodes
-        t_prev = inst.times[-1]
+    if k < l:
+        # a truncated row must genuinely have no admissible extension
+        S = {anchor} | nodes
+        t_prev = times[-1]
         t_low = -math.inf if delta is None else t0 - delta
         for i in range(g.n_events):
             t = float(g.t[i])
@@ -136,33 +145,35 @@ def validate_instance(g, inst, u0, t0, n, l, delta=None):
     return problems
 
 
-def anchored_equivalent(i1, i2) -> bool:
+def anchored_equivalent(g, anchor1, row1, anchor2, row2) -> bool:
     """Definition-level equivalence: some anchor-preserving node bijection maps
-    the event sequence of one instance onto the other, position by position."""
-    if len(i1.event_ids) != len(i2.event_ids):
+    the event sequence of one row onto the other, position by position."""
+    pairs1 = [pair for _, pair, _ in _events(g, row1)]
+    pairs2 = [pair for _, pair, _ in _events(g, row2)]
+    if len(pairs1) != len(pairs2):
         return False
-    nodes1 = sorted({x for pair in i1.pairs for x in pair})
-    nodes2 = sorted({x for pair in i2.pairs for x in pair})
+    nodes1 = sorted({x for pair in pairs1 for x in pair})
+    nodes2 = sorted({x for pair in pairs2 for x in pair})
     if len(nodes1) != len(nodes2):
         return False
     for perm in itertools.permutations(nodes2):
         phi = dict(zip(nodes1, perm))
-        if phi.get(i1.anchor) != i2.anchor:
+        if phi.get(anchor1) != anchor2:
             continue
-        if all({phi[a], phi[b]} == set(p2) for (a, b), p2 in zip(i1.pairs, i2.pairs)):
+        if all({phi[a], phi[b]} == set(p2) for (a, b), p2 in zip(pairs1, pairs2)):
             return True
     return False
 
 
-def reference_motif_code(inst) -> str:
+def reference_motif_code(g, anchor, row) -> str:
     """The canonical code one event at a time: nodes labelled by first touch with
     the anchor fixed to 0; a known endpoint's label comes before a new one's, and
     an event between two known nodes lists the smaller label first."""
     labels = {}
     digits = []
-    for k, (a, b) in enumerate(inst.pairs):
+    for k, (_, (a, b), _) in enumerate(_events(g, row)):
         if k == 0:
-            first, second = (a, b) if a == inst.anchor else (b, a)
+            first, second = (a, b) if a == anchor else (b, a)
             labels[first] = 0
             labels[second] = 1
             digits.append("01")
@@ -296,39 +307,40 @@ def trajectory_probability(g, u0, t0, n, ids, delta=None):
     return prob
 
 
-def reference_encoder_inputs(g, t, instances, comp_ids, l):
-    """The motif-encoder inputs of one query, built one instance and one event
-    at a time, as a dict of QueryPrep's array fields. Each instance numbers its
-    nodes in order of first appearance over u_0, v_0, u_1, v_1, ..."""
+def reference_encoder_inputs(g, t, rows, comp_ids, l):
+    """The motif-encoder inputs of one query, built one row and one event at a time
+    from the raw columns, as a dict of QueryPrep's array fields. Each row numbers
+    its nodes in order of first appearance over u_0, v_0, u_1, v_1, ..."""
+    motifs = [_events(g, row) for row in rows]
     struct = {}
-    for inst in instances:
-        for j, (a, b) in enumerate(inst.pairs):
+    for events in motifs:
+        for j, (_, (a, b), _) in enumerate(events):
             struct.setdefault((min(a, b), max(a, b)), [0] * l)[j] += 1
     node_labels, attrs_rows, h_rows, dts = [], [], [], []
-    for inst in instances:
+    for events in motifs:
         local = {}
-        for a, b in inst.pairs:
+        for _, (a, b), _ in events:
             for x in (a, b):
                 local.setdefault(x, len(local))
-        node_labels.append([[local[a], local[b]] for a, b in inst.pairs]
-                           + [[-1, -1]] * (l - len(inst)))
-        for k, (a, b) in enumerate(inst.pairs):
+        node_labels.append([[local[a], local[b]] for _, (a, b), _ in events]
+                           + [[-1, -1]] * (l - len(events)))
+        for eid, (a, b), te in events:
             h_rows.append(struct[(min(a, b), max(a, b))])
-            dts.append(t - inst.times[k])
-            attrs_rows.append(list(g.attrs[inst.event_ids[k]]))
+            dts.append(t - te)
+            attrs_rows.append(list(g.attrs[eid]))
     comp = set(int(e) for e in comp_ids)
-    covered = sorted({e for inst in instances for e in inst.event_ids if e in comp})
+    covered = sorted({eid for events in motifs for eid, _, _ in events if eid in comp})
     cov_pos = {e: i for i, e in enumerate(covered)}
     pair_cov, pair_motif = [], []
-    for m_idx, inst in enumerate(instances):
-        for e in inst.event_ids:
-            if e in cov_pos:
-                pair_cov.append(cov_pos[e])
+    for m_idx, events in enumerate(motifs):
+        for eid, _, _ in events:
+            if eid in cov_pos:
+                pair_cov.append(cov_pos[eid])
                 pair_motif.append(m_idx)
     ints = lambda xs: np.array(xs, dtype=np.int64)
     return {"covered_ids": ints(covered), "pair_cov": ints(pair_cov),
             "pair_motif": ints(pair_motif),
-            "node_labels": ints(node_labels).reshape(len(instances), l, 2),
+            "node_labels": ints(node_labels).reshape(len(motifs), l, 2),
             "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(len(dts), g.attr_width),
             "h_block": np.array(h_rows, dtype=np.float64),
             "dts": np.array(dts, dtype=np.float64)}

@@ -23,9 +23,8 @@ from motifx.explainer import (ExplainerConfig, encode_and_score, kl_empirical,
                               kl_uniform, prepare_queries, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.metrics import acc_auc, cohesiveness, fidelity
-from motifx.motifs import (anchor_time, census, code_alphabet,
-                           empirical_class_probs, enumerate_motifs, motif_code,
-                           null_class_probs, null_model, sample_motif_batch,
+from motifx.motifs import (anchor_time, census, code_alphabet, empirical_class_probs,
+                           enumerate_motifs, null_class_probs, null_model, sample_id_block,
                            total_variation)
 from motifx.nn import Tape
 
@@ -75,13 +74,13 @@ def test_criterion_1_motif_algebra():
         u0 = int(rng.integers(g.node_count))
         t0 = float(np.nextafter(g.t[-1], math.inf))
         enum = enumerate_motifs(g, u0, t0, n=3, l=3, max_events=60)
-        for inst in enum:
-            assert validate_instance(g, inst, u0, t0, 3, 3) == [], inst
+        for row in enum:
+            assert validate_instance(g, u0, row, t0, 3, 3) == [], row
             instances_validated += 1
         graphs_checked += 1
         if 0 < len(enum) <= 25:
-            sampled = set(sample_motif_batch(g, [u0], [t0], [k], n=3, l=3, c=10_000)[0])
-            assert sampled == set(enum)
+            sampled = sample_id_block(g, [u0], [t0], [k], n=3, l=3, c=10_000)[0]
+            assert set(map(tuple, sampled.tolist())) == set(map(tuple, enum.tolist()))
             supports_compared += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0 and graphs_checked == 100 and supports_compared > 10
@@ -95,11 +94,10 @@ def test_criterion_2_equivalence_classes():
     g = generate_synthetic("uniform-random", 8, 60, seed=0)
 
     def pooled_census(l):
-        insts = []
-        for node in range(g.node_count):
-            insts.extend(enumerate_motifs(g, node, anchor_time(g, node), n=3, l=l,
-                                          max_events=200))
-        return census(insts)
+        blocks = [enumerate_motifs(g, node, anchor_time(g, node), n=3, l=l, max_events=200)
+                  for node in range(g.node_count)]
+        anchors = np.repeat(np.arange(g.node_count), [len(b) for b in blocks])
+        return census(g, np.concatenate(blocks), anchors)
 
     c3 = pooled_census(3)
     c2 = pooled_census(2)

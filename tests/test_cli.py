@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from motifx.cli import main
@@ -111,6 +113,52 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 1
         assert err["error"]["type"] == "CheckpointError"
+
+    @staticmethod
+    def drop_array(name):
+        return lambda payload: payload["arrays"].pop(name)
+
+    @staticmethod
+    def drop_meta(key):
+        return lambda payload: payload["meta"].pop(key)
+
+    @staticmethod
+    def transpose(name):
+        def mutate(payload):
+            spec = payload["arrays"][name]
+            spec["data"] = np.reshape(spec["data"], spec["shape"]).T.reshape(-1).tolist()
+            spec["shape"] = spec["shape"][::-1]
+        return mutate
+
+    @staticmethod
+    def set_kind(kind):
+        return lambda payload: payload["meta"].update(kind=kind)
+
+    @pytest.mark.parametrize("command, ckpt, mutation, needle", [
+        ("train-explainer", "base.ckpt", drop_array("head1.w"), "'head1.w'"),
+        ("train-explainer", "base.ckpt", drop_meta("h"), "meta 'h'"),
+        ("train-explainer", "base.ckpt", transpose("head1.w"), "'head1.w' has shape (8, 16)"),
+        ("train-explainer", "base.ckpt", set_kind("explainer"), "'explainer' checkpoint"),
+        ("train-explainer", "base.ckpt", drop_meta("config"), "'config'"),
+        ("explain", "explainer.ckpt", drop_array("score1.w"), "'score1.w'"),
+        ("evaluate", "explainer.ckpt", transpose("score1.w"), "'score1.w' has shape"),
+        ("evaluate", "explainer.ckpt", set_kind("head"), "'head' checkpoint"),
+        ("adapter-serve", "base.ckpt", drop_meta("attr_width"), "meta 'attr_width'"),
+    ], ids=["base-array", "base-meta", "base-transposed", "base-kind", "base-config",
+            "explainer-array", "explainer-transposed", "explainer-kind", "adapter-meta"])
+    def test_checkpoint_its_config_does_not_build_rejected(self, pipeline_dir, tmp_path, capsys,
+                                                            command, ckpt, mutation, needle):
+        d = tmp_path / "m"
+        shutil.copytree(pipeline_dir, d)
+        payload = json.loads((d / ckpt).read_text())
+        mutation(payload)
+        (d / ckpt).write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main([command, "--run-dir", str(d)] + TINY)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "CheckpointError"
+        assert needle in err["error"]["message"]
 
     def test_k_nb_zero_rejected(self, tmp_path, capsys):
         code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])

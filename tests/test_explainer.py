@@ -15,7 +15,7 @@ from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and
 from motifx.features import event_feature_block
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.layers import PROB_EPS, gine_layer
-from motifx.motifs import sample_motif_batch
+from motifx.motifs import sample_id_block
 from motifx.nn import Tape
 
 from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
@@ -222,18 +222,16 @@ class TestEncoderInputs:
         for q, sd, prep in zip(queries, seeds, preps):
             if prep is None:
                 continue
-            # the prep's motifs as instances: both endpoints' walkers, single events dropped
-            insts = [m for side in sample_motif_batch(g, [q.u, q.v], [q.t] * 2, [sd] * 2,
-                                                      n, l, cfg.c, cfg.delta)
-                     for m in side if len(m) >= 2]
-            assert [[e for e in row if e >= 0] for row in prep.ids.tolist()] == \
-                [list(m.event_ids) for m in insts]
-            want = reference_encoder_inputs(g, q.t, insts, prep.comp_ids, l)
+            # the prep's motifs: both endpoints' walkers, single events dropped
+            ids, _ = sample_id_block(g, [q.u, q.v], [q.t] * 2, [sd] * 2, n, l, cfg.c, cfg.delta)
+            ids = ids[(ids >= 0).sum(axis=1) >= 2]
+            assert np.array_equal(prep.ids, ids)
+            want = reference_encoder_inputs(g, q.t, ids, prep.comp_ids, l)
             for name in self.FIELDS:
                 got = getattr(prep, name)
                 assert np.array_equal(got, want[name]), name
                 assert np.asarray(got).dtype == np.asarray(want[name]).dtype, name
-            truncated += sum(inst.truncated for inst in insts)
+            truncated += int(np.sum(ids[:, -1] < 0))
             repeated += int(prep.h_block.max() > 1)
             alone = prepare_queries(g, base, [q], cfg, [sd])[0]
             assert _same(alone, prep)

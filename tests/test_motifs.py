@@ -10,11 +10,10 @@ import pytest
 from motifx import motifs
 from motifx.errors import EnumerationLimitError, MotifxError
 from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
-from motifx.motifs import (MotifInstance, _below, _count_terms, _pair_rows, anchor_time,
-                           census, code_alphabet, empirical_class_probs, endpoint_rows,
-                           enumerate_motifs, first_touch, graph_census, motif_code, motif_codes,
-                           null_class_probs, null_model, sample_id_block,
-                           sample_motif_batch, total_variation)
+from motifx.motifs import (_below, _count_terms, anchor_time, census, code_alphabet,
+                           empirical_class_probs, endpoint_rows, enumerate_motifs, first_touch,
+                           graph_census, motif_codes, null_class_probs, null_model,
+                           sample_id_block, total_variation)
 
 from conftest import random_graph
 from oracles import (admissible, anchored_equivalent, enumerate_reference,
@@ -22,36 +21,45 @@ from oracles import (admissible, anchored_equivalent, enumerate_reference,
                      trajectory_probability, validate_instance)
 
 
-def inst(anchor, pairs, times, t0=100.0, truncated=False):
-    return MotifInstance(anchor=anchor, t0=t0, event_ids=tuple(range(len(pairs))),
-                         pairs=tuple(pairs), times=tuple(times), truncated=truncated)
+def paths(block) -> list:
+    """The event-id tuple of each row of an id block, padding dropped."""
+    return [tuple(e for e in row if e >= 0) for row in block.tolist()]
+
+
+def rows(block) -> set:
+    """The rows of an id block as a set of tuples, padding kept."""
+    return set(map(tuple, block.tolist()))
+
+
+def code(anchor, *pairs) -> str:
+    """`motif_codes` of one hand-written endpoint row u_0, v_0, u_1, v_1, ..."""
+    return motif_codes(np.array([[x for pair in pairs for x in pair]]), [anchor])[0]
 
 
 class TestSampling:
     def test_chain_unique_trajectory(self, chain_graph):
-        out = sample_motif_batch(chain_graph, [3], [4.0], [1], n=4, l=3, c=5)[0]
-        assert len(out) == 5
-        assert all(m.event_ids == (2, 1, 0) for m in out)
-        assert all(not m.truncated for m in out)
+        ids, live = sample_id_block(chain_graph, [3], [4.0], [1], n=4, l=3, c=5)
+        assert ids.tolist() == [[2, 1, 0]] * 5 and live.tolist() == [0]
 
     def test_chain_single_event(self, chain_graph):
-        out = sample_motif_batch(chain_graph, [3], [4.0], [1], n=4, l=1, c=5)[0]
-        assert all(m.event_ids == (2,) for m in out)
+        ids, _ = sample_id_block(chain_graph, [3], [4.0], [1], n=4, l=1, c=5)
+        assert ids.tolist() == [[2]] * 5
 
     def test_no_history_returns_empty(self, chain_graph):
-        assert sample_motif_batch(chain_graph, [0], [1.0], [0], n=3, l=3, c=5)[0] == []
+        ids, live = sample_id_block(chain_graph, [0], [1.0], [0], n=3, l=3, c=5)
+        assert ids.shape == (0, 3) and len(live) == 0
 
     def test_deterministic_given_seed(self):
         g = generate_synthetic("uniform-random", 10, 60, seed=2)
-        a = sample_motif_batch(g, [3], [61.0], [9], n=3, l=3, c=50)[0]
-        b = sample_motif_batch(g, [3], [61.0], [9], n=3, l=3, c=50)[0]
-        assert a == b
+        a = sample_id_block(g, [3], [61.0], [9], n=3, l=3, c=50)
+        b = sample_id_block(g, [3], [61.0], [9], n=3, l=3, c=50)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_delta_window_respected(self):
         g = generate_synthetic("uniform-random", 8, 50, seed=4)
-        out = sample_motif_batch(g, [2], [51.0], [1], n=3, l=3, c=200, delta=5.0)[0]
-        for m in out:
-            assert 51.0 - m.times[-1] <= 5.0
+        ids, _ = sample_id_block(g, [2], [51.0], [1], n=3, l=3, c=200, delta=5.0)
+        for path in paths(ids):
+            assert 51.0 - g.t[path[-1]] <= 5.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_sampled_instances_are_valid(self, seed):
@@ -60,8 +68,8 @@ class TestSampling:
         u0 = int(rng.integers(g.node_count))
         t0 = float(g.n_events + 1)
         delta = None if seed % 2 else float(rng.integers(5, 40))
-        for m in sample_motif_batch(g, [u0], [t0], [seed], n=3, l=3, c=60, delta=delta)[0]:
-            assert validate_instance(g, m, u0, t0, 3, 3, delta) == []
+        for row in sample_id_block(g, [u0], [t0], [seed], n=3, l=3, c=60, delta=delta)[0]:
+            assert validate_instance(g, u0, row, t0, 3, 3, delta) == []
 
 
 def kernel_case(seed: int) -> tuple:
@@ -79,7 +87,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_reference_sampler(self, seed):
         g, n, l, delta, u0, t0 = kernel_case(seed)
-        got = [m.event_ids for m in sample_motif_batch(g, [u0], [t0], [seed], n, l, 40, delta)[0]]
+        got = paths(sample_id_block(g, [u0], [t0], [seed], n, l, 40, delta)[0])
         assert got == reference_sample_motifs(g, u0, t0, n, l, 40, delta, seed)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -93,16 +101,20 @@ class TestBatchKernel:
         t0s[2] = -np.inf
         seeds = rng.integers(0, 2**32, size=k)
         delta = None if seed % 2 else 6.0
-        batch = sample_motif_batch(g, anchors, t0s, seeds, n=3, l=3, c=15, delta=delta)
-        assert len(batch) == k
-        for a, t0, sd, got in zip(anchors, t0s, seeds, batch):
-            assert got == sample_motif_batch(g, [a], [t0], [sd], 3, 3, 15, delta)[0]
-        assert batch[2] == []
+        ids, live = sample_id_block(g, anchors, t0s, seeds, n=3, l=3, c=15, delta=delta)
+        by_anchor = dict(zip(live.tolist(), ids.reshape(len(live), 15, 3)))
+        for i, (a, t0, sd) in enumerate(zip(anchors, t0s, seeds)):
+            alone, alone_live = sample_id_block(g, [a], [t0], [sd], 3, 3, 15, delta)
+            assert np.array_equal(by_anchor.get(i, np.empty((0, 3))), alone)
+            assert len(alone_live) == (i in by_anchor)
+        assert 2 not in by_anchor
 
     def test_empty_batch_and_empty_graph(self, chain_graph):
-        assert sample_motif_batch(chain_graph, [], [], []) == []
+        ids, live = sample_id_block(chain_graph, [], [], [])
+        assert ids.shape == (0, 3) and len(live) == 0
         empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
-        assert sample_motif_batch(empty, [0, 1], [5.0, 5.0], [0, 0]) == [[], []]
+        ids, live = sample_id_block(empty, [0, 1], [5.0, 5.0], [0, 0])
+        assert ids.shape == (0, 3) and len(live) == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_candidate_counts_match_scan(self, seed):
@@ -245,12 +257,11 @@ class TestLaw:
             g = random_graph(np.random.default_rng(rule), n_nodes=nodes, n_events=events,
                              duplicate_times=True)
         t0 = float(g.t[-1]) + 1.0
-        support = [m.event_ids for m in enumerate_motifs(g, u0, t0, n, l, delta=delta)]
+        support = paths(enumerate_motifs(g, u0, t0, n, l, delta=delta))
         probs = np.array([trajectory_probability(g, u0, t0, n, ids, delta) for ids in support])
         assert len(support) >= 3 and probs.sum() == pytest.approx(1.0, abs=1e-12)
         draws = 20_000
-        counts = Counter(m.event_ids for m in sample_motif_batch(g, [u0], [t0], [seed], n, l,
-                                                                 draws, delta)[0])
+        counts = Counter(paths(sample_id_block(g, [u0], [t0], [seed], n, l, draws, delta)[0]))
         assert set(counts) <= set(support)
         observed = np.array([counts[ids] for ids in support], dtype=np.float64)
         expected = draws * probs
@@ -264,17 +275,14 @@ class TestLaw:
 
 class TestEnumeration:
     def test_chain_exactly_one(self, chain_graph):
-        out = enumerate_motifs(chain_graph, 3, 4.0, n=4, l=3)
-        assert len(out) == 1
-        assert out[0].event_ids == (2, 1, 0)
+        assert enumerate_motifs(chain_graph, 3, 4.0, n=4, l=3).tolist() == [[2, 1, 0]]
 
     def test_triangle_instances(self, triangle_graph):
         # anchored at a: one full trajectory plus two dead-ended prefixes
         out = enumerate_motifs(triangle_graph, 0, 4.0, n=3, l=3)
-        by_len = sorted((len(m), m.truncated) for m in out)
+        by_len = sorted((int((row >= 0).sum()), bool(row[-1] < 0)) for row in out)
         assert by_len == [(1, True), (2, True), (3, False)]
-        full = [m for m in out if not m.truncated][0]
-        assert full.event_ids == (2, 1, 0)
+        assert out[out[:, -1] >= 0].tolist() == [[2, 1, 0]]
 
     def test_single_event_count_matches_neighborhood(self):
         g = generate_synthetic("uniform-random", 8, 40, seed=1)
@@ -285,8 +293,8 @@ class TestEnumeration:
     def test_same_support_as_sequential(self):
         g = generate_synthetic("uniform-random", 6, 25, seed=3)
         t0 = 26.0
-        seq = set(sample_motif_batch(g, [1], [t0], [0], n=3, l=3, c=20_000)[0])
-        assert seq == set(enumerate_motifs(g, 1, t0, n=3, l=3))
+        seq = rows(sample_id_block(g, [1], [t0], [0], n=3, l=3, c=20_000)[0])
+        assert seq == rows(enumerate_motifs(g, 1, t0, n=3, l=3))
 
     def test_size_guard(self):
         g = generate_synthetic("uniform-random", 10, 300, seed=0)
@@ -299,60 +307,60 @@ class TestEnumeration:
         g = random_graph(rng, n_events=20)
         u0 = int(rng.integers(g.node_count))
         t0 = float(g.n_events + 1)
-        got = {(m.event_ids, m.truncated) for m in enumerate_motifs(g, u0, t0, n=3, l=3)}
+        out = enumerate_motifs(g, u0, t0, n=3, l=3)
+        got = set(zip(paths(out), (out[:, -1] < 0).tolist()))
         want = set(enumerate_reference(g, u0, t0, n=3, l=3))
         assert got == want
+
+    # per case, an anchor time whose history holds 1-25 trajectories (9 to 24
+    # here), so that 10,000 walkers reach every one of them
+    SUPPORT_T0 = [6.5, 9.5, 9.5, 8.5, 10.5, 12.5, 17.5, 7.5]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sampler_support_equals_enumeration(self, seed):
         rng = np.random.default_rng(seed + 200)
         g = random_graph(rng, n_events=18)
         u0 = int(rng.integers(g.node_count))
-        t0 = float(g.n_events + 1)
-        enum = set(enumerate_motifs(g, u0, t0, n=3, l=3))
-        if len(enum) > 25:
-            pytest.skip("support too large for exhaustive sampling comparison")
-        sampled = set(sample_motif_batch(g, [u0], [t0], [seed], n=3, l=3, c=10_000)[0])
-        assert sampled == enum
+        t0 = self.SUPPORT_T0[seed]
+        enum = rows(enumerate_motifs(g, u0, t0, n=3, l=3))
+        assert 1 <= len(enum) <= 25
+        assert rows(sample_id_block(g, [u0], [t0], [seed], n=3, l=3, c=10_000)[0]) == enum
 
 
 class TestMotifCode:
     def test_repeated_interactions(self):
-        m = inst(5, [(5, 9), (5, 9), (9, 5)], [30.0, 20.0, 10.0])
-        assert motif_code(m) == "010101"
+        assert code(5, (5, 9), (5, 9), (9, 5)) == "010101"
 
     def test_two_event_path(self):
-        m = inst(5, [(5, 9), (9, 7)], [30.0, 20.0], truncated=True)
-        assert motif_code(m) == "0112"
+        assert code(5, (5, 9), (9, 7), (-1, -1)) == "0112"
 
     def test_single_event(self):
-        m = inst(5, [(5, 9)], [30.0], truncated=True)
-        assert motif_code(m) == "01"
+        assert code(5, (5, 9), (-1, -1), (-1, -1)) == "01"
 
     def test_anchor_is_label_zero(self):
         # same pair, anchored at the other endpoint: still 01
-        assert motif_code(inst(9, [(5, 9)], [30.0], truncated=True)) == "01"
+        assert code(9, (5, 9), (-1, -1)) == "01"
 
     def test_triangle_closure_code(self):
-        m = inst(1, [(1, 2), (2, 3), (3, 1)], [30.0, 20.0, 10.0])
-        assert motif_code(m) == "011202"
+        assert code(1, (1, 2), (2, 3), (3, 1)) == "011202"
 
     def test_known_both_endpoints_smaller_label_first(self):
-        m = inst(1, [(1, 2), (2, 3), (2, 3)], [30.0, 20.0, 10.0])
-        assert motif_code(m) == "011212"
+        assert code(1, (1, 2), (2, 3), (2, 3)) == "011212"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_code_equality_iff_anchored_isomorphism(self, seed):
         rng = np.random.default_rng(seed + 300)
         g = random_graph(rng, n_events=14)
-        insts = []
-        for u0 in range(g.node_count):
-            insts.extend(enumerate_motifs(g, u0, float(g.n_events + 1), n=3, l=3))
-        insts = insts[:40]
-        for i, a in enumerate(insts):
-            for b in insts[i + 1:]:
-                same_code = motif_code(a) == motif_code(b)
-                assert same_code == anchored_equivalent(a, b), (a, b)
+        blocks = [enumerate_motifs(g, u0, float(g.n_events + 1), n=3, l=3)
+                  for u0 in range(g.node_count)]
+        anchors = np.repeat(np.arange(g.node_count), [len(b) for b in blocks])[:40]
+        ids = np.concatenate(blocks)[:40]
+        codes = motif_codes(endpoint_rows(g, ids), anchors)
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                same_code = codes[i] == codes[j]
+                assert same_code == anchored_equivalent(g, anchors[i], ids[i], anchors[j],
+                                                        ids[j]), (ids[i], ids[j])
 
 
 class TestLabeller:
@@ -365,17 +373,17 @@ class TestLabeller:
         t0s = [anchor_time(g, a) for a in anchors.tolist()]
         seeds = [seed] * len(anchors)
         ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, 40, delta)
-        sampled = [m for insts in sample_motif_batch(g, anchors, t0s, seeds, n, l, 40, delta)
-                   for m in insts]
-        block = motif_codes(endpoint_rows(g, ids), np.repeat(anchors[live], 40))
-        assert block == [reference_motif_code(m) for m in sampled]
-        enumerated = [m for u0, t0 in zip(anchors.tolist(), t0s)
-                      for m in enumerate_motifs(g, u0, t0, n, l, delta=delta)]
-        assert l == 1 or any(m.truncated for m in sampled + enumerated)
-        rows = motif_codes(_pair_rows(enumerated), [m.anchor for m in enumerated])
-        assert rows == [reference_motif_code(m) for m in enumerated]
-        for m in sampled[:50] + enumerated[:50]:
-            assert motif_code(m) == reference_motif_code(m), m
+        blocks = [enumerate_motifs(g, u0, t0, n, l, delta=delta)
+                  for u0, t0 in zip(anchors.tolist(), t0s)]
+        for block, row_anchors in ((ids, np.repeat(anchors[live], 40)),
+                                   (np.concatenate(blocks),
+                                    np.repeat(anchors, [len(b) for b in blocks]))):
+            assert l == 1 or np.any(block[:, -1] < 0)
+            want = [reference_motif_code(g, a, row) for a, row in zip(row_anchors, block)]
+            assert motif_codes(endpoint_rows(g, block), row_anchors) == want
+            for k in range(min(50, len(block))):  # each row alone gets the same code
+                assert motif_codes(endpoint_rows(g, block[k:k + 1]), row_anchors[k:k + 1]) == \
+                    [want[k]], block[k]
 
     def test_large_n_and_l_codes_match_reference(self):
         """Rows of 2l = 20 labels up to l = 10: (n + 1) ** (2l) would overflow int64."""
@@ -386,16 +394,15 @@ class TestLabeller:
         t0s = [anchor_time(g, a) for a in anchors.tolist()]
         seeds = [3] * len(anchors)
         ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, 40)
-        sampled = [m for insts in sample_motif_batch(g, anchors, t0s, seeds, n, l, 40)
-                   for m in insts]
+        row_anchors = np.repeat(anchors[live], 40)
         ends = endpoint_rows(g, ids)
         assert first_touch(ends).max() == l
-        block = motif_codes(ends, np.repeat(anchors[live], 40))
-        assert block == [reference_motif_code(m) for m in sampled]
+        assert motif_codes(ends, row_anchors) == [
+            reference_motif_code(g, a, row) for a, row in zip(row_anchors, ids)]
 
     def test_detached_event_is_a_typed_error(self):
         with pytest.raises(MotifxError, match="no earlier node"):
-            motif_code(inst(1, [(1, 2), (3, 4)], [30.0, 20.0], truncated=True))
+            code(1, (1, 2), (3, 4), (-1, -1))
 
 
 class TestAlphabet:
@@ -416,28 +423,36 @@ class TestAlphabet:
 
 
 class TestCensus:
-    def test_identical_instances_single_class(self):
-        m = inst(5, [(5, 9), (9, 7)], [30.0, 20.0], truncated=True)
-        cen = census([m] * 5)
+    @pytest.fixture
+    def path_graph(self):
+        """Event 0 is (9, 7) at t=20 and event 1 is (5, 9) at t=30."""
+        return TemporalGraph([9, 5], [7, 9], [20.0, 30.0], np.zeros((2, 0)), 10)
+
+    def test_identical_instances_single_class(self, path_graph):
+        cen = census(path_graph, np.array([[1, 0, -1]] * 5), [5] * 5)
         assert cen.counts == {"0112": 5}
         assert cen.probs == {"0112": 1.0}
 
-    def test_single_event_instances_skipped(self):
-        short = inst(5, [(5, 9)], [30.0], truncated=True)
-        cen = census([short])
+    def test_single_event_instances_skipped(self, path_graph):
+        cen = census(path_graph, np.array([[1, -1, -1]]), [5])
         assert cen.total == 0 and cen.counts == {}
         assert cen.skipped_short == 1
         assert cen.probs == {}
+
+    def test_graph_census_is_census_of_the_sampled_block(self):
+        g = generate_synthetic("uniform-random", 8, 60, seed=0)
+        nodes = np.arange(g.node_count)
+        t0s = [anchor_time(g, v) for v in nodes.tolist()]
+        ids, live = sample_id_block(g, nodes, t0s, [3] * len(nodes), 3, 3, 10)
+        assert census(g, ids, np.repeat(nodes[live], 10)) == graph_census(g, 3, 3, 10, seed=3)
 
     def test_rich_graph_probs_sum_to_one(self):
         g = generate_synthetic("uniform-random", 8, 60, seed=0)
         cen = graph_census(g, 3, 3, c_per_node=10, seed=0)
         assert sum(cen.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_census_json_round_trip(self):
-        import json
-        m = inst(5, [(5, 9), (9, 7)], [30.0, 20.0], truncated=True)
-        payload = json.loads(census([m, m]).to_json())
+    def test_census_json_round_trip(self, path_graph):
+        payload = json.loads(census(path_graph, np.array([[1, 0]] * 2), [5, 5]).to_json())
         assert payload["classes"]["0112"] == {"count": 2, "prob": 1.0}
 
 
@@ -494,11 +509,11 @@ def test_sampling_cost_scales_about_linearly_in_c():
     """Trend report only: doubling C should roughly double sampling time."""
     g = generate_synthetic("uniform-random", 20, 150, seed=1)
     t0 = float(g.n_events + 1)
-    sample_motif_batch(g, [0], [t0], [0], n=3, l=3, c=500)  # warm up
+    sample_id_block(g, [0], [t0], [0], n=3, l=3, c=500)  # warm up
     timings = []
     for c in (2000, 4000, 8000):
         start = time.perf_counter()
-        sample_motif_batch(g, [0], [t0], [0], n=3, l=3, c=c)
+        sample_id_block(g, [0], [t0], [0], n=3, l=3, c=c)
         timings.append(time.perf_counter() - start)
     r1 = timings[1] / timings[0]
     r2 = timings[2] / timings[1]
@@ -538,9 +553,9 @@ class TestByteIdentityPin:
     def test_sample_motifs_event_ids(self, hubs):
         # a duration window that truncates some walkers, and a third step
         # that runs with the 3-node budget full
-        out = sample_motif_batch(hubs, [5], [anchor_time(hubs, 5)], [9], n=3, l=3, c=10,
-                                 delta=200.0)[0]
-        assert [m.event_ids for m in out] == [
+        ids, _ = sample_id_block(hubs, [5], [anchor_time(hubs, 5)], [9], n=3, l=3, c=10,
+                                 delta=200.0)
+        assert paths(ids) == [
             (1888, 1836, 1802), (1859, 1803, 1801), (1802, 1796), (1989, 1833, 1831),
             (1888, 1837, 1802), (1802, 1796), (1888, 1808, 1802), (1802, 1796),
             (1828, 1805), (1888, 1882, 1802)]
