@@ -7,11 +7,14 @@ interacted with the other query node"), then scores the pair with a small
 MLP head.
 
 One padded, batched, masked forward serves training, the explainer
-objective and every prediction. B queries become (B, 2, K) slot arrays,
-K = k_nb: each endpoint's K most recent events before the query time,
-oldest first, padded at the end; a slot has a partner, age, attributes,
-`direct` flag, validity flag (it holds a retained event) and event-mask
-weight (1 under a hard mask). Attention renormalizes over valid slots;
+objective and every prediction, each on a list of query `Event`s. A batch
+of B queries is read as one (B, 2, K) block of slot event ids, K = k_nb
+(`slot_ids`, one `TemporalGraph.recent` call): each endpoint's K most
+recent events before the query time, oldest first, -1 on padding. The
+forward derives the rest from the block and the queries: a slot's
+partner, age and attributes (zero on padding), `direct` flag, validity
+flag (it holds a retained event) and event-mask weight (1 under a hard
+mask). Attention renormalizes over valid slots;
 the common-partner feature is a max over a (B, 2, K, K) partner-equality
 tensor. A query with no valid slot has its [x_self, ctx] input zeroed:
 an empty view gives a checkpoint-level constant, whatever the nodes.
@@ -84,37 +87,11 @@ def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:
     return store
 
 
-@dataclass
-class QueryCache:
-    """One query's endpoints as (2, K) slots: row 0 is u, row 1 is v, oldest event first."""
-    u: int
-    v: int
-    t: float
-    ids: np.ndarray       # event ids, -1 on padding
-    partners: np.ndarray  # the event's other endpoint, -1 on padding
-    dts: np.ndarray       # query time minus event time, 0 on padding
-    attrs: np.ndarray     # (2, K, attr_width) event attributes, 0 on padding
-
-    @property
-    def member_ids(self) -> np.ndarray:
-        return np.unique(self.ids[self.ids >= 0])
-
-
-def build_query_cache(g: TemporalGraph, query: Event, k_nb: int) -> QueryCache:
-    ids = np.full((2, k_nb), -1, dtype=np.int64)
-    partners = np.full((2, k_nb), -1, dtype=np.int64)
-    for row, node in enumerate((query.u, query.v)):
-        hist, other = g.history(node, query.t, strict=True)
-        n = min(len(hist), k_nb)
-        ids[row, :n] = hist[len(hist) - n:]
-        partners[row, :n] = other[len(other) - n:]
-    seen = ids >= 0
-    dts = np.zeros(ids.shape)
-    dts[seen] = query.t - g.t[ids[seen]]
-    attrs = np.zeros(ids.shape + (g.attr_width,))
-    attrs[seen] = g.attrs[ids[seen]]
-    return QueryCache(u=query.u, v=query.v, t=query.t, ids=ids, partners=partners,
-                      dts=dts, attrs=attrs)
+def slot_ids(store: ParameterStore, g: TemporalGraph, queries: list) -> np.ndarray:
+    """The (B, 2, K) slot block of the queries: row 0 is u's, row 1 is v's."""
+    ends = np.array([(q.u, q.v) for q in queries], dtype=np.int64).reshape(-1, 2)
+    times = np.array([q.t for q in queries], dtype=np.float64)
+    return g.recent(ends, times[:, None], store.meta["k_nb"])[0]
 
 
 def _head(tape, x: Var, name: str = "head") -> Var:
@@ -137,23 +114,27 @@ def empty_context_output(store: ParameterStore) -> float:
     return float(_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
 
 
-def _forward(tape, store: ParameterStore, g: TemporalGraph, caches: list,
+def _forward(tape, store: ParameterStore, g: TemporalGraph, queries: list, ids: np.ndarray,
              valid: np.ndarray, weight: Var | None = None) -> tuple[Var, Var]:
-    """Probabilities (B,) and endpoint representations (B, 2h) of a batch.
+    """Probabilities (B,) and endpoint representations (B, 2h) of the queries.
 
-    `valid` (B, 2, K) marks the retained slots and `weight` (B, 2, K) is the
-    event mask on them (default: a hard mask). A slot's common-partner feature
-    is max_j weight_j * exp(-dt_j / tau) over the other side's matching events,
-    with a learnable timescale, so only recently shared partners light up.
+    `ids` is their slot block, `valid` (B, 2, K) marks the retained slots and
+    `weight` (B, 2, K) is the event mask on them (default: a hard mask). A
+    slot's common-partner feature is max_j weight_j * exp(-dt_j / tau) over the
+    other side's matching events, with a learnable timescale, so only recently
+    shared partners light up.
     """
     h = store.meta["h"]
-    n_q, _, k = valid.shape
+    n_q, _, k = ids.shape
     weight = nn.const(valid.astype(np.float64)) if weight is None else weight
-    ends = np.array([[c.u, c.v] for c in caches], dtype=np.int64)
-    times = np.array([c.t for c in caches], dtype=np.float64)
-    partners = np.stack([c.partners for c in caches])
-    dts = np.stack([c.dts for c in caches])
-    attrs = np.stack([c.attrs for c in caches])
+    ends = np.array([(q.u, q.v) for q in queries], dtype=np.int64).reshape(-1, 2)
+    times = np.array([q.t for q in queries], dtype=np.float64)
+    at = np.nonzero(ids >= 0)
+    held = ids[at]
+    partners = np.full(ids.shape, -1, dtype=np.int64)
+    partners[at] = np.where(g.src[held] == ends[at[:2]], g.dst[held], g.src[held])
+    dts, attrs = np.zeros(ids.shape), np.zeros(ids.shape + (g.attr_width,))
+    dts[at], attrs[at] = times[at[0]] - g.t[held], g.attrs[held]
     direct = partners == ends[:, ::-1, None]
 
     feats = node_base_features(
@@ -186,8 +167,7 @@ def _forward(tape, store: ParameterStore, g: TemporalGraph, caches: list,
     return _head(tape, reprs), reprs
 
 
-def _retained_slots(caches: list, retained: list) -> np.ndarray:
-    ids = np.stack([c.ids for c in caches])
+def _retained_slots(ids: np.ndarray, retained: list) -> np.ndarray:
     valid = ids >= 0
     for b, keep in enumerate(retained):
         if keep is not None:
@@ -195,19 +175,21 @@ def _retained_slots(caches: list, retained: list) -> np.ndarray:
     return valid
 
 
-def predict_batch(store: ParameterStore, g: TemporalGraph, caches: list,
+def predict_batch(store: ParameterStore, g: TemporalGraph, queries: list,
                   retained: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hard-masked forward of a batch: probabilities (B,) and representations (B, 2h).
 
     retained[b] is None for query b's full view, or the set of event ids it
     keeps; an empty set is the empty view. Runs EVAL_CHUNK queries per forward.
     """
-    retained = retained or [None] * len(caches)
+    retained = retained or [None] * len(queries)
     tape = Tape(store)
     probs, reprs = [np.zeros(0)], [np.zeros((0, 2 * store.meta["h"]))]
-    for lo in range(0, len(caches), EVAL_CHUNK):
-        chunk, keep = caches[lo:lo + EVAL_CHUNK], retained[lo:lo + EVAL_CHUNK]
-        p, r = _forward(tape, store, g, chunk, _retained_slots(chunk, keep))
+    for lo in range(0, len(queries), EVAL_CHUNK):
+        chunk = queries[lo:lo + EVAL_CHUNK]
+        ids = slot_ids(store, g, chunk)
+        p, r = _forward(tape, store, g, chunk, ids,
+                        _retained_slots(ids, retained[lo:lo + EVAL_CHUNK]))
         probs.append(p.value)
         reprs.append(r.value)
     return np.concatenate(probs), np.concatenate(reprs)
@@ -218,27 +200,24 @@ class InternalPredictor:
 
     def __init__(self, store: ParameterStore):
         self.store = store
-        self.k_nb = store.meta["k_nb"]
 
     def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
         return float(self.predict_views(g, [query], [retained])[0])
 
     def predict_views(self, g: TemporalGraph, queries: list, views: list) -> np.ndarray:
-        """queries[i] under views[i] (None = full, a set = retained ids): one cache per
-        query and one `predict_batch` call."""
-        caches = {q: build_query_cache(g, q, self.k_nb) for q in dict.fromkeys(queries)}
-        return predict_batch(self.store, g, [caches[q] for q in queries], list(views))[0]
+        """queries[i] under views[i] (None = full, a set = retained ids): one
+        `predict_batch` call."""
+        return predict_batch(self.store, g, list(queries), list(views))[0]
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0
 
     def query_context(self, g: TemporalGraph, query: Event) -> np.ndarray:
         """Concatenated time-aware endpoint representations on the full view."""
-        qc = build_query_cache(g, query, self.k_nb)
-        return predict_batch(self.store, g, [qc])[1][0]
+        return predict_batch(self.store, g, [query])[1][0]
 
 
-def soft_predict(tape, store: ParameterStore, g: TemporalGraph, caches: list,
+def soft_predict(tape, store: ParameterStore, g: TemporalGraph, queries: list,
                  covered: list, event_mask: Var) -> Var:
     """Differentiable masked predictions (B,) of a batch.
 
@@ -246,7 +225,7 @@ def soft_predict(tape, store: ParameterStore, g: TemporalGraph, caches: list,
     entries of `event_mask`, which concatenates the per-query masks in
     batch order; its other slots are dropped.
     """
-    ids = np.stack([c.ids for c in caches])
+    ids = slot_ids(store, g, queries)
     total = sum(len(cov) for cov in covered)
     idx = np.full(ids.shape, total, dtype=np.int64)  # dropped slots read an appended zero
     off = 0
@@ -255,7 +234,7 @@ def soft_predict(tape, store: ParameterStore, g: TemporalGraph, caches: list,
         idx[b][hit] = off + np.searchsorted(cov, ids[b][hit])
         off += len(cov)
     mask = nn.concat([nn.reshape(event_mask, (-1,)), nn.const(np.zeros(1))], axis=0)
-    return _forward(tape, store, g, caches, idx < total, nn.gather_rows(mask, idx))[0]
+    return _forward(tape, store, g, queries, ids, idx < total, nn.gather_rows(mask, idx))[0]
 
 
 # -- training -----------------------------------------------------------------
@@ -297,9 +276,8 @@ def eval_queries(g: TemporalGraph, event_ids: np.ndarray, seed: int,
 
 def evaluate_ap(store: ParameterStore, g: TemporalGraph,
                 queries: list[tuple[Event, int]]) -> float:
-    caches = [build_query_cache(g, q, store.meta["k_nb"]) for q, _ in queries]
     labels = np.array([y for _, y in queries])
-    return average_precision(labels, predict_batch(store, g, caches)[0])
+    return average_precision(labels, predict_batch(store, g, [q for q, _ in queries])[0])
 
 
 def _bce(pred: Var, label) -> Var:
@@ -311,9 +289,10 @@ def _bce(pred: Var, label) -> Var:
 
 
 def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
-               batch: list[tuple[QueryCache, int]]) -> Var:
-    caches = [qc for qc, _ in batch]
-    probs, _ = _forward(tape, store, g, caches, _retained_slots(caches, [None] * len(caches)))
+               batch: list[tuple[Event, int]]) -> Var:
+    queries = [q for q, _ in batch]
+    ids = slot_ids(store, g, queries)
+    probs, _ = _forward(tape, store, g, queries, ids, ids >= 0)
     return nn.vmean(_bce(probs, [label for _, label in batch]))
 
 
@@ -329,15 +308,14 @@ def train_base(g: TemporalGraph, cfg: BaseConfig) -> tuple[ParameterStore, dict]
     store = build_base_store(g, cfg)
     train_ids, val_ids, _ = split_event_ids(g)
     val_set = eval_queries(g, val_ids, cfg.seed)
-    pos_caches = {int(e): build_query_cache(g, g.event(int(e)), cfg.k_nb) for e in train_ids}
 
     def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xE60C, epoch])))
-        samples: list[tuple[QueryCache, int]] = []
+        samples: list[tuple[Event, int]] = []
         for k in rng.permutation(len(train_ids)):
             ev = g.event(int(train_ids[k]))
             neg = query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t, g.attr_width)
-            samples += [(pos_caches[ev.id], 1), (build_query_cache(g, neg, cfg.k_nb), 0)]
+            samples += [(ev, 1), (neg, 0)]
         for lo in range(0, len(samples), cfg.batch):
             yield lambda tape, chunk=samples[lo:lo + cfg.batch]: batch_loss(tape, store, g, chunk)
 

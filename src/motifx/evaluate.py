@@ -5,9 +5,8 @@ import time
 
 import numpy as np
 
-from .basemodel import (EVAL_CHUNK, InternalPredictor, build_query_cache, enhanced_probs,
-                        eval_queries, evaluate_ap, predict_batch, split_event_ids,
-                        train_enhanced_head)
+from .basemodel import (EVAL_CHUNK, InternalPredictor, enhanced_probs, eval_queries,
+                        evaluate_ap, predict_batch, split_event_ids, train_enhanced_head)
 from .explainer import ExplainerConfig, encode_chunks, explain_batch, prepare_queries
 from .graph import TemporalGraph
 from .metrics import (MetricReport, SPARSITY_LEVELS, acc_auc, average_precision,
@@ -117,7 +116,7 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     rows = [(split, seed + 31 * qi, q, y) for split in ("train", "val", "test")
             for qi, (q, y) in enumerate(sets[split])]
     queries = [q for _, _, q, _ in rows]
-    reps = predict_batch(base_store, g, [build_query_cache(g, q, base.k_nb) for q in queries])[1]
+    reps = predict_batch(base_store, g, queries)[1]
     embs = np.zeros((len(rows), expl_store.meta["h"]))  # zero for a query without motifs
     for lo in range(0, len(rows), EVAL_CHUNK):  # one chunk's preps at a time bound the memory
         preps = prepare_queries(g, base, queries[lo:lo + EVAL_CHUNK], cfg,

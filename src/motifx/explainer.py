@@ -25,8 +25,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import nn
-from .basemodel import (InternalPredictor, QueryCache, _bce, _head, build_query_cache,
-                        negative_partner, predict_batch, soft_predict, split_event_ids)
+from .basemodel import (InternalPredictor, _bce, _head, negative_partner, predict_batch,
+                        soft_predict, split_event_ids)
 from .config import check_fields
 from .errors import InvariantError
 from .features import event_feature_block, feature_width
@@ -93,7 +93,6 @@ class QueryPrep:
     the encoder rows of the valid events in row-major order."""
     query: Event
     label: int
-    qc: QueryCache
     comp_ids: np.ndarray
     ids: np.ndarray
     codes: list
@@ -148,12 +147,11 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
     labels = first_touch(ends).reshape(len(ids), cfg.l, 2)  # from u_0, not anchor first
     cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
     todo = [(i, lo, hi) for i, lo, hi in zip(todo, cuts[:-1], cuts[1:]) if hi > lo]
-    caches = [build_query_cache(g, queries[i], base.k_nb) for i, _, _ in todo]
-    probs, ctxs = predict_batch(base.store, g, caches)  # labels and contexts: the full view
+    probs, ctxs = predict_batch(base.store, g, [queries[i] for i, _, _ in todo])  # full view
     out: list[QueryPrep | None] = [None] * len(queries)
-    for (i, lo, hi), qc, prob, ctx in zip(todo, caches, probs, ctxs):
+    for (i, lo, hi), prob, ctx in zip(todo, probs, ctxs):
         query, comp_ids = queries[i], comps[i]
-        out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, qc=qc, comp_ids=comp_ids,
+        out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, comp_ids=comp_ids,
                            ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
                            node_labels=labels[lo:hi],
                            **_encoder_inputs(g, query.t, ids[lo:hi], comp_ids))
@@ -272,7 +270,7 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     alpha = concrete_sample(scores, cfg.lam, draws)
     ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]),
                              floor=0.0)
-    preds = soft_predict(Tape(base_store), base_store, g, [p.qc for p in preps],
+    preds = soft_predict(Tape(base_store), base_store, g, [p.query for p in preps],
                          [p.covered_ids for p in preps], ev_mask)
     query = np.repeat(np.arange(len(preps)), counts)
     if cfg.prior == "uniform":

@@ -13,6 +13,8 @@ node, then by event id. The entries of node w are rows
 ``inc_other`` (the event's other endpoint). Within a row, id order is
 (t, id) order, so every time window is one contiguous slice, and
 ties come out ordered by id exactly as they do over the whole stream.
+`history` reads one node's window; `recent` reads the last k entries of
+many nodes' windows at once, padded with -1: the base model's slot block.
 
 Beside it sits a pair index. ``pair_codes`` lists each distinct unordered
 pair {a, b} (a < b) once as ``a * node_count + b``, ascending; a pair's
@@ -75,7 +77,7 @@ class TemporalGraph:
     endpoint's row). ``_inc_key`` holds each entry as the packed int64
     ``node * n_events + event id``; it is sorted, so the row offsets of
     any set of nodes at any id cut are one ``searchsorted``. The event
-    columns and the index are read-only, and lookups return views of them.
+    columns and the index are read-only, and `history` returns views of them.
     ``pair_codes`` and ``_pair_key`` are the pair index of the module
     docstring, also read-only.
     """
@@ -156,14 +158,29 @@ class TemporalGraph:
         """The count of events with t < before (or <= if not strict): they are ids 0..cut-1."""
         return int(self.t.searchsorted(before, side="left" if strict else "right"))
 
+    def _row_stops(self, nodes, before, strict: bool = True):
+        """Where each node's row ends at its cut t < before (<= if not strict)."""
+        cuts = self.t.searchsorted(before, side="left" if strict else "right")
+        return self._inc_key.searchsorted(nodes * self.n_events + cuts)
+
     def history(self, node: int, before: float,
                 strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """`node`'s events with t < before (or <= if not strict), ascending (t, id):
         their ids and their other endpoints, as read-only views of the index."""
-        cut = self.id_cut(before, strict)
-        rows = slice(int(self.indptr[node]),
-                     int(self._inc_key.searchsorted(node * self.n_events + cut)))
+        rows = slice(int(self.indptr[node]), int(self._row_stops(node, before, strict)))
         return self.inc_ids[rows], self.inc_other[rows]
+
+    def recent(self, nodes, before, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's k most recent events with t < before, oldest first, padded with
+        -1 at the end: their ids and their other endpoints, two nodes.shape + (k,)
+        arrays. `before` broadcasts against `nodes`."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        stops = self._row_stops(nodes, before)[..., None]
+        pos = np.maximum(self.indptr[nodes][..., None], stops - k) + np.arange(k)
+        held = pos < stops
+        ids, other = np.full((2,) + held.shape, -1, dtype=np.int64)
+        ids[held], other[held] = self.inc_ids[pos[held]], self.inc_other[pos[held]]
+        return ids, other
 
     # -- serialization ------------------------------------------------------
 
@@ -316,9 +333,8 @@ def node_base_features(g: TemporalGraph, nodes, before) -> np.ndarray:
     """Inductive node inputs for the link predictor: [1.0, log1p(degree before t)],
     with `before` one time for all nodes or one per node."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    cuts = g.t.searchsorted(np.broadcast_to(np.asarray(before, dtype=np.float64), nodes.shape))
-    stops = g._inc_key.searchsorted(nodes * g.n_events + cuts)
-    degrees, where = np.unique(stops - g.indptr[nodes], return_inverse=True)
+    degrees, where = np.unique(g._row_stops(nodes, before) - g.indptr[nodes],
+                               return_inverse=True)
     out = np.ones((len(nodes), 2))
     out[:, 1] = np.array([math.log1p(d) for d in degrees.tolist()])[where]
     return out

@@ -449,6 +449,8 @@ class Tape:
     def param(self, name: str) -> Var:
         leaf = self._leaves.get(name)
         if leaf is None:
+            if name not in self.store.arrays:
+                raise CheckpointError(f"parameter store has no array {name!r}")
             leaf = Var(self.store.arrays[name])
             self._leaves[name] = leaf
         return leaf

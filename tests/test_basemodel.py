@@ -9,17 +9,22 @@ import pytest
 from motifx import basemodel, nn
 from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, BaseConfig, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
-                              build_enhanced_store, build_query_cache,
-                              empty_context_output, enhanced_probs, eval_queries,
-                              motif_enhanced_predict, predict_batch, serve_adapter,
-                              soft_predict, split_event_ids, split_times,
-                              train_base, train_enhanced_head)
-from motifx.errors import AdapterProtocolError, ConfigError, ShapeError
+                              build_enhanced_store, empty_context_output, enhanced_probs,
+                              eval_queries, motif_enhanced_predict, predict_batch,
+                              serve_adapter, slot_ids, soft_predict, split_event_ids,
+                              split_times, train_base, train_enhanced_head)
+from motifx.errors import AdapterProtocolError, CheckpointError, ConfigError, ShapeError
 from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
 
 from oracles import reference_batch_loss, reference_predict, reference_soft_predict
+
+
+def members(store, g, q):
+    """The sorted ids of the events in a query's full view."""
+    ids = slot_ids(store, g, [q])
+    return np.unique(ids[ids >= 0])
 
 
 def perturbed(store, seed, scale=0.3):
@@ -54,15 +59,13 @@ class TestPredict:
             store.arrays[name] = store.arrays[name] + rng.normal(0, 0.2, store.arrays[name].shape)
         model = InternalPredictor(store)
         q = small_graph.event(100)
-        qc = build_query_cache(small_graph, q, model.k_nb)
-        members = set(int(e) for e in qc.member_ids)
-        assert model.predict(small_graph, q) == model.predict(small_graph, q, members)
+        full = set(int(e) for e in members(store, small_graph, q))
+        assert model.predict(small_graph, q) == model.predict(small_graph, q, full)
 
     def test_retained_is_set_semantics(self, small_graph, fresh_store):
         model = InternalPredictor(fresh_store)
         q = small_graph.event(110)
-        qc = build_query_cache(small_graph, q, model.k_nb)
-        ids = [int(e) for e in qc.member_ids][:5]
+        ids = [int(e) for e in members(fresh_store, small_graph, q)][:5]
         a = model.predict(small_graph, q, set(ids))
         b = model.predict(small_graph, q, set(reversed(ids)))
         assert a == b
@@ -81,6 +84,14 @@ class TestPredict:
         q = query_event(0, 1, float(small_graph.t[0]))  # before everything
         model = InternalPredictor(fresh_store)
         assert model.predict(small_graph, q) == empty_context_output(fresh_store)
+
+    def test_checkpoint_without_an_array_names_it(self, small_graph, fresh_store, tmp_path):
+        store = fresh_store.copy()
+        del store.arrays["head1.w"]
+        store.save(tmp_path / "base.ckpt")
+        model = InternalPredictor(nn.ParameterStore.load(tmp_path / "base.ckpt"))
+        with pytest.raises(CheckpointError, match="'head1.w'"):
+            model.predict(small_graph, small_graph.event(100))
 
 
 class TestConfig:
@@ -124,16 +135,14 @@ class TestBatchedForwardOracle:
         g = tied_graph(rng)
         k_nb = int(rng.integers(1, 6))
         store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
-        caches, views, queries = [], [], []
+        views, queries = [], []
         for q in mixed_queries(rng, g, 10):
-            qc = build_query_cache(g, q, k_nb)
-            members = [int(e) for e in qc.member_ids]
-            subset = {e for e in members if rng.random() < 0.5}
-            for view in (None, set(), subset, set(members) | {10 ** 6}):
-                caches.append(qc)
+            full = [int(e) for e in members(store, g, q)]
+            subset = {e for e in full if rng.random() < 0.5}
+            for view in (None, set(), subset, set(full) | {10 ** 6}):
                 views.append(view)
                 queries.append(q)
-        probs, _ = predict_batch(store, g, caches, views)
+        probs, _ = predict_batch(store, g, queries, views)
         want = [reference_predict(store, g, q, view) for q, view in zip(queries, views)]
         assert np.max(np.abs(probs - np.array(want))) <= 1e-12
 
@@ -144,18 +153,17 @@ class TestBatchedForwardOracle:
         k_nb = int(rng.integers(1, 6))
         store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
         queries = mixed_queries(rng, g, 7)
-        caches = [build_query_cache(g, q, k_nb) for q in queries]
         covered = []
-        for qc in caches:
-            members = qc.member_ids
+        for q in queries:
+            full = members(store, g, q)
             # some kept, some dropped, plus an id no slot holds
-            covered.append(np.union1d(members[rng.random(len(members)) < 0.7], [g.n_events + 5]))
+            covered.append(np.union1d(full[rng.random(len(full)) < 0.7], [g.n_events + 5]))
         store.add("mask", rng.uniform(0.05, 1.0, size=sum(len(c) for c in covered)))
         probe = rng.normal(size=len(queries))
         offsets = np.cumsum([0] + [len(c) for c in covered])
 
         tape = Tape(store)
-        preds = soft_predict(tape, store, g, caches, covered, tape.param("mask"))
+        preds = soft_predict(tape, store, g, queries, covered, tape.param("mask"))
         got = tape.gradients(nn.vsum(nn.mul(preds, nn.const(probe))))
         ref_tape = Tape(store)
         mask = ref_tape.param("mask")
@@ -176,7 +184,7 @@ class TestBatchedForwardOracle:
         store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
         pairs = [(q, int(rng.integers(2))) for q in mixed_queries(rng, g, 9)]
         tape = Tape(store)
-        loss = batch_loss(tape, store, g, [(build_query_cache(g, q, k_nb), y) for q, y in pairs])
+        loss = batch_loss(tape, store, g, pairs)
         got = tape.gradients(loss)
         ref_tape = Tape(store)
         ref = reference_batch_loss(ref_tape, store, g, pairs)
@@ -189,7 +197,7 @@ class TestBatchedForwardOracle:
         store = perturbed(fresh_store, 8)
         model = InternalPredictor(store)
         q = small_graph.event(90)
-        _, reprs = predict_batch(store, small_graph, [build_query_cache(small_graph, q, 6)])
+        _, reprs = predict_batch(store, small_graph, [q])
         assert np.array_equal(model.query_context(small_graph, q), reprs[0])
         assert reprs.shape == (1, 2 * store.meta["h"])
 
@@ -202,48 +210,47 @@ class TestRowInvariance:
         g = generate_synthetic("triadic-closure", 20, 300, seed=12)
         store = perturbed(build_base_store(g, BaseConfig(h=16, d_time=4, k_nb=10)), 3)
         rng = np.random.default_rng(4)
-        caches, views = [], []
+        queries, views = [], []
         for k in range(33):
             q = g.event(int(rng.integers(g.n_events))) if k % 6 else query_event(0, 1, 0.0)
-            qc = build_query_cache(g, q, 10)
-            members = list(qc.member_ids)
-            view = (None, set(), set(members[::2]))[k % 3]
-            caches.append(qc)
+            full = list(members(store, g, q))
+            view = (None, set(), set(full[::2]))[k % 3]
+            queries.append(q)
             views.append(view)
-        return g, store, caches, views
+        return g, store, queries, views
 
     def test_alone_equals_inside_batches(self, rows):
-        g, store, caches, views = rows
-        alone = [predict_batch(store, g, [c], [v]) for c, v in zip(caches, views)]
-        n = len(caches)
+        g, store, queries, views = rows
+        alone = [predict_batch(store, g, [q], [v]) for q, v in zip(queries, views)]
+        n = len(queries)
         for size in (2, 3, 33):
             for i in range(n):
                 pick = [(i + j * 7) % n for j in range(size)]
-                probs, reprs = predict_batch(store, g, [caches[k] for k in pick],
+                probs, reprs = predict_batch(store, g, [queries[k] for k in pick],
                                              [views[k] for k in pick])
                 assert probs[0].tobytes() == alone[i][0][0].tobytes(), (size, i)
                 assert reprs[0].tobytes() == alone[i][1][0].tobytes(), (size, i)
 
     def test_empty_rows_equal_the_constant(self, rows):
-        g, store, caches, views = rows
-        probs, _ = predict_batch(store, g, caches, [set()] * len(caches))
+        g, store, queries, views = rows
+        probs, _ = predict_batch(store, g, queries, [set()] * len(queries))
         assert set(probs.tolist()) == {empty_context_output(store)}
 
     def test_predict_views_equals_single_predicts(self, rows):
-        g, store, caches, views = rows
+        g, store, _, _ = rows
         model = InternalPredictor(store)
         q, other = g.event(250), g.event(180)
-        members = list(build_query_cache(g, q, 10).member_ids)
-        wanted = [None, set(), set(members[:3]), set(members[1::2]), None]
+        full = list(members(store, g, q))
+        wanted = [None, set(), set(full[:3]), set(full[1::2]), None]
         queries = [q, q, other, q, other]
         batched = model.predict_views(g, queries, wanted)
         assert batched.tolist() == [model.predict(g, x, v) for x, v in zip(queries, wanted)]
 
     def test_chunked_batch_equals_one_forward(self, rows, monkeypatch):
-        g, store, caches, views = rows
-        whole = predict_batch(store, g, caches, views)
+        g, store, queries, views = rows
+        whole = predict_batch(store, g, queries, views)
         monkeypatch.setattr(basemodel, "EVAL_CHUNK", 4)  # 8 chunks of 4, then a lone row
-        chunked = predict_batch(store, g, caches, views)
+        chunked = predict_batch(store, g, queries, views)
         assert whole[0].tobytes() == chunked[0].tobytes()
         assert whole[1].tobytes() == chunked[1].tobytes()
 
@@ -291,7 +298,7 @@ class TestTraining:
             store.arrays[name] = store.arrays[name] + rng.normal(0, 0.2, store.arrays[name].shape)
         batch = []
         for eid, label in ((100, 1), (101, 0), (102, 1)):
-            batch.append((build_query_cache(small_graph, small_graph.event(eid), 5), label))
+            batch.append((small_graph.event(eid), label))
 
         def loss(tape: Tape):
             return batch_loss(tape, store, small_graph, batch)
@@ -315,8 +322,7 @@ class TestEnhancedHead:
     def rows(self, small_graph, fresh_store):
         store = perturbed(fresh_store, 21)
         queries = eval_queries(small_graph, np.arange(60, 120), seed=2)
-        caches = [build_query_cache(small_graph, q, 6) for q, _ in queries]
-        probs, reps = predict_batch(store, small_graph, caches)
+        probs, reps = predict_batch(store, small_graph, [q for q, _ in queries])
         embs = np.random.default_rng(5).normal(size=(len(queries), 4))
         labels = np.array([y for _, y in queries])
         return store, probs, reps, embs, labels

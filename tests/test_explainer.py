@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from motifx import nn
 from motifx.basemodel import BaseConfig, InternalPredictor, _head, build_base_store
-from motifx.errors import ConfigError, InvariantError, NonFiniteError
+from motifx.errors import CheckpointError, ConfigError, InvariantError, NonFiniteError
 from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
                               encode_chunks, explain, explain_batch, ib_loss,
                               kl_empirical, kl_uniform, prepare_queries,
@@ -419,12 +419,12 @@ class TestTraining:
             elif trainer == "enhanced_head":
                 monkeypatch.setattr(basemodel, "build_enhanced_store",
                                     poisoned(basemodel.build_enhanced_store, "ehead1.b"))
-                caches = [basemodel.build_query_cache(g, g.event(e), 8) for e in range(100, 164)]
-                reps = basemodel.predict_batch(base, g, caches)[1]
-                embs = np.random.default_rng(0).normal(size=(len(caches), 4))
-                labels = np.arange(len(caches)) % 2
+                queries = [g.event(e) for e in range(100, 164)]
+                reps = basemodel.predict_batch(base, g, queries)[1]
+                embs = np.random.default_rng(0).normal(size=(len(queries), 4))
+                labels = np.arange(len(queries)) % 2
                 basemodel.train_enhanced_head(base, reps, embs, labels,
-                                              np.arange(len(caches)) % 4 == 0, epochs=2)
+                                              np.arange(len(queries)) % 4 == 0, epochs=2)
             else:
                 real = explainer._training_preps
 
@@ -481,6 +481,15 @@ class TestExplain:
         a = explain(g, base_store, expl_store, g.event(g.n_events - 1), cfg=ecfg, seed=2)
         b = explain(g, base_store, expl_store, g.event(g.n_events - 1), cfg=ecfg, seed=2)
         assert a.to_json() == b.to_json()
+
+    def test_checkpoint_without_an_array_names_it(self, setup, tmp_path):
+        g, base_store, expl_store, ecfg = setup
+        store = expl_store.copy()
+        del store.arrays["score1.w"]
+        store.save(tmp_path / "explainer.ckpt")
+        loaded = nn.ParameterStore.load(tmp_path / "explainer.ckpt")
+        with pytest.raises(CheckpointError, match="'score1.w'"):
+            explain(g, base_store, loaded, g.event(g.n_events - 1), cfg=ecfg, seed=2)
 
     def test_empty_history_flagged(self, setup):
         g, base_store, expl_store, ecfg = setup

@@ -11,7 +11,7 @@ from motifx.graph import (TemporalGraph, _pick, computational_graph, generate_sy
 from motifx.motifs import null_model
 
 from conftest import random_graph
-from oracles import (brute_force_computational_graph, brute_force_neighbor_events,
+from oracles import (_side_view, brute_force_computational_graph, brute_force_neighbor_events,
                      reference_graph_json, reference_preferential_attachment)
 
 
@@ -287,6 +287,35 @@ class TestIndex:
             assert g.inc_other[rows].tolist() == [
                 int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i]) for i in want]
         assert not g.inc_ids.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_recent_equals_brute_force_history(self, seed):
+        """`recent` against the oracle's last-k history scan, on tied timestamps, with
+        `before` at event times (a strict cut) and past the end, a node without events,
+        k below and above the history lengths, and one time per node or for all."""
+        rng = np.random.default_rng(seed + 1300)
+        g0 = random_graph(rng, duplicate_times=True)
+        g = TemporalGraph(g0.src, g0.dst, g0.t, g0.attrs, g0.node_count + 1)  # last node idle
+        nodes = rng.integers(g.node_count, size=(12, 2))
+        nodes[0, 1] = g.node_count - 1
+        before = np.append(rng.choice(g.t, size=11), g.t[-1] + 1.0)
+        for k in (1, 2, 5, 50):
+            ids, other = g.recent(nodes, before[:, None], k)
+            assert ids.shape == other.shape == (12, 2, k)
+            for b, s in np.ndindex(12, 2):
+                view = _side_view(g, int(nodes[b, s]), -1, float(before[b]), k)
+                pad = [-1] * (k - len(view["ids"]))
+                assert ids[b, s].tolist() == view["ids"] + pad
+                assert other[b, s].tolist() == view["partners"] + pad
+            shared, _ = g.recent(nodes[:, 0], float(before[3]), k)
+            for w, row in zip(nodes[:, 0], shared.tolist()):
+                view = _side_view(g, int(w), -1, float(before[3]), k)["ids"]
+                assert row == view + [-1] * (k - len(view))
+
+    def test_recent_on_an_empty_graph(self):
+        g = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
+        ids, other = g.recent([[0, 1], [2, 0]], [[5.0], [-1.0]], 4)
+        assert ids.tolist() == other.tolist() == [[[-1] * 4] * 2] * 2
 
     @pytest.mark.parametrize("seed", range(40))
     def test_windowed_neighbor_events(self, seed):
