@@ -24,6 +24,8 @@ and no product handed to BLAS has one row or one column (numpy sends
 those to gemv, whose bits depend on the row count), so the 1-wide output
 projection is a multiply plus a row sum and a lone query is duplicated.
 `_head` does both; the explainer's motif scorer is its second user.
+
+`build_base_store` and `train_base` take the one `config.RunConfig`.
 """
 from __future__ import annotations
 
@@ -35,12 +37,11 @@ import sys
 import threading
 import queue
 from collections import deque
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
-from .config import check_fields
+from .config import RunConfig
 from .errors import AdapterProtocolError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention, time_encode
@@ -53,24 +54,11 @@ EVAL_CHUNK = 256  # queries per forward in predict_batch; rows do not depend on 
 STDERR_TAIL = 20  # last lines of an adapter's stderr that its protocol errors carry
 
 
-@dataclass
-class BaseConfig:
-    h: int = 64
-    d_time: int = 16
-    k_nb: int = 20
-    lr: float = 1e-3
-    epochs: int = 30
-    batch: int = 64
-    patience: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:
+def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
+    """A fresh base model of width cfg.h with cfg.d_time_base time frequencies over the
+    cfg.k_nb most recent events of each endpoint."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xBA5E])))
-    h, dt = cfg.h, cfg.d_time
+    h, dt = cfg.h, cfg.d_time_base
     key_width = h + g.attr_width + 2 * dt + 2
     store = ParameterStore()
     store.add("time_w", nn.log_spaced_freqs(max(g.time_span, 1.0), dt))
@@ -83,7 +71,7 @@ def build_base_store(g: TemporalGraph, cfg: BaseConfig) -> ParameterStore:
     store.add_affine("head1", 2 * h, h, rng)
     store.add_affine("head2", h, 1, rng, zero=True)  # fresh model predicts 0.5 everywhere
     store.meta = {"kind": "base", "h": h, "d_time": dt, "k_nb": cfg.k_nb,
-                  "attr_width": g.attr_width, "config": asdict(cfg)}
+                  "attr_width": g.attr_width, "config": cfg.to_dict()}
     return store
 
 
@@ -260,18 +248,24 @@ def negative_partner(rng: np.random.Generator, n_nodes: int, u: int) -> int:
     return x + 1 if x >= u else x
 
 
-def eval_queries(g: TemporalGraph, event_ids: np.ndarray, seed: int,
-                 neg_per_pos: int = 1) -> list[tuple[Event, int]]:
-    """Positive events plus fixed uniform negatives (label second)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE7A1])))
+def labelled_queries(g: TemporalGraph, event_ids, rng: np.random.Generator,
+                     neg_per_pos: int = 1) -> list[tuple[Event, int]]:
+    """Each event (label 1), then neg_per_pos queries from its source at its time to
+    uniform negative partners drawn from `rng` in order (label 0)."""
     out = []
     for eid in event_ids:
         ev = g.event(int(eid))
         out.append((ev, 1))
-        for _ in range(neg_per_pos):
-            x = negative_partner(rng, g.node_count, ev.u)
-            out.append((query_event(ev.u, x, ev.t, g.attr_width), 0))
+        out += [(query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t,
+                             g.attr_width), 0) for _ in range(neg_per_pos)]
     return out
+
+
+def eval_queries(g: TemporalGraph, event_ids: np.ndarray, seed: int,
+                 neg_per_pos: int = 1) -> list[tuple[Event, int]]:
+    """Positive events plus fixed uniform negatives (label second)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE7A1])))
+    return labelled_queries(g, event_ids, rng, neg_per_pos)
 
 
 def evaluate_ap(store: ParameterStore, g: TemporalGraph,
@@ -296,10 +290,11 @@ def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
     return nn.vmean(_bce(probs, [label for _, label in batch]))
 
 
-def train_base(g: TemporalGraph, cfg: BaseConfig) -> tuple[ParameterStore, dict]:
+def train_base(g: TemporalGraph, cfg: RunConfig) -> tuple[ParameterStore, dict]:
     """Binary classification of real events against uniform negative partners.
 
-    Chronological 75/5/20 split, fresh negatives per epoch, deterministic given cfg.seed.
+    Chronological 75/5/20 split, up to cfg.base_epochs epochs with fresh negatives each,
+    deterministic given cfg.seed.
     `nn.fit` trains it: a non-finite loss or gradient raises NonFiniteError naming the
     epoch; the best by validation AP of the untrained store and each epoch is returned
     (stop after cfg.patience epochs without a gain), or with an empty validation split
@@ -311,15 +306,11 @@ def train_base(g: TemporalGraph, cfg: BaseConfig) -> tuple[ParameterStore, dict]
 
     def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xE60C, epoch])))
-        samples: list[tuple[Event, int]] = []
-        for k in rng.permutation(len(train_ids)):
-            ev = g.event(int(train_ids[k]))
-            neg = query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t, g.attr_width)
-            samples += [(ev, 1), (neg, 0)]
+        samples = labelled_queries(g, train_ids[rng.permutation(len(train_ids))], rng)
         for lo in range(0, len(samples), cfg.batch):
             yield lambda tape, chunk=samples[lo:lo + cfg.batch]: batch_loss(tape, store, g, chunk)
 
-    report = nn.fit(store, cfg.epochs, batches, cfg.lr, patience=cfg.patience,
+    report = nn.fit(store, cfg.base_epochs, batches, cfg.lr, patience=cfg.patience,
                     validate=(lambda s: evaluate_ap(s, g, val_set)) if val_set else None)
     store.meta["train_report"] = {"epochs_run": report["epochs_run"],
                                   "best_epoch": report["best_epoch"],

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .basemodel import BaseConfig, InternalPredictor, build_base_store, slot_ids, soft_predict
-from .explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
-                        prepare_queries, query_objective)
+from .basemodel import build_base_store, slot_ids, soft_predict
+from .config import RunConfig
+from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
 from .layers import concrete_sample, gine_layer, time_encode
 from .nn import ParameterStore, Tape, grad_check
@@ -83,19 +83,18 @@ def concrete_check(points: int = 1, seed: int = 0) -> float:
 
 def _toy_pipeline(seed: int = 0):
     g = generate_synthetic("triadic-closure", 12, 80, seed=seed + 5)
-    bcfg = BaseConfig(h=8, d_time=4, k_nb=8, seed=seed)
-    base_store = build_base_store(g, bcfg)
+    cfg = RunConfig(h=8, d_time_base=4, k_nb=8, c=4, c_per_node=4, d_time=4, per_hop_cap=8,
+                    seed=seed)
+    base_store = build_base_store(g, cfg)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 4])))
     _perturb(base_store, rng)  # nonzero head so gradients reach every layer
-    ecfg = ExplainerConfig(c=4, n=3, l=3, d_time=4, h=8, seed=seed, per_hop_cap=8)
-    expl_store = build_explainer_store(g, base_store.meta, ecfg)
-    base = InternalPredictor(base_store)
+    expl_store = build_explainer_store(g, base_store.meta, cfg)
     queries = [g.event(g.n_events - 1), g.event(g.n_events - 2)]
-    preps = prepare_queries(g, base, queries, ecfg, [seed, seed + 1])
+    preps = prepare_queries(g, base_store, queries, cfg, [seed, seed + 1])
     assert all(p is not None for p in preps), "toy pipeline produced no motifs"
     # a class in both queries, so the (query, class) segments of the KL are checked
     assert set(preps[0].codes) & set(preps[1].codes), "toy queries share no motif class"
-    return g, base_store, expl_store, ecfg, preps
+    return g, base_store, expl_store, cfg, preps
 
 
 def motif_encoder_check(points: int = 1, seed: int = 0) -> float:
@@ -119,17 +118,17 @@ def scorer_check(points: int = 1, seed: int = 0) -> float:
 
 
 def objective_check(points: int = 1, seed: int = 0) -> float:
-    g, base_store, expl_store, ecfg, preps = _toy_pipeline(seed)
+    g, base_store, expl_store, cfg, preps = _toy_pipeline(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
     draws = rng.uniform(0.1, 0.9, size=sum(len(p.ids) for p in preps))
     null_probs = None
-    if ecfg.prior == "empirical":
+    if cfg.prior == "empirical":
         from .motifs import null_class_probs
-        null_probs = null_class_probs(g, ecfg.n, ecfg.l, c_per_node=4, seed=seed)
+        null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, seed=seed)
 
     def loss(tape: Tape):
         scores, _, _ = encode_and_score(tape, preps)
-        return query_objective(base_store, g, preps, scores, draws, ecfg, null_probs)
+        return query_objective(base_store, g, preps, scores, draws, cfg, null_probs)
     return _check_over_points(loss, expl_store, points, seed)
 
 

@@ -1,8 +1,9 @@
 """Command-line pipeline: synth/ingest -> censuses -> train -> explain -> evaluate.
 
-Every command writes its artifact under --run-dir with a fixed filename
-plus a `<artifact>.manifest.json` sidecar (full config, config hash,
-package version); reruns with the same manifest are byte-identical.
+One `RunConfig`, from the flags and an optional JSON file, drives every
+command. Every command writes its artifact under --run-dir with a fixed
+filename plus a `<artifact>.manifest.json` sidecar (full config, config
+hash, package version); reruns with the same manifest are byte-identical.
 Failures print machine-readable JSON on stderr and exit nonzero.
 """
 from __future__ import annotations
@@ -16,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import __version__, nn
-from .basemodel import BaseConfig, build_base_store, serve_adapter, train_base
+from .basemodel import build_base_store, serve_adapter, train_base
 from .config import RunConfig, write_manifest
 from .errors import CheckpointError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
-from .explainer import ExplainerConfig, build_explainer_store, explain_batch, train_explainer
+from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
 from .metrics import write_curve_csv
 from .motifs import graph_census, null_class_probs
@@ -60,17 +61,17 @@ def _load_graph(run_dir: Path) -> TemporalGraph:
 def _load_store(run_dir: Path, g: TemporalGraph,
                 base: nn.ParameterStore | None = None) -> nn.ParameterStore:
     """The base checkpoint or, given its base, the explainer's, checked against the store
-    that its own meta["config"] builds on `g`: the same kind, meta values, array names
-    and shapes."""
+    that its own meta["config"], read as a RunConfig, builds on `g`: the same kind, meta
+    values, array names and shapes."""
     kind = "base" if base is None else "explainer"
     path = _need(run_dir, kind)
     store = nn.ParameterStore.load(path)
     if store.meta.get("kind") != kind:
         raise CheckpointError(f"{path}: a {store.meta.get('kind')!r} checkpoint, not {kind!r}")
     try:
-        cfg = store.meta["config"]
-        ref = (build_base_store(g, BaseConfig(**cfg)) if base is None
-               else build_explainer_store(g, base.meta, ExplainerConfig(**cfg)))
+        cfg = RunConfig(**store.meta["config"])
+        ref = (build_base_store(g, cfg) if base is None
+               else build_explainer_store(g, base.meta, cfg))
     except (KeyError, TypeError, MotifxError) as exc:
         raise CheckpointError(f"{path}: its config builds no model ({exc!r})") from exc
     for key, want in ref.meta.items():
@@ -88,16 +89,6 @@ def _load_store(run_dir: Path, g: TemporalGraph,
 def _emit_warnings(cfg: RunConfig) -> None:
     for w in cfg.warnings():
         print(f"warning: {w}", file=sys.stderr)
-
-
-def _stage_cfg(kind, cfg: RunConfig, **renamed):
-    """The stage config `kind`: `renamed` plus every other field RunConfig has by name."""
-    names = {f.name for f in dataclasses.fields(kind)} - set(renamed)
-    return kind(**{name: value for name, value in vars(cfg).items() if name in names}, **renamed)
-
-
-def _explainer_cfg(cfg: RunConfig) -> ExplainerConfig:
-    return _stage_cfg(ExplainerConfig, cfg, epochs=cfg.expl_epochs)
 
 
 # -- commands -------------------------------------------------------------------
@@ -150,8 +141,7 @@ def cmd_null_census(args, cfg: RunConfig) -> int:
 def cmd_train_base(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    store, report = train_base(g, _stage_cfg(BaseConfig, cfg, d_time=cfg.d_time_base,
-                                             epochs=cfg.base_epochs))
+    store, report = train_base(g, cfg)
     out = run_dir / FILES["base"]
     store.save(out)
     write_manifest(run_dir / (FILES["base"] + ".manifest.json"), "train-base", cfg)
@@ -164,7 +154,6 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
     base = _load_store(run_dir, g)
-    ecfg = _explainer_cfg(cfg)
     null_probs = None
     null_path = run_dir / FILES["null_census"]
     if cfg.prior == "empirical":
@@ -174,7 +163,7 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
             null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
             null_path.write_text(json.dumps(null_probs, separators=(",", ":"), sort_keys=True) + "\n")
             write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
-    store, report = train_explainer(g, base, ecfg, null_probs)
+    store, report = train_explainer(g, base, cfg, null_probs)
     out = run_dir / FILES["explainer"]
     store.save(out)
     write_manifest(run_dir / (FILES["explainer"] + ".manifest.json"), "train-explainer", cfg)
@@ -188,7 +177,6 @@ def cmd_explain(args, cfg: RunConfig) -> int:
     g = _load_graph(run_dir)
     base = _load_store(run_dir, g)
     expl = _load_store(run_dir, g, base)
-    ecfg = _explainer_cfg(cfg)
     if args.event_id is not None:
         if not (0 <= args.event_id < g.n_events):
             raise DependencyError(f"event id {args.event_id} outside 0..{g.n_events - 1}")
@@ -196,7 +184,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
     else:
         queries = [q for q, _ in build_eval_query_set(g, cfg.n_queries, cfg.seed)]
     results = explain_batch(g, base, expl, queries, [cfg.seed + i for i in range(len(queries))],
-                            cfg=ecfg)
+                            cfg=cfg)
     out = run_dir / FILES["explanations"]
     out.write_text("[" + ",".join(r.to_json() for r in results) + "]\n")
     write_manifest(run_dir / (FILES["explanations"] + ".manifest.json"), "explain", cfg)
@@ -216,7 +204,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         predictor = ExternalAdapter(shlex.split(adapter_cmd))
     try:
         report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries,
-                                       cfg=_explainer_cfg(cfg), seed=cfg.seed,
+                                       cfg=cfg, seed=cfg.seed,
                                        predictor=predictor)
     finally:
         if predictor is not None:

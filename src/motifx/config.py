@@ -1,4 +1,12 @@
-"""Run configuration, hyperparameter-range warnings, and output manifests."""
+"""The one run configuration, hyperparameter-range warnings, and output manifests.
+
+`RunConfig` drives every stage, from the CLI and the library alike. Each
+stage reads only its own fields: the base model `h`, `d_time_base`,
+`k_nb`, `base_epochs` and `patience`; the explainer `h`, `d_time`,
+`expl_epochs` and the motif, objective and neighborhood fields; both
+`lr`, `batch` and `seed`. A caller who wants a shared field to differ
+between the two stages passes two configs.
+"""
 from __future__ import annotations
 
 import dataclasses
@@ -13,7 +21,7 @@ from .errors import ConfigError
 # ranges the published sweeps explored; values outside them still run, with a warning
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
 PRIORS = ("uniform", "empirical")
-# the values each field can run with, in every config that has the field
+# the values each field can run with
 RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
                          (lambda v: v >= 1, "at least 1")),
          **dict.fromkeys(("lr", "lam"), (lambda v: 0.0 < v < math.inf, "finite and above 0")),
@@ -22,22 +30,6 @@ RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
          "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}")}
 # JSON value types each annotation accepts; a bool is never an int or a float
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
-
-
-def check_fields(cfg) -> None:
-    """Raise ConfigError for the first field of the dataclass `cfg` whose value is not of
-    its annotated type, then for the first that breaks its rule."""
-    for f in dataclasses.fields(cfg):
-        value, kinds = getattr(cfg, f.name), f.type.split(" | ")
-        if value is None and "None" in kinds:
-            continue
-        ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k != "None")
-        if not ok or (isinstance(value, bool) and "bool" not in kinds):
-            raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
-    for name in [f.name for f in dataclasses.fields(cfg) if f.name in RULES]:
-        ok, need = RULES[name]
-        if not ok(getattr(cfg, name)):
-            raise ConfigError(f"{name}={getattr(cfg, name)!r}: must be {need}")
 
 
 @dataclass
@@ -80,10 +72,20 @@ class RunConfig:
     n_queries: int = 200
 
     def __post_init__(self):
-        check_fields(self)
-        for f in dataclasses.fields(self):  # same config, same manifest hash
-            if "float" in f.type and type(getattr(self, f.name)) is int:
-                setattr(self, f.name, float(getattr(self, f.name)))
+        """Raise ConfigError at the first field whose value is not of its annotated type
+        or breaks its rule; store an int given for a float field as a float, so the same
+        config has the same manifest hash."""
+        for f in dataclasses.fields(self):
+            value, kinds = getattr(self, f.name), f.type.split(" | ")
+            if value is None and "None" in kinds:
+                continue
+            ok = any(isinstance(value, _JSON_TYPES[k]) for k in kinds if k != "None")
+            if not ok or (isinstance(value, bool) and "bool" not in kinds):
+                raise ConfigError(f"{f.name}={value!r}: expected {f.type}")
+            if f.name in RULES and not RULES[f.name][0](value):
+                raise ConfigError(f"{f.name}={value!r}: must be {RULES[f.name][1]}")
+            if "float" in kinds and type(value) is int:
+                setattr(self, f.name, float(value))
 
     def warnings(self) -> list[str]:
         return [f"{name}={getattr(self, name)} outside the explored range {(lo, hi)}"

@@ -6,8 +6,9 @@ import time
 import numpy as np
 
 from .basemodel import (EVAL_CHUNK, InternalPredictor, enhanced_probs, eval_queries,
-                        evaluate_ap, predict_batch, split_event_ids, train_enhanced_head)
-from .explainer import ExplainerConfig, encode_chunks, explain_batch, prepare_queries
+                        predict_batch, split_event_ids, train_enhanced_head)
+from .config import RunConfig
+from .explainer import encode_chunks, explain_batch, prepare_queries
 from .graph import TemporalGraph
 from .metrics import (MetricReport, SPARSITY_LEVELS, acc_auc, average_precision,
                       cohesiveness, fidelity, random_baseline)
@@ -46,7 +47,7 @@ def _eval_one(qidx, g, comp, views, preds, levels, coh_level):
 
 def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
                           expl_store: ParameterStore, n_queries: int = 200,
-                          cfg: ExplainerConfig | None = None, seed: int = 0,
+                          cfg: RunConfig | None = None, seed: int = 0,
                           levels=SPARSITY_LEVELS, coh_level: float = 0.1,
                           predictor=None) -> MetricReport:
     """Fidelity/ACC curves, ACC-AUC, and cohesiveness for model and random baseline.
@@ -54,10 +55,9 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
     One `explain_batch` call explains the query set, and one `predict_views`
     call predicts every view of every query. An external predictor (adapter)
     may replace the internal one for the metric-side predictions; the
-    internal model's rows do not depend on the batch, so both agree.
+    internal model's rows do not depend on the batch, so both agree. `cfg` defaults to
+    the config the explainer was trained with.
     """
-    if cfg is None:
-        cfg = ExplainerConfig(**expl_store.meta["config"])
     predictor = predictor or InternalPredictor(base_store)
     levels = tuple(levels)
     queries = [q for q, _ in build_eval_query_set(g, n_queries, seed)]
@@ -96,18 +96,17 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
 
 
 def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
-                         expl_store: ParameterStore, cfg: ExplainerConfig | None = None,
+                         expl_store: ParameterStore, cfg: RunConfig | None = None,
                          seed: int = 0, max_train_events: int = 400,
                          head_epochs: int = 40) -> tuple[ParameterStore, dict]:
     """Widened-head training on mean motif embeddings; reports plain vs enhanced AP.
 
     Representations come from one batched forward and motif embeddings from
     `prepare_queries` plus `encode_chunks`, with the frozen trunk and encoder;
-    only the head trains. Held-out AP is measured on the chronological test split.
+    only the head trains. Held-out AP is measured on the chronological test split, the
+    plain model's from the same forward. `cfg` defaults to the explainer's config.
     """
-    if cfg is None:
-        cfg = ExplainerConfig(**expl_store.meta["config"])
-    base = InternalPredictor(base_store)
+    cfg = cfg or RunConfig(**expl_store.meta["config"])
     train_ids, val_ids, test_ids = split_event_ids(g)
     train_ids = train_ids[-max_train_events:]
     sets = {"train": eval_queries(g, train_ids, seed),
@@ -116,10 +115,10 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     rows = [(split, seed + 31 * qi, q, y) for split in ("train", "val", "test")
             for qi, (q, y) in enumerate(sets[split])]
     queries = [q for _, _, q, _ in rows]
-    reps = predict_batch(base_store, g, queries)[1]
+    probs, reps = predict_batch(base_store, g, queries)
     embs = np.zeros((len(rows), expl_store.meta["h"]))  # zero for a query without motifs
     for lo in range(0, len(rows), EVAL_CHUNK):  # one chunk's preps at a time bound the memory
-        preps = prepare_queries(g, base, queries[lo:lo + EVAL_CHUNK], cfg,
+        preps = prepare_queries(g, base_store, queries[lo:lo + EVAL_CHUNK], cfg,
                                 [sd for _, sd, _, _ in rows[lo:lo + EVAL_CHUNK]])
         done = [k for k, prep in enumerate(preps) if prep is not None]
         scored = encode_chunks(expl_store, [preps[k] for k in done], cfg.batch)
@@ -133,8 +132,7 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
         base_store, reps[fit_rows], embs[fit_rows], labels[fit_rows],
         val_mask=is_val[fit_rows], lr=5e-4, epochs=head_epochs, seed=seed)
     enh_scores = enhanced_probs(Tape(enhanced), reps[test_rows], embs[test_rows]).value
-    plain_ap = evaluate_ap(base_store, g, sets["test"])
-    enhanced_ap = average_precision(labels[test_rows], enh_scores)
-    report = {"plain_test_ap": plain_ap, "enhanced_test_ap": enhanced_ap,
+    report = {"plain_test_ap": average_precision(labels[test_rows], probs[test_rows]),
+              "enhanced_test_ap": average_precision(labels[test_rows], enh_scores),
               "head": head_report, "n_test": len(test_rows)}
     return enhanced, report

@@ -16,54 +16,31 @@ objective is one soft-masked base forward and one segment-summed KL call.
 The scorer is the base model's `_head` with the prefix "score", so each
 motif's embedding and score are bit-identical alone or in any batch, and
 `explain_batch` gives each query of a set the bytes it gets alone.
+
+Every stage takes the one `config.RunConfig`.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .basemodel import (InternalPredictor, _bce, _head, negative_partner, predict_batch,
-                        soft_predict, split_event_ids)
-from .config import check_fields
+from .basemodel import _bce, _head, labelled_queries, predict_batch, soft_predict, split_event_ids
+from .config import RunConfig
 from .errors import InvariantError
 from .features import event_feature_block, feature_width
-from .graph import Event, TemporalGraph, computational_graph, query_event
+from .graph import Event, TemporalGraph, computational_graph
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
 from .motifs import endpoint_rows, first_touch, motif_codes, null_class_probs, sample_id_block
 from .nn import ParameterStore, Tape, Var
 
-
-@dataclass
-class ExplainerConfig:
-    c: int = 40              # motifs sampled per endpoint
-    n: int = 3
-    l: int = 3
-    delta: float | None = None
-    d_time: int = 50
-    h: int = 64              # motif embedding width
-    gine_depth: int = 1
-    prior: str = "empirical"
-    p: float = 0.3
-    beta: float = 0.5
-    lam: float = 0.5
-    lr: float = 1e-3
-    epochs: int = 10
-    batch: int = 64
-    hops: int = 1
-    per_hop_cap: int = 20
-    seed: int = 0
-    smoothing: float = 1e-6
-    max_train_queries: int | None = None
-
-    def __post_init__(self):
-        check_fields(self)
+ExplainerConfig = RunConfig  # bench/child.py builds explain-eval's config by this name
 
 
-def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfig) -> ParameterStore:
+def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: RunConfig) -> ParameterStore:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xEC5])))
     edge_width = feature_width(g.attr_width, cfg.d_time, cfg.l)
     ctx_dim = 2 * base_meta["h"]
@@ -77,7 +54,7 @@ def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: ExplainerConfi
     store.meta = {"kind": "explainer", "h": cfg.h, "d_time": cfg.d_time,
                   "n": cfg.n, "l": cfg.l, "gine_depth": cfg.gine_depth,
                   "edge_width": edge_width, "ctx_dim": ctx_dim,
-                  "attr_width": g.attr_width, "config": asdict(cfg)}
+                  "attr_width": g.attr_width, "config": cfg.to_dict()}
     return store
 
 
@@ -128,8 +105,8 @@ def _encoder_inputs(g: TemporalGraph, t: float, ids: np.ndarray, comp_ids: np.nd
                 attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat])
 
 
-def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
-                    cfg: ExplainerConfig, seeds: list) -> list[QueryPrep | None]:
+def prepare_queries(g: TemporalGraph, base_store: ParameterStore, queries: list,
+                    cfg: RunConfig, seeds: list) -> list[QueryPrep | None]:
     """Per query, its prep, or None without computational graph or motifs. One walker
     call samples C motifs around each endpoint (query i's seed drives both) and drops
     single-event ones: they carry no order information and sit outside the class
@@ -147,7 +124,7 @@ def prepare_queries(g: TemporalGraph, base: InternalPredictor, queries: list,
     labels = first_touch(ends).reshape(len(ids), cfg.l, 2)  # from u_0, not anchor first
     cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
     todo = [(i, lo, hi) for i, lo, hi in zip(todo, cuts[:-1], cuts[1:]) if hi > lo]
-    probs, ctxs = predict_batch(base.store, g, [queries[i] for i, _, _ in todo])  # full view
+    probs, ctxs = predict_batch(base_store, g, [queries[i] for i, _, _ in todo])  # full view
     out: list[QueryPrep | None] = [None] * len(queries)
     for (i, lo, hi), prob, ctx in zip(todo, probs, ctxs):
         query, comp_ids = queries[i], comps[i]
@@ -255,7 +232,7 @@ def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
 
 
 def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[QueryPrep],
-                    scores: Var, draws: np.ndarray, cfg: ExplainerConfig,
+                    scores: Var, draws: np.ndarray, cfg: RunConfig,
                     null_probs: dict | None) -> Var:
     """Mean relaxed-mask objective of a batch of queries, with one soft-masked base forward.
 
@@ -282,42 +259,39 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     return ib_loss(preds, [p.label for p in preps], kl, cfg.beta)
 
 
-def _training_preps(g: TemporalGraph, base: InternalPredictor, cfg: ExplainerConfig,
+def _training_preps(g: TemporalGraph, base_store: ParameterStore, cfg: RunConfig,
                     train_ids: np.ndarray) -> tuple[list[QueryPrep], int]:
+    """Preps of the training events and one negative each; the i-th query's seed is
+    query_seed(cfg.seed, i). Also returns how many queries had no prep."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0x9E6])))
     ids = list(int(e) for e in train_ids)
     if cfg.max_train_queries is not None and len(ids) > cfg.max_train_queries:
         pick = rng.choice(len(ids), size=cfg.max_train_queries, replace=False)
         ids = [ids[i] for i in sorted(pick)]
-    queries, seeds = [], []
-    for qidx, eid in enumerate(ids):
-        ev = g.event(eid)
-        queries += [ev, query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t,
-                                    g.attr_width)]
-        seeds += [query_seed(cfg.seed, 2 * qidx), query_seed(cfg.seed, 2 * qidx + 1)]
-    preps = [p for p in prepare_queries(g, base, queries, cfg, seeds) if p is not None]
+    queries = [q for q, _ in labelled_queries(g, ids, rng)]
+    seeds = [query_seed(cfg.seed, i) for i in range(len(queries))]
+    preps = [p for p in prepare_queries(g, base_store, queries, cfg, seeds) if p is not None]
     return preps, len(queries) - len(preps)
 
 
-def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: ExplainerConfig,
+def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: RunConfig,
                     null_probs: dict | None = None) -> tuple[ParameterStore, dict]:
     """Fit the generator on the training split (events and 1:1 negatives).
 
     Motif samples, structural features and base-model contexts are
     prepared once per query and reused across epochs; only the mask draws
-    are resampled. Deterministic given cfg.seed. `nn.fit` trains it with no validation:
+    are resampled, for cfg.expl_epochs epochs. Without `null_probs`, an empirical prior
+    samples the null model with cfg.c_per_node walkers per node, as `motifx null-census`
+    does. Deterministic given cfg.seed. `nn.fit` trains it with no validation:
     a non-finite loss or gradient raises NonFiniteError naming the epoch, and the last
     epoch is returned. The report is `nn.fit`'s plus `n_queries`, `n_skipped` and
     `mean_score`, the mean trained score over the training queries.
     """
-    base = InternalPredictor(base_store)
     store = build_explainer_store(g, base_store.meta, cfg)
     if cfg.prior == "empirical" and null_probs is None:
-        null_probs = null_class_probs(g, cfg.n, cfg.l, c_per_node=cfg.c,
-                                      delta=cfg.delta, seed=cfg.seed,
-                                      smoothing=cfg.smoothing)
+        null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
     train_ids, _, _ = split_event_ids(g)
-    preps, skipped = _training_preps(g, base, cfg, train_ids)
+    preps, skipped = _training_preps(g, base_store, cfg, train_ids)
     extras = {"n_queries": len(preps), "n_skipped": skipped, "mean_score": 0.0}
     if not preps:
         return store, {"epoch_losses": [], **extras}
@@ -334,7 +308,7 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: Explainer
             chunk = [preps[i] for i in order[lo:lo + cfg.batch]]
             yield lambda tape, chunk=chunk: loss(tape, chunk, rng)
 
-    report = nn.fit(store, cfg.epochs, batches, cfg.lr)
+    report = nn.fit(store, cfg.expl_epochs, batches, cfg.lr)
     extras["mean_score"] = float(np.concatenate([sc for sc, _ in encode_chunks(
         store, preps, cfg.batch)]).mean())
     store.meta["train_report"] = {"epoch_losses": report["epoch_losses"], **extras}
@@ -364,17 +338,17 @@ class ExplanationResult:
 
 def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
                   queries: list, seeds: list, levels=SPARSITY_LEVELS,
-                  cfg: ExplainerConfig | None = None) -> list[ExplanationResult]:
+                  cfg: RunConfig | None = None) -> list[ExplanationResult]:
     """Per query, hard importance scores, event ranking, and retained sets per sparsity level.
 
     One `prepare_queries` call (query i with seeds[i]), then `encode_chunks`. An
     event's score is the maximum score over the sampled motifs that contain it
     (zero if none do), the rule `query_objective` applies to the relaxed masks;
-    ties rank more recent events first, then higher ids.
+    ties rank more recent events first, then higher ids. `cfg` defaults to the config
+    the explainer was trained with.
     """
-    if cfg is None:
-        cfg = ExplainerConfig(**expl_store.meta["config"])
-    preps = prepare_queries(g, InternalPredictor(base_store), queries, cfg, seeds)
+    cfg = cfg or RunConfig(**expl_store.meta["config"])
+    preps = prepare_queries(g, base_store, queries, cfg, seeds)
     scored = iter(encode_chunks(expl_store, [p for p in preps if p is not None], cfg.batch))
     out = []
     for query, prep in zip(queries, preps):
@@ -402,7 +376,7 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
 
 
 def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
-            query: Event, levels=SPARSITY_LEVELS, cfg: ExplainerConfig | None = None,
+            query: Event, levels=SPARSITY_LEVELS, cfg: RunConfig | None = None,
             seed: int = 0) -> ExplanationResult:
     """`explain_batch` for one query."""
     return explain_batch(g, base_store, expl_store, [query], [seed], levels, cfg)[0]

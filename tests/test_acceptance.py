@@ -4,6 +4,7 @@ The planted-rule pipeline (criteria 7-9) is trained once per session at a
 pinned seed; everything it produces is deterministic, so the printed
 numbers are stable across runs.
 """
+import dataclasses
 import json
 import math
 import time
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 
 from motifx import nn
-from motifx.basemodel import (BaseConfig, InternalPredictor, eval_queries, evaluate_ap,
-                              slot_ids, split_event_ids, train_base)
+from motifx.basemodel import (InternalPredictor, eval_queries, evaluate_ap, slot_ids,
+                              split_event_ids, train_base)
 from motifx.checks import substrate_grad_checks
 from motifx.cli import main as cli_main
+from motifx.config import RunConfig
 from motifx.evaluate import evaluate_explanations, train_motif_enhanced
-from motifx.explainer import (ExplainerConfig, encode_and_score, kl_empirical,
-                              kl_uniform, prepare_queries, train_explainer)
+from motifx.explainer import (encode_and_score, kl_empirical, kl_uniform, prepare_queries,
+                              train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.metrics import acc_auc, cohesiveness, fidelity
 from motifx.motifs import (anchor_time, census, code_alphabet, empirical_class_probs,
@@ -31,10 +33,9 @@ from conftest import random_graph
 from oracles import (cohesiveness_scalar, kl_empirical_scalar, kl_uniform_scalar,
                      trapezoid_scalar, validate_instance)
 
-BASE_CFG = BaseConfig(h=32, d_time=8, k_nb=20, epochs=12, patience=4, lr=3e-3, seed=0)
-EXPL_CFG = ExplainerConfig(c=40, n=3, l=3, d_time=16, h=32, epochs=16, lr=3e-3,
-                           beta=0.2, delta=200.0, seed=0, per_hop_cap=20,
-                           max_train_queries=700)
+BASE_CFG = RunConfig(h=32, d_time_base=8, k_nb=20, base_epochs=12, patience=4, lr=3e-3, seed=0)
+EXPL_CFG = RunConfig(c=40, c_per_node=40, n=3, l=3, d_time=16, h=32, expl_epochs=16, lr=3e-3,
+                     beta=0.2, delta=200.0, seed=0, per_hop_cap=20, max_train_queries=700)
 N_EVAL_QUERIES = 240
 
 
@@ -193,10 +194,9 @@ def wedge_class_margin(setup) -> tuple:
     """Per-class mean importance scores, split by wedge topology (codes with a
     neighbor-neighbor pair), over the earliest test queries."""
     g, base, expl = setup["g"], setup["base"], setup["expl"]
-    bm = InternalPredictor(base)
     per_class = defaultdict(list)
     for q, _ in eval_queries(g, setup["test_ids"], seed=7)[:120]:
-        prep = prepare_queries(g, bm, [q], EXPL_CFG, [11])[0]
+        prep = prepare_queries(g, base, [q], EXPL_CFG, [11])[0]
         if prep is None:
             continue
         scores, _, _ = encode_and_score(Tape(expl), [prep])
@@ -263,14 +263,14 @@ def test_criterion_8_cohesiveness_dominance(triadic):
 def pa_pipeline():
     g = generate_synthetic("preferential-attachment", 30, 2000, seed=1)
     base, _ = train_base(g, BASE_CFG)
-    cfg = ExplainerConfig(**{**EXPL_CFG.__dict__, "epochs": 8, "max_train_queries": 500})
+    cfg = dataclasses.replace(EXPL_CFG, expl_epochs=8, max_train_queries=500)
     expl, _ = train_explainer(g, base, cfg)
     enhanced, rep = train_motif_enhanced(g, base, expl, cfg, seed=0)
     return {"g": g, "report": rep, "enhanced": enhanced, "expl": expl, "cfg": cfg}
 
 
 def test_criterion_9_motif_enhanced(triadic, pa_pipeline):
-    cfg = ExplainerConfig(**{**EXPL_CFG.__dict__})
+    cfg = EXPL_CFG
     enhanced, tri_rep = train_motif_enhanced(triadic["g"], triadic["base"],
                                              triadic["expl"], cfg, seed=0)
     pa_rep = pa_pipeline["report"]
@@ -289,7 +289,7 @@ def test_criterion_9_motif_enhanced(triadic, pa_pipeline):
     from motifx.explainer import encode_chunks
     g = triadic["g"]
     q = g.event(int(triadic["test_ids"][0]))
-    prep = prepare_queries(g, InternalPredictor(triadic["base"]), [q], cfg, [123])[0]
+    prep = prepare_queries(g, triadic["base"], [q], cfg, [123])[0]
     embs = (np.zeros((0, cfg.h)) if prep is None
             else encode_chunks(triadic["expl"], [prep], cfg.batch)[0][1])
     p = motif_enhanced_predict(enhanced, g, q, embs)

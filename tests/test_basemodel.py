@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from motifx import basemodel, nn
-from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, BaseConfig, ExternalAdapter,
+from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
                               build_enhanced_store, empty_context_output, enhanced_probs,
                               eval_queries, motif_enhanced_predict, predict_batch,
                               serve_adapter, slot_ids, soft_predict, split_event_ids,
                               split_times, train_base, train_enhanced_head)
+from motifx.config import RunConfig
 from motifx.errors import AdapterProtocolError, CheckpointError, ConfigError, ShapeError
 from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
@@ -43,7 +44,7 @@ def small_graph():
 
 @pytest.fixture(scope="module")
 def fresh_store(small_graph):
-    return build_base_store(small_graph, BaseConfig(h=8, d_time=4, k_nb=6, seed=0))
+    return build_base_store(small_graph, RunConfig(h=8, d_time_base=4, k_nb=6, seed=0))
 
 
 class TestPredict:
@@ -98,11 +99,11 @@ class TestConfig:
     @pytest.mark.parametrize("k_nb", [0, -3])
     def test_k_nb_below_one_rejected(self, k_nb):
         with pytest.raises(ConfigError, match="k_nb"):
-            BaseConfig(k_nb=k_nb)
+            RunConfig(k_nb=k_nb)
 
     def test_missing_k_nb_is_a_config_error(self):
         with pytest.raises(ConfigError, match="k_nb"):
-            BaseConfig(k_nb=None)
+            RunConfig(k_nb=None)
 
 
 def tied_graph(rng):
@@ -134,7 +135,7 @@ class TestBatchedForwardOracle:
         rng = np.random.default_rng(seed + 300)
         g = tied_graph(rng)
         k_nb = int(rng.integers(1, 6))
-        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        store = perturbed(build_base_store(g, RunConfig(h=6, d_time_base=3, k_nb=k_nb)), seed)
         views, queries = [], []
         for q in mixed_queries(rng, g, 10):
             full = [int(e) for e in members(store, g, q)]
@@ -151,7 +152,7 @@ class TestBatchedForwardOracle:
         rng = np.random.default_rng(seed + 400)
         g = tied_graph(rng)
         k_nb = int(rng.integers(1, 6))
-        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        store = perturbed(build_base_store(g, RunConfig(h=6, d_time_base=3, k_nb=k_nb)), seed)
         queries = mixed_queries(rng, g, 7)
         covered = []
         for q in queries:
@@ -181,7 +182,7 @@ class TestBatchedForwardOracle:
         rng = np.random.default_rng(seed + 500)
         g = tied_graph(rng)
         k_nb = int(rng.integers(1, 6))
-        store = perturbed(build_base_store(g, BaseConfig(h=6, d_time=3, k_nb=k_nb)), seed)
+        store = perturbed(build_base_store(g, RunConfig(h=6, d_time_base=3, k_nb=k_nb)), seed)
         pairs = [(q, int(rng.integers(2))) for q in mixed_queries(rng, g, 9)]
         tape = Tape(store)
         loss = batch_loss(tape, store, g, pairs)
@@ -208,7 +209,7 @@ class TestRowInvariance:
     @pytest.fixture(scope="class")
     def rows(self):
         g = generate_synthetic("triadic-closure", 20, 300, seed=12)
-        store = perturbed(build_base_store(g, BaseConfig(h=16, d_time=4, k_nb=10)), 3)
+        store = perturbed(build_base_store(g, RunConfig(h=16, d_time_base=4, k_nb=10)), 3)
         rng = np.random.default_rng(4)
         queries, views = [], []
         for k in range(33):
@@ -284,14 +285,14 @@ class TestSplits:
 class TestTraining:
     def test_deterministic_checkpoints(self):
         g = generate_synthetic("triadic-closure", 12, 80, seed=9)
-        cfg = BaseConfig(h=8, d_time=4, k_nb=6, epochs=2, seed=7)
+        cfg = RunConfig(h=8, d_time_base=4, k_nb=6, base_epochs=2, seed=7)
         s1, _ = train_base(g, cfg)
         s2, _ = train_base(g, cfg)
         for name in s1.arrays:
             assert np.array_equal(s1.arrays[name], s2.arrays[name]), name
 
     def test_loss_gradients_match_finite_differences(self, small_graph):
-        cfg = BaseConfig(h=6, d_time=3, k_nb=5, seed=1)
+        cfg = RunConfig(h=6, d_time_base=3, k_nb=5, seed=1)
         store = build_base_store(small_graph, cfg)
         rng = np.random.default_rng(3)
         for name in store.arrays:
@@ -308,7 +309,7 @@ class TestTraining:
     def test_empty_validation_split_returns_the_last_epoch(self):
         g = generate_synthetic("triadic-closure", 6, 8, seed=0)
         assert len(split_event_ids(g)[1]) == 0
-        cfg = BaseConfig(h=8, d_time=4, k_nb=6, epochs=3, patience=0, seed=0)
+        cfg = RunConfig(h=8, d_time_base=4, k_nb=6, base_epochs=3, patience=0, seed=0)
         store, report = train_base(g, cfg)
         assert (report["epochs_run"], report["best_epoch"], report["best_score"]) == (3, 2, None)
         initial = build_base_store(g, cfg)

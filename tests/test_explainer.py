@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifx import nn
-from motifx.basemodel import BaseConfig, InternalPredictor, _head, build_base_store
+from motifx.basemodel import _head, build_base_store
+from motifx.config import RunConfig
 from motifx.errors import CheckpointError, ConfigError, InvariantError, NonFiniteError
-from motifx.explainer import (ExplainerConfig, build_explainer_store, encode_and_score,
+from motifx.explainer import (build_explainer_store, encode_and_score,
                               encode_chunks, explain, explain_batch, ib_loss,
                               kl_empirical, kl_uniform, prepare_queries,
                               query_objective, train_explainer)
@@ -25,13 +27,12 @@ from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_i
 @pytest.fixture(scope="module")
 def setup():
     g = generate_synthetic("triadic-closure", 15, 150, seed=6)
-    bcfg = BaseConfig(h=8, d_time=4, k_nb=8, seed=0)
-    base_store = build_base_store(g, bcfg)
+    ecfg = RunConfig(h=8, d_time_base=4, k_nb=8, c=8, n=3, l=3, d_time=4, per_hop_cap=8, seed=0)
+    base_store = build_base_store(g, ecfg)
     rng = np.random.default_rng(5)
     for name in base_store.arrays:
         base_store.arrays[name] = base_store.arrays[name] + rng.normal(
             0, 0.2, base_store.arrays[name].shape)
-    ecfg = ExplainerConfig(c=8, n=3, l=3, d_time=4, h=8, seed=0, per_hop_cap=8)
     expl_store = build_explainer_store(g, base_store.meta, ecfg)
     return g, base_store, expl_store, ecfg
 
@@ -64,15 +65,15 @@ def ib(preds, labels, kl, beta) -> float:
 class TestConfig:
     def test_unknown_prior_rejected(self):
         with pytest.raises(ConfigError, match="unifrom"):
-            ExplainerConfig(prior="unifrom")
+            RunConfig(prior="unifrom")
 
     def test_missing_batch_is_a_config_error(self):
         with pytest.raises(ConfigError, match="batch"):
-            ExplainerConfig(batch=None)
+            RunConfig(batch=None)
 
     def test_p_as_text_is_a_config_error(self):
         with pytest.raises(ConfigError, match="p="):
-            ExplainerConfig(p="0.3")
+            RunConfig(p="0.3")
 
 
 class TestKLUniform:
@@ -208,15 +209,15 @@ class TestEncoderInputs:
         dst = (src + rng.integers(1, n_nodes, size=n_ev)) % n_nodes
         t = rng.integers(1, 50, size=n_ev).astype(float)  # tied timestamps
         g = TemporalGraph(src, dst, t, rng.normal(size=(n_ev, 3)), n_nodes)
-        base = InternalPredictor(build_base_store(g, BaseConfig(h=8, d_time=4, k_nb=8, seed=0)))
         n, l = [(3, 3), (4, 4), (2, 3)][seed % 3]
-        cfg = ExplainerConfig(c=12, n=n, l=l, d_time=4, h=8, per_hop_cap=8,
-                              delta=None if seed % 2 else 8.0)
+        cfg = RunConfig(h=8, d_time_base=4, k_nb=8, c=12, n=n, l=l, d_time=4, per_hop_cap=8,
+                        delta=None if seed % 2 else 8.0, seed=0)
+        base_store = build_base_store(g, cfg)
         queries = [g.event(i) for i in rng.integers(n_ev // 2, n_ev, size=5)]
         queries += [query_event(int(q.u), (int(q.u) + 1) % n_nodes, q.t, 3) for q in queries[:2]]
         queries.append(query_event(0, 1, 0.5, 3))  # no history: no prep
         seeds = [int(x) for x in rng.integers(0, 2**31, size=len(queries))]
-        preps = prepare_queries(g, base, queries, cfg, seeds)
+        preps = prepare_queries(g, base_store, queries, cfg, seeds)
         assert preps[-1] is None
         truncated = repeated = 0
         for q, sd, prep in zip(queries, seeds, preps):
@@ -233,7 +234,7 @@ class TestEncoderInputs:
                 assert np.asarray(got).dtype == np.asarray(want[name]).dtype, name
             truncated += int(np.sum(ids[:, -1] < 0))
             repeated += int(prep.h_block.max() > 1)
-            alone = prepare_queries(g, base, [q], cfg, [sd])[0]
+            alone = prepare_queries(g, base_store, [q], cfg, [sd])[0]
             assert _same(alone, prep)
         assert truncated and repeated
 
@@ -241,8 +242,7 @@ class TestEncoderInputs:
 class TestScorer:
     def test_zero_init_scores_half(self, setup):
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
+        prep = prepare_queries(g, base_store, [g.event(g.n_events - 1)], ecfg, [1])[0]
         assert prep is not None
         scores, _, _ = encode_and_score(Tape(expl_store), [prep])
         assert np.allclose(scores.value, 0.5)
@@ -250,9 +250,9 @@ class TestScorer:
     def test_scores_independent_of_batch_composition(self, setup):
         g, base_store, expl_store, ecfg = setup
         store = perturbed(expl_store, 8)
-        base = InternalPredictor(base_store)
         ks = range(1, 41)
-        preps = prepare_queries(g, base, [g.event(g.n_events - k) for k in ks], ecfg, list(ks))
+        preps = prepare_queries(g, base_store, [g.event(g.n_events - k) for k in ks], ecfg,
+                                list(ks))
         preps = [p for p in preps if p is not None]
         scores, embs, counts = encode_and_score(Tape(store), preps)
         cuts = np.cumsum(counts)[:-1]
@@ -265,16 +265,15 @@ class TestScorer:
         g, base_store, expl_store, ecfg = setup
         store = expl_store.copy()
         store.arrays["score2.w"] = np.full_like(store.arrays["score2.w"], 100.0)
-        base = InternalPredictor(base_store)
-        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
+        prep = prepare_queries(g, base_store, [g.event(g.n_events - 1)], ecfg, [1])[0]
         scores, _, _ = encode_and_score(Tape(store), [prep])
         assert np.all(scores.value <= 1.0 - PROB_EPS)
         assert np.all(scores.value >= PROB_EPS)
 
     def test_importance_scores_shape(self, setup):
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        preps = [prepare_queries(g, base, [g.event(g.n_events - k)], ecfg, [k])[0] for k in (1, 2)]
+        preps = [prepare_queries(g, base_store, [g.event(g.n_events - k)], ecfg, [k])[0]
+                 for k in (1, 2)]
         scores, _, counts = encode_and_score(Tape(expl_store), preps)
         assert counts == [len(p.ids) for p in preps]
         assert scores.value.shape == (sum(counts),)
@@ -283,8 +282,7 @@ class TestScorer:
 class TestEncoder:
     def test_duplicate_instances_identical_embeddings(self, setup):
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
+        prep = prepare_queries(g, base_store, [g.event(g.n_events - 1)], ecfg, [1])[0]
         rows = [tuple(row) for row in prep.ids.tolist()]
         dup_ix = [i for i, a in enumerate(rows) for j, b in enumerate(rows) if i < j and a == b]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
@@ -294,8 +292,7 @@ class TestEncoder:
 
     def test_embedding_width(self, setup):
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
+        prep = prepare_queries(g, base_store, [g.event(g.n_events - 1)], ecfg, [1])[0]
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         assert emb.value.shape == (len(prep.ids), ecfg.h)
 
@@ -308,7 +305,7 @@ class TestEncoder:
         g, base_store, expl_store, ecfg = setup
         assert ecfg.gine_depth == 1
         store = perturbed(expl_store, 12)
-        preps = prepare_queries(g, InternalPredictor(base_store),
+        preps = prepare_queries(g, base_store,
                                 [g.event(g.n_events - k) for k in range(1, 7)], ecfg, [5] * 6)
         preps = [p for p in preps if p is not None]
         assert len(preps) > 2
@@ -343,8 +340,8 @@ class TestEncoder:
 
     def test_motif_embeddings_helper(self, setup):
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        preps = prepare_queries(g, base, [g.event(g.n_events - k) for k in (1, 2, 3)], ecfg, [3] * 3)
+        preps = prepare_queries(g, base_store, [g.event(g.n_events - k) for k in (1, 2, 3)],
+                                ecfg, [3] * 3)
         scored = encode_chunks(expl_store, preps, batch=2)
         for prep, (scores, embs) in zip(preps, scored):
             assert embs.ndim == 2 and embs.shape[1] == ecfg.h
@@ -356,8 +353,7 @@ class TestFirstBatchLoss:
         """Fresh scorer gives p=0.5 everywhere; the objective must equal
         CE(soft prediction from alpha(0.5, u)) + beta * KL(0.5-vector)."""
         g, base_store, expl_store, ecfg = setup
-        base = InternalPredictor(base_store)
-        prep = prepare_queries(g, base, [g.event(g.n_events - 1)], ecfg, [1])[0]
+        prep = prepare_queries(g, base_store, [g.event(g.n_events - 1)], ecfg, [1])[0]
         rng = np.random.default_rng(17)
         draws = rng.uniform(0.1, 0.9, size=len(prep.ids))
         tape = Tape(expl_store)
@@ -383,17 +379,33 @@ class TestFirstBatchLoss:
 class TestTraining:
     def test_loss_decreases_and_deterministic(self):
         g = generate_synthetic("triadic-closure", 15, 200, seed=2)
-        bcfg = BaseConfig(h=8, d_time=4, k_nb=8, epochs=2, seed=0)
+        bcfg = RunConfig(h=8, d_time_base=4, k_nb=8, base_epochs=2, seed=0)
         from motifx.basemodel import train_base
         base, _ = train_base(g, bcfg)
-        ecfg = ExplainerConfig(c=6, n=3, l=3, d_time=4, h=8, epochs=4, lr=3e-3,
-                               seed=0, per_hop_cap=8)
+        ecfg = RunConfig(c=6, c_per_node=6, n=3, l=3, d_time=4, h=8, expl_epochs=4, lr=3e-3,
+                         seed=0, per_hop_cap=8)
         s1, r1 = train_explainer(g, base, ecfg)
         s2, r2 = train_explainer(g, base, ecfg)
         assert r1 == r2
         for name in s1.arrays:
             assert np.array_equal(s1.arrays[name], s2.arrays[name]), name
         assert np.mean(r1["epoch_losses"][-2:]) < np.mean(r1["epoch_losses"][:2])
+
+    def test_default_null_model_samples_c_per_node(self):
+        """Without null probabilities, the library samples the null model as the CLI does:
+        cfg.c_per_node walkers per node, not cfg.c."""
+        from motifx.basemodel import train_base
+        from motifx.motifs import null_class_probs
+        g = generate_synthetic("triadic-closure", 14, 120, seed=5)
+        cfg = RunConfig(h=8, d_time_base=4, d_time=4, k_nb=6, c=12, c_per_node=5,
+                        base_epochs=1, expl_epochs=2, per_hop_cap=6, seed=5)
+        base, _ = train_base(g, cfg)
+        null = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
+        assert null != null_class_probs(g, cfg.n, cfg.l, cfg.c, cfg.delta, cfg.seed)
+        got, _ = train_explainer(g, base, cfg)
+        want, _ = train_explainer(g, base, cfg, null)
+        for name in want.arrays:
+            assert np.array_equal(got.arrays[name], want.arrays[name]), name
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("trainer", ["base", "enhanced_head", "explainer"])
@@ -402,7 +414,7 @@ class TestTraining:
         raises NonFiniteError naming the epoch, with no RuntimeWarning on the way."""
         from motifx import basemodel, explainer
         g = generate_synthetic("triadic-closure", 15, 200, seed=2)
-        bcfg = BaseConfig(h=8, d_time=4, k_nb=8, epochs=2, seed=0)
+        bcfg = RunConfig(h=8, d_time_base=4, k_nb=8, base_epochs=2, seed=0)
         base = build_base_store(g, bcfg)
 
         def poisoned(build, name):
@@ -433,8 +445,8 @@ class TestTraining:
                     preps[0].dts[0] = np.nan
                     return preps, skipped
                 monkeypatch.setattr(explainer, "_training_preps", poisoned_preps)
-                train_explainer(g, base, ExplainerConfig(c=6, n=3, l=3, d_time=4, h=8, epochs=2,
-                                                         seed=0, per_hop_cap=8))
+                train_explainer(g, base, RunConfig(c=6, c_per_node=6, n=3, l=3, d_time=4, h=8,
+                                                   expl_epochs=2, seed=0, per_hop_cap=8))
 
 
 class TestExplain:
@@ -519,7 +531,7 @@ class TestRowInvariance:
         store = perturbed(expl_store, 10)
         # two motifs per endpoint at most, so some early query keeps a single motif (a
         # lone scorer row); four queries per encoder chunk, so chunk boundaries move
-        cfg = ExplainerConfig(**{**ecfg.__dict__, "c": 2, "batch": 4})
+        cfg = dataclasses.replace(ecfg, c=2, batch=4)
         queries = [g.event(e) for e in range(1, 13)]
         queries += [g.event(g.n_events - k) for k in range(1, 21)]
         queries.append(query_event(0, 1, float(g.t[0])))  # no history: an empty result
