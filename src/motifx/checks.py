@@ -14,7 +14,7 @@ from .basemodel import build_base_store, slot_ids, soft_predict
 from .config import RunConfig
 from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
-from .layers import concrete_sample, gine_layer, time_encode
+from .layers import add_gine_params, concrete_sample, gine_layer, time_encode
 from .nn import ParameterStore, Tape, grad_check
 
 
@@ -49,18 +49,19 @@ def time_encoder_check(points: int = 1, seed: int = 0) -> float:
 
 
 def gine_check(points: int = 1, seed: int = 0) -> float:
+    """The padded GINE layer, in its parameters and node states (so through both `nn.bmm`
+    products), on two stacked motifs: a triangle, and a two-event path and a padding slot."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
     store = ParameterStore()
-    from .layers import add_gine_params
     add_gine_params(store, "gine0", 6, 9, rng)
-    x = rng.normal(size=(4, 6))
+    store.add("x", rng.normal(size=(2, 3, 6)))
+    labels = np.array([[0, 1, 1, 2, 2, 0], [0, 1, 1, 2, -1, -1]])
+    src = (labels[:, :, None] == np.arange(3)).astype(np.float64)
     edge_feats = rng.normal(size=(6, 9))
-    src = np.array([0, 1, 1, 2, 2, 3])
-    dst = np.array([1, 0, 2, 1, 3, 2])
-    probe = rng.normal(size=(4, 6))
+    probe = rng.normal(size=(2, 3, 6))
 
     def loss(tape: Tape):
-        out = gine_layer(tape, "gine0", nn.const(x), src, dst, nn.const(edge_feats))
+        out = gine_layer(tape, "gine0", tape.param("x"), src, nn.const(edge_feats))
         return nn.vsum(nn.mul(out, nn.const(probe)))
     return _check_over_points(loss, store, points, seed)
 

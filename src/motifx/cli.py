@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, nn
 from .basemodel import build_base_store, serve_adapter, train_base
 from .config import RunConfig, write_manifest
-from .errors import CheckpointError, DependencyError, MotifxError
+from .errors import CheckpointError, ConfigError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
@@ -84,6 +84,17 @@ def _load_store(run_dir: Path, g: TemporalGraph,
             raise CheckpointError(f"{path}: array {name!r} has shape {shapes.get(name)}; "
                                   f"its config builds {wants.get(name)}")
     return store
+
+
+def _load_models(run_dir: Path, g: TemporalGraph, cfg: RunConfig):
+    """The base and explainer checkpoints; the command's `n` and `l` must be the explainer's."""
+    base = _load_store(run_dir, g)
+    expl = _load_store(run_dir, g, base)
+    for key in ("n", "l"):
+        if getattr(cfg, key) != expl.meta[key]:
+            raise ConfigError(f"{key}={getattr(cfg, key)} differs from the explainer "
+                              f"checkpoint's {key}={expl.meta[key]}")
+    return base, expl
 
 
 def _emit_warnings(cfg: RunConfig) -> None:
@@ -175,8 +186,7 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
 def cmd_explain(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = _load_store(run_dir, g)
-    expl = _load_store(run_dir, g, base)
+    base, expl = _load_models(run_dir, g, cfg)
     if args.event_id is not None:
         if not (0 <= args.event_id < g.n_events):
             raise DependencyError(f"event id {args.event_id} outside 0..{g.n_events - 1}")
@@ -195,8 +205,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base = _load_store(run_dir, g)
-    expl = _load_store(run_dir, g, base)
+    base, expl = _load_models(run_dir, g, cfg)
     predictor = None
     adapter_cmd = args.adapter or os.environ.get(ADAPTER_ENV)
     if adapter_cmd:

@@ -9,13 +9,20 @@ model's visible events by those scores preserves the original prediction
 frequencies).
 
 A query's motifs are rows of the walker's event-id block; their codes and
-the encoder's node labels both come from `motifs.first_touch`, and a node's
-encoder id is its motif row's offset plus its label. A minibatch's
+the encoder's node labels both come from `motifs.first_touch`. A minibatch's
 objective is one soft-masked base forward and one segment-summed KL call.
 
-The scorer is the base model's `_head` with the prefix "score", so each
-motif's embedding and score are bit-identical alone or in any batch, and
-`explain_batch` gives each query of a set the bytes it gets alone.
+The encoder's padded layout makes each distinct motif row of a query one
+stacked item: (n, h) node states and 2l directed edge slots (event j read
+u -> v at slot 2j, v -> u at 2j + 1), whose source gather and target sum
+are `nn.bmm` products with constant one-hot matrices; the embedding is the
+mean over the item's nodes. `QueryPrep.inverse` maps each of the M rows to
+its item, so all that follows the encoder sees every copy of a row.
+
+The scorer is the base model's `_head` with the prefix "score". Each item is
+its own product, so each motif's embedding and score are bit-identical alone,
+in any batch and across its copies, and `explain_batch` gives each query of
+a set the bytes it gets alone.
 
 Every stage takes the one `config.RunConfig`.
 """
@@ -34,7 +41,8 @@ from .features import event_feature_block, feature_width
 from .graph import Event, TemporalGraph, computational_graph
 from .layers import PROB_EPS, add_gine_params, concrete_sample, gine_layer
 from .metrics import SPARSITY_LEVELS, retained_size
-from .motifs import endpoint_rows, first_touch, motif_codes, null_class_probs, sample_id_block
+from .motifs import (endpoint_rows, first_touch, group_rows, motif_codes, null_class_probs,
+                     sample_id_block)
 from .nn import ParameterStore, Tape, Var
 
 ExplainerConfig = RunConfig  # bench/child.py builds explain-eval's config by this name
@@ -64,10 +72,13 @@ def query_seed(seed: int, qidx: int) -> int:
 
 @dataclass
 class QueryPrep:
-    """Everything reusable across epochs for one training/eval query: its motifs as the
-    rows of an (M, l) event-id block padded with -1, their M codes, the (M, l, 2)
-    `first_touch` labels of each event's u and v within its row (-1 on padding), and
-    the encoder rows of the valid events in row-major order."""
+    """Everything reusable across epochs for one training/eval query: its M motifs as the
+    rows of an (M, l) event-id block padded with -1 and their M codes, (covered event,
+    motif row) pairs, and the encoder's padded blocks: one item per distinct row, in
+    lexicographic order, with `inverse` (M,) giving each row's item. Per item,
+    `src_onehot` (2l, n) marks each directed edge slot's source node (see
+    `layers.gine_layer`), and `attrs_block` (l, attr_width), `dts` (l,) and `h_block`
+    (l, l) are each event slot's attributes, age and structural counts, 0 on padding."""
     query: Event
     label: int
     comp_ids: np.ndarray
@@ -77,32 +88,49 @@ class QueryPrep:
     covered_ids: np.ndarray
     pair_cov: np.ndarray      # aligned (covered-event slot, motif index) pairs
     pair_motif: np.ndarray
-    node_labels: np.ndarray
+    inverse: np.ndarray
+    src_onehot: np.ndarray
     attrs_block: np.ndarray
     h_block: np.ndarray
     dts: np.ndarray
 
 
-def _encoder_inputs(g: TemporalGraph, t: float, ids: np.ndarray, comp_ids: np.ndarray) -> dict:
-    """QueryPrep's per-event encoder rows and motif coverage, from the query's (M, l)
-    event-id block padded with -1; events are taken in row-major order.
-
-    An event's h row counts, for each position j < l, the events at position j
-    of any instance that join the same unordered node pair: timestamps and
-    instance order do not enter, and a truncated instance counts only at the
-    positions it fills.
-    """
+def _encoder_inputs(g: TemporalGraph, times: np.ndarray, row_query: np.ndarray,
+                    ids: np.ndarray, comps: list, n: int) -> list[dict]:
+    """QueryPrep's coverage and padded encoder fields of queries 0..Q-1, in one pass over
+    their rows of one (M, l) event-id block: query q's rows are the contiguous m with
+    row_query[m] == q, its time times[q] and its computational graph comps[q]; items
+    have n node slots. An event's h row counts, per position j < l, the events at
+    position j of any of its query's rows, copies included, that join the same
+    unordered node pair; a truncated row counts only at the positions it fills."""
+    l, n_events = ids.shape[1], g.n_events
     rows, pos = np.nonzero(ids >= 0)
-    flat = ids[rows, pos]
-    src, dst = g.src[flat], g.dst[flat]
-    _, pair = np.unique(np.minimum(src, dst) * g.node_count + np.maximum(src, dst),
-                        return_inverse=True)
-    h = np.zeros((len(flat), ids.shape[1]))
-    np.add.at(h, (pair, pos), 1.0)
-    in_comp = np.isin(flat, comp_ids)
-    covered, pair_cov = np.unique(flat[in_comp], return_inverse=True)
-    return dict(covered_ids=covered, pair_cov=pair_cov, pair_motif=rows[in_comp],
-                attrs_block=g.attrs[flat], h_block=h[pair], dts=t - g.t[flat])
+    flat, q = ids[rows, pos], row_query[rows]
+    rank = g.pair_ranks(g.src[flat], g.dst[flat])  # the events' unordered node pairs
+    pairs, pair = np.unique(q * len(g.pair_codes) + rank, return_inverse=True)
+    counts = np.bincount(pair * l + pos, minlength=len(pairs) * l).reshape(len(pairs), l)
+    h = np.zeros(ids.shape + (l,))
+    h[rows, pos] = counts[pair]
+    first, inverse = group_rows(np.column_stack([row_query, ids]))
+    uniq = ids[first]
+    onehot = (first_touch(endpoint_rows(g, uniq))[:, :, None] == np.arange(n)).astype(float)
+    valid = (uniq >= 0)[:, :, None]
+    attrs = np.where(valid, g.attrs[uniq], 0.0)
+    dts = np.where(valid[:, :, 0], times[row_query[first]][:, None] - g.t[uniq], 0.0)
+    keys = q * n_events + flat
+    in_comp = np.isin(keys, np.concatenate([k * n_events + c for k, c in enumerate(comps)]))
+    covered, pair_cov = np.unique(keys[in_comp], return_inverse=True)
+    pair_motif, h = rows[in_comp], h[first]
+    # per query, where its rows, distinct rows, coverage pairs and covered events start
+    r, u, p, c = (np.searchsorted(of, np.arange(len(comps) + 1)) for of in
+                  (row_query, row_query[first], q[in_comp], covered // n_events))
+    return [dict(covered_ids=covered[c[k]:c[k + 1]] - k * n_events,
+                 pair_cov=pair_cov[p[k]:p[k + 1]] - c[k],
+                 pair_motif=pair_motif[p[k]:p[k + 1]] - r[k],
+                 inverse=inverse[r[k]:r[k + 1]] - u[k], src_onehot=onehot[u[k]:u[k + 1]],
+                 attrs_block=attrs[u[k]:u[k + 1]], h_block=h[u[k]:u[k + 1]],
+                 dts=dts[u[k]:u[k + 1]])
+            for k in range(len(comps))]
 
 
 def prepare_queries(g: TemporalGraph, base_store: ParameterStore, queries: list,
@@ -110,59 +138,59 @@ def prepare_queries(g: TemporalGraph, base_store: ParameterStore, queries: list,
     """Per query, its prep, or None without computational graph or motifs. One walker
     call samples C motifs around each endpoint (query i's seed drives both) and drops
     single-event ones: they carry no order information and sit outside the class
-    vocabulary. Each prep equals the one made alone."""
+    vocabulary. `_encoder_inputs` builds every prep's blocks in one pass. Each prep
+    equals the one made alone."""
     comps = [computational_graph(g, q, cfg.hops, cfg.per_hop_cap) for q in queries]
     todo = [i for i, comp in enumerate(comps) if len(comp)]
+    if not todo:
+        return [None] * len(queries)
     anchors = np.array([x for i in todo for x in (queries[i].u, queries[i].v)], dtype=np.int64)
     ids, live = sample_id_block(g, anchors, [queries[i].t for i in todo for _ in range(2)],
                                 [seeds[i] for i in todo for _ in range(2)],
                                 cfg.n, cfg.l, cfg.c, cfg.delta)
     kept = (ids >= 0).sum(axis=1) >= 2
     ids, row_anchor = ids[kept], np.repeat(live, cfg.c)[kept]
-    ends = endpoint_rows(g, ids)
-    codes = motif_codes(ends, anchors[row_anchor])
-    labels = first_touch(ends).reshape(len(ids), cfg.l, 2)  # from u_0, not anchor first
+    codes = motif_codes(endpoint_rows(g, ids), anchors[row_anchor])
+    blocks = _encoder_inputs(g, np.array([queries[i].t for i in todo]), row_anchor // 2, ids,
+                             [comps[i] for i in todo], cfg.n)
     cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
-    todo = [(i, lo, hi) for i, lo, hi in zip(todo, cuts[:-1], cuts[1:]) if hi > lo]
-    probs, ctxs = predict_batch(base_store, g, [queries[i] for i, _, _ in todo])  # full view
+    todo = [(i, lo, hi, b) for i, lo, hi, b in zip(todo, cuts[:-1], cuts[1:], blocks) if hi > lo]
+    probs, ctxs = predict_batch(base_store, g, [queries[i] for i, _, _, _ in todo])  # full view
     out: list[QueryPrep | None] = [None] * len(queries)
-    for (i, lo, hi), prob, ctx in zip(todo, probs, ctxs):
-        query, comp_ids = queries[i], comps[i]
-        out[i] = QueryPrep(query=query, label=1 if prob >= 0.5 else 0, comp_ids=comp_ids,
-                           ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
-                           node_labels=labels[lo:hi],
-                           **_encoder_inputs(g, query.t, ids[lo:hi], comp_ids))
+    for (i, lo, hi, block), prob, ctx in zip(todo, probs, ctxs):
+        out[i] = QueryPrep(query=queries[i], label=1 if prob >= 0.5 else 0, comp_ids=comps[i],
+                           ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx, **block)
     return out
 
 
 def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]:
     """Batched motif embeddings and importance scores for several queries.
 
-    Returns (scores, embeddings, per-query motif counts); scores are
-    `_head` probabilities clamped away from 0 and 1. A node's id is its motif row's
-    offset plus its label; each valid event, row-major, gives edges u -> v and v -> u.
+    Returns (scores, embeddings, per-query motif counts) over every motif row in batch
+    order; scores are `_head` probabilities clamped away from 0 and 1. Each item of the
+    padded layout is encoded once and gathered back to its rows through `inverse`.
     """
     cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
-    labels = cat("node_labels")
-    nodes_per = labels.max(axis=(1, 2)) + 1
-    ends = (labels + (np.cumsum(nodes_per) - nodes_per)[:, None, None])[labels[:, :, 0] >= 0]
-    src, dst = ends.reshape(-1), ends[:, ::-1].reshape(-1)
-    order = np.lexsort((src, dst))  # fixed aggregation order: by target then source
-    eev = np.repeat(np.arange(len(ends)), 2)[order]
-    src, dst = src[order], dst[order]
-
-    feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"), tape.param("time_w"))
-    x = tape.affine(nn.const(np.ones((int(nodes_per.sum()), 1))), "nodein")
+    src = cat("src_onehot")
+    s, _, n = src.shape
+    feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"),
+                               tape.param("time_w"))
+    x = nn.reshape(tape.affine(nn.const(np.ones((s * n, 1))), "nodein"), (s, n, -1))
     depth = 0
     while f"gine{depth}.eps" in tape.store.arrays:
-        x = gine_layer(tape, f"gine{depth}", x, src, dst, nn.gather_rows(feat, eev))
+        x = gine_layer(tape, f"gine{depth}", x, src, feat)
         depth += 1
+    nodes = src.any(axis=1)  # every node of a motif is some edge slot's source
+    emb = nn.mul(nn.vsum(nn.mul(x, nn.const(nodes[:, :, None])), axis=1),
+                 nn.const(1.0 / nodes.sum(axis=1, keepdims=True)))
+    distinct = [len(p.src_onehot) for p in preps]
+    ctx = np.repeat(np.stack([p.ctx for p in preps]), distinct, axis=0)
+    scores = nn.clip(_head(tape, nn.concat([emb, nn.const(ctx)], axis=1), "score"),
+                     PROB_EPS, 1.0 - PROB_EPS)
+    inverse = np.concatenate([p.inverse + off for p, off in
+                              zip(preps, np.cumsum(distinct) - distinct)])
     counts = [len(p.ids) for p in preps]
-    emb = nn.segment_mean(x, np.repeat(np.arange(len(labels)), nodes_per), len(labels))
-    ctx = np.repeat(np.stack([p.ctx for p in preps]), counts, axis=0)
-    score_in = nn.concat([emb, nn.const(ctx)], axis=1)
-    scores = nn.clip(_head(tape, score_in, "score"), PROB_EPS, 1.0 - PROB_EPS)
-    return scores, emb, counts
+    return nn.gather_rows(scores, inverse), nn.gather_rows(emb, inverse), counts
 
 
 def encode_chunks(expl_store: ParameterStore, preps: list[QueryPrep],

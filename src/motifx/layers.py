@@ -27,23 +27,32 @@ def time_encode(delta_t, w) -> Var:
     return nn.scale(enc, math.sqrt(1.0 / d))
 
 
-def gine_layer(tape, prefix: str, x: Var, src, dst, edge_feats: Var) -> Var:
-    """One edge-featured GIN convolution.
+def gine_layer(tape, prefix: str, x: Var, src: np.ndarray, edge_feats: Var) -> Var:
+    """One edge-featured GIN convolution over S stacked motifs of the padded layout.
 
     x'_i = h1((1 + eps) * x_i + sum_j ReLU(x_j + h2(E_ji))) where h2
     projects edge features to the node width and h1 is a two-layer MLP.
-    Callers pass directed edge lists; undirected graphs list each event
-    twice. Aggregation order is fixed by the caller's edge ordering.
+    x is (S, n, h) node states; edge_feats is (S * l, w), one row per event
+    slot. Directed edge slot k of a motif is event k // 2, read u -> v for
+    even k and v -> u for odd k, so its target is the source of slot k ^ 1;
+    src (S, 2l, n) is the 0/1 matrix of each slot's source node, zero for a
+    padding slot. The gather and the target sum are stacked products, each
+    motif its own.
     """
+    s, n, h = x.value.shape
     proj = tape.affine(edge_feats, f"{prefix}.edge")
-    if proj.value.shape[1] != x.value.shape[1]:
+    if proj.value.shape[1] != h:
         raise ShapeError(f"gine: edge projection {proj.value.shape} vs nodes {x.value.shape}")
-    msgs = nn.relu(nn.add(nn.gather_rows(x, src), proj))
-    agg = nn.segment_sum(msgs, dst, x.value.shape[0])
+    slots = src.shape[1]
+    dst = src[:, np.arange(slots) ^ 1].transpose(0, 2, 1)
+    # both directions of an event add its one projection; its vjp sums the two
+    gathered = nn.reshape(nn.bmm(src, x), (s, slots // 2, 2, h))
+    msgs = nn.relu(nn.add(gathered, nn.reshape(proj, (s, slots // 2, 1, h))))
+    agg = nn.bmm(dst, nn.reshape(msgs, (s, slots, h)))
     eps = tape.param(f"{prefix}.eps")
-    pre = nn.add(nn.mul(x, nn.add(nn.const(1.0), eps)), agg)
+    pre = nn.reshape(nn.add(nn.mul(x, nn.add(nn.const(1.0), eps)), agg), (s * n, h))
     hid = nn.relu(tape.affine(pre, f"{prefix}.h1a"))
-    return tape.affine(hid, f"{prefix}.h1b")
+    return nn.reshape(tape.affine(hid, f"{prefix}.h1b"), (s, n, h))
 
 
 def add_gine_params(store, prefix: str, node_dim: int, edge_dim: int,

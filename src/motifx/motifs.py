@@ -228,16 +228,23 @@ def motif_codes(ends: np.ndarray, anchors) -> list[str]:
     if detached.any():
         raise InvariantError(f"motif row {np.argmax(detached.any(axis=1))}: an event after "
                              "the first touches no earlier node")
-    # group equal rows: sort them lexicographically, then open a group at each change
-    order = np.lexsort(pairs.T[::-1])
-    ranked = pairs[order]
+    first, inverse = group_rows(pairs)
+    text = ["".join(f"{a}{b}" for a, b in zip(r[0::2], r[1::2]) if a >= 0)
+            for r in pairs[first].tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
+def group_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a 2-d integer block, grouped in lexicographic row order: the index
+    of each group's first row, and each row's group."""
+    # sort the rows lexicographically, then open a group at each change
+    order = np.lexsort(block.T[::-1])
+    ranked = block[order]
     opens = np.ones(len(ranked), dtype=bool)
     opens[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inverse = np.empty(len(ranked), dtype=np.int64)
     inverse[order] = np.cumsum(opens) - 1
-    text = ["".join(f"{a}{b}" for a, b in zip(r[0::2], r[1::2]) if a >= 0)
-            for r in ranked[opens].tolist()]
-    return [text[i] for i in inverse.tolist()]
+    return order[opens], inverse
 
 
 def code_alphabet(n: int = DEFAULT_N, l: int = DEFAULT_L) -> list[str]:

@@ -162,6 +162,19 @@ def matmul(a, b) -> Var:
     return Var(val, (a, b), vjp)
 
 
+def bmm(a: np.ndarray, b) -> Var:
+    """Stacked products a[i] @ b[i] of a constant (S, m, k) block and an (S, k, n) one.
+    numpy forms each item as its own product, so its bytes do not depend on the stack."""
+    b = _v(b)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or b.value.ndim != 3 or a.shape[::2] != b.value.shape[:2]:
+        raise ShapeError(f"bmm: {a.shape} @ {b.value.shape}")
+
+    def vjp(g):
+        _acc(b, a.transpose(0, 2, 1) @ g)
+    return Var(a @ b.value, (b,), vjp)
+
+
 def relu(a) -> Var:
     a = _v(a)
     mask = a.value > 0
@@ -291,15 +304,23 @@ def interleave_cols(a, b) -> Var:
     return Var(val, (a, b), vjp)
 
 
+def _scatter_add(rows: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
+    """Rows summed into `num` buckets by seg, each bucket from 0 in row order (the sums
+    `np.add.at` forms, from one bincount over (bucket, column) keys)."""
+    width = math.prod(rows.shape[1:])
+    keys = (seg[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(keys, weights=rows.reshape(-1), minlength=num * width)
+    return out.reshape((num,) + rows.shape[1:])
+
+
 def gather_rows(a, idx) -> Var:
     a = _v(a)
     idx = np.asarray(idx, dtype=np.int64)
     val = a.value[idx]
 
     def vjp(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        _acc(a, full)
+        rows = g.reshape((idx.size,) + a.value.shape[1:])
+        _acc(a, _scatter_add(rows, idx.reshape(-1), a.value.shape[0]))
     return Var(val, (a,), vjp)
 
 
@@ -307,20 +328,10 @@ def segment_sum(a, seg, num: int) -> Var:
     """Row-wise scatter-add of a into `num` buckets given by seg (deterministic order)."""
     a = _v(a)
     seg = np.asarray(seg, dtype=np.int64)
-    out = np.zeros((num,) + a.value.shape[1:])
-    np.add.at(out, seg, a.value)
 
     def vjp(g):
         _acc(a, g[seg])
-    return Var(out, (a,), vjp)
-
-
-def segment_mean(a, seg, num: int) -> Var:
-    counts = np.bincount(np.asarray(seg, dtype=np.int64), minlength=num).astype(np.float64)
-    counts[counts == 0] = 1.0
-    s = segment_sum(a, seg, num)
-    denom = counts.reshape((num,) + (1,) * (s.value.ndim - 1))
-    return mul(s, const(1.0 / denom))
+    return Var(_scatter_add(a.value, seg, num), (a,), vjp)
 
 
 def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
@@ -343,7 +354,7 @@ def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
     def vjp(g):
         full = np.zeros_like(a.value)
         ok = winner < sentinel
-        np.add.at(full, winner[ok], g[ok])
+        full[winner[ok]] = g[ok]  # one winner per bucket, each a different element
         _acc(a, full)
     return Var(out, (a,), vjp)
 

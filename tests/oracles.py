@@ -5,7 +5,9 @@ package internals: plain loops over the raw event list, math.log scalar
 arithmetic, permutation search for equivalence. There are two exceptions:
 the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms, and
-the per-query base-model forward at the end, which runs on the nn tape.
+the per-motif encoder (`reference_motif_encoder`, through the package's
+GINE layer and score head) and the per-query base-model forward at the
+end, which run on the nn tape.
 """
 from __future__ import annotations
 
@@ -16,7 +18,9 @@ import math
 import numpy as np
 
 from motifx import nn
-from motifx.layers import time_encode
+from motifx.basemodel import _head as _base_head
+from motifx.features import event_feature_block
+from motifx.layers import PROB_EPS, gine_layer, time_encode
 from motifx.motifs import _below, _count_terms, _params_ok
 from motifx.nn import Tape
 
@@ -307,27 +311,31 @@ def trajectory_probability(g, u0, t0, n, ids, delta=None):
     return prob
 
 
-def reference_encoder_inputs(g, t, rows, comp_ids, l):
+def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
     """The motif-encoder inputs of one query, built one row and one event at a time
-    from the raw columns, as a dict of QueryPrep's array fields. Each row numbers
-    its nodes in order of first appearance over u_0, v_0, u_1, v_1, ..."""
+    from the raw columns, as a dict of QueryPrep's array fields. The distinct rows,
+    sorted as tuples, give one padded item each; a row numbers its nodes in order of
+    first appearance over u_0, v_0, u_1, v_1, ..., and edge slot 2j (2j + 1) has
+    event j's u (v) as its source. Structural counts include every copy of a row."""
+    rows = [tuple(int(i) for i in row) for row in rows]
     motifs = [_events(g, row) for row in rows]
     struct = {}
     for events in motifs:
         for j, (_, (a, b), _) in enumerate(events):
             struct.setdefault((min(a, b), max(a, b)), [0] * l)[j] += 1
-    node_labels, attrs_rows, h_rows, dts = [], [], [], []
-    for events in motifs:
+    distinct = sorted(set(rows))
+    onehot = np.zeros((len(distinct), 2 * l, n))
+    attrs = np.zeros((len(distinct), l, g.attr_width))
+    h_rows = np.zeros((len(distinct), l, l))
+    dts = np.zeros((len(distinct), l))
+    for u, row in enumerate(distinct):
         local = {}
-        for _, (a, b), _ in events:
-            for x in (a, b):
-                local.setdefault(x, len(local))
-        node_labels.append([[local[a], local[b]] for _, (a, b), _ in events]
-                           + [[-1, -1]] * (l - len(events)))
-        for eid, (a, b), te in events:
-            h_rows.append(struct[(min(a, b), max(a, b))])
-            dts.append(t - te)
-            attrs_rows.append(list(g.attrs[eid]))
+        for j, (eid, (a, b), te) in enumerate(_events(g, row)):
+            for side, x in enumerate((a, b)):
+                onehot[u, 2 * j + side, local.setdefault(x, len(local))] = 1.0
+            attrs[u, j] = g.attrs[eid]
+            h_rows[u, j] = struct[(min(a, b), max(a, b))]
+            dts[u, j] = t - te
     comp = set(int(e) for e in comp_ids)
     covered = sorted({eid for events in motifs for eid, _, _ in events if eid in comp})
     cov_pos = {e: i for i, e in enumerate(covered)}
@@ -339,11 +347,33 @@ def reference_encoder_inputs(g, t, rows, comp_ids, l):
                 pair_motif.append(m_idx)
     ints = lambda xs: np.array(xs, dtype=np.int64)
     return {"covered_ids": ints(covered), "pair_cov": ints(pair_cov),
-            "pair_motif": ints(pair_motif),
-            "node_labels": ints(node_labels).reshape(len(motifs), l, 2),
-            "attrs_block": np.array(attrs_rows, dtype=np.float64).reshape(len(dts), g.attr_width),
-            "h_block": np.array(h_rows, dtype=np.float64),
-            "dts": np.array(dts, dtype=np.float64)}
+            "pair_motif": ints(pair_motif), "inverse": ints([distinct.index(r) for r in rows]),
+            "src_onehot": onehot, "attrs_block": attrs, "h_block": h_rows, "dts": dts}
+
+
+def reference_motif_encoder(tape, inputs, ctx):
+    """Per motif row, its (score, embedding) from one query's `reference_encoder_inputs`,
+    each row encoded alone as a stack of one padded item: node states pass every GINE
+    layer; the embedding is the mean over the nodes that some edge slot touches; the
+    score is the clamped score head on [embedding, ctx]."""
+    out = []
+    for u in inputs["inverse"]:
+        src = inputs["src_onehot"][u:u + 1]
+        n = src.shape[2]
+        feat = event_feature_block(inputs["attrs_block"][u], inputs["dts"][u],
+                                   inputs["h_block"][u], tape.param("time_w"))
+        x = tape.affine(nn.const(np.ones((n, 1))), "nodein")
+        x = nn.reshape(x, (1, n, x.value.shape[1]))
+        depth = 0
+        while f"gine{depth}.eps" in tape.store.arrays:
+            x = gine_layer(tape, f"gine{depth}", x, src, feat)
+            depth += 1
+        nodes = np.flatnonzero(src[0].any(axis=0))
+        rows = nn.gather_rows(nn.reshape(x, (n, x.value.shape[2])), nodes)
+        emb = nn.scale(nn.vsum(rows, axis=0, keepdims=True), 1.0 / len(nodes))
+        score = _base_head(tape, nn.concat([emb, nn.const(ctx[None, :])], axis=1), "score")
+        out.append((float(nn.clip(score, PROB_EPS, 1.0 - PROB_EPS).value[0]), emb.value[0]))
+    return out
 
 
 def kl_uniform_scalar(scores, p) -> float:

@@ -160,6 +160,17 @@ class TestErrors:
         assert err["error"]["type"] == "CheckpointError"
         assert needle in err["error"]["message"]
 
+    @pytest.mark.parametrize("field", ["n", "l"])
+    def test_motif_size_other_than_the_explainer_rejected(self, pipeline_dir, capsys, field):
+        for command in ("explain", "evaluate"):
+            capsys.readouterr()
+            code = main([command, "--run-dir", str(pipeline_dir), f"--{field}", "4"] + TINY)
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert code == 1
+            assert err["error"]["type"] == "ConfigError"
+            assert f"{field}=4 differs from the explainer checkpoint's {field}=3" in \
+                err["error"]["message"]
+
     def test_k_nb_zero_rejected(self, tmp_path, capsys):
         code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifx import nn
-from motifx.basemodel import _head, build_base_store
+from motifx.basemodel import build_base_store
 from motifx.config import RunConfig
 from motifx.errors import CheckpointError, ConfigError, InvariantError, NonFiniteError
 from motifx.explainer import (build_explainer_store, encode_and_score,
                               encode_chunks, explain, explain_batch, ib_loss,
                               kl_empirical, kl_uniform, prepare_queries,
                               query_objective, train_explainer)
-from motifx.features import event_feature_block
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
-from motifx.layers import PROB_EPS, gine_layer
+from motifx.layers import PROB_EPS
 from motifx.motifs import sample_id_block
 from motifx.nn import Tape
 
 from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
-                     reference_soft_predict)
+                     reference_motif_encoder, reference_soft_predict)
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +197,8 @@ def _same(a, b) -> bool:
 class TestEncoderInputs:
     """QueryPrep's arrays, built with array ops, against the per-instance loop."""
 
-    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "node_labels", "attrs_block", "h_block",
-              "dts")
+    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "inverse", "src_onehot", "attrs_block",
+              "h_block", "dts")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prep_arrays_equal_oracle(self, seed):
@@ -227,7 +226,7 @@ class TestEncoderInputs:
             ids, _ = sample_id_block(g, [q.u, q.v], [q.t] * 2, [sd] * 2, n, l, cfg.c, cfg.delta)
             ids = ids[(ids >= 0).sum(axis=1) >= 2]
             assert np.array_equal(prep.ids, ids)
-            want = reference_encoder_inputs(g, q.t, ids, prep.comp_ids, l)
+            want = reference_encoder_inputs(g, q.t, ids, prep.comp_ids, l, n)
             for name in self.FIELDS:
                 got = getattr(prep, name)
                 assert np.array_equal(got, want[name]), name
@@ -297,11 +296,8 @@ class TestEncoder:
         assert emb.value.shape == (len(prep.ids), ecfg.h)
 
     def test_batch_equals_instance_by_instance_encoder(self, setup):
-        """`encode_and_score` over several queries, bit for bit, against `gine_layer` and
-        `segment_mean` over node, edge and event lists built one motif at a time: nodes
-        numbered by first appearance within each motif and placed after the motifs
-        before it, each event's u -> v then v -> u edges, and edges visited by target,
-        then source, then listing order."""
+        """`encode_and_score` over several queries, bit for bit, against each motif row
+        encoded alone from the oracle's padded inputs (`reference_motif_encoder`)."""
         g, base_store, expl_store, ecfg = setup
         assert ecfg.gine_depth == 1
         store = perturbed(expl_store, 12)
@@ -309,34 +305,12 @@ class TestEncoder:
                                 [g.event(g.n_events - k) for k in range(1, 7)], ecfg, [5] * 6)
         preps = [p for p in preps if p is not None]
         assert len(preps) > 2
-        src, dst, eev, seg = [], [], [], []
-        for m, row in enumerate(r for p in preps for r in p.ids.tolist()):
-            local, off = {}, len(seg)
-            for e in row:
-                if e < 0:
-                    continue
-                a, b = (off + local.setdefault(int(x), len(local)) for x in (g.src[e], g.dst[e]))
-                src += [a, b]
-                dst += [b, a]
-                eev += [len(eev) // 2] * 2
-            seg += [m] * len(local)
-        order = sorted(range(len(src)), key=lambda k: (dst[k], src[k]))
-        src, dst, eev = (np.array(xs, dtype=np.int64)[order] for xs in (src, dst, eev))
-        cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
-
-        tape = Tape(store)
-        feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"),
-                                   tape.param("time_w"))
-        x = tape.affine(nn.const(np.ones((len(seg), 1))), "nodein")
-        x = gine_layer(tape, "gine0", x, src, dst, nn.gather_rows(feat, eev))
-        emb = nn.segment_mean(x, np.array(seg), len(cat("ids")))
-        ctx = np.repeat(np.stack([p.ctx for p in preps]), [len(p.ids) for p in preps], axis=0)
-        scores = nn.clip(_head(tape, nn.concat([emb, nn.const(ctx)], axis=1), "score"),
-                         PROB_EPS, 1.0 - PROB_EPS)
-
+        want = [row for p in preps for row in reference_motif_encoder(
+            Tape(store), reference_encoder_inputs(g, p.query.t, p.ids, p.comp_ids, ecfg.l,
+                                                  ecfg.n), p.ctx)]
         got_scores, got_emb, _ = encode_and_score(Tape(store), preps)
-        assert np.array_equal(got_emb.value, emb.value)
-        assert np.array_equal(got_scores.value, scores.value)
+        assert np.array_equal(got_scores.value, np.array([sc for sc, _ in want]))
+        assert np.array_equal(got_emb.value, np.stack([emb for _, emb in want]))
 
     def test_motif_embeddings_helper(self, setup):
         g, base_store, expl_store, ecfg = setup
@@ -557,3 +531,83 @@ class TestRowInvariance:
     def test_empty_query_set(self, batch):
         g, base_store, store, cfg, _, _, _ = batch
         assert explain_batch(g, base_store, store, [], [], cfg=cfg) == []
+
+
+def one_row(prep, m):
+    """The prep cut down to its motif row m alone."""
+    u = prep.inverse[m]
+    return dataclasses.replace(prep, ids=prep.ids[m:m + 1], codes=prep.codes[m:m + 1],
+                               inverse=np.zeros(1, dtype=np.int64),
+                               src_onehot=prep.src_onehot[u:u + 1],
+                               attrs_block=prep.attrs_block[u:u + 1],
+                               h_block=prep.h_block[u:u + 1], dts=prep.dts[u:u + 1])
+
+
+class TestEncoderRowInvariance:
+    """Each motif's score and embedding are bit-identical alone, in any batch of preps and
+    across its copies, and the objective sees every copy."""
+
+    @pytest.fixture(scope="class")
+    def scored(self, setup):
+        g, base_store, expl_store, ecfg = setup
+        store = perturbed(expl_store, 14)
+        preps = prepare_queries(g, base_store, [g.event(g.n_events - k) for k in range(1, 25)],
+                                ecfg, list(range(24)))
+        preps = [p for p in preps if p is not None]
+        scores, embs, counts = encode_and_score(Tape(store), preps)
+        cuts = np.cumsum(counts)[:-1]
+        return g, base_store, store, ecfg, preps, list(zip(
+            np.split(scores.value, cuts), np.split(embs.value, cuts)))
+
+    def test_motif_alone_equals_inside_batches(self, scored):
+        _, _, store, _, preps, whole = scored
+        n = len(preps)
+        for size in (2, 3):
+            for i in range(n):
+                pick = [(i + j * 5) % n for j in range(size)]
+                got = encode_chunks(store, [preps[k] for k in pick], size)
+                for k, (sc, emb) in zip(pick, got):
+                    assert np.array_equal(sc, whole[k][0]) and np.array_equal(emb, whole[k][1])
+        for prep, (sc, emb) in zip(preps[:6], whole):
+            for m in range(len(prep.ids)):
+                alone, alone_emb, _ = encode_and_score(Tape(store), [one_row(prep, m)])
+                assert np.array_equal(alone.value, sc[m:m + 1])
+                assert np.array_equal(alone_emb.value, emb[m:m + 1])
+
+    def test_copies_share_the_row_score_and_all_count(self, scored):
+        g, _, _, ecfg, preps, whole = scored
+        repeated = 0
+        for prep, (sc, emb) in zip(preps, whole):
+            rows = [tuple(r) for r in prep.ids.tolist()]
+            assert len(prep.src_onehot) == len(set(rows))
+            for m, row in enumerate(rows):
+                copies = [k for k, other in enumerate(rows) if other == row]
+                assert all(sc[k] == sc[m] and np.array_equal(emb[k], emb[m]) for k in copies)
+                # each copy adds its own event at each filled position of the row
+                h = prep.h_block[prep.inverse[m]]
+                filled = sum(e >= 0 for e in row)
+                assert all(h[j, j] >= len(copies) for j in range(filled))
+                repeated += len(copies) > 1
+            want = reference_encoder_inputs(g, prep.query.t, prep.ids, prep.comp_ids, ecfg.l,
+                                            ecfg.n)
+            assert np.array_equal(prep.h_block, want["h_block"])
+        assert repeated
+
+    def test_objective_equals_explicitly_repeated_scores(self, scored):
+        g, base_store, store, ecfg, preps, _ = scored
+        draws = np.random.default_rng(3).uniform(0.1, 0.9, size=sum(len(p.ids) for p in preps))
+        null_probs = {c: 1.0 for p in preps for c in p.codes}
+        null_probs = {c: 1.0 / len(null_probs) for c in null_probs}
+        scores, _, _ = encode_and_score(Tape(store), preps)
+        got = query_objective(base_store, g, preps, scores, draws, ecfg, null_probs)
+        repeated = []
+        for prep in preps:  # each distinct row scored alone, then copied to every row
+            rows = [tuple(r) for r in prep.ids.tolist()]
+            firsts = {row: m for m, row in reversed(list(enumerate(rows)))}
+            alone = {row: encode_and_score(Tape(store), [one_row(prep, m)])[0].value[0]
+                     for row, m in firsts.items()}
+            repeated += [alone[row] for row in rows]
+        want = query_objective(base_store, g, preps, nn.const(np.array(repeated)), draws, ecfg,
+                               null_probs)
+        assert float(got.value) == float(want.value)
+

@@ -12,7 +12,8 @@ from motifx.nn import ParameterStore, Tape, grad_check
 
 
 def encoder_rows(instances, l=3, attrs=None, t0=100.0):
-    """`_encoder_inputs` over hand-built instances, each a list of (u, v, t) events.
+    """`_encoder_inputs` over hand-built instances of one query, each a list of (u, v, t)
+    events, as one row per listed event of its padded blocks.
 
     Every listed event becomes its own graph event, with its row of `attrs`;
     the returned rows follow the listing order (instance by instance,
@@ -28,7 +29,10 @@ def encoder_rows(instances, l=3, attrs=None, t0=100.0):
     for row, inst in zip(block, instances):
         row[:len(inst)] = ids[off:off + len(inst)]
         off += len(inst)
-    return _encoder_inputs(g, t0, block, np.arange(len(events)))
+    out = _encoder_inputs(g, np.array([t0]), np.zeros(len(block), dtype=np.int64), block,
+                          [np.arange(len(events))], g.node_count)[0]
+    return {name: out[name][out["inverse"]][block >= 0]
+            for name in ("attrs_block", "dts", "h_block")}
 
 
 def h_rows(instances, l=3):

@@ -35,6 +35,15 @@ def gine_store(node_dim, edge_dim, seed=0):
     return store
 
 
+def gine(tape, x, labels, e):
+    """`gine_layer` on one motif: x (n, h) node states, labels (l, 2) each event's u and v
+    node, e (l, w) event features."""
+    n = x.shape[0]
+    src = (np.asarray(labels).reshape(1, -1, 1) == np.arange(n)).astype(float)
+    out = gine_layer(tape, "gine0", nn.const(x[None]), src, nn.const(e))
+    return out.value[0]
+
+
 class TestGine:
     def test_isolated_node_is_pure_self_update(self):
         store = gine_store(3, 2, seed=1)
@@ -42,32 +51,37 @@ class TestGine:
         x = rng.normal(size=(2, 3))
         e = rng.normal(size=(1, 2))
         tape = Tape(store)
-        # node 1 is isolated: only a 0 -> 0 self edge exists in the lists
-        out = gine_layer(tape, "gine0", nn.const(x), np.array([0]), np.array([0]),
-                         nn.const(e))
+        # node 1 is isolated: the one event is a 0 -> 0 self loop
+        out = gine(tape, x, [[0, 0]], e)
         # recompute the empty-sum path for node 1 by hand
         eps = store.arrays["gine0.eps"][0]
         pre = (1 + eps) * x[1]
         hid = np.maximum(pre @ store.arrays["gine0.h1a.w"] + store.arrays["gine0.h1a.b"], 0)
         want = hid @ store.arrays["gine0.h1b.w"] + store.arrays["gine0.h1b.b"]
-        assert np.allclose(out.value[1], want, atol=1e-12)
+        assert np.allclose(out[1], want, atol=1e-12)
 
     def test_symmetric_pair_gets_symmetric_outputs(self):
         store = gine_store(4, 3, seed=3)
         x = np.tile(np.array([[0.3, -1.0, 0.7, 0.1]]), (2, 1))
-        e = np.tile(np.array([[1.0, 0.5, -0.2]]), (2, 1))
+        e = np.array([[1.0, 0.5, -0.2]])
+        out = gine(Tape(store), x, [[0, 1]], e)
+        assert np.allclose(out[0], out[1], atol=1e-12)
+
+    def test_padding_slot_sends_nothing(self):
+        store = gine_store(4, 3, seed=5)
+        rng = np.random.default_rng(6)
+        x, e = rng.normal(size=(3, 4)), rng.normal(size=(2, 3))
         tape = Tape(store)
-        out = gine_layer(tape, "gine0", nn.const(x), np.array([0, 1]), np.array([1, 0]),
-                         nn.const(e))
-        assert np.allclose(out.value[0], out.value[1], atol=1e-12)
+        padded = gine(tape, x, [[0, 1], [-1, -1]], e)
+        e[1] = rng.normal(size=3)  # a padding slot's features never reach a node
+        assert np.array_equal(gine(tape, x, [[0, 1], [-1, -1]], e), padded)
 
     def test_edge_width_mismatch_raises(self):
         from motifx.errors import ShapeError
         store = gine_store(4, 3, seed=4)
         tape = Tape(store)
         with pytest.raises(ShapeError):
-            gine_layer(tape, "gine0", nn.const(np.ones((2, 5))),
-                       np.array([0]), np.array([1]), nn.const(np.ones((1, 3))))
+            gine(tape, np.ones((2, 5)), [[0, 1]], np.ones((1, 3)))
 
 
 class TestMaskedAttention:

@@ -37,6 +37,17 @@ class TestPrimitives:
         with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(2, 3\)"):
             nn.matmul(nn.const(np.ones((2, 3))), nn.const(np.ones((2, 3))))
 
+    def test_bmm_shape_error_names_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\) @ \(3, 4, 1\)"):
+            nn.bmm(np.ones((2, 3, 4)), np.ones((3, 4, 1)))
+
+    def test_bmm_items_are_their_own_products(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(7, 6, 3)), rng.normal(size=(7, 3, 5))
+        whole = nn.bmm(a, b).value
+        for i in range(7):
+            assert np.array_equal(whole[i], nn.bmm(a[i:i + 1], b[i:i + 1]).value[0])
+
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
             nn.add(nn.const(np.ones((2, 3))), nn.const(np.ones((4, 5))))
@@ -57,6 +68,8 @@ OPS = {
     "mul": (lambda a, b: nn.vsum(nn.mul(a, b)), 2, (3, 4)),
     "div": (lambda a, b: nn.vsum(nn.div(a, b)), 2, (3, 4)),
     "matmul": (lambda a, b: nn.vsum(nn.matmul(a, b)), 2, (3, 3)),
+    "bmm": (lambda a: nn.vsum(nn.mul(nn.bmm(np.arange(18.0).reshape(2, 3, 3) % 5, a),
+                                     nn.const(np.arange(18.0).reshape(2, 3, 3)))), 1, (2, 3, 3)),
     "relu": (lambda a: nn.vsum(nn.relu(a)), 1, (3, 4)),
     "sigmoid": (lambda a: nn.vsum(nn.sigmoid(a)), 1, (3, 4)),
     "exp": (lambda a: nn.vsum(nn.exp(a)), 1, (3, 4)),
@@ -70,8 +83,6 @@ OPS = {
     "gather": (lambda a: nn.vsum(nn.gather_rows(a, np.array([0, 2, 2, 1]))), 1, (3, 4)),
     "segsum": (lambda a: nn.vsum(nn.mul(nn.segment_sum(a, np.array([0, 1, 0]), 2),
                                         nn.const(np.arange(8.0).reshape(2, 4)))), 1, (3, 4)),
-    "segmean": (lambda a: nn.vsum(nn.mul(nn.segment_mean(a, np.array([0, 1, 0]), 2),
-                                         nn.const(np.arange(8.0).reshape(2, 4)))), 1, (3, 4)),
     "reshape": (lambda a: nn.vsum(nn.mul(nn.reshape(a, (4, 3)),
                                          nn.const(np.arange(12.0).reshape(4, 3)))), 1, (3, 4)),
     "log": (lambda a: nn.vsum(nn.log(nn.add(nn.mul(a, a), nn.const(1.0)))), 1, (3, 4)),
