@@ -9,15 +9,17 @@ MLP head.
 One padded, batched, masked forward serves training, the explainer
 objective and every prediction, each on a list of query `Event`s. A batch
 of B queries is read as one (B, 2, K) block of slot event ids, K = k_nb
-(`slot_ids`, one `TemporalGraph.recent` call): each endpoint's K most
-recent events before the query time, oldest first, -1 on padding. The
-forward derives the rest from the block and the queries: a slot's
-partner, age and attributes (zero on padding), `direct` flag, validity
-flag (it holds a retained event) and event-mask weight (1 under a hard
-mask). Attention renormalizes over valid slots;
-the common-partner feature is a max over a (B, 2, K, K) partner-equality
-tensor. A query with no valid slot has its [x_self, ctx] input zeroed:
-an empty view gives a checkpoint-level constant, whatever the nodes.
+(one `TemporalGraph.recent` call): each endpoint's K most recent events
+before the query time, oldest first, -1 on padding. `encode_slots` is the
+half no mask changes: slot partners, ages, attributes (zero on padding)
+and `direct` flags, node features, the time encoding and the `node` and
+`q` projections. `_masked_forward` takes each slot's validity flag and
+event-mask weight (1 under a hard mask), forms the common-partner column
+from a (B, 2, K, K) partner-equality tensor, and runs attention over the
+valid slots, `out` and the head; a query with no valid slot has its
+[x_self, ctx] input zeroed, so an empty view gives a checkpoint constant.
+`predict_batch` encodes each distinct (u, v, t) once for all its views;
+explainer preps keep theirs frozen: no objective gradient reaches that half.
 
 Rows are bit-identical alone or in any batch: slots pad to the fixed K,
 and no product handed to BLAS has one row or one column (numpy sends
@@ -30,13 +32,14 @@ projection is a multiply plus a row sum and a lone query is duplicated.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import subprocess
 import sys
 import threading
 import queue
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -75,13 +78,6 @@ def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
     return store
 
 
-def slot_ids(store: ParameterStore, g: TemporalGraph, queries: list) -> np.ndarray:
-    """The (B, 2, K) slot block of the queries: row 0 is u's, row 1 is v's."""
-    ends = np.array([(q.u, q.v) for q in queries], dtype=np.int64).reshape(-1, 2)
-    times = np.array([q.t for q in queries], dtype=np.float64)
-    return g.recent(ends, times[:, None], store.meta["k_nb"])[0]
-
-
 def _head(tape, x: Var, name: str = "head") -> Var:
     """Probabilities of (B, width) rows through `{name}1` and `{name}2` (see the
     row-invariance rules)."""
@@ -102,37 +98,50 @@ def empty_context_output(store: ParameterStore) -> float:
     return float(_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
 
 
-def _forward(tape, store: ParameterStore, g: TemporalGraph, queries: list, ids: np.ndarray,
-             valid: np.ndarray, weight: Var | None = None) -> tuple[Var, Var]:
-    """Probabilities (B,) and endpoint representations (B, 2h) of the queries.
+# B queries' (B, 2, K) slot ids, partners and decays exp(-dt / tau), (B, 2, h) x_self and q_vec
+# and (B, 2, K, w) key columns [x_nbr, attrs, t_enc, direct]: Vars on a tape, or frozen arrays
+SlotEncoding = namedtuple("SlotEncoding", "ids partners decay x_self q_vec key_cols")
 
-    `ids` is their slot block, `valid` (B, 2, K) marks the retained slots and
-    `weight` (B, 2, K) is the event mask on them (default: a hard mask). A
-    slot's common-partner feature is max_j weight_j * exp(-dt_j / tau) over the
-    other side's matching events, with a learnable timescale, so only recently
-    shared partners light up.
-    """
-    h = store.meta["h"]
-    n_q, _, k = ids.shape
-    weight = nn.const(valid.astype(np.float64)) if weight is None else weight
+
+def cat_slots(parts) -> SlotEncoding:
+    """One frozen encoding of the rows of `parts` in order; a Var gives its value."""
+    return SlotEncoding(*(np.concatenate([getattr(f, "value", f) for f in fields])
+                          for fields in zip(*parts)))
+
+
+def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -> SlotEncoding:
+    """The mask-independent half of the forward of the queries, on `tape`."""
     ends = np.array([(q.u, q.v) for q in queries], dtype=np.int64).reshape(-1, 2)
     times = np.array([q.t for q in queries], dtype=np.float64)
+    ids, partners = g.recent(ends, times[:, None], store.meta["k_nb"])
+    (n_q, _, k), h = ids.shape, store.meta["h"]
     at = np.nonzero(ids >= 0)
-    held = ids[at]
-    partners = np.full(ids.shape, -1, dtype=np.int64)
-    partners[at] = np.where(g.src[held] == ends[at[:2]], g.dst[held], g.src[held])
     dts, attrs = np.zeros(ids.shape), np.zeros(ids.shape + (g.attr_width,))
-    dts[at], attrs[at] = times[at[0]] - g.t[held], g.attrs[held]
+    dts[at], attrs[at] = times[at[0]] - g.t[ids[at]], g.attrs[ids[at]]
     direct = partners == ends[:, ::-1, None]
-
     feats = node_base_features(
         g, np.concatenate([ends.reshape(-1), np.maximum(partners, 0).reshape(-1)]),
         np.concatenate([np.repeat(times, 2), np.repeat(times, 2 * k)]))
     x_self = tape.affine(nn.const(feats[:2 * n_q]), "node")
-    x_nbr = tape.affine(nn.const(feats[2 * n_q:]), "node")
+    cols = nn.concat([tape.affine(nn.const(feats[2 * n_q:]), "node"),
+                      nn.const(attrs.reshape(2 * n_q * k, g.attr_width)),
+                      time_encode(dts.reshape(-1), tape.param("time_w")),
+                      nn.const(direct.reshape(-1, 1).astype(np.float64))], axis=1)
+    decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.neg(tape.param("wedge_logtau")))))
+    return SlotEncoding(ids, partners, decay, nn.reshape(x_self, (n_q, 2, h)),
+                        nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h)),
+                        nn.reshape(cols, (n_q, 2, k, cols.value.shape[1])))
 
-    inv_tau = nn.exp(nn.neg(tape.param("wedge_logtau")))
-    vals = nn.mul(weight, nn.exp(nn.mul(nn.const(-dts), inv_tau)))
+
+def _masked_forward(tape, store: ParameterStore, enc: SlotEncoding, valid: np.ndarray,
+                    weight: Var | None = None) -> tuple[Var, Var]:
+    """Probabilities (B,) and endpoint representations (B, 2h) of an encoded batch whose
+    retained slots `valid` (B, 2, K) marks, under event mask `weight` (default: hard).
+    A slot's common-partner feature is max_j weight_j * exp(-dt_j / tau) over the other
+    side's matching events, so only recently shared partners light up."""
+    (n_q, _, k), h, partners = enc.ids.shape, store.meta["h"], enc.partners
+    weight = nn.const(valid.astype(np.float64)) if weight is None else weight
+    vals = nn.mul(weight, enc.decay)
     # match[b, s, i, j]: slot i's partner is slot j's on the other side, both valid;
     # the max over j runs over its nonzeros in C order, so ties go to the first j
     match = (valid[:, :, :, None] & valid[:, ::-1, None, :]
@@ -140,27 +149,47 @@ def _forward(tape, store: ParameterStore, g: TemporalGraph, queries: list, ids: 
     b, s, i, j = np.nonzero(match)
     c_common = nn.segment_max(nn.gather_rows(nn.reshape(vals, (-1,)), (b * 2 + 1 - s) * k + j),
                               (b * 2 + s) * k + i, 2 * n_q * k, floor=0.0)
-
-    t_enc = time_encode(dts.reshape(-1), tape.param("time_w"))
-    key_in = nn.concat([x_nbr, nn.const(attrs.reshape(2 * n_q * k, -1)), t_enc,
-                        nn.const(direct.reshape(-1, 1).astype(np.float64)),
+    key_in = nn.concat([nn.reshape(enc.key_cols, (2 * n_q * k, -1)),
                         nn.reshape(c_common, (-1, 1))], axis=1)
     keys = nn.reshape(tape.affine(key_in, "k"), (n_q, 2, k, h))
     values = nn.reshape(tape.affine(key_in, "v"), (n_q, 2, k, h))
-    q_vec = nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h))
-    ctx = nn.reshape(masked_attention(q_vec, keys, values, weight, valid), (2 * n_q, h))
+    ctx = nn.reshape(masked_attention(nn._v(enc.q_vec), keys, values, weight, valid),
+                     (2 * n_q, h))
     nonempty = np.repeat(valid.any(axis=(1, 2)), 2).astype(np.float64).reshape(-1, 1)
-    x = nn.mul(nn.concat([x_self, ctx], axis=1), nn.const(nonempty))
+    x = nn.mul(nn.concat([nn.reshape(enc.x_self, (2 * n_q, h)), ctx], axis=1),
+               nn.const(nonempty))
     reprs = nn.reshape(nn.relu(tape.affine(x, "out")), (n_q, 2 * h))
     return _head(tape, reprs), reprs
 
 
-def _retained_slots(ids: np.ndarray, retained: list) -> np.ndarray:
-    valid = ids >= 0
-    for b, keep in enumerate(retained):
-        if keep is not None:
-            valid[b] &= np.isin(ids[b], np.fromiter(keep, dtype=np.int64, count=len(keep)))
-    return valid
+def _slot_positions(ids: np.ndarray, members: list) -> np.ndarray:
+    """Per slot of a (B, 2, K) block, its event's position in the concatenated members (row b's
+    sorted list or set members[b]), else their count; ids clip to [-1, max + 1], so none aliases."""
+    sizes = [len(m) for m in members]
+    span = int(ids.max(initial=-1)) + 3
+    flat = np.fromiter(itertools.chain.from_iterable(members), np.int64, sum(sizes))
+    keys = np.repeat(np.arange(len(members)) * span, sizes) + np.clip(flat, -1, span - 2) + 1
+    keys = np.append(np.sort(keys), len(members) * span)  # a sentinel above every key
+    want = np.arange(len(members))[:, None, None] * span + ids + 1
+    pos = np.searchsorted(keys, want)
+    return np.where((ids >= 0) & (keys[pos] == want), pos, len(flat))
+
+
+def predict_slots(store: ParameterStore, g: TemporalGraph, queries: list, rows: np.ndarray,
+                  retained: list | None = None) -> tuple[np.ndarray, np.ndarray, SlotEncoding]:
+    """`predict_batch` of queries[rows[i]] under retained[i], and the queries' frozen encoding."""
+    tape, retained = Tape(store), retained or [None] * len(rows)
+    enc = cat_slots(cat_slots([encode_slots(tape, store, g, queries[lo:lo + EVAL_CHUNK])])
+                    for lo in range(0, max(len(queries), 1), EVAL_CHUNK))  # frozen one by one
+    probs, reprs = np.zeros(len(rows)), np.zeros((len(rows), 2 * store.meta["h"]))
+    for lo in range(0, len(rows), EVAL_CHUNK):
+        chunk = SlotEncoding(*(f[rows[lo:lo + EVAL_CHUNK]] for f in enc))
+        kept = [ids.ravel() if view is None else view  # a full view keeps its own slots
+                for ids, view in zip(chunk.ids, retained[lo:lo + EVAL_CHUNK])]
+        valid = _slot_positions(chunk.ids, kept) < sum(map(len, kept))
+        p, r = _masked_forward(tape, store, chunk, valid)
+        probs[lo:lo + EVAL_CHUNK], reprs[lo:lo + EVAL_CHUNK] = p.value, r.value
+    return probs, reprs, enc
 
 
 def predict_batch(store: ParameterStore, g: TemporalGraph, queries: list,
@@ -168,19 +197,13 @@ def predict_batch(store: ParameterStore, g: TemporalGraph, queries: list,
     """Hard-masked forward of a batch: probabilities (B,) and representations (B, 2h).
 
     retained[b] is None for query b's full view, or the set of event ids it
-    keeps; an empty set is the empty view. Runs EVAL_CHUNK queries per forward.
+    keeps; an empty set is the empty view. Each distinct (u, v, t) is encoded once.
     """
-    retained = retained or [None] * len(queries)
-    tape = Tape(store)
-    probs, reprs = [np.zeros(0)], [np.zeros((0, 2 * store.meta["h"]))]
-    for lo in range(0, len(queries), EVAL_CHUNK):
-        chunk = queries[lo:lo + EVAL_CHUNK]
-        ids = slot_ids(store, g, chunk)
-        p, r = _forward(tape, store, g, chunk, ids,
-                        _retained_slots(ids, retained[lo:lo + EVAL_CHUNK]))
-        probs.append(p.value)
-        reprs.append(r.value)
-    return np.concatenate(probs), np.concatenate(reprs)
+    index: dict = {}
+    rows = np.array([index.setdefault((q.u, q.v, q.t), len(index)) for q in queries],
+                    dtype=np.int64)
+    distinct = [queries[i] for i in np.unique(rows, return_index=True)[1]]
+    return predict_slots(store, g, distinct, rows, retained)[:2]
 
 
 class InternalPredictor:
@@ -205,24 +228,16 @@ class InternalPredictor:
         return predict_batch(self.store, g, [query])[1][0]
 
 
-def soft_predict(tape, store: ParameterStore, g: TemporalGraph, queries: list,
-                 covered: list, event_mask: Var) -> Var:
-    """Differentiable masked predictions (B,) of a batch.
-
-    Query b keeps the events of covered[b] (sorted ids), weighted by its
-    entries of `event_mask`, which concatenates the per-query masks in
-    batch order; its other slots are dropped.
-    """
-    ids = slot_ids(store, g, queries)
+def soft_predict(tape, store: ParameterStore, enc: SlotEncoding, covered: list,
+                 event_mask: Var) -> Var:
+    """Differentiable masked predictions (B,) of an encoded batch: query b keeps the
+    events of covered[b] (sorted ids), weighted by its entries of `event_mask`, which
+    concatenates the per-query masks in batch order. Gradients reach every base array
+    from an encoding on `tape`, only the masked half's from a frozen one."""
+    idx = _slot_positions(enc.ids, covered)
     total = sum(len(cov) for cov in covered)
-    idx = np.full(ids.shape, total, dtype=np.int64)  # dropped slots read an appended zero
-    off = 0
-    for b, cov in enumerate(covered):
-        hit = np.isin(ids[b], cov)  # padding ids are -1, never covered
-        idx[b][hit] = off + np.searchsorted(cov, ids[b][hit])
-        off += len(cov)
     mask = nn.concat([nn.reshape(event_mask, (-1,)), nn.const(np.zeros(1))], axis=0)
-    return _forward(tape, store, g, queries, ids, idx < total, nn.gather_rows(mask, idx))[0]
+    return _masked_forward(tape, store, enc, idx < total, nn.gather_rows(mask, idx))[0]
 
 
 # -- training -----------------------------------------------------------------
@@ -284,9 +299,8 @@ def _bce(pred: Var, label) -> Var:
 
 def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
                batch: list[tuple[Event, int]]) -> Var:
-    queries = [q for q, _ in batch]
-    ids = slot_ids(store, g, queries)
-    probs, _ = _forward(tape, store, g, queries, ids, ids >= 0)
+    enc = encode_slots(tape, store, g, [q for q, _ in batch])
+    probs, _ = _masked_forward(tape, store, enc, enc.ids >= 0)
     return nn.vmean(_bce(probs, [label for _, label in batch]))
 
 
@@ -552,6 +566,6 @@ def _parse_request(req, g: TemporalGraph) -> tuple[Event, set | None]:
             raise AdapterProtocolError(f"node {node} outside [0, {g.node_count})")
     if not math.isfinite(t):
         raise AdapterProtocolError(f"t={t!r} is not finite")
-    raw = req.get("retained")
-    retained = None if raw is None else {int(x) for x in raw}
+    raw = req.get("retained")  # an id that is no event of g is in no view: dropped
+    retained = None if raw is None else {x for x in map(int, raw) if 0 <= x < g.n_events}
     return query_event(u, v, t, g.attr_width), retained

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .basemodel import build_base_store, slot_ids, soft_predict
+from .basemodel import build_base_store, encode_slots, soft_predict
 from .config import RunConfig
 from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
@@ -129,7 +129,7 @@ def objective_check(points: int = 1, seed: int = 0) -> float:
 
     def loss(tape: Tape):
         scores, _, _ = encode_and_score(tape, preps)
-        return query_objective(base_store, g, preps, scores, draws, cfg, null_probs)
+        return query_objective(base_store, preps, scores, draws, cfg, null_probs)
     return _check_over_points(loss, expl_store, points, seed)
 
 
@@ -142,14 +142,14 @@ def base_forward_check(points: int = 1, seed: int = 0) -> float:
     fresh = min(set(range(g.node_count)) - set(g.src[:2].tolist()) - set(g.dst[:2].tolist()))
     queries = [g.event(g.n_events - 1), g.event(g.n_events - 2),
                query_event(int(g.src[0]), fresh, float(g.t[2])), query_event(0, 1, float(g.t[0]))]
-    members = [np.unique(row[row >= 0]) for row in slot_ids(store, g, queries)]
+    members = [np.unique(row[row >= 0]) for row in encode_slots(Tape(store), store, g, queries).ids]
     covered = [m[rng.random(len(m)) > 1 / 3] for m in members]
     store.add("event_mask", rng.uniform(0.4, 0.9, size=sum(len(c) for c in covered)))
     probe = nn.const(rng.normal(size=len(queries)))
 
     def loss(tape: Tape):
-        return nn.vsum(nn.mul(soft_predict(tape, store, g, queries, covered,
-                                           tape.param("event_mask")), probe))
+        return nn.vsum(nn.mul(soft_predict(tape, store, encode_slots(tape, store, g, queries),
+                                           covered, tape.param("event_mask")), probe))
     return _check_over_points(loss, store, points, seed)
 
 

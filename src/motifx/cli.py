@@ -1,7 +1,8 @@
 """Command-line pipeline: synth/ingest -> censuses -> train -> explain -> evaluate.
 
 One `RunConfig`, from the flags and an optional JSON file, drives every
-command. Every command writes its artifact under --run-dir with a fixed
+command (`explain` and `evaluate` take the explainer's sampling fields).
+Every command writes its artifact under --run-dir with a fixed
 filename plus a `<artifact>.manifest.json` sidecar (full config, config
 hash, package version); reruns with the same manifest are byte-identical.
 Failures print machine-readable JSON on stderr and exit nonzero.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, nn
 from .basemodel import build_base_store, serve_adapter, train_base
-from .config import RunConfig, write_manifest
+from .config import RunConfig, config_file_values, write_manifest
 from .errors import CheckpointError, ConfigError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
@@ -86,15 +87,17 @@ def _load_store(run_dir: Path, g: TemporalGraph,
     return store
 
 
-def _load_models(run_dir: Path, g: TemporalGraph, cfg: RunConfig):
-    """The base and explainer checkpoints; the command's `n` and `l` must be the explainer's."""
+def _load_models(run_dir: Path, g: TemporalGraph, cfg: RunConfig, given: set):
+    """The checkpoints, and `cfg` with the explainer's sampling fields; none `given` may differ."""
     base = _load_store(run_dir, g)
     expl = _load_store(run_dir, g, base)
-    for key in ("n", "l"):
-        if getattr(cfg, key) != expl.meta[key]:
+    trained = RunConfig(**expl.meta["config"])
+    for key in ("n", "l", "c", "delta", "hops", "per_hop_cap"):
+        if key in given and getattr(cfg, key) != getattr(trained, key):
             raise ConfigError(f"{key}={getattr(cfg, key)} differs from the explainer "
-                              f"checkpoint's {key}={expl.meta[key]}")
-    return base, expl
+                              f"checkpoint's {key}={getattr(trained, key)}")
+        cfg = dataclasses.replace(cfg, **{key: getattr(trained, key)})
+    return base, expl, cfg
 
 
 def _emit_warnings(cfg: RunConfig) -> None:
@@ -186,7 +189,7 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
 def cmd_explain(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base, expl = _load_models(run_dir, g, cfg)
+    base, expl, cfg = _load_models(run_dir, g, cfg, args.given)
     if args.event_id is not None:
         if not (0 <= args.event_id < g.n_events):
             raise DependencyError(f"event id {args.event_id} outside 0..{g.n_events - 1}")
@@ -205,7 +208,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
-    base, expl = _load_models(run_dir, g, cfg)
+    base, expl, cfg = _load_models(run_dir, g, cfg, args.given)
     predictor = None
     adapter_cmd = args.adapter or os.environ.get(ADAPTER_ENV)
     if adapter_cmd:
@@ -299,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {f.name: getattr(args, f.name)
-                 for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
+    flags = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
     try:
-        cfg = RunConfig.from_sources(args.config, overrides)
+        values = {**config_file_values(args.config), **flags}  # flags win over the file
+        args.given = set(values)
+        cfg = RunConfig(**values)
         _emit_warnings(cfg)
         return COMMANDS[args.command](args, cfg)
     except MotifxError as exc:

@@ -94,26 +94,22 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_sources(cls, file_path: str | None, overrides: dict) -> "RunConfig":
-        """Precedence: explicit flags > config file > defaults. The file must be one JSON
-        object whose keys are field names."""
-        values = {}
-        if file_path:
-            with open(file_path, encoding="utf-8") as fh:
-                try:
-                    loaded = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"{file_path}: expected a JSON object, got "
-                                  f"{type(loaded).__name__}")
-            unknown = set(loaded) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            values.update(loaded)
-        values.update(overrides)
-        return cls(**values)
+
+def config_file_values(file_path: str | None) -> dict:
+    """The fields a config file, one JSON object of field names, sets; none without one."""
+    if not file_path:
+        return {}
+    with open(file_path, encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{file_path}: expected a JSON object, got {type(loaded).__name__}")
+    unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return loaded
 
 
 def config_hash(cfg: RunConfig) -> str:

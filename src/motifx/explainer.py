@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .basemodel import _bce, _head, labelled_queries, predict_batch, soft_predict, split_event_ids
+from .basemodel import (SlotEncoding, _bce, _head, cat_slots, labelled_queries, predict_slots,
+                        soft_predict, split_event_ids)
 from .config import RunConfig
 from .errors import InvariantError
 from .features import event_feature_block, feature_width
@@ -78,7 +79,8 @@ class QueryPrep:
     lexicographic order, with `inverse` (M,) giving each row's item. Per item,
     `src_onehot` (2l, n) marks each directed edge slot's source node (see
     `layers.gine_layer`), and `attrs_block` (l, attr_width), `dts` (l,) and `h_block`
-    (l, l) are each event slot's attributes, age and structural counts, 0 on padding."""
+    (l, l) are each event slot's attributes, age and structural counts, 0 on padding.
+    `slots` is the query's row of the base model's frozen `SlotEncoding`."""
     query: Event
     label: int
     comp_ids: np.ndarray
@@ -93,6 +95,7 @@ class QueryPrep:
     attrs_block: np.ndarray
     h_block: np.ndarray
     dts: np.ndarray
+    slots: SlotEncoding
 
 
 def _encoder_inputs(g: TemporalGraph, times: np.ndarray, row_query: np.ndarray,
@@ -155,11 +158,13 @@ def prepare_queries(g: TemporalGraph, base_store: ParameterStore, queries: list,
                              [comps[i] for i in todo], cfg.n)
     cuts = np.searchsorted(row_anchor // 2, np.arange(len(todo) + 1))  # rows per todo query
     todo = [(i, lo, hi, b) for i, lo, hi, b in zip(todo, cuts[:-1], cuts[1:], blocks) if hi > lo]
-    probs, ctxs = predict_batch(base_store, g, [queries[i] for i, _, _, _ in todo])  # full view
+    probs, ctxs, enc = predict_slots(base_store, g, [queries[i] for i, _, _, _ in todo],
+                                     np.arange(len(todo)))  # full view
     out: list[QueryPrep | None] = [None] * len(queries)
-    for (i, lo, hi, block), prob, ctx in zip(todo, probs, ctxs):
+    for k, ((i, lo, hi, block), prob, ctx) in enumerate(zip(todo, probs, ctxs)):
         out[i] = QueryPrep(query=queries[i], label=1 if prob >= 0.5 else 0, comp_ids=comps[i],
-                           ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx, **block)
+                           ids=ids[lo:hi], codes=codes[lo:hi], ctx=ctx,
+                           slots=SlotEncoding(*(f[k:k + 1] for f in enc)), **block)
     return out
 
 
@@ -259,13 +264,12 @@ def ib_loss(preds: Var, labels, kl: Var, beta: float) -> Var:
     return nn.vmean(nn.add(_bce(preds, labels), nn.scale(kl, beta)))
 
 
-def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[QueryPrep],
-                    scores: Var, draws: np.ndarray, cfg: RunConfig,
-                    null_probs: dict | None) -> Var:
+def query_objective(base_store: ParameterStore, preps: list[QueryPrep], scores: Var,
+                    draws: np.ndarray, cfg: RunConfig, null_probs: dict | None) -> Var:
     """Mean relaxed-mask objective of a batch of queries, with one soft-masked base forward.
 
-    `scores` and `draws` cover the motifs of every query in batch order,
-    as `encode_and_score` lays them out.
+    `scores` and `draws` cover the motifs of every query in batch order, as
+    `encode_and_score` lays them out; the base forward runs on the preps' frozen `slots`.
     """
     counts = [len(p.ids) for p in preps]
     m_off = np.cumsum([0] + counts)
@@ -275,7 +279,7 @@ def query_objective(base_store: ParameterStore, g: TemporalGraph, preps: list[Qu
     alpha = concrete_sample(scores, cfg.lam, draws)
     ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]),
                              floor=0.0)
-    preds = soft_predict(Tape(base_store), base_store, g, [p.query for p in preps],
+    preds = soft_predict(Tape(base_store), base_store, cat_slots(p.slots for p in preps),
                          [p.covered_ids for p in preps], ev_mask)
     query = np.repeat(np.arange(len(preps)), counts)
     if cfg.prior == "uniform":
@@ -327,7 +331,7 @@ def train_explainer(g: TemporalGraph, base_store: ParameterStore, cfg: RunConfig
     def loss(tape, chunk, rng):
         scores, _, counts = encode_and_score(tape, chunk)
         draws = np.concatenate([rng.uniform(1e-9, 1.0 - 1e-9, size=m) for m in counts])
-        return query_objective(base_store, g, chunk, scores, draws, cfg, null_probs)
+        return query_objective(base_store, chunk, scores, draws, cfg, null_probs)
 
     def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xD4A5, epoch])))

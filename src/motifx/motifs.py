@@ -39,6 +39,7 @@ and equal codes mean the same topology with events in the same order.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -53,6 +54,7 @@ DEFAULT_N = 3
 DEFAULT_L = 3
 ENUM_GUARD = 200
 SMOOTHING = 1e-6
+_pairs = functools.cache(lambda width: np.triu_indices(width, 1))  # column pairs a < b
 
 
 def _params_ok(n: int, l: int, c: int | None = None) -> None:
@@ -65,7 +67,7 @@ def _params_ok(n: int, l: int, c: int | None = None) -> None:
 def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) -> tuple:
     """Per walker (a row of `nodes`, padded with -1), the index keys, weights and
     window starts of its open or closed count (see the module docstring)."""
-    first, second = np.triu_indices(nodes.shape[1], 1)
+    first, second = _pairs(nodes.shape[1])
     ranks = g.pair_ranks(nodes[:, first], nodes[:, second])
     row_base = np.maximum(nodes, 0) * g.n_events
     pair_base = np.maximum(ranks, 0) * g.n_events

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from motifx import nn
-from motifx.basemodel import (InternalPredictor, eval_queries, evaluate_ap, slot_ids,
+from motifx.basemodel import (InternalPredictor, encode_slots, eval_queries, evaluate_ap,
                               split_event_ids, train_base)
 from motifx.checks import substrate_grad_checks
 from motifx.cli import main as cli_main
@@ -171,7 +171,7 @@ def test_criterion_6_metric_algebra(triadic):
     worst_fid = 0.0
     n_fid = 0
     for q, _ in eval_queries(g, triadic["test_ids"], seed=12)[:N_EVAL_QUERIES]:
-        ids = slot_ids(base, g, [q])
+        ids = encode_slots(Tape(base), base, g, [q]).ids
         members = set(int(e) for e in ids[ids >= 0])
         f_full, f_members = model.predict(g, q), model.predict(g, q, members)
         worst_fid = max(worst_fid, abs(float(fidelity(f_full, [f_members])[0])))
@@ -239,7 +239,7 @@ def test_criterion_7b_wedge_removal_decreases_probability(triadic):
     g = TemporalGraph(src, dst, ts, np.zeros((8, 0)), 10)
     model = InternalPredictor(base)
     q = query_event(3, 1, 98.0)
-    ids = slot_ids(base, g, [q])
+    ids = encode_slots(Tape(base), base, g, [q]).ids
     members = set(int(e) for e in ids[ids >= 0])
     assert {6, 7} <= members
     p_full = model.predict(g, q)

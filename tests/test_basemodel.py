@@ -10,9 +10,9 @@ from motifx import basemodel, nn
 from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, ExternalAdapter,
                               InternalPredictor, batch_loss, build_base_store,
                               build_enhanced_store, empty_context_output, enhanced_probs,
-                              eval_queries, motif_enhanced_predict, predict_batch,
-                              serve_adapter, slot_ids, soft_predict, split_event_ids,
-                              split_times, train_base, train_enhanced_head)
+                              encode_slots, eval_queries, motif_enhanced_predict, predict_slots,
+                              predict_batch, serve_adapter, soft_predict,
+                              split_event_ids, split_times, train_base, train_enhanced_head)
 from motifx.config import RunConfig
 from motifx.errors import AdapterProtocolError, CheckpointError, ConfigError, ShapeError
 from motifx.metrics import average_precision
@@ -24,7 +24,7 @@ from oracles import reference_batch_loss, reference_predict, reference_soft_pred
 
 def members(store, g, q):
     """The sorted ids of the events in a query's full view."""
-    ids = slot_ids(store, g, [q])
+    ids = encode_slots(Tape(store), store, g, [q]).ids
     return np.unique(ids[ids >= 0])
 
 
@@ -164,7 +164,8 @@ class TestBatchedForwardOracle:
         offsets = np.cumsum([0] + [len(c) for c in covered])
 
         tape = Tape(store)
-        preds = soft_predict(tape, store, g, queries, covered, tape.param("mask"))
+        preds = soft_predict(tape, store, encode_slots(tape, store, g, queries), covered,
+                             tape.param("mask"))
         got = tape.gradients(nn.vsum(nn.mul(preds, nn.const(probe))))
         ref_tape = Tape(store)
         mask = ref_tape.param("mask")
@@ -259,6 +260,103 @@ class TestRowInvariance:
         g, store, _, _ = rows
         probs, reprs = predict_batch(store, g, [])
         assert probs.shape == (0,) and reprs.shape == (0, 2 * store.meta["h"])
+
+
+class TestSlotEncoding:
+    """One slot encoding per distinct query, many masks: `predict_batch`'s dedupe and
+    `soft_predict` on live and frozen encodings."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        g = generate_synthetic("triadic-closure", 20, 300, seed=13)
+        store = perturbed(build_base_store(g, RunConfig(h=8, d_time_base=4, k_nb=8)), 6)
+        return g, store
+
+    def test_evaluate_layout_rows_equal_their_rows_alone(self, setup):
+        g, store = setup
+        rng = np.random.default_rng(7)
+        queries = [g.event(int(e)) for e in rng.integers(100, g.n_events, size=5)]
+        queries.append(query_event(0, 1, 0.0))  # no history
+        views = {}
+        for q in queries:
+            full = list(members(store, g, q))
+            views[q] = [None, set()] + [{e for e in full if rng.random() < 0.5}
+                                        for _ in range(32)]
+        rows = [(q, views[q][k]) for k in range(34) for q in queries]  # queries interleaved
+        probs, reprs = predict_batch(store, g, [q for q, _ in rows], [v for _, v in rows])
+        for i, (q, view) in enumerate(rows):
+            p, r = predict_batch(store, g, [q], [view])
+            assert probs[i].tobytes() == p[0].tobytes(), i
+            assert reprs[i].tobytes() == r[0].tobytes(), i
+
+    def test_out_of_range_ids_alias_into_no_other_view(self, setup):
+        """Under `view * n_events + id` keys, the middle view's -1 would alias the first
+        view's event n_events - 1 and its n_events + e the last view's event e; the
+        outer views leave those events out, so an alias would switch them back on."""
+        g, store = setup
+        n = g.n_events
+        q = query_event(int(g.src[n - 1]), int(g.dst[n - 1]), float(g.t[n - 1]) + 1.0)
+        full = {int(e) for e in members(store, g, q)}
+        e = min(full)
+        assert n - 1 in full and e != n - 1
+        views = [full - {n - 1}, {-1, n, n + e}, full - {e}]
+        probs, _ = predict_batch(store, g, [q] * 3, views)
+        alone = [predict_batch(store, g, [q], [v])[0][0] for v in views]
+        assert probs.tolist() == alone
+        assert probs[1] == empty_context_output(store)
+        assert len(set(alone + [predict_batch(store, g, [q])[0][0]])) == 4  # each view matters
+
+    @staticmethod
+    def soft_case(g, store, seed):
+        """Repeated queries with their own covered ids (one no slot holds) and masks."""
+        rng = np.random.default_rng(seed)
+        picked = [g.event(int(e)) for e in rng.integers(150, g.n_events, size=3)]
+        queries = [picked[k % 3] for k in range(7)]
+        covered = [np.union1d(members(store, g, q)[rng.random(len(members(store, g, q))) < 0.6],
+                              [g.n_events + 2]) for q in queries]
+        store = store.copy()
+        store.add("mask", rng.uniform(0.05, 1.0, size=sum(len(c) for c in covered)))
+        return store, queries, covered, rng.normal(size=len(queries))
+
+    def test_live_encoding_matches_the_oracle(self, setup):
+        g, base = setup
+        store, queries, covered, probe = self.soft_case(g, base, 11)
+        tape = Tape(store)
+        preds = soft_predict(tape, store, encode_slots(tape, store, g, queries), covered,
+                             tape.param("mask"))
+        got = tape.gradients(nn.vsum(nn.mul(preds, nn.const(probe))))
+        ref_tape = Tape(store)
+        mask = ref_tape.param("mask")
+        offsets = np.cumsum([0] + [len(c) for c in covered])
+        ref = nn.concat([nn.reshape(reference_soft_predict(
+            ref_tape, store, g, q, cov, nn.gather_rows(mask, np.arange(a, b))), (1,))
+            for q, cov, a, b in zip(queries, covered, offsets[:-1], offsets[1:])], axis=0)
+        want = ref_tape.gradients(nn.vsum(nn.mul(ref, nn.const(probe))))
+        assert np.max(np.abs(preds.value - ref.value)) <= 1e-12
+        for name in store.arrays:
+            assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-12, name
+            assert np.any(got[name]), name  # every array is on the live gradient path
+
+    def test_frozen_encoding_differentiates_only_the_masked_half(self, setup):
+        g, base = setup
+        store, queries, covered, probe = self.soft_case(g, base, 12)
+        grads, preds = [], []
+        for frozen in (False, True):
+            tape = Tape(store)
+            enc = (predict_slots(store, g, queries, [])[2] if frozen
+                   else encode_slots(tape, store, g, queries))
+            p = soft_predict(tape, store, enc, covered, tape.param("mask"))
+            grads.append(tape.gradients(nn.vsum(nn.mul(p, nn.const(probe)))))
+            preds.append(p.value)
+        live, frozen = grads
+        assert preds[0].tobytes() == preds[1].tobytes()
+        assert live["mask"].tobytes() == frozen["mask"].tobytes()
+        encoding_half = ("node.w", "node.b", "q.w", "q.b", "time_w", "wedge_logtau")
+        for name in store.arrays:
+            if name in encoding_half:
+                assert np.any(live[name]) and not np.any(frozen[name]), name
+            else:
+                assert live[name].tobytes() == frozen[name].tobytes(), name
 
 
 class TestSplits:
@@ -407,6 +505,16 @@ class TestAdapterBoundary:
         assert replies[0]["id"] == rid and "p" not in replies[0]
         assert message in replies[0]["error"]
         assert replies[1] == {"id": 9, "p": InternalPredictor(fresh_store).predict(small_graph, q)}
+
+    def test_retained_ids_outside_the_graph_are_dropped(self, small_graph, fresh_store):
+        """Ids that are no event, one beyond int64 among them, leave the view as it is."""
+        store = perturbed(fresh_store, 9)
+        q = small_graph.event(100)
+        keep = sorted(int(e) for e in members(store, small_graph, q))[::2]
+        line = json.dumps({"id": 3, "u": q.u, "v": q.v, "t": q.t,
+                           "retained": keep + [-1, small_graph.n_events, 10 ** 30]})
+        assert serve_lines(store, small_graph, [line]) == [
+            {"id": 3, "p": InternalPredictor(store).predict(small_graph, q, set(keep))}]
 
     def test_error_reply_raises_with_server_message(self, small_graph):
         with ExternalAdapter(stub_cmd(STUB_REFUSES)) as adapter:

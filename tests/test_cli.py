@@ -171,6 +171,44 @@ class TestErrors:
             assert f"{field}=4 differs from the explainer checkpoint's {field}=3" in \
                 err["error"]["message"]
 
+    @pytest.mark.parametrize("field, value, trained", [
+        ("c", "7", "6"), ("delta", "5.0", "None"), ("hops", "2", "1"), ("per_hop_cap", "7", "6")],
+        ids=["c", "delta", "hops", "per_hop_cap"])
+    def test_sampling_field_other_than_the_explainer_rejected(self, pipeline_dir, capsys, field,
+                                                              value, trained):
+        for command in ("explain", "evaluate"):
+            capsys.readouterr()
+            flag = "--" + field.replace("_", "-")
+            code = main([command, "--run-dir", str(pipeline_dir)] + TINY + [flag, value])
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert code == 1
+            assert err["error"]["type"] == "ConfigError"
+            assert f"{field}={value} differs from the explainer checkpoint's {field}={trained}" \
+                in err["error"]["message"]
+
+    def test_sampling_field_in_the_config_file_rejected(self, pipeline_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"hops": 2}))
+        capsys.readouterr()
+        code = main(["explain", "--run-dir", str(pipeline_dir), "--config", str(cfg_file)] + TINY)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert "hops=2 differs from the explainer checkpoint's hops=1" in err["error"]["message"]
+
+    def test_sampling_fields_not_given_come_from_the_explainer(self, pipeline_dir, tmp_path):
+        """Without --c and --per-hop-cap, explain samples with the explainer's 6 and 6, not
+        the defaults 40 and 20."""
+        d = tmp_path / "s"
+        shutil.copytree(pipeline_dir, d)
+        (d / "explanations.json").unlink()
+        rest = [x for flag, value in zip(TINY[::2], TINY[1::2])
+                if flag not in ("--c", "--per-hop-cap") for x in (flag, value)]
+        assert main(["explain", "--run-dir", str(d)] + rest) == 0
+        assert (d / "explanations.json").read_bytes() == \
+            (pipeline_dir / "explanations.json").read_bytes()
+        manifest = json.loads((d / "explanations.json.manifest.json").read_text())
+        assert (manifest["config"]["c"], manifest["config"]["per_hop_cap"]) == (6, 6)
+
     def test_k_nb_zero_rejected(self, tmp_path, capsys):
         code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

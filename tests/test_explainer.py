@@ -185,10 +185,12 @@ class TestIbLoss:
 
 
 def _same(a, b) -> bool:
-    """Field-by-field equality through dataclasses, with exact array equality."""
+    """Field-by-field equality through dataclasses and tuples, with exact array equality."""
     if hasattr(a, "__dataclass_fields__"):
         return type(a) is type(b) and all(_same(getattr(a, f), getattr(b, f))
                                           for f in a.__dataclass_fields__)
+    if isinstance(a, tuple):  # a SlotEncoding
+        return type(a) is type(b) and all(_same(x, y) for x, y in zip(a, b, strict=True))
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
     return a == b
@@ -336,7 +338,7 @@ class TestFirstBatchLoss:
         # normalize over the observed codes so the reference stays simple
         z = sum(null_probs.values())
         null_probs = {k: v / z for k, v in null_probs.items()}
-        got = query_objective(base_store, g, [prep], scores, draws, ecfg, null_probs)
+        got = query_objective(base_store, [prep], scores, draws, ecfg, null_probs)
 
         # independent mask assembly: scalar Concrete at p=0.5, max per event
         alpha = 1 / (1 + np.exp(-(np.log(draws) - np.log1p(-draws)) / ecfg.lam))
@@ -599,7 +601,7 @@ class TestEncoderRowInvariance:
         null_probs = {c: 1.0 for p in preps for c in p.codes}
         null_probs = {c: 1.0 / len(null_probs) for c in null_probs}
         scores, _, _ = encode_and_score(Tape(store), preps)
-        got = query_objective(base_store, g, preps, scores, draws, ecfg, null_probs)
+        got = query_objective(base_store, preps, scores, draws, ecfg, null_probs)
         repeated = []
         for prep in preps:  # each distinct row scored alone, then copied to every row
             rows = [tuple(r) for r in prep.ids.tolist()]
@@ -607,7 +609,7 @@ class TestEncoderRowInvariance:
             alone = {row: encode_and_score(Tape(store), [one_row(prep, m)])[0].value[0]
                      for row, m in firsts.items()}
             repeated += [alone[row] for row in rows]
-        want = query_objective(base_store, g, preps, nn.const(np.array(repeated)), draws, ecfg,
+        want = query_objective(base_store, preps, nn.const(np.array(repeated)), draws, ecfg,
                                null_probs)
         assert float(got.value) == float(want.value)
 
