@@ -127,7 +127,7 @@ def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -
                       nn.const(attrs.reshape(2 * n_q * k, g.attr_width)),
                       time_encode(dts.reshape(-1), tape.param("time_w")),
                       nn.const(direct.reshape(-1, 1).astype(np.float64))], axis=1)
-    decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.neg(tape.param("wedge_logtau")))))
+    decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.scale(tape.param("wedge_logtau"), -1.0))))
     return SlotEncoding(ids, partners, decay, nn.reshape(x_self, (n_q, 2, h)),
                         nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h)),
                         nn.reshape(cols, (n_q, 2, k, cols.value.shape[1])))
@@ -294,7 +294,7 @@ def _bce(pred: Var, label) -> Var:
     p = nn.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
     y = np.asarray(label, dtype=np.float64)
     picked = nn.add(nn.mul(p, nn.const(y)), nn.mul(nn.sub(nn.const(1.0), p), nn.const(1.0 - y)))
-    return nn.neg(nn.log(picked))
+    return nn.scale(nn.log(picked), -1.0)
 
 
 def batch_loss(tape: Tape, store: ParameterStore, g: TemporalGraph,
@@ -504,9 +504,6 @@ class ExternalAdapter:
         """One request per (query, view) pair: the wire protocol carries one prediction
         at a time."""
         return np.array([self.predict(g, q, view) for q, view in zip(queries, views)])
-
-    def label(self, g: TemporalGraph, query: Event) -> int:
-        return 1 if self.predict(g, query) >= 0.5 else 0
 
     def close(self):
         """End the child and close its three pipes; a read pipe is closed once its

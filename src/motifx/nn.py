@@ -2,7 +2,9 @@
 
 One Var per intermediate value; the backward pass walks the recorded
 graph once in reverse topological order. Summation orders are fixed so
-repeated runs are bit-identical.
+repeated runs are bit-identical. Each interior Var drops its gradient once
+its vjp has passed it on: after a backward only leaves (params and consts,
+the Vars without a vjp) hold gradients, and another backward adds one copy.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(root: Var) -> None:
-    """Seed the root with 1 and accumulate grads into every reachable Var."""
+    """Seed the root with 1 and accumulate grads into the leaves; interior grads are freed."""
     if root.value.ndim != 0 and root.value.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.value.shape}")
     topo: list[Var] = []
@@ -84,6 +86,7 @@ def backward(root: Var) -> None:
     for node in reversed(topo):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
+            node.grad = None
 
 
 # -- primitives ---------------------------------------------------------------
@@ -109,14 +112,6 @@ def sub(a, b) -> Var:
         _acc(a, _unbroadcast(g, a.value.shape))
         _acc(b, _unbroadcast(-g, b.value.shape))
     return Var(val, (a, b), vjp)
-
-
-def neg(a) -> Var:
-    a = _v(a)
-
-    def vjp(g):
-        _acc(a, -g)
-    return Var(-a.value, (a,), vjp)
 
 
 def mul(a, b) -> Var:
@@ -360,7 +355,17 @@ def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
 
 
 def affine(x, w, b) -> Var:
-    return add(matmul(x, w), b)
+    """x @ w + b as one node: `matmul`'s product, b added in place (the bits of `add`)."""
+    b, prod = _v(b), matmul(x, w)
+    try:
+        prod.value += b.value
+    except ValueError as exc:
+        raise ShapeError(f"affine: {prod.value.shape} + {b.value.shape}") from exc
+
+    def vjp(g):
+        prod._vjp(g)
+        _acc(b, _unbroadcast(g, b.value.shape))
+    return Var(prod.value, prod._parents + (b,), vjp)
 
 
 # -- parameters, tape, optimizer ----------------------------------------------
@@ -470,15 +475,10 @@ class Tape:
         return affine(x, self.param(f"{name}.w"), self.param(f"{name}.b"))
 
     def gradients(self, loss: Var) -> dict[str, np.ndarray]:
+        """Each parameter's gradient of `loss` (zero if unused); a second call adds one copy."""
         backward(loss)
-        out = {}
-        for name, arr in self.store.arrays.items():
-            leaf = self._leaves.get(name)
-            if leaf is None or leaf.grad is None:
-                out[name] = np.zeros_like(arr)
-            else:
-                out[name] = leaf.grad
-        return out
+        held = {n: leaf.grad for n, leaf in self._leaves.items() if leaf.grad is not None}
+        return {n: held[n] if n in held else np.zeros_like(a) for n, a in self.store.arrays.items()}
 
 
 def adam_init(store: ParameterStore) -> dict:

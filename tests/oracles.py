@@ -508,7 +508,7 @@ def _forward(tape, store, g, query, views, sides):
     if all(len(sides[s]["keep"]) == 0 for s in ("u", "v")):
         x_t = nn.relu(tape.affine(nn.const(np.zeros((1, 2 * h))), "out"))
         return _head(tape, [x_t, x_t])
-    inv_tau = nn.exp(nn.neg(tape.param("wedge_logtau")))
+    inv_tau = nn.exp(nn.scale(tape.param("wedge_logtau"), -1.0))
     reprs = []
     for name, node in (("u", query.u), ("v", query.v)):
         side, pack = views[name], sides[name]
@@ -572,6 +572,6 @@ def reference_batch_loss(tape, store, g, batch):
         keeps = {name: list(range(len(view["ids"]))) for name, view in views.items()}
         sides = _sides(views, keeps, lambda name, keep: nn.const(np.ones(len(keep))))
         p = nn.clip(_forward(tape, store, g, query, views, sides), 1e-7, 1.0 - 1e-7)
-        term = nn.neg(nn.log(p)) if label == 1 else nn.neg(nn.log(nn.sub(nn.const(1.0), p)))
+        term = nn.scale(nn.log(p) if label == 1 else nn.log(nn.sub(nn.const(1.0), p)), -1.0)
         terms.append(nn.reshape(term, (1,)))
     return nn.vmean(nn.concat(terms, axis=0))

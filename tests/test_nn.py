@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             nn.add(nn.const(np.ones((2, 3))), nn.const(np.ones((4, 5))))
 
+    def test_affine_bias_shape_error_names_shapes(self):
+        with pytest.raises(ShapeError, match=r"affine: \(2, 4\) \+ \(5,\)"):
+            nn.affine(nn.const(np.ones((2, 3))), nn.const(np.ones((3, 4))), nn.const(np.ones(5)))
+
     def test_softmax_sums_to_one(self):
         # masked attention is the package's softmax: identity values return the weights
         from motifx.layers import masked_attention
@@ -68,6 +73,8 @@ OPS = {
     "mul": (lambda a, b: nn.vsum(nn.mul(a, b)), 2, (3, 4)),
     "div": (lambda a, b: nn.vsum(nn.div(a, b)), 2, (3, 4)),
     "matmul": (lambda a, b: nn.vsum(nn.matmul(a, b)), 2, (3, 3)),
+    "affine": (lambda a, b, c: nn.vsum(nn.mul(nn.affine(a, b, nn.vmean(c, axis=0)),
+                                              nn.const(np.arange(9.0).reshape(3, 3)))), 3, (3, 3)),
     "bmm": (lambda a: nn.vsum(nn.mul(nn.bmm(np.arange(18.0).reshape(2, 3, 3) % 5, a),
                                      nn.const(np.arange(18.0).reshape(2, 3, 3)))), 1, (2, 3, 3)),
     "relu": (lambda a: nn.vsum(nn.relu(a)), 1, (3, 4)),
@@ -127,6 +134,99 @@ def test_grad_accumulates_across_reuse():
     loss = nn.vsum(nn.add(nn.mul(x, x), x))  # x^2 + x -> 2x + 1
     grads = tape.gradients(loss)
     assert np.allclose(grads["x"], 2 * store.arrays["x"] + 1)
+
+
+def _reachable(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+class TestGradientRelease:
+    """Backward drops each interior gradient once its vjp has used it; leaves keep theirs."""
+
+    def test_backward_peak_stays_near_a_few_arrays(self):
+        store = rand_store({"x": (256, 512)})  # 1 MiB
+        nbytes = store.arrays["x"].nbytes
+        steps = [lambda v: nn.scale(v, 0.9), nn.sin, nn.relu, lambda v: nn.scale(v, 1.1)]
+        tracemalloc.start()
+        try:
+            tape = Tape(store)
+            v = tape.param("x")
+            for i in range(20):
+                v = steps[i % len(steps)](v)
+            loss = nn.vsum(v)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grads = tape.gradients(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads["x"].shape == (256, 512)
+        assert peak - before <= 4 * nbytes  # keeping interior grads holds about one per op
+
+    def test_only_leaves_keep_gradients(self):
+        store = rand_store({"w": (4, 3)}, seed=1)
+        tape = Tape(store)
+        w, c = tape.param("w"), nn.const(np.arange(12.0).reshape(4, 3))
+        interior = [nn.mul(w, c)]
+        interior.append(nn.sin(interior[-1]))
+        interior.append(nn.affine(interior[-1], nn.const(np.ones((3, 2))), nn.const(np.ones(2))))
+        loss = nn.vsum(interior[-1])
+        values = [v.value.copy() for v in interior + [loss]]
+        tape.gradients(loss)
+        assert all(v.grad is None for v in interior + [loss])
+        assert w.grad is not None and c.grad is not None
+        assert all(np.array_equal(v.value, held) for v, held in zip(interior + [loss], values))
+
+    def test_second_backward_adds_exactly_one_copy(self):
+        store = ParameterStore()
+        store.add("x", np.arange(-3.0, 3.0))  # integers: every sum below is exact
+        tape = Tape(store)
+        x, k = tape.param("x"), nn.const(np.full(6, 2.0))
+        loss = nn.vsum(nn.add(nn.mul(nn.scale(x, 3.0), k), nn.mul(x, x)))
+        first = tape.gradients(loss)["x"].copy()
+        k_first = k.grad.copy()
+        assert np.array_equal(first, 6.0 + 2.0 * store.arrays["x"])
+        assert np.array_equal(tape.gradients(loss)["x"], 2.0 * first)
+        assert np.array_equal(k.grad, 2.0 * k_first)
+
+
+@pytest.mark.parametrize("rows,k,h", [(1, 5, 3), (2, 1, 4), (7, 6, 1), (33, 12, 8)])
+def test_affine_matches_add_of_matmul_bit_for_bit(rows, k, h):
+    rng = np.random.default_rng(rows * 1000 + k * 10 + h)
+    store = ParameterStore()
+    for name, shape in (("x", (rows, k)), ("w", (k, h)), ("b", (h,))):
+        store.add(name, rng.normal(size=shape))
+    probe = nn.const(rng.normal(size=(rows, h)))
+
+    def run(layer):
+        tape = Tape(store)
+        out = layer(tape.param("x"), tape.param("w"), tape.param("b"))
+        return out.value, tape.gradients(nn.vsum(nn.mul(nn.relu(out), probe)))
+
+    fused, fused_grads = run(nn.affine)
+    split, split_grads = run(lambda x, w, b: nn.add(nn.matmul(x, w), b))
+    assert np.array_equal(fused, split)
+    for name in ("x", "w", "b"):
+        assert np.array_equal(fused_grads[name], split_grads[name])
+
+
+def test_affine_is_one_tape_node():
+    store = rand_store({"x": (4, 3), "w": (3, 3), "b": (3,)})
+
+    def nodes(layer):
+        tape = Tape(store)
+        v = tape.param("x")
+        for _ in range(3):
+            v = layer(v, tape.param("w"), tape.param("b"))
+        return _reachable(nn.vsum(v))
+
+    assert nodes(lambda x, w, b: nn.add(nn.matmul(x, w), b)) - nodes(nn.affine) == 3
 
 
 def test_forward_is_bit_deterministic():
