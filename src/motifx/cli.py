@@ -141,14 +141,19 @@ def cmd_census(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _write_null_census(run_dir: Path, g: TemporalGraph, cfg: RunConfig) -> dict:
+    """The null model's class probabilities, written with their manifest."""
+    probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
+    (run_dir / FILES["null_census"]).write_text(
+        json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n")
+    write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
+    return probs
+
+
 def cmd_null_census(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
-    g = _load_graph(run_dir)
-    probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
-    out = run_dir / FILES["null_census"]
-    out.write_text(json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n")
-    write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
-    print(f"wrote {out} ({len(probs)} classes)")
+    probs = _write_null_census(run_dir, _load_graph(run_dir), cfg)
+    print(f"wrote {run_dir / FILES['null_census']} ({len(probs)} classes)")
     return 0
 
 
@@ -168,15 +173,10 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
     base = _load_store(run_dir, g)
-    null_probs = None
     null_path = run_dir / FILES["null_census"]
-    if cfg.prior == "empirical":
-        if null_path.exists():
-            null_probs = json.loads(null_path.read_text())
-        else:
-            null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
-            null_path.write_text(json.dumps(null_probs, separators=(",", ":"), sort_keys=True) + "\n")
-            write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
+    null_probs = None if cfg.prior != "empirical" else (
+        json.loads(null_path.read_text()) if null_path.exists()
+        else _write_null_census(run_dir, g, cfg))
     store, report = train_explainer(g, base, cfg, null_probs)
     out = run_dir / FILES["explainer"]
     store.save(out)

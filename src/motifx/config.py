@@ -22,10 +22,15 @@ from .errors import ConfigError
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
 PRIORS = ("uniform", "empirical")
 # the values each field can run with
-RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb"),
+RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c", "c_per_node",
+                          "hops", "per_hop_cap", "events", "max_train_queries"),
                          (lambda v: v >= 1, "at least 1")),
-         **dict.fromkeys(("lr", "lam"), (lambda v: 0.0 < v < math.inf, "finite and above 0")),
-         "n_queries": (lambda v: v >= 0, "at least 0"),
+         **dict.fromkeys(("base_epochs", "expl_epochs", "patience", "gine_depth", "n_queries",
+                          "seed"), (lambda v: v >= 0, "at least 0")),
+         **dict.fromkeys(("lr", "lam", "delta"),
+                         (lambda v: 0.0 < v < math.inf, "finite and above 0")),
+         "n": (lambda v: v >= 2, "at least 2"), "nodes": (lambda v: v >= 3, "at least 3"),
+         "beta": (lambda v: 0.0 <= v < math.inf, "finite and at least 0"),
          "p": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
          "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}")}
 # JSON value types each annotation accepts; a bool is never an int or a float

@@ -21,10 +21,6 @@ class NonFiniteError(MotifxError):
     """A loss or gradient became NaN/Inf."""
 
 
-class EnumerationLimitError(MotifxError):
-    """Exhaustive enumeration refused: history larger than the size guard."""
-
-
 class InvariantError(MotifxError):
     """An internal contract was violated (e.g. a motif class missing from the null probabilities)."""
 

@@ -13,8 +13,8 @@ node, then by event id. The entries of node w are rows
 ``inc_other`` (the event's other endpoint). Within a row, id order is
 (t, id) order, so every time window is one contiguous slice, and
 ties come out ordered by id exactly as they do over the whole stream.
-`history` reads one node's window; `recent` reads the last k entries of
-many nodes' windows at once, padded with -1: the base model's slot block.
+`TemporalGraph.recent` is the one history read: the last k entries of
+many nodes' windows at once, padded with -1.
 
 Beside it sits a pair index. ``pair_codes`` lists each distinct unordered
 pair {a, b} (a < b) once as ``a * node_count + b``, ascending; a pair's
@@ -77,9 +77,8 @@ class TemporalGraph:
     endpoint's row). ``_inc_key`` holds each entry as the packed int64
     ``node * n_events + event id``; it is sorted, so the row offsets of
     any set of nodes at any id cut are one ``searchsorted``. The event
-    columns and the index are read-only, and `history` returns views of them.
-    ``pair_codes`` and ``_pair_key`` are the pair index of the module
-    docstring, also read-only.
+    columns, the index and the pair index of the module docstring
+    (``pair_codes`` and ``_pair_key``) are read-only.
     """
 
     __slots__ = ("src", "dst", "t", "attrs", "node_count", "attr_width",
@@ -154,21 +153,9 @@ class TemporalGraph:
         return Event(id=int(i), u=int(self.src[i]), v=int(self.dst[i]),
                      t=float(self.t[i]), attrs=self.attrs[i])
 
-    def id_cut(self, before: float, strict: bool = True) -> int:
-        """The count of events with t < before (or <= if not strict): they are ids 0..cut-1."""
-        return int(self.t.searchsorted(before, side="left" if strict else "right"))
-
-    def _row_stops(self, nodes, before, strict: bool = True):
-        """Where each node's row ends at its cut t < before (<= if not strict)."""
-        cuts = self.t.searchsorted(before, side="left" if strict else "right")
-        return self._inc_key.searchsorted(nodes * self.n_events + cuts)
-
-    def history(self, node: int, before: float,
-                strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """`node`'s events with t < before (or <= if not strict), ascending (t, id):
-        their ids and their other endpoints, as read-only views of the index."""
-        rows = slice(int(self.indptr[node]), int(self._row_stops(node, before, strict)))
-        return self.inc_ids[rows], self.inc_other[rows]
+    def _row_stops(self, nodes, before):
+        """Where each node's row ends at its cut t < before."""
+        return self._inc_key.searchsorted(nodes * self.n_events + self.t.searchsorted(before))
 
     def recent(self, nodes, before, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each node's k most recent events with t < before, oldest first, padded with
@@ -277,34 +264,6 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
     return g, report
 
 
-def neighbor_events(g: TemporalGraph, nodes, before: float, strict: bool = True,
-                    since: float = -math.inf, closed: bool = False) -> np.ndarray:
-    """All event ids incident to any node in `nodes` with since <= t < before (strict)
-    or since <= t <= before; with `closed`, only events whose endpoints are both in `nodes`.
-
-    Deduplicated, ascending id order. Empty result is valid. Each node's
-    window is one slice of its index row; an event in two rows is kept
-    from the row of its smaller endpoint.
-    """
-    ws = sorted({int(w) for w in nodes})
-    base = np.array(ws, dtype=np.int64) * g.n_events
-    starts = g._inc_key.searchsorted(base + g.id_cut(since)).tolist()
-    stops = g._inc_key.searchsorted(base + g.id_cut(before, strict)).tolist()
-    if len(ws) == 1 and not closed:
-        return g.inc_ids[starts[0]:stops[0]]
-    inside = np.zeros(g.node_count, dtype=bool)
-    inside[ws] = True
-    parts = []
-    for w, a, b in zip(ws, starts, stops):
-        other = g.inc_other[a:b]
-        shared = inside[other]
-        keep = (shared & (other > w)) if closed else (~shared | (other > w))
-        parts.append(g.inc_ids[a:b][keep])
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts))
-
-
 def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
                         per_hop_cap: int = DEFAULT_PER_HOP_CAP) -> np.ndarray:
     """The sorted int64 ids of the L-hop historical neighborhood a predictor can see
@@ -312,20 +271,17 @@ def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
     target endpoints.
 
     Per hop, each frontier node contributes at most `per_hop_cap` of its
-    most recent events strictly earlier than the target time. A target
-    with no history yields an empty array.
+    most recent events strictly earlier than the target time, all read by
+    one `recent` call. A target with no history yields an empty array.
     """
     if hops < 1 or per_hop_cap < 1:
         raise ValueError("hops and per_hop_cap must be >= 1")
-    members, visited, frontier = [], {target.u, target.v}, {target.u, target.v}
+    members, visited, frontier = [], {target.u, target.v}, [target.u, target.v]
     for _ in range(hops):
-        reached: set[int] = set()
-        for w in frontier:
-            ids, partners = g.history(w, target.t, strict=True)
-            members.append(ids[-per_hop_cap:])
-            reached.update(partners[-per_hop_cap:].tolist())
-        frontier = reached - visited
-        visited |= frontier
+        ids, partners = g.recent(frontier, target.t, per_hop_cap)
+        members.append(ids[ids >= 0])
+        frontier = list(set(partners[partners >= 0].tolist()) - visited)
+        visited.update(frontier)
     return np.unique(np.concatenate(members))
 
 

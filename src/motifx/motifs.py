@@ -1,4 +1,4 @@
-"""Retrospective temporal motif sampling, exhaustive enumeration, canonical coding, censuses.
+"""Retrospective temporal motif sampling, canonical coding, censuses.
 
 A motif is a reverse-time-ordered event sequence anchored at a node: each
 step picks an event strictly earlier than the previous one, incident to
@@ -31,8 +31,8 @@ only the walkers whose bracket is still wider than one id, one
 `searchsorted` per round. Candidates are in id order, so the law and the
 bytes are those of taking cands[k] from the ascending candidate list.
 
-`enumerate_motifs`, the exact oracle, returns the same block layout. A
-canonical code labels the nodes of the row's endpoints
+The exact enumeration oracle (tests/oracles.py) returns the same block
+layout. A canonical code labels the nodes of the row's endpoints
 u_0, v_0, u_1, ... by first touch, event 0 turned anchor first, and writes
 each event's (min, max) label pair: the anchor is 0, the first pair is "01",
 and equal codes mean the same topology with events in the same order.
@@ -47,12 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InvariantError
-from .graph import TemporalGraph, neighbor_events
+from .errors import InvariantError
+from .graph import TemporalGraph
 
 DEFAULT_N = 3
 DEFAULT_L = 3
-ENUM_GUARD = 200
 SMOOTHING = 1e-6
 _pairs = functools.cache(lambda width: np.triu_indices(width, 1))  # column pairs a < b
 
@@ -162,42 +161,6 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
         nodes[walkers[grow], size[grow]] = new[grow]
         high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
     return ids, live
-
-
-def enumerate_motifs(g: TemporalGraph, u0: int, t0: float, n: int = DEFAULT_N,
-                     l: int = DEFAULT_L, delta: float | None = None,
-                     max_events: int = ENUM_GUARD) -> np.ndarray:
-    """Exhaustive depth-first expansion of every trajectory the sampler can emit.
-
-    Returns the (M, l) event-id block, padded with -1, of each full-length
-    trajectory exactly once plus every dead-ended (truncated) one. Refuses
-    graphs whose history before t0 exceeds `max_events`. Candidate sets
-    come from `neighbor_events`, independently of the sampler's counting.
-    """
-    _params_ok(n, l)
-    history = g.id_cut(t0)
-    if history > max_events:
-        raise EnumerationLimitError(
-            f"{history} events before t0 exceeds the enumeration guard ({max_events})")
-    since = -math.inf if delta is None else t0 - delta
-    rows: list[list[int]] = []
-
-    def rec(ids: list, nodes: frozenset, t_prev: float):
-        if len(ids) == l:
-            rows.append(ids)
-            return
-        # with the node budget full, both endpoints must already be collected
-        cands = neighbor_events(g, nodes, t_prev, strict=True, since=since,
-                                closed=len(nodes) >= n)
-        if len(cands) == 0:
-            if ids:
-                rows.append(ids + [-1] * (l - len(ids)))
-            return
-        for pick in cands.tolist():
-            rec(ids + [pick], nodes | {int(g.src[pick]), int(g.dst[pick])}, float(g.t[pick]))
-
-    rec([], frozenset([u0]), t0)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), l)
 
 
 # -- canonical coding ---------------------------------------------------------
@@ -313,23 +276,22 @@ def null_model(g: TemporalGraph, seed: int = 0) -> TemporalGraph:
     return TemporalGraph(g.src.copy(), g.dst.copy(), g.t[perm], g.attrs.copy(), g.node_count)
 
 
-def anchor_time(g: TemporalGraph, node: int) -> float:
-    """Just after the node's last activity, so its whole history is visible."""
-    ids = g.history(node, math.inf)[0]
-    if len(ids) == 0:
-        return -math.inf
-    return float(np.nextafter(g.t[ids[-1]], math.inf))
+def anchor_time(g: TemporalGraph, nodes):
+    """Just after each node's last activity, so its whole history is visible; -inf for a
+    node with none. A float for one node, an array for an array of nodes."""
+    last = g.recent(nodes, math.inf, 1)[0][..., 0]  # -1 for a node with no events
+    t0 = np.append(np.nextafter(g.t, math.inf), -math.inf)[last]
+    return t0 if t0.ndim else float(t0)
 
 
 def graph_census(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
                  c_per_node: int = 20, delta: float | None = None,
                  seed: int = 0) -> MotifCensus:
     """Pooled census of C motifs sampled around every node at its last-activity time."""
-    t0s = [anchor_time(g, node) for node in range(g.node_count)]
-    nodes = [node for node, t0 in enumerate(t0s) if math.isfinite(t0)]
-    ids, live = sample_id_block(g, nodes, [t0s[v] for v in nodes], [seed] * len(nodes),
-                                n, l, c_per_node, delta)
-    return census(g, ids, np.repeat(np.asarray(nodes, dtype=np.int64)[live], c_per_node))
+    t0s = anchor_time(g, np.arange(g.node_count))
+    nodes = np.flatnonzero(np.isfinite(t0s))
+    ids, live = sample_id_block(g, nodes, t0s[nodes], [seed] * len(nodes), n, l, c_per_node, delta)
+    return census(g, ids, np.repeat(nodes[live], c_per_node))
 
 
 def _smooth(cen: MotifCensus, n: int, l: int, smoothing: float) -> dict:

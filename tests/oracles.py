@@ -2,7 +2,10 @@
 
 Everything here is deliberately brute force and shares no code with the
 package internals: plain loops over the raw event list, math.log scalar
-arithmetic, permutation search for equivalence. There are two exceptions:
+arithmetic, permutation search for equivalence. The package's sampler is
+checked against `enumerate_motifs`, the exact enumeration oracle, which
+lists each step's candidates with a numpy mask over the raw src/dst/t
+columns rather than the graph's CSR index. There are two exceptions:
 the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms, and
 the per-motif encoder (`reference_motif_encoder`, through the package's
@@ -230,6 +233,50 @@ def enumerate_reference(g, u0, t0, n, l, delta=None):
 
     rec([], {u0}, t0)
     return out
+
+
+ENUM_GUARD = 200
+
+
+class EnumerationLimitError(Exception):
+    """Exhaustive enumeration refused: history larger than the size guard."""
+
+
+def enumerate_motifs(g, u0, t0, n=3, l=3, delta=None, max_events=ENUM_GUARD):
+    """Exhaustive depth-first expansion of every trajectory the sampler can emit.
+
+    Returns the (M, l) event-id block, padded with -1, of each full-length
+    trajectory exactly once plus every dead-ended (truncated) one, in
+    depth-first id order. Refuses graphs whose history before t0 exceeds
+    `max_events`. Each step's candidates are a numpy mask over the raw
+    src/dst/t columns: t_low <= t < t_prev, incident to the node set, and
+    with the n-node budget full, both endpoints already collected.
+    """
+    if l < 1 or n < 2:
+        raise ValueError("need l >= 1 and n >= 2")
+    history = int(np.count_nonzero(g.t < t0))
+    if history > max_events:
+        raise EnumerationLimitError(
+            f"{history} events before t0 exceeds the enumeration guard ({max_events})")
+    in_window = g.t >= (-math.inf if delta is None else t0 - delta)
+    rows = []
+
+    def rec(ids, nodes, t_prev):
+        if len(ids) == l:
+            rows.append(ids)
+            return
+        at_src, at_dst = np.isin(g.src, list(nodes)), np.isin(g.dst, list(nodes))
+        touch = (at_src & at_dst) if len(nodes) >= n else (at_src | at_dst)
+        cands = np.flatnonzero(touch & in_window & (g.t < t_prev))
+        if len(cands) == 0:
+            if ids:
+                rows.append(ids + [-1] * (l - len(ids)))
+            return
+        for pick in cands.tolist():
+            rec(ids + [pick], nodes | {int(g.src[pick]), int(g.dst[pick])}, float(g.t[pick]))
+
+    rec([], frozenset([u0]), t0)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), l)
 
 
 def reference_sample_motifs(g, u0, t0, n, l, c, delta=None, seed=0):

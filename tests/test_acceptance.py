@@ -25,13 +25,12 @@ from motifx.explainer import (encode_and_score, kl_empirical, kl_uniform, prepar
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.metrics import acc_auc, cohesiveness, fidelity
 from motifx.motifs import (anchor_time, census, code_alphabet, empirical_class_probs,
-                           enumerate_motifs, null_class_probs, null_model, sample_id_block,
-                           total_variation)
+                           null_class_probs, null_model, sample_id_block, total_variation)
 from motifx.nn import Tape
 
 from conftest import random_graph
-from oracles import (cohesiveness_scalar, kl_empirical_scalar, kl_uniform_scalar,
-                     trapezoid_scalar, validate_instance)
+from oracles import (cohesiveness_scalar, enumerate_motifs, kl_empirical_scalar,
+                     kl_uniform_scalar, trapezoid_scalar, validate_instance)
 
 BASE_CFG = RunConfig(h=32, d_time_base=8, k_nb=20, base_epochs=12, patience=4, lr=3e-3, seed=0)
 EXPL_CFG = RunConfig(c=40, c_per_node=40, n=3, l=3, d_time=16, h=32, expl_epochs=16, lr=3e-3,

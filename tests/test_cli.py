@@ -225,7 +225,15 @@ class TestErrors:
         ("train-explainer", "--p", "0"), ("train-explainer", "--p", "1"),
         ("explain", "--n-queries", "-2"), ("evaluate", "--n-queries", "-2"),
         ("train-base", "--lr", "nan"), ("train-explainer", "--lr", "0"),
-        ("train-explainer", "--lam", "0")])
+        ("train-explainer", "--lam", "0"),
+        ("census", "--n", "1"), ("census", "--l", "0"), ("train-explainer", "--c", "0"),
+        ("census", "--c-per-node", "0"), ("train-explainer", "--hops", "0"),
+        ("train-explainer", "--per-hop-cap", "0"), ("synth", "--events", "0"),
+        ("train-explainer", "--max-train-queries", "0"), ("synth", "--nodes", "2"),
+        ("train-base", "--base-epochs", "-1"), ("train-explainer", "--expl-epochs", "-1"),
+        ("train-base", "--patience", "-1"), ("census", "--delta", "-5"),
+        ("train-explainer", "--beta", "-0.5"), ("train-explainer", "--gine-depth", "-1"),
+        ("synth", "--seed", "-1")])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
         code = main([command, "--run-dir", str(tmp_path / "r"), flag, value])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -6,9 +6,8 @@ import pytest
 
 from motifx.errors import IngestError, SchemaError
 from motifx.graph import (TemporalGraph, _pick, computational_graph, generate_synthetic,
-                          ingest_csv, neighbor_events, node_base_features,
-                          query_event)
-from motifx.motifs import null_model
+                          ingest_csv, node_base_features, query_event)
+from motifx.motifs import _below, _count_terms, null_model
 
 from conftest import random_graph
 from oracles import (_side_view, brute_force_computational_graph, brute_force_neighbor_events,
@@ -63,16 +62,26 @@ class TestIngest:
         assert np.array_equal(again.attrs, g.attrs)
 
 
+def recent_union(g, nodes, before, strict=True) -> list:
+    """The ids of a node set's events with t < before (t <= before if not strict): the
+    union of each node's whole `recent` window, ascending."""
+    cut = before if strict else float(np.nextafter(before, math.inf))
+    ids = g.recent(nodes, cut, max(g.n_events, 1))[0]
+    return sorted(set(ids[ids >= 0].tolist()))
+
+
 class TestNeighborEvents:
+    """A node set's events before t, read through `TemporalGraph.recent`."""
+
     def test_chain_single_incident(self, chain_graph):
-        assert list(neighbor_events(chain_graph, [3], 4.0)) == [2]
+        assert recent_union(chain_graph, [3], 4.0) == [2]
 
     def test_chain_two_nodes(self, chain_graph):
-        assert list(neighbor_events(chain_graph, [1, 2], 3.0)) == [0, 1]
+        assert recent_union(chain_graph, [1, 2], 3.0) == [0, 1]
 
     def test_strict_cut(self, chain_graph):
-        assert list(neighbor_events(chain_graph, [0], 1.0)) == []
-        assert list(neighbor_events(chain_graph, [0], 1.0, strict=False)) == [0]
+        assert recent_union(chain_graph, [0], 1.0) == []
+        assert recent_union(chain_graph, [0], 1.0, strict=False) == [0]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
@@ -81,7 +90,7 @@ class TestNeighborEvents:
         nodes = rng.choice(g.node_count, size=int(rng.integers(1, 4)), replace=False)
         before = float(rng.uniform(0, g.n_events + 2))
         strict = bool(seed % 3)
-        got = list(neighbor_events(g, nodes, before, strict))
+        got = recent_union(g, nodes, before, strict)
         want = brute_force_neighbor_events(g, nodes, before, strict)
         assert got == want
 
@@ -319,6 +328,9 @@ class TestIndex:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_windowed_neighbor_events(self, seed):
+        """The motif sampler's count of a node set's events with since <= t < before
+        (t <= before if not strict), incident to it or, closed, inside it: time cuts
+        become id cuts, tied timestamps included, and the index terms count the scan."""
         rng = np.random.default_rng(seed + 500)
         g = random_graph(rng, duplicate_times=True)
         nodes = rng.choice(g.node_count, size=int(rng.integers(1, 4)), replace=False)
@@ -327,9 +339,12 @@ class TestIndex:
         since = -math.inf if seed % 2 else float(rng.integers(0, g.n_events // 2 + 2))
         strict = bool(seed % 3)
         closed = seed % 5 == 0
-        got = neighbor_events(g, nodes, before, strict, since=since, closed=closed)
+        lo = g.t.searchsorted([since])
+        stop = g.t.searchsorted([before], side="left" if strict else "right")
+        terms = _count_terms(g, nodes[None, :], lo, np.array([closed]))
+        got = int(_below(g, terms, np.maximum(stop, lo))[0])
         want = brute_force_neighbor_events(g, nodes, before, strict, since=since, closed=closed)
-        assert got.tolist() == want
+        assert got == len(want)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_incident_degree_and_node_features(self, seed):
@@ -337,10 +352,6 @@ class TestIndex:
         g = random_graph(rng, duplicate_times=True)
         before = float(rng.integers(0, g.n_events // 2 + 3))
         nodes = rng.integers(g.node_count, size=6)
-        for w in nodes:
-            for strict in (True, False):
-                assert g.history(int(w), before, strict)[0].tolist() == (
-                    brute_force_neighbor_events(g, [w], before, strict))
         degrees = [len(brute_force_neighbor_events(g, [w], before)) for w in nodes]
         feats = node_base_features(g, nodes, before)
         assert feats[:, 0].tolist() == [1.0] * 6
@@ -351,10 +362,13 @@ class TestIndex:
         rng = np.random.default_rng(seed + 900)
         g = random_graph(rng, duplicate_times=True)
         target = g.event(int(rng.integers(g.n_events)))
-        for hops, cap in ((1, 2), (2, 3), (3, 20)):
-            sub = computational_graph(g, target, hops=hops, per_hop_cap=cap)
-            want = brute_force_computational_graph(g, target.u, target.v, target.t, hops, cap)
-            assert sub.tolist() == sorted(want)
+        unseen = query_event(target.u, target.v, float(g.t[0]))  # nothing before it
+        for query in (target, unseen):
+            for hops, cap in ((1, 1), (1, 2), (2, 3), (3, 20), (4, 2)):
+                sub = computational_graph(g, query, hops=hops, per_hop_cap=cap)
+                want = brute_force_computational_graph(g, query.u, query.v, query.t, hops, cap)
+                assert sub.tolist() == sorted(want) and sub.dtype == np.int64
+        assert computational_graph(g, unseen, hops=2).tolist() == []
 
     @pytest.mark.parametrize("seed", range(15))
     def test_pair_index_counts(self, seed):
@@ -377,7 +391,7 @@ class TestIndex:
                 assert rank == int(g.pair_ranks([b], [a])[0])
                 since = float(rng.integers(0, n_ev // 2 + 2))
                 before = float(rng.integers(0, n_ev // 2 + 3))
-                lo, hi = g.id_cut(since), g.id_cut(before)
+                lo, hi = g.t.searchsorted(since), g.t.searchsorted(before)
                 got = (int(g._pair_key.searchsorted(rank * n_ev + max(hi, lo)))
                        - int(g._pair_key.searchsorted(rank * n_ev + lo)))
                 want = brute_force_neighbor_events(g, [a, b], before, since=since, closed=True)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from motifx import motifs
-from motifx.errors import EnumerationLimitError, MotifxError
-from motifx.graph import TemporalGraph, generate_synthetic, neighbor_events
+from motifx.errors import MotifxError
+from motifx.graph import TemporalGraph, generate_synthetic
 from motifx.motifs import (_below, _count_terms, anchor_time, census, code_alphabet,
-                           empirical_class_probs, endpoint_rows, enumerate_motifs, first_touch,
-                           graph_census, motif_codes, null_class_probs, null_model,
-                           sample_id_block, total_variation)
+                           empirical_class_probs, endpoint_rows, first_touch, graph_census,
+                           motif_codes, null_class_probs, null_model, sample_id_block,
+                           total_variation)
 
 from conftest import random_graph
-from oracles import (admissible, anchored_equivalent, enumerate_reference,
+from oracles import (EnumerationLimitError, admissible, anchored_equivalent,
+                     brute_force_neighbor_events, enumerate_motifs, enumerate_reference,
                      reference_id_block, reference_motif_code, reference_sample_motifs,
                      trajectory_probability, validate_instance)
 
@@ -288,7 +289,7 @@ class TestEnumeration:
         g = generate_synthetic("uniform-random", 8, 40, seed=1)
         t0 = 30.5
         out = enumerate_motifs(g, 2, t0, n=3, l=1)
-        assert len(out) == len(neighbor_events(g, [2], t0))
+        assert len(out) == len(brute_force_neighbor_events(g, [2], t0))
 
     def test_same_support_as_sequential(self):
         g = generate_synthetic("uniform-random", 6, 25, seed=3)
@@ -502,7 +503,26 @@ def test_anchor_time_sees_last_event():
     g = TemporalGraph([0, 0], [1, 2], [1.0, 5.0], np.zeros((2, 0)), 3)
     t0 = anchor_time(g, 0)
     assert t0 > 5.0
-    assert len(neighbor_events(g, [0], t0)) == 2
+    assert len(brute_force_neighbor_events(g, [0], t0)) == 2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_anchor_time_is_just_after_each_last_event(seed):
+    """Over every node, as one array and one node at a time: just after the node's last
+    event by the raw scan, and -inf for a node with none (the extra node never interacts)."""
+    rng = np.random.default_rng(seed + 1300)
+    g = random_graph(rng, duplicate_times=bool(seed % 2))
+    g = TemporalGraph(g.src, g.dst, g.t, g.attrs, g.node_count + 1)
+    nodes = np.arange(g.node_count)
+    t0s = anchor_time(g, nodes)
+    assert t0s.shape == nodes.shape and t0s[-1] == -math.inf
+    for w in nodes.tolist():
+        history = brute_force_neighbor_events(g, [w], math.inf)
+        want = float(np.nextafter(g.t[history[-1]], math.inf)) if history else -math.inf
+        one = anchor_time(g, w)
+        assert type(one) is float and one == t0s[w] == want
+    empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
+    assert anchor_time(empty, nodes[:3]).tolist() == [-math.inf] * 3
 
 
 def test_sampling_cost_scales_about_linearly_in_c():
