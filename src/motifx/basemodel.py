@@ -47,7 +47,7 @@ from . import nn
 from .config import RunConfig
 from .errors import AdapterProtocolError, ShapeError
 from .graph import Event, TemporalGraph, node_base_features, query_event
-from .layers import masked_attention, time_encode
+from .layers import masked_attention
 from .metrics import average_precision
 from .nn import ParameterStore, Tape, Var
 
@@ -125,7 +125,7 @@ def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -
     x_self = tape.affine(nn.const(feats[:2 * n_q]), "node")
     cols = nn.concat([tape.affine(nn.const(feats[2 * n_q:]), "node"),
                       nn.const(attrs.reshape(2 * n_q * k, g.attr_width)),
-                      time_encode(dts.reshape(-1), tape.param("time_w")),
+                      nn.time_encode(dts.reshape(-1), tape.param("time_w")),
                       nn.const(direct.reshape(-1, 1).astype(np.float64))], axis=1)
     decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.scale(tape.param("wedge_logtau"), -1.0))))
     return SlotEncoding(ids, partners, decay, nn.reshape(x_self, (n_q, 2, h)),
@@ -243,8 +243,8 @@ def soft_predict(tape, store: ParameterStore, enc: SlotEncoding, covered: list,
 # -- training -----------------------------------------------------------------
 
 def split_times(g: TemporalGraph) -> tuple[float, float]:
-    """Chronological split points at 0.75 and 0.8 of the time span."""
-    lo = float(g.t[0])
+    """Chronological split points at 0.75 and 0.8 of the time span (zero-event graph: 0)."""
+    lo = float(g.t[0]) if g.n_events else 0.0
     span = g.time_span
     return lo + 0.75 * span, lo + 0.8 * span
 

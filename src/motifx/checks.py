@@ -14,7 +14,7 @@ from .basemodel import build_base_store, encode_slots, soft_predict
 from .config import RunConfig
 from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
-from .layers import add_gine_params, concrete_sample, gine_layer, time_encode
+from .layers import add_gine_params, concrete_sample, gine_layer
 from .nn import ParameterStore, Tape, grad_check
 
 
@@ -44,7 +44,7 @@ def time_encoder_check(points: int = 1, seed: int = 0) -> float:
         .normal(size=(4, 10))
 
     def loss(tape: Tape):
-        return nn.vsum(nn.mul(time_encode(dts, tape.param("time_w")), nn.const(probe)))
+        return nn.vsum(nn.mul(nn.time_encode(dts, tape.param("time_w")), nn.const(probe)))
     return _check_over_points(loss, store, points, seed)
 
 

@@ -25,7 +25,7 @@ from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
 from .metrics import write_curve_csv
-from .motifs import graph_census, null_class_probs
+from .motifs import code_alphabet, graph_census, null_class_probs
 
 FILES = {
     "graph": "graph.json",
@@ -150,6 +150,23 @@ def _write_null_census(run_dir: Path, g: TemporalGraph, cfg: RunConfig) -> dict:
     return probs
 
 
+def _read_null_census(path: Path, cfg: RunConfig) -> dict:
+    """The class probabilities in `path`: a JSON object whose keys are exactly
+    code_alphabet(cfg.n, cfg.l) and whose values are numbers in (0, 1]."""
+    fix = "; run motifx null-census again"
+    try:
+        probs = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DependencyError(f"{path}: not JSON ({exc}){fix}") from exc
+    if not isinstance(probs, dict) or sorted(probs) != code_alphabet(cfg.n, cfg.l):
+        raise DependencyError(f"{path}: its classes are not those of n={cfg.n}, l={cfg.l}{fix}")
+    for code, p in probs.items():
+        if type(p) not in (int, float) or not 0 < p <= 1:
+            raise DependencyError(f"{path}: class {code!r} has probability {p!r}, "
+                                  f"not a number in (0, 1]{fix}")
+    return probs
+
+
 def cmd_null_census(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     probs = _write_null_census(run_dir, _load_graph(run_dir), cfg)
@@ -175,7 +192,7 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     base = _load_store(run_dir, g)
     null_path = run_dir / FILES["null_census"]
     null_probs = None if cfg.prior != "empirical" else (
-        json.loads(null_path.read_text()) if null_path.exists()
+        _read_null_census(null_path, cfg) if null_path.exists()
         else _write_null_census(run_dir, g, cfg))
     store, report = train_explainer(g, base, cfg, null_probs)
     out = run_dir / FILES["explainer"]

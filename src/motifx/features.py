@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .layers import time_encode
 from .nn import Var
 
 
@@ -18,7 +17,7 @@ def event_feature_block(attrs: np.ndarray, dts: np.ndarray, h: np.ndarray, time_
     (..., attr_width), (...) and (..., l) blocks over the same slots."""
     dts = np.asarray(dts, dtype=np.float64).reshape(-1)
     return nn.concat([nn.const(attrs.reshape(len(dts), attrs.shape[-1])),
-                      time_encode(dts, time_w),
+                      nn.time_encode(dts, time_w),
                       nn.const(np.asarray(h, dtype=np.float64).reshape(len(dts), h.shape[-1]))],
                      axis=1)
 

@@ -1,4 +1,4 @@
-"""Differentiable building blocks: time encoding, edge-aware message passing, Concrete masks."""
+"""Differentiable building blocks: edge-aware message passing, Concrete masks, masked attention."""
 from __future__ import annotations
 
 import math
@@ -10,21 +10,6 @@ from .errors import ShapeError
 from .nn import Var
 
 PROB_EPS = 1e-6
-
-
-def time_encode(delta_t, w) -> Var:
-    """Map non-negative intervals to interleaved cos/sin features.
-
-    Returns a (K, 2d) matrix scaled by sqrt(1/d); differentiable in the
-    frequency vector w. An interval of zero encodes to
-    sqrt(1/d) * [1, 0, 1, 0, ...].
-    """
-    w = nn._v(w)
-    d = w.value.shape[0]
-    dt = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
-    angles = nn.matmul(nn.const(dt), nn.reshape(w, (1, d)))
-    enc = nn.interleave_cols(nn.cos(angles), nn.sin(angles))
-    return nn.scale(enc, math.sqrt(1.0 / d))
 
 
 def gine_layer(tape, prefix: str, x: Var, src: np.ndarray, edge_feats: Var) -> Var:

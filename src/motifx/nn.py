@@ -5,6 +5,8 @@ graph once in reverse topological order. Summation orders are fixed so
 repeated runs are bit-identical. Each interior Var drops its gradient once
 its vjp has passed it on: after a backward only leaves (params and consts,
 the Vars without a vjp) hold gradients, and another backward adds one copy.
+`affine` and `time_encode` are one node each, with the bits of the primitives
+they stand for.
 """
 from __future__ import annotations
 
@@ -209,22 +211,6 @@ def log(a) -> Var:
     return Var(np.log(a.value), (a,), vjp)
 
 
-def cos(a) -> Var:
-    a = _v(a)
-
-    def vjp(g):
-        _acc(a, -g * np.sin(a.value))
-    return Var(np.cos(a.value), (a,), vjp)
-
-
-def sin(a) -> Var:
-    a = _v(a)
-
-    def vjp(g):
-        _acc(a, g * np.cos(a.value))
-    return Var(np.sin(a.value), (a,), vjp)
-
-
 def clip(a, lo: float, hi: float) -> Var:
     """Hard clamp with pass-through gradient strictly inside the range."""
     a = _v(a)
@@ -281,22 +267,6 @@ def concat(parts, axis: int = 0) -> Var:
             sl[axis] = slice(lo, hi)
             _acc(p, g[tuple(sl)])
     return Var(val, tuple(parts), vjp)
-
-
-def interleave_cols(a, b) -> Var:
-    """Columns of a and b woven as [a0, b0, a1, b1, ...]."""
-    a, b = _v(a), _v(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"interleave_cols: {a.value.shape} vs {b.value.shape}")
-    n, d = a.value.shape
-    val = np.empty((n, 2 * d))
-    val[:, 0::2] = a.value
-    val[:, 1::2] = b.value
-
-    def vjp(g):
-        _acc(a, g[:, 0::2])
-        _acc(b, g[:, 1::2])
-    return Var(val, (a, b), vjp)
 
 
 def _scatter_add(rows: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
@@ -366,6 +336,27 @@ def affine(x, w, b) -> Var:
         prod._vjp(g)
         _acc(b, _unbroadcast(g, b.value.shape))
     return Var(prod.value, prod._parents + (b,), vjp)
+
+
+def time_encode(delta_t, w) -> Var:
+    """sqrt(1/d) * [cos(w0 dt), sin(w0 dt), cos(w1 dt), ...] of the (K,) intervals as one
+    (K, 2d) node, differentiable in the (d,) frequencies w; an interval of zero encodes to
+    sqrt(1/d) * [1, 0, 1, 0, ...]. Its vjp reuses the forward's cos and sin."""
+    w = _v(w)
+    d = w.value.shape[0]
+    c = math.sqrt(1.0 / d)
+    dt = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
+    angles = dt @ w.value.reshape(1, d)
+    cos, sin = np.cos(angles), np.sin(angles)
+    val = np.empty((len(dt), 2 * d))
+    val[:, 0::2] = cos * c
+    val[:, 1::2] = sin * c
+
+    def vjp(g):
+        g = g * c
+        ga = -g[:, 0::2] * sin + g[:, 1::2] * cos
+        _acc(w, (dt.T @ ga).reshape(d))
+    return Var(val, (w,), vjp)
 
 
 # -- parameters, tape, optimizer ----------------------------------------------

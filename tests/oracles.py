@@ -23,7 +23,7 @@ import numpy as np
 from motifx import nn
 from motifx.basemodel import _head as _base_head
 from motifx.features import event_feature_block
-from motifx.layers import PROB_EPS, gine_layer, time_encode
+from motifx.layers import PROB_EPS, gine_layer
 from motifx.motifs import _below, _count_terms, _params_ok
 from motifx.nn import Tape
 
@@ -398,6 +398,23 @@ def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
             "src_onehot": onehot, "attrs_block": attrs, "h_block": h_rows, "dts": dts}
 
 
+def reference_time_encode(delta_t, w, g_out):
+    """The time encoding's value and w gradient under upstream gradient `g_out`, in plain
+    numpy as a chain of five steps: angles = dt @ w, then cos and sin of the angles, woven
+    as [cos0, sin0, cos1, ...], then scaled by sqrt(1/d). The vjps run in reverse, cos's
+    before sin's, each step's product in the same order, so the bits are the chain's."""
+    w = np.asarray(w, dtype=np.float64)
+    d, c = w.shape[0], math.sqrt(1.0 / w.shape[0])
+    dt = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
+    angles = dt @ w.reshape(1, d)
+    woven = np.empty((len(dt), 2 * d))
+    woven[:, 0::2], woven[:, 1::2] = np.cos(angles), np.sin(angles)
+    g = np.asarray(g_out, dtype=np.float64) * c
+    g_angles = -g[:, 0::2] * np.sin(angles)
+    g_angles = g_angles + g[:, 1::2] * np.cos(angles)
+    return woven * c, (dt.T @ g_angles).reshape(d)
+
+
 def reference_motif_encoder(tape, inputs, ctx):
     """Per motif row, its (score, embedding) from one query's `reference_encoder_inputs`,
     each row encoded alone as a stack of one padded item: node states pass every GINE
@@ -572,7 +589,7 @@ def _forward(tape, store, g, query, views, sides):
                 c_common = nn.const(np.zeros(len(keep)))
             partners = [side["partners"][i] for i in keep]
             x_nbr = tape.affine(nn.const(_node_feats(g, partners, query.t)), "node")
-            t_enc = time_encode(side["dts"][keep], tape.param("time_w"))
+            t_enc = nn.time_encode(side["dts"][keep], tape.param("time_w"))
             key_in = nn.concat([x_nbr, nn.const(side["attrs"][keep]), t_enc,
                                 nn.const(side["direct"][keep].reshape(-1, 1)),
                                 nn.reshape(c_common, (-1, 1))], axis=1)

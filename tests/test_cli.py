@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from motifx.cli import main
+from motifx.motifs import code_alphabet
 
 
 def run(argv, capsys=None):
@@ -216,6 +217,27 @@ class TestErrors:
         assert err["error"]["type"] == "ConfigError"
         assert "k_nb=0" in err["error"]["message"]
 
+    @staticmethod
+    def alphabet(value, l=3):
+        return json.dumps({code: value for code in code_alphabet(3, l)})
+
+    @pytest.mark.parametrize("text, needle", [
+        (alphabet("0.1"), "probability '0.1'"), (alphabet(-0.1), "probability -0.1"),
+        (alphabet(1e300), "probability 1e+300"), ("{not json", "not JSON"),
+        (alphabet(0.2, l=2), "not those of n=3, l=3")],
+        ids=["string", "negative", "huge", "not-json", "other-l"])
+    def test_bad_null_census_rejected(self, pipeline_dir, tmp_path, capsys, text, needle):
+        d = tmp_path / "nc"
+        shutil.copytree(pipeline_dir, d)
+        (d / "null_census.json").write_text(text)
+        capsys.readouterr()
+        code = main(["train-explainer", "--run-dir", str(d)] + TINY)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 2
+        assert err["error"]["type"] == "DependencyError"
+        for part in (str(d / "null_census.json"), "motifx null-census", needle):
+            assert part in err["error"]["message"]
+
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train-explainer", "--batch", "-1"), ("explain", "--batch", "-1"),
@@ -324,6 +346,16 @@ class TestConfig:
         payload = json.loads((d / "graph.json").read_text())
         assert payload["node_count"] == 3
         assert len(payload["events"]) == 3
+
+    def test_empty_csv_runs_every_command(self, tmp_path):
+        """A zero-event graph has empty splits, so every command after ingest exits 0."""
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        args = ["--run-dir", str(tmp_path / "e")] + TINY
+        assert main(["ingest", "--csv", str(csv)] + args) == 0
+        for command in ("census", "null-census", "train-base", "train-explainer", "explain",
+                        "evaluate"):
+            assert main([command] + args) == 0, command
 
 
 def test_grad_check_command(capsys):

@@ -7,7 +7,6 @@ from motifx import nn
 from motifx.explainer import _encoder_inputs
 from motifx.features import event_feature_block, feature_width
 from motifx.graph import TemporalGraph
-from motifx.layers import time_encode
 from motifx.nn import ParameterStore, Tape, grad_check
 
 
@@ -84,7 +83,7 @@ class TestTimeEncode:
     @staticmethod
     def encode(dts, d, t_max):
         w = nn.const(nn.log_spaced_freqs(t_max, d))
-        return time_encode(np.asarray(dts, dtype=float), w).value
+        return nn.time_encode(np.asarray(dts, dtype=float), w).value
 
     def test_zero_interval(self):
         enc = self.encode([0.0], d=2, t_max=10.0)
@@ -105,7 +104,7 @@ class TestTimeEncode:
         probe = np.arange(24.0).reshape(3, 8)
 
         def loss(tape: Tape):
-            return nn.vsum(nn.mul(time_encode(dts, tape.param("w")), nn.const(probe)))
+            return nn.vsum(nn.mul(nn.time_encode(dts, tape.param("w")), nn.const(probe)))
 
         assert grad_check(loss, store, eps=1e-6) < 1e-5
 

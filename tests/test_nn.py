@@ -7,6 +7,7 @@ import pytest
 from motifx import nn
 from motifx.errors import CheckpointError, NonFiniteError, ShapeError
 from motifx.nn import ParameterStore, Tape, backward, grad_check
+from oracles import reference_time_encode
 
 
 def rand_store(shapes, seed=0):
@@ -80,13 +81,11 @@ OPS = {
     "relu": (lambda a: nn.vsum(nn.relu(a)), 1, (3, 4)),
     "sigmoid": (lambda a: nn.vsum(nn.sigmoid(a)), 1, (3, 4)),
     "exp": (lambda a: nn.vsum(nn.exp(a)), 1, (3, 4)),
-    "cos": (lambda a: nn.vsum(nn.cos(a)), 1, (3, 4)),
-    "sin": (lambda a: nn.vsum(nn.sin(a)), 1, (3, 4)),
     "mean": (lambda a: nn.vsum(nn.vmean(a, axis=0)), 1, (3, 4)),
     "concat": (lambda a, b: nn.vsum(nn.mul(nn.concat([a, b], axis=1),
                                            nn.const(np.arange(24.0).reshape(3, 8)))), 2, (3, 4)),
-    "interleave": (lambda a, b: nn.vsum(nn.mul(nn.interleave_cols(a, b),
-                                               nn.const(np.arange(24.0).reshape(3, 8)))), 2, (3, 4)),
+    "time_encode": (lambda a: nn.vsum(nn.mul(nn.time_encode([0.0, 0.7, 2.5], a),
+                                             nn.const(np.arange(24.0).reshape(3, 8)))), 1, (4,)),
     "gather": (lambda a: nn.vsum(nn.gather_rows(a, np.array([0, 2, 2, 1]))), 1, (3, 4)),
     "segsum": (lambda a: nn.vsum(nn.mul(nn.segment_sum(a, np.array([0, 1, 0]), 2),
                                         nn.const(np.arange(8.0).reshape(2, 4)))), 1, (3, 4)),
@@ -152,7 +151,7 @@ class TestGradientRelease:
     def test_backward_peak_stays_near_a_few_arrays(self):
         store = rand_store({"x": (256, 512)})  # 1 MiB
         nbytes = store.arrays["x"].nbytes
-        steps = [lambda v: nn.scale(v, 0.9), nn.sin, nn.relu, lambda v: nn.scale(v, 1.1)]
+        steps = [lambda v: nn.scale(v, 0.9), nn.sigmoid, nn.relu, lambda v: nn.scale(v, 1.1)]
         tracemalloc.start()
         try:
             tape = Tape(store)
@@ -174,7 +173,7 @@ class TestGradientRelease:
         tape = Tape(store)
         w, c = tape.param("w"), nn.const(np.arange(12.0).reshape(4, 3))
         interior = [nn.mul(w, c)]
-        interior.append(nn.sin(interior[-1]))
+        interior.append(nn.sigmoid(interior[-1]))
         interior.append(nn.affine(interior[-1], nn.const(np.ones((3, 2))), nn.const(np.ones(2))))
         loss = nn.vsum(interior[-1])
         values = [v.value.copy() for v in interior + [loss]]
@@ -227,6 +226,27 @@ def test_affine_is_one_tape_node():
         return _reachable(nn.vsum(v))
 
     assert nodes(lambda x, w, b: nn.add(nn.matmul(x, w), b)) - nodes(nn.affine) == 3
+
+
+@pytest.mark.parametrize("rows,d", [(1, 1), (1, 6), (5, 1), (12, 3), (300, 8)])
+def test_time_encode_matches_reference_bit_for_bit(rows, d):
+    rng = np.random.default_rng(rows * 10 + d)
+    w = nn.log_spaced_freqs(1e3, d) * rng.uniform(0.5, 2.0, d)
+    probe = rng.normal(size=(rows, 2 * d))
+    for dts in (rng.exponential(40.0, rows) * (rng.random(rows) > 0.25), np.zeros(rows)):
+        want, want_grad = reference_time_encode(dts, w, probe)
+        store = ParameterStore()
+        store.add("w", w)
+        tape = Tape(store)
+        enc = nn.time_encode(dts, tape.param("w"))
+        grad = tape.gradients(nn.vsum(nn.mul(enc, nn.const(probe))))["w"]
+        assert np.array_equal(enc.value, want)
+        assert np.array_equal(grad, want_grad)
+
+
+def test_time_encode_is_one_tape_node():
+    w = nn.const(nn.log_spaced_freqs(10.0, 3))
+    assert _reachable(nn.time_encode(np.arange(4.0), w)) == _reachable(w) + 1
 
 
 def test_forward_is_bit_deterministic():
