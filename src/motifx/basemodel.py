@@ -46,6 +46,7 @@ import numpy as np
 from . import nn
 from .config import RunConfig
 from .errors import AdapterProtocolError, ShapeError
+from .features import event_feature_block
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention
 from .metrics import average_precision
@@ -124,9 +125,8 @@ def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -
         np.concatenate([np.repeat(times, 2), np.repeat(times, 2 * k)]))
     x_self = tape.affine(nn.const(feats[:2 * n_q]), "node")
     cols = nn.concat([tape.affine(nn.const(feats[2 * n_q:]), "node"),
-                      nn.const(attrs.reshape(2 * n_q * k, g.attr_width)),
-                      nn.time_encode(dts.reshape(-1), tape.param("time_w")),
-                      nn.const(direct.reshape(-1, 1).astype(np.float64))], axis=1)
+                      event_feature_block(attrs, dts, direct[..., None], tape.param("time_w"))],
+                     axis=1)
     decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.scale(tape.param("wedge_logtau"), -1.0))))
     return SlotEncoding(ids, partners, decay, nn.reshape(x_self, (n_q, 2, h)),
                         nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h)),
@@ -148,7 +148,7 @@ def _masked_forward(tape, store: ParameterStore, enc: SlotEncoding, valid: np.nd
              & (partners[:, :, :, None] == partners[:, ::-1, None, :]))
     b, s, i, j = np.nonzero(match)
     c_common = nn.segment_max(nn.gather_rows(nn.reshape(vals, (-1,)), (b * 2 + 1 - s) * k + j),
-                              (b * 2 + s) * k + i, 2 * n_q * k, floor=0.0)
+                              (b * 2 + s) * k + i, 2 * n_q * k)
     key_in = nn.concat([nn.reshape(enc.key_cols, (2 * n_q * k, -1)),
                         nn.reshape(c_common, (-1, 1))], axis=1)
     keys = nn.reshape(tape.affine(key_in, "k"), (n_q, 2, k, h))

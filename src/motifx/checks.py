@@ -18,21 +18,19 @@ from .layers import add_gine_params, concrete_sample, gine_layer
 from .nn import ParameterStore, Tape, grad_check
 
 
-def _perturb(store: ParameterStore, rng: np.random.Generator, scale: float = 0.2) -> None:
+def _perturb(store: ParameterStore, rng: np.random.Generator) -> None:
     for name in store.arrays:
-        store.arrays[name] = store.arrays[name] + rng.uniform(-scale, scale,
-                                                              store.arrays[name].shape)
+        store.arrays[name] = store.arrays[name] + rng.uniform(-0.2, 0.2, store.arrays[name].shape)
 
 
 def _check_over_points(build_loss, store: ParameterStore, points: int, seed: int,
-                       max_coords: int = 4, perturb=_perturb) -> float:
+                       perturb=_perturb) -> float:
     worst = 0.0
     for k in range(points):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC4EC, k])))
         trial = store.copy()
         perturb(trial, rng)
-        worst = max(worst, grad_check(build_loss, trial, eps=1e-6, rng=rng,
-                                      max_coords=max_coords))
+        worst = max(worst, grad_check(build_loss, trial, eps=1e-6, rng=rng, max_coords=4))
     return worst
 
 

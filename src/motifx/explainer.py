@@ -277,8 +277,7 @@ def query_objective(base_store: ParameterStore, preps: list[QueryPrep], scores: 
     pair_motif = np.concatenate([p.pair_motif + a for p, a in zip(preps, m_off)])
     pair_cov = np.concatenate([p.pair_cov + a for p, a in zip(preps, c_off)])
     alpha = concrete_sample(scores, cfg.lam, draws)
-    ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]),
-                             floor=0.0)
+    ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]))
     preds = soft_predict(Tape(base_store), base_store, cat_slots(p.slots for p in preps),
                          [p.covered_ids for p in preps], ev_mask)
     query = np.repeat(np.arange(len(preps)), counts)
@@ -369,9 +368,9 @@ class ExplanationResult:
 
 
 def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
-                  queries: list, seeds: list, levels=SPARSITY_LEVELS,
+                  queries: list, seeds: list,
                   cfg: RunConfig | None = None) -> list[ExplanationResult]:
-    """Per query, hard importance scores, event ranking, and retained sets per sparsity level.
+    """Per query, hard importance scores, event ranking, and retained sets per SPARSITY_LEVELS.
 
     One `prepare_queries` call (query i with seeds[i]), then `encode_chunks`. An
     event's score is the maximum score over the sampled motifs that contain it
@@ -387,7 +386,7 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
         qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
         if prep is None:
             comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
-            out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in levels},
+            out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in SPARSITY_LEVELS},
                                          [int(e) for e in comp]))
             continue
         sc, _ = next(scored)
@@ -397,7 +396,7 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
         order = np.lexsort((-prep.comp_ids, -g.t[prep.comp_ids], -ev_score))
         ranking = [(int(prep.comp_ids[i]), float(ev_score[i])) for i in order]
         retained = {lv: sorted(e for e, _ in ranking[:retained_size(lv, len(prep.comp_ids))])
-                    for lv in levels}
+                    for lv in SPARSITY_LEVELS}
         motifs = [{"code": code, "events": [e for e in row if e >= 0],
                    "score": float(s), "truncated": row[-1] < 0}
                   for row, code, s in zip(prep.ids.tolist(), prep.codes, sc)]
@@ -408,7 +407,6 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
 
 
 def explain(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
-            query: Event, levels=SPARSITY_LEVELS, cfg: RunConfig | None = None,
-            seed: int = 0) -> ExplanationResult:
+            query: Event, cfg: RunConfig | None = None, seed: int = 0) -> ExplanationResult:
     """`explain_batch` for one query."""
-    return explain_batch(g, base_store, expl_store, [query], [seed], levels, cfg)[0]
+    return explain_batch(g, base_store, expl_store, [query], [seed], cfg)[0]

@@ -1,9 +1,7 @@
-"""The motif encoder's per-event-slot input rows: attributes || time encoding || structural counts.
-
-`explainer._encoder_inputs` builds the padded attribute, time-gap and
-structural-count blocks of each distinct motif row's l event slots;
-`event_feature_block` lays them out as one differentiable block.
-"""
+"""Per-event input rows, attributes || time encoding || extra columns: the one event-feature
+path of both models. `explainer.encode_and_score` passes each motif event slot's attributes,
+age and structural counts; `basemodel.encode_slots` passes each history slot's attributes,
+age and `direct` flag, and puts the block after the partner's `node` projection."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,8 +11,8 @@ from .nn import Var
 
 
 def event_feature_block(attrs: np.ndarray, dts: np.ndarray, h: np.ndarray, time_w) -> Var:
-    """attrs || T(dt) || h, one row per event slot (the motif-encoder input layout), from
-    (..., attr_width), (...) and (..., l) blocks over the same slots."""
+    """attrs || T(dt) || h, one row per event slot, from (..., attr_width), (...) and
+    (..., width) blocks over the same slots."""
     dts = np.asarray(dts, dtype=np.float64).reshape(-1)
     return nn.concat([nn.const(attrs.reshape(len(dts), attrs.shape[-1])),
                       nn.time_encode(dts, time_w),

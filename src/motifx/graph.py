@@ -69,10 +69,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class TemporalGraph:
     """Immutable store of undirected timestamped interaction events.
 
-    Construction checks the columns (finite timestamps, integer node ids
-    in ``[0, node_count)``, no self-loops, equal lengths), stable-sorts the
-    events by timestamp and builds the CSR index of the module docstring
-    with vectorised numpy: ``indptr`` (node_count + 1 row offsets),
+    Construction checks the columns (finite timestamps and attributes, an integer
+    ``node_count``, integer node ids in ``[0, node_count)``, no self-loops, equal
+    lengths), stable-sorts the events by timestamp and builds the CSR index of the
+    module docstring with vectorised numpy: ``indptr`` (node_count + 1 row offsets),
     ``inc_ids`` and ``inc_other`` (two entries per event, one in each
     endpoint's row). ``_inc_key`` holds each entry as the packed int64
     ``node * n_events + event id``; it is sorted, so the row offsets of
@@ -91,6 +91,8 @@ class TemporalGraph:
             attrs = np.asarray(attrs, dtype=np.float64)
             if attrs.ndim != 2:
                 attrs = attrs.reshape(len(src), -1) if len(src) else attrs.reshape(0, 0)
+            if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
+                raise TypeError(f"node_count {node_count!r} is not an integer")
             node_count = int(node_count)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad event columns: {exc}") from exc
@@ -100,8 +102,8 @@ class TemporalGraph:
                               f"t {len(t)}, attrs {len(attrs)}")
         if node_count < 0:
             raise SchemaError(f"node_count {node_count} is negative")
-        if not np.all(np.isfinite(t)):
-            raise SchemaError("timestamps must be finite")
+        if not (np.isfinite(t).all() and np.isfinite(attrs).all()):
+            raise SchemaError("timestamps and attributes must be finite")
         if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= node_count):
             raise SchemaError(f"node ids must lie in [0, {node_count})")
         if np.any(src == dst):
@@ -236,6 +238,8 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
                 attrs = [float(x) for x in row[3:]]
             except ValueError as exc:
                 raise IngestError(f"line {lineno}: bad attribute in {row[3:]!r}") from exc
+            if not all(map(math.isfinite, attrs)):
+                raise IngestError(f"line {lineno}: non-finite attribute in {row[3:]!r}")
             if attr_width is None:
                 attr_width = len(attrs)
             elif len(attrs) != attr_width:

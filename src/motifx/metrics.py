@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPARSITY_LEVELS = tuple(round(0.02 * k, 2) for k in range(16))  # 0.0 .. 0.3
+COHESIVENESS_LEVEL = 0.1  # the sparsity level cohesiveness is measured at: SPARSITY_LEVELS[5]
 
 
 def average_precision(labels, scores) -> float:
@@ -97,8 +98,7 @@ def random_baseline(comp_members, sparsity_level: float, seed: int) -> set:
 
 @dataclass
 class MetricReport:
-    """Evaluation bundle over one query set."""
-    levels: tuple = SPARSITY_LEVELS
+    """Evaluation bundle over one query set, at SPARSITY_LEVELS."""
     acc_per_level: dict = field(default_factory=dict)
     acc_auc: float = 0.0
     baseline_acc_per_level: dict = field(default_factory=dict)
@@ -107,7 +107,7 @@ class MetricReport:
     baseline_fidelity_per_level: dict = field(default_factory=dict)
     mean_cohesiveness: float | None = None
     baseline_cohesiveness: float | None = None
-    cohesiveness_level: float = 0.1
+    cohesiveness_level: float = COHESIVENESS_LEVEL
     n_queries: int = 0
     explain_seconds_mean: float = 0.0
     rows: list = field(default_factory=list)  # (query idx, level, fidelity, acc, baseline flags)
@@ -116,7 +116,7 @@ class MetricReport:
         fmt = lambda d: {f"{k:.2f}": v for k, v in sorted(d.items())}
         return {
             "n_queries": self.n_queries,
-            "levels": [f"{lv:.2f}" for lv in self.levels],
+            "levels": [f"{lv:.2f}" for lv in SPARSITY_LEVELS],
             "acc_auc": self.acc_auc,
             "baseline_acc_auc": self.baseline_acc_auc,
             "acc_per_level": fmt(self.acc_per_level),

@@ -294,29 +294,29 @@ def graph_census(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
     return census(g, ids, np.repeat(nodes[live], c_per_node))
 
 
-def _smooth(cen: MotifCensus, n: int, l: int, smoothing: float) -> dict:
+def _smooth(cen: MotifCensus, n: int, l: int) -> dict:
     alphabet = code_alphabet(n, l)
-    denom = cen.total + smoothing * len(alphabet)
-    return {code: (cen.counts.get(code, 0) + smoothing) / denom for code in alphabet}
+    denom = cen.total + SMOOTHING * len(alphabet)
+    return {code: (cen.counts.get(code, 0) + SMOOTHING) / denom for code in alphabet}
 
 
 def empirical_class_probs(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
                           c_per_node: int = 20, delta: float | None = None,
-                          seed: int = 0, smoothing: float = SMOOTHING) -> dict:
-    """Smoothed class probabilities of the graph itself over the closed code alphabet."""
-    return _smooth(graph_census(g, n, l, c_per_node, delta, seed), n, l, smoothing)
+                          seed: int = 0) -> dict:
+    """Class probabilities of the graph itself over the code alphabet, smoothed by SMOOTHING."""
+    return _smooth(graph_census(g, n, l, c_per_node, delta, seed), n, l)
 
 
 def null_class_probs(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
                      c_per_node: int = 20, delta: float | None = None,
-                     seed: int = 0, smoothing: float = SMOOTHING) -> dict:
+                     seed: int = 0) -> dict:
     """Smoothed class probabilities of the time-shuffled null model.
 
-    Additive smoothing over the whole (n, l) alphabet keeps every class
-    probability positive, which the empirical-prior loss divides by.
+    Additive smoothing by SMOOTHING over the whole (n, l) alphabet keeps every
+    class probability positive, which the empirical-prior loss divides by.
     """
     shuffled = null_model(g, seed)
-    return _smooth(graph_census(shuffled, n, l, c_per_node, delta, seed + 1), n, l, smoothing)
+    return _smooth(graph_census(shuffled, n, l, c_per_node, delta, seed + 1), n, l)
 
 
 def total_variation(p: dict, q: dict) -> float:

@@ -234,14 +234,14 @@ def vsum(a, axis=None, keepdims: bool = False) -> Var:
     return Var(val, (a,), vjp)
 
 
-def vmean(a, axis=None, keepdims: bool = False) -> Var:
+def vmean(a, axis=None) -> Var:
     a = _v(a)
-    val = a.value.mean(axis=axis, keepdims=keepdims)
+    val = a.value.mean(axis=axis)
     n = a.value.size if axis is None else a.value.shape[axis]
 
     def vjp(g):
         gg = g / n
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         _acc(a, np.broadcast_to(gg, a.value.shape))
     return Var(val, (a,), vjp)
@@ -299,8 +299,8 @@ def segment_sum(a, seg, num: int) -> Var:
     return Var(_scatter_add(a.value, seg, num), (a,), vjp)
 
 
-def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
-    """Per-bucket max of a 1-d vector with an implicit floor for empty buckets.
+def segment_max(a, seg, num: int) -> Var:
+    """Per-bucket max of a 1-d vector and an implicit floor of 0: an empty bucket is 0.
 
     Gradient flows to the first element attaining each bucket's max
     (none if the floor wins), which keeps backward deterministic.
@@ -309,7 +309,7 @@ def segment_max(a, seg, num: int, floor: float = 0.0) -> Var:
     if a.value.ndim != 1:
         raise ShapeError(f"segment_max expects 1-d input, got {a.value.shape}")
     seg = np.asarray(seg, dtype=np.int64)
-    out = np.full(num, floor, dtype=np.float64)
+    out = np.zeros(num)
     np.maximum.at(out, seg, a.value)
     sentinel = len(seg)
     winner = np.full(num, sentinel, dtype=np.int64)
@@ -478,10 +478,9 @@ def adam_init(store: ParameterStore) -> dict:
             "v": {k: np.zeros_like(v) for k, v in store.arrays.items()}}
 
 
-def optimizer_step(store: ParameterStore, grads: dict, state: dict,
-                   lr: float = 1e-3, betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> dict:
-    """In-place moment-adaptive update; refuses non-finite gradients."""
-    b1, b2 = betas
+def optimizer_step(store: ParameterStore, grads: dict, state: dict, lr: float = 1e-3) -> dict:
+    """In-place Adam update with fixed moment decays and eps; refuses non-finite gradients."""
+    b1, b2, eps = 0.9, 0.999, 1e-8  # moment decays and denominator floor
     for name, g in grads.items():
         bad = ~np.isfinite(g)
         if bad.any():

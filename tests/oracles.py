@@ -584,7 +584,7 @@ def _forward(tape, store, g, query, views, sides):
             if len(pack["match_slot"]):
                 decay = nn.exp(nn.mul(nn.const(-pack["match_dt"]), inv_tau))
                 vals = nn.mul(pack["match_mask"], decay)
-                c_common = nn.segment_max(vals, pack["match_slot"], len(keep), floor=0.0)
+                c_common = nn.segment_max(vals, pack["match_slot"], len(keep))
             else:
                 c_common = nn.const(np.zeros(len(keep)))
             partners = [side["partners"][i] for i in keep]

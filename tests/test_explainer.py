@@ -425,6 +425,35 @@ class TestTraining:
                                                    expl_epochs=2, seed=0, per_hop_cap=8))
 
 
+class TestMotifEnhanced:
+    def test_base_model_runs_once_per_query(self, monkeypatch):
+        """`train_motif_enhanced` encodes each query's slots at most once (a prepped query
+        through its prep, the rest in one `predict_batch`), and its plain AP is the one a
+        separate `predict_batch` over the test queries gives."""
+        from motifx import basemodel
+        from motifx.basemodel import eval_queries, predict_batch, split_event_ids
+        from motifx.evaluate import HEAD_TRAIN_EVENTS, train_motif_enhanced
+        from motifx.metrics import average_precision
+        g = generate_synthetic("triadic-closure", 14, 200, seed=3)
+        cfg = RunConfig(h=8, d_time_base=4, k_nb=6, c=6, d_time=4, per_hop_cap=6, seed=0)
+        base = perturbed(build_base_store(g, cfg), 1)
+        expl = build_explainer_store(g, base.meta, cfg)
+        train_ids, val_ids, test_ids = split_event_ids(g)
+        n_rows = 2 * len(train_ids[-HEAD_TRAIN_EVENTS:]) + 4 * len(val_ids) + 2 * len(test_ids)
+        encoded, real = [], basemodel.encode_slots
+
+        def counting(tape, store, g, queries):
+            encoded.append(len(queries))
+            return real(tape, store, g, queries)
+        monkeypatch.setattr(basemodel, "encode_slots", counting)
+        _, report = train_motif_enhanced(g, base, expl, cfg, seed=0)
+        assert 0 < sum(encoded) <= n_rows
+        monkeypatch.undo()
+        test_set = eval_queries(g, test_ids, 2)
+        plain = predict_batch(base, g, [q for q, _ in test_set])[0]
+        assert report["plain_test_ap"] == average_precision([y for _, y in test_set], plain)
+
+
 class TestExplain:
     def test_equal_scores_rank_by_recency_then_id(self, setup):
         g, base_store, expl_store, ecfg = setup

@@ -44,6 +44,11 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 2"):
             ingest_csv(write_csv(tmp_path, "a,b,1\na,b,notatime\n"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_attribute_names_line(self, tmp_path, bad):
+        with pytest.raises(IngestError, match="line 2: non-finite attribute"):
+            ingest_csv(write_csv(tmp_path, f"a,b,1,0.5\na,c,2,{bad}\n"))
+
     def test_attr_width_mismatch(self, tmp_path):
         with pytest.raises(SchemaError, match="line 2"):
             ingest_csv(write_csv(tmp_path, "a,b,1,0.5\na,c,2\n"))
@@ -256,6 +261,29 @@ class TestValidation:
     def test_fractional_node_id(self):
         with pytest.raises(SchemaError, match="integers"):
             TemporalGraph([0, 1], [1.5, 2], [1.0, 2.0], np.zeros((2, 0)), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_attribute(self, bad):
+        with pytest.raises(SchemaError, match="attributes must be finite"):
+            TemporalGraph([0, 1], [1, 2], [1.0, 2.0], [[bad], [1.0]], 3)
+
+    @pytest.mark.parametrize("node_count", [2.7, 3.0, "3", np.float64(3.0)])
+    def test_node_count_not_an_integer(self, node_count):
+        with pytest.raises(SchemaError, match="node_count"):
+            TemporalGraph([0, 1], [1, 2], [1.0, 2.0], np.zeros((2, 0)), node_count)
+
+    def test_bool_node_count(self):
+        with pytest.raises(SchemaError, match="node_count"):
+            TemporalGraph([], [], [], np.zeros((0, 0)), True)
+
+    def test_numpy_integer_node_count(self):
+        g = TemporalGraph([0, 1], [1, 2], [1.0, 2.0], np.zeros((2, 0)), np.int64(3))
+        assert type(g.node_count) is int and g.node_count == 3
+
+    def test_from_json_fractional_node_count(self):
+        text = json.dumps({"node_count": 2.7, "attr_width": 0, "events": [[0, 1, 1.0, []]]})
+        with pytest.raises(SchemaError, match="node_count"):
+            TemporalGraph.from_json(text)
 
     @pytest.mark.parametrize("cols", [
         ([0, 1], [1], [1.0, 2.0], np.zeros((2, 0))),

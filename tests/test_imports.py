@@ -27,3 +27,9 @@ def test_imports_are_stdlib_numpy_or_relative(path):
             top = name.split(".")[0]
             assert top not in TEST_MODULES, f"{path.name}:{node.lineno} imports {name}"
             assert top in ALLOWED, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_src_stays_within_its_line_budget():
+    """`wc -l src/motifx/*.py` stays at or under 3,400 lines (ROADMAP item 7)."""
+    total = sum(len(path.read_bytes().splitlines()) for path in SRC.glob("*.py"))
+    assert total <= 3400, f"src/motifx is {total} lines, over its 3,400-line budget"

@@ -112,7 +112,7 @@ def test_backward_matches_finite_differences(name):
 
 def test_segment_max_forward_and_grad():
     x = nn.const(np.array([0.2, 0.9, 0.4, 0.7]))
-    out = nn.segment_max(x, np.array([0, 0, 1, 1]), 3, floor=0.0)
+    out = nn.segment_max(x, np.array([0, 0, 1, 1]), 3)
     assert list(out.value) == [0.9, 0.7, 0.0]  # empty bucket gets the floor
     backward(nn.vsum(out))
     assert list(x.grad) == [0.0, 1.0, 0.0, 1.0]
