@@ -24,7 +24,7 @@ from .errors import CheckpointError, ConfigError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
-from .metrics import SPARSITY_LEVELS, write_curve_csv
+from .metrics import write_curve_csv
 from .motifs import code_alphabet, graph_census, null_class_probs
 
 FILES = {
@@ -244,7 +244,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     if args.emit_plot_data:
         with open(run_dir / FILES["plot"], "w", encoding="utf-8") as fh:
             fh.write("level,mean_fidelity,source\n")
-            for lv in SPARSITY_LEVELS:
+            for lv in report.mean_fidelity_per_level:  # empty when no query had a view
                 fh.write(f"{lv:.2f},{report.mean_fidelity_per_level[lv]!r},model\n")
                 fh.write(f"{lv:.2f},{report.baseline_fidelity_per_level[lv]!r},random\n")
     write_manifest(run_dir / (FILES["report"] + ".manifest.json"), "evaluate", cfg)

@@ -16,12 +16,13 @@ ties come out ordered by id exactly as they do over the whole stream.
 `TemporalGraph.recent` is the one history read: the last k entries of
 many nodes' windows at once, padded with -1.
 
-Beside it sits a pair index. ``pair_codes`` lists each distinct unordered
-pair {a, b} (a < b) once as ``a * node_count + b``, ascending; a pair's
-position there is its rank. ``_pair_key`` holds every event as the sorted
-``rank * n_events + id``, so the events between a and b in an id window
-are one slice of it. With the rows of ``_inc_key`` this sizes any
-neighborhood window without building it; the motif sampler counts so.
+Beside it sits a pair index: ``pair_codes`` lists each distinct unordered
+pair {a, b} (a < b) once as ``a * node_count + b``, ascending, and a pair's
+position there is its rank. One sorted int64 key, ``_key``, holds both: the
+2N row entries (N events) as ``node * N + id`` in ``inc_ids`` order, then
+each event once as ``(node_count + rank) * N + id``. Row keys stay below
+``node_count * N``, so any row or pair window is one slice of the key and
+one search sizes a neighborhood window without building it.
 """
 from __future__ import annotations
 
@@ -74,15 +75,14 @@ class TemporalGraph:
     lengths), stable-sorts the events by timestamp and builds the CSR index of the
     module docstring with vectorised numpy: ``indptr`` (node_count + 1 row offsets),
     ``inc_ids`` and ``inc_other`` (two entries per event, one in each
-    endpoint's row). ``_inc_key`` holds each entry as the packed int64
-    ``node * n_events + event id``; it is sorted, so the row offsets of
-    any set of nodes at any id cut are one ``searchsorted``. The event
-    columns, the index and the pair index of the module docstring
-    (``pair_codes`` and ``_pair_key``) are read-only.
+    endpoint's row). The sorted key ``_key`` of the module docstring holds
+    the rows, then the pairs, so the row offsets of any set of nodes at any
+    id cut are one ``searchsorted``. The event columns, ``indptr``,
+    ``inc_ids``, ``inc_other``, ``pair_codes`` and ``_key`` are read-only.
     """
 
     __slots__ = ("src", "dst", "t", "attrs", "node_count", "attr_width",
-                 "indptr", "inc_ids", "inc_other", "_inc_key", "pair_codes", "_pair_key")
+                 "indptr", "inc_ids", "inc_other", "pair_codes", "_key")
 
     def __init__(self, src, dst, t, attrs, node_count: int):
         try:
@@ -120,7 +120,6 @@ class TemporalGraph:
         ids = np.tile(np.arange(n, dtype=np.int64), 2)
         key = ends * n + ids
         pos = np.argsort(key)  # keys are distinct: no self-loops
-        self._inc_key = _frozen(key[pos])
         self.inc_ids = _frozen(ids[pos])
         self.inc_other = _frozen(np.concatenate([self.dst, self.src])[pos])
         indptr = np.zeros(node_count + 1, dtype=np.int64)
@@ -130,7 +129,8 @@ class TemporalGraph:
         codes = np.minimum(self.src, self.dst) * node_count + np.maximum(self.src, self.dst)
         pair_codes, rank = np.unique(codes, return_inverse=True)
         self.pair_codes = _frozen(pair_codes)
-        self._pair_key = _frozen(np.sort(rank * n + np.arange(n, dtype=np.int64)))
+        pair_key = np.sort((node_count + rank) * n + np.arange(n, dtype=np.int64))
+        self._key = _frozen(np.concatenate([key[pos], pair_key]))
 
     def pair_ranks(self, a, b) -> np.ndarray:
         """Pair-index rank of each pair (a[i], b[i]); -1 if they never interact or one is < 0."""
@@ -157,7 +157,7 @@ class TemporalGraph:
 
     def _row_stops(self, nodes, before):
         """Where each node's row ends at its cut t < before."""
-        return self._inc_key.searchsorted(nodes * self.n_events + self.t.searchsorted(before))
+        return self._key.searchsorted(nodes * self.n_events + self.t.searchsorted(before))
 
     def recent(self, nodes, before, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each node's k most recent events with t < before, oldest first, padded with

@@ -16,20 +16,25 @@ window [cut(t0 - delta), cut(t_prev)), t_prev being t0 at step 0, and
 counts its candidates below any id m without listing them:
   open (|S| < n):    sum_{v in S} row(v) - sum_{a<b in S} pair(a, b)
   closed (|S| = n):  sum_{a<b in S} pair(a, b)
-with row and pair counts from two searches each on the graph's node and
-pair indexes (an event between two members of S sits in both rows). Its
+with row and pair counts from one search on the graph's single sorted
+index `_key` (an event between two members of S sits in both rows). Its
 pick is candidate k = floor(draw_j * count): the largest id with k
-candidates below it. The searches for the count at the window's end also
-size the windowed lists that together hold every candidate in id order:
+candidates below it. The search for the count at the window's end also
+sizes the windowed lists that together hold every candidate in id order:
 the rows of S while open, its pairs once closed. With want = k + 1, each
 list L bounds the pick by direct reads: from above by L[want - 1] + 1,
 from below by L[want - count + |L| - 1], as at most count - |L| of the
 first `want` candidates lie outside L. Over the r non-empty lists, the
 least L[ceil(want / r) - 1] is a lower bound too: one holds that many.
-At step 0 the bounds meet and no search runs; later steps bisect on ids
-only the walkers whose bracket is still wider than one id, one
-`searchsorted` per round. Candidates are in id order, so the law and the
-bytes are those of taking cands[k] from the ascending candidate list.
+At step 0 the bounds meet and no search runs. Later steps search only the
+walkers whose bracket [low, high) is wider than one id, on their own
+candidates: a walker keeps its lists' positions at low and high, and its
+pivot is e + 1 (high - 1 if e = high - 1), e the middle entry in [low, high)
+of its longest list, one `searchsorted` per round. A pivot counting exactly
+want ends the walker at e, as each candidate is counted once. Any pivot in
+(low, high) keeps count(low) < want <= count(high), and candidates are in
+id order, so the law and the bytes are those of taking cands[k] from the
+ascending candidate list.
 
 The exact enumeration oracle (tests/oracles.py) returns the same block
 layout. A canonical code labels the nodes of the row's endpoints
@@ -64,48 +69,57 @@ def _params_ok(n: int, l: int, c: int | None = None) -> None:
 
 
 def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) -> tuple:
-    """Per walker (a row of `nodes`, padded with -1), the index keys, weights and
-    window starts of its open or closed count (see the module docstring)."""
+    """Per walker (a row of `nodes`, padded with -1), the bases, weights and window starts
+    on the graph's `_key` of its count's terms: its node rows, then its node pairs, with
+    the weights of its open or closed count (see the module docstring)."""
     first, second = _pairs(nodes.shape[1])
     ranks = g.pair_ranks(nodes[:, first], nodes[:, second])
-    row_base = np.maximum(nodes, 0) * g.n_events
-    pair_base = np.maximum(ranks, 0) * g.n_events
-    return (row_base, (nodes >= 0) & ~closed[:, None],
-            g._inc_key.searchsorted(row_base + lo[:, None]),
-            pair_base, (ranks >= 0) * np.where(closed, 1, -1)[:, None],
-            g._pair_key.searchsorted(pair_base + lo[:, None]))
+    base = np.concatenate([np.maximum(nodes, 0), g.node_count + np.maximum(ranks, 0)],
+                          axis=1) * g.n_events
+    weight = np.concatenate([(nodes >= 0) & ~closed[:, None],
+                             (ranks >= 0) * np.where(closed, 1, -1)[:, None]], axis=1)
+    return base, weight, g._key.searchsorted(base + lo[:, None])
 
 
-def _sizes(g: TemporalGraph, terms: tuple, m: np.ndarray) -> tuple:
-    """Per walker, the sizes of its row and pair lists over ids [window start, m[w])."""
-    return (g._inc_key.searchsorted(terms[0] + m[:, None]) - terms[2],
-            g._pair_key.searchsorted(terms[3] + m[:, None]) - terms[5])
+def _stops(g: TemporalGraph, terms: tuple, m: np.ndarray) -> np.ndarray:
+    """Per walker and term, the position on `_key` where its list stops at id m[w]."""
+    return g._key.searchsorted(terms[0] + m[:, None])
 
 
-def _below(g: TemporalGraph, terms: tuple, m: np.ndarray, sizes=None) -> np.ndarray:
-    """Per walker, the number of its candidates with id < m[w]; `sizes` are `_sizes` at m."""
-    rows, pairs = _sizes(g, terms, m) if sizes is None else sizes
-    return (rows * terms[1]).sum(axis=1) + (pairs * terms[4]).sum(axis=1)
+def _below(g: TemporalGraph, terms: tuple, m: np.ndarray, stops=None) -> np.ndarray:
+    """Per walker, the number of its candidates with id < m[w]; `stops` are `_stops` at m."""
+    if stops is None:
+        stops = _stops(g, terms, m)
+    return ((stops - terms[2]) * terms[1]).sum(axis=1)
 
 
-def _bracket(g: TemporalGraph, terms: tuple, sizes: tuple, want, total, low, high) -> tuple:
-    """Per walker, ids [low, high) around its pick, read off its candidate lists at the
-    ranks of the module docstring: the rows of S while open, the pairs of S once closed."""
-    row_base, row_weight, row_lo, pair_base, pair_weight, pair_lo = terms
-    lists = [(g._inc_key, row_base, row_lo, sizes[0] * row_weight),
-             (g._pair_key, pair_base, pair_lo, sizes[1] * (pair_weight > 0))]
-    share = -(-want // sum((size > 0).sum(axis=1) for *_, size in lists)) - 1
+def _bracket(g: TemporalGraph, terms: tuple, sizes, want, total, low, high) -> tuple:
+    """Per walker, ids [low, high) around its pick, read off its candidate lists (its
+    terms of positive weight: the rows of S while open, the pairs of S once closed) at
+    the ranks of the module docstring; `sizes` are the terms' sizes over the window."""
+    base, weight, start = terms
+    sizes = sizes * (weight > 0)
+    share = -(-want // (sizes > 0).sum(axis=1)) - 1
     # each bound's rank: the upper, the one-list lower (negated, so that every
     # bound is the least read over the lists) and the all-lists lower
-    first = np.array([want - 1, want - total - 1, share])[:, :, None]
     grow, sign = np.array([0, 1, 0])[:, None, None], np.array([1, -1, 1])[:, None, None]
-    least = g.n_events
-    for key, base, start, size in lists:
-        rank = first + grow * size
-        ok = (rank >= 0) & (rank < size)
-        read = np.where(ok, sign * (key[np.where(ok, start + rank, 0)] - base), g.n_events)
-        least = np.minimum(least, read.min(axis=2, initial=g.n_events))
+    rank = np.array([want - 1, want - total - 1, share])[:, :, None] + grow * sizes
+    ok = (rank >= 0) & (rank < sizes)
+    read = np.where(ok, sign * (g._key[np.where(ok, start + rank, 0)] - base), g.n_events)
+    least = read.min(axis=2)
     return np.maximum.reduce([low, -least[1], least[2]]), np.minimum(high, least[0] + 1)
+
+
+def _pivots(g: TemporalGraph, terms: tuple, ends: np.ndarray, high) -> tuple:
+    """Per undecided walker, the middle candidate e of its longest list between its
+    positions at low and at high (`ends`, stacked), and the next pivot: e + 1, or
+    high - 1 if e is the last id before high."""
+    width = (ends[1] - ends[0]) * (terms[1] > 0)
+    longest = width.argmax(axis=1)
+    walker = np.arange(len(longest))
+    middle = ends[0][walker, longest] + (width[walker, longest] - 1) // 2
+    e = g._key[middle] - terms[0][walker, longest]
+    return e, np.minimum(e + 1, high - 1)
 
 
 def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
@@ -134,25 +148,32 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
         held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
         size = (held >= 0).sum(axis=1)
         terms = _count_terms(g, held, lo[walkers], size >= n)
-        sizes = _sizes(g, terms, high)
-        total = _below(g, terms, high, sizes)
+        stops = _stops(g, terms, high)
+        total = _below(g, terms, high, stops)
         keep = total > 0
         walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
         if not len(walkers):
             break
-        terms, sizes = tuple(a[keep] for a in terms), tuple(a[keep] for a in sizes)
-        size = size[keep]
+        terms, stops, size = tuple(a[keep] for a in terms), stops[keep], size[keep]
         # the pick is candidate k: the largest id with k candidates below it
         want = (draws[walkers, j] * total).astype(np.int64) + 1
-        low, high = _bracket(g, terms, sizes, want, total, low, high)
-        rest = np.flatnonzero(high - low > 1)  # bisect only the undecided walkers
-        terms = tuple(a[rest] for a in terms)
+        low, high = _bracket(g, terms, stops - terms[2], want, total, low, high)
+        rest = np.flatnonzero(high - low > 1)  # search only the undecided walkers
+        terms, goal = tuple(a[rest] for a in terms), want[rest]
+        # each term's positions at low and at high; a pivot's stops replace one
+        ends = g._key.searchsorted(terms[0] + np.stack([low[rest], high[rest]])[..., None])
         while len(rest):
-            mid = (low[rest] + high[rest]) // 2
-            past = _below(g, terms, mid) >= want[rest]
-            high[rest[past]], low[rest[~past]] = mid[past], mid[~past]
+            e, pivot = _pivots(g, terms, ends, high[rest])
+            at = _stops(g, terms, pivot)
+            count = _below(g, terms, pivot, at)
+            past = count >= goal
+            high[rest[past]], low[rest[~past]] = pivot[past], pivot[~past]
+            hit = (count == goal) & (pivot > e)  # e is counted once, so it is the pick
+            low[rest[hit]] = e[hit]
+            ends[past * 1, np.arange(len(rest))] = at
             still = high[rest] - low[rest] > 1
-            rest, terms = rest[still], tuple(a[still] for a in terms)
+            rest, goal, ends = rest[still], goal[still], ends[:, still]
+            terms = tuple(a[still] for a in terms)
         ids[walkers, j] = low
         # the event adds whichever endpoint is not yet collected, if any
         held, src, dst = nodes[walkers], g.src[low], g.dst[low]

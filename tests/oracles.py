@@ -304,8 +304,9 @@ def reference_sample_motifs(g, u0, t0, n, l, c, delta=None, seed=0):
 
 
 def reference_id_block(g, anchors, t0s, seeds, n=3, l=3, c=1, delta=None):
-    """`motifs.sample_id_block` without the bracket: at every step, every walker
-    bisects on event ids over its whole window, one `_below` per round."""
+    """`motifs.sample_id_block` without the bracket or the candidate pivots: at every
+    step, every walker bisects on event-id midpoints over its whole window, one
+    `_below` per round."""
     _params_ok(n, l, c)
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)

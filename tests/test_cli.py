@@ -383,6 +383,15 @@ class TestEvaluateVariants:
         assert main(["evaluate", "--adapter", cmd] + args) == 0
         assert (pipeline_dir / "report.json").read_bytes() == serial
 
+    def test_empty_report_plot_data_is_its_header(self, pipeline_dir, tmp_path):
+        """With no query to score the report is empty and the plot file holds its header."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run_dir)
+        args = ["--run-dir", str(run_dir)] + TINY + ["--n-queries", "0"]
+        assert main(["evaluate", "--emit-plot-data"] + args) == 0
+        assert json.loads((run_dir / "report.json").read_text())["n_queries"] == 0
+        assert (run_dir / "fidelity_sparsity.csv").read_text() == "level,mean_fidelity,source\n"
+
     def test_adapter_command_is_shell_quoted(self, pipeline_dir, tmp_path):
         import shlex
         import shutil

@@ -354,6 +354,22 @@ class TestIndex:
         ids, other = g.recent([[0, 1], [2, 0]], [[5.0], [-1.0]], 4)
         assert ids.tolist() == other.tolist() == [[[-1] * 4] * 2] * 2
 
+    @pytest.mark.parametrize("seed", range(-1, 8))
+    def test_highest_node_reads_no_pair_entry(self, triangle_graph, seed):
+        """At before = inf the highest node id's row cut is where the pair entries of
+        the index start, so `recent` and `node_base_features` read that node's events
+        and nothing else. The triangle's first pair entry is event 0, whose key equals
+        that cut; seeds >= 0 are random graphs with tied timestamps."""
+        g = triangle_graph if seed < 0 else random_graph(np.random.default_rng(seed + 1500),
+                                                         duplicate_times=True)
+        top, k = g.node_count - 1, 2 * g.n_events + 2
+        own = [i for i in range(g.n_events) if top in (int(g.src[i]), int(g.dst[i]))]
+        pad = [-1] * (k - len(own))
+        ids, other = g.recent([top], math.inf, k)
+        assert ids[0].tolist() == own + pad
+        assert other[0].tolist() == [int(g.src[i] + g.dst[i]) - top for i in own] + pad
+        assert node_base_features(g, [top], math.inf)[0, 1] == math.log1p(len(own))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_windowed_neighbor_events(self, seed):
         """The motif sampler's count of a node set's events with since <= t < before
@@ -401,13 +417,16 @@ class TestIndex:
     @pytest.mark.parametrize("seed", range(15))
     def test_pair_index_counts(self, seed):
         """Events between a and b with since <= t < before, by two searches on the pair
-        index, equal the closed scan of {a, b}; pairs that never interact rank -1."""
+        segment of the index, equal the closed scan of {a, b}; pairs that never interact
+        rank -1."""
         rng = np.random.default_rng(seed + 1100)
         g = random_graph(rng, duplicate_times=True)
         n_ev = g.n_events
         pairs = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(g.src, g.dst)}
         assert g.pair_codes.tolist() == sorted(a * g.node_count + b for a, b in pairs)
-        assert not g._pair_key.flags.writeable
+        assert not g._key.flags.writeable and len(g._key) == 3 * n_ev
+        pair_key = g._key[2 * n_ev:]
+        assert np.all(pair_key >= g.node_count * n_ev) and np.all(np.diff(g._key) > 0)
         empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
         assert empty.pair_ranks([-1, 0], [2, 1]).tolist() == [-1, -1]
         for a in range(-1, g.node_count):
@@ -420,7 +439,8 @@ class TestIndex:
                 since = float(rng.integers(0, n_ev // 2 + 2))
                 before = float(rng.integers(0, n_ev // 2 + 3))
                 lo, hi = g.t.searchsorted(since), g.t.searchsorted(before)
-                got = (int(g._pair_key.searchsorted(rank * n_ev + max(hi, lo)))
-                       - int(g._pair_key.searchsorted(rank * n_ev + lo)))
+                base = (g.node_count + rank) * n_ev
+                got = (int(pair_key.searchsorted(base + max(hi, lo)))
+                       - int(pair_key.searchsorted(base + lo)))
                 want = brute_force_neighbor_events(g, [a, b], before, since=since, closed=True)
                 assert got == len(want)

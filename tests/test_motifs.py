@@ -182,6 +182,37 @@ class TestBracketedWalker:
         want = reference_id_block(g, anchors, t0s, seeds, n, l, 15, delta)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    PIVOT_CASES = {  # (src, dst, walker seed): events at times 1, 2, ..., anchor 0
+        "clip": ([1, 2, 3, 0, 2, 3, 1, 3], [0, 3, 0, 2, 0, 0, 0, 0], 49),
+        "hit": ([1, 2, 0, 0, 1, 0, 1, 1, 2, 2], [2, 0, 1, 2, 2, 2, 2, 0, 0, 1], 93),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PIVOT_CASES))
+    def test_pivot_paths_match_reference(self, monkeypatch, case):
+        """One walker (n = l = 3) whose search takes the pivot rule's two special paths.
+        In `clip` the middle candidate e of a round is the last id before high, so the
+        pivot is high - 1, not e + 1. In `hit` the bracket leaves the walker undecided at
+        steps 1 and 2 with low < e, and each search ends in one round: the pivot e + 1
+        counts exactly `want`, so the pick is e; without that rule each takes two rounds."""
+        src, dst, seed = self.PIVOT_CASES[case]
+        g = TemporalGraph(src, dst, np.arange(1.0, len(src) + 1), np.zeros((len(src), 0)),
+                          max(src + dst) + 1)
+        rounds, pivots = [], motifs._pivots
+
+        def record(*args):
+            e, pivot = pivots(*args)
+            rounds.append((int(e[0]), int(pivot[0]), int(args[3][0])))
+            return e, pivot
+        monkeypatch.setattr(motifs, "_pivots", record)
+        got = sample_id_block(g, [0], [len(src) + 1.0], [seed], 3, 3, 1)
+        want = reference_id_block(g, [0], [len(src) + 1.0], [seed], 3, 3, 1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        if case == "clip":
+            assert any(pivot == high - 1 != e + 1 for e, pivot, high in rounds)
+        else:
+            picks = got[0][0, 1:].tolist()
+            assert [(e, pivot) for e, pivot, _ in rounds] == [(k, k + 1) for k in picks]
+
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("n,l", [(n, l) for n in (2, 3, 4) for l in (2, 3, 4)])
     def test_bracket_holds_the_scan_pick(self, monkeypatch, seed, n, l):
