@@ -31,31 +31,23 @@ projection is a multiply plus a row sum and a lone query is duplicated.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
-import json
 import math
-import subprocess
-import sys
-import threading
-import queue
-from collections import deque, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
 from . import nn
 from .config import RunConfig
-from .errors import AdapterProtocolError, ShapeError
+from .errors import ShapeError
 from .features import event_feature_block
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention
 from .metrics import average_precision
 from .nn import ParameterStore, Tape, Var
 
-ADAPTER_PROTOCOL = "tempme-adapter/1"
 PRED_EPS = 1e-7
 EVAL_CHUNK = 256  # queries per forward in predict_batch; rows do not depend on it
-STDERR_TAIL = 20  # last lines of an adapter's stderr that its protocol errors carry
 
 
 def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
@@ -207,18 +199,13 @@ def predict_batch(store: ParameterStore, g: TemporalGraph, queries: list,
 
 
 class InternalPredictor:
-    """Frozen-parameter inference wrapper satisfying the predictor interface."""
+    """One query at a time through `predict_batch`, on a frozen base store."""
 
     def __init__(self, store: ParameterStore):
         self.store = store
 
     def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
-        return float(self.predict_views(g, [query], [retained])[0])
-
-    def predict_views(self, g: TemporalGraph, queries: list, views: list) -> np.ndarray:
-        """queries[i] under views[i] (None = full, a set = retained ids): one
-        `predict_batch` call."""
-        return predict_batch(self.store, g, list(queries), list(views))[0]
+        return float(predict_batch(self.store, g, [query], [retained])[0][0])
 
     def label(self, g: TemporalGraph, query: Event) -> int:
         return 1 if self.predict(g, query) >= 0.5 else 0
@@ -410,159 +397,3 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
     store.arrays.update(head.arrays)
     return store, report
 
-
-# -- external adapter -----------------------------------------------------------
-
-class ExternalAdapter:
-    """Client for a child process speaking newline-delimited JSON on stdio.
-
-    Handshake line {"protocol": "tempme-adapter/1"}, then request/response:
-    {"id", "u", "v", "t", "retained"} -> {"id", "p"}, or {"id", "error"} for a
-    request the server cannot answer. A null retained list means the full
-    history; an empty list means an empty view. Calls are serialized; a
-    slow, malformed, refusing or dead peer raises AdapterProtocolError,
-    which ends with the last STDERR_TAIL lines the child wrote to stderr.
-    """
-
-    def __init__(self, cmd, timeout: float = 5.0):
-        self.timeout = timeout
-        self._next_id = 0
-        self._proc = subprocess.Popen(
-            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, bufsize=1)
-        self._lines: queue.Queue = queue.Queue()
-        self._stderr: deque = deque(maxlen=STDERR_TAIL)
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._err_reader = threading.Thread(target=self._stderr.extend, args=(self._proc.stderr,),
-                                            daemon=True)
-        self._reader.start()
-        self._err_reader.start()
-        try:
-            self._handshake()
-        except AdapterProtocolError:
-            self.close()
-            raise
-
-    def _handshake(self):
-        hello = self._read_line()
-        try:
-            proto = json.loads(hello).get("protocol")
-        except (json.JSONDecodeError, AttributeError) as exc:
-            raise self._error(f"bad handshake line: {hello!r}") from exc
-        if proto != ADAPTER_PROTOCOL:
-            raise self._error(f"unsupported protocol {proto!r}")
-
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # end of output
-
-    def _error(self, message: str, gone: bool = False) -> AdapterProtocolError:
-        """The error plus the adapter's stderr tail (all of it, for a process that is gone)."""
-        if gone:
-            self._err_reader.join(timeout=self.timeout)
-        tail = "".join(self._stderr.copy()).rstrip()
-        return AdapterProtocolError(f"{message}\nadapter stderr:\n{tail}" if tail else message)
-
-    def _read_line(self) -> str:
-        try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            raise self._error(f"adapter timed out after {self.timeout}s") from None
-        if line is None:
-            self._lines.put(None)  # later reads end here too
-            raise self._error("adapter process is gone (its output ended)", gone=True)
-        return line
-
-    def predict(self, g: TemporalGraph, query: Event, retained: set | None = None) -> float:
-        self._next_id += 1
-        req = {"id": self._next_id, "u": int(query.u), "v": int(query.v),
-               "t": float(query.t),
-               "retained": sorted(int(e) for e in retained) if retained is not None else None}
-        try:
-            self._proc.stdin.write(json.dumps(req, separators=(",", ":")) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise self._error("adapter process is gone", gone=True) from exc
-        line = self._read_line()
-        try:
-            resp = json.loads(line)
-            error = resp.get("error")
-            if error is None:
-                rid, p = int(resp["id"]), float(resp["p"])
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise self._error(f"malformed response: {line!r}") from exc
-        if error is not None:
-            raise self._error(f"adapter refused request {self._next_id}: {error}")
-        if rid != self._next_id:
-            raise self._error(f"response id {rid} != request id {self._next_id}")
-        if not (0.0 <= p <= 1.0):
-            raise self._error(f"probability {p} outside [0, 1]")
-        return p
-
-    def predict_views(self, g: TemporalGraph, queries: list, views: list) -> np.ndarray:
-        """One request per (query, view) pair: the wire protocol carries one prediction
-        at a time."""
-        return np.array([self.predict(g, q, view) for q, view in zip(queries, views)])
-
-    def close(self):
-        """End the child and close its three pipes; a read pipe is closed once its
-        reader thread has seen the end of it. Closing twice is harmless."""
-        with contextlib.suppress(OSError):  # a dead child may leave a write unflushed
-            self._proc.stdin.close()
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        for reader, pipe in ((self._reader, self._proc.stdout),
-                             (self._err_reader, self._proc.stderr)):
-            reader.join(timeout=self.timeout)
-            if not reader.is_alive():
-                pipe.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def serve_adapter(store: ParameterStore, g: TemporalGraph,
-                  stdin=None, stdout=None) -> None:
-    """Expose an internal checkpoint over the adapter wire protocol. A malformed line, a
-    missing key or an out-of-range node gets an {"id", "error"} reply; serving goes on."""
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    model = InternalPredictor(store)
-    stdout.write(json.dumps({"protocol": ADAPTER_PROTOCOL}) + "\n")
-    stdout.flush()
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        rid = None
-        try:
-            req = json.loads(line)
-            rid = req.get("id") if isinstance(req, dict) else None
-            q, retained = _parse_request(req, g)
-            reply = {"id": rid, "p": model.predict(g, q, retained)}
-        except (AdapterProtocolError, KeyError, TypeError, ValueError) as exc:
-            # ValueError covers json.JSONDecodeError; the server stays up
-            reply = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
-        stdout.write(json.dumps(reply, separators=(",", ":")) + "\n")
-        stdout.flush()
-
-
-def _parse_request(req, g: TemporalGraph) -> tuple[Event, set | None]:
-    u, v, t = int(req["u"]), int(req["v"]), float(req["t"])
-    for node in (u, v):
-        if not 0 <= node < g.node_count:
-            raise AdapterProtocolError(f"node {node} outside [0, {g.node_count})")
-    if not math.isfinite(t):
-        raise AdapterProtocolError(f"t={t!r} is not finite")
-    raw = req.get("retained")  # an id that is no event of g is in no view: dropped
-    retained = None if raw is None else {x for x in map(int, raw) if 0 <= x < g.n_events}
-    return query_event(u, v, t, g.attr_width), retained

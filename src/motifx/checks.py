@@ -12,6 +12,7 @@ import numpy as np
 from . import nn
 from .basemodel import build_base_store, encode_slots, soft_predict
 from .config import RunConfig
+from .errors import ConfigError
 from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
 from .layers import add_gine_params, concrete_sample, gine_layer
@@ -152,7 +153,9 @@ def base_forward_check(points: int = 1, seed: int = 0) -> float:
 
 
 def substrate_grad_checks(seed: int = 0, points: int = 1) -> dict:
-    """Max relative gradient error for every differentiable component."""
+    """Max relative gradient error of every differentiable component over `points` >= 1 points."""
+    if points < 1:
+        raise ConfigError(f"points={points}: must be at least 1")
     return {
         "time_encoder": time_encoder_check(points, seed),
         "gine_layer": gine_check(points, seed),

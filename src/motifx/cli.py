@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import shlex
 import sys
 from pathlib import Path
 
 from . import __version__, nn
-from .basemodel import build_base_store, serve_adapter, train_base
+from .basemodel import build_base_store, train_base
 from .config import RunConfig, config_file_values, write_manifest
 from .errors import CheckpointError, ConfigError, DependencyError, MotifxError
 from .evaluate import build_eval_query_set, evaluate_explanations
@@ -38,8 +36,6 @@ FILES = {
     "curve": "curve.csv",
     "plot": "fidelity_sparsity.csv",
 }
-
-ADAPTER_ENV = "MOTIFX_ADAPTER"
 
 
 def _run_dir(args) -> Path:
@@ -226,18 +222,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
     base, expl, cfg = _load_models(run_dir, g, cfg, args.given)
-    predictor = None
-    adapter_cmd = args.adapter or os.environ.get(ADAPTER_ENV)
-    if adapter_cmd:
-        from .basemodel import ExternalAdapter
-        predictor = ExternalAdapter(shlex.split(adapter_cmd))
-    try:
-        report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries,
-                                       cfg=cfg, seed=cfg.seed,
-                                       predictor=predictor)
-    finally:
-        if predictor is not None:
-            predictor.close()
+    report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries, cfg=cfg,
+                                   seed=cfg.seed)
     out = run_dir / FILES["report"]
     out.write_text(json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n")
     write_curve_csv(run_dir / FILES["curve"], report.rows)
@@ -260,14 +246,6 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
     return 0 if all(v < 1e-4 for v in errs.values()) else 1
 
 
-def cmd_adapter_serve(args, cfg: RunConfig) -> int:
-    run_dir = _run_dir(args)
-    g = _load_graph(run_dir)
-    base = _load_store(run_dir, g)
-    serve_adapter(base, g)
-    return 0
-
-
 COMMANDS = {
     "synth": cmd_synth,
     "ingest": cmd_ingest,
@@ -278,7 +256,6 @@ COMMANDS = {
     "explain": cmd_explain,
     "evaluate": cmd_evaluate,
     "grad-check": cmd_grad_check,
-    "adapter-serve": cmd_adapter_serve,
 }
 
 
@@ -310,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--event-id", type=int, default=None)
         if name == "evaluate":
             p.add_argument("--emit-plot-data", action="store_true")
-            p.add_argument("--adapter", default=None,
-                           help=f"external predictor command (default: ${ADAPTER_ENV})")
         if name == "grad-check":
             p.add_argument("--points", type=int, default=1)
     return parser

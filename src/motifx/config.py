@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import __version__
+from . import __version__, graph
 from .errors import ConfigError
 
 # ranges the published sweeps explored; values outside them still run, with a warning
@@ -32,7 +32,8 @@ RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c
          "n": (lambda v: v >= 2, "at least 2"), "nodes": (lambda v: v >= 3, "at least 3"),
          "beta": (lambda v: 0.0 <= v < math.inf, "finite and at least 0"),
          "p": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-         "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}")}
+         "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}"),
+         "rule": (lambda v: v in graph.RULES, f"one of {'/'.join(graph.RULES)}")}
 # JSON value types each annotation accepts; a bool is never an int or a float
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 

@@ -25,10 +25,6 @@ class InvariantError(MotifxError):
     """An internal contract was violated (e.g. a motif class missing from the null probabilities)."""
 
 
-class AdapterProtocolError(MotifxError):
-    """External predictor broke the wire protocol (bad handshake, timeout, out-of-range value)."""
-
-
 class DependencyError(MotifxError):
     """A command needs an artifact that an earlier command has not produced."""
 

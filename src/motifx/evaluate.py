@@ -5,8 +5,8 @@ import time
 
 import numpy as np
 
-from .basemodel import (EVAL_CHUNK, InternalPredictor, _head, enhanced_probs, eval_queries,
-                        predict_batch, split_event_ids, train_enhanced_head)
+from .basemodel import (EVAL_CHUNK, _head, enhanced_probs, eval_queries, predict_batch,
+                        split_event_ids, train_enhanced_head)
 from .config import RunConfig
 from .explainer import encode_chunks, explain_batch, prepare_queries
 from .graph import TemporalGraph
@@ -47,18 +47,14 @@ def _eval_one(qidx, g, comp, views, preds):
 
 def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
                           expl_store: ParameterStore, n_queries: int = 200,
-                          cfg: RunConfig | None = None, seed: int = 0,
-                          predictor=None) -> MetricReport:
+                          cfg: RunConfig | None = None, seed: int = 0) -> MetricReport:
     """Fidelity/ACC curves and ACC-AUC over `SPARSITY_LEVELS`, and cohesiveness at
     `COHESIVENESS_LEVEL`, for model and random baseline.
 
-    One `explain_batch` call explains the query set, and one `predict_views`
-    call predicts every view of every query. An external predictor (adapter)
-    may replace the internal one for the metric-side predictions; the
-    internal model's rows do not depend on the batch, so both agree. `cfg` defaults to
-    the config the explainer was trained with.
+    One `explain_batch` call explains the query set, and one `predict_batch`
+    call predicts every view of every query. `cfg` defaults to the config the
+    explainer was trained with.
     """
-    predictor = predictor or InternalPredictor(base_store)
     queries = [q for q, _ in build_eval_query_set(g, n_queries, seed)]
     t0 = time.perf_counter()
     expls = explain_batch(g, base_store, expl_store, queries,
@@ -66,8 +62,8 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
     elapsed = time.perf_counter() - t0
     views = [_views(i, expl, seed) for i, expl in enumerate(expls)]
     todo = [i for i, v in enumerate(views) if v is not None]
-    preds = predictor.predict_views(g, [queries[i] for i in todo for _ in views[i]],
-                                    [v for i in todo for v in views[i]])
+    preds = predict_batch(base_store, g, [queries[i] for i in todo for _ in views[i]],
+                          [v for i in todo for v in views[i]])[0]
     per_query = np.split(preds, np.cumsum([len(views[i]) for i in todo])[:-1])
     results = [_eval_one(i, g, set(expls[i].comp_ids), views[i], p)
                for i, p in zip(todo, per_query)]

@@ -1,20 +1,14 @@
-import json
-import subprocess
-import sys
-import time
-
 import numpy as np
 import pytest
 
 from motifx import basemodel, nn
-from motifx.basemodel import (ADAPTER_PROTOCOL, STDERR_TAIL, ExternalAdapter,
-                              InternalPredictor, batch_loss, build_base_store,
+from motifx.basemodel import (InternalPredictor, batch_loss, build_base_store,
                               build_enhanced_store, empty_context_output, enhanced_probs,
                               encode_slots, eval_queries, motif_enhanced_predict, predict_slots,
-                              predict_batch, serve_adapter, soft_predict,
+                              predict_batch, soft_predict,
                               split_event_ids, split_times, train_base, train_enhanced_head)
 from motifx.config import RunConfig
-from motifx.errors import AdapterProtocolError, CheckpointError, ConfigError, ShapeError
+from motifx.errors import CheckpointError, ConfigError, ShapeError
 from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
@@ -245,7 +239,7 @@ class TestRowInvariance:
         full = list(members(store, g, q))
         wanted = [None, set(), set(full[:3]), set(full[1::2]), None]
         queries = [q, q, other, q, other]
-        batched = model.predict_views(g, queries, wanted)
+        batched = predict_batch(store, g, queries, wanted)[0]
         assert batched.tolist() == [model.predict(g, x, v) for x, v in zip(queries, wanted)]
 
     def test_chunked_batch_equals_one_forward(self, rows, monkeypatch):
@@ -456,144 +450,3 @@ class TestEnhancedHead:
         val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
         assert average_precision(labels[val], val_probs) == report["best_score"]
 
-
-STUB_OK = """
-import json, sys
-print(json.dumps({"protocol": "tempme-adapter/1"}), flush=True)
-for line in sys.stdin:
-    req = json.loads(line)
-    print(json.dumps({"id": req["id"], "p": 0.7}), flush=True)
-"""
-
-STUB_OUT_OF_RANGE = STUB_OK.replace("0.7", "1.3")
-STUB_BAD_HANDSHAKE = STUB_OK.replace("tempme-adapter/1", "other/9")
-
-
-def stub_cmd(code):
-    return [sys.executable, "-c", code]
-
-
-STUB_REFUSES = """
-import json, sys
-print(json.dumps({"protocol": "tempme-adapter/1"}), flush=True)
-for line in sys.stdin:
-    req = json.loads(line)
-    print(json.dumps({"id": req["id"], "error": "node 99 outside [0, 15)"}), flush=True)
-"""
-
-
-def serve_lines(store, g, lines):
-    import io
-    stdout = io.StringIO()
-    serve_adapter(store, g, stdin=io.StringIO("".join(l + "\n" for l in lines)), stdout=stdout)
-    return [json.loads(l) for l in stdout.getvalue().splitlines()[1:]]
-
-
-class TestAdapterBoundary:
-    """A bad request gets an error reply and the server goes on serving."""
-
-    @pytest.mark.parametrize("line, rid, message", [
-        ("{not json", None, "JSONDecodeError"),
-        ('{"id": 4, "u": 1, "t": 50.0, "retained": null}', 4, "KeyError"),
-        ('{"id": 5, "u": 1, "v": 15, "t": 50.0, "retained": null}', 5, "outside [0, 15)"),
-    ], ids=["malformed-json", "missing-key", "node-out-of-range"])
-    def test_bad_request_answered_then_serving_continues(self, small_graph, fresh_store,
-                                                         line, rid, message):
-        q = small_graph.event(100)
-        good = json.dumps({"id": 9, "u": q.u, "v": q.v, "t": q.t, "retained": None})
-        replies = serve_lines(fresh_store, small_graph, [line, good])
-        assert replies[0]["id"] == rid and "p" not in replies[0]
-        assert message in replies[0]["error"]
-        assert replies[1] == {"id": 9, "p": InternalPredictor(fresh_store).predict(small_graph, q)}
-
-    def test_retained_ids_outside_the_graph_are_dropped(self, small_graph, fresh_store):
-        """Ids that are no event, one beyond int64 among them, leave the view as it is."""
-        store = perturbed(fresh_store, 9)
-        q = small_graph.event(100)
-        keep = sorted(int(e) for e in members(store, small_graph, q))[::2]
-        line = json.dumps({"id": 3, "u": q.u, "v": q.v, "t": q.t,
-                           "retained": keep + [-1, small_graph.n_events, 10 ** 30]})
-        assert serve_lines(store, small_graph, [line]) == [
-            {"id": 3, "p": InternalPredictor(store).predict(small_graph, q, set(keep))}]
-
-    def test_error_reply_raises_with_server_message(self, small_graph):
-        with ExternalAdapter(stub_cmd(STUB_REFUSES)) as adapter:
-            with pytest.raises(AdapterProtocolError, match=r"node 99 outside \[0, 15\)"):
-                adapter.predict(small_graph, small_graph.event(100))
-
-
-class TestAdapter:
-    def test_echo_stub(self, small_graph):
-        with ExternalAdapter(stub_cmd(STUB_OK)) as adapter:
-            q = small_graph.event(100)
-            assert adapter.predict(small_graph, q) == 0.7
-            assert adapter.predict(small_graph, q, {1, 2}) == 0.7
-            assert adapter.predict(small_graph, q) >= 0.5
-
-    def test_out_of_range_probability(self, small_graph):
-        with ExternalAdapter(stub_cmd(STUB_OUT_OF_RANGE)) as adapter:
-            with pytest.raises(AdapterProtocolError, match="outside"):
-                adapter.predict(small_graph, small_graph.event(100))
-
-    def test_bad_handshake(self):
-        with pytest.raises(AdapterProtocolError, match="protocol"):
-            ExternalAdapter(stub_cmd(STUB_BAD_HANDSHAKE))
-
-    def test_timeout(self):
-        silent = "import time\ntime.sleep(30)\n"
-        with pytest.raises(AdapterProtocolError, match="timed out"):
-            ExternalAdapter(stub_cmd(silent), timeout=0.5)
-
-    def test_close_closes_every_pipe(self):
-        adapter = ExternalAdapter(stub_cmd(STUB_OK))
-        adapter.close()
-        proc = adapter._proc
-        assert proc.returncode is not None
-        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
-        adapter.close()  # a second close is harmless
-
-    def test_failed_handshake_ends_the_child(self, monkeypatch):
-        started = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
-        with pytest.raises(AdapterProtocolError, match="timed out"):
-            ExternalAdapter(stub_cmd("import time\ntime.sleep(30)\n"), timeout=0.5)
-        (proc,) = started
-        assert proc.returncode is not None
-        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
-
-    def test_stderr_tail_of_a_crashed_child(self):
-        crash = ("import sys\nfor i in range(100):\n    print(f'trace line {i}', file=sys.stderr)\n"
-                 "sys.exit(3)\n")
-        with pytest.raises(AdapterProtocolError, match="process is gone") as info:
-            ExternalAdapter(stub_cmd(crash))
-        lines = str(info.value).splitlines()
-        assert lines[-STDERR_TAIL:] == [f"trace line {i}" for i in range(100 - STDERR_TAIL, 100)]
-        assert f"trace line {99 - STDERR_TAIL}" not in lines
-
-    def test_thousand_calls_under_ten_seconds(self, small_graph):
-        q = small_graph.event(100)
-        start = time.perf_counter()
-        with ExternalAdapter(stub_cmd(STUB_OK)) as adapter:
-            for _ in range(1000):
-                adapter.predict(small_graph, q)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10.0, f"1000 adapter calls took {elapsed:.1f}s"
-
-    def test_serving_our_own_model_round_trips(self, small_graph, fresh_store, tmp_path):
-        import io
-        from motifx.basemodel import serve_adapter
-        q = small_graph.event(100)
-        direct = InternalPredictor(fresh_store).predict(small_graph, q)
-        req = json.dumps({"id": 1, "u": q.u, "v": q.v, "t": q.t, "retained": None})
-        stdin = io.StringIO(req + "\n")
-        stdout = io.StringIO()
-        serve_adapter(fresh_store, small_graph, stdin=stdin, stdout=stdout)
-        lines = stdout.getvalue().strip().splitlines()
-        assert json.loads(lines[0]) == {"protocol": ADAPTER_PROTOCOL}
-        assert json.loads(lines[1]) == {"id": 1, "p": direct}

@@ -144,9 +144,9 @@ class TestErrors:
         ("explain", "explainer.ckpt", drop_array("score1.w"), "'score1.w'"),
         ("evaluate", "explainer.ckpt", transpose("score1.w"), "'score1.w' has shape"),
         ("evaluate", "explainer.ckpt", set_kind("head"), "'head' checkpoint"),
-        ("adapter-serve", "base.ckpt", drop_meta("attr_width"), "meta 'attr_width'"),
+        ("explain", "base.ckpt", drop_meta("attr_width"), "meta 'attr_width'"),
     ], ids=["base-array", "base-meta", "base-transposed", "base-kind", "base-config",
-            "explainer-array", "explainer-transposed", "explainer-kind", "adapter-meta"])
+            "explainer-array", "explainer-transposed", "explainer-kind", "base-attr-width"])
     def test_checkpoint_its_config_does_not_build_rejected(self, pipeline_dir, tmp_path, capsys,
                                                             command, ckpt, mutation, needle):
         d = tmp_path / "m"
@@ -255,7 +255,8 @@ class TestErrors:
         ("train-base", "--base-epochs", "-1"), ("train-explainer", "--expl-epochs", "-1"),
         ("train-base", "--patience", "-1"), ("census", "--delta", "-5"),
         ("train-explainer", "--beta", "-0.5"), ("train-explainer", "--gine-depth", "-1"),
-        ("synth", "--seed", "-1")])
+        ("synth", "--seed", "-1"), ("grad-check", "--points", "0"),
+        ("grad-check", "--points", "-1")])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
         code = main([command, "--run-dir", str(tmp_path / "r"), flag, value])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -329,6 +330,17 @@ class TestConfig:
     def test_unknown_prior_rejected(self, tmp_path, capsys):
         assert "prior" in self.config_error(tmp_path, capsys, json.dumps({"prior": "unifrom"}))
 
+    def test_unknown_rule_rejected(self, tmp_path, capsys):
+        """census never reads the rule, yet an unknown one is refused before it runs."""
+        d = tmp_path / "r"
+        assert main(["synth", "--run-dir", str(d), "--nodes", "10", "--events", "30"]) == 0
+        capsys.readouterr()
+        assert main(["census", "--run-dir", str(d), "--rule", "nope"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ConfigError"
+        assert "rule='nope'" in err["error"]["message"]
+        assert not (d / "census.json").exists()
+
     def test_out_of_range_warning(self, tmp_path, capsys):
         d = tmp_path / "w"
         assert main(["synth", "--run-dir", str(d), "--nodes", "10",
@@ -373,16 +385,6 @@ def test_grad_check_passes_where_a_larger_step_crosses_relu_kinks():
 
 
 class TestEvaluateVariants:
-    def test_internal_and_adapter_reports_identical(self, pipeline_dir):
-        import sys
-        args = ["--run-dir", str(pipeline_dir)] + TINY
-        assert main(["evaluate"] + args) == 0
-        serial = (pipeline_dir / "report.json").read_bytes()
-        # an adapter serving the very same checkpoint must reproduce the report
-        cmd = f"{sys.executable} -m motifx.cli adapter-serve --run-dir {pipeline_dir}"
-        assert main(["evaluate", "--adapter", cmd] + args) == 0
-        assert (pipeline_dir / "report.json").read_bytes() == serial
-
     def test_empty_report_plot_data_is_its_header(self, pipeline_dir, tmp_path):
         """With no query to score the report is empty and the plot file holds its header."""
         run_dir = tmp_path / "run"
@@ -392,24 +394,9 @@ class TestEvaluateVariants:
         assert json.loads((run_dir / "report.json").read_text())["n_queries"] == 0
         assert (run_dir / "fidelity_sparsity.csv").read_text() == "level,mean_fidelity,source\n"
 
-    def test_adapter_command_is_shell_quoted(self, pipeline_dir, tmp_path):
-        import shlex
-        import shutil
-        import sys
+    def test_run_dir_with_a_space(self, pipeline_dir, tmp_path):
         spaced = tmp_path / "run dir"
         shutil.copytree(pipeline_dir, spaced)
-        args = ["--run-dir", str(spaced)] + TINY
-        assert main(["evaluate"] + args) == 0
-        internal = (spaced / "report.json").read_bytes()
-        cmd = (f"{shlex.quote(sys.executable)} -m motifx.cli adapter-serve "
-               f"--run-dir {shlex.quote(str(spaced))}")
-        assert main(["evaluate", "--adapter", cmd] + args) == 0
-        assert (spaced / "report.json").read_bytes() == internal
-
-    def test_adapter_env_var(self, pipeline_dir, monkeypatch):
-        import sys
-        from motifx.cli import ADAPTER_ENV
-        cmd = f"{sys.executable} -m motifx.cli adapter-serve --run-dir {pipeline_dir}"
-        monkeypatch.setenv(ADAPTER_ENV, cmd)
-        args = ["--run-dir", str(pipeline_dir)] + TINY
-        assert main(["evaluate"] + args) == 0
+        (spaced / "report.json").unlink()
+        assert main(["evaluate", "--run-dir", str(spaced)] + TINY) == 0
+        assert (spaced / "report.json").read_bytes() == (pipeline_dir / "report.json").read_bytes()

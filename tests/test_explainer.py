@@ -66,6 +66,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unifrom"):
             RunConfig(prior="unifrom")
 
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ConfigError, match="rule='nope': must be one of triadic-closure/"):
+            RunConfig(rule="nope")
+
     def test_missing_batch_is_a_config_error(self):
         with pytest.raises(ConfigError, match="batch"):
             RunConfig(batch=None)

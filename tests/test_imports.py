@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and itself, never the tests."""
+"""The package imports only the standard library, numpy and itself, never the tests, and
+nothing that starts or talks to another process or thread: it is one process."""
 import ast
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "motifx"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 TEST_MODULES = {"tests", "oracles", "conftest"}
+CONCURRENCY = {"subprocess", "threading", "multiprocessing", "socket"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -27,6 +29,7 @@ def test_imports_are_stdlib_numpy_or_relative(path):
             top = name.split(".")[0]
             assert top not in TEST_MODULES, f"{path.name}:{node.lineno} imports {name}"
             assert top in ALLOWED, f"{path.name}:{node.lineno} imports {name}"
+            assert top not in CONCURRENCY, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_src_stays_within_its_line_budget():
