@@ -47,7 +47,7 @@ from .metrics import average_precision
 from .nn import ParameterStore, Tape, Var
 
 PRED_EPS = 1e-7
-EVAL_CHUNK = 256  # queries per forward in predict_batch; rows do not depend on it
+EVAL_CHUNK = 256  # queries per predict_batch forward and scored_preps chunk; no row depends on it
 
 
 def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
@@ -367,16 +367,15 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
                         labels: np.ndarray, val_mask: np.ndarray,
                         lr: float = 1e-3, epochs: int = 40, batch: int = 64,
                         seed: int = 0) -> tuple[ParameterStore, dict]:
-    """Train only the widened head on precomputed representations and embeddings.
+    """Train the widened head of a fresh enhanced store in place, on precomputed
+    representations and embeddings.
 
-    `nn.fit` selects by validation AP with the untouched initial head
-    competing, and leaves it only for a gain above 1e-3, so the result never
+    Only the head's arrays get a gradient; every other array gets an exact-zero Adam step
+    and keeps the base's bits. `nn.fit` selects by validation AP with the untouched
+    initial head competing, and leaves it only for a gain above 1e-3, so the result never
     validates worse than the plain model. The report is `nn.fit`'s.
     """
     store = build_enhanced_store(base, embs.shape[1])
-    head = ParameterStore()
-    for name in ("ehead1.w", "ehead1.b", "ehead2.w", "ehead2.b"):
-        head.arrays[name] = store.arrays[name].copy()
     train_idx = np.nonzero(~val_mask)[0]
     val_idx = np.nonzero(val_mask)[0]
 
@@ -392,8 +391,7 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
         return average_precision(labels[val_idx], enhanced_probs(Tape(src), reps[val_idx],
                                                                  embs[val_idx]).value)
 
-    report = nn.fit(head, epochs, batches, lr, validate=validate if len(val_idx) else None,
+    report = nn.fit(store, epochs, batches, lr, validate=validate if len(val_idx) else None,
                     min_gain=1e-3)  # only leave the plain head for a real validation gain
-    store.arrays.update(head.arrays)
     return store, report
 

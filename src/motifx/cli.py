@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     config = [_config_flags()]
     for name in COMMANDS:
         p = sub.add_parser(name, parents=config)
-        p.add_argument("--run-dir", required=(name != "grad-check"),
-                       default="run" if name == "grad-check" else None)
+        if name != "grad-check":  # the one command that reads and writes no run directory
+            p.add_argument("--run-dir", required=True)
         if name == "explain":
             p.add_argument("--event-id", type=int, default=None)
         if name == "evaluate":

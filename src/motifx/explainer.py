@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .basemodel import (SlotEncoding, _bce, _head, cat_slots, labelled_queries, predict_slots,
-                        soft_predict, split_event_ids)
+from .basemodel import (EVAL_CHUNK, SlotEncoding, _bce, _head, cat_slots, labelled_queries,
+                        predict_slots, soft_predict, split_event_ids)
 from .config import RunConfig
 from .errors import InvariantError
 from .features import event_feature_block, feature_width
@@ -211,6 +211,19 @@ def encode_chunks(expl_store: ParameterStore, preps: list[QueryPrep],
     return out
 
 
+def scored_preps(g: TemporalGraph, base_store: ParameterStore, expl_store: ParameterStore,
+                 queries: list, seeds: list, cfg: RunConfig):
+    """Per query in order, (prep, motif scores (M,), motif embeddings (M, h)), or None
+    without a prep: `prepare_queries` (query i with seeds[i]) and `encode_chunks` over
+    EVAL_CHUNK queries at a time, which bounds the preps held. Each item equals the one
+    made alone."""
+    for lo in range(0, len(queries), EVAL_CHUNK):
+        preps = prepare_queries(g, base_store, queries[lo:lo + EVAL_CHUNK], cfg,
+                                seeds[lo:lo + EVAL_CHUNK])
+        scored = iter(encode_chunks(expl_store, [p for p in preps if p is not None], cfg.batch))
+        yield from (None if prep is None else (prep, *next(scored)) for prep in preps)
+
+
 # -- losses ---------------------------------------------------------------------
 
 def kl_uniform(scores: Var, query: np.ndarray, prior_p: float) -> Var:
@@ -372,24 +385,22 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
                   cfg: RunConfig | None = None) -> list[ExplanationResult]:
     """Per query, hard importance scores, event ranking, and retained sets per SPARSITY_LEVELS.
 
-    One `prepare_queries` call (query i with seeds[i]), then `encode_chunks`. An
+    Motifs and scores come from `scored_preps` (query i with seeds[i]). An
     event's score is the maximum score over the sampled motifs that contain it
     (zero if none do), the rule `query_objective` applies to the relaxed masks;
     ties rank more recent events first, then higher ids. `cfg` defaults to the config
     the explainer was trained with.
     """
     cfg = cfg or RunConfig(**expl_store.meta["config"])
-    preps = prepare_queries(g, base_store, queries, cfg, seeds)
-    scored = iter(encode_chunks(expl_store, [p for p in preps if p is not None], cfg.batch))
     out = []
-    for query, prep in zip(queries, preps):
+    for query, item in zip(queries, scored_preps(g, base_store, expl_store, queries, seeds, cfg)):
         qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
-        if prep is None:
+        if item is None:
             comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
             out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in SPARSITY_LEVELS},
                                          [int(e) for e in comp]))
             continue
-        sc, _ = next(scored)
+        prep, sc, _ = item
         ev_score = np.zeros(len(prep.comp_ids))
         ev_score[np.searchsorted(prep.comp_ids, prep.covered_ids)] = nn.segment_max(
             nn.const(sc[prep.pair_motif]), prep.pair_cov, len(prep.covered_ids)).value

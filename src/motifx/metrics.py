@@ -31,14 +31,16 @@ def retained_size(sparsity_level: float, comp_size: int) -> int:
     return math.ceil(sparsity_level * comp_size)
 
 
-def fidelity(f_full: float, f_views) -> np.ndarray:
-    """Signed prediction shift of each view's probability, oriented by the full-view label.
+def fidelity(f_full, f_views) -> np.ndarray:
+    """Signed prediction shift of each view's probability, oriented by the full-view label;
+    `f_full` broadcasts against `f_views` (a float and its views, or a (Q, 1) column and
+    (Q, V) rows).
 
     Positive-label queries reward explanations that raise the probability;
     negative-label ones reward lowering it. The full view scores exactly 0.
     """
-    f_views = np.asarray(f_views, dtype=np.float64)
-    return f_views - f_full if f_full >= 0.5 else f_full - f_views
+    f_full, f_views = np.asarray(f_full, dtype=np.float64), np.asarray(f_views, dtype=np.float64)
+    return np.where(f_full >= 0.5, f_views - f_full, f_full - f_views)
 
 
 def trapezoid_auc(levels, values) -> float:
@@ -110,7 +112,7 @@ class MetricReport:
     cohesiveness_level: float = COHESIVENESS_LEVEL
     n_queries: int = 0
     explain_seconds_mean: float = 0.0
-    rows: list = field(default_factory=list)  # (query idx, level, fidelity, acc, baseline flags)
+    rows: list = field(default_factory=list)  # (query idx, level, fidelity, acc, source)
 
     def to_dict(self) -> dict:
         fmt = lambda d: {f"{k:.2f}": v for k, v in sorted(d.items())}

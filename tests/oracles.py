@@ -5,12 +5,14 @@ package internals: plain loops over the raw event list, math.log scalar
 arithmetic, permutation search for equivalence. The package's sampler is
 checked against `enumerate_motifs`, the exact enumeration oracle, which
 lists each step's candidates with a numpy mask over the raw src/dst/t
-columns rather than the graph's CSR index. There are two exceptions:
+columns rather than the graph's CSR index. There are three exceptions:
 the walker that bisects every walker over its whole id window
-(`reference_id_block`), which counts with the package's index terms, and
+(`reference_id_block`), which counts with the package's index terms;
 the per-motif encoder (`reference_motif_encoder`, through the package's
-GINE layer and score head) and the per-query base-model forward at the
-end, which run on the nn tape.
+GINE layer and score head) and the per-query base-model forward,
+which run on the nn tape; and the evaluation report at the end
+(`reference_evaluation`), which calls the package's `explain`,
+`predict_batch` and random baseline one query and one view at a time.
 """
 from __future__ import annotations
 
@@ -640,3 +642,52 @@ def reference_batch_loss(tape, store, g, batch):
         term = nn.scale(nn.log(p) if label == 1 else nn.log(nn.sub(nn.const(1.0), p)), -1.0)
         terms.append(nn.reshape(term, (1,)))
     return nn.vmean(nn.concat(terms, axis=0))
+
+
+# -- the evaluation report, one query at a time ---------------------------------
+#
+# `evaluate_explanations` as a loop: `explain` per query, `predict_batch` on
+# each view alone, and the fidelity, hit and cohesiveness formulas written
+# out on Python floats. The random baseline's draw is the package's
+# `random_baseline`, so both sides score the same views.
+
+def reference_evaluation(g, base, expl, queries, cfg, seed):
+    """The rows and means of `evaluate_explanations` over `queries` (query i explained
+    with seed + i): a dict of `MetricReport` fields."""
+    from motifx.basemodel import predict_batch
+    from motifx.explainer import explain
+    from motifx.metrics import COHESIVENESS_LEVEL, SPARSITY_LEVELS, random_baseline
+
+    def predict(query, view):
+        return float(predict_batch(base, g, [query], [view])[0][0])
+
+    rows, cohs = [], {"model": [], "random": []}
+    for i, query in enumerate(queries):
+        res = explain(g, base, expl, query, cfg=cfg, seed=seed + i)
+        if res.empty or not res.comp_ids:
+            continue
+        full = predict(query, None)
+        times = [float(g.t[e]) for e in res.comp_ids]
+        for lv in SPARSITY_LEVELS:
+            views = (("model", set(res.retained[lv])),
+                     ("random", random_baseline(res.comp_ids, lv,
+                                                seed=seed * 100003 + i * 31 + int(lv * 50))))
+            for source, view in views:
+                p = predict(query, view)
+                fid = p - full if full >= 0.5 else full - p
+                rows.append((i, lv, fid, 1 if (p >= 0.5) == (full >= 0.5) else 0, source))
+                if lv == COHESIVENESS_LEVEL and len(view) >= 2:
+                    events = [(float(g.t[e]), {int(g.src[e]), int(g.dst[e])}) for e in view]
+                    cohs[source].append(cohesiveness_scalar(events, max(times) - min(times)))
+    out = {"rows": rows, "n_queries": len({r[0] for r in rows})}
+    for source, prefix in (("model", ""), ("random", "baseline_")):
+        picked = {lv: [r for r in rows if r[1] == lv and r[4] == source] for lv in SPARSITY_LEVELS}
+        if rows:
+            acc = {lv: sum(r[3] for r in rs) / len(rs) for lv, rs in picked.items()}
+            out[f"{prefix}acc_per_level"] = acc
+            out[f"{prefix}acc_auc"] = 100.0 * trapezoid_scalar(list(acc), list(acc.values()))
+            out[("baseline_" if prefix else "mean_") + "fidelity_per_level"] = {
+                lv: sum(r[2] for r in rs) / len(rs) for lv, rs in picked.items()}
+        name = "baseline_cohesiveness" if prefix else "mean_cohesiveness"
+        out[name] = sum(cohs[source]) / len(cohs[source]) if cohs[source] else None
+    return out

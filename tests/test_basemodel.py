@@ -450,3 +450,16 @@ class TestEnhancedHead:
         val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
         assert average_precision(labels[val], val_probs) == report["best_score"]
 
+    def test_training_keeps_every_base_array_bit_for_bit(self, rows):
+        """The enhanced store trains in place; arrays outside the head get no gradient."""
+        store, _, reps, embs, _ = rows
+        labels = (embs[:, 0] > 0).astype(int)
+        trained, report = train_enhanced_head(store, reps, embs, labels,
+                                              np.arange(len(labels)) % 4 == 0, lr=1e-2,
+                                              epochs=5, batch=16)
+        assert report["best_epoch"] >= 0  # the head moved
+        assert not np.array_equal(trained.arrays["ehead1.w"][:len(reps[0])],
+                                  store.arrays["head1.w"])
+        for name, arr in store.arrays.items():
+            assert trained.arrays[name].tobytes() == arr.tobytes(), name
+

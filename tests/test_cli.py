@@ -258,7 +258,8 @@ class TestErrors:
         ("synth", "--seed", "-1"), ("grad-check", "--points", "0"),
         ("grad-check", "--points", "-1")])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
-        code = main([command, "--run-dir", str(tmp_path / "r"), flag, value])
+        run_dir = [] if command == "grad-check" else ["--run-dir", str(tmp_path / "r")]
+        code = main([command, *run_dir, flag, value])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 1
         assert err["error"]["type"] == "ConfigError"
@@ -377,6 +378,13 @@ def test_grad_check_command(capsys):
                         "motif_encoder", "importance_scorer", "full_objective",
                         "base_forward"}
     assert all(v < 1e-4 for v in out.values())
+
+
+def test_grad_check_takes_no_run_dir(capsys):
+    from motifx.cli import build_parser
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["grad-check", "--run-dir", "run"])
+    assert "unrecognized arguments: --run-dir" in capsys.readouterr().err
 
 
 def test_grad_check_passes_where_a_larger_step_crosses_relu_kinks():

@@ -20,7 +20,7 @@ from motifx.motifs import sample_id_block
 from motifx.nn import Tape
 
 from oracles import (kl_empirical_scalar, kl_uniform_scalar, reference_encoder_inputs,
-                     reference_motif_encoder, reference_soft_predict)
+                     reference_evaluation, reference_motif_encoder, reference_soft_predict)
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +427,33 @@ class TestTraining:
                 monkeypatch.setattr(explainer, "_training_preps", poisoned_preps)
                 train_explainer(g, base, RunConfig(c=6, c_per_node=6, n=3, l=3, d_time=4, h=8,
                                                    expl_epochs=2, seed=0, per_hop_cap=8))
+
+
+class TestEvaluationOracle:
+    def test_report_equals_one_query_at_a_time_oracle(self):
+        """`evaluate_explanations`' rows equal the oracle's exactly and its means within
+        1e-12, on a small trained pipeline."""
+        from motifx.basemodel import train_base
+        from motifx.evaluate import build_eval_query_set, evaluate_explanations
+        g = generate_synthetic("triadic-closure", 15, 200, seed=4)
+        cfg = RunConfig(h=8, d_time_base=4, k_nb=8, c=6, d_time=4, per_hop_cap=8,
+                        base_epochs=2, expl_epochs=2, max_train_queries=30, seed=1)
+        base, _ = train_base(g, cfg)
+        expl, _ = train_explainer(g, base, cfg)
+        report = evaluate_explanations(g, base, expl, n_queries=14, cfg=cfg, seed=3)
+        queries = [q for q, _ in build_eval_query_set(g, 14, 3)]
+        want = reference_evaluation(g, base, expl, queries, cfg, 3)
+        assert report.rows == want.pop("rows")
+        assert 0 < report.n_queries == want.pop("n_queries")
+        assert {row[3] for row in report.rows} == {0, 1}
+        assert report.mean_cohesiveness is not None
+        for name, value in want.items():
+            got = getattr(report, name)
+            if isinstance(value, dict):
+                assert list(got) == list(value)
+                assert list(got.values()) == pytest.approx(list(value.values()), abs=1e-12)
+            else:
+                assert got == pytest.approx(value, abs=1e-12)
 
 
 class TestMotifEnhanced:

@@ -27,6 +27,13 @@ class TestFidelity:
         from motifx.metrics import fidelity
         assert fidelity(0.3, [0.9, 0.1]) == pytest.approx([-0.6, 0.2])
 
+    def test_a_column_of_full_views_broadcasts_row_by_row(self):
+        from motifx.metrics import fidelity
+        full = np.array([[0.7], [0.3], [0.5]])
+        views = np.array([[0.9, 0.6], [0.9, 0.1], [0.2, 0.5]])
+        want = [fidelity(float(f), v).tolist() for f, v in zip(full[:, 0], views)]
+        assert fidelity(full, views).tolist() == want
+
 
 class TestSparsity:
     def test_levels_grid(self):
