@@ -39,7 +39,6 @@ import numpy as np
 
 from . import nn
 from .config import RunConfig
-from .errors import ShapeError
 from .features import event_feature_block
 from .graph import Event, TemporalGraph, node_base_features, query_event
 from .layers import masked_attention
@@ -199,7 +198,12 @@ def predict_batch(store: ParameterStore, g: TemporalGraph, queries: list,
 
 
 class InternalPredictor:
-    """One query at a time through `predict_batch`, on a frozen base store."""
+    """One query at a time through `predict_batch`, on a frozen base store.
+
+    Nothing in the package calls it: it stays because `bench/tracing.py` wraps
+    `predict`, `label` and `query_context` by name, and `bench/run.py --smoke` fails
+    without them. It goes with the next change to the benchmark.
+    """
 
     def __init__(self, store: ParameterStore):
         self.store = store
@@ -298,8 +302,8 @@ def train_base(g: TemporalGraph, cfg: RunConfig) -> tuple[ParameterStore, dict]:
     deterministic given cfg.seed.
     `nn.fit` trains it: a non-finite loss or gradient raises NonFiniteError naming the
     epoch; the best by validation AP of the untrained store and each epoch is returned
-    (stop after cfg.patience epochs without a gain), or with an empty validation split
-    the last epoch. The report is `nn.fit`'s.
+    (stop after cfg.patience + 1 epochs in a row without a gain), or with an empty
+    validation split the last epoch. The report is `nn.fit`'s.
     """
     store = build_base_store(g, cfg)
     train_ids, val_ids, _ = split_event_ids(g)
@@ -322,58 +326,36 @@ def train_base(g: TemporalGraph, cfg: RunConfig) -> tuple[ParameterStore, dict]:
 # -- motif-enhanced head --------------------------------------------------------
 
 def build_enhanced_store(base: ParameterStore, motif_dim: int) -> ParameterStore:
-    """Widen the output head with motif-embedding columns initialized to zero.
+    """The base model's head alone, its `head1.w` widened by `motif_dim` zero rows.
 
-    At initialization the enhanced head reproduces the plain model exactly,
-    so head training only moves away from it when that helps validation.
+    The arrays keep the head's names, so `_head` scores the store, and at
+    initialization it reproduces the plain model exactly: head training only
+    moves away from it when that helps validation.
     """
-    store = base.copy()
-    h = store.meta["h"]
-    w = np.zeros((2 * h + motif_dim, h))
-    w[:2 * h] = store.arrays["head1.w"]
-    store.add("ehead1.w", w)
-    store.add("ehead1.b", store.arrays["head1.b"].copy())
-    store.add("ehead2.w", store.arrays["head2.w"].copy())
-    store.add("ehead2.b", store.arrays["head2.b"].copy())
-    store.meta["motif_dim"] = motif_dim
+    h = base.meta["h"]
+    store = ParameterStore()
+    store.add("head1.w", np.concatenate([base.arrays["head1.w"], np.zeros((motif_dim, h))]))
+    for name in ("head1.b", "head2.w", "head2.b"):
+        store.add(name, base.arrays[name].copy())
+    store.meta = {"kind": "enhanced", "h": h, "motif_dim": motif_dim}
     return store
 
 
 def enhanced_probs(tape, reps: np.ndarray, embs: np.ndarray) -> Var:
     """Probabilities (n,) of the widened head on rows [representation || mean motif embedding]."""
-    x = nn.const(np.concatenate([np.atleast_2d(reps), np.atleast_2d(embs)], axis=1))
-    return _head(tape, x, "ehead")
-
-
-def motif_enhanced_predict(store: ParameterStore, g: TemporalGraph, query: Event,
-                           motif_embeddings: np.ndarray) -> float:
-    """Head on node representations concatenated with the mean motif embedding."""
-    if "ehead1.w" not in store.arrays:
-        raise ShapeError("store has no enhanced head; train one first")
-    motif_dim = store.meta["motif_dim"]
-    embs = np.asarray(motif_embeddings, dtype=np.float64)
-    if embs.size == 0:
-        mean_emb = np.zeros(motif_dim)
-    else:
-        embs = embs.reshape(-1, embs.shape[-1])
-        if embs.shape[1] != motif_dim:
-            raise ShapeError(f"motif embeddings width {embs.shape[1]} != {motif_dim}")
-        mean_emb = embs.mean(axis=0)
-    rep = InternalPredictor(store).query_context(g, query)
-    return float(enhanced_probs(Tape(store), rep, mean_emb).value[0])
+    return _head(tape, nn.const(np.concatenate([reps, embs], axis=1)))
 
 
 def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray,
                         labels: np.ndarray, val_mask: np.ndarray,
                         lr: float = 1e-3, epochs: int = 40, batch: int = 64,
                         seed: int = 0) -> tuple[ParameterStore, dict]:
-    """Train the widened head of a fresh enhanced store in place, on precomputed
-    representations and embeddings.
+    """Train a fresh `build_enhanced_store` head on precomputed representations and
+    embeddings.
 
-    Only the head's arrays get a gradient; every other array gets an exact-zero Adam step
-    and keeps the base's bits. `nn.fit` selects by validation AP with the untouched
-    initial head competing, and leaves it only for a gain above 1e-3, so the result never
-    validates worse than the plain model. The report is `nn.fit`'s.
+    `nn.fit` selects by validation AP with the untouched initial head competing, and
+    leaves it only for a gain above 1e-3, so the result never validates worse than the
+    plain model. The report is `nn.fit`'s.
     """
     store = build_enhanced_store(base, embs.shape[1])
     train_idx = np.nonzero(~val_mask)[0]

@@ -1,9 +1,9 @@
 """Finite-difference verification of every differentiable component.
 
 Each check perturbs the relevant parameter store at seeded random points
-and compares tape gradients against central differences of step 1e-6 (a
-step of 1e-5 crosses relu kinks and fails correct gradients). Shared by the
-`grad-check` CLI command and the acceptance suite.
+and compares tape gradients against central differences of `nn.grad_check`'s
+default step 1e-6 (a step of 1e-5 crosses relu kinks and fails correct
+gradients). Shared by the `grad-check` CLI command and the acceptance suite.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ def _check_over_points(build_loss, store: ParameterStore, points: int, seed: int
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC4EC, k])))
         trial = store.copy()
         perturb(trial, rng)
-        worst = max(worst, grad_check(build_loss, trial, eps=1e-6, rng=rng, max_coords=4))
+        worst = max(worst, grad_check(build_loss, trial, rng=rng, max_coords=4))
     return worst
 
 

@@ -42,7 +42,7 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
                           [seed + i for i in range(len(queries))], cfg)
     report = MetricReport()
     report.explain_seconds_mean = (time.perf_counter() - t0) / len(queries) if queries else 0.0
-    todo = [i for i, expl in enumerate(expls) if not expl.empty and expl.comp_ids]
+    todo = [i for i, expl in enumerate(expls) if not expl.empty]
     n = len(SPARSITY_LEVELS)
     width = 1 + 2 * n
     views = [[None] + [set(expls[i].retained[lv]) for lv in SPARSITY_LEVELS]

@@ -508,7 +508,7 @@ def fit(store: ParameterStore, epochs: int, batches: Callable, lr: float,
     `batches(epoch)` yields. A non-finite loss or gradient raises NonFiniteError naming
     the epoch. With `validate(store) -> score`, the untrained store counts at its measured
     score, an epoch replaces the best only when it beats it by more than `min_gain`,
-    training stops once `patience` epochs in a row have not, and the best arrays are
+    training stops once `patience` + 1 epochs in a row have not, and the best arrays are
     restored; without it the last epoch's store is kept. Returns the per-epoch mean
     losses, `epochs_run`, `best_epoch` (-1: untrained), and the initial and best scores
     (None without `validate`).
@@ -548,7 +548,7 @@ def fit(store: ParameterStore, epochs: int, batches: Callable, lr: float,
 
 
 def grad_check(build_loss: Callable[[Tape], Var], store: ParameterStore,
-               eps: float = 1e-5, rng: np.random.Generator | None = None,
+               eps: float = 1e-6, rng: np.random.Generator | None = None,
                max_coords: int = 8) -> float:
     """Max relative error between tape gradients and central differences.
 

@@ -10,9 +10,11 @@ the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms;
 the per-motif encoder (`reference_motif_encoder`, through the package's
 GINE layer and score head) and the per-query base-model forward,
-which run on the nn tape; and the evaluation report at the end
+which run on the nn tape; the evaluation report
 (`reference_evaluation`), which calls the package's `explain`,
-`predict_batch` and random baseline one query and one view at a time.
+`predict_batch` and random baseline one query and one view at a time;
+and the motif-enhanced head at the end (`reference_enhanced_head`),
+which trains the package's head code with `nn.fit`.
 """
 from __future__ import annotations
 
@@ -691,3 +693,39 @@ def reference_evaluation(g, base, expl, queries, cfg, seed):
         name = "baseline_cohesiveness" if prefix else "mean_cohesiveness"
         out[name] = sum(cohs[source]) / len(cohs[source]) if cohs[source] else None
     return out
+
+
+# -- the motif-enhanced head as a full copy of the base store -------------------
+#
+# The earlier design: the whole base store copied, `ehead*` arrays added beside
+# its head, and the copy trained in place, so every base array takes an
+# exact-zero Adam step each batch and the `fit` snapshots hold all of them.
+
+def reference_enhanced_head(base, reps, embs, labels, val_mask, lr, epochs, batch, seed=0):
+    """The trained full copy and its `nn.fit` report."""
+    from motifx.basemodel import _bce
+    from motifx.metrics import average_precision
+    store = base.copy()
+    h = store.meta["h"]
+    w = np.zeros((2 * h + embs.shape[1], h))
+    w[:2 * h] = store.arrays["head1.w"]
+    store.add("ehead1.w", w)
+    for name in ("1.b", "2.w", "2.b"):
+        store.add(f"ehead{name}", store.arrays[f"head{name}"].copy())
+    train_idx, val_idx = np.nonzero(~val_mask)[0], np.nonzero(val_mask)[0]
+
+    def probs(tape, rows):
+        return _base_head(tape, nn.const(np.concatenate([reps[rows], embs[rows]], axis=1)),
+                          "ehead")
+
+    def batches(epoch):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE11, epoch])))
+        order = rng.permutation(len(train_idx))
+        for lo in range(0, len(order), batch):
+            sel = train_idx[order[lo:lo + batch]]
+            yield lambda tape, sel=sel: nn.vmean(_bce(probs(tape, sel), labels[sel]))
+
+    report = nn.fit(store, epochs, batches, lr, min_gain=1e-3,
+                    validate=lambda s: average_precision(labels[val_idx],
+                                                         probs(Tape(s), val_idx).value))
+    return store, report

@@ -4,16 +4,17 @@ import pytest
 from motifx import basemodel, nn
 from motifx.basemodel import (InternalPredictor, batch_loss, build_base_store,
                               build_enhanced_store, empty_context_output, enhanced_probs,
-                              encode_slots, eval_queries, motif_enhanced_predict, predict_slots,
+                              encode_slots, eval_queries, predict_slots,
                               predict_batch, soft_predict,
                               split_event_ids, split_times, train_base, train_enhanced_head)
 from motifx.config import RunConfig
-from motifx.errors import CheckpointError, ConfigError, ShapeError
+from motifx.errors import CheckpointError, ConfigError
 from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
 
-from oracles import reference_batch_loss, reference_predict, reference_soft_predict
+from oracles import (reference_batch_loss, reference_enhanced_head, reference_predict,
+                     reference_soft_predict)
 
 
 def members(store, g, q):
@@ -425,19 +426,8 @@ class TestEnhancedHead:
         enhanced = build_enhanced_store(store, embs.shape[1])
         got = enhanced_probs(Tape(enhanced), reps, embs).value
         assert np.max(np.abs(got - probs)) <= 1e-12
-        lone = enhanced_probs(Tape(enhanced), reps[3], embs[3]).value
+        lone = enhanced_probs(Tape(enhanced), reps[3:4], embs[3:4]).value
         assert lone.shape == (1,) and abs(lone[0] - probs[3]) <= 1e-12
-
-    def test_motif_enhanced_predict_shape_errors(self, small_graph, rows):
-        store, _, _, embs, _ = rows
-        q = small_graph.event(100)
-        with pytest.raises(ShapeError, match="no enhanced head"):
-            motif_enhanced_predict(store, small_graph, q, embs[:2])
-        enhanced = build_enhanced_store(store, embs.shape[1])
-        with pytest.raises(ShapeError, match="width"):
-            motif_enhanced_predict(enhanced, small_graph, q, np.zeros((2, 5)))
-        p = motif_enhanced_predict(enhanced, small_graph, q, embs[:2])
-        assert p == pytest.approx(InternalPredictor(store).predict(small_graph, q), abs=1e-12)
 
     def test_training_never_validates_worse(self, rows):
         store, _, reps, embs, _ = rows
@@ -450,16 +440,20 @@ class TestEnhancedHead:
         val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
         assert average_precision(labels[val], val_probs) == report["best_score"]
 
-    def test_training_keeps_every_base_array_bit_for_bit(self, rows):
-        """The enhanced store trains in place; arrays outside the head get no gradient."""
+    def test_head_only_store_trains_as_the_full_copy_did(self, rows):
+        """The head-only store ends with the bits and `fit` report of the earlier design: a
+        full copy of the base store with `ehead*` arrays beside it, trained in place."""
         store, _, reps, embs, _ = rows
         labels = (embs[:, 0] > 0).astype(int)
-        trained, report = train_enhanced_head(store, reps, embs, labels,
-                                              np.arange(len(labels)) % 4 == 0, lr=1e-2,
+        val = np.arange(len(labels)) % 4 == 0
+        trained, report = train_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
                                               epochs=5, batch=16)
+        ref, ref_report = reference_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
+                                                  epochs=5, batch=16)
         assert report["best_epoch"] >= 0  # the head moved
-        assert not np.array_equal(trained.arrays["ehead1.w"][:len(reps[0])],
-                                  store.arrays["head1.w"])
-        for name, arr in store.arrays.items():
-            assert trained.arrays[name].tobytes() == arr.tobytes(), name
+        assert sorted(trained.arrays) == ["head1.b", "head1.w", "head2.b", "head2.w"]
+        assert trained.meta == {"kind": "enhanced", "h": store.meta["h"], "motif_dim": 4}
+        for name, arr in trained.arrays.items():
+            assert arr.tobytes() == ref.arrays["e" + name].tobytes(), name
+        assert report == ref_report
 

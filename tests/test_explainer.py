@@ -410,7 +410,7 @@ class TestTraining:
                 basemodel.train_base(g, bcfg)
             elif trainer == "enhanced_head":
                 monkeypatch.setattr(basemodel, "build_enhanced_store",
-                                    poisoned(basemodel.build_enhanced_store, "ehead1.b"))
+                                    poisoned(basemodel.build_enhanced_store, "head1.b"))
                 queries = [g.event(e) for e in range(100, 164)]
                 reps = basemodel.predict_batch(base, g, queries)[1]
                 embs = np.random.default_rng(0).normal(size=(len(queries), 4))
@@ -459,8 +459,8 @@ class TestEvaluationOracle:
 class TestMotifEnhanced:
     def test_base_model_runs_once_per_query(self, monkeypatch):
         """`train_motif_enhanced` encodes each query's slots at most once (a prepped query
-        through its prep, the rest in one `predict_batch`), and its plain AP is the one a
-        separate `predict_batch` over the test queries gives."""
+        through its prep, the rest in one `predict_batch`), returns a head-only store, and
+        its plain AP is the one a separate `predict_batch` over the test queries gives."""
         from motifx import basemodel
         from motifx.basemodel import eval_queries, predict_batch, split_event_ids
         from motifx.evaluate import HEAD_TRAIN_EVENTS, train_motif_enhanced
@@ -477,8 +477,10 @@ class TestMotifEnhanced:
             encoded.append(len(queries))
             return real(tape, store, g, queries)
         monkeypatch.setattr(basemodel, "encode_slots", counting)
-        _, report = train_motif_enhanced(g, base, expl, cfg, seed=0)
+        enhanced, report = train_motif_enhanced(g, base, expl, cfg, seed=0)
         assert 0 < sum(encoded) <= n_rows
+        assert sorted(enhanced.arrays) == ["head1.b", "head1.w", "head2.b", "head2.w"]
+        assert enhanced.meta["kind"] == "enhanced"
         monkeypatch.undo()
         test_set = eval_queries(g, test_ids, 2)
         plain = predict_batch(base, g, [q for q, _ in test_set])[0]

@@ -356,7 +356,8 @@ class TestFit:
         assert (report["best_epoch"], report["best_score"]) == (-1, 0.9)
         assert np.array_equal(store.arrays["x"], np.zeros(1))
 
-    def test_patience_stops_after_that_many_epochs_without_a_gain(self):
+    def test_patience_stops_after_patience_plus_one_epochs_without_a_gain(self):
+        """At patience 1, the second epoch in a row without a gain is the last."""
         store, report, seen = self.scripted([0.5, 0.6, 0.55, 0.58], 10, patience=1)
         assert (report["epochs_run"], report["best_epoch"]) == (3, 0)
         assert len(report["epoch_losses"]) == 3
