@@ -184,16 +184,19 @@ class TemporalGraph:
     def from_json(cls, text: str) -> "TemporalGraph":
         try:
             payload = json.loads(text)
-            ev = payload["events"]
+            ev, width, node_count = payload["events"], payload["attr_width"], payload["node_count"]
             src = [e[0] for e in ev]
             dst = [e[1] for e in ev]
             t = [e[2] for e in ev]
-            attrs = np.array([e[3] for e in ev], dtype=np.float64)
-            if attrs.size == 0:
-                attrs = np.zeros((len(ev), payload["attr_width"]))
-            node_count = payload["node_count"]
+            rows = [e[3] for e in ev]
+            wrong = set(map(len, rows)) - {width}
+            if wrong:
+                raise SchemaError(f"attribute rows of length {sorted(wrong)} under "
+                                  f"attr_width {width!r}")
+            attrs = (np.array(rows, dtype=np.float64).reshape(len(ev), width) if width
+                     else np.zeros((len(ev), 0)))
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            # ValueError covers json.JSONDecodeError and ragged attribute rows
+            # ValueError covers json.JSONDecodeError and non-numeric attributes
             raise SchemaError(f"malformed graph JSON: {exc!r}") from exc
         return cls(src, dst, t, attrs, node_count)
 

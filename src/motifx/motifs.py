@@ -19,22 +19,39 @@ counts its candidates below any id m without listing them:
 with row and pair counts from one search on the graph's single sorted
 index `_key` (an event between two members of S sits in both rows). Its
 pick is candidate k = floor(draw_j * count): the largest id with k
-candidates below it. The search for the count at the window's end also
-sizes the windowed lists that together hold every candidate in id order:
-the rows of S while open, its pairs once closed. With want = k + 1, each
-list L bounds the pick by direct reads: from above by L[want - 1] + 1,
-from below by L[want - count + |L| - 1], as at most count - |L| of the
-first `want` candidates lie outside L. Over the r non-empty lists, the
-least L[ceil(want / r) - 1] is a lower bound too: one holds that many.
-At step 0 the bounds meet and no search runs. Later steps search only the
-walkers whose bracket [low, high) is wider than one id, on their own
-candidates: a walker keeps its lists' positions at low and high, and its
-pivot is e + 1 (high - 1 if e = high - 1), e the middle entry in [low, high)
-of its longest list, one `searchsorted` per round. A pivot counting exactly
-want ends the walker at e, as each candidate is counted once. Any pivot in
-(low, high) keeps count(low) < want <= count(high), and candidates are in
-id order, so the law and the bytes are those of taking cands[k] from the
-ascending candidate list.
+candidates below it.
+
+Step 0 searches nothing: S is the anchor alone, whose row window on `_key`
+holds its candidates in id order, so the pick is the window's entry k.
+Each later step lays out a walker's count as C(w, 2) terms over its first
+w = min(n, j + 2) node columns, of which an open walker fills at most
+w - 1: a closed walker's pairs, or an open walker's rows and pairs of its
+first w - 1 nodes ((w - 1) + C(w - 1, 2) = C(w, 2)). Only a pair that
+never interacts, or one that holds padding, has weight 0. The search for
+the count at the window's end also sizes the windowed lists that together
+hold every candidate in id order: the rows of S while open, its pairs
+once closed. With want = k + 1, each list L bounds the pick by direct
+reads: from above by L[want - 1] + 1, from below by
+L[want - count + |L| - 1], as at most count - |L| of the first `want`
+candidates lie outside L. Over the r non-empty lists, the least
+L[ceil(want / r) - 1] is a lower bound too: one holds that many.
+
+Then only the walkers whose bracket [low, high) is wider than one id are
+searched, on their own candidates. A walker keeps its lists' positions
+and its counts at low and high, takes an entry e in [low, high) of its
+longest list and pivots at e + 1 (high - 1 if e = high - 1), one
+`searchsorted` per round. e is the goal's share of that list: of its
+`width` entries in [low, high), entry
+(want - count(low) - 1) * width // (count(high) - count(low))
+(interpolation search, Perl, Itai & Avni 1978), so a list that holds
+every candidate ends in one round. After the first three rounds, every
+other round takes the list's middle entry instead: such a round halves
+the longest list (rounding up), and no round lengthens a list, so the
+rounds stay within about twice those of the middle entry alone. A pivot counting
+exactly want ends the walker at e, as each candidate is counted once. Any
+pivot in (low, high) keeps count(low) < want <= count(high), and
+candidates are in id order, so the law and the bytes are those of taking
+cands[k] from the ascending candidate list.
 
 The exact enumeration oracle (tests/oracles.py) returns the same block
 layout. A canonical code labels the nodes of the row's endpoints
@@ -69,15 +86,19 @@ def _params_ok(n: int, l: int, c: int | None = None) -> None:
 
 
 def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) -> tuple:
-    """Per walker (a row of `nodes`, padded with -1), the bases, weights and window starts
-    on the graph's `_key` of its count's terms: its node rows, then its node pairs, with
-    the weights of its open or closed count (see the module docstring)."""
+    """Per walker (a row of the (W, w) `nodes`, padded with -1; an open walker holds at
+    most w - 1 nodes, a closed one w), the bases, weights and window starts on the
+    graph's `_key` of the C(w, 2) terms of its count (see the module docstring): a closed
+    walker's pairs, weight 1; an open walker's rows of its first w - 1 nodes, weight 1,
+    then their pairs, weight -1."""
     first, second = _pairs(nodes.shape[1])
     ranks = g.pair_ranks(nodes[:, first], nodes[:, second])
-    base = np.concatenate([np.maximum(nodes, 0), g.node_count + np.maximum(ranks, 0)],
-                          axis=1) * g.n_events
-    weight = np.concatenate([(nodes >= 0) & ~closed[:, None],
-                             (ranks >= 0) * np.where(closed, 1, -1)[:, None]], axis=1)
+    inner = ranks[:, second < nodes.shape[1] - 1]  # the pairs of the first w - 1 nodes
+    rows = nodes[:, :-1]
+    closed = closed[:, None]
+    base = np.where(closed, g.node_count + np.maximum(ranks, 0), np.concatenate(
+        [np.maximum(rows, 0), g.node_count + np.maximum(inner, 0)], axis=1)) * g.n_events
+    weight = np.where(closed, ranks >= 0, np.concatenate([rows >= 0, (inner >= 0) * -1], axis=1))
     return base, weight, g._key.searchsorted(base + lo[:, None])
 
 
@@ -110,16 +131,51 @@ def _bracket(g: TemporalGraph, terms: tuple, sizes, want, total, low, high) -> t
     return np.maximum.reduce([low, -least[1], least[2]]), np.minimum(high, least[0] + 1)
 
 
-def _pivots(g: TemporalGraph, terms: tuple, ends: np.ndarray, high) -> tuple:
-    """Per undecided walker, the middle candidate e of its longest list between its
-    positions at low and at high (`ends`, stacked), and the next pivot: e + 1, or
-    high - 1 if e is the last id before high."""
+def _pivots(g: TemporalGraph, terms: tuple, ends: np.ndarray, counts: np.ndarray, goal,
+            high, middle: bool) -> tuple:
+    """Per undecided walker, an entry e of its longest list between its positions at low
+    and at high (`ends`, stacked), and the next pivot: e + 1, or high - 1 if e is the
+    last id before high. e is the goal's share of the list, its entry
+    (goal - count(low) - 1) * width // (count(high) - count(low)) with the counts
+    stacked in `counts`, or on `middle` rounds its middle entry. As count(low) < goal
+    <= count(high), either entry lies in [low, high), so the pivot lies in (low, high)
+    and keeps that invariant (see the module docstring)."""
     width = (ends[1] - ends[0]) * (terms[1] > 0)
     longest = width.argmax(axis=1)
     walker = np.arange(len(longest))
-    middle = ends[0][walker, longest] + (width[walker, longest] - 1) // 2
-    e = g._key[middle] - terms[0][walker, longest]
+    width = width[walker, longest]
+    offset = ((width - 1) // 2 if middle
+              else (goal - counts[0] - 1) * width // (counts[1] - counts[0]))
+    e = g._key[ends[0][walker, longest] + offset] - terms[0][walker, longest]
     return e, np.minimum(e + 1, high - 1)
+
+
+def _search(g: TemporalGraph, terms: tuple, want, low, high) -> np.ndarray:
+    """Per walker, its pick within the bracket [low, high): `low` once the search has
+    narrowed each undecided walker's bracket, in place, to one id (see the module
+    docstring)."""
+    rest = np.flatnonzero(high - low > 1)  # search only the undecided walkers
+    terms, goal = tuple(a[rest] for a in terms), want[rest]
+    # each term's positions at low and at high, and the walker's counts there;
+    # a pivot's stops and count replace one of each
+    ends = g._key.searchsorted(terms[0] + np.stack([low[rest], high[rest]])[..., None])
+    counts = ((ends - terms[2]) * terms[1]).sum(axis=2)
+    r = 0
+    while len(rest):
+        e, pivot = _pivots(g, terms, ends, counts, goal, high[rest], r > 2 and r % 2 == 1)
+        at = _stops(g, terms, pivot)
+        count = _below(g, terms, pivot, at)
+        past = count >= goal
+        high[rest[past]], low[rest[~past]] = pivot[past], pivot[~past]
+        hit = (count == goal) & (pivot > e)  # e is counted once, so it is the pick
+        low[rest[hit]] = e[hit]
+        side, walker = past * 1, np.arange(len(rest))
+        ends[side, walker], counts[side, walker] = at, count
+        still = high[rest] - low[rest] > 1
+        rest, goal, ends, counts = rest[still], goal[still], ends[:, still], counts[:, still]
+        terms = tuple(a[still] for a in terms)
+        r += 1
+    return low
 
 
 def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
@@ -132,54 +188,44 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
     lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
-    high = g.t.searchsorted(t0s)
-    alone = _count_terms(g, anchors[:, None], lo, np.zeros(len(anchors), bool))
-    live = np.flatnonzero(_below(g, alone, high) > 0)
+    # each anchor's row window [lo, t0) on `_key`: its start and its count
+    row = anchors * g.n_events
+    start, stop = g._key.searchsorted(np.stack([row + lo, row + g.t.searchsorted(t0s)]))
+    count = stop - start
+    live = np.flatnonzero(count > 0)
     draws = np.concatenate([np.empty((0, l))] + [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(seeds[i]), int(anchors[i])]))).random((c, l))
         for i in live.tolist()])
     walker_anchor = np.repeat(live, c)
-    lo, high = lo[walker_anchor], high[walker_anchor]
+    lo = lo[walker_anchor]
     ids = np.full((len(walker_anchor), l), -1, dtype=np.int64)
     nodes = np.full((len(walker_anchor), n), -1, dtype=np.int64)
     nodes[:, 0] = anchors[walker_anchor]
     walkers = np.arange(len(walker_anchor))
+    # step 0 reads its candidate k straight off the anchor's row window
+    k = (draws[:, 0] * count[walker_anchor]).astype(np.int64)
+    low = g._key[start[walker_anchor] + k] - row[walker_anchor]
     for j in range(l):
-        held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
-        size = (held >= 0).sum(axis=1)
-        terms = _count_terms(g, held, lo[walkers], size >= n)
-        stops = _stops(g, terms, high)
-        total = _below(g, terms, high, stops)
-        keep = total > 0
-        walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
-        if not len(walkers):
-            break
-        terms, stops, size = tuple(a[keep] for a in terms), stops[keep], size[keep]
-        # the pick is candidate k: the largest id with k candidates below it
-        want = (draws[walkers, j] * total).astype(np.int64) + 1
-        low, high = _bracket(g, terms, stops - terms[2], want, total, low, high)
-        rest = np.flatnonzero(high - low > 1)  # search only the undecided walkers
-        terms, goal = tuple(a[rest] for a in terms), want[rest]
-        # each term's positions at low and at high; a pivot's stops replace one
-        ends = g._key.searchsorted(terms[0] + np.stack([low[rest], high[rest]])[..., None])
-        while len(rest):
-            e, pivot = _pivots(g, terms, ends, high[rest])
-            at = _stops(g, terms, pivot)
-            count = _below(g, terms, pivot, at)
-            past = count >= goal
-            high[rest[past]], low[rest[~past]] = pivot[past], pivot[~past]
-            hit = (count == goal) & (pivot > e)  # e is counted once, so it is the pick
-            low[rest[hit]] = e[hit]
-            ends[past * 1, np.arange(len(rest))] = at
-            still = high[rest] - low[rest] > 1
-            rest, goal, ends = rest[still], goal[still], ends[:, still]
-            terms = tuple(a[still] for a in terms)
+        if j:
+            held = nodes[walkers, :min(n, j + 2)]  # after j events, at most j + 1 nodes
+            terms = _count_terms(g, held, lo[walkers], held[:, -1] >= 0)  # a full row is closed
+            stops = _stops(g, terms, high)
+            total = _below(g, terms, high, stops)
+            keep = total > 0
+            walkers, low, high, total = walkers[keep], lo[walkers][keep], high[keep], total[keep]
+            if not len(walkers):
+                break
+            terms, stops = tuple(a[keep] for a in terms), stops[keep]
+            # the pick is candidate k: the largest id with k candidates below it
+            want = (draws[walkers, j] * total).astype(np.int64) + 1
+            low, high = _bracket(g, terms, stops - terms[2], want, total, low, high)
+            low = _search(g, terms, want, low, high)
         ids[walkers, j] = low
         # the event adds whichever endpoint is not yet collected, if any
         held, src, dst = nodes[walkers], g.src[low], g.dst[low]
         new = np.where((held == src[:, None]).any(axis=1), dst, src)
         grow = ~(held == new[:, None]).any(axis=1)
-        nodes[walkers[grow], size[grow]] = new[grow]
+        nodes[walkers[grow], (held[grow] >= 0).sum(axis=1)] = new[grow]
         high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
     return ids, live
 

@@ -316,7 +316,8 @@ def reference_id_block(g, anchors, t0s, seeds, n=3, l=3, c=1, delta=None):
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
     lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
     high = g.t.searchsorted(t0s)
-    alone = _count_terms(g, anchors[:, None], lo, np.zeros(len(anchors), bool))
+    alone = _count_terms(g, np.stack([anchors, np.full_like(anchors, -1)], axis=1), lo,
+                         np.zeros(len(anchors), bool))
     live = np.flatnonzero(_below(g, alone, high) > 0)
     draws = np.concatenate([np.empty((0, l))] + [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(seeds[i]), int(anchors[i])]))).random((c, l))
@@ -328,7 +329,7 @@ def reference_id_block(g, anchors, t0s, seeds, n=3, l=3, c=1, delta=None):
     nodes[:, 0] = anchors[walker_anchor]
     walkers = np.arange(len(walker_anchor))
     for j in range(l):
-        held = nodes[walkers, :min(n, j + 1)]  # after j events, at most j + 1 nodes
+        held = nodes[walkers, :min(n, j + 2)]  # after j events, at most j + 1 nodes
         size = (held >= 0).sum(axis=1)
         terms = _count_terms(g, held, lo[walkers], size >= n)
         total = _below(g, terms, high)

@@ -305,6 +305,17 @@ class TestValidation:
         with pytest.raises(SchemaError, match="malformed graph JSON"):
             TemporalGraph.from_json(text)
 
+    @pytest.mark.parametrize("width,rows", [
+        (5, [[0.5], [1.5]]),  # one attribute per row under a width of 5
+        (2, [[], []]),  # empty rows under a width of 2
+        (0, [[0.5], [1.5]]),  # one attribute per row under a width of 0
+    ])
+    def test_from_json_attribute_rows_must_match_attr_width(self, width, rows):
+        events = [[0, 1, 1.0, rows[0]], [1, 2, 2.0, rows[1]]]
+        text = json.dumps({"node_count": 3, "attr_width": width, "events": events})
+        with pytest.raises(SchemaError, match="attr_width"):
+            TemporalGraph.from_json(text)
+
     def test_from_json_self_loop(self):
         text = json.dumps({"node_count": 2, "attr_width": 0, "events": [[1, 1, 1.0, []]]})
         with pytest.raises(SchemaError, match="self-loop"):
@@ -385,7 +396,9 @@ class TestIndex:
         closed = seed % 5 == 0
         lo = g.t.searchsorted([since])
         stop = g.t.searchsorted([before], side="left" if strict else "right")
-        terms = _count_terms(g, nodes[None, :], lo, np.array([closed]))
+        # an open set leaves one column of its row empty, as the walker's rows do
+        row = nodes if closed else np.append(nodes, -1)
+        terms = _count_terms(g, row[None, :], lo, np.array([closed]))
         got = int(_below(g, terms, np.maximum(stop, lo))[0])
         want = brute_force_neighbor_events(g, nodes, before, strict, since=since, closed=closed)
         assert got == len(want)

@@ -190,8 +190,8 @@ class TestBracketedWalker:
     @pytest.mark.parametrize("case", sorted(PIVOT_CASES))
     def test_pivot_paths_match_reference(self, monkeypatch, case):
         """One walker (n = l = 3) whose search takes the pivot rule's two special paths.
-        In `clip` the middle candidate e of a round is the last id before high, so the
-        pivot is high - 1, not e + 1. In `hit` the bracket leaves the walker undecided at
+        In `clip` the entry e of a round is the last id before high, so the pivot is
+        high - 1, not e + 1. In `hit` the bracket leaves the walker undecided at
         steps 1 and 2 with low < e, and each search ends in one round: the pivot e + 1
         counts exactly `want`, so the pick is e; without that rule each takes two rounds."""
         src, dst, seed = self.PIVOT_CASES[case]
@@ -201,7 +201,7 @@ class TestBracketedWalker:
 
         def record(*args):
             e, pivot = pivots(*args)
-            rounds.append((int(e[0]), int(pivot[0]), int(args[3][0])))
+            rounds.append((int(e[0]), int(pivot[0]), int(args[5][0])))
             return e, pivot
         monkeypatch.setattr(motifs, "_pivots", record)
         got = sample_id_block(g, [0], [len(src) + 1.0], [seed], 3, 3, 1)
@@ -216,23 +216,28 @@ class TestBracketedWalker:
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("n,l", [(n, l) for n in (2, 3, 4) for l in (2, 3, 4)])
     def test_bracket_holds_the_scan_pick(self, monkeypatch, seed, n, l):
+        """Step 0 reads the scan's pick off the anchor's row; each later step's bracket
+        holds the scan's pick."""
         g, anchors, t0s, seeds, delta = tied_case(seed, n, l)
         c, brackets, bracket = 15, [], motifs._bracket
 
-        def record(*args):  # the walker bisects in place, so keep a copy
+        def record(*args):  # the search narrows the bracket in place, so keep a copy
             low, high = bracket(*args)
             brackets.append((low.copy(), high.copy()))
             return low, high
         monkeypatch.setattr(motifs, "_bracket", record)
         ids, live = sample_id_block(g, anchors, t0s, seeds, n, l, c, delta)
-        # one bracket per step until no walker is left; later steps take no event
-        assert 0 < len(brackets) <= l and all(len(low) for low, _ in brackets)
-        assert np.all(ids[:, len(brackets):] < 0)
-        for j, (low, high) in enumerate(brackets):
-            assert len(low) == np.sum(ids[:, j] >= 0)
-            if j == 0:
-                assert np.all(high - low == 1)
-            for w, lo_w, hi_w in zip(np.flatnonzero(ids[:, j] >= 0), low, high):
+        # one bracket per step after step 0 until no walker is left; later steps take
+        # no event
+        assert len(brackets) <= l - 1 and all(len(low) for low, _ in brackets)
+        assert np.all(ids[:, 1 + len(brackets):] < 0) and np.all(ids[:, 0] >= 0)
+        steps = [None] + brackets
+        for j in range(1 + len(brackets)):
+            walkers = np.flatnonzero(ids[:, j] >= 0)
+            if j:
+                low, high = steps[j]
+                assert len(low) == len(walkers)
+            for k, w in enumerate(walkers):
                 a = int(anchors[live[w // c]])
                 t0 = float(t0s[live[w // c]])
                 draw = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
@@ -240,18 +245,115 @@ class TestBracketedWalker:
                 S = {a} | {int(x) for i in ids[w, :j] for x in (g.src[i], g.dst[i])}
                 t_prev = float(g.t[ids[w, j - 1]]) if j else t0
                 cands = admissible(g, S, t_prev, n, -math.inf if delta is None else t0 - delta)
-                assert lo_w <= cands[int(draw * len(cands))] < hi_w
+                pick = cands[int(draw * len(cands))]
+                if j:
+                    assert low[k] <= pick < high[k]
+                else:
+                    assert ids[w, 0] == pick
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_terms_count_the_scan(self, seed, windowed, n):
+        """Open (one node short), closed and padded walkers on a graph with tied times
+        get C(n, 2) terms each, and `_below` over them equals the scan's count at every
+        id bound."""
+        rng = np.random.default_rng(seed + 10 * n + 1010)
+        g = random_graph(rng, n_events=int(rng.integers(20, 50)), duplicate_times=True)
+        rows, sets, los = [], [], []
+        for size in [s for s in range(1, n + 1) for _ in range(4)]:
+            S = [int(x) for x in rng.choice(g.node_count, size=size, replace=False)]
+            t0 = float(rng.choice(g.t)) + float(rng.choice([0.0, 0.5]))
+            t_low = t0 - float(rng.integers(1, 10)) if windowed else -math.inf
+            rows.append(S + [-1] * (n - size))
+            sets.append(S)
+            los.append(int(g.t.searchsorted(t_low)))
+        closed = np.array([len(S) == n for S in sets])
+        terms = _count_terms(g, np.array(rows, dtype=np.int64), np.array(los), closed)
+        assert all(a.shape == (len(rows), n * (n - 1) // 2) for a in terms)
+        scans = [np.array(admissible(g, set(S), math.inf, n), dtype=np.int64) for S in sets]
+        for m in range(g.n_events + 1):
+            got = _below(g, terms, np.maximum(m, np.array(los)))
+            assert got.tolist() == [int(np.sum((ids >= lo) & (ids < max(m, lo))))
+                                    for ids, lo in zip(scans, los)]
+
+    @staticmethod
+    def skewed_walker(case: str) -> tuple:
+        """A graph, one walker's node row and whether it is closed, its candidates being
+        every event of the graph. `long-row`: node 0's row is long, its 2,850 events
+        filling the gaps between node 1's 300, and the gaps halve as ids grow, so node
+        0's candidates crowd the bottom of the id range and node 1's the top. `six-pairs`:
+        the six pair lists of the closed walker {0, 1, 2, 3} take turns holding blocks of
+        20, 14, 9, 6, 4, 3, 2, 1, 1 events from the bottom up, and in turn the same from
+        the top down, with one event between."""
+        if case == "long-row":
+            src = []
+            for gap in [2 ** (5 - i // 50) for i in range(300)]:
+                src += [0] * (gap - 1) + [1]
+            dst = list(range(2, len(src) + 2))
+            return TemporalGraph(src, dst, np.arange(1.0, len(src) + 1),
+                                 np.zeros((len(src), 0)), len(src) + 2), [0, 1, -1], False
+        blocks = [20, 14, 9, 6, 4, 3, 2, 1, 1]
+        pairs = [k % 6 for k, size in enumerate(blocks) for _ in range(size)] + [5]
+        pairs += [(k + 1) % 6 for k in reversed(range(len(blocks))) for _ in range(blocks[k])]
+        first, second = np.triu_indices(4, 1)
+        return TemporalGraph(first[pairs], second[pairs], np.arange(1.0, len(pairs) + 1),
+                             np.zeros((len(pairs), 0)), 4), [0, 1, 2, 3], True
+
+    @pytest.mark.parametrize("case", ["long-row", "six-pairs"])
+    def test_skewed_list_search_stays_within_twice_bisection(self, monkeypatch, case):
+        """Over its whole window, each of the walker's goals ends on its candidate within
+        2 * ceil(log2(candidates)) + 2 rounds: 26 for `long-row` (3,150 candidates; 10
+        rounds, 8 by interpolation alone) and 16 for `six-pairs` (121 candidates; 14
+        rounds, where interpolation alone crawls through 20 and the middle entry alone
+        takes 15)."""
+        g, row, closed = self.skewed_walker(case)
+        total = g.n_events
+        terms = _count_terms(g, np.array([row] * total), np.zeros(total, np.int64),
+                             np.full(total, closed))
+        rounds, pivots = [], motifs._pivots
+
+        def record(*args):
+            rounds.append(len(args[4]))
+            return pivots(*args)
+        monkeypatch.setattr(motifs, "_pivots", record)
+        picks = motifs._search(g, terms, np.arange(1, total + 1), np.zeros(total, np.int64),
+                               np.full(total, total))
+        assert picks.tolist() == admissible(g, {x for x in row if x >= 0}, math.inf, 4)
+        assert 0 < len(rounds) <= 2 * math.ceil(math.log2(total)) + 2
+
+    def test_census_hubs_pivot_rounds(self, census_hubs, monkeypatch):
+        """One census call's pivot walker-rounds (walkers searched, summed over rounds):
+        17,936 with the middle entry on every round, 9,761 with the guarded
+        interpolation."""
+        g, nodes, t0s = census_hubs
+        rounds, pivots = [], motifs._pivots
+
+        def record(*args):
+            rounds.append(len(args[4]))
+            return pivots(*args)
+        monkeypatch.setattr(motifs, "_pivots", record)
+        sample_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20)
+        assert sum(rounds) <= 9761
 
     def test_walker_stops_once_no_walker_is_left(self, monkeypatch):
         g = TemporalGraph([0], [1], [1.0], np.zeros((1, 0)), 2)
-        calls, bracket = [], motifs._bracket
+        counted, brackets = [], []
+        count_terms, bracket = motifs._count_terms, motifs._bracket
 
-        def record(*args):
-            calls.append(len(args[3]))
+        def record_count(*args):
+            counted.append(len(args[1]))
+            return count_terms(*args)
+
+        def record_bracket(*args):
+            brackets.append(len(args[3]))
             return bracket(*args)
-        monkeypatch.setattr(motifs, "_bracket", record)
+        monkeypatch.setattr(motifs, "_count_terms", record_count)
+        monkeypatch.setattr(motifs, "_bracket", record_bracket)
         ids, live = sample_id_block(g, [0], [2.0], [0], 3, 3, 4)
-        assert calls == [4]  # step 0 only: after it every walker is at a dead end
+        # step 0 reads the one event off the anchor's row; step 1 counts no candidate
+        # for any walker, so no bracket is taken and step 2 never runs
+        assert counted == [4] and brackets == []
         assert np.array_equal(ids, [[0, -1, -1]] * 4) and np.array_equal(live, [0])
 
 
