@@ -14,18 +14,26 @@ before the query time, oldest first, -1 on padding. `encode_slots` is the
 half no mask changes: slot partners, ages, attributes (zero on padding)
 and `direct` flags, node features, the time encoding and the `node` and
 `q` projections. `_masked_forward` takes each slot's validity flag and
-event-mask weight (1 under a hard mask), forms the common-partner column
-from a (B, 2, K, K) partner-equality tensor, and runs attention over the
-valid slots, `out` and the head; a query with no valid slot has its
-[x_self, ctx] input zeroed, so an empty view gives a checkpoint constant.
+event-mask weight (1 under a hard mask) and does its per-slot work on the
+valid slots only: it matches common partners among them, gathers their key
+rows straight from the encoding (views of one query share its encoded
+row), and runs the `k`/`v` projections, the scores and the weighted value
+sums on those rows, so a hard-masked view costs what it keeps. The softmax
+scalars stay in the dense (B, 2, K) layout, so each value has the bits of
+the dense forward. Then `out` and the head; a query with no valid slot has
+its [x_self, ctx] input zeroed, so an empty view gives a checkpoint constant.
 `predict_batch` encodes each distinct (u, v, t) once for all its views;
 explainer preps keep theirs frozen: no objective gradient reaches that half.
 
 Rows are bit-identical alone or in any batch: slots pad to the fixed K,
 and no product handed to BLAS has one row or one column (numpy sends
 those to gemv, whose bits depend on the row count), so the 1-wide output
-projection is a multiply plus a row sum and a lone query is duplicated.
-`_head` does both; the explainer's motif scorer is its second user.
+projection is a multiply plus a row sum and a lone row is run as two.
+`_no_lone_row` does that for the `k`/`v` projections and for `_head`, which
+is also the explainer's motif scorer. It also needs a product row's bits not
+to depend on where the row sits, which OpenBLAS's kernels give at widths
+h % 8 in {0, 4, 5, 6, 7} (every default, benchmark and test width) but not
+at 1 to 3, where a product's last rows can differ in their last bits.
 
 `build_base_store` and `train_base` take the one `config.RunConfig`.
 """
@@ -70,16 +78,20 @@ def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
     return store
 
 
+def _no_lone_row(f, x: Var) -> Var:
+    """f(x) over the rows of x, a lone row run as two (see the row-invariance rules)."""
+    if x.value.shape[0] != 1:
+        return f(x)
+    return nn.gather_rows(f(nn.gather_rows(x, [0, 0])), [0])
+
+
 def _head(tape, x: Var, name: str = "head") -> Var:
-    """Probabilities of (B, width) rows through `{name}1` and `{name}2` (see the
-    row-invariance rules)."""
-    lone = x.value.shape[0] == 1
-    if lone:
-        x = nn.gather_rows(x, [0, 0])
-    hid = nn.relu(tape.affine(x, f"{name}1"))
-    w2 = nn.reshape(tape.param(f"{name}2.w"), (1, -1))
-    p = nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param(f"{name}2.b")))
-    return nn.gather_rows(p, [0]) if lone else p
+    """Probabilities of (B, width) rows through `{name}1` and `{name}2`."""
+    def probs(x):
+        hid = nn.relu(tape.affine(x, f"{name}1"))
+        w2 = nn.reshape(tape.param(f"{name}2.w"), (1, -1))
+        return nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param(f"{name}2.b")))
+    return _no_lone_row(probs, x)
 
 
 def empty_context_output(store: ParameterStore) -> float:
@@ -91,7 +103,8 @@ def empty_context_output(store: ParameterStore) -> float:
 
 
 # B queries' (B, 2, K) slot ids, partners and decays exp(-dt / tau), (B, 2, h) x_self and q_vec
-# and (B, 2, K, w) key columns [x_nbr, attrs, t_enc, direct]: Vars on a tape, or frozen arrays
+# and (B, 2, K, w) key columns [x_nbr, attrs, t_enc, direct, 0], the last one the place of the
+# common-partner column: Vars on a tape, or frozen arrays
 SlotEncoding = namedtuple("SlotEncoding", "ids partners decay x_self q_vec key_cols")
 
 
@@ -116,8 +129,8 @@ def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -
         np.concatenate([np.repeat(times, 2), np.repeat(times, 2 * k)]))
     x_self = tape.affine(nn.const(feats[:2 * n_q]), "node")
     cols = nn.concat([tape.affine(nn.const(feats[2 * n_q:]), "node"),
-                      event_feature_block(attrs, dts, direct[..., None], tape.param("time_w"))],
-                     axis=1)
+                      event_feature_block(attrs, dts, direct[..., None], tape.param("time_w")),
+                      nn.const(np.zeros((2 * n_q * k, 1)))], axis=1)
     decay = nn.exp(nn.mul(nn.const(-dts), nn.exp(nn.scale(tape.param("wedge_logtau"), -1.0))))
     return SlotEncoding(ids, partners, decay, nn.reshape(x_self, (n_q, 2, h)),
                         nn.reshape(tape.affine(x_self, "q"), (n_q, 2, h)),
@@ -125,30 +138,39 @@ def encode_slots(tape, store: ParameterStore, g: TemporalGraph, queries: list) -
 
 
 def _masked_forward(tape, store: ParameterStore, enc: SlotEncoding, valid: np.ndarray,
-                    weight: Var | None = None) -> tuple[Var, Var]:
-    """Probabilities (B,) and endpoint representations (B, 2h) of an encoded batch whose
-    retained slots `valid` (B, 2, K) marks, under event mask `weight` (default: hard).
-    A slot's common-partner feature is max_j weight_j * exp(-dt_j / tau) over the other
-    side's matching events, so only recently shared partners light up."""
-    (n_q, _, k), h, partners = enc.ids.shape, store.meta["h"], enc.partners
+                    weight: Var | None = None, rows: np.ndarray | None = None) -> tuple[Var, Var]:
+    """Probabilities (B,) and endpoint representations (B, 2h) of a batch whose query b is
+    row rows[b] of `enc` (default: row b) and keeps the slots `valid` (B, 2, K) marks,
+    under event mask `weight` (default: hard). Per-slot work reads the valid slots straight
+    from `enc` and runs on them only. A slot's common-partner feature is
+    max_j weight_j * exp(-dt_j / tau) over the other side's matching events, so only
+    recently shared partners light up."""
+    (n_q, _, k), h = valid.shape, store.meta["h"]
+    rows = np.arange(n_q) if rows is None else rows
+    pos = np.flatnonzero(valid)  # the valid slots in C order
+    side = pos // k  # each one's (query, side) row
+    at = (rows[side // 2] * 2 + side % 2) * k + pos % k  # and its slot in enc
+    # group the valid slots by (query, partner, side): a slot's matches are the group with
+    # its side bit flipped, in slot order, so the max's ties go to the first as when dense
+    part = enc.partners.reshape(-1)[at]
+    group = (side // 2 * (part.max(initial=0) + 1) + part) * 2 + side % 2
+    order = np.argsort(group, kind="stable")
+    lo, hi = (np.searchsorted(group[order], group ^ 1, end) for end in ("left", "right"))
+    count = hi - lo
+    tgt = np.repeat(np.arange(len(pos)), count)
+    src = order[np.arange(len(tgt)) + np.repeat(lo - np.cumsum(count) + count, count)]
     weight = nn.const(valid.astype(np.float64)) if weight is None else weight
-    vals = nn.mul(weight, enc.decay)
-    # match[b, s, i, j]: slot i's partner is slot j's on the other side, both valid;
-    # the max over j runs over its nonzeros in C order, so ties go to the first j
-    match = (valid[:, :, :, None] & valid[:, ::-1, None, :]
-             & (partners[:, :, :, None] == partners[:, ::-1, None, :]))
-    b, s, i, j = np.nonzero(match)
-    c_common = nn.segment_max(nn.gather_rows(nn.reshape(vals, (-1,)), (b * 2 + 1 - s) * k + j),
-                              (b * 2 + s) * k + i, 2 * n_q * k)
-    key_in = nn.concat([nn.reshape(enc.key_cols, (2 * n_q * k, -1)),
-                        nn.reshape(c_common, (-1, 1))], axis=1)
-    keys = nn.reshape(tape.affine(key_in, "k"), (n_q, 2, k, h))
-    values = nn.reshape(tape.affine(key_in, "v"), (n_q, 2, k, h))
-    ctx = nn.reshape(masked_attention(nn._v(enc.q_vec), keys, values, weight, valid),
-                     (2 * n_q, h))
+    vals = nn.mul(nn.gather_rows(nn.reshape(weight, (-1,)), pos[src]),
+                  nn.gather_rows(nn.reshape(enc.decay, (-1,)), at[src]))
+    key_in = nn.gather_rows_with_last(nn.reshape(enc.key_cols, (-1, enc.key_cols.shape[-1])), at,
+                                      nn.segment_max(vals, tgt, len(pos)))
+    keys, values = (_no_lone_row(lambda x, name=name: tape.affine(x, name), key_in)
+                    for name in "kv")
+    ctx = masked_attention(nn.gather_rows(nn.reshape(enc.q_vec, (-1, h)), at // k), keys, values,
+                           nn.reshape(weight, (2 * n_q, k)), valid.reshape(2 * n_q, k))
+    x_self = nn.gather_rows(nn.reshape(enc.x_self, (-1, h)), (rows[:, None] * 2 + [0, 1]).ravel())
     nonempty = np.repeat(valid.any(axis=(1, 2)), 2).astype(np.float64).reshape(-1, 1)
-    x = nn.mul(nn.concat([nn.reshape(enc.x_self, (2 * n_q, h)), ctx], axis=1),
-               nn.const(nonempty))
+    x = nn.mul(nn.concat([x_self, ctx], axis=1), nn.const(nonempty))
     reprs = nn.reshape(nn.relu(tape.affine(x, "out")), (n_q, 2 * h))
     return _head(tape, reprs), reprs
 
@@ -174,11 +196,12 @@ def predict_slots(store: ParameterStore, g: TemporalGraph, queries: list, rows: 
                     for lo in range(0, max(len(queries), 1), EVAL_CHUNK))  # frozen one by one
     probs, reprs = np.zeros(len(rows)), np.zeros((len(rows), 2 * store.meta["h"]))
     for lo in range(0, len(rows), EVAL_CHUNK):
-        chunk = SlotEncoding(*(f[rows[lo:lo + EVAL_CHUNK]] for f in enc))
-        kept = [ids.ravel() if view is None else view  # a full view keeps its own slots
-                for ids, view in zip(chunk.ids, retained[lo:lo + EVAL_CHUNK])]
-        valid = _slot_positions(chunk.ids, kept) < sum(map(len, kept))
-        p, r = _masked_forward(tape, store, chunk, valid)
+        at = rows[lo:lo + EVAL_CHUNK]
+        ids = enc.ids[at]
+        kept = [row.ravel() if view is None else view  # a full view keeps its own slots
+                for row, view in zip(ids, retained[lo:lo + EVAL_CHUNK])]
+        valid = _slot_positions(ids, kept) < sum(map(len, kept))
+        p, r = _masked_forward(tape, store, enc, valid, rows=at)
         probs[lo:lo + EVAL_CHUNK], reprs[lo:lo + EVAL_CHUNK] = p.value, r.value
     return probs, reprs, enc
 

@@ -135,14 +135,21 @@ def objective_check(points: int = 1, seed: int = 0) -> float:
 def base_forward_check(points: int = 1, seed: int = 0) -> float:
     """The batched soft-masked base forward, in its parameters and the event mask: two
     queries with long histories, one with an empty v side (only events 0 and 1 precede
-    it), one with no history; a third of the events dropped, the rest randomly weighted."""
+    it, all kept), one with no history; about a third of the other events dropped, the
+    rest randomly weighted. So the point holds padded, masked-out and kept slots and
+    kept partners shared across sides: every gather and segment of the masked half."""
     g, store, _, _, _ = _toy_pipeline(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 8])))
     fresh = min(set(range(g.node_count)) - set(g.src[:2].tolist()) - set(g.dst[:2].tolist()))
     queries = [g.event(g.n_events - 1), g.event(g.n_events - 2),
                query_event(int(g.src[0]), fresh, float(g.t[2])), query_event(0, 1, float(g.t[0]))]
-    members = [np.unique(row[row >= 0]) for row in encode_slots(Tape(store), store, g, queries).ids]
+    enc = encode_slots(Tape(store), store, g, queries)
+    members = [np.unique(row[row >= 0]) for row in enc.ids]
     covered = [m[rng.random(len(m)) > 1 / 3] for m in members]
+    covered[2] = members[2]
+    kept = np.array([np.isin(ids, cov) for ids, cov in zip(enc.ids, covered)])
+    assert (enc.ids < 0).any() and ((enc.ids >= 0) & ~kept).any() and kept[2].any()
+    assert any(np.intersect1d(p[0][k[0]], p[1][k[1]]).size for p, k in zip(enc.partners, kept))
     store.add("event_mask", rng.uniform(0.4, 0.9, size=sum(len(c) for c in covered)))
     probe = nn.const(rng.normal(size=len(queries)))
 

@@ -63,27 +63,29 @@ def concrete_sample(p, lam: float, u) -> Var:
     return nn.sigmoid(nn.scale(nn.add(logit, nn.const(noise)), 1.0 / lam))
 
 
-def masked_attention(query: Var, keys: Var, values: Var, mask: Var, valid=None) -> Var:
+def masked_attention(query: Var, keys: Var, values: Var, mask: Var, valid: np.ndarray) -> Var:
     """Dot-product attention where weights renormalize over masked-in keys only.
 
-    query (..., d), keys (..., K, d), values (..., K, dv), mask (..., K) ->
-    (..., dv): weights_i = mask_i * exp(s_i) / sum_j mask_j * exp(s_j) over
-    the slots `valid` marks (default: all; the rest are padding). With a
-    hard 0/1 mask this equals attention restricted to the retained keys;
-    a row with no valid slot returns zeros. Products are multiplies and
-    row sums, so a row's bits do not depend on the rows beside it.
+    Compacted form: query, keys (n, d) and values (n, dv) hold one row per slot
+    that `valid` (R, K) marks, in C order (each slot's row carries its own
+    query); mask (R, K) weighs the slots. -> (R, dv): weights_i = mask_i *
+    exp(s_i) / sum_j mask_j * exp(s_j) over the row's valid slots. With a hard
+    0/1 mask this equals attention restricted to the retained keys; a row with
+    no valid slot returns zeros. Per-slot work (scores, weighted values) runs on
+    the n valid slots only; the softmax scalars stay dense (R, K), zero off the
+    valid slots, so their K-axis sums and (for dv > 1) the slot-order value
+    sums keep the bits of the dense layout. Products are multiplies and row sums, so a row's
+    bits do not depend on the rows beside it.
     """
-    mask = nn._v(mask)
-    valid = np.ones(mask.value.shape, dtype=bool) if valid is None else np.asarray(valid, bool)
-    dim = keys.value.shape[-1]
-    q = nn.reshape(query, query.value.shape[:-1] + (1, dim))
-    scores = nn.scale(nn.vsum(nn.mul(keys, q), axis=-1), 1.0 / math.sqrt(dim))
-    # shift by the row max over valid slots; a padding slot is shifted by its own score
+    n_rows, k = valid.shape
+    pos = np.flatnonzero(valid)
+    scores = nn.scale(nn.vsum(nn.mul(keys, query), axis=-1), 1.0 / math.sqrt(keys.value.shape[-1]))
+    scores = nn.reshape(nn.segment_sum(scores, pos, n_rows * k), (n_rows, k))
+    # shift by the row max over valid slots; a slot off them scores 0 and is not shifted
     top = np.where(valid, scores.value, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
-    shift = np.where(valid, top, scores.value)
     weighted = nn.mul(nn.mul(mask, nn.const(valid.astype(np.float64))),
-                      nn.exp(nn.sub(scores, nn.const(shift))))
+                      nn.exp(nn.sub(scores, nn.const(np.where(valid, top, 0.0)))))
     denom = nn.add(nn.vsum(weighted, axis=-1, keepdims=True),
                    nn.const((~valid.any(axis=-1, keepdims=True)).astype(np.float64)))
-    w = nn.div(weighted, denom)
-    return nn.vsum(nn.mul(nn.reshape(w, w.value.shape + (1,)), values), axis=-2)
+    w = nn.gather_rows(nn.reshape(nn.div(weighted, denom), (-1,)), pos)
+    return nn.segment_sum(nn.mul(nn.reshape(w, (-1, 1)), values), pos // k, n_rows)

@@ -89,13 +89,12 @@ def cohesiveness(g, retained, comp_members) -> float | None:
 
 def random_baseline(comp_members, sparsity_level: float, seed: int) -> set:
     """Uniform retained set of ceil(s * |G(e)|) events, deterministic per seed."""
-    ids = np.array(sorted(int(e) for e in comp_members), dtype=np.int64)
+    ids = np.sort(np.fromiter(comp_members, np.int64))
     size = retained_size(sparsity_level, len(ids))
     if size >= len(ids):
-        return set(int(e) for e in ids)
+        return set(ids.tolist())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xBA5E11])))
-    pick = rng.choice(len(ids), size=size, replace=False)
-    return set(int(ids[i]) for i in pick)
+    return set(ids[rng.choice(len(ids), size=size, replace=False)].tolist())
 
 
 @dataclass

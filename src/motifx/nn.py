@@ -271,7 +271,12 @@ def concat(parts, axis: int = 0) -> Var:
 
 def _scatter_add(rows: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
     """Rows summed into `num` buckets by seg, each bucket from 0 in row order (the sums
-    `np.add.at` forms, from one bincount over (bucket, column) keys)."""
+    `np.add.at` forms): a store when seg strictly increases (no bucket repeats; only a
+    zero's sign can differ), else one bincount over (bucket, column) keys."""
+    if len(seg) < 2 or (seg[1:] > seg[:-1]).all():
+        out = np.zeros((num,) + rows.shape[1:])
+        out[seg] = rows
+        return out
     width = math.prod(rows.shape[1:])
     keys = (seg[:, None] * width + np.arange(width)).reshape(-1)
     out = np.bincount(keys, weights=rows.reshape(-1), minlength=num * width)
@@ -287,6 +292,22 @@ def gather_rows(a, idx) -> Var:
         rows = g.reshape((idx.size,) + a.value.shape[1:])
         _acc(a, _scatter_add(rows, idx.reshape(-1), a.value.shape[0]))
     return Var(val, (a,), vjp)
+
+
+def gather_rows_with_last(a, idx, last) -> Var:
+    """Rows a[idx] of a 2-d `a` with their last column replaced by the (n,) `last`, as one
+    node: one take into the output, then the column written in place."""
+    a, last = _v(a), _v(last)
+    idx = np.asarray(idx, dtype=np.int64)
+    val = a.value.take(idx, axis=0)
+    val[:, -1] = last.value
+
+    def vjp(g):
+        ga = _scatter_add(g, idx, a.value.shape[0])
+        ga[:, -1] = 0.0  # the replaced column gets none
+        _acc(a, ga)
+        _acc(last, g[:, -1])
+    return Var(val, (a, last), vjp)
 
 
 def segment_sum(a, seg, num: int) -> Var:

@@ -5,12 +5,14 @@ package internals: plain loops over the raw event list, math.log scalar
 arithmetic, permutation search for equivalence. The package's sampler is
 checked against `enumerate_motifs`, the exact enumeration oracle, which
 lists each step's candidates with a numpy mask over the raw src/dst/t
-columns rather than the graph's CSR index. There are three exceptions:
+columns rather than the graph's CSR index. There are exceptions:
 the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms;
 the per-motif encoder (`reference_motif_encoder`, through the package's
 GINE layer and score head) and the per-query base-model forward,
-which run on the nn tape; the evaluation report
+which run on the nn tape; the dense masked half
+(`reference_dense_predict`), on the package's slot encoding and head;
+the evaluation report
 (`reference_evaluation`), which calls the package's `explain`,
 `predict_batch` and random baseline one query and one view at a time;
 and the motif-enhanced head at the end (`reference_enhanced_head`),
@@ -490,6 +492,18 @@ def cohesiveness_scalar(events, span) -> float:
     return total / (k * k - k)
 
 
+def reference_random_baseline(comp_members, sparsity_level, seed) -> set:
+    """`metrics.random_baseline` as it was first written: sorted Python ints, the same
+    generator and draw, and a set built id by id."""
+    ids = np.array(sorted(int(e) for e in comp_members), dtype=np.int64)
+    size = math.ceil(sparsity_level * len(ids))
+    if size >= len(ids):
+        return set(int(e) for e in ids)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xBA5E11])))
+    pick = rng.choice(len(ids), size=size, replace=False)
+    return set(int(ids[i]) for i in pick)
+
+
 def average_precision_scalar(labels, scores) -> float:
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     hits = 0
@@ -645,6 +659,51 @@ def reference_batch_loss(tape, store, g, batch):
         term = nn.scale(nn.log(p) if label == 1 else nn.log(nn.sub(nn.const(1.0), p)), -1.0)
         terms.append(nn.reshape(term, (1,)))
     return nn.vmean(nn.concat(terms, axis=0))
+
+
+# -- the masked half in its dense (B, 2, K) layout -----------------------------
+#
+# The hard-masked forward as the package ran it before the masked half was
+# compacted to the retained slots: partner matches from a (B, 2, K, K)
+# equality tensor, and the key projections, scores and weighted value sums
+# over every slot of every view, padding included (shifted by its own
+# score). It runs on the package's slot encoding and head, so the compacted
+# forward must give its probabilities and representations bit for bit.
+
+def reference_dense_predict(store, g, queries, retained):
+    """Probabilities (B,) and representations (B, 2h) of query b under retained[b], the
+    set of event ids it keeps (None: its full view)."""
+    from motifx.basemodel import _head, encode_slots
+    tape = Tape(store)
+    enc = encode_slots(tape, store, g, queries)
+    (n_q, _, k), h, partners = enc.ids.shape, store.meta["h"], enc.partners
+    valid = np.array([(ids >= 0) & (True if view is None else np.isin(ids, sorted(view)))
+                      for ids, view in zip(enc.ids, retained)], dtype=bool).reshape(enc.ids.shape)
+    hard = nn.const(valid.astype(np.float64))
+    vals = nn.mul(hard, enc.decay)
+    match = (valid[:, :, :, None] & valid[:, ::-1, None, :]
+             & (partners[:, :, :, None] == partners[:, ::-1, None, :]))
+    b, s, i, j = np.nonzero(match)
+    c_common = nn.segment_max(nn.gather_rows(nn.reshape(vals, (-1,)), (b * 2 + 1 - s) * k + j),
+                              (b * 2 + s) * k + i, 2 * n_q * k)
+    cached = enc.key_cols.value.reshape(2 * n_q * k, -1)[:, :-1]  # less the c_common place
+    key_in = nn.concat([nn.const(cached), nn.reshape(c_common, (-1, 1))], axis=1)
+    keys = nn.reshape(tape.affine(key_in, "k"), (n_q, 2, k, h))
+    values = nn.reshape(tape.affine(key_in, "v"), (n_q, 2, k, h))
+    q = nn.reshape(enc.q_vec, (n_q, 2, 1, h))
+    scores = nn.scale(nn.vsum(nn.mul(keys, q), axis=-1), 1.0 / math.sqrt(h))
+    top = np.where(valid, scores.value, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
+    weighted = nn.mul(nn.mul(hard, hard),
+                      nn.exp(nn.sub(scores, nn.const(np.where(valid, top, scores.value)))))
+    denom = nn.add(nn.vsum(weighted, axis=-1, keepdims=True),
+                   nn.const((~valid.any(axis=-1, keepdims=True)).astype(np.float64)))
+    w = nn.div(weighted, denom)
+    ctx = nn.vsum(nn.mul(nn.reshape(w, (n_q, 2, k, 1)), values), axis=-2)
+    nonempty = np.repeat(valid.any(axis=(1, 2)), 2).astype(np.float64).reshape(-1, 1)
+    x = nn.mul(nn.concat([nn.reshape(enc.x_self, (2 * n_q, h)), nn.reshape(ctx, (2 * n_q, h))],
+                         axis=1), nn.const(nonempty))
+    reprs = nn.reshape(nn.relu(tape.affine(x, "out")), (n_q, 2 * h))
+    return _head(tape, reprs).value, reprs.value
 
 
 # -- the evaluation report, one query at a time ---------------------------------

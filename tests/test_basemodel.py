@@ -13,8 +13,8 @@ from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
 
-from oracles import (reference_batch_loss, reference_enhanced_head, reference_predict,
-                     reference_soft_predict)
+from oracles import (reference_batch_loss, reference_dense_predict, reference_enhanced_head,
+                     reference_predict, reference_soft_predict)
 
 
 def members(store, g, q):
@@ -352,6 +352,104 @@ class TestSlotEncoding:
                 assert np.any(live[name]) and not np.any(frozen[name]), name
             else:
                 assert live[name].tobytes() == frozen[name].tobytes(), name
+
+
+class TestCompactedForward:
+    """The masked half runs on the retained slots only: its probabilities and
+    representations are the dense (B, 2, K) layout's bit for bit (`reference_dense_predict`,
+    at widths whose BLAS rows do not depend on their place in a product) and the per-query
+    forward's (`reference_predict`) to 1e-12."""
+
+    @staticmethod
+    def one_side_event(store, g, q):
+        """An event id only one of the query's endpoints holds a slot for."""
+        ids = encode_slots(Tape(store), store, g, [q]).ids[0]
+        return int(np.setdiff1d(ids[0][ids[0] >= 0], ids[1])[0])
+
+    @staticmethod
+    def assert_matches_oracles(store, g, queries, views):
+        probs, reprs = predict_batch(store, g, queries, views)
+        dense_p, dense_r = reference_dense_predict(store, g, queries, views)
+        assert probs.tobytes() == dense_p.tobytes()
+        assert reprs.tobytes() == dense_r.tobytes()
+        want = [reference_predict(store, g, q, v) for q, v in zip(queries, views)]
+        assert np.max(np.abs(probs - np.array(want)), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_views_keeping_none_one_some_and_all_slots(self, seed):
+        rng = np.random.default_rng(seed + 600)
+        g = tied_graph(rng)
+        h = (6, 8)[seed % 2]
+        store = perturbed(build_base_store(g, RunConfig(h=h, d_time_base=3,
+                                                        k_nb=int(rng.integers(1, 7)))), seed)
+        queries, views = [], []
+        for q in mixed_queries(rng, g, 8):
+            full = [int(e) for e in members(store, g, q)]
+            some = {e for e in full if rng.random() < 0.3}
+            for view in (set(), set(full[:1]), some, set(full), None):
+                queries.append(q)
+                views.append(view)
+        self.assert_matches_oracles(store, g, queries, views)
+
+    def test_chunk_keeping_exactly_one_slot(self, monkeypatch):
+        """A single retained slot in a whole chunk: its k/v product is run on two rows, as
+        no product handed to BLAS may have one row, and it matches the slot in company."""
+        g = generate_synthetic("triadic-closure", 20, 300, seed=14)
+        store = perturbed(build_base_store(g, RunConfig(h=8, d_time_base=4, k_nb=8)), 9)
+        q, other = g.event(250), g.event(200)
+        e = self.one_side_event(store, g, q)
+        queries, views = [q, other, q, other], [{e}, set(), set(members(store, g, q)), None]
+        self.assert_matches_oracles(store, g, queries[:2], views[:2])
+        alone = predict_batch(store, g, [q], [{e}])
+        monkeypatch.setattr(basemodel, "EVAL_CHUNK", 2)  # chunks {e} + empty, then two full
+        chunked = predict_batch(store, g, queries, views)
+        assert chunked[0][0].tobytes() == alone[0][0].tobytes()
+        assert chunked[1][0].tobytes() == alone[1][0].tobytes()
+        assert alone[0][0] != empty_context_output(store)
+
+    def test_chunk_keeping_no_slot(self, monkeypatch):
+        g = generate_synthetic("triadic-closure", 20, 300, seed=15)
+        store = perturbed(build_base_store(g, RunConfig(h=8, d_time_base=4, k_nb=8)), 10)
+        queries = [g.event(260), g.event(240), query_event(0, 1, 0.0), g.event(260)]
+        views = [set(), {-1, g.n_events + 3}, None, None]
+        self.assert_matches_oracles(store, g, queries, views)
+        monkeypatch.setattr(basemodel, "EVAL_CHUNK", 3)  # the first chunk keeps nothing
+        probs, reprs = predict_batch(store, g, queries, views)
+        assert probs[:3].tolist() == [empty_context_output(store)] * 3
+        assert reprs[:3].tobytes() == reprs[2:3].repeat(3, axis=0).tobytes()
+        assert probs[3].tobytes() == predict_batch(store, g, [queries[3]])[0][0].tobytes()
+
+    def test_soft_with_padded_and_uncovered_slots(self):
+        """`soft_predict` values and gradients against the per-query oracle on a batch with
+        a history-free query (all padding), short histories (padding on a side), and
+        covered sets keeping every event, one event, none, and some plus ids no slot holds."""
+        g = generate_synthetic("triadic-closure", 20, 300, seed=16)
+        store = perturbed(build_base_store(g, RunConfig(h=8, d_time_base=4, k_nb=8)), 11)
+        early = query_event(int(g.src[0]), int(g.dst[3]), float(g.t[4]))
+        queries = [g.event(280), g.event(280), g.event(150), early, query_event(0, 1, 0.0),
+                   g.event(220)]
+        full = [members(store, g, q) for q in queries]
+        rng = np.random.default_rng(3)
+        covered = [full[0], np.array([self.one_side_event(store, g, queries[1])]),
+                   np.zeros(0, dtype=np.int64), full[3], np.array([g.n_events + 1]),
+                   np.union1d(full[5][rng.random(len(full[5])) < 0.5], [-1, g.n_events])]
+        store = store.copy()
+        store.add("mask", rng.uniform(0.05, 1.0, size=sum(len(c) for c in covered)))
+        probe = rng.normal(size=len(queries))
+        tape = Tape(store)
+        preds = soft_predict(tape, store, encode_slots(tape, store, g, queries), covered,
+                             tape.param("mask"))
+        got = tape.gradients(nn.vsum(nn.mul(preds, nn.const(probe))))
+        ref_tape = Tape(store)
+        mask = ref_tape.param("mask")
+        offsets = np.cumsum([0] + [len(c) for c in covered])
+        ref = nn.concat([nn.reshape(reference_soft_predict(
+            ref_tape, store, g, q, cov, nn.gather_rows(mask, np.arange(a, b))), (1,))
+            for q, cov, a, b in zip(queries, covered, offsets[:-1], offsets[1:])], axis=0)
+        want = ref_tape.gradients(nn.vsum(nn.mul(ref, nn.const(probe))))
+        assert np.max(np.abs(preds.value - ref.value)) <= 1e-12
+        for name in store.arrays:
+            assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-12, name
 
 
 class TestSplits:

@@ -85,27 +85,44 @@ class TestGine:
 
 
 class TestMaskedAttention:
+    """The compacted form: one query, key and value row per valid slot of (R, K) rows."""
+
+    @staticmethod
+    def attend(q, keys, values, mask, valid):
+        """One row's attention output: q repeated down its valid slots."""
+        valid = np.asarray(valid, dtype=bool).reshape(1, -1)
+        return masked_attention(nn.const(np.tile(q, (int(valid.sum()), 1))), nn.const(keys),
+                                nn.const(values), nn.const(np.reshape(mask, (1, -1))),
+                                valid).value[0]
+
     def test_hard_mask_equals_subset_attention(self):
         rng = np.random.default_rng(5)
-        q = nn.const(rng.normal(size=4))
+        q = rng.normal(size=4)
         keys = rng.normal(size=(6, 4))
         values = rng.normal(size=(6, 4))
         mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-        out_masked = masked_attention(q, nn.const(keys), nn.const(values),
-                                      nn.const(mask)).value
+        out_masked = self.attend(q, keys, values, mask, np.ones(6))
         keep = mask.astype(bool)
-        out_subset = masked_attention(q, nn.const(keys[keep]), nn.const(values[keep]),
-                                      nn.const(np.ones(int(mask.sum())))).value
+        out_valid = self.attend(q, keys[keep], values[keep], np.ones(6), keep)
+        out_subset = self.attend(q, keys[keep], values[keep], np.ones(4), np.ones(4))
         assert np.allclose(out_masked, out_subset, atol=1e-12)
+        assert out_valid.tobytes() == out_subset.tobytes()
 
     def test_all_ones_mask_is_plain_softmax_mixture(self):
         rng = np.random.default_rng(6)
         q = rng.normal(size=3)
         keys = rng.normal(size=(5, 3))
         values = rng.normal(size=(5, 3))
-        out = masked_attention(nn.const(q), nn.const(keys), nn.const(values),
-                               nn.const(np.ones(5))).value
+        out = self.attend(q, keys, values, np.ones(5), np.ones(5))
         scores = keys @ q / np.sqrt(3)
         w = np.exp(scores - scores.max())
         w /= w.sum()
         assert np.allclose(out, w @ values, atol=1e-12)
+
+    def test_rows_without_a_valid_slot_return_zeros(self):
+        rng = np.random.default_rng(7)
+        valid = np.array([[False, False, False], [True, False, True]])
+        out = masked_attention(nn.const(rng.normal(size=(2, 3))), nn.const(rng.normal(size=(2, 3))),
+                               nn.const(rng.normal(size=(2, 4))), nn.const(np.ones((2, 3))),
+                               valid).value
+        assert out.shape == (2, 4) and not np.any(out[0]) and np.all(out[1])

@@ -10,7 +10,7 @@ from motifx.metrics import (SPARSITY_LEVELS, acc_auc, average_precision,
                             trapezoid_auc)
 
 from oracles import (average_precision_scalar, cohesiveness_scalar,
-                     trapezoid_scalar)
+                     reference_random_baseline, trapezoid_scalar)
 
 
 class TestFidelity:
@@ -124,6 +124,20 @@ class TestRandomBaseline:
     def test_subset_of_comp(self):
         comp = set(range(40, 80))
         assert random_baseline(comp, 0.15, seed=2) <= comp
+
+    def test_same_draws_as_the_reference(self):
+        """The same set as the first version over sizes 0-80 (unsorted lists, sets and
+        arrays), every evaluation level plus levels at and past 1 (size >= |G(e)|), and
+        evaluation-style seeds."""
+        rng = np.random.default_rng(9)
+        for n in (0, 1, 2, 3, 7, 20, 33, 80):
+            ids = rng.choice(10 ** 6, size=n, replace=False)
+            for comp in (ids.tolist(), set(ids.tolist()), ids):
+                for lv in SPARSITY_LEVELS + (0.5, 0.99, 1.0, 1.5):
+                    for seed in (0, 7, 3 * 100003 + 31 + int(lv * 50)):
+                        got = random_baseline(comp, lv, seed)
+                        assert got == reference_random_baseline(comp, lv, seed), (n, lv, seed)
+                        assert all(type(e) is int for e in got)
 
 
 class TestAveragePrecision:

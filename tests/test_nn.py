@@ -62,8 +62,8 @@ class TestPrimitives:
         # masked attention is the package's softmax: identity values return the weights
         from motifx.layers import masked_attention
         keys = nn.const(np.array([[1.0], [2.0], [3.0]]))
-        s = masked_attention(nn.const(np.ones(1)), keys, nn.const(np.eye(3)),
-                             nn.const(np.ones(3))).value
+        s = masked_attention(nn.const(np.ones((3, 1))), keys, nn.const(np.eye(3)),
+                             nn.const(np.ones((1, 3))), np.ones((1, 3), dtype=bool)).value[0]
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(s) > 0)
 
@@ -87,6 +87,15 @@ OPS = {
     "time_encode": (lambda a: nn.vsum(nn.mul(nn.time_encode([0.0, 0.7, 2.5], a),
                                              nn.const(np.arange(24.0).reshape(3, 8)))), 1, (4,)),
     "gather": (lambda a: nn.vsum(nn.gather_rows(a, np.array([0, 2, 2, 1]))), 1, (3, 4)),
+    "gather_distinct": (lambda a: nn.vsum(nn.mul(nn.gather_rows(a, np.array([0, 2])),
+                                                 nn.const(np.arange(8.0).reshape(2, 4)))),
+                        1, (3, 4)),
+    "gather_with_last": (lambda a, b: nn.vsum(nn.mul(
+        nn.gather_rows_with_last(a, np.array([2, 0, 2, 1]), nn.vmean(b, axis=0)),
+        nn.const(np.arange(16.0).reshape(4, 4)))), 2, (3, 4)),
+    "segsum_distinct": (lambda a: nn.vsum(nn.mul(nn.segment_sum(a, np.array([0, 2, 3]), 5),
+                                                 nn.const(np.arange(20.0).reshape(5, 4)))),
+                        1, (3, 4)),
     "segsum": (lambda a: nn.vsum(nn.mul(nn.segment_sum(a, np.array([0, 1, 0]), 2),
                                         nn.const(np.arange(8.0).reshape(2, 4)))), 1, (3, 4)),
     "reshape": (lambda a: nn.vsum(nn.mul(nn.reshape(a, (4, 3)),
@@ -108,6 +117,26 @@ def test_backward_matches_finite_differences(name):
         return fn(*[tape.param(f"x{i}") for i in range(arity)])
 
     assert grad_check(loss, store, eps=1e-6) < 1e-6
+
+
+def test_scatter_add_sums_like_add_at():
+    """Buckets sum from 0 in row order, whether seg repeats, only strictly increases (the
+    plain store) or is empty."""
+    rng = np.random.default_rng(2)
+    for seg in ([3, 0, 3, 1], [0, 0, 2, 2, 2], [0, 2, 3, 5], [4], []):
+        seg = np.array(seg, dtype=np.int64)
+        for shape in ((len(seg),), (len(seg), 3)):
+            rows = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+            want = np.zeros((6,) + shape[1:])
+            np.add.at(want, seg, rows)
+            assert np.array_equal(nn._scatter_add(rows, seg, 6), want), (seg, shape)
+
+
+def test_gather_rows_with_last_is_one_copy_of_rows_and_column():
+    a, last = np.arange(12.0).reshape(3, 4), np.array([-1.0, -2.0])
+    out = nn.gather_rows_with_last(nn.const(a), np.array([2, 0]), nn.const(last)).value
+    assert out.tolist() == [[8.0, 9.0, 10.0, -1.0], [0.0, 1.0, 2.0, -2.0]]
+    assert out.flags.c_contiguous and not np.shares_memory(out, a)
 
 
 def test_segment_max_forward_and_grad():
