@@ -18,7 +18,8 @@ from pathlib import Path
 from . import __version__, nn
 from .basemodel import build_base_store, train_base
 from .config import RunConfig, config_file_values, write_manifest
-from .errors import CheckpointError, ConfigError, DependencyError, MotifxError
+from .errors import (CheckpointError, ConfigError, DependencyError, MotifxError, SchemaError,
+                     read_text)
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
@@ -52,7 +53,7 @@ def _need(run_dir: Path, key: str) -> Path:
 
 
 def _load_graph(run_dir: Path) -> TemporalGraph:
-    return TemporalGraph.from_json(_need(run_dir, "graph").read_text())
+    return TemporalGraph.from_json(read_text(_need(run_dir, "graph"), SchemaError))
 
 
 def _load_store(run_dir: Path, g: TemporalGraph,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__, graph
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 # ranges the published sweeps explored; values outside them still run, with a warning
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
@@ -105,11 +105,10 @@ def config_file_values(file_path: str | None) -> dict:
     """The fields a config file, one JSON object of field names, sets; none without one."""
     if not file_path:
         return {}
-    with open(file_path, encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
+    try:
+        loaded = json.loads(read_text(file_path, ConfigError))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"{file_path}: expected a JSON object, got {type(loaded).__name__}")
     unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}

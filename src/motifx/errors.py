@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one file read that raises them."""
 
 
 class MotifxError(Exception):
@@ -34,4 +34,14 @@ class ConfigError(MotifxError):
 
 
 class CheckpointError(MotifxError, ValueError):
-    """A checkpoint is not JSON, has another format, lacks a key, or holds bad data."""
+    """A checkpoint is unreadable, not JSON, of another format, lacks a key or holds bad data."""
+
+
+def read_text(path, error: type[MotifxError]) -> str:
+    """The UTF-8 text of the file at `path`, line ends as written; a file that cannot be
+    opened or decoded raises `error`, naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot be read as UTF-8 text ({exc})") from exc

@@ -6,20 +6,19 @@ dense 0..N-1, assigned in non-decreasing timestamp order, so a time cut
 is an id cut: the events with t < before are exactly the ids below
 ``searchsorted(t, before)``.
 
-Every history lookup reads one compressed sparse row (CSR) index built
-with the graph. Its entries are (node, incident event) pairs sorted by
-node, then by event id. The entries of node w are rows
-``indptr[w]:indptr[w + 1]`` of ``inc_ids`` (the event ids) and
-``inc_other`` (the event's other endpoint). Within a row, id order is
-(t, id) order, so every time window is one contiguous slice, and
-ties come out ordered by id exactly as they do over the whole stream.
-`TemporalGraph.recent` is the one history read: the last k entries of
-many nodes' windows at once, padded with -1.
+Every history lookup reads one sorted int64 key, ``_key``. Its first 2N
+entries (N events) are the node rows: each event once in each endpoint's
+row, as ``node * N + id``, so a row holds a node's incident events in id
+order and starts at ``indptr[node]``. Within a row, id order is (t, id)
+order, so every time window is one contiguous slice of the key, and ties
+come out ordered by id exactly as they do over the whole stream. An entry
+decodes as ``id = key - node * N``, and the event's other endpoint is
+``src[id] + dst[id] - node``. `TemporalGraph.recent` is the one history
+read: the last k entries of many nodes' windows at once, padded with -1.
 
-Beside it sits a pair index: ``pair_codes`` lists each distinct unordered
-pair {a, b} (a < b) once as ``a * node_count + b``, ascending, and a pair's
-position there is its rank. One sorted int64 key, ``_key``, holds both: the
-2N row entries (N events) as ``node * N + id`` in ``inc_ids`` order, then
+Beside the rows sits a pair index: ``pair_codes`` lists each distinct
+unordered pair {a, b} (a < b) once as ``a * node_count + b``, ascending,
+and a pair's position there is its rank. The key's last N entries list
 each event once as ``(node_count + rank) * N + id``. Row keys stay below
 ``node_count * N``, so any row or pair window is one slice of the key and
 one search sizes a neighborhood window without building it.
@@ -27,6 +26,7 @@ one search sizes a neighborhood window without building it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import deque
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestError, SchemaError
+from .errors import IngestError, SchemaError, read_text
 
 DEFAULT_PER_HOP_CAP = 20
 
@@ -72,17 +72,14 @@ class TemporalGraph:
 
     Construction checks the columns (finite timestamps and attributes, an integer
     ``node_count``, integer node ids in ``[0, node_count)``, no self-loops, equal
-    lengths), stable-sorts the events by timestamp and builds the CSR index of the
-    module docstring with vectorised numpy: ``indptr`` (node_count + 1 row offsets),
-    ``inc_ids`` and ``inc_other`` (two entries per event, one in each
-    endpoint's row). The sorted key ``_key`` of the module docstring holds
-    the rows, then the pairs, so the row offsets of any set of nodes at any
-    id cut are one ``searchsorted``. The event columns, ``indptr``,
-    ``inc_ids``, ``inc_other``, ``pair_codes`` and ``_key`` are read-only.
+    lengths), stable-sorts the events by timestamp and builds, with vectorised numpy,
+    the sorted key ``_key`` of the module docstring (the 2N row entries, then the N
+    pair entries), ``indptr`` (node_count + 1 row starts on it) and ``pair_codes``.
+    These and the event columns are the graph's only arrays, and all are read-only.
     """
 
     __slots__ = ("src", "dst", "t", "attrs", "node_count", "attr_width",
-                 "indptr", "inc_ids", "inc_other", "pair_codes", "_key")
+                 "indptr", "pair_codes", "_key")
 
     def __init__(self, src, dst, t, attrs, node_count: int):
         try:
@@ -116,21 +113,14 @@ class TemporalGraph:
         self.node_count = node_count
         self.attr_width = int(self.attrs.shape[1])
 
-        ends = np.concatenate([self.src, self.dst])
-        ids = np.tile(np.arange(n, dtype=np.int64), 2)
-        key = ends * n + ids
-        pos = np.argsort(key)  # keys are distinct: no self-loops
-        self.inc_ids = _frozen(ids[pos])
-        self.inc_other = _frozen(np.concatenate([self.dst, self.src])[pos])
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=node_count), out=indptr[1:])
-        self.indptr = _frozen(indptr)
-
         codes = np.minimum(self.src, self.dst) * node_count + np.maximum(self.src, self.dst)
         pair_codes, rank = np.unique(codes, return_inverse=True)
         self.pair_codes = _frozen(pair_codes)
-        pair_key = np.sort((node_count + rank) * n + np.arange(n, dtype=np.int64))
-        self._key = _frozen(np.concatenate([key[pos], pair_key]))
+        ids = np.arange(n, dtype=np.int64)
+        self._key = _frozen(np.concatenate([
+            np.sort(np.concatenate([self.src, self.dst]) * n + np.tile(ids, 2)),
+            np.sort((node_count + rank) * n + ids)]))
+        self.indptr = _frozen(self._key.searchsorted(np.arange(node_count + 1) * n))
 
     def pair_ranks(self, a, b) -> np.ndarray:
         """Pair-index rank of each pair (a[i], b[i]); -1 if they never interact or one is < 0."""
@@ -147,29 +137,33 @@ class TemporalGraph:
 
     @property
     def time_span(self) -> float:
-        if self.n_events == 0:
-            return 0.0
-        return float(self.t[-1] - self.t[0])
+        return float(self.t[-1] - self.t[0]) if self.n_events else 0.0
 
     def event(self, i: int) -> Event:
         return Event(id=int(i), u=int(self.src[i]), v=int(self.dst[i]),
                      t=float(self.t[i]), attrs=self.attrs[i])
 
-    def _row_stops(self, nodes, before):
-        """Where each node's row ends at its cut t < before."""
-        return self._key.searchsorted(nodes * self.n_events + self.t.searchsorted(before))
+    def row_window(self, nodes, before, since=None) -> tuple[np.ndarray, np.ndarray]:
+        """Where the row window of each of the int64 `nodes` lies on `_key`: its start, at
+        id cut `since` (the row's start if None), and its stop, at its cut t < before.
+        `since` and `before` broadcast against `nodes`."""
+        row = nodes * self.n_events
+        stop = self._key.searchsorted(row + self.t.searchsorted(before))
+        return (self.indptr[nodes] if since is None
+                else self._key.searchsorted(row + since)), stop
 
     def recent(self, nodes, before, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each node's k most recent events with t < before, oldest first, padded with
         -1 at the end: their ids and their other endpoints, two nodes.shape + (k,)
         arrays. `before` broadcasts against `nodes`."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        stops = self._row_stops(nodes, before)[..., None]
-        pos = np.maximum(self.indptr[nodes][..., None], stops - k) + np.arange(k)
-        held = pos < stops
-        ids, other = np.full((2,) + held.shape, -1, dtype=np.int64)
-        ids[held], other[held] = self.inc_ids[pos[held]], self.inc_other[pos[held]]
-        return ids, other
+        start, stop = self.row_window(nodes, before)
+        pos = np.maximum(start, stop - k)[..., None] + np.arange(k)
+        held, nodes = pos < stop[..., None], nodes[..., None]
+        if not self.n_events:  # nothing is held, and the key is empty
+            return tuple(np.full((2,) + held.shape, -1, dtype=np.int64))
+        ids = np.where(held, self._key.take(pos, mode="clip") - nodes * self.n_events, -1)
+        return ids, np.where(held, self.src[ids] + self.dst[ids] - nodes, -1)
 
     # -- serialization ------------------------------------------------------
 
@@ -220,39 +214,38 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
     report = IngestReport()
     rows = []
     attr_width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            report.rows_total += 1
-            if len(row) < 3:
-                raise IngestError(f"line {lineno}: expected at least 3 columns, got {len(row)}")
-            u_raw, v_raw = row[0].strip(), row[1].strip()
-            try:
-                t = float(row[2])
-            except ValueError as exc:
-                raise IngestError(f"line {lineno}: bad timestamp {row[2]!r}") from exc
-            if not math.isfinite(t):
-                raise IngestError(f"line {lineno}: non-finite timestamp {row[2]!r}")
-            try:
-                attrs = [float(x) for x in row[3:]]
-            except ValueError as exc:
-                raise IngestError(f"line {lineno}: bad attribute in {row[3:]!r}") from exc
-            if not all(map(math.isfinite, attrs)):
-                raise IngestError(f"line {lineno}: non-finite attribute in {row[3:]!r}")
-            if attr_width is None:
-                attr_width = len(attrs)
-            elif len(attrs) != attr_width:
-                raise SchemaError(
-                    f"line {lineno}: attribute width {len(attrs)} != {attr_width} seen earlier")
-            if u_raw == v_raw:
-                report.self_loops_skipped += 1
-                report.warnings.append(f"line {lineno}: self-loop {u_raw!r} skipped")
-                continue
-            rows.append((t, u_raw, v_raw, attrs))
+    lines = io.StringIO(read_text(path, IngestError), newline="")
+    for lineno, row in enumerate(csv.reader(lines), start=1):
+        if lineno == 1 and has_header:
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        report.rows_total += 1
+        if len(row) < 3:
+            raise IngestError(f"line {lineno}: expected at least 3 columns, got {len(row)}")
+        u_raw, v_raw = row[0].strip(), row[1].strip()
+        try:
+            t = float(row[2])
+        except ValueError as exc:
+            raise IngestError(f"line {lineno}: bad timestamp {row[2]!r}") from exc
+        if not math.isfinite(t):
+            raise IngestError(f"line {lineno}: non-finite timestamp {row[2]!r}")
+        try:
+            attrs = [float(x) for x in row[3:]]
+        except ValueError as exc:
+            raise IngestError(f"line {lineno}: bad attribute in {row[3:]!r}") from exc
+        if not all(map(math.isfinite, attrs)):
+            raise IngestError(f"line {lineno}: non-finite attribute in {row[3:]!r}")
+        if attr_width is None:
+            attr_width = len(attrs)
+        elif len(attrs) != attr_width:
+            raise SchemaError(
+                f"line {lineno}: attribute width {len(attrs)} != {attr_width} seen earlier")
+        if u_raw == v_raw:
+            report.self_loops_skipped += 1
+            report.warnings.append(f"line {lineno}: self-loop {u_raw!r} skipped")
+            continue
+        rows.append((t, u_raw, v_raw, attrs))
     rows.sort(key=lambda r: r[0])  # stable: ties keep file order
     node_ids: dict[str, int] = {}
     src, dst, ts, attr_rows = [], [], [], []
@@ -295,10 +288,9 @@ def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
 def node_base_features(g: TemporalGraph, nodes, before) -> np.ndarray:
     """Inductive node inputs for the link predictor: [1.0, log1p(degree before t)],
     with `before` one time for all nodes or one per node."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    degrees, where = np.unique(g._row_stops(nodes, before) - g.indptr[nodes],
-                               return_inverse=True)
-    out = np.ones((len(nodes), 2))
+    start, stop = g.row_window(np.asarray(nodes, dtype=np.int64), before)
+    degrees, where = np.unique(stop - start, return_inverse=True)
+    out = np.ones((len(stop), 2))
     out[:, 1] = np.array([math.log1p(d) for d in degrees.tolist()])[where]
     return out
 

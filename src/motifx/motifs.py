@@ -188,9 +188,7 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
     lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
-    # each anchor's row window [lo, t0) on `_key`: its start and its count
-    row = anchors * g.n_events
-    start, stop = g._key.searchsorted(np.stack([row + lo, row + g.t.searchsorted(t0s)]))
+    start, stop = g.row_window(anchors, t0s, lo)  # each anchor's row window [lo, t0)
     count = stop - start
     live = np.flatnonzero(count > 0)
     draws = np.concatenate([np.empty((0, l))] + [np.random.Generator(np.random.PCG64(
@@ -204,7 +202,7 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
     walkers = np.arange(len(walker_anchor))
     # step 0 reads its candidate k straight off the anchor's row window
     k = (draws[:, 0] * count[walker_anchor]).astype(np.int64)
-    low = g._key[start[walker_anchor] + k] - row[walker_anchor]
+    low = g._key[start[walker_anchor] + k] - nodes[:, 0] * g.n_events
     for j in range(l):
         if j:
             held = nodes[walkers, :min(n, j + 2)]  # after j events, at most j + 1 nodes

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CheckpointError, NonFiniteError, ShapeError
+from .errors import CheckpointError, NonFiniteError, ShapeError, read_text
 
 CKPT_FORMAT = "motifx-ckpt/1"
 
@@ -435,8 +435,7 @@ class ParameterStore:
         """Read a checkpoint; anything but a well-formed one raises CheckpointError."""
         store = cls()
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = json.loads(read_text(path, CheckpointError))
             fmt = payload.get("format") if isinstance(payload, dict) else None
             if fmt != CKPT_FORMAT:
                 raise CheckpointError(f"{path}: unsupported checkpoint format {fmt!r}")

@@ -5,7 +5,7 @@ package internals: plain loops over the raw event list, math.log scalar
 arithmetic, permutation search for equivalence. The package's sampler is
 checked against `enumerate_motifs`, the exact enumeration oracle, which
 lists each step's candidates with a numpy mask over the raw src/dst/t
-columns rather than the graph's CSR index. There are exceptions:
+columns rather than the graph's sorted key. There are exceptions:
 the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms;
 the per-motif encoder (`reference_motif_encoder`, through the package's

@@ -122,6 +122,7 @@ def mixed_queries(rng, g, n):
     return out
 
 
+@pytest.mark.row_invariance
 class TestBatchedForwardOracle:
     """The batched forward against the per-query reference forward in tests/oracles.py."""
 
@@ -199,6 +200,7 @@ class TestBatchedForwardOracle:
         assert reprs.shape == (1, 2 * store.meta["h"])
 
 
+@pytest.mark.row_invariance
 class TestRowInvariance:
     """Each query's row is bit-identical alone and inside batches of any size."""
 
@@ -257,6 +259,7 @@ class TestRowInvariance:
         assert probs.shape == (0,) and reprs.shape == (0, 2 * store.meta["h"])
 
 
+@pytest.mark.row_invariance
 class TestSlotEncoding:
     """One slot encoding per distinct query, many masks: `predict_batch`'s dedupe and
     `soft_predict` on live and frozen encodings."""
@@ -354,6 +357,7 @@ class TestSlotEncoding:
                 assert live[name].tobytes() == frozen[name].tobytes(), name
 
 
+@pytest.mark.row_invariance
 class TestCompactedForward:
     """The masked half runs on the retained slots only: its probabilities and
     representations are the dense (B, 2, K) layout's bit for bit (`reference_dense_predict`,

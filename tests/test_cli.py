@@ -104,6 +104,29 @@ class TestErrors:
     def test_ingest_needs_csv(self, tmp_path, capsys):
         assert main(["ingest", "--run-dir", str(tmp_path / "i")]) == 2
 
+    @pytest.mark.parametrize("command, flag, name, data, kind", [
+        ("synth", "--config", "missing.json", None, "ConfigError"),
+        ("synth", "--config", "latin1.json", b'{"nodes": "\xe9"}', "ConfigError"),
+        ("census", None, "graph.json", b'{"node_count": "\xe9"}', "SchemaError"),
+        ("ingest", "--csv", "missing.csv", None, "IngestError"),
+        ("ingest", "--csv", "latin1.csv", b"a,\xe9,1\n", "IngestError")],
+        ids=["config-missing", "config-not-utf8", "graph-not-utf8", "csv-missing",
+             "csv-not-utf8"])
+    def test_unreadable_input_is_a_typed_error(self, tmp_path, capsys, command, flag, name,
+                                               data, kind):
+        """A missing or non-UTF-8 input file exits 1 with a typed error that names it."""
+        run_dir = tmp_path / "r"
+        path = (run_dir if flag is None else tmp_path) / name
+        if data is not None:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+        capsys.readouterr()
+        code = main([command, "--run-dir", str(run_dir)] + ([flag, str(path)] if flag else []))
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == kind
+        assert str(path) in err["error"]["message"]
+
     @pytest.mark.parametrize("text", ["not a checkpoint", '{"format": "motifx-ckpt/1"}'])
     def test_bad_checkpoint_is_a_json_error(self, tmp_path, capsys, text):
         d = tmp_path / "c"

@@ -252,6 +252,7 @@ class TestScorer:
         scores, _, _ = encode_and_score(Tape(expl_store), [prep])
         assert np.allclose(scores.value, 0.5)
 
+    @pytest.mark.row_invariance
     def test_scores_independent_of_batch_composition(self, setup):
         g, base_store, expl_store, ecfg = setup
         store = perturbed(expl_store, 8)
@@ -301,6 +302,7 @@ class TestEncoder:
         _, emb, _ = encode_and_score(Tape(expl_store), [prep])
         assert emb.value.shape == (len(prep.ids), ecfg.h)
 
+    @pytest.mark.row_invariance
     def test_batch_equals_instance_by_instance_encoder(self, setup):
         """`encode_and_score` over several queries, bit for bit, against each motif row
         encoded alone from the oracle's padded inputs (`reference_motif_encoder`)."""
@@ -429,6 +431,7 @@ class TestTraining:
                                                    expl_epochs=2, seed=0, per_hop_cap=8))
 
 
+@pytest.mark.row_invariance
 class TestEvaluationOracle:
     def test_report_equals_one_query_at_a_time_oracle(self):
         """`evaluate_explanations`' rows equal the oracle's exactly and its means within
@@ -560,6 +563,7 @@ class TestExplain:
         assert "0.30" in payload["retained"]
 
 
+@pytest.mark.row_invariance
 class TestRowInvariance:
     """Each query's explanation is byte-identical alone and inside batches of any size."""
 
@@ -607,6 +611,7 @@ def one_row(prep, m):
                                h_block=prep.h_block[u:u + 1], dts=prep.dts[u:u + 1])
 
 
+@pytest.mark.row_invariance
 class TestEncoderRowInvariance:
     """Each motif's score and embedding are bit-identical alone, in any batch of preps and
     across its copies, and the objective sees every copy."""

@@ -223,7 +223,7 @@ def choice_pick(weights, x):
 
 
 def degree_spectrum(g):
-    """Per-node incident-event counts, sorted descending: the CSR row lengths."""
+    """Per-node incident-event counts, sorted descending: the row lengths on the graph's key."""
     return sorted(np.diff(g.indptr).tolist(), reverse=True)
 
 
@@ -323,18 +323,30 @@ class TestValidation:
 
 
 class TestIndex:
-    """The CSR index against raw scans over the event list, on graphs with tied timestamps."""
+    """The sorted key against raw scans over the event list, on graphs with tied timestamps."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_are_incident_events_in_id_order(self, seed):
         g = random_graph(np.random.default_rng(seed), duplicate_times=True)
         for w in range(g.node_count):
-            rows = slice(g.indptr[w], g.indptr[w + 1])
+            row = g._key[g.indptr[w]:g.indptr[w + 1]] - w * g.n_events
             want = [i for i in range(g.n_events) if w in (int(g.src[i]), int(g.dst[i]))]
-            assert g.inc_ids[rows].tolist() == want
-            assert g.inc_other[rows].tolist() == [
-                int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i]) for i in want]
-        assert not g.inc_ids.flags.writeable
+            assert row.tolist() == want
+        assert g.indptr[-1] == 2 * g.n_events and not g.indptr.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_key_is_the_only_index(self, seed):
+        """Beside the event columns, the graph holds `_key`, `indptr` and `pair_codes` and
+        no other array: 8 bytes for each of 3N key entries, node_count + 1 row starts and
+        P pairs."""
+        empty = TemporalGraph([], [], [], np.zeros((0, 0)), 3)
+        for g in (random_graph(np.random.default_rng(seed + 1700), duplicate_times=True), empty):
+            arrays = {name: getattr(g, name) for name in TemporalGraph.__slots__
+                      if isinstance(getattr(g, name), np.ndarray)}
+            index = set(arrays) - {"src", "dst", "t", "attrs"}
+            assert index == {"_key", "indptr", "pair_codes"}
+            assert sum(arrays[name].nbytes for name in index) == 8 * (
+                3 * g.n_events + g.node_count + 1 + len(g.pair_codes))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_recent_equals_brute_force_history(self, seed):

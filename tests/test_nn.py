@@ -224,6 +224,7 @@ class TestGradientRelease:
         assert np.array_equal(k.grad, 2.0 * k_first)
 
 
+@pytest.mark.row_invariance
 @pytest.mark.parametrize("rows,k,h", [(1, 5, 3), (2, 1, 4), (7, 6, 1), (33, 12, 8)])
 def test_affine_matches_add_of_matmul_bit_for_bit(rows, k, h):
     rng = np.random.default_rng(rows * 1000 + k * 10 + h)
@@ -257,6 +258,7 @@ def test_affine_is_one_tape_node():
     assert nodes(lambda x, w, b: nn.add(nn.matmul(x, w), b)) - nodes(nn.affine) == 3
 
 
+@pytest.mark.row_invariance
 @pytest.mark.parametrize("rows,d", [(1, 1), (1, 6), (5, 1), (12, 3), (300, 8)])
 def test_time_encode_matches_reference_bit_for_bit(rows, d):
     rng = np.random.default_rng(rows * 10 + d)
@@ -469,6 +471,13 @@ class TestCheckpoint:
         text = json.dumps(self.GOOD).replace("0.0]", f"{token}]")
         with pytest.raises(CheckpointError, match="'w' holds non-finite values"):
             ParameterStore.load(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."], ids=["missing", "directory"])
+    def test_unopenable_path(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(CheckpointError, match="cannot be read") as info:
+            ParameterStore.load(path)
+        assert str(path) in str(info.value)
 
     def test_not_json(self, tmp_path):
         with pytest.raises(CheckpointError, match="not JSON"):
