@@ -41,7 +41,10 @@ FILES = {
 
 def _run_dir(args) -> Path:
     d = Path(args.run_dir)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--run-dir {d} is not a directory ({exc.strerror})") from exc
     return d
 
 
@@ -89,7 +92,7 @@ def _load_models(run_dir: Path, g: TemporalGraph, cfg: RunConfig, given: set):
     base = _load_store(run_dir, g)
     expl = _load_store(run_dir, g, base)
     trained = RunConfig(**expl.meta["config"])
-    for key in ("n", "l", "c", "delta", "hops", "per_hop_cap"):
+    for key in ("n", "l", "c", "delta", "per_hop_cap"):
         if key in given and getattr(cfg, key) != getattr(trained, key):
             raise ConfigError(f"{key}={getattr(cfg, key)} differs from the explainer "
                               f"checkpoint's {key}={getattr(trained, key)}")
@@ -152,7 +155,7 @@ def _read_null_census(path: Path, cfg: RunConfig) -> dict:
     code_alphabet(cfg.n, cfg.l) and whose values are numbers in (0, 1]."""
     fix = "; run motifx null-census again"
     try:
-        probs = json.loads(path.read_text(encoding="utf-8"))
+        probs = json.loads(read_text(path, DependencyError))
     except ValueError as exc:
         raise DependencyError(f"{path}: not JSON ({exc}){fix}") from exc
     if not isinstance(probs, dict) or sorted(probs) != code_alphabet(cfg.n, cfg.l):

@@ -23,10 +23,10 @@ EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
 PRIORS = ("uniform", "empirical")
 # the values each field can run with
 RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c", "c_per_node",
-                          "hops", "per_hop_cap", "events", "max_train_queries"),
+                          "per_hop_cap", "events", "max_train_queries"),
                          (lambda v: v >= 1, "at least 1")),
-         **dict.fromkeys(("base_epochs", "expl_epochs", "patience", "gine_depth", "n_queries",
-                          "seed"), (lambda v: v >= 0, "at least 0")),
+         **dict.fromkeys(("base_epochs", "expl_epochs", "patience", "n_queries", "seed"),
+                         (lambda v: v >= 0, "at least 0")),
          **dict.fromkeys(("lr", "lam", "delta"),
                          (lambda v: 0.0 < v < math.inf, "finite and above 0")),
          "n": (lambda v: v >= 2, "at least 2"), "nodes": (lambda v: v >= 3, "at least 3"),
@@ -66,14 +66,12 @@ class RunConfig:
     # explainer
     d_time: int = 50
     expl_epochs: int = 10
-    gine_depth: int = 1
     max_train_queries: int | None = None
     # shared optimization
     lr: float = 1e-3
     batch: int = 64
     seed: int = 0
     # neighborhood / evaluation
-    hops: int = 1
     per_hop_cap: int = 20
     n_queries: int = 200
 

@@ -1,8 +1,8 @@
 """Motif-level explanation generator trained with an information-bottleneck objective.
 
 For each query the generator samples retrospective motifs around both
-endpoints, embeds them with an edge-featured graph convolution, scores
-each instance in [0, 1], and is trained so that soft-masking the base
+endpoints, embeds them with one edge-featured graph convolution layer,
+scores each instance in [0, 1], and is trained so that soft-masking the base
 model's visible events by those scores preserves the original prediction
 (cross-entropy term) while the score distribution stays close to a prior
 (KL term, either uniform or referenced to the null model's class
@@ -56,13 +56,11 @@ def build_explainer_store(g: TemporalGraph, base_meta: dict, cfg: RunConfig) -> 
     store = ParameterStore()
     store.add("time_w", nn.log_spaced_freqs(max(g.time_span, 1.0), cfg.d_time))
     store.add_affine("nodein", 1, cfg.h, rng)
-    for depth in range(cfg.gine_depth):
-        add_gine_params(store, f"gine{depth}", cfg.h, edge_width, rng)
+    add_gine_params(store, "gine0", cfg.h, edge_width, rng)
     store.add_affine("score1", cfg.h + ctx_dim, cfg.h, rng)
     store.add_affine("score2", cfg.h, 1, rng, zero=True)  # fresh scorer says 0.5 for everything
     store.meta = {"kind": "explainer", "h": cfg.h, "d_time": cfg.d_time,
-                  "n": cfg.n, "l": cfg.l, "gine_depth": cfg.gine_depth,
-                  "edge_width": edge_width, "ctx_dim": ctx_dim,
+                  "n": cfg.n, "l": cfg.l, "edge_width": edge_width, "ctx_dim": ctx_dim,
                   "attr_width": g.attr_width, "config": cfg.to_dict()}
     return store
 
@@ -143,7 +141,7 @@ def prepare_queries(g: TemporalGraph, base_store: ParameterStore, queries: list,
     single-event ones: they carry no order information and sit outside the class
     vocabulary. `_encoder_inputs` builds every prep's blocks in one pass. Each prep
     equals the one made alone."""
-    comps = [computational_graph(g, q, cfg.hops, cfg.per_hop_cap) for q in queries]
+    comps = computational_graph(g, queries, cfg.per_hop_cap)
     todo = [i for i, comp in enumerate(comps) if len(comp)]
     if not todo:
         return [None] * len(queries)
@@ -181,10 +179,7 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
     feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"),
                                tape.param("time_w"))
     x = nn.reshape(tape.affine(nn.const(np.ones((s * n, 1))), "nodein"), (s, n, -1))
-    depth = 0
-    while f"gine{depth}.eps" in tape.store.arrays:
-        x = gine_layer(tape, f"gine{depth}", x, src, feat)
-        depth += 1
+    x = gine_layer(tape, "gine0", x, src, feat)
     nodes = src.any(axis=1)  # every node of a motif is some edge slot's source
     emb = nn.mul(nn.vsum(nn.mul(x, nn.const(nodes[:, :, None])), axis=1),
                  nn.const(1.0 / nodes.sum(axis=1, keepdims=True)))
@@ -396,7 +391,7 @@ def explain_batch(g: TemporalGraph, base_store: ParameterStore, expl_store: Para
     for query, item in zip(queries, scored_preps(g, base_store, expl_store, queries, seeds, cfg)):
         qdict = {"u": int(query.u), "v": int(query.v), "t": float(query.t), "id": int(query.id)}
         if item is None:
-            comp = computational_graph(g, query, cfg.hops, cfg.per_hop_cap)
+            comp = computational_graph(g, [query], cfg.per_hop_cap)[0]
             out.append(ExplanationResult(qdict, True, [], [], {lv: [] for lv in SPARSITY_LEVELS},
                                          [int(e) for e in comp]))
             continue

@@ -36,8 +36,6 @@ import numpy as np
 
 from .errors import IngestError, SchemaError, read_text
 
-DEFAULT_PER_HOP_CAP = 20
-
 
 @dataclass(frozen=True, eq=False)
 class Event:
@@ -264,25 +262,13 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
     return g, report
 
 
-def computational_graph(g: TemporalGraph, target: Event, hops: int = 1,
-                        per_hop_cap: int = DEFAULT_PER_HOP_CAP) -> np.ndarray:
-    """The sorted int64 ids of the L-hop historical neighborhood a predictor can see
-    for one target: a breadth-first expansion over temporal adjacency from the
-    target endpoints.
-
-    Per hop, each frontier node contributes at most `per_hop_cap` of its
-    most recent events strictly earlier than the target time, all read by
-    one `recent` call. A target with no history yields an empty array.
-    """
-    if hops < 1 or per_hop_cap < 1:
-        raise ValueError("hops and per_hop_cap must be >= 1")
-    members, visited, frontier = [], {target.u, target.v}, [target.u, target.v]
-    for _ in range(hops):
-        ids, partners = g.recent(frontier, target.t, per_hop_cap)
-        members.append(ids[ids >= 0])
-        frontier = list(set(partners[partners >= 0].tolist()) - visited)
-        visited.update(frontier)
-    return np.unique(np.concatenate(members))
+def computational_graph(g: TemporalGraph, targets: list, per_hop_cap: int) -> list[np.ndarray]:
+    """Per target, the sorted int64 ids of the events a predictor can see for it: each
+    endpoint's `per_hop_cap` most recent events strictly earlier than the target time,
+    for all targets by one `recent` call. A target with no history gets an empty array."""
+    ends = np.array([(q.u, q.v) for q in targets], dtype=np.int64).reshape(-1, 2)
+    ids, _ = g.recent(ends, np.array([q.t for q in targets], dtype=float)[:, None], per_hop_cap)
+    return [np.unique(row[row >= 0]) for row in ids]
 
 
 def node_base_features(g: TemporalGraph, nodes, before) -> np.ndarray:

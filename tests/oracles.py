@@ -52,23 +52,14 @@ def brute_force_neighbor_events(g, nodes, before, strict=True, since=-math.inf, 
     return out
 
 
-def brute_force_computational_graph(g, u, v, t, hops, per_hop_cap):
-    """Hop-by-hop expansion from raw scans; returns the set of member event ids."""
+def brute_force_computational_graph(g, u, v, t, per_hop_cap):
+    """Each endpoint's per_hop_cap latest events before t, from raw scans; returns the set
+    of their ids."""
     members = set()
-    visited = {u, v}
-    frontier = sorted(visited)
-    for _ in range(hops):
-        reached = set()
-        for w in frontier:
-            history = [i for i in range(g.n_events)
-                       if float(g.t[i]) < t and w in (int(g.src[i]), int(g.dst[i]))]
-            for i in history[len(history) - min(per_hop_cap, len(history)):]:
-                members.add(i)
-                other = int(g.dst[i]) if int(g.src[i]) == w else int(g.src[i])
-                if other not in visited:
-                    reached.add(other)
-        visited |= reached
-        frontier = sorted(reached)
+    for w in (u, v):
+        history = [i for i in range(g.n_events)
+                   if float(g.t[i]) < t and w in (int(g.src[i]), int(g.dst[i]))]
+        members.update(history[len(history) - min(per_hop_cap, len(history)):])
     return members
 
 
@@ -425,7 +416,7 @@ def reference_time_encode(delta_t, w, g_out):
 
 def reference_motif_encoder(tape, inputs, ctx):
     """Per motif row, its (score, embedding) from one query's `reference_encoder_inputs`,
-    each row encoded alone as a stack of one padded item: node states pass every GINE
+    each row encoded alone as a stack of one padded item: node states pass the GINE
     layer; the embedding is the mean over the nodes that some edge slot touches; the
     score is the clamped score head on [embedding, ctx]."""
     out = []
@@ -436,10 +427,7 @@ def reference_motif_encoder(tape, inputs, ctx):
                                    inputs["h_block"][u], tape.param("time_w"))
         x = tape.affine(nn.const(np.ones((n, 1))), "nodein")
         x = nn.reshape(x, (1, n, x.value.shape[1]))
-        depth = 0
-        while f"gine{depth}.eps" in tape.store.arrays:
-            x = gine_layer(tape, f"gine{depth}", x, src, feat)
-            depth += 1
+        x = gine_layer(tape, "gine0", x, src, feat)
         nodes = np.flatnonzero(src[0].any(axis=0))
         rows = nn.gather_rows(nn.reshape(x, (n, x.value.shape[2])), nodes)
         emb = nn.scale(nn.vsum(rows, axis=0, keepdims=True), 1.0 / len(nodes))

@@ -109,21 +109,27 @@ class TestErrors:
         ("synth", "--config", "latin1.json", b'{"nodes": "\xe9"}', "ConfigError"),
         ("census", None, "graph.json", b'{"node_count": "\xe9"}', "SchemaError"),
         ("ingest", "--csv", "missing.csv", None, "IngestError"),
-        ("ingest", "--csv", "latin1.csv", b"a,\xe9,1\n", "IngestError")],
+        ("ingest", "--csv", "latin1.csv", b"a,\xe9,1\n", "IngestError"),
+        ("train-explainer", None, "null_census.json", "dir", "DependencyError")],
         ids=["config-missing", "config-not-utf8", "graph-not-utf8", "csv-missing",
-             "csv-not-utf8"])
-    def test_unreadable_input_is_a_typed_error(self, tmp_path, capsys, command, flag, name,
-                                               data, kind):
-        """A missing or non-UTF-8 input file exits 1 with a typed error that names it."""
+             "csv-not-utf8", "null-census-a-directory"])
+    def test_unreadable_input_is_a_typed_error(self, pipeline_dir, tmp_path, capsys, command,
+                                               flag, name, data, kind):
+        """A missing, non-UTF-8 or directory input exits with a typed error that names it:
+        2 for a DependencyError, else 1."""
         run_dir = tmp_path / "r"
         path = (run_dir if flag is None else tmp_path) / name
-        if data is not None:
+        if data == "dir":  # in a run directory that holds every other input
+            shutil.copytree(pipeline_dir, run_dir)
+            path.unlink()
+            path.mkdir()
+        elif data is not None:
             path.parent.mkdir(exist_ok=True)
             path.write_bytes(data)
         capsys.readouterr()
         code = main([command, "--run-dir", str(run_dir)] + ([flag, str(path)] if flag else []))
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert code == 1
+        assert code == (2 if kind == "DependencyError" else 1)
         assert err["error"]["type"] == kind
         assert str(path) in err["error"]["message"]
 
@@ -158,6 +164,10 @@ class TestErrors:
     def set_kind(kind):
         return lambda payload: payload["meta"].update(kind=kind)
 
+    @staticmethod
+    def add_config(**fields):
+        return lambda payload: payload["meta"]["config"].update(fields)
+
     @pytest.mark.parametrize("command, ckpt, mutation, needle", [
         ("train-explainer", "base.ckpt", drop_array("head1.w"), "'head1.w'"),
         ("train-explainer", "base.ckpt", drop_meta("h"), "meta 'h'"),
@@ -168,8 +178,12 @@ class TestErrors:
         ("evaluate", "explainer.ckpt", transpose("score1.w"), "'score1.w' has shape"),
         ("evaluate", "explainer.ckpt", set_kind("head"), "'head' checkpoint"),
         ("explain", "base.ckpt", drop_meta("attr_width"), "meta 'attr_width'"),
+        # a config as builds that still had the `hops` and `gine_depth` fields wrote it
+        ("explain", "base.ckpt", add_config(hops=1, gine_depth=1), "'hops'"),
+        ("evaluate", "explainer.ckpt", add_config(hops=1, gine_depth=1), "'hops'"),
     ], ids=["base-array", "base-meta", "base-transposed", "base-kind", "base-config",
-            "explainer-array", "explainer-transposed", "explainer-kind", "base-attr-width"])
+            "explainer-array", "explainer-transposed", "explainer-kind", "base-attr-width",
+            "base-removed-fields", "explainer-removed-fields"])
     def test_checkpoint_its_config_does_not_build_rejected(self, pipeline_dir, tmp_path, capsys,
                                                             command, ckpt, mutation, needle):
         d = tmp_path / "m"
@@ -196,8 +210,8 @@ class TestErrors:
                 err["error"]["message"]
 
     @pytest.mark.parametrize("field, value, trained", [
-        ("c", "7", "6"), ("delta", "5.0", "None"), ("hops", "2", "1"), ("per_hop_cap", "7", "6")],
-        ids=["c", "delta", "hops", "per_hop_cap"])
+        ("c", "7", "6"), ("delta", "5.0", "None"), ("per_hop_cap", "7", "6")],
+        ids=["c", "delta", "per_hop_cap"])
     def test_sampling_field_other_than_the_explainer_rejected(self, pipeline_dir, capsys, field,
                                                               value, trained):
         for command in ("explain", "evaluate"):
@@ -212,12 +226,13 @@ class TestErrors:
 
     def test_sampling_field_in_the_config_file_rejected(self, pipeline_dir, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"hops": 2}))
+        cfg_file.write_text(json.dumps({"per_hop_cap": 7}))
         capsys.readouterr()
-        code = main(["explain", "--run-dir", str(pipeline_dir), "--config", str(cfg_file)] + TINY)
+        code = main(["explain", "--run-dir", str(pipeline_dir), "--config", str(cfg_file)])
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 1
-        assert "hops=2 differs from the explainer checkpoint's hops=1" in err["error"]["message"]
+        assert "per_hop_cap=7 differs from the explainer checkpoint's per_hop_cap=6" in \
+            err["error"]["message"]
 
     def test_sampling_fields_not_given_come_from_the_explainer(self, pipeline_dir, tmp_path):
         """Without --c and --per-hop-cap, explain samples with the explainer's 6 and 6, not
@@ -232,6 +247,16 @@ class TestErrors:
             (pipeline_dir / "explanations.json").read_bytes()
         manifest = json.loads((d / "explanations.json.manifest.json").read_text())
         assert (manifest["config"]["c"], manifest["config"]["per_hop_cap"]) == (6, 6)
+
+    def test_run_dir_that_is_a_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "f"
+        path.write_text("kept")
+        code = main(["synth", "--run-dir", str(path)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1
+        assert err["error"]["type"] == "ConfigError"
+        assert f"--run-dir {path} is not a directory" in err["error"]["message"]
+        assert path.read_text() == "kept"
 
     def test_k_nb_zero_rejected(self, tmp_path, capsys):
         code = main(["train-base", "--run-dir", str(tmp_path / "k"), "--k-nb", "0"])
@@ -272,12 +297,11 @@ class TestErrors:
         ("train-base", "--lr", "nan"), ("train-explainer", "--lr", "0"),
         ("train-explainer", "--lam", "0"),
         ("census", "--n", "1"), ("census", "--l", "0"), ("train-explainer", "--c", "0"),
-        ("census", "--c-per-node", "0"), ("train-explainer", "--hops", "0"),
-        ("train-explainer", "--per-hop-cap", "0"), ("synth", "--events", "0"),
-        ("train-explainer", "--max-train-queries", "0"), ("synth", "--nodes", "2"),
-        ("train-base", "--base-epochs", "-1"), ("train-explainer", "--expl-epochs", "-1"),
-        ("train-base", "--patience", "-1"), ("census", "--delta", "-5"),
-        ("train-explainer", "--beta", "-0.5"), ("train-explainer", "--gine-depth", "-1"),
+        ("census", "--c-per-node", "0"), ("train-explainer", "--per-hop-cap", "0"),
+        ("synth", "--events", "0"), ("train-explainer", "--max-train-queries", "0"),
+        ("synth", "--nodes", "2"), ("train-base", "--base-epochs", "-1"),
+        ("train-explainer", "--expl-epochs", "-1"), ("train-base", "--patience", "-1"),
+        ("census", "--delta", "-5"), ("train-explainer", "--beta", "-0.5"),
         ("synth", "--seed", "-1"), ("grad-check", "--points", "0"),
         ("grad-check", "--points", "-1")])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, command, flag, value):
@@ -327,6 +351,18 @@ class TestConfig:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         assert "not_a_key" in self.config_error(tmp_path, capsys, json.dumps({"not_a_key": 5}))
+
+    @pytest.mark.parametrize("key", ["hops", "gine_depth"])
+    def test_removed_field_in_the_config_file_rejected(self, tmp_path, capsys, key):
+        message = self.config_error(tmp_path, capsys, json.dumps({key: 1}))
+        assert f"unknown config keys: ['{key}']" in message
+
+    @pytest.mark.parametrize("flag", ["--hops", "--gine-depth"])
+    def test_removed_flag_is_an_unknown_argument(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-explainer", "--run-dir", str(tmp_path / "r"), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_config_file_not_json(self, tmp_path, capsys):
         assert "not JSON" in self.config_error(tmp_path, capsys, "nodes = 10")

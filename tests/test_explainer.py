@@ -307,7 +307,6 @@ class TestEncoder:
         """`encode_and_score` over several queries, bit for bit, against each motif row
         encoded alone from the oracle's padded inputs (`reference_motif_encoder`)."""
         g, base_store, expl_store, ecfg = setup
-        assert ecfg.gine_depth == 1
         store = perturbed(expl_store, 12)
         preps = prepare_queries(g, base_store,
                                 [g.event(g.n_events - k) for k in range(1, 7)], ecfg, [5] * 6)

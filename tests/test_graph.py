@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from motifx.basemodel import build_base_store, encode_slots
+from motifx.config import RunConfig
 from motifx.errors import IngestError, SchemaError
 from motifx.graph import (TemporalGraph, _pick, computational_graph, generate_synthetic,
                           ingest_csv, node_base_features, query_event)
 from motifx.motifs import _below, _count_terms, null_model
+from motifx.nn import Tape
 
 from conftest import random_graph
 from oracles import (_side_view, brute_force_computational_graph, brute_force_neighbor_events,
@@ -101,35 +104,49 @@ class TestNeighborEvents:
 
 
 class TestComputationalGraph:
-    def test_chain_two_hops(self, chain_graph):
-        sub = computational_graph(chain_graph, chain_graph.event(2), hops=2, per_hop_cap=20)
-        assert sub.tolist() == [0, 1] and sub.dtype == np.int64
-
     def test_chain_one_hop(self, chain_graph):
-        sub = computational_graph(chain_graph, chain_graph.event(2), hops=1, per_hop_cap=20)
-        assert sub.tolist() == [1]
+        sub, = computational_graph(chain_graph, [chain_graph.event(2)], 20)
+        assert sub.tolist() == [1] and sub.dtype == np.int64
 
     def test_earliest_event_empty(self, chain_graph):
-        sub = computational_graph(chain_graph, chain_graph.event(0), hops=2, per_hop_cap=20)
-        assert len(sub) == 0
+        sub, = computational_graph(chain_graph, [chain_graph.event(0)], 20)
+        assert len(sub) == 0 and sub.dtype == np.int64
+
+    def test_no_targets(self, chain_graph):
+        assert computational_graph(chain_graph, [], 20) == []
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_monotone_in_hops(self, seed):
+    def test_monotone_in_cap(self, seed):
         rng = np.random.default_rng(seed + 100)
         g = random_graph(rng, n_events=30)
-        target = g.event(g.n_events - 1)
-        prev = set()
-        for hops in (1, 2, 3):
-            got = set(computational_graph(g, target, hops=hops, per_hop_cap=5).tolist())
-            assert prev <= got
+        targets = [g.event(g.n_events - 1), g.event(g.n_events // 2)]
+        prev = [set(), set()]
+        for cap in (1, 2, 5, 20):
+            got = [set(sub.tolist()) for sub in computational_graph(g, targets, cap)]
+            assert all(p <= s for p, s in zip(prev, got))
             prev = got
 
     def test_cap_limits_per_node(self):
         # star: node 0 interacts with 1..6; target is a fresh (0, 7) query
         g = TemporalGraph([0] * 6, [1, 2, 3, 4, 5, 6], np.arange(1.0, 7.0),
                          np.zeros((6, 0)), 8)
-        sub = computational_graph(g, query_event(0, 7, 10.0), hops=1, per_hop_cap=3)
+        sub, = computational_graph(g, [query_event(0, 7, 10.0)], 3)
         assert sub.tolist() == [3, 4, 5]  # three most recent
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cap_at_k_nb_is_the_base_models_view(self, seed):
+        """With per_hop_cap == k_nb, each query's ids are the distinct events in the
+        base model's slots."""
+        rng = np.random.default_rng(seed + 150)
+        g = random_graph(rng, duplicate_times=True)
+        queries = [g.event(int(i)) for i in rng.integers(g.n_events, size=5)]
+        queries.append(query_event(0, 1, float(g.t[-1]) + 1.0))
+        for k_nb in (1, 3, 8):
+            store = build_base_store(g, RunConfig(h=4, d_time_base=2, k_nb=k_nb, seed=seed))
+            ids = encode_slots(Tape(store), store, g, queries).ids
+            got = computational_graph(g, queries, k_nb)
+            assert [sub.tolist() for sub in got] == [np.unique(row[row >= 0]).tolist()
+                                                     for row in ids]
 
 
 class TestSynthetic:
@@ -428,16 +445,21 @@ class TestIndex:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_computational_graph_membership(self, seed):
+        """One call over many queries, each against the raw scan, for several caps."""
         rng = np.random.default_rng(seed + 900)
         g = random_graph(rng, duplicate_times=True)
-        target = g.event(int(rng.integers(g.n_events)))
-        unseen = query_event(target.u, target.v, float(g.t[0]))  # nothing before it
-        for query in (target, unseen):
-            for hops, cap in ((1, 1), (1, 2), (2, 3), (3, 20), (4, 2)):
-                sub = computational_graph(g, query, hops=hops, per_hop_cap=cap)
-                want = brute_force_computational_graph(g, query.u, query.v, query.t, hops, cap)
+        targets = [g.event(int(i)) for i in rng.integers(g.n_events, size=6)]
+        unseen = [query_event(q.u, q.v, float(g.t[0])) for q in targets[:2]]  # nothing before
+        fresh = query_event(*rng.choice(g.node_count, size=2, replace=False).tolist(),
+                            float(rng.uniform(0, g.n_events + 2)))
+        queries = targets + unseen + [fresh]
+        for cap in (1, 2, 3, 20):
+            got = computational_graph(g, queries, cap)
+            assert len(got) == len(queries)
+            for query, sub in zip(queries, got):
+                want = brute_force_computational_graph(g, query.u, query.v, query.t, cap)
                 assert sub.tolist() == sorted(want) and sub.dtype == np.int64
-        assert computational_graph(g, unseen, hops=2).tolist() == []
+            assert [len(sub) for sub in got[6:8]] == [0, 0]
 
     @pytest.mark.parametrize("seed", range(15))
     def test_pair_index_counts(self, seed):
