@@ -285,8 +285,8 @@ def labelled_queries(g: TemporalGraph, event_ids, rng: np.random.Generator,
     for eid in event_ids:
         ev = g.event(int(eid))
         out.append((ev, 1))
-        out += [(query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t,
-                             g.attr_width), 0) for _ in range(neg_per_pos)]
+        out += [(query_event(ev.u, negative_partner(rng, g.node_count, ev.u), ev.t), 0)
+                for _ in range(neg_per_pos)]
     return out
 
 

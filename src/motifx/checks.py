@@ -73,7 +73,7 @@ def concrete_check(points: int = 1, seed: int = 0) -> float:
     probe = rng.normal(size=4)
 
     def loss(tape: Tape):
-        return nn.vsum(nn.mul(concrete_sample(tape.param("p"), 0.5, draws), nn.const(probe)))
+        return nn.vsum(nn.mul(concrete_sample(tape.param("p"), draws), nn.const(probe)))
 
     def inside(trial: ParameterStore, rng: np.random.Generator) -> None:
         """Perturb the probabilities, keeping them inside (0, 1)."""

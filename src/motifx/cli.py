@@ -1,11 +1,11 @@
 """Command-line pipeline: synth/ingest -> censuses -> train -> explain -> evaluate.
 
-One `RunConfig`, from the flags and an optional JSON file, drives every
-command (`explain` and `evaluate` take the explainer's sampling fields).
-Every command writes its artifact under --run-dir with a fixed
-filename plus a `<artifact>.manifest.json` sidecar (full config, config
-hash, package version); reruns with the same manifest are byte-identical.
-Failures print machine-readable JSON on stderr and exit nonzero.
+One `RunConfig`, from the flags and an optional JSON file, drives every command
+(`explain` and `evaluate` take the explainer's sampling fields). Every command writes
+its artifact under --run-dir with a fixed filename plus a `<artifact>.manifest.json`
+sidecar (full config, config hash, package version); `report.json`'s also covers the
+`curve.csv` that `evaluate` writes with it from the same config. Reruns with the same
+manifest are byte-identical. Failures print machine-readable JSON on stderr and exit nonzero.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from . import __version__, nn
 from .basemodel import build_base_store, train_base
 from .config import RunConfig, config_file_values, write_manifest
 from .errors import (CheckpointError, ConfigError, DependencyError, MotifxError, SchemaError,
-                     read_text)
+                     read_json, read_text)
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
@@ -35,7 +35,6 @@ FILES = {
     "explanations": "explanations.json",
     "report": "report.json",
     "curve": "curve.csv",
-    "plot": "fidelity_sparsity.csv",
 }
 
 
@@ -155,9 +154,9 @@ def _read_null_census(path: Path, cfg: RunConfig) -> dict:
     code_alphabet(cfg.n, cfg.l) and whose values are numbers in (0, 1]."""
     fix = "; run motifx null-census again"
     try:
-        probs = json.loads(read_text(path, DependencyError))
-    except ValueError as exc:
-        raise DependencyError(f"{path}: not JSON ({exc}){fix}") from exc
+        probs = read_json(path, DependencyError)
+    except DependencyError as exc:
+        raise DependencyError(f"{exc}{fix}") from exc
     if not isinstance(probs, dict) or sorted(probs) != code_alphabet(cfg.n, cfg.l):
         raise DependencyError(f"{path}: its classes are not those of n={cfg.n}, l={cfg.l}{fix}")
     for code, p in probs.items():
@@ -231,12 +230,6 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     out = run_dir / FILES["report"]
     out.write_text(json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n")
     write_curve_csv(run_dir / FILES["curve"], report.rows)
-    if args.emit_plot_data:
-        with open(run_dir / FILES["plot"], "w", encoding="utf-8") as fh:
-            fh.write("level,mean_fidelity,source\n")
-            for lv in report.mean_fidelity_per_level:  # empty when no query had a view
-                fh.write(f"{lv:.2f},{report.mean_fidelity_per_level[lv]!r},model\n")
-                fh.write(f"{lv:.2f},{report.baseline_fidelity_per_level[lv]!r},random\n")
     write_manifest(run_dir / (FILES["report"] + ".manifest.json"), "evaluate", cfg)
     print(f"wrote {out} (ACC-AUC {report.acc_auc:.2f} vs random {report.baseline_acc_auc:.2f}, "
           f"{report.explain_seconds_mean * 1000:.1f} ms/explanation)")
@@ -289,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--run-dir", required=True)
         if name == "explain":
             p.add_argument("--event-id", type=int, default=None)
-        if name == "evaluate":
-            p.add_argument("--emit-plot-data", action="store_true")
         if name == "grad-check":
             p.add_argument("--points", type=int, default=1)
     return parser

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__, graph
-from .errors import ConfigError, read_text
+from .errors import ConfigError, read_json
 
 # ranges the published sweeps explored; values outside them still run, with a warning
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
@@ -27,7 +27,7 @@ RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c
                          (lambda v: v >= 1, "at least 1")),
          **dict.fromkeys(("base_epochs", "expl_epochs", "patience", "n_queries", "seed"),
                          (lambda v: v >= 0, "at least 0")),
-         **dict.fromkeys(("lr", "lam", "delta"),
+         **dict.fromkeys(("lr", "delta"),
                          (lambda v: 0.0 < v < math.inf, "finite and above 0")),
          "n": (lambda v: v >= 2, "at least 2"), "nodes": (lambda v: v >= 3, "at least 3"),
          "beta": (lambda v: 0.0 <= v < math.inf, "finite and at least 0"),
@@ -56,7 +56,6 @@ class RunConfig:
     prior: str = "empirical"
     p: float = 0.3
     beta: float = 0.5
-    lam: float = 0.5
     # base model
     h: int = 64
     d_time_base: int = 16
@@ -103,10 +102,7 @@ def config_file_values(file_path: str | None) -> dict:
     """The fields a config file, one JSON object of field names, sets; none without one."""
     if not file_path:
         return {}
-    try:
-        loaded = json.loads(read_text(file_path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{file_path}: not JSON ({exc})") from exc
+    loaded = read_json(file_path, ConfigError)
     if not isinstance(loaded, dict):
         raise ConfigError(f"{file_path}: expected a JSON object, got {type(loaded).__name__}")
     unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one file read that raises them."""
+"""Exception types shared across the package, and the file reads that raise them."""
+import json
 
 
 class MotifxError(Exception):
@@ -45,3 +46,11 @@ def read_text(path, error: type[MotifxError]) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot be read as UTF-8 text ({exc})") from exc
+
+
+def read_json(path, error: type[MotifxError]):
+    """`read_text`'s text, decoded; text that is not JSON or nests too deep raises `error`."""
+    try:
+        return json.loads(read_text(path, error))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not JSON ({exc})") from exc

@@ -284,7 +284,7 @@ def query_objective(base_store: ParameterStore, preps: list[QueryPrep], scores: 
     c_off = np.cumsum([0] + [len(p.covered_ids) for p in preps])
     pair_motif = np.concatenate([p.pair_motif + a for p, a in zip(preps, m_off)])
     pair_cov = np.concatenate([p.pair_cov + a for p, a in zip(preps, c_off)])
-    alpha = concrete_sample(scores, cfg.lam, draws)
+    alpha = concrete_sample(scores, draws)
     ev_mask = nn.segment_max(nn.gather_rows(alpha, pair_motif), pair_cov, int(c_off[-1]))
     preds = soft_predict(Tape(base_store), base_store, cat_slots(p.slots for p in preps),
                          [p.covered_ids for p in preps], ev_mask)

@@ -43,12 +43,11 @@ class Event:
     u: int
     v: int
     t: float
-    attrs: np.ndarray
 
 
-def query_event(u: int, v: int, t: float, attr_width: int = 0) -> Event:
+def query_event(u: int, v: int, t: float) -> Event:
     """A synthetic target event (e.g. a negative link) that is not part of the graph."""
-    return Event(id=-1, u=u, v=v, t=t, attrs=np.zeros(attr_width))
+    return Event(id=-1, u=u, v=v, t=t)
 
 
 def _node_ids(column) -> np.ndarray:
@@ -138,8 +137,7 @@ class TemporalGraph:
         return float(self.t[-1] - self.t[0]) if self.n_events else 0.0
 
     def event(self, i: int) -> Event:
-        return Event(id=int(i), u=int(self.src[i]), v=int(self.dst[i]),
-                     t=float(self.t[i]), attrs=self.attrs[i])
+        return Event(id=int(i), u=int(self.src[i]), v=int(self.dst[i]), t=float(self.t[i]))
 
     def row_window(self, nodes, before, since=None) -> tuple[np.ndarray, np.ndarray]:
         """Where the row window of each of the int64 `nodes` lies on `_key`: its start, at
@@ -187,7 +185,7 @@ class TemporalGraph:
                                   f"attr_width {width!r}")
             attrs = (np.array(rows, dtype=np.float64).reshape(len(ev), width) if width
                      else np.zeros((len(ev), 0)))
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             # ValueError covers json.JSONDecodeError and non-numeric attributes
             raise SchemaError(f"malformed graph JSON: {exc!r}") from exc
         return cls(src, dst, t, attrs, node_count)
@@ -212,8 +210,12 @@ def ingest_csv(path, has_header: bool = False) -> tuple[TemporalGraph, IngestRep
     report = IngestReport()
     rows = []
     attr_width = None
-    lines = io.StringIO(read_text(path, IngestError), newline="")
-    for lineno, row in enumerate(csv.reader(lines), start=1):
+    reader = csv.reader(io.StringIO(read_text(path, IngestError), newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
+    for lineno, row in enumerate(records, start=1):
         if lineno == 1 and has_header:
             continue
         if not row or (len(row) == 1 and not row[0].strip()):

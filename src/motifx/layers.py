@@ -10,6 +10,7 @@ from .errors import ShapeError
 from .nn import Var
 
 PROB_EPS = 1e-6
+TEMPERATURE = 0.5  # lambda, the temperature of the Concrete relaxation
 
 
 def gine_layer(tape, prefix: str, x: Var, src: np.ndarray, edge_feats: Var) -> Var:
@@ -48,19 +49,15 @@ def add_gine_params(store, prefix: str, node_dim: int, edge_dim: int,
     store.add_affine(f"{prefix}.h1b", node_dim, node_dim, rng)
 
 
-def concrete_sample(p, lam: float, u) -> Var:
-    """Relaxed Bernoulli draw sigma((logit(p) + logit(u)) / lam).
-
-    p is clamped to [1e-6, 1-1e-6] before the logit; u is a fixed uniform
-    draw so the output is differentiable in p only.
-    """
-    if lam <= 0:
-        raise ValueError("temperature must be positive")
+def concrete_sample(p, u) -> Var:
+    """Relaxed Bernoulli draw sigma((logit(p) + logit(u)) / TEMPERATURE); p is clamped to
+    [1e-6, 1-1e-6] before the logit, and u is a fixed uniform draw, so the output is
+    differentiable in p only."""
     p = nn.clip(nn._v(p), PROB_EPS, 1.0 - PROB_EPS)
     uu = np.asarray(u, dtype=np.float64)
     noise = np.log(uu) - np.log1p(-uu)
     logit = nn.sub(nn.log(p), nn.log(nn.sub(nn.const(1.0), p)))
-    return nn.sigmoid(nn.scale(nn.add(logit, nn.const(noise)), 1.0 / lam))
+    return nn.sigmoid(nn.scale(nn.add(logit, nn.const(noise)), 1.0 / TEMPERATURE))
 
 
 def masked_attention(query: Var, keys: Var, values: Var, mask: Var, valid: np.ndarray) -> Var:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CheckpointError, NonFiniteError, ShapeError, read_text
+from .errors import CheckpointError, NonFiniteError, ShapeError, read_json
 
 CKPT_FORMAT = "motifx-ckpt/1"
 
@@ -435,7 +435,7 @@ class ParameterStore:
         """Read a checkpoint; anything but a well-formed one raises CheckpointError."""
         store = cls()
         try:
-            payload = json.loads(read_text(path, CheckpointError))
+            payload = read_json(path, CheckpointError)
             fmt = payload.get("format") if isinstance(payload, dict) else None
             if fmt != CKPT_FORMAT:
                 raise CheckpointError(f"{path}: unsupported checkpoint format {fmt!r}")
@@ -451,8 +451,6 @@ class ParameterStore:
             k_nb = store.meta.get("k_nb") if store.meta.get("kind") == "base" else 1
         except CheckpointError:
             raise
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not JSON ({exc})") from exc
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing key {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:

@@ -118,7 +118,7 @@ def mixed_queries(rng, g, n):
         u = int(rng.integers(g.node_count))
         v = int((u + 1 + rng.integers(g.node_count - 1)) % g.node_count)
         t = float(g.t[0]) if k % 5 == 0 else float(rng.choice(g.t)) + (k % 2) * 0.5
-        out.append(query_event(u, v, t, g.attr_width))
+        out.append(query_event(u, v, t))
     return out
 
 

@@ -28,15 +28,14 @@ def pipeline_dir(tmp_path_factory):
     assert main(["train-base"] + base) == 0
     assert main(["train-explainer"] + base) == 0
     assert main(["explain"] + base) == 0
-    assert main(["evaluate", "--emit-plot-data"] + base) == 0
+    assert main(["evaluate"] + base) == 0
     return d
 
 
 class TestPipeline:
     def test_all_artifacts_exist(self, pipeline_dir):
         for name in ("graph.json", "census.json", "null_census.json", "base.ckpt",
-                     "explainer.ckpt", "explanations.json", "report.json",
-                     "curve.csv", "fidelity_sparsity.csv"):
+                     "explainer.ckpt", "explanations.json", "report.json", "curve.csv"):
             assert (pipeline_dir / name).exists(), name
 
     def test_manifests_written(self, pipeline_dir):
@@ -110,13 +109,14 @@ class TestErrors:
         ("census", None, "graph.json", b'{"node_count": "\xe9"}', "SchemaError"),
         ("ingest", "--csv", "missing.csv", None, "IngestError"),
         ("ingest", "--csv", "latin1.csv", b"a,\xe9,1\n", "IngestError"),
+        ("ingest", "--csv", "wide.csv", b"a,b,1\na,b," + b"9" * 200_000 + b"\n", "IngestError"),
         ("train-explainer", None, "null_census.json", "dir", "DependencyError")],
         ids=["config-missing", "config-not-utf8", "graph-not-utf8", "csv-missing",
-             "csv-not-utf8", "null-census-a-directory"])
+             "csv-not-utf8", "csv-field-over-the-limit", "null-census-a-directory"])
     def test_unreadable_input_is_a_typed_error(self, pipeline_dir, tmp_path, capsys, command,
                                                flag, name, data, kind):
-        """A missing, non-UTF-8 or directory input exits with a typed error that names it:
-        2 for a DependencyError, else 1."""
+        """A missing, non-UTF-8 or directory input, or a CSV field over the csv module's
+        limit, exits with a typed error that names it: 2 for a DependencyError, else 1."""
         run_dir = tmp_path / "r"
         path = (run_dir if flag is None else tmp_path) / name
         if data == "dir":  # in a run directory that holds every other input
@@ -132,6 +132,25 @@ class TestErrors:
         assert code == (2 if kind == "DependencyError" else 1)
         assert err["error"]["type"] == kind
         assert str(path) in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, name, kind", [
+        ("synth", "cfg.json", "ConfigError"), ("census", "graph.json", "SchemaError"),
+        ("train-explainer", "base.ckpt", "CheckpointError"),
+        ("train-explainer", "null_census.json", "DependencyError")],
+        ids=["config", "graph", "checkpoint", "null-census"])
+    def test_deeply_nested_json_is_a_typed_error(self, pipeline_dir, tmp_path, capsys, command,
+                                                 name, kind):
+        """JSON nested too deep to decode exits with a typed error as JSON on stderr: 2 for a
+        DependencyError, else 1."""
+        run_dir = tmp_path / "r"
+        shutil.copytree(pipeline_dir, run_dir)
+        (run_dir / name).write_text("[" * 200_000 + "]" * 200_000)
+        config = ["--config", str(run_dir / name)] if name == "cfg.json" else []
+        capsys.readouterr()
+        code = main([command, "--run-dir", str(run_dir)] + config + TINY)
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == (2 if kind == "DependencyError" else 1)
+        assert err["error"]["type"] == kind
 
     @pytest.mark.parametrize("text", ["not a checkpoint", '{"format": "motifx-ckpt/1"}'])
     def test_bad_checkpoint_is_a_json_error(self, tmp_path, capsys, text):
@@ -181,9 +200,12 @@ class TestErrors:
         # a config as builds that still had the `hops` and `gine_depth` fields wrote it
         ("explain", "base.ckpt", add_config(hops=1, gine_depth=1), "'hops'"),
         ("evaluate", "explainer.ckpt", add_config(hops=1, gine_depth=1), "'hops'"),
+        # and as builds that still had the `lam` field wrote it
+        ("explain", "base.ckpt", add_config(lam=0.5), "'lam'"),
+        ("evaluate", "explainer.ckpt", add_config(lam=0.5), "'lam'"),
     ], ids=["base-array", "base-meta", "base-transposed", "base-kind", "base-config",
             "explainer-array", "explainer-transposed", "explainer-kind", "base-attr-width",
-            "base-removed-fields", "explainer-removed-fields"])
+            "base-removed-fields", "explainer-removed-fields", "base-lam", "explainer-lam"])
     def test_checkpoint_its_config_does_not_build_rejected(self, pipeline_dir, tmp_path, capsys,
                                                             command, ckpt, mutation, needle):
         d = tmp_path / "m"
@@ -295,7 +317,6 @@ class TestErrors:
         ("train-explainer", "--p", "0"), ("train-explainer", "--p", "1"),
         ("explain", "--n-queries", "-2"), ("evaluate", "--n-queries", "-2"),
         ("train-base", "--lr", "nan"), ("train-explainer", "--lr", "0"),
-        ("train-explainer", "--lam", "0"),
         ("census", "--n", "1"), ("census", "--l", "0"), ("train-explainer", "--c", "0"),
         ("census", "--c-per-node", "0"), ("train-explainer", "--per-hop-cap", "0"),
         ("synth", "--events", "0"), ("train-explainer", "--max-train-queries", "0"),
@@ -352,17 +373,21 @@ class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         assert "not_a_key" in self.config_error(tmp_path, capsys, json.dumps({"not_a_key": 5}))
 
-    @pytest.mark.parametrize("key", ["hops", "gine_depth"])
-    def test_removed_field_in_the_config_file_rejected(self, tmp_path, capsys, key):
-        message = self.config_error(tmp_path, capsys, json.dumps({key: 1}))
+    @pytest.mark.parametrize("key, value", [("hops", 1), ("gine_depth", 1), ("lam", 0.5)],
+                             ids=["hops", "gine_depth", "lam"])
+    def test_removed_field_in_the_config_file_rejected(self, tmp_path, capsys, key, value):
+        message = self.config_error(tmp_path, capsys, json.dumps({key: value}))
         assert f"unknown config keys: ['{key}']" in message
 
-    @pytest.mark.parametrize("flag", ["--hops", "--gine-depth"])
-    def test_removed_flag_is_an_unknown_argument(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("command, flag", [
+        ("train-explainer", ["--hops", "2"]), ("train-explainer", ["--gine-depth", "2"]),
+        ("train-explainer", ["--lam", "0.5"]), ("evaluate", ["--emit-plot-data"])],
+        ids=["--hops", "--gine-depth", "--lam", "--emit-plot-data"])
+    def test_removed_flag_is_an_unknown_argument(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["train-explainer", "--run-dir", str(tmp_path / "r"), flag, "2"])
+            main([command, "--run-dir", str(tmp_path / "r"), *flag])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_config_file_not_json(self, tmp_path, capsys):
         assert "not JSON" in self.config_error(tmp_path, capsys, "nodes = 10")
@@ -452,14 +477,14 @@ def test_grad_check_passes_where_a_larger_step_crosses_relu_kinks():
 
 
 class TestEvaluateVariants:
-    def test_empty_report_plot_data_is_its_header(self, pipeline_dir, tmp_path):
-        """With no query to score the report is empty and the plot file holds its header."""
+    def test_no_query_gives_an_empty_report(self, pipeline_dir, tmp_path):
         run_dir = tmp_path / "run"
         shutil.copytree(pipeline_dir, run_dir)
         args = ["--run-dir", str(run_dir)] + TINY + ["--n-queries", "0"]
-        assert main(["evaluate", "--emit-plot-data"] + args) == 0
-        assert json.loads((run_dir / "report.json").read_text())["n_queries"] == 0
-        assert (run_dir / "fidelity_sparsity.csv").read_text() == "level,mean_fidelity,source\n"
+        assert main(["evaluate"] + args) == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["n_queries"] == 0
+        assert report["mean_fidelity_per_level"] == report["baseline_fidelity_per_level"] == {}
 
     def test_run_dir_with_a_space(self, pipeline_dir, tmp_path):
         spaced = tmp_path / "run dir"

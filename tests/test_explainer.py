@@ -15,7 +15,7 @@ from motifx.explainer import (build_explainer_store, encode_and_score,
                               kl_empirical, kl_uniform, prepare_queries,
                               query_objective, train_explainer)
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
-from motifx.layers import PROB_EPS
+from motifx.layers import PROB_EPS, TEMPERATURE
 from motifx.motifs import sample_id_block
 from motifx.nn import Tape
 
@@ -219,8 +219,8 @@ class TestEncoderInputs:
                         delta=None if seed % 2 else 8.0, seed=0)
         base_store = build_base_store(g, cfg)
         queries = [g.event(i) for i in rng.integers(n_ev // 2, n_ev, size=5)]
-        queries += [query_event(int(q.u), (int(q.u) + 1) % n_nodes, q.t, 3) for q in queries[:2]]
-        queries.append(query_event(0, 1, 0.5, 3))  # no history: no prep
+        queries += [query_event(int(q.u), (int(q.u) + 1) % n_nodes, q.t) for q in queries[:2]]
+        queries.append(query_event(0, 1, 0.5))  # no history: no prep
         seeds = [int(x) for x in rng.integers(0, 2**31, size=len(queries))]
         preps = prepare_queries(g, base_store, queries, cfg, seeds)
         assert preps[-1] is None
@@ -346,7 +346,7 @@ class TestFirstBatchLoss:
         got = query_objective(base_store, [prep], scores, draws, ecfg, null_probs)
 
         # independent mask assembly: scalar Concrete at p=0.5, max per event
-        alpha = 1 / (1 + np.exp(-(np.log(draws) - np.log1p(-draws)) / ecfg.lam))
+        alpha = 1 / (1 + np.exp(-(np.log(draws) - np.log1p(-draws)) / TEMPERATURE))
         ev_mask = np.zeros(len(prep.covered_ids))
         for pos, m_idx in zip(prep.pair_cov, prep.pair_motif):
             ev_mask[pos] = max(ev_mask[pos], alpha[m_idx])

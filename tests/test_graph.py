@@ -56,6 +56,11 @@ class TestIngest:
         with pytest.raises(SchemaError, match="line 2"):
             ingest_csv(write_csv(tmp_path, "a,b,1,0.5\na,c,2\n"))
 
+    def test_field_over_the_csv_limit_names_line(self, tmp_path):
+        text = "a,b,1\na,b,2\na,b," + "9" * 200_000 + "\n"
+        with pytest.raises(IngestError, match="line 3: field larger than field limit"):
+            ingest_csv(write_csv(tmp_path, text))
+
     def test_header_flag(self, tmp_path):
         g, _ = ingest_csv(write_csv(tmp_path, "u,v,t\na,b,1\n"), has_header=True)
         assert g.n_events == 1
@@ -332,6 +337,10 @@ class TestValidation:
         text = json.dumps({"node_count": 3, "attr_width": width, "events": events})
         with pytest.raises(SchemaError, match="attr_width"):
             TemporalGraph.from_json(text)
+
+    def test_from_json_nested_too_deep(self):
+        with pytest.raises(SchemaError, match="malformed graph JSON: RecursionError"):
+            TemporalGraph.from_json("[" * 200_000 + "]" * 200_000)
 
     def test_from_json_self_loop(self):
         text = json.dumps({"node_count": 2, "attr_width": 0, "events": [[1, 1, 1.0, []]]})

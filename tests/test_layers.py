@@ -2,30 +2,35 @@ import numpy as np
 import pytest
 
 from motifx import nn
-from motifx.layers import add_gine_params, concrete_sample, gine_layer, masked_attention
+from motifx.layers import (TEMPERATURE, add_gine_params, concrete_sample, gine_layer,
+                           masked_attention)
 from motifx.nn import ParameterStore, Tape
 
 
 class TestConcrete:
     def test_logits_cancel_at_half(self):
-        for lam in (0.01, 0.5, 2.0):
-            out = concrete_sample(nn.const(np.array([0.5])), lam, np.array([0.5]))
-            assert float(out.value[0]) == pytest.approx(0.5, abs=1e-12)
+        out = concrete_sample(nn.const(np.array([0.5])), np.array([0.5]))
+        assert float(out.value[0]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_draw_at_the_one_temperature(self):
+        """sigma((logit(p) + logit(u)) / 0.5): the relaxation's temperature is TEMPERATURE."""
+        p, u = np.array([0.8, 0.1]), np.array([0.3, 0.9])
+        logit = lambda x: np.log(x) - np.log1p(-x)
+        out = concrete_sample(nn.const(p), u)
+        want = 1 / (1 + np.exp(-(logit(p) + logit(u)) / 0.5))
+        assert TEMPERATURE == 0.5
+        assert out.value == pytest.approx(want, rel=1e-12)
 
     def test_monte_carlo_mean_matches_probability(self):
         rng = np.random.default_rng(123)
         u = rng.uniform(1e-9, 1 - 1e-9, size=10_000)
-        out = concrete_sample(nn.const(np.full(10_000, 0.9)), 0.01, u)
+        out = concrete_sample(nn.const(np.full(10_000, 0.9)), u)
         assert np.mean(out.value > 0.5) == pytest.approx(0.9, abs=0.02)
 
     def test_extreme_probabilities_clamped(self):
-        out = concrete_sample(nn.const(np.array([0.0, 1.0])), 0.5, np.array([0.5, 0.5]))
+        out = concrete_sample(nn.const(np.array([0.0, 1.0])), np.array([0.5, 0.5]))
         assert np.all(np.isfinite(out.value))
         assert 0.0 < out.value[0] < out.value[1] < 1.0
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            concrete_sample(nn.const(np.array([0.5])), 0.0, np.array([0.5]))
 
 
 def gine_store(node_dim, edge_dim, seed=0):

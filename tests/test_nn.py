@@ -483,6 +483,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not JSON"):
             ParameterStore.load(self.write(tmp_path, '{"format": "motifx-ckpt/1", '))
 
+    def test_nested_too_deep(self, tmp_path):
+        with pytest.raises(CheckpointError, match="not JSON"):
+            ParameterStore.load(self.write(tmp_path, "[" * 200_000 + "]" * 200_000))
+
     @pytest.mark.parametrize("payload", [[1, 2], {"format": "motifx-ckpt/0"}, {}])
     def test_wrong_format(self, tmp_path, payload):
         with pytest.raises(CheckpointError, match="format"):
