@@ -94,14 +94,6 @@ def _head(tape, x: Var, name: str = "head") -> Var:
     return _no_lone_row(probs, x)
 
 
-def empty_context_output(store: ParameterStore) -> float:
-    """The documented constant the model outputs on an entirely empty view."""
-    h = store.meta["h"]
-    tape = Tape(store)
-    x_t = nn.relu(tape.affine(nn.const(np.zeros((2, 2 * h))), "out"))
-    return float(_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
-
-
 # B queries' (B, 2, K) slot ids, partners and decays exp(-dt / tau), (B, 2, h) x_self and q_vec
 # and (B, 2, K, w) key columns [x_nbr, attrs, t_enc, direct, 0], the last one the place of the
 # common-partner column: Vars on a tape, or frozen arrays

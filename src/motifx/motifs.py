@@ -39,9 +39,9 @@ L[ceil(want / r) - 1] is a lower bound too: one holds that many.
 Then only the walkers whose bracket [low, high) is wider than one id are
 searched, on their own candidates. A walker keeps its lists' positions
 and its counts at low and high, takes an entry e in [low, high) of its
-longest list and pivots at e + 1 (high - 1 if e = high - 1), one
-`searchsorted` per round. e is the goal's share of that list: of its
-`width` entries in [low, high), entry
+longest list and pivots at e + 1 (high - 1 if e = high - 1): one `graph.search`
+per round, all walkers' terms in ascending order once they are many. e is
+the goal's share of that list: of its `width` entries in [low, high), entry
 (want - count(low) - 1) * width // (count(high) - count(low))
 (interpolation search, Perl, Itai & Avni 1978), so a list that holds
 every candidate ends in one round. After the first three rounds, every
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .graph import TemporalGraph
+from .graph import TemporalGraph, search
 
 DEFAULT_N = 3
 DEFAULT_L = 3
@@ -99,12 +99,12 @@ def _count_terms(g: TemporalGraph, nodes: np.ndarray, lo: np.ndarray, closed) ->
     base = np.where(closed, g.node_count + np.maximum(ranks, 0), np.concatenate(
         [np.maximum(rows, 0), g.node_count + np.maximum(inner, 0)], axis=1)) * g.n_events
     weight = np.where(closed, ranks >= 0, np.concatenate([rows >= 0, (inner >= 0) * -1], axis=1))
-    return base, weight, g._key.searchsorted(base + lo[:, None])
+    return base, weight, search(g._key, base + lo[:, None])
 
 
 def _stops(g: TemporalGraph, terms: tuple, m: np.ndarray) -> np.ndarray:
     """Per walker and term, the position on `_key` where its list stops at id m[w]."""
-    return g._key.searchsorted(terms[0] + m[:, None])
+    return search(g._key, terms[0] + m[:, None])
 
 
 def _below(g: TemporalGraph, terms: tuple, m: np.ndarray, stops=None) -> np.ndarray:
@@ -158,7 +158,7 @@ def _search(g: TemporalGraph, terms: tuple, want, low, high) -> np.ndarray:
     terms, goal = tuple(a[rest] for a in terms), want[rest]
     # each term's positions at low and at high, and the walker's counts there;
     # a pivot's stops and count replace one of each
-    ends = g._key.searchsorted(terms[0] + np.stack([low[rest], high[rest]])[..., None])
+    ends = search(g._key, terms[0] + np.stack([low[rest], high[rest]])[..., None])
     counts = ((ends - terms[2]) * terms[1]).sum(axis=2)
     r = 0
     while len(rest):
@@ -187,7 +187,7 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
     _params_ok(n, l, c)
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     t0s = np.broadcast_to(np.asarray(t0s, dtype=np.float64), anchors.shape)
-    lo = np.zeros(len(anchors), np.int64) if delta is None else g.t.searchsorted(t0s - delta)
+    lo = np.zeros(len(anchors), np.int64) if delta is None else search(g.t, t0s - delta)
     start, stop = g.row_window(anchors, t0s, lo)  # each anchor's row window [lo, t0)
     count = stop - start
     live = np.flatnonzero(count > 0)
@@ -224,7 +224,7 @@ def sample_id_block(g: TemporalGraph, anchors, t0s, seeds, n: int = DEFAULT_N,
         new = np.where((held == src[:, None]).any(axis=1), dst, src)
         grow = ~(held == new[:, None]).any(axis=1)
         nodes[walkers[grow], (held[grow] >= 0).sum(axis=1)] = new[grow]
-        high = g.t.searchsorted(g.t[low])  # strictly before the event just taken
+        high = search(g.t, g.t[low])  # strictly before the event just taken
     return ids, live
 
 

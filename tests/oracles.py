@@ -608,6 +608,15 @@ def _forward(tape, store, g, query, views, sides):
     return _head(tape, reprs)
 
 
+def empty_context_output(store) -> float:
+    """The constant the package's model outputs on an entirely empty view: its head on
+    ``relu(out(0))`` for both sides, duplicated to two rows as the package does."""
+    h = store.meta["h"]
+    tape = Tape(store)
+    x_t = nn.relu(tape.affine(nn.const(np.zeros((2, 2 * h))), "out"))
+    return float(_base_head(tape, nn.reshape(x_t, (1, 2 * h))).value[0])
+
+
 def _views(store, g, query):
     k_nb = store.meta["k_nb"]
     return {"u": _side_view(g, query.u, query.v, query.t, k_nb),

@@ -3,7 +3,7 @@ import pytest
 
 from motifx import basemodel, nn
 from motifx.basemodel import (InternalPredictor, batch_loss, build_base_store,
-                              build_enhanced_store, empty_context_output, enhanced_probs,
+                              build_enhanced_store, enhanced_probs,
                               encode_slots, eval_queries, predict_slots,
                               predict_batch, soft_predict,
                               split_event_ids, split_times, train_base, train_enhanced_head)
@@ -13,8 +13,8 @@ from motifx.metrics import average_precision
 from motifx.graph import TemporalGraph, generate_synthetic, query_event
 from motifx.nn import Tape, grad_check
 
-from oracles import (reference_batch_loss, reference_dense_predict, reference_enhanced_head,
-                     reference_predict, reference_soft_predict)
+from oracles import (empty_context_output, reference_batch_loss, reference_dense_predict,
+                     reference_enhanced_head, reference_predict, reference_soft_predict)
 
 
 def members(store, g, q):

@@ -7,8 +7,9 @@ import pytest
 from motifx.basemodel import build_base_store, encode_slots
 from motifx.config import RunConfig
 from motifx.errors import IngestError, SchemaError
-from motifx.graph import (TemporalGraph, _pick, computational_graph, generate_synthetic,
-                          ingest_csv, node_base_features, query_event)
+from motifx.graph import (ASCENDING_FROM, TemporalGraph, _pick, computational_graph,
+                          generate_synthetic, ingest_csv, node_base_features, query_event,
+                          search)
 from motifx.motifs import _below, _count_terms, null_model
 from motifx.nn import Tape
 
@@ -46,6 +47,16 @@ class TestIngest:
     def test_malformed_row_names_line(self, tmp_path):
         with pytest.raises(IngestError, match="line 2"):
             ingest_csv(write_csv(tmp_path, "a,b,1\na,b,notatime\n"))
+
+    def test_error_after_a_multi_line_field_names_the_file_line(self, tmp_path):
+        # the quoted label spans lines 2-3, so the bad row is record 3 on line 4
+        with pytest.raises(IngestError, match="line 4: bad timestamp 'bad'"):
+            ingest_csv(write_csv(tmp_path, 'a,b,1\n"x\ny",b,2\na,b,bad\n'))
+
+    def test_header_is_the_first_record(self, tmp_path):
+        text = 'u,"v\nv",t\na,b,1\na,b,bad\n'
+        with pytest.raises(IngestError, match="line 4: bad timestamp"):
+            ingest_csv(write_csv(tmp_path, text), has_header=True)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_attribute_names_line(self, tmp_path, bad):
@@ -346,6 +357,44 @@ class TestValidation:
         text = json.dumps({"node_count": 2, "attr_width": 0, "events": [[1, 1, 1.0, []]]})
         with pytest.raises(SchemaError, match="self-loop"):
             TemporalGraph.from_json(text)
+
+
+class TestSearch:
+    """`search` against `ndarray.searchsorted`, on needle counts below ASCENDING_FROM (plain
+    lookups) and from it on (ascending lookups), in the shapes the graph's reads pass."""
+
+    @staticmethod
+    def sorted_arrays():
+        rng = np.random.default_rng(3)
+        ints = np.sort(rng.integers(-50, 50, 400))  # ties: 400 draws from 100 values
+        floats = np.sort(rng.choice(np.arange(0.0, 60.0, 0.5), 300))
+        return {"int64": ints, "float64": floats, "empty": np.zeros(0, np.int64)}
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "empty"])
+    @pytest.mark.parametrize("shape", [(0,), (), (7, 1), (ASCENDING_FROM - 1,),
+                                       (ASCENDING_FROM,), (ASCENDING_FROM, 1), (2, 40, 9),
+                                       (3 * ASCENDING_FROM + 5,)])
+    def test_positions_equal_searchsorted(self, kind, shape):
+        arr = self.sorted_arrays()[kind]
+        rng = np.random.default_rng(len(shape) + int(np.prod(shape)))
+        # duplicates, values on and between the array's entries, and both infinities
+        pool = np.concatenate([arr, arr + 0.25, [-math.inf, math.inf, -60.0, 75.0]])
+        needles = rng.choice(pool, size=shape)
+        got, want = search(arr, needles), arr.searchsorted(needles)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    def test_integer_needles_in_sorted_order_and_reversed(self, kind):
+        arr = self.sorted_arrays()[kind]
+        needles = np.arange(-2 * ASCENDING_FROM, 2 * ASCENDING_FROM).reshape(2, -1, 8) // 16
+        for n in (needles, needles[..., ::-1].copy()):
+            assert np.array_equal(search(arr, n), arr.searchsorted(n))
+
+    def test_scalar_needle(self):
+        arr = self.sorted_arrays()["float64"]
+        for x in (3.0, math.inf, np.float64(-math.inf), np.asarray(2.5)):
+            assert search(arr, x) == arr.searchsorted(x)
 
 
 class TestIndex:

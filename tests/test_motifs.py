@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from motifx import motifs
+from motifx import graph, motifs
 from motifx.errors import MotifxError
 from motifx.graph import TemporalGraph, generate_synthetic
 from motifx.motifs import (_below, _count_terms, anchor_time, census, code_alphabet,
@@ -154,8 +158,7 @@ def tied_case(seed: int, n: int, l: int) -> tuple:
     return g, anchors, t0s, seeds, delta
 
 
-@pytest.fixture(scope="module")
-def census_hubs():
+def census_hubs_case() -> tuple:
     """The census-hubs benchmark graph and its census anchors at last activity."""
     g = generate_synthetic("preferential-attachment", 200, 20000, seed=7)
     t0s = [anchor_time(g, v) for v in range(g.node_count)]
@@ -163,16 +166,58 @@ def census_hubs():
     return g, nodes, [t0s[v] for v in nodes]
 
 
+def census_hubs_digest(g, nodes, t0s) -> str:
+    """The sha256 of the census-hubs walker block (C = 20, seed 7) and its live anchors."""
+    ids, live = sample_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20)
+    return hashlib.sha256(ids.tobytes() + live.astype(np.int64).tobytes()).hexdigest()
+
+
+census_hubs = pytest.fixture(scope="module")(census_hubs_case)
+# numpy's dispatched AVX-512 sort kernels; a child process runs without them
+AVX512_SORT = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
 class TestBracketedWalker:
     """The bracketed walker against the walker that bisects every walker over its
     whole window, and each bracket against the admissible scan's pick."""
 
     @pytest.mark.parametrize("delta", [None, 200.0])
-    def test_census_hubs_block_matches_reference(self, census_hubs, delta):
+    def test_census_hubs_block_matches_reference(self, census_hubs, delta, monkeypatch):
+        """Also checks that some lookup here takes `search`'s ascending path, which the
+        small test graphs never reach."""
         g, nodes, t0s = census_hubs
+        sizes, search = [], graph.search
+
+        def record(sorted_arr, needles):
+            sizes.append(np.size(needles))
+            return search(sorted_arr, needles)
+        for module in (graph, motifs):
+            monkeypatch.setattr(module, "search", record)
         got = sample_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20, delta)
+        assert max(sizes) >= graph.ASCENDING_FROM
         want = reference_id_block(g, nodes, t0s, [7] * len(nodes), 3, 3, 20, delta)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_census_hubs_block_without_avx512_sort(self, census_hubs):
+        """The block's bytes do not hang on numpy's sort kernel: a child process with the
+        AVX-512 kernels switched off, so that `argsort` may order equal needles otherwise,
+        draws the same block."""
+        from numpy._core._multiarray_umath import __cpu_features__
+        off = [f for f in AVX512_SORT if __cpu_features__.get(f)]
+        if not off:
+            pytest.skip("this CPU runs none of numpy's AVX-512 sort kernels")
+        tests = Path(__file__).resolve().parent
+        script = ("import sys\n"
+                  "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+                  "from test_motifs import census_hubs_case, census_hubs_digest\n"
+                  "assert not any(on[f] for f in sys.argv[1:])\n"
+                  "print(census_hubs_digest(*census_hubs_case()))\n")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        child = subprocess.run([sys.executable, "-c", script, *off], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == census_hubs_digest(*census_hubs)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n,l", [(n, l) for n in (2, 3, 4) for l in (2, 3, 4)])
