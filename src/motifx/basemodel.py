@@ -31,9 +31,10 @@ those to gemv, whose bits depend on the row count), so the 1-wide output
 projection is a multiply plus a row sum and a lone row is run as two.
 `_no_lone_row` does that for the `k`/`v` projections and for `_head`, which
 is also the explainer's motif scorer. It also needs a product row's bits not
-to depend on where the row sits, which OpenBLAS's kernels give at widths
-h % 8 in {0, 4, 5, 6, 7} (every default, benchmark and test width) but not
-at 1 to 3, where a product's last rows can differ in their last bits.
+to depend on where the row sits. That is measured, not guaranteed: with OpenBLAS,
+output widths that are multiples of 8 (every default and benchmark width) kept
+them in every product tried; widths 28 and 36, and 1 to 3 mod 8, did not.
+Padding the columns to a multiple of 8 is the fix (ROADMAP item 2(c)).
 
 `build_base_store` and `train_base` take the one `config.RunConfig`.
 """
@@ -55,6 +56,7 @@ from .nn import ParameterStore, Tape, Var
 
 PRED_EPS = 1e-7
 EVAL_CHUNK = 256  # queries per predict_batch forward and scored_preps chunk; no row depends on it
+HEAD_LR, HEAD_EPOCHS, HEAD_BATCH = 5e-4, 40, 64  # the motif-enhanced head's one schedule
 
 
 def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
@@ -363,10 +365,9 @@ def enhanced_probs(tape, reps: np.ndarray, embs: np.ndarray) -> Var:
 
 def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray,
                         labels: np.ndarray, val_mask: np.ndarray,
-                        lr: float = 1e-3, epochs: int = 40, batch: int = 64,
                         seed: int = 0) -> tuple[ParameterStore, dict]:
     """Train a fresh `build_enhanced_store` head on precomputed representations and
-    embeddings.
+    embeddings, for HEAD_EPOCHS epochs of HEAD_BATCH rows at learning rate HEAD_LR.
 
     `nn.fit` selects by validation AP with the untouched initial head competing, and
     leaves it only for a gain above 1e-3, so the result never validates worse than the
@@ -379,8 +380,8 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
     def batches(epoch):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xE11, epoch])))
         order = rng.permutation(len(train_idx))
-        for lo in range(0, len(order), batch):
-            sel = train_idx[order[lo:lo + batch]]
+        for lo in range(0, len(order), HEAD_BATCH):
+            sel = train_idx[order[lo:lo + HEAD_BATCH]]
             yield lambda tape, sel=sel: nn.vmean(_bce(enhanced_probs(tape, reps[sel], embs[sel]),
                                                       labels[sel]))
 
@@ -388,7 +389,7 @@ def train_enhanced_head(base: ParameterStore, reps: np.ndarray, embs: np.ndarray
         return average_precision(labels[val_idx], enhanced_probs(Tape(src), reps[val_idx],
                                                                  embs[val_idx]).value)
 
-    report = nn.fit(store, epochs, batches, lr, validate=validate if len(val_idx) else None,
-                    min_gain=1e-3)  # only leave the plain head for a real validation gain
+    report = nn.fit(store, HEAD_EPOCHS, batches, HEAD_LR, min_gain=1e-3,
+                    validate=validate if len(val_idx) else None)
     return store, report
 

@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .explainer import build_explainer_store, encode_and_score, prepare_queries, query_objective
 from .graph import generate_synthetic, query_event
 from .layers import add_gine_params, concrete_sample, gine_layer
+from .motifs import null_class_probs
 from .nn import ParameterStore, Tape, grad_check
 
 
@@ -121,10 +122,7 @@ def objective_check(points: int = 1, seed: int = 0) -> float:
     g, base_store, expl_store, cfg, preps = _toy_pipeline(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
     draws = rng.uniform(0.1, 0.9, size=sum(len(p.ids) for p in preps))
-    null_probs = None
-    if cfg.prior == "empirical":
-        from .motifs import null_class_probs
-        null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, seed=seed)
+    null_probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, seed=seed)
 
     def loss(tape: Tape):
         scores, _, _ = encode_and_score(tape, preps)

@@ -19,7 +19,7 @@ from . import __version__, nn
 from .basemodel import build_base_store, train_base
 from .config import RunConfig, config_file_values, write_manifest
 from .errors import (CheckpointError, ConfigError, DependencyError, MotifxError, SchemaError,
-                     read_json, read_text)
+                     read_json, read_text, write_text)
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
@@ -110,7 +110,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = generate_synthetic(cfg.rule, cfg.nodes, cfg.events, cfg.seed)
     out = run_dir / FILES["graph"]
-    out.write_text(g.to_json())
+    write_text(out, g.to_json(), ConfigError)
     write_manifest(run_dir / (FILES["graph"] + ".manifest.json"), "synth", cfg)
     print(f"wrote {out} ({g.n_events} events, {g.node_count} nodes)")
     return 0
@@ -122,7 +122,7 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
         raise DependencyError("ingest needs --csv")
     g, report = ingest_csv(cfg.csv, cfg.has_header)
     out = run_dir / FILES["graph"]
-    out.write_text(g.to_json())
+    write_text(out, g.to_json(), ConfigError)
     write_manifest(run_dir / (FILES["graph"] + ".manifest.json"), "ingest", cfg)
     print(f"wrote {out} ({g.n_events} events, {g.node_count} nodes, "
           f"{report.self_loops_skipped} self-loops skipped)")
@@ -134,7 +134,7 @@ def cmd_census(args, cfg: RunConfig) -> int:
     g = _load_graph(run_dir)
     cen = graph_census(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
     out = run_dir / FILES["census"]
-    out.write_text(cen.to_json())
+    write_text(out, cen.to_json(), ConfigError)
     write_manifest(run_dir / (FILES["census"] + ".manifest.json"), "census", cfg)
     print(f"wrote {out} ({len(cen.counts)} classes over {cen.total} instances)")
     return 0
@@ -143,8 +143,8 @@ def cmd_census(args, cfg: RunConfig) -> int:
 def _write_null_census(run_dir: Path, g: TemporalGraph, cfg: RunConfig) -> dict:
     """The null model's class probabilities, written with their manifest."""
     probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
-    (run_dir / FILES["null_census"]).write_text(
-        json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n")
+    write_text(run_dir / FILES["null_census"],
+               json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n", ConfigError)
     write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
     return probs
 
@@ -190,9 +190,8 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     g = _load_graph(run_dir)
     base = _load_store(run_dir, g)
     null_path = run_dir / FILES["null_census"]
-    null_probs = None if cfg.prior != "empirical" else (
-        _read_null_census(null_path, cfg) if null_path.exists()
-        else _write_null_census(run_dir, g, cfg))
+    null_probs = (_read_null_census(null_path, cfg) if null_path.exists()
+                  else _write_null_census(run_dir, g, cfg))
     store, report = train_explainer(g, base, cfg, null_probs)
     out = run_dir / FILES["explainer"]
     store.save(out)
@@ -215,7 +214,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
     results = explain_batch(g, base, expl, queries, [cfg.seed + i for i in range(len(queries))],
                             cfg=cfg)
     out = run_dir / FILES["explanations"]
-    out.write_text("[" + ",".join(r.to_json() for r in results) + "]\n")
+    write_text(out, "[" + ",".join(r.to_json() for r in results) + "]\n", ConfigError)
     write_manifest(run_dir / (FILES["explanations"] + ".manifest.json"), "explain", cfg)
     print(f"wrote {out} ({len(results)} explanations)")
     return 0
@@ -228,7 +227,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries, cfg=cfg,
                                    seed=cfg.seed)
     out = run_dir / FILES["report"]
-    out.write_text(json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n")
+    write_text(out, json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n",
+               ConfigError)
     write_curve_csv(run_dir / FILES["curve"], report.rows)
     write_manifest(run_dir / (FILES["report"] + ".manifest.json"), "evaluate", cfg)
     print(f"wrote {out} (ACC-AUC {report.acc_auc:.2f} vs random {report.baseline_acc_auc:.2f}, "

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 from . import __version__, graph
-from .errors import ConfigError, read_json
+from .errors import ConfigError, read_json, write_text
 
 # ranges the published sweeps explored; values outside them still run, with a warning
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
-PRIORS = ("uniform", "empirical")
 # the values each field can run with
 RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c", "c_per_node",
                           "per_hop_cap", "events", "max_train_queries"),
@@ -32,7 +31,6 @@ RULES = {**dict.fromkeys(("batch", "h", "d_time", "d_time_base", "k_nb", "l", "c
          "n": (lambda v: v >= 2, "at least 2"), "nodes": (lambda v: v >= 3, "at least 3"),
          "beta": (lambda v: 0.0 <= v < math.inf, "finite and at least 0"),
          "p": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-         "prior": (lambda v: v in PRIORS, f"one of {'/'.join(PRIORS)}"),
          "rule": (lambda v: v in graph.RULES, f"one of {'/'.join(graph.RULES)}")}
 # JSON value types each annotation accepts; a bool is never an int or a float
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
@@ -52,8 +50,7 @@ class RunConfig:
     c: int = 40
     delta: float | None = None
     c_per_node: int = 20
-    # prior / objective
-    prior: str = "empirical"
+    # objective
     p: float = 0.3
     beta: float = 0.5
     # base model
@@ -121,5 +118,4 @@ def write_manifest(path, command: str, cfg: RunConfig) -> None:
     payload = {"command": command, "config": cfg.to_dict(),
                "config_sha256": config_hash(cfg), "package_version": __version__,
                "warnings": cfg.warnings()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n", ConfigError)

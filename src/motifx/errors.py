@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the file reads that raise them."""
+"""Exception types shared across the package, and the file reads and writes that raise them."""
 import json
 
 
@@ -46,6 +46,16 @@ def read_text(path, error: type[MotifxError]) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot be read as UTF-8 text ({exc})") from exc
+
+
+def write_text(path, text: str, error: type[MotifxError]) -> None:
+    """Write `text` to the file at `path` as UTF-8, line ends as given; a file that
+    cannot be written raises `error`, naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise error(f"{path}: cannot be written ({exc})") from exc
 
 
 def read_json(path, error: type[MotifxError]):

@@ -25,8 +25,8 @@ def build_eval_query_set(g: TemporalGraph, n_queries: int, seed: int):
 
 
 def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
-                          expl_store: ParameterStore, n_queries: int = 200,
-                          cfg: RunConfig | None = None, seed: int = 0) -> MetricReport:
+                          expl_store: ParameterStore, n_queries: int, cfg: RunConfig,
+                          seed: int = 0) -> MetricReport:
     """Fidelity/ACC curves and ACC-AUC over `SPARSITY_LEVELS`, and cohesiveness at
     `COHESIVENESS_LEVEL`, for model and random baseline.
 
@@ -34,7 +34,7 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
     computational graph has 1 + 2L views: the full view, then the model's retained set
     at each of the L levels, then the random baseline's. One `predict_batch` call
     predicts them all into one (Q, 1 + 2L) matrix, and every metric is read from its
-    columns. `cfg` defaults to the config the explainer was trained with.
+    columns.
     """
     queries = [q for q, _ in build_eval_query_set(g, n_queries, seed)]
     t0 = time.perf_counter()
@@ -75,7 +75,7 @@ def evaluate_explanations(g: TemporalGraph, base_store: ParameterStore,
 
 
 def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
-                         expl_store: ParameterStore, cfg: RunConfig | None = None,
+                         expl_store: ParameterStore, cfg: RunConfig,
                          seed: int = 0) -> tuple[ParameterStore, dict]:
     """Widened-head training on mean motif embeddings; reports plain vs enhanced AP.
 
@@ -83,9 +83,8 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     `split` marks each query's set (0 train, 1 val, 2 test). Embeddings come from
     `scored_preps`; only the head trains. The base model runs once per query: a prep's
     `ctx`, else one `predict_batch`. Test AP is the plain `_head`'s and the enhanced
-    one's on the same representations. `cfg` defaults to the explainer's config.
+    one's on the same representations.
     """
-    cfg = cfg or RunConfig(**expl_store.meta["config"])
     train_ids, val_ids, test_ids = split_event_ids(g)
     sets = [eval_queries(g, train_ids[-HEAD_TRAIN_EVENTS:], seed),
             eval_queries(g, val_ids, seed + 1, neg_per_pos=3), eval_queries(g, test_ids, seed + 2)]
@@ -106,8 +105,7 @@ def train_motif_enhanced(g: TemporalGraph, base_store: ParameterStore,
     reps[bare] = predict_batch(base_store, g, [queries[i] for i in bare])[1]
     fit, test = split < 2, split == 2
     enhanced, head_report = train_enhanced_head(
-        base_store, reps[fit], embs[fit], labels[fit], val_mask=split[fit] == 1, lr=5e-4,
-        seed=seed)
+        base_store, reps[fit], embs[fit], labels[fit], val_mask=split[fit] == 1, seed=seed)
     plain_scores = _head(Tape(base_store), const(reps[test])).value
     enh_scores = enhanced_probs(Tape(enhanced), reps[test], embs[test]).value
     report = {"plain_test_ap": average_precision(labels[test], plain_scores),

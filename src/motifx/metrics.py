@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, write_text
+
 SPARSITY_LEVELS = tuple(round(0.02 * k, 2) for k in range(16))  # 0.0 .. 0.3
 COHESIVENESS_LEVEL = 0.1  # the sparsity level cohesiveness is measured at: SPARSITY_LEVELS[5]
 
@@ -132,7 +134,5 @@ class MetricReport:
 
 def write_curve_csv(path, rows) -> None:
     """Flat (query, level, fidelity, acc, source) rows for external plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("query,level,fidelity,acc,source\n")
-        for q, lv, fid, acc, source in rows:
-            fh.write(f"{q},{lv:.2f},{fid!r},{acc},{source}\n")
+    write_text(path, "query,level,fidelity,acc,source\n" + "".join(
+        f"{q},{lv:.2f},{fid!r},{acc},{source}\n" for q, lv, fid, acc, source in rows), ConfigError)

@@ -378,7 +378,7 @@ def null_class_probs(g: TemporalGraph, n: int = DEFAULT_N, l: int = DEFAULT_L,
     """Smoothed class probabilities of the time-shuffled null model.
 
     Additive smoothing by SMOOTHING over the whole (n, l) alphabet keeps every
-    class probability positive, which the empirical-prior loss divides by.
+    class probability positive, which the objective's KL divides by.
     """
     shuffled = null_model(g, seed)
     return _smooth(graph_census(shuffled, n, l, c_per_node, delta, seed + 1), n, l)

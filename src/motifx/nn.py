@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CheckpointError, NonFiniteError, ShapeError, read_json
+from .errors import CheckpointError, NonFiniteError, ShapeError, read_json, write_text
 
 CKPT_FORMAT = "motifx-ckpt/1"
 
@@ -427,8 +427,8 @@ class ParameterStore:
         payload = {"format": CKPT_FORMAT, "meta": self.meta,
                    "arrays": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
                               for k, v in sorted(self.arrays.items())}}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        write_text(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n",
+                   CheckpointError)
 
     @classmethod
     def load(cls, path) -> "ParameterStore":

@@ -523,6 +523,12 @@ class TestEnhancedHead:
         labels = np.array([y for _, y in queries])
         return store, probs, reps, embs, labels
 
+    @pytest.fixture
+    def short_schedule(self, monkeypatch):
+        """Learning rate 1e-2 and 5 epochs of 16 rows, in place of the head's fixed schedule."""
+        for name, value in (("HEAD_LR", 1e-2), ("HEAD_EPOCHS", 5), ("HEAD_BATCH", 16)):
+            monkeypatch.setattr(basemodel, name, value)
+
     def test_fresh_enhanced_head_reproduces_plain_model(self, rows):
         store, probs, reps, embs, _ = rows
         enhanced = build_enhanced_store(store, embs.shape[1])
@@ -531,25 +537,23 @@ class TestEnhancedHead:
         lone = enhanced_probs(Tape(enhanced), reps[3:4], embs[3:4]).value
         assert lone.shape == (1,) and abs(lone[0] - probs[3]) <= 1e-12
 
-    def test_training_never_validates_worse(self, rows):
+    def test_training_never_validates_worse(self, rows, short_schedule):
         store, _, reps, embs, _ = rows
         labels = (embs[:, 0] > 0).astype(int)  # only the motif columns can predict these
         val = np.arange(len(labels)) % 4 == 0
-        trained, report = train_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
-                                              epochs=5, batch=16)
+        trained, report = train_enhanced_head(store, reps, embs, labels, val)
         assert report["best_score"] >= report["initial_score"]
         assert report["best_epoch"] >= 0
         val_probs = enhanced_probs(Tape(trained), reps[val], embs[val]).value
         assert average_precision(labels[val], val_probs) == report["best_score"]
 
-    def test_head_only_store_trains_as_the_full_copy_did(self, rows):
+    def test_head_only_store_trains_as_the_full_copy_did(self, rows, short_schedule):
         """The head-only store ends with the bits and `fit` report of the earlier design: a
         full copy of the base store with `ehead*` arrays beside it, trained in place."""
         store, _, reps, embs, _ = rows
         labels = (embs[:, 0] > 0).astype(int)
         val = np.arange(len(labels)) % 4 == 0
-        trained, report = train_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
-                                              epochs=5, batch=16)
+        trained, report = train_enhanced_head(store, reps, embs, labels, val)
         ref, ref_report = reference_enhanced_head(store, reps, embs, labels, val, lr=1e-2,
                                                   epochs=5, batch=16)
         assert report["best_epoch"] >= 0  # the head moved

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ class TestIngest:
     def test_malformed_row_names_line(self, tmp_path):
         with pytest.raises(IngestError, match="line 2"):
             ingest_csv(write_csv(tmp_path, "a,b,1\na,b,notatime\n"))
+
+    @pytest.mark.parametrize("row, needle", [
+        ("a,b", "expected at least 3 columns, got 2"), ("a,b,inf", "non-finite timestamp 'inf'"),
+        ("a,b,1,x", "bad attribute in ['x']")], ids=["two-columns", "inf-time", "text-attr"])
+    def test_bad_row_names_line(self, tmp_path, row, needle):
+        with pytest.raises(IngestError, match=f"line 2: {re.escape(needle)}"):
+            ingest_csv(write_csv(tmp_path, f"a,b,1\n{row}\n"))
 
     def test_error_after_a_multi_line_field_names_the_file_line(self, tmp_path):
         # the quoted label spans lines 2-3, so the bad row is record 3 on line 4
@@ -304,6 +312,10 @@ class TestValidation:
     def test_node_count_not_an_integer(self, node_count):
         with pytest.raises(SchemaError, match="node_count"):
             TemporalGraph([0, 1], [1, 2], [1.0, 2.0], np.zeros((2, 0)), node_count)
+
+    def test_negative_node_count(self):
+        with pytest.raises(SchemaError, match="node_count -1 is negative"):
+            TemporalGraph([], [], [], np.zeros((0, 0)), -1)
 
     def test_bool_node_count(self):
         with pytest.raises(SchemaError, match="node_count"):

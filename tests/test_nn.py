@@ -502,6 +502,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"missing key '{drop}'"):
             ParameterStore.load(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize("array, key, value", [
+        (False, "arrays", [1, 2]), (False, "meta", [1, 2]), (True, "data", "abc"),
+        (True, "shape", None)], ids=["arrays-list", "meta-list", "data-string", "shape-null"])
+    def test_malformed_structure(self, tmp_path, array, key, value):
+        payload = json.loads(json.dumps(self.GOOD))
+        (payload["arrays"]["w"] if array else payload)[key] = value
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            ParameterStore.load(self.write(tmp_path, payload))
+
     @pytest.mark.parametrize("shape,data", [([4, 3], [0.0] * 6), ([2, 3], [[0.0] * 3] * 2),
                                             ([], [])])
     def test_data_length_differs_from_shape(self, tmp_path, shape, data):
