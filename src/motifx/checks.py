@@ -49,19 +49,19 @@ def time_encoder_check(points: int = 1, seed: int = 0) -> float:
 
 
 def gine_check(points: int = 1, seed: int = 0) -> float:
-    """The padded GINE layer, in its parameters and node states (so through both `nn.bmm`
-    products), on two stacked motifs: a triangle, and a two-event path and a padding slot."""
+    """The GINE layer, in its one input row and its parameters (edge, eps, h1a, h1b), on
+    two stacked motifs: a triangle, and a two-event path and a padding slot."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
     store = ParameterStore()
     add_gine_params(store, "gine0", 6, 9, rng)
-    store.add("x", rng.normal(size=(2, 3, 6)))
-    labels = np.array([[0, 1, 1, 2, 2, 0], [0, 1, 1, 2, -1, -1]])
-    src = (labels[:, :, None] == np.arange(3)).astype(np.float64)
+    store.add("x", rng.normal(size=(1, 6)))
+    # node x event: a triangle (0, 1), (1, 2), (2, 0); a path (0, 1), (1, 2) and padding
+    inc = np.array([[[1, 0, 1], [1, 1, 0], [0, 1, 1]], [[1, 0, 0], [1, 1, 0], [0, 1, 0]]], float)
     edge_feats = rng.normal(size=(6, 9))
     probe = rng.normal(size=(2, 3, 6))
 
     def loss(tape: Tape):
-        out = gine_layer(tape, "gine0", tape.param("x"), src, nn.const(edge_feats))
+        out = gine_layer(tape, "gine0", tape.param("x"), inc, nn.const(edge_feats))
         return nn.vsum(nn.mul(out, nn.const(probe)))
     return _check_over_points(loss, store, points, seed)
 

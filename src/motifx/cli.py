@@ -17,13 +17,13 @@ from pathlib import Path
 
 from . import __version__, nn
 from .basemodel import build_base_store, train_base
-from .config import RunConfig, config_file_values, write_manifest
+from .config import RunConfig, config_file_values, manifest_text
 from .errors import (CheckpointError, ConfigError, DependencyError, MotifxError, SchemaError,
                      read_json, read_text, write_text)
 from .evaluate import build_eval_query_set, evaluate_explanations
 from .explainer import build_explainer_store, explain_batch, train_explainer
 from .graph import TemporalGraph, generate_synthetic, ingest_csv
-from .metrics import write_curve_csv
+from .metrics import curve_csv
 from .motifs import code_alphabet, graph_census, null_class_probs
 
 FILES = {
@@ -52,6 +52,34 @@ def _need(run_dir: Path, key: str) -> Path:
     if not path.exists():
         raise DependencyError(f"missing {path}; run the command that produces it first")
     return path
+
+
+def _publish(run_dir: Path, command: str, cfg: RunConfig, **artifacts) -> Path:
+    """Write a command's artifacts (FILES keys to texts or stores) and the first one's
+    manifest all or nothing; return the first path. Each goes to a temporary file beside
+    its path; they replace their paths once all are written and no path is a directory.
+    On a failure a ConfigError (CheckpointError for a checkpoint) names the path, no path
+    has changed and no temporary is left."""
+    items = {run_dir / FILES[key]: item for key, item in artifacts.items()}
+    out = next(iter(items))
+    items[out.with_name(out.name + ".manifest.json")] = manifest_text(command, cfg)
+    temps = {path: path.with_name(f".{path.name}.tmp") for path in items}
+    try:
+        for path, item in items.items():
+            if isinstance(item, str):
+                write_text(temps[path], item, ConfigError)
+            else:
+                item.save(temps[path])
+        for path, item in items.items():
+            if path.is_dir():
+                raise (ConfigError if isinstance(item, str) else CheckpointError)(
+                    f"{path}: cannot be written (it is a directory)")
+        for path, temp in temps.items():
+            temp.replace(path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    return out
 
 
 def _load_graph(run_dir: Path) -> TemporalGraph:
@@ -109,9 +137,7 @@ def _emit_warnings(cfg: RunConfig) -> None:
 def cmd_synth(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = generate_synthetic(cfg.rule, cfg.nodes, cfg.events, cfg.seed)
-    out = run_dir / FILES["graph"]
-    write_text(out, g.to_json(), ConfigError)
-    write_manifest(run_dir / (FILES["graph"] + ".manifest.json"), "synth", cfg)
+    out = _publish(run_dir, "synth", cfg, graph=g.to_json())
     print(f"wrote {out} ({g.n_events} events, {g.node_count} nodes)")
     return 0
 
@@ -121,9 +147,7 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
     if not cfg.csv:
         raise DependencyError("ingest needs --csv")
     g, report = ingest_csv(cfg.csv, cfg.has_header)
-    out = run_dir / FILES["graph"]
-    write_text(out, g.to_json(), ConfigError)
-    write_manifest(run_dir / (FILES["graph"] + ".manifest.json"), "ingest", cfg)
+    out = _publish(run_dir, "ingest", cfg, graph=g.to_json())
     print(f"wrote {out} ({g.n_events} events, {g.node_count} nodes, "
           f"{report.self_loops_skipped} self-loops skipped)")
     return 0
@@ -133,9 +157,7 @@ def cmd_census(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
     cen = graph_census(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
-    out = run_dir / FILES["census"]
-    write_text(out, cen.to_json(), ConfigError)
-    write_manifest(run_dir / (FILES["census"] + ".manifest.json"), "census", cfg)
+    out = _publish(run_dir, "census", cfg, census=cen.to_json())
     print(f"wrote {out} ({len(cen.counts)} classes over {cen.total} instances)")
     return 0
 
@@ -143,9 +165,8 @@ def cmd_census(args, cfg: RunConfig) -> int:
 def _write_null_census(run_dir: Path, g: TemporalGraph, cfg: RunConfig) -> dict:
     """The null model's class probabilities, written with their manifest."""
     probs = null_class_probs(g, cfg.n, cfg.l, cfg.c_per_node, cfg.delta, cfg.seed)
-    write_text(run_dir / FILES["null_census"],
-               json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n", ConfigError)
-    write_manifest(run_dir / (FILES["null_census"] + ".manifest.json"), "null-census", cfg)
+    _publish(run_dir, "null-census", cfg,
+             null_census=json.dumps(probs, separators=(",", ":"), sort_keys=True) + "\n")
     return probs
 
 
@@ -177,9 +198,7 @@ def cmd_train_base(args, cfg: RunConfig) -> int:
     run_dir = _run_dir(args)
     g = _load_graph(run_dir)
     store, report = train_base(g, cfg)
-    out = run_dir / FILES["base"]
-    store.save(out)
-    write_manifest(run_dir / (FILES["base"] + ".manifest.json"), "train-base", cfg)
+    out = _publish(run_dir, "train-base", cfg, base=store)
     ap = "none" if report["best_score"] is None else f"{report['best_score']:.4f}"
     print(f"wrote {out} (best val AP {ap} at epoch {report['best_epoch']})")
     return 0
@@ -193,9 +212,7 @@ def cmd_train_explainer(args, cfg: RunConfig) -> int:
     null_probs = (_read_null_census(null_path, cfg) if null_path.exists()
                   else _write_null_census(run_dir, g, cfg))
     store, report = train_explainer(g, base, cfg, null_probs)
-    out = run_dir / FILES["explainer"]
-    store.save(out)
-    write_manifest(run_dir / (FILES["explainer"] + ".manifest.json"), "train-explainer", cfg)
+    out = _publish(run_dir, "train-explainer", cfg, explainer=store)
     losses = ", ".join(f"{x:.4f}" for x in report["epoch_losses"][-3:])
     print(f"wrote {out} ({report['n_queries']} queries, last losses [{losses}])")
     return 0
@@ -213,9 +230,8 @@ def cmd_explain(args, cfg: RunConfig) -> int:
         queries = [q for q, _ in build_eval_query_set(g, cfg.n_queries, cfg.seed)]
     results = explain_batch(g, base, expl, queries, [cfg.seed + i for i in range(len(queries))],
                             cfg=cfg)
-    out = run_dir / FILES["explanations"]
-    write_text(out, "[" + ",".join(r.to_json() for r in results) + "]\n", ConfigError)
-    write_manifest(run_dir / (FILES["explanations"] + ".manifest.json"), "explain", cfg)
+    out = _publish(run_dir, "explain", cfg,
+                   explanations="[" + ",".join(r.to_json() for r in results) + "]\n")
     print(f"wrote {out} ({len(results)} explanations)")
     return 0
 
@@ -226,11 +242,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     base, expl, cfg = _load_models(run_dir, g, cfg, args.given)
     report = evaluate_explanations(g, base, expl, n_queries=cfg.n_queries, cfg=cfg,
                                    seed=cfg.seed)
-    out = run_dir / FILES["report"]
-    write_text(out, json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n",
-               ConfigError)
-    write_curve_csv(run_dir / FILES["curve"], report.rows)
-    write_manifest(run_dir / (FILES["report"] + ".manifest.json"), "evaluate", cfg)
+    text = json.dumps(report.to_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+    out = _publish(run_dir, "evaluate", cfg, report=text, curve=curve_csv(report.rows))
     print(f"wrote {out} (ACC-AUC {report.acc_auc:.2f} vs random {report.baseline_acc_auc:.2f}, "
           f"{report.explain_seconds_mean * 1000:.1f} ms/explanation)")
     return 0

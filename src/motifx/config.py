@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__, graph
-from .errors import ConfigError, read_json, write_text
+from .errors import ConfigError, read_json
 
 # ranges the published sweeps explored; values outside them still run, with a warning
 EXPLORED = {"c": (20, 100), "beta": (0.2, 1.0), "p": (0.1, 0.8)}
@@ -113,9 +113,9 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_manifest(path, command: str, cfg: RunConfig) -> None:
+def manifest_text(command: str, cfg: RunConfig) -> str:
     """Sidecar recording everything needed to reproduce the artifact byte-for-byte."""
     payload = {"command": command, "config": cfg.to_dict(),
                "config_sha256": config_hash(cfg), "package_version": __version__,
                "warnings": cfg.warnings()}
-    write_text(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n", ConfigError)
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"

@@ -12,11 +12,11 @@ the encoder's node labels both come from `motifs.first_touch`. A minibatch's
 objective is one soft-masked base forward and one segment-summed KL call.
 
 The encoder's padded layout makes each distinct motif row of a query one
-stacked item: (n, h) node states and 2l directed edge slots (event j read
-u -> v at slot 2j, v -> u at 2j + 1), whose source gather and target sum
-are `nn.bmm` products with constant one-hot matrices; the embedding is the
-mean over the item's nodes. `QueryPrep.inverse` maps each of the M rows to
-its item, so all that follows the encoder sees every copy of a row.
+stacked item: n node slots, all entering with the one `nodein` row, and an
+(n, l) incidence block through which each event's one message reaches its two
+endpoints in an `nn.bmm` product; the embedding is the mean over the item's
+nodes. `QueryPrep.inverse` maps each of the M rows to its item, so all that
+follows the encoder sees every copy of a row.
 
 The scorer is the base model's `_head` with the prefix "score". Each item is
 its own product, so each motif's embedding and score are bit-identical alone,
@@ -74,7 +74,7 @@ class QueryPrep:
     rows of an (M, l) event-id block padded with -1 and their M codes, (covered event,
     motif row) pairs, and the encoder's padded blocks: one item per distinct row, in
     lexicographic order, with `inverse` (M,) giving each row's item. Per item,
-    `src_onehot` (2l, n) marks each directed edge slot's source node (see
+    `incidence` (n, l) marks each event slot's two endpoint nodes (see
     `layers.gine_layer`), and `attrs_block` (l, attr_width), `dts` (l,) and `h_block`
     (l, l) are each event slot's attributes, age and structural counts, 0 on padding.
     `slots` is the query's row of the base model's frozen `SlotEncoding`."""
@@ -88,7 +88,7 @@ class QueryPrep:
     pair_cov: np.ndarray      # aligned (covered-event slot, motif index) pairs
     pair_motif: np.ndarray
     inverse: np.ndarray
-    src_onehot: np.ndarray
+    incidence: np.ndarray
     attrs_block: np.ndarray
     h_block: np.ndarray
     dts: np.ndarray
@@ -113,7 +113,8 @@ def _encoder_inputs(g: TemporalGraph, times: np.ndarray, row_query: np.ndarray,
     h[rows, pos] = counts[pair]
     first, inverse = group_rows(np.column_stack([row_query, ids]))
     uniq = ids[first]
-    onehot = (first_touch(endpoint_rows(g, uniq))[:, :, None] == np.arange(n)).astype(float)
+    ends = first_touch(endpoint_rows(g, uniq)).reshape(len(uniq), 1, l, 2)
+    incidence = (ends == np.arange(n)[:, None, None]).sum(axis=3).astype(float)
     valid = (uniq >= 0)[:, :, None]
     attrs = np.where(valid, g.attrs[uniq], 0.0)
     dts = np.where(valid[:, :, 0], times[row_query[first]][:, None] - g.t[uniq], 0.0)
@@ -127,7 +128,7 @@ def _encoder_inputs(g: TemporalGraph, times: np.ndarray, row_query: np.ndarray,
     return [dict(covered_ids=covered[c[k]:c[k + 1]] - k * n_events,
                  pair_cov=pair_cov[p[k]:p[k + 1]] - c[k],
                  pair_motif=pair_motif[p[k]:p[k + 1]] - r[k],
-                 inverse=inverse[r[k]:r[k + 1]] - u[k], src_onehot=onehot[u[k]:u[k + 1]],
+                 inverse=inverse[r[k]:r[k + 1]] - u[k], incidence=incidence[u[k]:u[k + 1]],
                  attrs_block=attrs[u[k]:u[k + 1]], h_block=h[u[k]:u[k + 1]],
                  dts=dts[u[k]:u[k + 1]])
             for k in range(len(comps))]
@@ -170,19 +171,18 @@ def encode_and_score(tape, preps: list[QueryPrep]) -> tuple[Var, Var, list[int]]
 
     Returns (scores, embeddings, per-query motif counts) over every motif row in batch
     order; scores are `_head` probabilities clamped away from 0 and 1. Each item of the
-    padded layout is encoded once and gathered back to its rows through `inverse`.
+    padded layout is encoded once, from the one `nodein` row, and gathered back to its
+    rows through `inverse`.
     """
     cat = lambda name: np.concatenate([getattr(p, name) for p in preps])
-    src = cat("src_onehot")
-    s, _, n = src.shape
+    inc = cat("incidence")
     feat = event_feature_block(cat("attrs_block"), cat("dts"), cat("h_block"),
                                tape.param("time_w"))
-    x = nn.reshape(tape.affine(nn.const(np.ones((s * n, 1))), "nodein"), (s, n, -1))
-    x = gine_layer(tape, "gine0", x, src, feat)
-    nodes = src.any(axis=1)  # every node of a motif is some edge slot's source
+    x = gine_layer(tape, "gine0", tape.affine(nn.const(np.ones((1, 1))), "nodein"), inc, feat)
+    nodes = inc.any(axis=2)  # every node of a motif is some event's endpoint
     emb = nn.mul(nn.vsum(nn.mul(x, nn.const(nodes[:, :, None])), axis=1),
                  nn.const(1.0 / nodes.sum(axis=1, keepdims=True)))
-    distinct = [len(p.src_onehot) for p in preps]
+    distinct = [len(p.incidence) for p in preps]
     ctx = np.repeat(np.stack([p.ctx for p in preps]), distinct, axis=0)
     scores = nn.clip(_head(tape, nn.concat([emb, nn.const(ctx)], axis=1), "score"),
                      PROB_EPS, 1.0 - PROB_EPS)

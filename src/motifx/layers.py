@@ -6,39 +6,26 @@ import math
 import numpy as np
 
 from . import nn
-from .errors import ShapeError
 from .nn import Var
 
 PROB_EPS = 1e-6
 TEMPERATURE = 0.5  # lambda, the temperature of the Concrete relaxation
 
 
-def gine_layer(tape, prefix: str, x: Var, src: np.ndarray, edge_feats: Var) -> Var:
-    """One edge-featured GIN convolution over S stacked motifs of the padded layout.
-
-    x'_i = h1((1 + eps) * x_i + sum_j ReLU(x_j + h2(E_ji))) where h2
-    projects edge features to the node width and h1 is a two-layer MLP.
-    x is (S, n, h) node states; edge_feats is (S * l, w), one row per event
-    slot. Directed edge slot k of a motif is event k // 2, read u -> v for
-    even k and v -> u for odd k, so its target is the source of slot k ^ 1;
-    src (S, 2l, n) is the 0/1 matrix of each slot's source node, zero for a
-    padding slot. The gather and the target sum are stacked products, each
-    motif its own.
-    """
-    s, n, h = x.value.shape
-    proj = tape.affine(edge_feats, f"{prefix}.edge")
-    if proj.value.shape[1] != h:
-        raise ShapeError(f"gine: edge projection {proj.value.shape} vs nodes {x.value.shape}")
-    slots = src.shape[1]
-    dst = src[:, np.arange(slots) ^ 1].transpose(0, 2, 1)
-    # both directions of an event add its one projection; its vjp sums the two
-    gathered = nn.reshape(nn.bmm(src, x), (s, slots // 2, 2, h))
-    msgs = nn.relu(nn.add(gathered, nn.reshape(proj, (s, slots // 2, 1, h))))
-    agg = nn.bmm(dst, nn.reshape(msgs, (s, slots, h)))
+def gine_layer(tape, prefix: str, x: Var, inc: np.ndarray, edge_feats: Var) -> Var:
+    """One edge-featured GIN convolution over S stacked motifs whose nodes all enter with
+    the one (1, h) row x: x'_i = h1((1 + eps) * x + sum_e inc_ie ReLU(x + h2(E_e))), with
+    h2 a projection of the (S * l, w) event slot features and h1 a two-layer MLP; inc
+    (S, n, l) is 1 where node i is an endpoint of event slot e (the graph has no
+    self-loops), else 0. Each event's message, the same both ways, is formed once, and
+    one stacked product sums each node's, each motif its own. -> (S, n, h)"""
+    s, n, l = inc.shape
+    proj = tape.affine(edge_feats, f"{prefix}.edge")  # a width other than x's raises ShapeError
+    agg = nn.bmm(inc, nn.reshape(nn.relu(nn.add(proj, x)), (s, l, -1)))
     eps = tape.param(f"{prefix}.eps")
-    pre = nn.reshape(nn.add(nn.mul(x, nn.add(nn.const(1.0), eps)), agg), (s * n, h))
+    pre = nn.reshape(nn.add(nn.mul(x, nn.add(nn.const(1.0), eps)), agg), (s * n, -1))
     hid = nn.relu(tape.affine(pre, f"{prefix}.h1a"))
-    return nn.reshape(tape.affine(hid, f"{prefix}.h1b"), (s, n, h))
+    return nn.reshape(tape.affine(hid, f"{prefix}.h1b"), (s, n, -1))
 
 
 def add_gine_params(store, prefix: str, node_dim: int, edge_dim: int,

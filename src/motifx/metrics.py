@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, write_text
 
 SPARSITY_LEVELS = tuple(round(0.02 * k, 2) for k in range(16))  # 0.0 .. 0.3
 COHESIVENESS_LEVEL = 0.1  # the sparsity level cohesiveness is measured at: SPARSITY_LEVELS[5]
@@ -132,7 +131,7 @@ class MetricReport:
         }  # wall-clock stats stay out: artifacts must be byte-stable across reruns
 
 
-def write_curve_csv(path, rows) -> None:
+def curve_csv(rows) -> str:
     """Flat (query, level, fidelity, acc, source) rows for external plotting."""
-    write_text(path, "query,level,fidelity,acc,source\n" + "".join(
-        f"{q},{lv:.2f},{fid!r},{acc},{source}\n" for q, lv, fid, acc, source in rows), ConfigError)
+    return "query,level,fidelity,acc,source\n" + "".join(
+        f"{q},{lv:.2f},{fid!r},{acc},{source}\n" for q, lv, fid, acc, source in rows)

@@ -8,8 +8,9 @@ lists each step's candidates with a numpy mask over the raw src/dst/t
 columns rather than the graph's sorted key. There are exceptions:
 the walker that bisects every walker over its whole id window
 (`reference_id_block`), which counts with the package's index terms;
-the per-motif encoder (`reference_motif_encoder`, through the package's
-GINE layer and score head) and the per-query base-model forward,
+the per-motif encoder (`reference_motif_encoder`, through the two-direction
+GINE layer `reference_gine_layer` on the tape and the package's score head)
+and the per-query base-model forward,
 which run on the nn tape; the dense masked half
 (`reference_dense_predict`), on the package's slot encoding and head;
 the evaluation report
@@ -29,7 +30,8 @@ import numpy as np
 from motifx import nn
 from motifx.basemodel import _head as _base_head
 from motifx.features import event_feature_block
-from motifx.layers import PROB_EPS, gine_layer
+from motifx.errors import ShapeError
+from motifx.layers import PROB_EPS
 from motifx.motifs import _below, _count_terms, _params_ok
 from motifx.nn import Tape
 
@@ -359,10 +361,12 @@ def trajectory_probability(g, u0, t0, n, ids, delta=None):
 
 def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
     """The motif-encoder inputs of one query, built one row and one event at a time
-    from the raw columns, as a dict of QueryPrep's array fields. The distinct rows,
-    sorted as tuples, give one padded item each; a row numbers its nodes in order of
-    first appearance over u_0, v_0, u_1, v_1, ..., and edge slot 2j (2j + 1) has
-    event j's u (v) as its source. Structural counts include every copy of a row."""
+    from the raw columns, as a dict of QueryPrep's array fields and "src_onehot", the
+    input of `reference_gine_layer`. The distinct rows, sorted as tuples, give one
+    padded item each; a row numbers its nodes in order of first appearance over u_0,
+    v_0, u_1, v_1, ..., edge slot 2j (2j + 1) has event j's u (v) as its source, and
+    event j adds one to the incidence of each of its endpoints. Structural counts
+    include every copy of a row."""
     rows = [tuple(int(i) for i in row) for row in rows]
     motifs = [_events(g, row) for row in rows]
     struct = {}
@@ -371,6 +375,7 @@ def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
             struct.setdefault((min(a, b), max(a, b)), [0] * l)[j] += 1
     distinct = sorted(set(rows))
     onehot = np.zeros((len(distinct), 2 * l, n))
+    incidence = np.zeros((len(distinct), n, l))
     attrs = np.zeros((len(distinct), l, g.attr_width))
     h_rows = np.zeros((len(distinct), l, l))
     dts = np.zeros((len(distinct), l))
@@ -379,6 +384,7 @@ def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
         for j, (eid, (a, b), te) in enumerate(_events(g, row)):
             for side, x in enumerate((a, b)):
                 onehot[u, 2 * j + side, local.setdefault(x, len(local))] = 1.0
+                incidence[u, local[x], j] += 1.0
             attrs[u, j] = g.attrs[eid]
             h_rows[u, j] = struct[(min(a, b), max(a, b))]
             dts[u, j] = t - te
@@ -394,7 +400,8 @@ def reference_encoder_inputs(g, t, rows, comp_ids, l, n):
     ints = lambda xs: np.array(xs, dtype=np.int64)
     return {"covered_ids": ints(covered), "pair_cov": ints(pair_cov),
             "pair_motif": ints(pair_motif), "inverse": ints([distinct.index(r) for r in rows]),
-            "src_onehot": onehot, "attrs_block": attrs, "h_block": h_rows, "dts": dts}
+            "incidence": incidence, "src_onehot": onehot, "attrs_block": attrs,
+            "h_block": h_rows, "dts": dts}
 
 
 def reference_time_encode(delta_t, w, g_out):
@@ -414,11 +421,38 @@ def reference_time_encode(delta_t, w, g_out):
     return woven * c, (dt.T @ g_angles).reshape(d)
 
 
+def reference_gine_layer(tape, prefix: str, x, src: np.ndarray, edge_feats):
+    """The GINE layer on any (S, n, h) node states, one message per directed edge slot.
+
+    x'_i = h1((1 + eps) * x_i + sum_j ReLU(x_j + h2(E_ji))) where h2
+    projects edge features to the node width and h1 is a two-layer MLP.
+    edge_feats is (S * l, w), one row per event slot. Directed edge slot k of a
+    motif is event k // 2, read u -> v for even k and v -> u for odd k, so its
+    target is the source of slot k ^ 1; src (S, 2l, n) is the 0/1 matrix of each
+    slot's source node, zero for a padding slot. The gather and the target sum
+    are stacked products, each motif its own.
+    """
+    s, n, h = x.value.shape
+    proj = tape.affine(edge_feats, f"{prefix}.edge")
+    if proj.value.shape[1] != h:
+        raise ShapeError(f"gine: edge projection {proj.value.shape} vs nodes {x.value.shape}")
+    slots = src.shape[1]
+    dst = src[:, np.arange(slots) ^ 1].transpose(0, 2, 1)
+    # both directions of an event add its one projection; its vjp sums the two
+    gathered = nn.reshape(nn.bmm(src, x), (s, slots // 2, 2, h))
+    msgs = nn.relu(nn.add(gathered, nn.reshape(proj, (s, slots // 2, 1, h))))
+    agg = nn.bmm(dst, nn.reshape(msgs, (s, slots, h)))
+    eps = tape.param(f"{prefix}.eps")
+    pre = nn.reshape(nn.add(nn.mul(x, nn.add(nn.const(1.0), eps)), agg), (s * n, h))
+    hid = nn.relu(tape.affine(pre, f"{prefix}.h1a"))
+    return nn.reshape(tape.affine(hid, f"{prefix}.h1b"), (s, n, h))
+
+
 def reference_motif_encoder(tape, inputs, ctx):
     """Per motif row, its (score, embedding) from one query's `reference_encoder_inputs`,
-    each row encoded alone as a stack of one padded item: node states pass the GINE
-    layer; the embedding is the mean over the nodes that some edge slot touches; the
-    score is the clamped score head on [embedding, ctx]."""
+    each row encoded alone as a stack of one padded item: n copies of the `nodein`
+    row pass `reference_gine_layer`; the embedding is the mean over the nodes that
+    some edge slot touches; the score is the clamped score head on [embedding, ctx]."""
     out = []
     for u in inputs["inverse"]:
         src = inputs["src_onehot"][u:u + 1]
@@ -427,7 +461,7 @@ def reference_motif_encoder(tape, inputs, ctx):
                                    inputs["h_block"][u], tape.param("time_w"))
         x = tape.affine(nn.const(np.ones((n, 1))), "nodein")
         x = nn.reshape(x, (1, n, x.value.shape[1]))
-        x = gine_layer(tape, "gine0", x, src, feat)
+        x = reference_gine_layer(tape, "gine0", x, src, feat)
         nodes = np.flatnonzero(src[0].any(axis=0))
         rows = nn.gather_rows(nn.reshape(x, (n, x.value.shape[2])), nodes)
         emb = nn.scale(nn.vsum(rows, axis=0, keepdims=True), 1.0 / len(nodes))

@@ -38,6 +38,12 @@ class TestPipeline:
                      "explainer.ckpt", "explanations.json", "report.json", "curve.csv"):
             assert (pipeline_dir / name).exists(), name
 
+    def test_run_dir_holds_no_temporary(self, pipeline_dir):
+        """Each command leaves its artifacts and manifests, and nothing else."""
+        from motifx.cli import FILES
+        want = set(FILES.values()) | {f + ".manifest.json" for f in FILES.values()}
+        assert {p.name for p in pipeline_dir.iterdir()} == want - {"curve.csv.manifest.json"}
+
     def test_manifests_written(self, pipeline_dir):
         man = json.loads((pipeline_dir / "graph.json.manifest.json").read_text())
         assert man["command"] == "synth"
@@ -118,26 +124,33 @@ class TestErrors:
         assert not json.loads(want)["empty"]
         assert (d / "explanations.json").read_text() == f"[{want}]\n"
 
-    @pytest.mark.parametrize("command, name, kind", [
-        ("synth", "graph.json", "ConfigError"),
-        ("census", "census.json.manifest.json", "ConfigError"),
-        ("train-base", "base.ckpt", "CheckpointError")],
-        ids=["synth-graph", "census-manifest", "train-base-checkpoint"])
+    @pytest.mark.parametrize("command, name, kind, changed", [
+        ("synth", "graph.json", "ConfigError", ["--seed", "4"]),
+        ("census", "census.json.manifest.json", "ConfigError", ["--c-per-node", "6"]),
+        ("train-base", "base.ckpt", "CheckpointError", ["--base-epochs", "1"]),
+        ("train-base", "base.ckpt.manifest.json", "ConfigError", ["--base-epochs", "1"]),
+        ("evaluate", "curve.csv", "ConfigError", ["--n-queries", "5"])],
+        ids=["synth-graph", "census-manifest", "train-base-checkpoint", "train-base-manifest",
+             "evaluate-curve"])
     def test_unwritable_output_is_a_typed_error(self, pipeline_dir, tmp_path, capsys, command,
-                                                name, kind):
-        """A directory where a command writes its artifact or manifest exits 1 with a typed
-        error that names the path."""
+                                                name, kind, changed):
+        """A directory where a command writes an artifact or manifest exits 1 with a typed
+        error that names the path. The write is all or nothing: though the flags `changed`
+        give the command new output, every file keeps its bytes and no temporary is left."""
         run_dir = tmp_path / "w"
         shutil.copytree(pipeline_dir, run_dir)
         path = run_dir / name
         path.unlink()
         path.mkdir()
+        snapshot = lambda: {p.name: p.is_file() and p.read_bytes() for p in run_dir.iterdir()}
+        before = snapshot()
         capsys.readouterr()
-        code = main([command, "--run-dir", str(run_dir)] + TINY)
+        code = main([command, "--run-dir", str(run_dir)] + TINY + changed)
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert code == 1
         assert err["error"]["type"] == kind
         assert str(path) in err["error"]["message"]
+        assert snapshot() == before
 
     def test_ingest_needs_csv(self, tmp_path, capsys):
         assert main(["ingest", "--run-dir", str(tmp_path / "i")]) == 2

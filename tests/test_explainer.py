@@ -199,7 +199,7 @@ def _same(a, b) -> bool:
 class TestEncoderInputs:
     """QueryPrep's arrays, built with array ops, against the per-instance loop."""
 
-    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "inverse", "src_onehot", "attrs_block",
+    FIELDS = ("covered_ids", "pair_cov", "pair_motif", "inverse", "incidence", "attrs_block",
               "h_block", "dts")
 
     @pytest.mark.parametrize("seed", range(6))
@@ -323,6 +323,79 @@ class TestEncoder:
         for prep, (scores, embs) in zip(preps, scored):
             assert embs.ndim == 2 and embs.shape[1] == ecfg.h
             assert scores.shape == (len(prep.ids),) == embs.shape[:1]
+
+
+@pytest.fixture(scope="module")
+def bench_preps():
+    """Preps of the benchmark's widths (h = 32, c = 40, delta = 200) for the last 20
+    events of a 30-node, 600-event triadic graph; the base store is freshly built."""
+    g = generate_synthetic("triadic-closure", 30, 600, seed=0)
+    cfg = RunConfig(h=32, d_time_base=8, k_nb=20, c=40, d_time=16, delta=200, per_hop_cap=20,
+                    seed=0)
+    base = build_base_store(g, cfg)
+    preps = prepare_queries(g, base, [g.event(g.n_events - k) for k in range(1, 21)], cfg,
+                            list(range(20)))
+    return g, cfg, build_explainer_store(g, base.meta, cfg), [p for p in preps if p]
+
+
+def reached(*outs):
+    """Every Var the tape reaches from `outs`, each once."""
+    seen, stack, out = set(), list(outs), []
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen.add(id(v))
+            out.append(v)
+            stack.extend(v._parents)
+    return out
+
+
+def held_bytes(values) -> int:
+    """The bytes of the arrays behind the Vars' values, a view counted as its base."""
+    bufs = {}
+    for v in values:
+        a = v.value
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bufs[id(a)] = a.nbytes
+    return sum(bufs.values())
+
+
+class TestEncoderAtBenchWidths:
+    # `held_bytes(reached(scores, embeddings))` of this test's batch at the layout before
+    # the one-row GINE layer (S * n copies of the nodein row, one message per directed
+    # edge slot): 18,297,480 bytes, measured on that code with these preps and store.
+    TWO_DIRECTION_BYTES = 18_297_480
+
+    def test_tape_holds_no_per_slot_or_per_node_copies(self, bench_preps):
+        """No value on the encoder's tape is an (S, 2l, .) gather or an (S, l, 2, .)
+        message, the nodein affine is one (1, h) row, and the values the outputs reach
+        take at most 0.8 of the two-direction layout's bytes."""
+        _, cfg, store, preps = bench_preps
+        tape = Tape(store)
+        scores, emb, _ = encode_and_score(tape, preps)
+        values = reached(scores, emb)
+        s, l = sum(len(p.incidence) for p in preps), cfg.l
+        assert s > 1000
+        assert not [v.shape for v in values if v.shape[:2] == (s, 2 * l)
+                    or v.shape[:3] == (s, l, 2)]
+        nodein = [v for v in values if tape.param("nodein.w") in v._parents]
+        assert [v.shape for v in nodein] == [(1, cfg.h)]
+        assert held_bytes(values) <= 0.8 * self.TWO_DIRECTION_BYTES
+
+    @pytest.mark.row_invariance
+    @pytest.mark.parametrize("store_seed", [21, 22])
+    def test_equals_two_direction_reference(self, bench_preps, store_seed):
+        """Scores and embeddings of the whole batch, bit for bit, against the two-direction
+        reference encoder on each row alone."""
+        g, cfg, store, preps = bench_preps
+        store = perturbed(store, store_seed)
+        scores, emb, _ = encode_and_score(Tape(store), preps)
+        want = [row for p in preps for row in reference_motif_encoder(
+            Tape(store), reference_encoder_inputs(g, p.query.t, p.ids, p.comp_ids, cfg.l,
+                                                  cfg.n), p.ctx)]
+        assert np.array_equal(scores.value, np.array([sc for sc, _ in want]))
+        assert np.array_equal(emb.value, np.stack([e for _, e in want]))
 
 
 class TestFirstBatchLoss:
@@ -602,7 +675,7 @@ def one_row(prep, m):
     u = prep.inverse[m]
     return dataclasses.replace(prep, ids=prep.ids[m:m + 1], codes=prep.codes[m:m + 1],
                                inverse=np.zeros(1, dtype=np.int64),
-                               src_onehot=prep.src_onehot[u:u + 1],
+                               incidence=prep.incidence[u:u + 1],
                                attrs_block=prep.attrs_block[u:u + 1],
                                h_block=prep.h_block[u:u + 1], dts=prep.dts[u:u + 1])
 
@@ -644,7 +717,7 @@ class TestEncoderRowInvariance:
         repeated = 0
         for prep, (sc, emb) in zip(preps, whole):
             rows = [tuple(r) for r in prep.ids.tolist()]
-            assert len(prep.src_onehot) == len(set(rows))
+            assert len(prep.incidence) == len(set(rows))
             for m, row in enumerate(rows):
                 copies = [k for k, other in enumerate(rows) if other == row]
                 assert all(sc[k] == sc[m] and np.array_equal(emb[k], emb[m]) for k in copies)
