@@ -37,11 +37,11 @@ def _check_over_points(build_loss, store: ParameterStore, points: int, seed: int
 
 
 def time_encoder_check(points: int = 1, seed: int = 0) -> float:
+    """Four distinct ages, one of them twice and -0.0 beside 0.0, so rows share encodings."""
     store = ParameterStore()
     store.add("time_w", nn.log_spaced_freqs(100.0, 5))
-    dts = np.array([0.0, 1.5, 7.0, 42.0])
-    probe = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1]))) \
-        .normal(size=(4, 10))
+    dts = np.array([0.0, 1.5, 7.0, 42.0, 7.0, -0.0])
+    probe = np.random.default_rng([seed, 1]).normal(size=(len(dts), 10))
 
     def loss(tape: Tape):
         return nn.vsum(nn.mul(nn.time_encode(dts, tape.param("time_w")), nn.const(probe)))

@@ -1,15 +1,16 @@
-"""Minimal dense reverse-mode differentiation over numpy arrays.
+"""Minimal dense reverse-mode differentiation over numpy arrays, and its checkpoints.
 
-One Var per intermediate value; the backward pass walks the recorded
-graph once in reverse topological order. Summation orders are fixed so
-repeated runs are bit-identical. Each interior Var drops its gradient once
-its vjp has passed it on: after a backward only leaves (params and consts,
-the Vars without a vjp) hold gradients, and another backward adds one copy.
-`affine` and `time_encode` are one node each, with the bits of the primitives
-they stand for.
+One Var per intermediate value; the backward pass walks the recorded graph once in
+reverse topological order. Summation orders are fixed so repeated runs are
+bit-identical. Each interior Var drops its gradient once its vjp has passed it on:
+after a backward only leaves (params and consts, the Vars without a vjp) hold
+gradients, and another backward adds one copy. `affine` and `time_encode` are one node
+each, with the bits of the primitives they stand for; `time_encode` encodes each
+distinct age once. A checkpoint is one JSON line; its arrays are base64 float64 bytes.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 from typing import Callable
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError, NonFiniteError, ShapeError, read_json, write_text
 
-CKPT_FORMAT = "motifx-ckpt/1"
+CKPT_FORMAT = "motifx-ckpt/2"
 
 
 class Var:
@@ -362,22 +363,29 @@ def affine(x, w, b) -> Var:
 def time_encode(delta_t, w) -> Var:
     """sqrt(1/d) * [cos(w0 dt), sin(w0 dt), cos(w1 dt), ...] of the (K,) intervals as one
     (K, 2d) node, differentiable in the (d,) frequencies w; an interval of zero encodes to
-    sqrt(1/d) * [1, 0, 1, 0, ...]. Its vjp reuses the forward's cos and sin."""
+    sqrt(1/d) * [1, 0, 1, 0, ...]. Angles, cos and sin are formed once per distinct float64
+    bit pattern (0.0 and -0.0 stay apart) and gathered back: each angle is one product and
+    cos and sin are element-wise, so every row keeps the bits it has alone. The vjp runs on
+    all K rows with the gathered cos and sin, so w's gradient has the per-row chain's bits."""
     w = _v(w)
     d = w.value.shape[0]
     c = math.sqrt(1.0 / d)
     dt = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
-    angles = dt @ w.value.reshape(1, d)
+    key = dt.reshape(-1).view(np.int64)
+    order = key.argsort()
+    first = np.ones(len(key), dtype=bool)  # sorted row i starts a new age
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    at = np.empty(len(key), dtype=np.int64)
+    at[order] = first.cumsum() - 1
+    angles = dt[order[first]] @ w.value.reshape(1, d)
     cos, sin = np.cos(angles), np.sin(angles)
-    val = np.empty((len(dt), 2 * d))
-    val[:, 0::2] = cos * c
-    val[:, 1::2] = sin * c
+    block = (np.stack((cos, sin), axis=2) * c).reshape(-1, 2 * d)  # [cos0, sin0, cos1, ...]
 
     def vjp(g):
         g = g * c
-        ga = -g[:, 0::2] * sin + g[:, 1::2] * cos
+        ga = -g[:, 0::2] * sin.take(at, axis=0) + g[:, 1::2] * cos.take(at, axis=0)
         _acc(w, (dt.T @ ga).reshape(d))
-    return Var(val, (w,), vjp)
+    return Var(block.take(at, axis=0), (w,), vjp)
 
 
 # -- parameters, tape, optimizer ----------------------------------------------
@@ -410,29 +418,27 @@ class ParameterStore:
 
     def add_affine(self, name: str, fan_in: int, fan_out: int,
                    rng: np.random.Generator, zero: bool = False) -> None:
-        if zero:
-            self.add(f"{name}.w", np.zeros((fan_in, fan_out)))
-        else:
-            self.add(f"{name}.w", glorot_uniform(rng, fan_in, fan_out))
+        self.add(f"{name}.w", np.zeros((fan_in, fan_out)) if zero
+                 else glorot_uniform(rng, fan_in, fan_out))
         self.add(f"{name}.b", np.zeros(fan_out))
 
     def copy(self) -> "ParameterStore":
         dup = ParameterStore()
-        for k, v in self.arrays.items():
-            dup.arrays[k] = v.copy()
+        dup.arrays = {k: v.copy() for k, v in self.arrays.items()}
         dup.meta = json.loads(json.dumps(self.meta))
         return dup
 
     def save(self, path) -> None:
-        payload = {"format": CKPT_FORMAT, "meta": self.meta,
-                   "arrays": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
-                              for k, v in sorted(self.arrays.items())}}
+        """One ASCII JSON line, keys sorted; each array's data is base64 of its "<f8" bytes."""
+        payload = {"format": CKPT_FORMAT, "meta": self.meta, "arrays": {
+            k: {"shape": list(v.shape), "data": base64.b64encode(np.asarray(v, "<f8").tobytes())
+                .decode("ascii")} for k, v in sorted(self.arrays.items())}}
         write_text(path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n",
                    CheckpointError)
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
-        """Read a checkpoint; anything but a well-formed one raises CheckpointError."""
+        """Read a format-2 checkpoint; anything but a well-formed one raises CheckpointError."""
         store = cls()
         try:
             payload = read_json(path, CheckpointError)
@@ -441,8 +447,9 @@ class ParameterStore:
                 raise CheckpointError(f"{path}: unsupported checkpoint format {fmt!r}")
             store.meta = payload["meta"]
             for name, spec in payload["arrays"].items():
-                data, shape = np.array(spec["data"], dtype=np.float64), list(spec["shape"])
-                if data.ndim != 1 or data.size != math.prod(shape):
+                raw = base64.b64decode(spec["data"], validate=True)
+                data, shape = np.frombuffer(raw, "<f8").astype(np.float64), list(spec["shape"])
+                if data.size != math.prod(shape):
                     raise CheckpointError(f"{path}: array {name!r} has {data.size} values "
                                           f"for shape {shape}")
                 if not np.isfinite(data).all():
@@ -476,8 +483,7 @@ class Tape:
         if leaf is None:
             if name not in self.store.arrays:
                 raise CheckpointError(f"parameter store has no array {name!r}")
-            leaf = Var(self.store.arrays[name])
-            self._leaves[name] = leaf
+            leaf = self._leaves[name] = Var(self.store.arrays[name])
         return leaf
 
     def affine(self, x, name: str) -> Var:
@@ -506,11 +512,9 @@ def optimizer_step(store: ParameterStore, grads: dict, state: dict, lr: float = 
                                  f"{g.size} entries, first {float(g[bad][0])!r}")
     state["step"] += 1
     t = state["step"]
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, g in grads.items():
-        m = state["m"][name]
-        v = state["v"][name]
+        m, v = state["m"][name], state["v"][name]
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -580,10 +584,8 @@ def grad_check(build_loss: Callable[[Tape], Var], store: ParameterStore,
     worst = 0.0
     for name, arr in store.arrays.items():
         flat = arr.reshape(-1)
-        if flat.size <= max_coords:
-            coords = np.arange(flat.size)
-        else:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        coords = np.arange(flat.size) if flat.size <= max_coords else \
+            rng.choice(flat.size, size=max_coords, replace=False)
         gflat = grads[name].reshape(-1)
         for i in coords:
             orig = flat[i]
@@ -592,8 +594,6 @@ def grad_check(build_loss: Callable[[Tape], Var], store: ParameterStore,
             flat[i] = orig - eps
             f_minus = float(build_loss(Tape(store)).value)
             flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            ad = float(gflat[i])
-            err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
-            worst = max(worst, err)
+            ad, fd = float(gflat[i]), (f_plus - f_minus) / (2.0 * eps)
+            worst = max(worst, abs(ad - fd) / max(1.0, abs(ad), abs(fd)))
     return worst

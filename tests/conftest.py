@@ -1,3 +1,4 @@
+import base64
 import sys
 from pathlib import Path
 
@@ -7,6 +8,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from motifx.graph import TemporalGraph
+
+
+def ckpt_data(values) -> str:
+    """A checkpoint array's "data" text: base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def ckpt_values(text: str) -> np.ndarray:
+    """The float64 values that a checkpoint array's "data" text holds, flat."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from motifx.cli import main
 from motifx.motifs import code_alphabet
+
+from conftest import ckpt_data, ckpt_values
 
 
 def run(argv, capsys=None):
@@ -227,7 +228,7 @@ class TestErrors:
     def transpose(name):
         def mutate(payload):
             spec = payload["arrays"][name]
-            spec["data"] = np.reshape(spec["data"], spec["shape"]).T.reshape(-1).tolist()
+            spec["data"] = ckpt_data(ckpt_values(spec["data"]).reshape(spec["shape"]).T)
             spec["shape"] = spec["shape"][::-1]
         return mutate
 

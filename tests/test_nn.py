@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from motifx import nn
 from motifx.errors import CheckpointError, NonFiniteError, ShapeError
 from motifx.nn import ParameterStore, Tape, backward, grad_check
+from conftest import ckpt_data
 from oracles import reference_time_encode
 
 
@@ -258,21 +263,56 @@ def test_affine_is_one_tape_node():
     assert nodes(lambda x, w, b: nn.add(nn.matmul(x, w), b)) - nodes(nn.affine) == 3
 
 
-@pytest.mark.row_invariance
-@pytest.mark.parametrize("rows,d", [(1, 1), (1, 6), (5, 1), (12, 3), (300, 8)])
-def test_time_encode_matches_reference_bit_for_bit(rows, d):
+TIME_ENCODE_SHAPES = [(0, 3), (1, 1), (1, 6), (5, 1), (12, 3), (300, 8)]
+# numpy's dispatched AVX-512 targets; a child process runs cos and sin without them
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def check_time_encode_against_reference(rows, d):
+    """`nn.time_encode`'s value and w gradient have the bytes of the per-row chain (bytes:
+    np.array_equal counts 0.0 and -0.0 as equal) on distinct ages, all zeros, a few ages
+    repeated beside 0.0 and -0.0, and only signed zeros."""
     rng = np.random.default_rng(rows * 10 + d)
     w = nn.log_spaced_freqs(1e3, d) * rng.uniform(0.5, 2.0, d)
     probe = rng.normal(size=(rows, 2 * d))
-    for dts in (rng.exponential(40.0, rows) * (rng.random(rows) > 0.25), np.zeros(rows)):
+    for dts in (rng.exponential(40.0, rows) * (rng.random(rows) > 0.25), np.zeros(rows),
+                np.r_[rng.exponential(40.0, 3), 0.0, -0.0][rng.integers(0, 5, rows)],
+                np.where(rng.random(rows) < 0.5, 0.0, -0.0)):
         want, want_grad = reference_time_encode(dts, w, probe)
         store = ParameterStore()
         store.add("w", w)
         tape = Tape(store)
         enc = nn.time_encode(dts, tape.param("w"))
         grad = tape.gradients(nn.vsum(nn.mul(enc, nn.const(probe))))["w"]
-        assert np.array_equal(enc.value, want)
-        assert np.array_equal(grad, want_grad)
+        assert enc.value.shape == want.shape and enc.value.tobytes() == want.tobytes(), dts
+        assert grad.tobytes() == want_grad.tobytes(), dts
+
+
+@pytest.mark.row_invariance
+@pytest.mark.parametrize("rows,d", TIME_ENCODE_SHAPES)
+def test_time_encode_matches_reference_bit_for_bit(rows, d):
+    check_time_encode_against_reference(rows, d)
+
+
+def test_time_encode_matches_reference_without_avx512():
+    """The same comparison in a child process with numpy's AVX-512 targets switched off,
+    so that cos and sin take numpy's other dispatch path."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    off = [f for f in AVX512 if __cpu_features__.get(f)]
+    if not off:
+        pytest.skip("this CPU runs none of numpy's AVX-512 targets")
+    tests = Path(__file__).resolve().parent
+    script = ("import sys\n"
+              "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+              "from test_nn import TIME_ENCODE_SHAPES, check_time_encode_against_reference\n"
+              "assert not any(on[f] for f in sys.argv[1:])\n"
+              "for shape in TIME_ENCODE_SHAPES:\n"
+              "    check_time_encode_against_reference(*shape)\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    child = subprocess.run([sys.executable, "-c", script, *off], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
 
 
 def test_time_encode_is_one_tape_node():
@@ -421,20 +461,24 @@ class TestFit:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         store = rand_store({"a": (3, 2), "b": (5,)}, seed=11)
+        store.add("edge", np.array([-0.0, 5e-324, 1e300, -1e-300]))
         store.meta = {"kind": "test", "nested": {"x": 1}}
         path = tmp_path / "m.ckpt"
         store.save(path)
         loaded = ParameterStore.load(path)
         assert loaded.meta == store.meta
-        for name in store.arrays:
-            assert np.array_equal(loaded.arrays[name], store.arrays[name])
+        for name in store.arrays:  # bytes: np.array_equal counts -0.0 as 0.0
+            assert loaded.arrays[name].tobytes() == store.arrays[name].tobytes()
+            assert loaded.arrays[name].shape == store.arrays[name].shape
+            assert loaded.arrays[name].dtype == np.float64 and loaded.arrays[name].flags.writeable
         # byte-stable on rewrite
         path2 = tmp_path / "m2.ckpt"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_saved_bytes_pinned(self, tmp_path):
-        """The exact bytes of a tiny store: sorted keys, no spaces, float repr, ASCII."""
+        """The exact bytes of a tiny store: sorted keys, no spaces, ASCII, each array's
+        data base64 of its little-endian float64 bytes."""
         store = ParameterStore()
         store.add("w", np.array([[0.1, -2.5, 1e-7], [1 / 3, 3.0, -0.0]]))
         store.add("b", np.array([1e300]))
@@ -442,8 +486,9 @@ class TestCheckpoint:
                       "curve": [0.5, 0.25], "name": "\u00e9"}
         store.save(tmp_path / "tiny.ckpt")
         assert (tmp_path / "tiny.ckpt").read_bytes() == (
-            b'{"arrays":{"b":{"data":[1e+300],"shape":[1]},"w":{"data":[0.1,-2.5,1e-07,'
-            b'0.3333333333333333,3.0,-0.0],"shape":[2,3]}},"format":"motifx-ckpt/1",'
+            b'{"arrays":{"b":{"data":"nHUAiDzkN34=","shape":[1]},"w":{"data":'
+            b'"mpmZmZmZuT8AAAAAAAAEwEivvJry13o+VVVVVVVV1T8AAAAAAAAIQAAAAAAAAACA",'
+            b'"shape":[2,3]}},"format":"motifx-ckpt/2",'
             b'"meta":{"config":{"delta":null,"h":2,"lr":0.001},"curve":[0.5,0.25],'
             b'"kind":"base","name":"\\u00e9"}}\n')
 
@@ -453,8 +498,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format"):
             ParameterStore.load(path)
 
-    GOOD = {"format": "motifx-ckpt/1", "meta": {"kind": "base", "k_nb": 4},
-            "arrays": {"w": {"shape": [2, 3], "data": [0.0] * 6}}}
+    GOOD = {"format": "motifx-ckpt/2", "meta": {"kind": "base", "k_nb": 4},
+            "arrays": {"w": {"shape": [2, 3], "data": ckpt_data([0.0] * 6)}}}
 
     def write(self, tmp_path, payload) -> str:
         path = tmp_path / "c.ckpt"
@@ -468,9 +513,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_data_rejected(self, tmp_path, token):
-        text = json.dumps(self.GOOD).replace("0.0]", f"{token}]")
+        payload = json.loads(json.dumps(self.GOOD))
+        payload["arrays"]["w"]["data"] = ckpt_data([0.0] * 5 + [float(token)])
         with pytest.raises(CheckpointError, match="'w' holds non-finite values"):
-            ParameterStore.load(self.write(tmp_path, text))
+            ParameterStore.load(self.write(tmp_path, payload))
 
     @pytest.mark.parametrize("name", ["missing.ckpt", "."], ids=["missing", "directory"])
     def test_unopenable_path(self, tmp_path, name):
@@ -481,15 +527,18 @@ class TestCheckpoint:
 
     def test_not_json(self, tmp_path):
         with pytest.raises(CheckpointError, match="not JSON"):
-            ParameterStore.load(self.write(tmp_path, '{"format": "motifx-ckpt/1", '))
+            ParameterStore.load(self.write(tmp_path, '{"format": "motifx-ckpt/2", '))
 
     def test_nested_too_deep(self, tmp_path):
         with pytest.raises(CheckpointError, match="not JSON"):
             ParameterStore.load(self.write(tmp_path, "[" * 200_000 + "]" * 200_000))
 
-    @pytest.mark.parametrize("payload", [[1, 2], {"format": "motifx-ckpt/0"}, {}])
+    # the last: a whole format-1 checkpoint, its data decimal lists
+    @pytest.mark.parametrize("payload", [[1, 2], {"format": "motifx-ckpt/0"}, {}, {
+        "format": "motifx-ckpt/1", "meta": {"kind": "base", "k_nb": 4},
+        "arrays": {"w": {"shape": [2, 3], "data": [0.0] * 6}}}])
     def test_wrong_format(self, tmp_path, payload):
-        with pytest.raises(CheckpointError, match="format"):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
             ParameterStore.load(self.write(tmp_path, payload))
 
     @pytest.mark.parametrize("drop", ["meta", "arrays", "shape", "data"])
@@ -504,18 +553,22 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("array, key, value", [
         (False, "arrays", [1, 2]), (False, "meta", [1, 2]), (True, "data", "abc"),
-        (True, "shape", None)], ids=["arrays-list", "meta-list", "data-string", "shape-null"])
+        (True, "shape", None), (True, "data", [0.0] * 6), (True, "data", 0.0),
+        (True, "data", None), (True, "data", "AAAA AAAA AAA="), (True, "data", "A!AAAAAAAAA="),
+        (True, "data", "AAAAAAAAAAA"), (True, "data", "A" * 16)],  # 16 characters: 12 bytes
+        ids=["arrays-list", "meta-list", "data-string", "shape-null", "data-list", "data-number",
+             "data-null", "data-space", "data-not-base64", "data-no-padding", "data-12-bytes"])
     def test_malformed_structure(self, tmp_path, array, key, value):
         payload = json.loads(json.dumps(self.GOOD))
         (payload["arrays"]["w"] if array else payload)[key] = value
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             ParameterStore.load(self.write(tmp_path, payload))
 
-    @pytest.mark.parametrize("shape,data", [([4, 3], [0.0] * 6), ([2, 3], [[0.0] * 3] * 2),
+    @pytest.mark.parametrize("shape,data", [([4, 3], [0.0] * 6), ([3, 2], [0.0] * 5),
                                             ([], [])])
     def test_data_length_differs_from_shape(self, tmp_path, shape, data):
         payload = json.loads(json.dumps(self.GOOD))
-        payload["arrays"]["w"] = {"shape": shape, "data": data}
+        payload["arrays"]["w"] = {"shape": shape, "data": ckpt_data(data)}
         with pytest.raises(CheckpointError, match="array 'w'"):
             ParameterStore.load(self.write(tmp_path, payload))
 
