@@ -25,16 +25,8 @@ its [x_self, ctx] input zeroed, so an empty view gives a checkpoint constant.
 `predict_batch` encodes each distinct (u, v, t) once for all its views;
 explainer preps keep theirs frozen: no objective gradient reaches that half.
 
-Rows are bit-identical alone or in any batch: slots pad to the fixed K,
-and no product handed to BLAS has one row or one column (numpy sends
-those to gemv, whose bits depend on the row count), so the 1-wide output
-projection is a multiply plus a row sum and a lone row is run as two.
-`_no_lone_row` does that for the `k`/`v` projections and for `_head`, which
-is also the explainer's motif scorer. It also needs a product row's bits not
-to depend on where the row sits. That is measured, not guaranteed: with OpenBLAS,
-output widths that are multiples of 8 (every default and benchmark width) kept
-them in every product tried; widths 28 and 36, and 1 to 3 mod 8, did not.
-Padding the columns to a multiple of 8 is the fix (ROADMAP item 2(c)).
+Rows are bit-identical alone or in any batch: slots pad to the fixed K, and
+`nn.matmul` keeps each product row's bits independent of the rows beside it.
 
 `build_base_store` and `train_base` take the one `config.RunConfig`.
 """
@@ -80,20 +72,10 @@ def build_base_store(g: TemporalGraph, cfg: RunConfig) -> ParameterStore:
     return store
 
 
-def _no_lone_row(f, x: Var) -> Var:
-    """f(x) over the rows of x, a lone row run as two (see the row-invariance rules)."""
-    if x.value.shape[0] != 1:
-        return f(x)
-    return nn.gather_rows(f(nn.gather_rows(x, [0, 0])), [0])
-
-
 def _head(tape, x: Var, name: str = "head") -> Var:
     """Probabilities of (B, width) rows through `{name}1` and `{name}2`."""
-    def probs(x):
-        hid = nn.relu(tape.affine(x, f"{name}1"))
-        w2 = nn.reshape(tape.param(f"{name}2.w"), (1, -1))
-        return nn.sigmoid(nn.add(nn.vsum(nn.mul(hid, w2), axis=1), tape.param(f"{name}2.b")))
-    return _no_lone_row(probs, x)
+    hid = nn.relu(tape.affine(x, f"{name}1"))
+    return nn.sigmoid(nn.reshape(tape.affine(hid, f"{name}2"), (-1,)))
 
 
 # B queries' (B, 2, K) slot ids, partners and decays exp(-dt / tau), (B, 2, h) x_self and q_vec
@@ -158,9 +140,8 @@ def _masked_forward(tape, store: ParameterStore, enc: SlotEncoding, valid: np.nd
                   nn.gather_rows(nn.reshape(enc.decay, (-1,)), at[src]))
     key_in = nn.gather_rows_with_last(nn.reshape(enc.key_cols, (-1, enc.key_cols.shape[-1])), at,
                                       nn.segment_max(vals, tgt, len(pos)))
-    keys, values = (_no_lone_row(lambda x, name=name: tape.affine(x, name), key_in)
-                    for name in "kv")
-    ctx = masked_attention(nn.gather_rows(nn.reshape(enc.q_vec, (-1, h)), at // k), keys, values,
+    ctx = masked_attention(nn.gather_rows(nn.reshape(enc.q_vec, (-1, h)), at // k),
+                           tape.affine(key_in, "k"), tape.affine(key_in, "v"),
                            nn.reshape(weight, (2 * n_q, k)), valid.reshape(2 * n_q, k))
     x_self = nn.gather_rows(nn.reshape(enc.x_self, (-1, h)), (rows[:, None] * 2 + [0, 1]).ravel())
     nonempty = np.repeat(valid.any(axis=(1, 2)), 2).astype(np.float64).reshape(-1, 1)

@@ -310,15 +310,10 @@ def main(argv=None) -> int:
         cfg = RunConfig(**values)
         _emit_warnings(cfg)
         return COMMANDS[args.command](args, cfg)
-    except MotifxError as exc:
-        code = 2 if isinstance(exc, DependencyError) else 1
+    except (MotifxError, ValueError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)
-        return code
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DependencyError) else 1
 
 
 if __name__ == "__main__":

@@ -2,11 +2,17 @@
 
 One Var per intermediate value; the backward pass walks the recorded graph once in
 reverse topological order. Summation orders are fixed so repeated runs are
-bit-identical. Each interior Var drops its gradient once its vjp has passed it on:
-after a backward only leaves (params and consts, the Vars without a vjp) hold
-gradients, and another backward adds one copy. `affine` and `time_encode` are one node
-each, with the bits of the primitives they stand for; `time_encode` encodes each
-distinct age once. A checkpoint is one JSON line; its arrays are base64 float64 bytes.
+bit-identical. Each row of a `matmul` value has the bits it has alone, in any batch:
+numpy sends a lone row or a one-column product to gemv, and OpenBLAS's gemm keeps a
+row's bits only at widths that are multiples of 8, so a lone row runs as two, other
+widths get zero columns up to one, and a one-column product is a multiply and a row sum.
+The input gradient g @ w.T takes the same path, but gemm's rows of a product with the
+transposed view w.T can still depend on the batch. Each interior Var drops its gradient
+once its vjp has passed it on: after a backward only leaves (params and consts, the Vars
+without a vjp) hold gradients, and another backward adds one copy. `affine` and
+`time_encode` are one node each, with the bits of the primitives they stand for;
+`time_encode` encodes each distinct age once. A checkpoint is one JSON line; its arrays
+are base64 float64 bytes.
 """
 from __future__ import annotations
 
@@ -148,16 +154,29 @@ def scale(a, c: float) -> Var:
     return Var(a.value * c, (a,), vjp)
 
 
+def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w under the module's row rule: a lone row runs as two, w is padded to a
+    multiple of 8 columns."""
+    pad = -w.shape[1] % 8
+    if pad:
+        return _rows(x, np.pad(w, ((0, 0), (0, pad))))[:, :w.shape[1]]
+    return (x[[0, 0]] @ w)[:1] if len(x) == 1 else x @ w
+
+
 def matmul(a, b) -> Var:
     a, b = _v(a), _v(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
-    val = a.value @ b.value
+    if b.value.shape[1] == 1:  # row-wise dot products, kept out of BLAS
+        def vjp(g):
+            _acc(a, g * b.value.T)
+            _acc(b, (a.value * g).sum(axis=0, keepdims=True).T)
+        return Var((a.value * b.value.T).sum(axis=1, keepdims=True), (a, b), vjp)
 
     def vjp(g):
-        _acc(a, g @ b.value.T)
+        _acc(a, _rows(g, b.value.T))
         _acc(b, a.value.T @ g)
-    return Var(val, (a, b), vjp)
+    return Var(_rows(a.value, b.value), (a, b), vjp)
 
 
 def bmm(a: np.ndarray, b) -> Var:

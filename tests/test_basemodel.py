@@ -230,6 +230,25 @@ class TestRowInvariance:
                 assert probs[0].tobytes() == alone[i][0][0].tobytes(), (size, i)
                 assert reprs[0].tobytes() == alone[i][1][0].tobytes(), (size, i)
 
+    @pytest.mark.parametrize("h", [9, 10, 28, 36])
+    def test_alone_equals_inside_batches_at_width(self, h):
+        """The same at widths that are not multiples of 8, on the benchmark's graph and slot
+        count: each of the last 60 events alone, and in consecutive batches of 2, 3, 7, 13
+        and 60, under full, empty and half views."""
+        g = generate_synthetic("triadic-closure", 30, 600, seed=0)
+        store = perturbed(build_base_store(g, RunConfig(h=h, d_time_base=8, k_nb=20)), 3)
+        queries = [g.event(e) for e in range(540, 600)]
+        views = [(None, set(), set(members(store, g, q)[::2]))[k % 3]
+                 for k, q in enumerate(queries)]
+        alone = [predict_batch(store, g, [q], [v]) for q, v in zip(queries, views)]
+        for size in (2, 3, 7, 13, 60):
+            for lo in range(0, 60, size):
+                probs, reprs = predict_batch(store, g, queries[lo:lo + size],
+                                             views[lo:lo + size])
+                for i, (p, r) in enumerate(zip(probs, reprs), lo):
+                    assert p.tobytes() == alone[i][0][0].tobytes(), (size, i)
+                    assert r.tobytes() == alone[i][1][0].tobytes(), (size, i)
+
     def test_empty_rows_equal_the_constant(self, rows):
         g, store, queries, views = rows
         probs, _ = predict_batch(store, g, queries, [set()] * len(queries))

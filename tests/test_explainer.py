@@ -44,6 +44,17 @@ def perturbed(store, seed):
     return out
 
 
+def at_width(h):
+    """A graph, config, perturbed base and explainer stores, and the last 30 events as
+    queries, at the benchmark's sizes (600 events, c = 40) with width h."""
+    g = generate_synthetic("triadic-closure", 30, 600, seed=0)
+    cfg = RunConfig(h=h, d_time_base=8, k_nb=20, c=40, d_time=16, delta=200, per_hop_cap=20,
+                    seed=0)
+    base = perturbed(build_base_store(g, cfg), 5)
+    store = perturbed(build_explainer_store(g, base.meta, cfg), 8)
+    return g, cfg, base, store, [g.event(g.n_events - k) for k in range(1, 31)]
+
+
 def kl_u(scores, p) -> float:
     """`kl_uniform` of one query."""
     (got,) = kl_uniform(nn.const(scores), np.zeros(len(scores), dtype=np.int64), p).value
@@ -262,6 +273,20 @@ class TestScorer:
             solo, solo_emb, _ = encode_and_score(Tape(store), [prep])
             assert np.array_equal(solo.value, sc)
             assert np.array_equal(solo_emb.value, emb)
+
+    @pytest.mark.row_invariance
+    @pytest.mark.parametrize("h", [9, 10, 28, 36])
+    def test_scores_independent_of_batch_composition_at_width(self, h):
+        """Each query's scores and embeddings alone have the bytes of its rows in the stacked
+        run, at widths that are not multiples of 8."""
+        g, cfg, base, store, queries = at_width(h)
+        preps = [p for p in prepare_queries(g, base, queries, cfg, list(range(30))) if p]
+        scores, embs, counts = encode_and_score(Tape(store), preps)
+        cuts = np.cumsum(counts)[:-1]
+        for prep, sc, emb in zip(preps, np.split(scores.value, cuts), np.split(embs.value, cuts)):
+            solo, solo_emb, _ = encode_and_score(Tape(store), [prep])
+            assert solo.value.tobytes() == sc.tobytes()
+            assert solo_emb.value.tobytes() == emb.tobytes()
 
     def test_scores_clamped_interior(self, setup):
         g, base_store, expl_store, ecfg = setup
@@ -664,6 +689,17 @@ class TestRowInvariance:
                 got = explain_batch(g, base_store, store, [queries[k] for k in pick],
                                     [seeds[k] for k in pick], cfg=cfg)
                 assert [r.to_json() for r in got] == [alone[k] for k in pick], (size, i)
+
+    @pytest.mark.parametrize("h", [9, 10, 28, 36])
+    def test_batch_equals_explain_at_width(self, h):
+        """`explain_batch` gives each query the bytes `explain` gives it alone, at widths
+        that are not multiples of 8."""
+        g, cfg, base, store, queries = at_width(h)
+        seeds = list(range(len(queries)))
+        alone = [explain(g, base, store, q, cfg=cfg, seed=sd).to_json()
+                 for q, sd in zip(queries, seeds)]
+        got = explain_batch(g, base, store, queries, seeds, cfg=cfg)
+        assert [r.to_json() for r in got] == alone
 
     def test_empty_query_set(self, batch):
         g, base_store, store, cfg, _, _, _ = batch

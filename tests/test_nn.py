@@ -263,6 +263,44 @@ def test_affine_is_one_tape_node():
     assert nodes(lambda x, w, b: nn.add(nn.matmul(x, w), b)) - nodes(nn.affine) == 3
 
 
+ROW_COUNTS = (1, 2, 3, 7, 64)
+
+
+@pytest.mark.row_invariance
+@pytest.mark.parametrize("width", range(1, 41))
+def test_matmul_rows_equal_alone_and_in_any_batch(width):
+    """Each row of a (2048, 64) @ (64, width) product has the same bytes in the whole
+    batch, in its first m rows for each of ROW_COUNTS and alone (the first 64 rows). From
+    8 columns on the batch is above OpenBLAS's small-matrix size (M * N * K above 100^3),
+    where unpadded gemm's row bits depend on the batch at 28 and 36 columns too."""
+    rng = np.random.default_rng(width)
+    x, w = rng.normal(size=(2048, 64)), nn.const(rng.normal(size=(64, width)))
+    whole = nn.matmul(x, w).value
+    for rows in [slice(0, m) for m in ROW_COUNTS] + [slice(i, i + 1) for i in range(64)]:
+        assert nn.matmul(x[rows], w).value.tobytes() == whole[rows].tobytes(), rows
+
+
+@pytest.mark.row_invariance
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_one_column_affine_is_a_multiply_and_row_sum(rows):
+    """A one-column affine's value and its x, w and b gradients have the bits of
+    add(vsum(mul(x, reshape(w, (1, -1))), axis=1), b)."""
+    store = rand_store({"x": (rows, 13), "w": (13, 1), "b": (1,)}, seed=rows)
+    probe = nn.const(np.random.default_rng(rows).normal(size=rows))
+
+    def run(layer):
+        tape = Tape(store)
+        out = layer(tape.param("x"), tape.param("w"), tape.param("b"))
+        return out.value, tape.gradients(nn.vsum(nn.mul(nn.sigmoid(out), probe)))
+
+    fused, fused_grads = run(lambda x, w, b: nn.reshape(nn.affine(x, w, b), (-1,)))
+    split, split_grads = run(
+        lambda x, w, b: nn.add(nn.vsum(nn.mul(x, nn.reshape(w, (1, -1))), axis=1), b))
+    assert fused.tobytes() == split.tobytes()
+    for name in ("x", "w", "b"):
+        assert fused_grads[name].tobytes() == split_grads[name].tobytes(), name
+
+
 TIME_ENCODE_SHAPES = [(0, 3), (1, 1), (1, 6), (5, 1), (12, 3), (300, 8)]
 # numpy's dispatched AVX-512 targets; a child process runs cos and sin without them
 AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
